@@ -4,115 +4,30 @@ The package models sparse time-variant multipath channels, designs
 per-path precoders that line every path up on a common delay with its
 Doppler removed, and benchmarks the result against OFDM (with
 inter-carrier interference), OTFS, and plain strongest-path beamforming.
+
+The root re-exports the names of README's library example, the experiment
+registry and runner, and the exception types; everything else is imported
+from its module (ddamsim.channel, ddamsim.zf, ...).
 """
 
-from .asymptotic import asymptotic_snr, mrt_design, mrt_power_allocation
-from .bcd import bcd_solve, group_delay_differences
-from .benchmarks import (
-    cfo_compensate,
-    make_otfs_config,
-    ofdm_design_and_rate,
-    otfs_beam_opt,
-    otfs_rate,
-    otfs_rate_from_taps,
-    strongest_path_design,
-)
-from .channel import (
-    ChannelRealization,
-    PathSet,
-    Timebase,
-    apply_channel,
-    array_response,
-    coherence_partition,
-    generate_paths,
-    realization_from_json,
-    realization_to_json,
-    realize_channel,
-)
-from .config import SystemConfig, config_from_dict, load_config
+from .channel import coherence_partition, generate_paths, realize_channel
+from .config import SystemConfig
 from .errors import ContractViolationError, FeasibilityError, NumericalError
-from .experiments import (
-    EXPERIMENTS,
-    ExperimentRun,
-    ResultRow,
-    list_experiments,
-    run_experiment,
-)
-from .metrics import (
-    CsiError,
-    guard_overhead,
-    ofdm_ber,
-    papr_ccdf,
-    papr_db,
-    perturb_csi,
-    qam_awgn_ber,
-    qam_constellation,
-    qam_symbols,
-)
-from .zf import (
-    DdamDesign,
-    FeasibilityVerdict,
-    ZfFeasibility,
-    build_ddam_tx,
-    ddam_rx_analytic,
-    residual_isi_power,
-    water_filling,
-    zf_design,
-    zf_feasibility,
-)
+from .experiments import EXPERIMENTS, run_experiment
+from .zf import residual_isi_power, zf_design
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelRealization",
     "ContractViolationError",
-    "CsiError",
-    "DdamDesign",
     "EXPERIMENTS",
-    "ExperimentRun",
     "FeasibilityError",
-    "FeasibilityVerdict",
     "NumericalError",
-    "PathSet",
-    "ResultRow",
     "SystemConfig",
-    "Timebase",
-    "ZfFeasibility",
-    "apply_channel",
-    "array_response",
-    "asymptotic_snr",
-    "bcd_solve",
-    "build_ddam_tx",
-    "cfo_compensate",
     "coherence_partition",
-    "config_from_dict",
-    "ddam_rx_analytic",
     "generate_paths",
-    "group_delay_differences",
-    "guard_overhead",
-    "list_experiments",
-    "load_config",
-    "make_otfs_config",
-    "mrt_design",
-    "mrt_power_allocation",
-    "ofdm_ber",
-    "ofdm_design_and_rate",
-    "otfs_beam_opt",
-    "otfs_rate",
-    "otfs_rate_from_taps",
-    "papr_ccdf",
-    "papr_db",
-    "perturb_csi",
-    "qam_awgn_ber",
-    "qam_constellation",
-    "qam_symbols",
-    "realization_from_json",
-    "realization_to_json",
     "realize_channel",
     "residual_isi_power",
     "run_experiment",
-    "strongest_path_design",
-    "water_filling",
     "zf_design",
-    "zf_feasibility",
 ]

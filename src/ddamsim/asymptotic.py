@@ -5,8 +5,8 @@ asymptotically orthogonal, so matched filtering each path individually is
 optimal: cross-path interference vanishes and the aligned paths add
 coherently at the receiver. These routines implement the matched-filter
 precoders, the receive combiner that maximizes the coherent sum, the
-closed-form optimal power split across paths and the resulting SNR, plus a
-diagnostic for how quickly the cross-path leakage actually dies off.
+closed-form optimal power split across paths and the resulting SNR
+expressions.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .channel import ChannelRealization, array_response
 from .config import SystemConfig
 from .errors import ContractViolationError
-from .zf import DdamDesign, delay_precompensation
+from .zf import DdamDesign, aligned_design
 
 
 def mrt_precoders(realization: ChannelRealization, power_alloc: np.ndarray) -> np.ndarray:
@@ -45,12 +45,10 @@ def mrt_precoders(realization: ChannelRealization, power_alloc: np.ndarray) -> n
     return out
 
 
-def asymptotic_combiner(realization: ChannelRealization, power_alloc: np.ndarray) -> np.ndarray:
-    """Unit-norm combiner along sum_l sqrt(p_l) |alpha_l| a_rx(phi_l).
-
-    This is the receive direction that maximizes the SNR of the coherently
-    aligned matched-filter design in the large-array limit.
-    """
+def _coherent_rx_sum(
+    realization: ChannelRealization, power_alloc: np.ndarray
+) -> np.ndarray:
+    """sum_l sqrt(p_l) |alpha_l| a_rx(phi_l), the coherent receive sum."""
     paths = realization.path_set
     powers = np.asarray(power_alloc, dtype=np.float64)
     if powers.shape != (paths.num_paths,):
@@ -61,6 +59,16 @@ def asymptotic_combiner(realization: ChannelRealization, power_alloc: np.ndarray
         acc += math.sqrt(powers[l]) * abs(paths.gains[l]) * array_response(
             num_rx, paths.aoa_rad[l]
         )
+    return acc
+
+
+def asymptotic_combiner(realization: ChannelRealization, power_alloc: np.ndarray) -> np.ndarray:
+    """Unit-norm combiner along sum_l sqrt(p_l) |alpha_l| a_rx(phi_l).
+
+    This is the receive direction that maximizes the SNR of the coherently
+    aligned matched-filter design in the large-array limit.
+    """
+    acc = _coherent_rx_sum(realization, power_alloc)
     norm = np.linalg.norm(acc)
     if norm == 0.0:
         raise ContractViolationError("combiner direction is zero (no power or gains)")
@@ -74,13 +82,7 @@ def combined_asymptotic_snr(
 
     gamma = M_t || sum_l sqrt(p_l) |alpha_l| a_rx(phi_l) ||^2 / noise_var.
     """
-    paths = realization.path_set
-    powers = np.asarray(power_alloc, dtype=np.float64)
-    acc = np.zeros(realization.num_rx, dtype=np.complex128)
-    for l in range(paths.num_paths):
-        acc += math.sqrt(powers[l]) * abs(paths.gains[l]) * array_response(
-            realization.num_rx, paths.aoa_rad[l]
-        )
+    acc = _coherent_rx_sum(realization, power_alloc)
     return realization.num_tx * float(np.linalg.norm(acc) ** 2) / noise_var
 
 
@@ -126,40 +128,6 @@ def asymptotic_snr(config: SystemConfig, gains: np.ndarray) -> float:
     )
 
 
-def strongest_path_snr(config: SystemConfig, gains: np.ndarray) -> float:
-    """Aligned SNR when all power rides the single strongest path."""
-    peak = float(np.max(np.abs(np.asarray(gains)) ** 2))
-    return (
-        config.tx_power_watts
-        / config.noise_power_watts
-        * config.num_tx_antennas
-        * config.num_rx_antennas
-        * peak
-    )
-
-
-def cross_path_leakage(realization: ChannelRealization, num_tx_sweep) -> np.ndarray:
-    """Worst-pair normalized transmit-steering overlap at each array size.
-
-    For each M_t in the sweep returns max over path pairs of
-    |a_tx(psi_l)^H a_tx(psi_k)| / M_t, the factor by which a matched filter
-    for one path excites another. Decays like 1/M_t off the grating points.
-    """
-    aods = realization.path_set.aod_rad
-    if len(aods) < 2:
-        raise ContractViolationError("leakage needs at least two paths")
-    out = np.empty(len(num_tx_sweep), dtype=np.float64)
-    for i, num_tx in enumerate(num_tx_sweep):
-        worst = 0.0
-        for l in range(len(aods)):
-            a_l = array_response(int(num_tx), aods[l])
-            for k in range(l + 1, len(aods)):
-                a_k = array_response(int(num_tx), aods[k])
-                worst = max(worst, abs(np.vdot(a_l, a_k)) / int(num_tx))
-        out[i] = worst
-    return out
-
-
 def mrt_design(
     realization: ChannelRealization, power_alloc: np.ndarray
 ) -> DdamDesign:
@@ -169,15 +137,8 @@ def mrt_design(
     the aligned desired coefficients keep the coherent-sum form exactly at
     the waveform level (same convention as the zero-forcing design).
     """
-    paths = realization.path_set
-    precoders = mrt_precoders(realization, power_alloc)
-    ts = realization.symbol_duration_s
-    fold = np.exp(-2j * np.pi * paths.doppler_hz * paths.delay_taps * ts)
-    precoders = precoders * fold[:, None, None]
-    combiner = asymptotic_combiner(realization, power_alloc)
-    return DdamDesign(
-        precoders=precoders,
-        combiner=combiner,
-        delay_comp=delay_precompensation(paths),
-        doppler_comp=paths.doppler_hz.copy(),
+    return aligned_design(
+        realization,
+        mrt_precoders(realization, power_alloc),
+        asymptotic_combiner(realization, power_alloc),
     )

@@ -107,44 +107,48 @@ def group_delay_differences(
     )
 
 
+def _noise_plus_interference(
+    num_rx: int, interferers, noise_var: float
+) -> np.ndarray:
+    """C = noise_var * I + sum_B B B^H over the interfering M_r x N_s blocks."""
+    cov = noise_var * np.eye(num_rx, dtype=np.complex128)
+    for block in interferers:
+        cov += block @ block.conj().T
+    return cov
+
+
 def interference_covariance(
     grouped: GroupedChannels, precoder: np.ndarray, noise_var: float
 ) -> np.ndarray:
     """C = sum_i Gbar[i] Fbar Fbar^H Gbar[i]^H + noise_var * I."""
-    num_rx = grouped.num_rx
-    cov = noise_var * np.eye(num_rx, dtype=np.complex128)
-    for block in grouped.isi_channels.values():
-        gf = block @ precoder
-        cov += gf @ gf.conj().T
-    return cov
+    return _noise_plus_interference(
+        grouped.num_rx,
+        (block @ precoder for block in grouped.isi_channels.values()),
+        noise_var,
+    )
 
 
-def ddam_rate(
-    grouped: GroupedChannels,
-    precoder: np.ndarray,
-    combiner: np.ndarray,
-    noise_var: float,
-) -> float:
-    """Achievable rate with residual ISI treated as colored Gaussian noise.
+def colored_noise_rate(
+    desired: np.ndarray, interferers, noise_var: float
+) -> tuple[float, np.ndarray]:
+    """Rate of the desired M_r x N_s channel with interference as colored noise.
 
-    log2 det(I + W^H Hbar Fbar Fbar^H Hbar^H W (W^H C W)^{-1}), evaluated
-    stably as a difference of two log-determinants.
+    Returns log2 det(Q) and Q = I + A^H C^{-1} A, where A is the desired
+    channel and C the colored-noise covariance of the interfering blocks.
+    Q is the inverse MMSE matrix of the optimal (MMSE) receiver, so its
+    log-determinant is the achievable rate.
     """
-    f_bar = np.asarray(precoder, dtype=np.complex128)
-    w = np.asarray(combiner, dtype=np.complex128)
-    if f_bar.shape[0] != grouped.stacked_channel.shape[1]:
-        raise ContractViolationError("precoder rows must equal L * M_t")
-    if w.shape[0] != grouped.num_rx:
-        raise ContractViolationError("combiner rows must equal M_r")
-    signal = w.conj().T @ (grouped.stacked_channel @ f_bar)
-    cov_w = w.conj().T @ interference_covariance(grouped, f_bar, noise_var) @ w
-    sign, logdet_cov = np.linalg.slogdet(cov_w)
-    if sign.real <= 0 or not np.isfinite(logdet_cov):
-        raise NumericalError("combined noise covariance is singular")
-    sign2, logdet_full = np.linalg.slogdet(cov_w + signal @ signal.conj().T)
-    if sign2.real <= 0:
-        raise NumericalError("rate determinant is not positive")
-    return float((logdet_full - logdet_cov) / math.log(2.0))
+    cov = _noise_plus_interference(desired.shape[0], interferers, noise_var)
+    try:
+        cinv_a = np.linalg.solve(cov, desired)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"interference covariance solve failed: {exc}") from exc
+    q = np.eye(desired.shape[1], dtype=np.complex128) + desired.conj().T @ cinv_a
+    q = 0.5 * (q + q.conj().T)
+    sign, logdet = np.linalg.slogdet(q)
+    if sign.real <= 0:
+        raise NumericalError("weight matrix lost positive definiteness")
+    return float(logdet / math.log(2.0)), q
 
 
 def mmse_receiver(
@@ -190,25 +194,22 @@ def precoder_update(
     vals = np.maximum(vals.real, 0.0)
     proj = vecs.conj().T @ rhs
     row_power = np.sum(np.abs(proj) ** 2, axis=1)
+    # at beta = 0 the inverse acts as a pseudo-inverse on the zero eigenspace
+    active = vals > vals.max() * 1e-13 if vals.size else np.zeros(0, bool)
 
     def power_at(beta: float) -> float:
-        denom = vals + beta
         if beta == 0.0:
-            # pseudo-inverse behavior on the zero eigenspace
-            active = vals > vals.max() * 1e-13 if vals.size else np.zeros(0, bool)
             out = np.zeros_like(row_power)
             out[active] = row_power[active] / (vals[active] ** 2)
             return float(out.sum())
-        return float(np.sum(row_power / (denom**2)))
+        return float(np.sum(row_power / ((vals + beta) ** 2)))
 
     def precoder_at(beta: float) -> np.ndarray:
-        denom = vals + beta
         if beta == 0.0:
-            active = vals > vals.max() * 1e-13 if vals.size else np.zeros(0, bool)
             scaled = np.zeros_like(proj)
             scaled[active] = proj[active] / vals[active, None]
             return vecs @ scaled
-        return vecs @ (proj / denom[:, None])
+        return vecs @ (proj / (vals + beta)[:, None])
 
     if power_at(0.0) <= total_power:
         return precoder_at(0.0)
@@ -236,22 +237,14 @@ def _weighted_rate(
 ) -> tuple[float, np.ndarray]:
     """Rate at the MMSE receiver plus the matching weight matrix Q.
 
-    Q = I + Fbar^H Hbar^H C^{-1} Hbar Fbar is the inverse MMSE matrix; its
-    log-determinant equals the achievable rate, which is what the
-    alternating scheme monotonically increases.
+    The log-determinant of Q is what the alternating scheme monotonically
+    increases.
     """
-    a = grouped.stacked_channel @ precoder
-    cov = interference_covariance(grouped, precoder, noise_var)
-    try:
-        cinv_a = np.linalg.solve(cov, a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"interference covariance solve failed: {exc}") from exc
-    q = np.eye(precoder.shape[1], dtype=np.complex128) + a.conj().T @ cinv_a
-    q = 0.5 * (q + q.conj().T)
-    sign, logdet = np.linalg.slogdet(q)
-    if sign.real <= 0:
-        raise NumericalError("weight matrix lost positive definiteness")
-    return float(logdet / math.log(2.0)), q
+    return colored_noise_rate(
+        grouped.stacked_channel @ precoder,
+        [block @ precoder for block in grouped.isi_channels.values()],
+        noise_var,
+    )
 
 
 def bcd_solve(

@@ -12,14 +12,13 @@ remaining multipath as interference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .channel import ChannelRealization, PathSet, Timebase, apply_channel, array_response
+from .channel import ChannelRealization, PathSet, array_response
 from .errors import ContractViolationError, NumericalError
 from .linalg import DEFAULT_RANK_TOL, eig_hermitian, svd_reduced
 
@@ -101,21 +100,6 @@ def ici_coefficient(
         num_subcarriers * (ratio[far] - 1.0)
     )
     return out.reshape(shape)
-
-
-def ofdm_ici_channel(
-    realization: ChannelRealization, num_subcarriers: int, delta: int
-) -> np.ndarray:
-    """Per-path frequency-domain coupling matrices H_l[delta], stacked (L, M_r, M_t).
-
-    H_l[delta] is H_l scaled by the block-averaged Doppler phase; with zero
-    Doppler it equals H_l at delta = 0 and vanishes at delta != 0.
-    """
-    paths = realization.path_set
-    coeff = ici_coefficient(
-        paths.doppler_hz, realization.symbol_duration_s, num_subcarriers, delta
-    )
-    return realization.matrices * coeff[:, None, None]
 
 
 def _rank_one_components(realization: ChannelRealization, rank_tol: float):
@@ -270,15 +254,7 @@ def cfo_compensate(paths: PathSet) -> PathSet:
     anchor = int(np.argmax(np.abs(paths.gains) ** 2))
     shifted = paths.doppler_hz - paths.doppler_hz[anchor]
     bound = max(paths.doppler_bound_hz, float(np.max(np.abs(shifted))))
-    return PathSet(
-        gains=paths.gains.copy(),
-        aoa_rad=paths.aoa_rad.copy(),
-        aod_rad=paths.aod_rad.copy(),
-        delay_taps=paths.delay_taps.copy(),
-        doppler_hz=shifted,
-        doppler_bound_hz=bound,
-        delay_tap_bound=paths.delay_tap_bound,
-    )
+    return replace(paths, doppler_hz=shifted, doppler_bound_hz=bound)
 
 
 # --- OTFS -------------------------------------------------------------------
@@ -329,34 +305,27 @@ def make_otfs_config(
     num_delay_bins: int,
     num_doppler_bins: int,
     cp_length: int,
-    tx_beam: np.ndarray | None = None,
-    rx_beam: np.ndarray | None = None,
 ) -> OtfsConfig:
     """Quantize the realization onto the delay-Doppler grid.
 
     Delay taps carry over directly (both live on the T_s grid); Doppler
     taps are the nearest multiples of the frame's Doppler resolution
     1 / (N * M * T_s), with the rounding loss kept as a diagnostic.
-    Default beams point along the dominant path's steering vectors.
+    The beams point along the dominant path's steering vectors.
     """
     paths = realization.path_set
     frame_s = num_doppler_bins * num_delay_bins * realization.symbol_duration_s
     doppler_taps = np.rint(paths.doppler_hz * frame_s).astype(np.int64)
     residual = paths.doppler_hz - doppler_taps / frame_s
-    if tx_beam is None or rx_beam is None:
-        dominant = int(np.argmax(np.abs(paths.gains) ** 2))
-        if tx_beam is None:
-            a_tx = array_response(realization.num_tx, paths.aod_rad[dominant])
-            tx_beam = a_tx / np.linalg.norm(a_tx)
-        if rx_beam is None:
-            a_rx = array_response(realization.num_rx, paths.aoa_rad[dominant])
-            rx_beam = a_rx / np.linalg.norm(a_rx)
+    dominant = int(np.argmax(np.abs(paths.gains) ** 2))
+    a_tx = array_response(realization.num_tx, paths.aod_rad[dominant])
+    a_rx = array_response(realization.num_rx, paths.aoa_rad[dominant])
     return OtfsConfig(
         num_delay_bins=num_delay_bins,
         num_doppler_bins=num_doppler_bins,
         cp_length=cp_length,
-        tx_beam=tx_beam,
-        rx_beam=rx_beam,
+        tx_beam=a_tx / np.linalg.norm(a_tx),
+        rx_beam=a_rx / np.linalg.norm(a_rx),
         delay_taps=paths.delay_taps.copy(),
         doppler_taps=doppler_taps,
         doppler_residual_hz=residual,
@@ -370,53 +339,6 @@ def otfs_effective_gains(
     return np.einsum(
         "r,lrt,t->l", config.rx_beam.conj(), realization.matrices, config.tx_beam
     )
-
-
-def _shift_phase_operator(
-    gains: np.ndarray, delay_taps: np.ndarray, doppler_taps: np.ndarray, grid_size: int
-) -> np.ndarray:
-    """Dense sum over paths of gain * (cyclic shift by i) * (phase ramp j)."""
-    h = np.zeros((grid_size, grid_size), dtype=np.complex128)
-    n_idx = np.arange(grid_size)
-    for gain, i_tap, j_tap in zip(gains, delay_taps, doppler_taps):
-        rows = (n_idx + int(i_tap)) % grid_size
-        h[rows, n_idx] += gain * np.exp(2j * np.pi * int(j_tap) * n_idx / grid_size)
-    return h
-
-
-def otfs_time_channel(
-    realization: ChannelRealization, config: OtfsConfig
-) -> np.ndarray:
-    """Scalarized time-domain channel after beamforming, size MN x MN.
-
-    Each path contributes its effective gain on a cyclic delay shift
-    composed with a Doppler phase ramp, so the operator is a sum of
-    permutation-times-diagonal factors.
-    """
-    gains = otfs_effective_gains(realization, config)
-    return _shift_phase_operator(
-        gains, config.delay_taps, config.doppler_taps, config.grid_size
-    )
-
-
-def otfs_delay_doppler_channel(
-    realization: ChannelRealization, config: OtfsConfig
-) -> np.ndarray:
-    """Time channel conjugated into the delay-Doppler domain.
-
-    Applies (F_N kron I_M) on the left and its inverse on the right, with
-    the unitary N-point DFT and rectangular (identity) pulse shaping. The
-    transform is unitary, so Frobenius norm and singular values carry over
-    from the time-domain operator.
-    """
-    h = otfs_time_channel(realization, config)
-    m, n = config.num_delay_bins, config.num_doppler_bins
-    f_n = scipy.linalg.dft(n) / math.sqrt(n)
-    # contract the kron factors through reshapes instead of forming MN x MN krons
-    t = h.reshape(n, m, n, m)
-    t = np.einsum("ab,bmcr->amcr", f_n, t)
-    t = np.einsum("amcr,dc->amdr", t, f_n.conj())
-    return t.reshape(m * n, m * n)
 
 
 def otfs_beam_opt(
@@ -471,31 +393,6 @@ def otfs_beam_opt(
     return f, v, trace
 
 
-def otfs_rate(
-    h_dd: np.ndarray,
-    power_over_noise: float,
-    cp_length: int,
-    num_delay_bins: int,
-    num_doppler_bins: int,
-) -> float:
-    """Spectral efficiency of the delay-Doppler channel with CP overhead.
-
-    log2 det(I + pbar * H H^H) normalized by the frame length plus its
-    cyclic prefix.
-    """
-    h = np.asarray(h_dd, dtype=np.complex128)
-    mn = num_delay_bins * num_doppler_bins
-    if h.shape != (mn, mn):
-        raise ContractViolationError(f"h_dd must be {mn} x {mn}, got {h.shape}")
-    if power_over_noise < 0 or cp_length < 0:
-        raise ContractViolationError("power_over_noise and cp_length must be >= 0")
-    gram = np.eye(mn, dtype=np.complex128) + power_over_noise * (h @ h.conj().T)
-    sign, logdet = np.linalg.slogdet(gram)
-    if sign.real <= 0 or not np.isfinite(logdet):
-        raise NumericalError("delay-Doppler Gram determinant is not positive")
-    return float(logdet / math.log(2.0) / (mn + cp_length))
-
-
 def otfs_rate_from_taps(
     effective_gains: np.ndarray,
     delay_taps: np.ndarray,
@@ -505,10 +402,14 @@ def otfs_rate_from_taps(
     power_over_noise: float,
     cp_length: int,
 ) -> float:
-    """Same rate as otfs_rate without building any dense MN x MN matrix.
+    """OTFS spectral efficiency with CP overhead, from the per-path taps.
 
-    The delay-Doppler transform is unitary, so the log-determinant can be
-    taken over the sparse time-domain operator directly; a sparse LU
+    The rate is log2 det(I + pbar * H H^H) of the delay-Doppler channel,
+    normalized by the frame length plus its cyclic prefix. The
+    delay-Doppler transform is unitary, so the log-determinant is taken
+    over the sparse time-domain operator directly, without building any
+    dense MN x MN matrix (the dense chain in tests/oracles.py is the
+    reference it is checked against); a sparse LU
     factorization supplies it as the sum of log|U_ii|, valid here because
     the Gram matrix is Hermitian positive definite.
     """
@@ -584,47 +485,3 @@ def strongest_path_design(
         snr_dominant=float(powers[dominant] / noise_var),
         sinr_multipath=float(powers[dominant] / (interference + noise_var)),
     )
-
-
-def measure_beam_sinr(
-    realization: ChannelRealization,
-    design: StrongestPathDesign,
-    timebase: Timebase,
-    num_symbols: int = 4096,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, float]:
-    """Time-domain check of the strongest-path link: (desired, interference).
-
-    Sends one Gaussian stream through the beamformer and the exact channel,
-    derotates the dominant path's Doppler, and least-squares fits the
-    combined output against the symbol stream at the dominant delay. The
-    explained power is the desired part, the residual is multipath
-    interference; both are noiseless, so the caller adds the noise floor.
-    """
-    gen = rng if rng is not None else np.random.default_rng(0)
-    paths = realization.path_set
-    m_dom = int(paths.delay_taps[design.dominant_path])
-    margin = paths.max_delay_tap + 1
-    if num_symbols <= 4 * margin:
-        raise ContractViolationError("num_symbols too small for the sync margins")
-    s = (
-        gen.standard_normal(num_symbols) + 1j * gen.standard_normal(num_symbols)
-    ) / math.sqrt(2.0)
-    x = np.outer(s, design.precoder)
-    r = apply_channel(realization, x, noise_std=0.0)
-    n_idx = np.arange(num_symbols)
-    derot = np.exp(
-        -2j
-        * np.pi
-        * paths.doppler_hz[design.dominant_path]
-        * n_idx
-        * timebase.symbol_duration_s
-    )
-    y = (r @ design.combiner.conj()) * derot
-    lo, hi = margin, num_symbols - margin
-    ref = s[lo - m_dom : hi - m_dom]
-    obs = y[lo:hi]
-    coef = np.vdot(ref, obs) / np.vdot(ref, ref)
-    desired = float(np.abs(coef) ** 2 * np.mean(np.abs(ref) ** 2))
-    interference = float(np.mean(np.abs(obs - coef * ref) ** 2))
-    return desired, interference

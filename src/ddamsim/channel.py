@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,16 +70,8 @@ class PathSet:
         return int(self.gains.shape[0])
 
     @property
-    def min_delay_tap(self) -> int:
-        return int(self.delay_taps.min())
-
-    @property
     def max_delay_tap(self) -> int:
         return int(self.delay_taps.max())
-
-    @property
-    def delay_span(self) -> int:
-        return self.max_delay_tap - self.min_delay_tap
 
 
 @dataclass

@@ -22,11 +22,11 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .bcd import bcd_solve, group_delay_differences
+from .bcd import bcd_solve, colored_noise_rate, group_delay_differences
 from .benchmarks import (
     cfo_compensate,
     make_otfs_config,
@@ -45,7 +45,16 @@ from .channel import (
 )
 from .config import SystemConfig, config_from_dict
 from .errors import ContractViolationError, NumericalError
-from .metrics import CsiError, ofdm_ber, papr_db, perturb_csi, qam_awgn_ber, qam_symbols
+from .metrics import (
+    CsiError,
+    exceedance_fractions,
+    guard_overhead,
+    ofdm_ber,
+    papr_db,
+    perturb_csi,
+    qam_awgn_ber,
+    qam_symbols,
+)
 from .zf import (
     DdamDesign,
     FeasibilityVerdict,
@@ -103,7 +112,6 @@ class ExperimentSpec:
     config_overrides: dict
     evaluator: object            # callable (SystemConfig, Generator) -> records
     default_trials: int
-    uses_rng: bool = True
 
 
 @dataclass
@@ -151,21 +159,7 @@ class ExperimentRun:
                 "failures": [list(f) for f in self.failures],
                 "system": self.config.to_dict(),
             },
-            "rows": [
-                {
-                    "scheme": r.scheme,
-                    "param_name": r.param_name,
-                    "param_value": r.param_value,
-                    "metric": r.metric,
-                    "seed": r.seed,
-                    "trials": r.trials,
-                    "mean": r.mean,
-                    "median": r.median,
-                    "p10": r.p10,
-                    "p90": r.p90,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
         }
         return json.dumps(payload, indent=2)
 
@@ -185,7 +179,11 @@ def _format_param(value: float) -> str:
 
 
 def _alignment_overhead(config: SystemConfig, timebase: Timebase) -> float:
-    return 2.0 * config.max_delay_tap / timebase.samples_per_invariant
+    return guard_overhead(
+        "ddam",
+        max_delay_tap=config.max_delay_tap,
+        frame_samples=timebase.samples_per_invariant,
+    )
 
 
 def _block_samples(timebase: Timebase) -> list[int]:
@@ -267,23 +265,6 @@ def _strongest_se(
     return math.log2(1.0 + design.sinr_multipath) * (1.0 - overhead)
 
 
-def _colored_noise_rate(
-    desired: np.ndarray, interferers: list[np.ndarray], noise_var: float
-) -> float:
-    """log2 det(I + A^H C^{-1} A) with the interference folded into C."""
-    m_r = desired.shape[0]
-    cov = noise_var * np.eye(m_r, dtype=np.complex128)
-    for block in interferers:
-        cov += block @ block.conj().T
-    sol = np.linalg.solve(cov, desired)
-    q = np.eye(desired.shape[1], dtype=np.complex128) + desired.conj().T @ sol
-    q = 0.5 * (q + q.conj().T)
-    sign, logdet = np.linalg.slogdet(q)
-    if sign.real <= 0:
-        raise NumericalError("mismatch rate determinant is not positive")
-    return float(logdet / math.log(2.0))
-
-
 def mismatched_alignment_rate(
     realization: ChannelRealization,
     design: DdamDesign,
@@ -327,7 +308,7 @@ def mismatched_alignment_rate(
             aligned_lag,
             np.zeros((realization.num_rx, num_streams), dtype=np.complex128),
         )
-        rates.append(_colored_noise_rate(desired, list(groups.values()), noise_var))
+        rates.append(colored_noise_rate(desired, list(groups.values()), noise_var)[0])
     return float(np.mean(rates))
 
 
@@ -507,9 +488,9 @@ def _papr_trial(config: SystemConfig, rng: np.random.Generator) -> list:
     records = []
     for scheme, frame in frames.items():
         values, _ = papr_db(frame)
-        for threshold in PAPR_THRESHOLDS_DB:
-            frac = float(np.mean(values > threshold)) if values.size else 0.0
-            records.append((scheme, "threshold_db", float(threshold), "ccdf", frac))
+        fracs = exceedance_fractions(values, PAPR_THRESHOLDS_DB)
+        for threshold, frac in zip(PAPR_THRESHOLDS_DB, fracs):
+            records.append((scheme, "threshold_db", float(threshold), "ccdf", float(frac)))
     return records
 
 
@@ -638,7 +619,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             config_overrides={},
             evaluator=_feasibility_trial,
             default_trials=1,
-            uses_rng=False,
         ),
     )
 }
@@ -691,6 +671,8 @@ def run_experiment(
     trials = spec.default_trials if num_trials is None else int(num_trials)
     if trials < 1:
         raise ContractViolationError("num_trials must be >= 1")
+    if workers is not None and workers < 1:
+        raise ContractViolationError("workers must be >= 1")
     config_dict = resolved.to_dict()
 
     results: dict[int, list] = {}

@@ -5,7 +5,7 @@ and the imperfect-CSI perturbation model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import erfc
@@ -131,6 +131,15 @@ def papr_db(frame: np.ndarray) -> tuple[np.ndarray, int]:
     return 10.0 * np.log10(ratios), int(np.sum(~active))
 
 
+def exceedance_fractions(values, thresholds) -> np.ndarray:
+    """Fraction of values strictly above each threshold; zeros for no values."""
+    v = np.asarray(values, dtype=np.float64)
+    t = np.asarray(thresholds, dtype=np.float64)
+    if v.size == 0:
+        return np.zeros(t.shape)
+    return np.mean(v[None, :] > t[:, None], axis=1)
+
+
 def papr_ccdf(frames, thresholds_db) -> PaprCcdf:
     """CCDF of PAPR over every (antenna, frame) pair.
 
@@ -154,10 +163,9 @@ def papr_ccdf(frames, thresholds_db) -> PaprCcdf:
     flat = np.concatenate(values)
     if flat.size == 0:
         raise ContractViolationError("every antenna was excluded for zero power")
-    ccdf = np.mean(flat[None, :] > thresholds[:, None], axis=1)
     return PaprCcdf(
         thresholds_db=thresholds,
-        ccdf=ccdf,
+        ccdf=exceedance_fractions(flat, thresholds),
         num_values=int(flat.size),
         num_excluded=excluded,
     )
@@ -274,18 +282,7 @@ def perturb_csi(
         std = err.doppler_error_coeff * bound / math.sqrt(2.0)
         doppler = doppler + std * rng.standard_normal(num_paths)
     new_bound = max(bound, float(np.max(np.abs(doppler))))
-    perturbed = PathSet(
-        gains=paths.gains.copy(),
-        aoa_rad=paths.aoa_rad.copy(),
-        aod_rad=paths.aod_rad.copy(),
-        delay_taps=delays,
-        doppler_hz=doppler,
-        doppler_bound_hz=new_bound,
-        delay_tap_bound=paths.delay_tap_bound,
+    perturbed = replace(
+        paths, delay_taps=delays, doppler_hz=doppler, doppler_bound_hz=new_bound
     )
-    realized = CsiError(
-        delay_accuracy=err.delay_accuracy,
-        doppler_error_coeff=err.doppler_error_coeff,
-        indicator=indicator,
-    )
-    return perturbed, realized
+    return perturbed, replace(err, indicator=indicator)

@@ -30,7 +30,6 @@ from .channel import ChannelRealization, PathSet, Timebase, apply_channel
 from .errors import ContractViolationError, FeasibilityError, NumericalError
 from .linalg import DEFAULT_RANK_TOL, null_space_basis, svd_reduced
 
-WATER_LEVEL_TOL = 1e-12
 POWER_MATCH_REL_TOL = 1e-9
 
 
@@ -132,13 +131,23 @@ def zf_feasibility(num_tx: int, num_rx: int, num_streams: int, num_paths: int) -
     return ZfFeasibility(verdict, num_equations, num_variables)
 
 
-def _bases_from_matrices(mats: np.ndarray, rank_tol: float) -> list[np.ndarray]:
-    num_paths, _, num_tx = mats.shape
+def path_zf_precoder_bases(
+    matrices: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL
+) -> list[np.ndarray]:
+    """Orthonormal bases of the per-path interference-free subspaces.
+
+    matrices is the (L, M_r, M_t) stack of path channels. bases[l] spans the
+    orthogonal complement of the column space of
+    [H_1^H, ..., H_{l-1}^H, H_{l+1}^H, ..., H_L^H], so H_k @ bases[l] = 0
+    for every k != l. With a single path there is nothing to null and the
+    full identity basis is returned.
+    """
+    num_paths, _, num_tx = matrices.shape
     if num_paths == 1:
         return [np.eye(num_tx, dtype=np.complex128)]
     bases = []
     for l in range(num_paths):
-        others = [mats[k].conj().T for k in range(num_paths) if k != l]
+        others = [matrices[k].conj().T for k in range(num_paths) if k != l]
         stack = np.concatenate(others, axis=1)
         basis = null_space_basis(stack, tol=rank_tol)
         if basis.shape[1] == 0:
@@ -148,27 +157,6 @@ def _bases_from_matrices(mats: np.ndarray, rank_tol: float) -> list[np.ndarray]:
             )
         bases.append(basis)
     return bases
-
-
-def path_zf_precoder_bases(
-    realization: ChannelRealization, rank_tol: float = DEFAULT_RANK_TOL
-) -> list[np.ndarray]:
-    """Orthonormal bases of the per-path interference-free subspaces.
-
-    bases[l] spans the orthogonal complement of the column space of
-    [H_1^H, ..., H_{l-1}^H, H_{l+1}^H, ..., H_L^H], so H_k @ bases[l] = 0
-    for every k != l. With a single path there is nothing to null and the
-    full identity basis is returned.
-    """
-    return _bases_from_matrices(realization.matrices, rank_tol)
-
-
-def effective_aligned_channel(
-    realization: ChannelRealization, bases: list[np.ndarray]
-) -> np.ndarray:
-    """Interference-free aligned channel [H_1 B_1, ..., H_L B_L]."""
-    blocks = [realization.matrices[l] @ bases[l] for l in range(len(bases))]
-    return np.concatenate(blocks, axis=1)
 
 
 def zf_spatial_design(
@@ -185,7 +173,7 @@ def zf_spatial_design(
     solution split back into per-path precoders.
     """
     mats = np.asarray(matrices, dtype=np.complex128)
-    bases = _bases_from_matrices(mats, rank_tol)
+    bases = path_zf_precoder_bases(mats, rank_tol)
     blocks = [mats[l] @ bases[l] for l in range(len(bases))]
     h_eff = np.concatenate(blocks, axis=1)
     result = zf_capacity_design(h_eff, total_power, noise_var, num_streams, rank_tol)
@@ -195,47 +183,38 @@ def zf_spatial_design(
 def water_filling(
     mode_gains: np.ndarray, total_power: float, noise_var: float = 1.0
 ) -> np.ndarray:
-    """Classic water-filling over parallel modes.
+    """Classic water-filling over parallel modes, in closed form.
 
     Solves max sum_k log2(1 + p_k g_k / noise_var) s.t. sum p_k = total_power,
-    p_k >= 0, by bisecting the water level mu in p_k = max(0, mu - noise_var/g_k).
-    Modes with non-positive gain receive zero power.
+    p_k >= 0. With the floors f_k = noise_var / g_k sorted ascending, the n
+    lowest floors are active, n being the largest count whose top floor the
+    budget can reach: total_power > sum_{j<n} (f_n - f_j). Each active mode
+    gets p_i = (total_power - sum_{j active} (f_i - f_j)) / n, which equals
+    mu - f_i for the water level mu but is taken from floor differences so
+    it does not cancel when the floors dwarf the budget; a lone active mode
+    gets exactly total_power. Modes with non-positive gain receive zero power.
     """
     gains = np.asarray(mode_gains, dtype=np.float64)
     if gains.ndim != 1 or gains.size == 0:
         raise ContractViolationError("mode_gains must be a non-empty 1-D array")
     if total_power <= 0 or noise_var <= 0:
         raise ContractViolationError("total_power and noise_var must be positive")
-    positive = gains > 0
-    if not np.any(positive):
+    modes = np.flatnonzero(gains > 0)
+    if modes.size == 0:
         raise ContractViolationError("water_filling needs at least one positive gain")
-    inv = np.full_like(gains, np.inf)
-    inv[positive] = noise_var / gains[positive]
-
-    def allocated(mu: float) -> np.ndarray:
-        return np.maximum(0.0, mu - inv)
-
-    lo = 0.0
-    hi = float(np.min(inv[positive]) + total_power)
-    while allocated(hi).sum() < total_power:
-        hi *= 2.0
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        total = allocated(mid).sum()
-        if abs(total - total_power) <= POWER_MATCH_REL_TOL * total_power * 0.1:
-            lo = hi = mid
-            break
-        if total < total_power:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= WATER_LEVEL_TOL:
-            break
-    powers = allocated(0.5 * (lo + hi))
+    floors = noise_var / gains[modes]
+    order = np.argsort(floors, kind="stable")
+    modes, floors = modes[order], floors[order]
+    gaps = floors[:, None] - floors[None, :]          # f_i - f_j
+    # budget that lifts every lower floor to floor k; non-decreasing in k
+    reach = np.tril(gaps).sum(axis=1)
+    n = int(np.count_nonzero(reach < total_power))
+    powers = np.zeros_like(gains)
+    powers[modes[:n]] = (total_power - gaps[:n, :n].sum(axis=1)) / n
     total = powers.sum()
     if not math.isclose(total, total_power, rel_tol=POWER_MATCH_REL_TOL):
         raise NumericalError(
-            f"water level bisection missed the power budget ({total} vs {total_power})"
+            f"water-filling missed the power budget ({total} vs {total_power})"
         )
     return powers
 
@@ -300,6 +279,25 @@ def split_stacked_precoder(
     return precoders
 
 
+def aligned_design(
+    realization: ChannelRealization, precoders: np.ndarray, combiner: np.ndarray
+) -> DdamDesign:
+    """Attach the per-path delay/Doppler compensation to spatial precoders.
+
+    Folds the constant phase exp(-j*2*pi*nu_l*m_l*T_s) into each F_l of the
+    (L, M_t, N_s) stack, so the aligned channel equals the designed one.
+    """
+    paths = realization.path_set
+    ts = realization.symbol_duration_s
+    fold = np.exp(-2j * np.pi * paths.doppler_hz * paths.delay_taps * ts)
+    return DdamDesign(
+        precoders=precoders * fold[:, None, None],
+        combiner=combiner,
+        delay_comp=delay_precompensation(paths),
+        doppler_comp=paths.doppler_hz.copy(),
+    )
+
+
 def zf_design(
     realization: ChannelRealization,
     total_power: float,
@@ -308,20 +306,10 @@ def zf_design(
     rank_tol: float = DEFAULT_RANK_TOL,
 ) -> tuple[DdamDesign, ZfCapacityResult]:
     """Full zero-forcing alignment design for one realization."""
-    paths = realization.path_set
     per_path, result = zf_spatial_design(
         realization.matrices, total_power, noise_var, num_streams, rank_tol
     )
-    ts = realization.symbol_duration_s
-    fold = np.exp(-2j * np.pi * paths.doppler_hz * paths.delay_taps * ts)
-    precoders = np.stack([per_path[l] * fold[l] for l in range(paths.num_paths)])
-    design = DdamDesign(
-        precoders=precoders,
-        combiner=result.combiner,
-        delay_comp=delay_precompensation(paths),
-        doppler_comp=paths.doppler_hz.copy(),
-    )
-    return design, result
+    return aligned_design(realization, np.stack(per_path), result.combiner), result
 
 
 def build_ddam_tx(
@@ -349,43 +337,6 @@ def build_ddam_tx(
         rot = np.exp(-2j * np.pi * design.doppler_comp[l] * n_idx[kappa:] * ts)
         x[kappa:] += (s[: n_samples - kappa] @ design.precoders[l].T) * rot[:, None]
     return x
-
-
-def ddam_rx_analytic(
-    realization: ChannelRealization,
-    design: DdamDesign,
-    symbols: np.ndarray,
-) -> np.ndarray:
-    """Closed-form combined receive signal, term by term and phase exact.
-
-    Path l of the channel applied to the path-l' transmit branch lands at
-    lag kappa_l' + m_l with coefficient
-    W^H H_l F_l' exp(j*2*pi*(nu_l - nu_l')*n*T_s) exp(j*2*pi*nu_l'*m_l*T_s).
-    Summing all (l, l') terms reproduces the time-domain oracle exactly
-    (noise off); the l = l' terms are the aligned desired signal, the rest
-    is inter-path interference at lags m_max + (m_l - m_l').
-    """
-    s = np.asarray(symbols, dtype=np.complex128)
-    if s.ndim != 2 or s.shape[1] != design.num_streams:
-        raise ContractViolationError("symbols shape does not match the design")
-    paths = realization.path_set
-    ts = realization.symbol_duration_s
-    n_samples = s.shape[0]
-    n_idx = np.arange(n_samples)
-    w_h = design.combiner.conj().T
-    out = np.zeros((n_samples, w_h.shape[0]), dtype=np.complex128)
-    for l in range(paths.num_paths):
-        m_l = int(paths.delay_taps[l])
-        for lp in range(design.num_paths):
-            lag = int(design.delay_comp[lp]) + m_l
-            if lag >= n_samples:
-                continue
-            coef = w_h @ realization.matrices[l] @ design.precoders[lp]
-            const = np.exp(2j * np.pi * design.doppler_comp[lp] * m_l * ts)
-            dnu = paths.doppler_hz[l] - design.doppler_comp[lp]
-            rot = np.exp(2j * np.pi * dnu * n_idx[lag:] * ts) * const
-            out[lag:] += (s[: n_samples - lag] @ coef.T) * rot[:, None]
-    return out
 
 
 def residual_isi_power(

@@ -1,0 +1,247 @@
+"""Reference implementations that the tests compare the library against.
+
+These are direct, dense or time-domain versions of quantities the package
+computes more cheaply (or does not need at run time). They live here so the
+library ships one implementation per quantity while the tests keep an
+independent oracle for each.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import scipy.linalg
+
+from ddamsim.bcd import GroupedChannels, interference_covariance
+from ddamsim.benchmarks import OtfsConfig, StrongestPathDesign, otfs_effective_gains
+from ddamsim.channel import ChannelRealization, Timebase, apply_channel, array_response
+from ddamsim.config import SystemConfig
+from ddamsim.errors import ContractViolationError, NumericalError
+from ddamsim.zf import DdamDesign
+
+
+# --- aligned-link rate and waveform (bcd, zf) ---------------------------------
+
+
+def ddam_rate(
+    grouped: GroupedChannels,
+    precoder: np.ndarray,
+    combiner: np.ndarray,
+    noise_var: float,
+) -> float:
+    """Achievable rate with residual ISI treated as colored Gaussian noise.
+
+    log2 det(I + W^H Hbar Fbar Fbar^H Hbar^H W (W^H C W)^{-1}), evaluated
+    stably as a difference of two log-determinants.
+    """
+    f_bar = np.asarray(precoder, dtype=np.complex128)
+    w = np.asarray(combiner, dtype=np.complex128)
+    if f_bar.shape[0] != grouped.stacked_channel.shape[1]:
+        raise ContractViolationError("precoder rows must equal L * M_t")
+    if w.shape[0] != grouped.num_rx:
+        raise ContractViolationError("combiner rows must equal M_r")
+    signal = w.conj().T @ (grouped.stacked_channel @ f_bar)
+    cov_w = w.conj().T @ interference_covariance(grouped, f_bar, noise_var) @ w
+    sign, logdet_cov = np.linalg.slogdet(cov_w)
+    if sign.real <= 0 or not np.isfinite(logdet_cov):
+        raise NumericalError("combined noise covariance is singular")
+    sign2, logdet_full = np.linalg.slogdet(cov_w + signal @ signal.conj().T)
+    if sign2.real <= 0:
+        raise NumericalError("rate determinant is not positive")
+    return float((logdet_full - logdet_cov) / math.log(2.0))
+
+
+def ddam_rx_analytic(
+    realization: ChannelRealization,
+    design: DdamDesign,
+    symbols: np.ndarray,
+) -> np.ndarray:
+    """Closed-form combined receive signal, term by term and phase exact.
+
+    Path l of the channel applied to the path-l' transmit branch lands at
+    lag kappa_l' + m_l with coefficient
+    W^H H_l F_l' exp(j*2*pi*(nu_l - nu_l')*n*T_s) exp(j*2*pi*nu_l'*m_l*T_s).
+    Summing all (l, l') terms reproduces the time-domain oracle exactly
+    (noise off); the l = l' terms are the aligned desired signal, the rest
+    is inter-path interference at lags m_max + (m_l - m_l').
+    """
+    s = np.asarray(symbols, dtype=np.complex128)
+    if s.ndim != 2 or s.shape[1] != design.num_streams:
+        raise ContractViolationError("symbols shape does not match the design")
+    paths = realization.path_set
+    ts = realization.symbol_duration_s
+    n_samples = s.shape[0]
+    n_idx = np.arange(n_samples)
+    w_h = design.combiner.conj().T
+    out = np.zeros((n_samples, w_h.shape[0]), dtype=np.complex128)
+    for l in range(paths.num_paths):
+        m_l = int(paths.delay_taps[l])
+        for lp in range(design.num_paths):
+            lag = int(design.delay_comp[lp]) + m_l
+            if lag >= n_samples:
+                continue
+            coef = w_h @ realization.matrices[l] @ design.precoders[lp]
+            const = np.exp(2j * np.pi * design.doppler_comp[lp] * m_l * ts)
+            dnu = paths.doppler_hz[l] - design.doppler_comp[lp]
+            rot = np.exp(2j * np.pi * dnu * n_idx[lag:] * ts) * const
+            out[lag:] += (s[: n_samples - lag] @ coef.T) * rot[:, None]
+    return out
+
+
+# --- large-array SNR references (asymptotic) ----------------------------------
+
+
+def strongest_path_snr(config: SystemConfig, gains: np.ndarray) -> float:
+    """Aligned SNR when all power rides the single strongest path."""
+    peak = float(np.max(np.abs(np.asarray(gains)) ** 2))
+    return (
+        config.tx_power_watts
+        / config.noise_power_watts
+        * config.num_tx_antennas
+        * config.num_rx_antennas
+        * peak
+    )
+
+
+def cross_path_leakage(realization: ChannelRealization, num_tx_sweep) -> np.ndarray:
+    """Worst-pair normalized transmit-steering overlap at each array size.
+
+    For each M_t in the sweep returns max over path pairs of
+    |a_tx(psi_l)^H a_tx(psi_k)| / M_t, the factor by which a matched filter
+    for one path excites another. Decays like 1/M_t off the grating points.
+    """
+    aods = realization.path_set.aod_rad
+    if len(aods) < 2:
+        raise ContractViolationError("leakage needs at least two paths")
+    out = np.empty(len(num_tx_sweep), dtype=np.float64)
+    for i, num_tx in enumerate(num_tx_sweep):
+        worst = 0.0
+        for l in range(len(aods)):
+            a_l = array_response(int(num_tx), aods[l])
+            for k in range(l + 1, len(aods)):
+                a_k = array_response(int(num_tx), aods[k])
+                worst = max(worst, abs(np.vdot(a_l, a_k)) / int(num_tx))
+        out[i] = worst
+    return out
+
+
+# --- dense OTFS chain and strongest-path time-domain check (benchmarks) -------
+
+
+def _shift_phase_operator(
+    gains: np.ndarray, delay_taps: np.ndarray, doppler_taps: np.ndarray, grid_size: int
+) -> np.ndarray:
+    """Dense sum over paths of gain * (cyclic shift by i) * (phase ramp j)."""
+    h = np.zeros((grid_size, grid_size), dtype=np.complex128)
+    n_idx = np.arange(grid_size)
+    for gain, i_tap, j_tap in zip(gains, delay_taps, doppler_taps):
+        rows = (n_idx + int(i_tap)) % grid_size
+        h[rows, n_idx] += gain * np.exp(2j * np.pi * int(j_tap) * n_idx / grid_size)
+    return h
+
+
+def otfs_time_channel(
+    realization: ChannelRealization, config: OtfsConfig
+) -> np.ndarray:
+    """Scalarized time-domain channel after beamforming, size MN x MN.
+
+    Each path contributes its effective gain on a cyclic delay shift
+    composed with a Doppler phase ramp, so the operator is a sum of
+    permutation-times-diagonal factors.
+    """
+    gains = otfs_effective_gains(realization, config)
+    return _shift_phase_operator(
+        gains, config.delay_taps, config.doppler_taps, config.grid_size
+    )
+
+
+def otfs_delay_doppler_channel(
+    realization: ChannelRealization, config: OtfsConfig
+) -> np.ndarray:
+    """Time channel conjugated into the delay-Doppler domain.
+
+    Applies (F_N kron I_M) on the left and its inverse on the right, with
+    the unitary N-point DFT and rectangular (identity) pulse shaping. The
+    transform is unitary, so Frobenius norm and singular values carry over
+    from the time-domain operator.
+    """
+    h = otfs_time_channel(realization, config)
+    m, n = config.num_delay_bins, config.num_doppler_bins
+    f_n = scipy.linalg.dft(n) / math.sqrt(n)
+    # contract the kron factors through reshapes instead of forming MN x MN krons
+    t = h.reshape(n, m, n, m)
+    t = np.einsum("ab,bmcr->amcr", f_n, t)
+    t = np.einsum("amcr,dc->amdr", t, f_n.conj())
+    return t.reshape(m * n, m * n)
+
+
+
+
+def otfs_rate(
+    h_dd: np.ndarray,
+    power_over_noise: float,
+    cp_length: int,
+    num_delay_bins: int,
+    num_doppler_bins: int,
+) -> float:
+    """Spectral efficiency of the delay-Doppler channel with CP overhead.
+
+    log2 det(I + pbar * H H^H) normalized by the frame length plus its
+    cyclic prefix.
+    """
+    h = np.asarray(h_dd, dtype=np.complex128)
+    mn = num_delay_bins * num_doppler_bins
+    if h.shape != (mn, mn):
+        raise ContractViolationError(f"h_dd must be {mn} x {mn}, got {h.shape}")
+    if power_over_noise < 0 or cp_length < 0:
+        raise ContractViolationError("power_over_noise and cp_length must be >= 0")
+    gram = np.eye(mn, dtype=np.complex128) + power_over_noise * (h @ h.conj().T)
+    sign, logdet = np.linalg.slogdet(gram)
+    if sign.real <= 0 or not np.isfinite(logdet):
+        raise NumericalError("delay-Doppler Gram determinant is not positive")
+    return float(logdet / math.log(2.0) / (mn + cp_length))
+
+
+def measure_beam_sinr(
+    realization: ChannelRealization,
+    design: StrongestPathDesign,
+    timebase: Timebase,
+    num_symbols: int = 4096,
+    rng: np.random.Generator | None = None,
+) -> tuple[float, float]:
+    """Time-domain check of the strongest-path link: (desired, interference).
+
+    Sends one Gaussian stream through the beamformer and the exact channel,
+    derotates the dominant path's Doppler, and least-squares fits the
+    combined output against the symbol stream at the dominant delay. The
+    explained power is the desired part, the residual is multipath
+    interference; both are noiseless, so the caller adds the noise floor.
+    """
+    gen = rng if rng is not None else np.random.default_rng(0)
+    paths = realization.path_set
+    m_dom = int(paths.delay_taps[design.dominant_path])
+    margin = paths.max_delay_tap + 1
+    if num_symbols <= 4 * margin:
+        raise ContractViolationError("num_symbols too small for the sync margins")
+    s = (
+        gen.standard_normal(num_symbols) + 1j * gen.standard_normal(num_symbols)
+    ) / math.sqrt(2.0)
+    x = np.outer(s, design.precoder)
+    r = apply_channel(realization, x, noise_std=0.0)
+    n_idx = np.arange(num_symbols)
+    derot = np.exp(
+        -2j
+        * np.pi
+        * paths.doppler_hz[design.dominant_path]
+        * n_idx
+        * timebase.symbol_duration_s
+    )
+    y = (r @ design.combiner.conj()) * derot
+    lo, hi = margin, num_symbols - margin
+    ref = s[lo - m_dom : hi - m_dom]
+    obs = y[lo:hi]
+    coef = np.vdot(ref, obs) / np.vdot(ref, ref)
+    desired = float(np.abs(coef) ** 2 * np.mean(np.abs(ref) ** 2))
+    interference = float(np.mean(np.abs(obs - coef * ref) ** 2))
+    return desired, interference

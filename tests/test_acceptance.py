@@ -20,9 +20,7 @@ from ddamsim.benchmarks import (
     make_otfs_config,
     ofdm_design_and_rate,
     otfs_beam_opt,
-    otfs_delay_doppler_channel,
     otfs_effective_gains,
-    otfs_time_channel,
 )
 from ddamsim.bcd import bcd_solve, group_delay_differences
 from ddamsim.channel import (
@@ -41,6 +39,7 @@ from ddamsim.zf import (
     zf_design,
     zf_spatial_design,
 )
+from oracles import otfs_delay_doppler_channel, otfs_time_channel
 
 
 def _median(run, scheme, param_value, metric):

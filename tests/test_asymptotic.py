@@ -9,12 +9,10 @@ from ddamsim.asymptotic import (
     asymptotic_combiner,
     asymptotic_snr,
     combined_asymptotic_snr,
-    cross_path_leakage,
     mrt_design,
     mrt_power_allocation,
     mrt_precoders,
     snr_upper_bound,
-    strongest_path_snr,
 )
 from ddamsim.channel import (
     coherence_partition,
@@ -23,6 +21,7 @@ from ddamsim.channel import (
 )
 from ddamsim.config import SystemConfig
 from ddamsim.zf import residual_isi_power
+from oracles import cross_path_leakage, strongest_path_snr
 
 
 def _realization(cfg, seed):

@@ -6,7 +6,6 @@ import pytest
 from ddamsim.bcd import (
     GroupedChannels,
     bcd_solve,
-    ddam_rate,
     group_delay_differences,
     interference_covariance,
     mmse_receiver,
@@ -15,6 +14,7 @@ from ddamsim.channel import coherence_partition, generate_paths, realize_channel
 from ddamsim.config import SystemConfig
 from ddamsim.errors import ContractViolationError
 from ddamsim.zf import zf_spatial_design
+from oracles import ddam_rate
 
 
 def _setup(seed, num_tx=8, num_paths=3):

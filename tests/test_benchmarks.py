@@ -8,15 +8,10 @@ from ddamsim.benchmarks import (
     cfo_compensate,
     ici_coefficient,
     make_otfs_config,
-    measure_beam_sinr,
     ofdm_design_and_rate,
-    ofdm_ici_channel,
     otfs_beam_opt,
-    otfs_delay_doppler_channel,
     otfs_effective_gains,
-    otfs_rate,
     otfs_rate_from_taps,
-    otfs_time_channel,
     strongest_path_design,
 )
 from ddamsim.channel import (
@@ -29,6 +24,12 @@ from ddamsim.channel import (
 )
 from ddamsim.config import SystemConfig
 from ddamsim.errors import ContractViolationError
+from oracles import (
+    measure_beam_sinr,
+    otfs_delay_doppler_channel,
+    otfs_rate,
+    otfs_time_channel,
+)
 
 
 def _path_set(gains, delays, dopplers, bound_hz=1e6, tap_bound=40):
@@ -87,9 +88,16 @@ def test_ici_coefficient_broadcasts():
 def test_ofdm_ici_channel_zero_doppler_collapses():
     cfg = SystemConfig(num_tx_antennas=4, num_rx_antennas=2, velocity_mps=0.0)
     realization = _realization(cfg, 1)
-    at_zero = ofdm_ici_channel(realization, 64, 0)
-    assert np.allclose(at_zero, realization.matrices, atol=0)
-    off = ofdm_ici_channel(realization, 64, 3)
+    paths = realization.path_set
+    ts = realization.symbol_duration_s
+
+    def coupled(delta):
+        # per-path coupling matrices H_l[delta], as ofdm_design_and_rate weighs them
+        coeff = ici_coefficient(paths.doppler_hz, ts, 64, delta)
+        return realization.matrices * coeff[:, None, None]
+
+    assert np.allclose(coupled(0), realization.matrices, atol=0)
+    off = coupled(3)
     assert np.max(np.abs(off)) <= 1e-14 * np.max(np.abs(realization.matrices))
 
 

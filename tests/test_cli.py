@@ -128,6 +128,12 @@ def test_negative_seed_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exits_2(workers, capsys):
+    assert main(["run", "feasibility-map", "--workers", workers]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_bad_subcommand_fails():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -47,6 +47,12 @@ def test_unknown_experiment_raises():
         run_experiment("fig7-does-not-exist", seed=0, num_trials=1)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_rejected(workers):
+    with pytest.raises(ContractViolationError):
+        run_experiment("feasibility-map", seed=0, workers=workers)
+
+
 def test_csv_shape_and_header():
     run = run_experiment("fig3-convergence", seed=3, num_trials=2)
     text = run.to_csv()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddamsim.channel import (
     PathSet,
@@ -16,7 +18,6 @@ from ddamsim.zf import (
     DdamDesign,
     FeasibilityVerdict,
     build_ddam_tx,
-    ddam_rx_analytic,
     delay_precompensation,
     residual_isi_power,
     split_stacked_precoder,
@@ -24,6 +25,7 @@ from ddamsim.zf import (
     zf_design,
     zf_feasibility,
 )
+from oracles import ddam_rx_analytic
 
 
 def _random_realization(cfg, seed):
@@ -242,6 +244,34 @@ def _grid_best_rate(gains, total, noise, steps):
     return best
 
 
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    gains=st.lists(
+        st.one_of(st.just(0.0), _log_uniform(-6.0, 6.0)), min_size=1, max_size=8
+    ).filter(lambda g: any(x > 0 for x in g)),
+    total=_log_uniform(-3.0, 3.0),
+    noise=_log_uniform(-3.0, 1.0),
+)
+def test_water_filling_kkt_conditions(gains, total, noise):
+    # floors noise/g reach 1e10 times the budget here, where a bisected
+    # water level loses the budget to cancellation
+    gains = np.asarray(gains)
+    powers = water_filling(gains, total, noise)
+    assert powers.sum() == pytest.approx(total, rel=1e-12, abs=0.0)
+    assert np.all(powers[gains <= 0] == 0.0)
+    active = powers > 0
+    floors = noise / gains[active]
+    levels = powers[active] + floors
+    level = float(levels.max())
+    assert np.allclose(levels, level, rtol=1e-12, atol=0.0)
+    inactive = (gains > 0) & ~active
+    assert np.all(noise / gains[inactive] >= level * (1.0 - 1e-12))
+
+
 def test_water_filling_floods_strong_mode_first():
     powers = water_filling(np.array([10.0, 0.01]), total_power=0.1, noise_var=1.0)
     assert powers[0] > 0.099 and powers[1] < 1e-3
@@ -253,7 +283,7 @@ def test_split_stacked_precoder_round_trip():
     design, result = zf_design(realization, 1.0, cfg.noise_power_watts, 2)
     from ddamsim.zf import path_zf_precoder_bases
 
-    bases = path_zf_precoder_bases(realization)
+    bases = path_zf_precoder_bases(realization.matrices)
     parts = split_stacked_precoder(bases, result.stacked_precoder)
     # the design additionally folds the constant delay-Doppler phase of
     # each path into its precoder
