@@ -55,12 +55,19 @@ class OfdmDesign:
             or len(self.combiners) != self.num_subcarriers
         ):
             raise ContractViolationError("one precoder/combiner per subcarrier required")
-        for u in self.precoders:
-            if u.shape[1] == 0:
-                continue
-            power = float(np.sum(np.abs(u) ** 2))
-            if not math.isclose(power, self.total_power, rel_tol=1e-9):
-                raise ContractViolationError("subcarrier precoder violates the power budget")
+        # per-subcarrier power from one pass over all precoder columns
+        ranks = np.array([u.shape[1] for u in self.precoders])
+        columns = np.concatenate(self.precoders, axis=1)
+        power = np.bincount(
+            np.repeat(np.arange(self.num_subcarriers), ranks),
+            weights=np.sum(np.abs(columns) ** 2, axis=0),
+            minlength=self.num_subcarriers,
+        )
+        # math.isclose(power, total_power, rel_tol=1e-9), skipping rank-0 ones
+        budget = self.total_power
+        close = np.abs(power - budget) <= 1e-9 * np.maximum(np.abs(power), abs(budget))
+        if np.any((ranks > 0) & ~close):
+            raise ContractViolationError("subcarrier precoder violates the power budget")
 
 
 @dataclass
@@ -145,9 +152,15 @@ def ofdm_design_and_rate(
     assumed to hold a whole number of OFDM symbols, fractional leftovers
     at the frame edge are not modeled.
 
-    The quadratic ICI sums run over the rank-one components of the path
-    matrices, which keeps the cost at K^2 L^2 scalar terms instead of
-    K^2 matrix products.
+    All K subcarriers are processed as stacked arrays: one batched SVD of
+    the (K, M_r, M_t) desired matrices, and no per-subcarrier loop. Over
+    the C rank-one components of the path matrices, the ICI on subcarrier
+    k is sum over q != k of h[(q - k) mod K] * g[q], with
+    h[delta, c, d] = coeff_c[delta] * conj(coeff_d[delta]) the coupling
+    products (set to zero at delta = 0, which leaves out the q = k term)
+    and g[q, c, d] the ramp-weighted transmit Gram terms of source q. That
+    is a circular cross-correlation along the subcarrier index, computed
+    with FFTs in O(C^2 K log K).
     """
     k_sub = int(num_subcarriers)
     if k_sub < 1:
@@ -156,91 +169,75 @@ def ofdm_design_and_rate(
         raise ContractViolationError("cp_length must be >= 0")
     if total_power <= 0 or noise_var <= 0:
         raise ContractViolationError("total_power and noise_var must be positive")
+    if num_streams is not None and (
+        isinstance(num_streams, bool)
+        or not isinstance(num_streams, (int, np.integer))
+        or num_streams < 1
+    ):
+        raise ContractViolationError(
+            f"num_streams must be None or an integer >= 1, got {num_streams!r}"
+        )
     paths = realization.path_set
     ts = realization.symbol_duration_s
     left, right, parent = _rank_one_components(realization, rank_tol)
-    n_comp = left.shape[0]
     comp_doppler = paths.doppler_hz[parent]
     comp_delay = paths.delay_taps[parent]
 
     # coupling coefficients for every offset (periodic in delta with period K)
-    offsets = np.arange(k_sub)
-    coeff = ici_coefficient(comp_doppler[:, None], ts, k_sub, offsets[None, :])
     k_grid = np.arange(k_sub)
+    coeff = ici_coefficient(comp_doppler[:, None], ts, k_sub, k_grid[None, :])
     # e^{-j 2 pi k m_c / K} ramps, one column per component
     ramp = np.exp(-2j * np.pi * np.outer(k_grid, comp_delay) / k_sub)
-    desired_weight = ramp * coeff[:, 0][None, :]          # (K, C)
-
     desired = np.einsum(
-        "kc,ca,cb->kab", desired_weight, left, right.conj(), optimize=True
+        "kc,ca,cb->kab", ramp * coeff[:, 0][None, :], left, right.conj(), optimize=True
     )
+    if not np.all(np.isfinite(desired)):
+        raise ContractViolationError("subcarrier channels contain non-finite entries")
+    try:
+        u, s, vh = np.linalg.svd(desired, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD did not converge: {exc}") from exc
 
-    precoders: list[np.ndarray] = []
-    combiners: list[np.ndarray] = []
-    sing_values: list[np.ndarray] = []
-    ranks = np.zeros(k_sub, dtype=np.int64)
-    for k in range(k_sub):
-        u, s, v = svd_reduced(desired[k], rank_tol=rank_tol)
-        r_k = s.size if num_streams is None else min(s.size, num_streams)
-        ranks[k] = r_k
-        combiners.append(u[:, :r_k])
-        sing_values.append(s[:r_k])
-        if r_k:
-            precoders.append(v[:, :r_k] * math.sqrt(total_power / r_k))
-        else:
-            precoders.append(np.zeros((realization.num_tx, 0), dtype=np.complex128))
-    r_max = int(ranks.max()) if k_sub else 0
-
+    # numerical rank per subcarrier, relative to its largest singular value
+    ranks = np.count_nonzero(s > rank_tol * s[:, :1], axis=1)
+    if num_streams is not None:
+        ranks = np.minimum(ranks, num_streams)
+    r_max = int(ranks.max())
+    active = np.arange(r_max)[None, :] < ranks[:, None]            # (K, r_max)
+    # sqrt(P / r_k) on the r_k active columns, zero on the rest
+    scale = np.sqrt(total_power / np.maximum(ranks, 1))[:, None] * active
+    precoder_stack = vh[:, :r_max].conj().transpose(0, 2, 1) * scale[:, None, :]
+    rank_list = ranks.tolist()
     design = OfdmDesign(
         num_subcarriers=k_sub,
         cp_length=int(cp_length),
         total_power=total_power,
-        precoders=precoders,
-        combiners=combiners,
-        singular_values=sing_values,
+        precoders=[f[:, :r] for f, r in zip(precoder_stack, rank_list)],
+        combiners=[w[:, :r] for w, r in zip(u, rank_list)],
+        singular_values=[v[:r] for v, r in zip(s, rank_list)],
     )
 
-    if n_comp == 0 or r_max == 0:
-        empty = [np.zeros(0) for _ in range(k_sub)]
-        return OfdmResult(sinr=empty, rate_bps_hz=0.0, design=design)
+    # receive- and transmit-side projections of every rank-one component;
+    # inactive streams have zero precoder columns and drop out of the Gram
+    u_proj = np.einsum("kai,ca->kic", u[:, :, :r_max].conj(), left)   # (K, r_max, C)
+    w_proj = right.conj() @ precoder_stack                            # (K, C, r_max)
+    gram = w_proj @ w_proj.conj().transpose(0, 2, 1)                  # (K, C, C)
 
-    # receive- and transmit-side projections of every rank-one component
-    u_proj = np.zeros((k_sub, r_max, n_comp), dtype=np.complex128)
-    w_proj = np.zeros((k_sub, n_comp, r_max), dtype=np.complex128)
-    for k in range(k_sub):
-        r_k = ranks[k]
-        if r_k == 0:
-            continue
-        u_proj[k, :r_k] = combiners[k].conj().T @ left.T
-        w_proj[k, :, :r_k] = right.conj() @ precoders[k]
-    gram = np.einsum("qci,qdi->qcd", w_proj, w_proj.conj())
-
-    # phase tensor over (target k, source q, component): coupling times ramp
-    idx = (k_grid[None, :] - k_grid[:, None]) % k_sub
-    tphase = coeff[:, idx].transpose(1, 2, 0) * ramp[None, :, :]
-    cross = np.einsum("kqc,kqd,qcd->kcd", tphase, tphase.conj(), gram, optimize=True)
-    self_term = np.einsum(
-        "kc,kd,kcd->kcd", desired_weight, desired_weight.conj(), gram
+    coupling = coeff.T
+    h = coupling[:, :, None] * coupling[:, None, :].conj()
+    h[0] = 0.0
+    g = ramp[:, :, None] * ramp[:, None, :].conj() * gram
+    cross = np.fft.ifft(
+        np.fft.fft(g, axis=0) * np.fft.fft(h.conj(), axis=0).conj(), axis=0
     )
-    cross -= self_term
-    ici_power = np.einsum(
-        "kic,kid,kcd->ki", u_proj, u_proj.conj(), cross, optimize=True
-    ).real
+    ici_power = np.einsum("kic,kid,kcd->ki", u_proj, u_proj.conj(), cross).real
     ici_power = np.maximum(ici_power, 0.0)
 
-    sinr: list[np.ndarray] = []
-    rate_sum = 0.0
-    for k in range(k_sub):
-        r_k = ranks[k]
-        if r_k == 0:
-            sinr.append(np.zeros(0))
-            continue
-        signal = total_power * sing_values[k] ** 2 / r_k
-        values = signal / (ici_power[k, :r_k] + noise_var)
-        sinr.append(values)
-        rate_sum += float(np.sum(np.log2(1.0 + values)))
+    signal = total_power * s[:, :r_max] ** 2 / np.maximum(ranks, 1)[:, None]
+    sinr_stack = np.where(active, signal / (ici_power + noise_var), 0.0)
     overhead = k_sub / (k_sub + cp_length)
-    rate = overhead * rate_sum / k_sub
+    rate = overhead * float(np.sum(np.log2(1.0 + sinr_stack))) / k_sub
+    sinr = [v[:r] for v, r in zip(sinr_stack, rank_list)]
     return OfdmResult(sinr=sinr, rate_bps_hz=rate, design=design)
 
 

@@ -44,7 +44,7 @@ from .channel import (
     realize_channel,
 )
 from .config import SystemConfig, config_from_dict
-from .errors import ContractViolationError, NumericalError
+from .errors import ContractViolationError, FeasibilityError, NumericalError
 from .metrics import (
     CsiError,
     exceedance_fractions,
@@ -85,6 +85,9 @@ VERDICT_CODES = {
 FEASIBILITY_ANTENNA_RANGE = range(1, 33)
 FEASIBILITY_PATH_RANGE = range(1, 9)
 FEASIBILITY_RX_STREAM_PAIRS = ((1, 1), (2, 2), (4, 4), (4, 2))
+
+# domain errors that fail one trial; any other exception is a bug and propagates
+TRIAL_FAILURES = (ContractViolationError, NumericalError, FeasibilityError)
 
 
 @dataclass(frozen=True)
@@ -469,12 +472,18 @@ def _ofdm_papr_frame(config: SystemConfig, rng: np.random.Generator) -> np.ndarr
         config.noise_power_watts,
         num_streams=config.num_streams,
     )
+    precoders = result.design.precoders
+    # one draw for every loaded stream, in subcarrier order
+    symbols = qam_symbols(
+        PAPR_MODULATION_ORDER, sum(f.shape[1] for f in precoders), rng
+    )
     loaded = np.zeros((OFDM_SUBCARRIERS, config.num_tx_antennas), dtype=np.complex128)
-    for k, precoder in enumerate(result.design.precoders):
-        if precoder.shape[1] == 0:
-            continue
-        symbols = qam_symbols(PAPR_MODULATION_ORDER, precoder.shape[1], rng)
-        loaded[k] = precoder @ symbols
+    start = 0
+    for k, precoder in enumerate(precoders):
+        stop = start + precoder.shape[1]
+        if stop > start:
+            loaded[k] = precoder @ symbols[start:stop]
+        start = stop
     # unitary-style synthesis: (1/sqrt(K)) sum_k X[k] e^{j 2 pi k n / K}
     return np.fft.ifft(loaded, axis=0) * math.sqrt(OFDM_SUBCARRIERS)
 
@@ -661,8 +670,10 @@ def run_experiment(
     """Run a registered experiment and aggregate its metric records.
 
     Each trial draws an independent channel from default_rng([seed, trial])
-    and may fail without aborting the run; failures are recorded on the
-    result. Aggregation (mean/median/10th/90th percentiles) is keyed by
+    and may fail with a domain error (ContractViolationError,
+    NumericalError or FeasibilityError) without aborting the run; those
+    failures are recorded on the result, and any other exception
+    propagates. Aggregation (mean/median/10th/90th percentiles) is keyed by
     (scheme, param, metric) and independent of completion order, so worker
     count never changes the output.
     """
@@ -686,13 +697,13 @@ def run_experiment(
             for trial, future in futures.items():
                 try:
                     results[trial] = future.result()
-                except Exception as exc:  # noqa: BLE001 - recorded, not silenced
+                except TRIAL_FAILURES as exc:
                     failures.append((trial, f"{type(exc).__name__}: {exc}"))
     else:
         for trial in range(trials):
             try:
                 results[trial] = _run_single_trial(name, config_dict, seed, trial)
-            except Exception as exc:  # noqa: BLE001 - recorded, not silenced
+            except TRIAL_FAILURES as exc:
                 failures.append((trial, f"{type(exc).__name__}: {exc}"))
 
     buckets: dict[tuple, list[float]] = {}

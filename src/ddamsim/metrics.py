@@ -4,6 +4,7 @@ and the imperfect-CSI perturbation model.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -61,12 +62,14 @@ def ofdm_ber(per_subcarrier_snr, num_subcarriers: int, max_delay_tap: int, order
     return float(np.mean(qam_awgn_ber(derated, order)))
 
 
+@functools.cache
 def qam_constellation(order: int) -> np.ndarray:
     """Unit-average-energy QAM points.
 
     Even bit counts give the square grid; odd bit counts of 32 and above
     give the cross constellation (the square one size up with its corners
-    cut). 8-QAM has no standard cross shape and is rejected.
+    cut). 8-QAM has no standard cross shape and is rejected. Each order is
+    built on its first use and cached, so the returned array is read-only.
     """
     bits = _check_order(order)
     if bits % 2 == 0:
@@ -87,7 +90,9 @@ def qam_constellation(order: int) -> np.ndarray:
         points = grid[keep].ravel()
     if points.size != order:
         raise ContractViolationError(f"constellation construction failed for order {order}")
-    return points / math.sqrt(float(np.mean(np.abs(points) ** 2)))
+    points = points / math.sqrt(float(np.mean(np.abs(points) ** 2)))
+    points.flags.writeable = False
+    return points
 
 
 def qam_symbols(order: int, size, rng: np.random.Generator) -> np.ndarray:

@@ -26,6 +26,8 @@ from ddamsim.config import SystemConfig
 from ddamsim.errors import ContractViolationError
 from oracles import (
     measure_beam_sinr,
+    ofdm_design_and_rate_loop,
+    ofdm_ici_direct,
     otfs_delay_doppler_channel,
     otfs_rate,
     otfs_time_channel,
@@ -171,6 +173,76 @@ def test_ofdm_sinr_against_naive_loops():
             rate_sum += np.log2(1.0 + sinr)
     expected_rate = k_sub / (k_sub + cp) * rate_sum / k_sub
     assert result.rate_bps_hz == pytest.approx(expected_rate, rel=1e-9)
+
+
+@pytest.mark.parametrize("num_streams", [None, 1, 2])
+@pytest.mark.parametrize("velocity_mps", [50.0, 500.0 / 3.6], ids=["50mps", "500kmh"])
+@pytest.mark.parametrize("num_tx", [16, 64, 128, 256])
+def test_ofdm_matches_per_subcarrier_loop_oracle(num_tx, velocity_mps, num_streams):
+    cfg = SystemConfig(num_tx_antennas=num_tx, velocity_mps=velocity_mps)
+    for seed in (0, 1):
+        realization = _realization(cfg, seed)
+        args = (
+            realization, 512, cfg.max_delay_tap, cfg.tx_power_watts, cfg.noise_power_watts
+        )
+        result = ofdm_design_and_rate(*args, num_streams=num_streams)
+        reference = ofdm_design_and_rate_loop(*args, num_streams=num_streams)
+        for name in ("precoders", "combiners", "singular_values"):
+            got_all = getattr(result.design, name)
+            want_all = getattr(reference.design, name)
+            assert len(got_all) == len(want_all) == 512
+            for k, (got, want) in enumerate(zip(got_all, want_all)):
+                assert got.shape == want.shape, f"{name}[{k}] seed {seed}"
+                assert np.array_equal(got, want), f"{name}[{k}] seed {seed}"
+        assert result.rate_bps_hz == pytest.approx(reference.rate_bps_hz, rel=1e-12)
+        for k, (got, want) in enumerate(zip(result.sinr, reference.sinr)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0, err_msg=f"k={k}")
+
+
+def test_ofdm_sinr_matches_direct_ici_sum_at_high_sinr():
+    # a draw with little Doppler spread at 500 km/h: SINRs reach ~7e4, where
+    # taking the q = k term back out of a full sum over q costs ~1e-10
+    cfg = SystemConfig(num_tx_antennas=128, velocity_mps=500.0 / 3.6)
+    realization = _realization(cfg, 13)
+    result = ofdm_design_and_rate(
+        realization,
+        512,
+        cfg.max_delay_tap,
+        cfg.tx_power_watts,
+        cfg.noise_power_watts,
+        num_streams=1,
+    )
+    ici = ofdm_ici_direct(realization, result.design)
+    peak = 0.0
+    for k, (sinr, sv) in enumerate(zip(result.sinr, result.design.singular_values)):
+        if sv.size == 0:
+            continue
+        direct = cfg.tx_power_watts * sv**2 / sv.size / (ici[k] + cfg.noise_power_watts)
+        np.testing.assert_allclose(sinr, direct, rtol=1e-12, atol=0, err_msg=f"k={k}")
+        peak = max(peak, float(direct.max()))
+    assert peak > 5e4
+
+
+def test_ofdm_all_zero_channel_loads_no_stream():
+    cfg = SystemConfig(num_tx_antennas=4, num_rx_antennas=2, num_paths=2)
+    realization = realize_channel(_path_set([0.0, 0.0], [0, 3], [1e3, -2e3]), cfg)
+    result = ofdm_design_and_rate(realization, 16, 4, 1.0, cfg.noise_power_watts)
+    assert result.rate_bps_hz == 0.0
+    assert all(f.shape == (4, 0) for f in result.design.precoders)
+    assert all(w.shape == (2, 0) for w in result.design.combiners)
+    assert all(v.shape == (0,) for v in result.sinr)
+    assert np.array_equal(result.first_stream_sinr(), np.zeros(16))
+
+
+@pytest.mark.parametrize("num_streams", [0, -1, 2.5, True, "2"])
+def test_ofdm_rejects_invalid_num_streams(num_streams):
+    cfg = SystemConfig(num_tx_antennas=4, num_rx_antennas=2)
+    realization = _realization(cfg, 0)
+    with pytest.raises(ContractViolationError):
+        ofdm_design_and_rate(
+            realization, 16, 4, 1.0, cfg.noise_power_watts, num_streams=num_streams
+        )
 
 
 def test_ofdm_zero_doppler_has_no_ici():

@@ -3,13 +3,14 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ddamsim.channel import coherence_partition, generate_paths, realize_channel
 from ddamsim.config import SystemConfig
-from ddamsim.errors import ContractViolationError
+from ddamsim.errors import ContractViolationError, FeasibilityError, NumericalError
 from ddamsim.experiments import (
     CSV_HEADER,
     EXPERIMENTS,
@@ -153,6 +154,39 @@ def test_failures_collected_not_raised():
     cfg = SystemConfig(num_tx_antennas=2, num_rx_antennas=2, num_streams=2)
     run = run_experiment("fig4-se-vs-mt", seed=0, num_trials=1, config=cfg)
     assert isinstance(run.failures, list)
+
+
+def _trial_raising(error):
+    def trial(config, rng):
+        raise error("injected by the test")
+
+    return trial
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+@pytest.mark.parametrize(
+    "error", [ContractViolationError, NumericalError, FeasibilityError]
+)
+def test_domain_errors_fail_their_trial(monkeypatch, error, workers):
+    spec = EXPERIMENTS["feasibility-map"]
+    monkeypatch.setitem(
+        EXPERIMENTS, spec.name, replace(spec, evaluator=_trial_raising(error))
+    )
+    run = run_experiment(spec.name, seed=0, num_trials=2, workers=workers)
+    assert [trial for trial, _ in run.failures] == [0, 1]
+    assert run.failures[0][1] == f"{error.__name__}: injected by the test"
+    assert run.rows == []
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_programming_error_propagates(monkeypatch, workers):
+    # a bug in an evaluator must stop the run, not become a failed trial
+    spec = EXPERIMENTS["feasibility-map"]
+    monkeypatch.setitem(
+        EXPERIMENTS, spec.name, replace(spec, evaluator=_trial_raising(TypeError))
+    )
+    with pytest.raises(TypeError, match="injected by the test"):
+        run_experiment(spec.name, seed=0, num_trials=2, workers=workers)
 
 
 def test_mismatched_alignment_with_true_csi_matches_zf_rate():

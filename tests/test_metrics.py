@@ -111,6 +111,13 @@ def test_qam_constellation_shapes_and_energy():
         qam_constellation(5)
 
 
+def test_qam_constellation_is_cached_and_read_only():
+    points = qam_constellation(128)
+    assert qam_constellation(128) is points
+    with pytest.raises(ValueError):
+        points[0] = 0.0
+
+
 def test_qam_symbols_draw_from_constellation():
     rng = np.random.default_rng(3)
     sym = qam_symbols(16, (50, 4), rng)
