@@ -14,6 +14,13 @@ branch/path Doppler difference over the block). The rate of that channel
 is maximized by alternating closed-form updates of the receive filter, a
 weighting matrix and the stacked precoder (a weighted-MMSE scheme); each
 step is a coordinate ascent so the rate trace never decreases.
+
+The precoder step is the closed-form WMMSE update (Shi, Razaviyayn, Luo
+and He, IEEE TSP 2011). Its solution lies in the range of the adjoint of
+the stacked channels [Hbar; Gbar[i]...], which has at most
+M_r * (1 + #offsets) dimensions however large L * M_t is, so the update
+works in an orthonormal basis of that range and its cost barely grows
+with the array size.
 """
 
 from __future__ import annotations
@@ -175,7 +182,16 @@ def precoder_update(
     Fbar(beta) = (Hbar^H W Q W^H Hbar + sum_i Gbar[i]^H W Q W^H Gbar[i]
     + beta I)^{-1} Hbar^H W Q, with beta = 0 if the unconstrained solution
     already fits the budget and otherwise bisected so the power constraint
-    is met within POWER_BISECT_REL_TOL (complementary slackness).
+    is met within POWER_BISECT_REL_TOL (complementary slackness). At
+    beta = 0 the inverse is the pseudo-inverse.
+
+    The (L*M_t) x (L*M_t) matrix in brackets is never formed. With
+    B = [Hbar; Gbar[i]...] it equals B^H (I_blocks (x) W Q W^H) B, and the
+    right-hand side lies in range(B^H), so every Fbar(beta) does too. A
+    thin QR B^H = U R (U orthonormal, at most M_r * (1 + #offsets)
+    columns) turns the update into an eigendecomposition of
+    S = sum_j R_j W Q W^H R_j^H, where R_j holds R's columns of block j;
+    this is exact, not an approximation.
     """
     if total_power <= 0:
         raise ContractViolationError("total_power must be positive")
@@ -184,15 +200,18 @@ def precoder_update(
     q = 0.5 * (q + q.conj().T)
     wqw = w @ q @ w.conj().T
     h_bar = grouped.stacked_channel
-    quad = h_bar.conj().T @ wqw @ h_bar
-    for block in grouped.isi_channels.values():
-        quad += block.conj().T @ wqw @ block
-    rhs = h_bar.conj().T @ (w @ q)
+    num_rx = grouped.num_rx
+    blocks = [h_bar, *grouped.isi_channels.values()]
+    basis, tri = np.linalg.qr(np.vstack(blocks).conj().T)
+    coords = [tri[:, j * num_rx : (j + 1) * num_rx] for j in range(len(blocks))]
+    quad = sum(r_j @ wqw @ r_j.conj().T for r_j in coords)
+    rhs = coords[0] @ (w @ q)
     if not np.any(np.abs(rhs) > 0):
         return np.zeros((h_bar.shape[1], w.shape[1]), dtype=np.complex128)
-    vals, vecs = eig_hermitian(quad, herm_tol=1e-8)
+    vals, sub_vecs = eig_hermitian(quad, herm_tol=1e-8)
     vals = np.maximum(vals.real, 0.0)
-    proj = vecs.conj().T @ rhs
+    proj = sub_vecs.conj().T @ rhs
+    vecs = basis @ sub_vecs
     row_power = np.sum(np.abs(proj) ** 2, axis=1)
     # at beta = 0 the inverse acts as a pseudo-inverse on the zero eigenspace
     active = vals > vals.max() * 1e-13 if vals.size else np.zeros(0, bool)
@@ -264,7 +283,9 @@ def bcd_solve(
     active streams), otherwise a random precoder scaled to the power
     budget. Convergence is declared when the fractional rate increase
     drops below tol; the trace of per-iteration rates is returned and is
-    non-decreasing up to numerical slack.
+    non-decreasing. A step that would lower the rate (possible only within
+    the power bisection's tolerance) is not taken: the solver stops as
+    converged at the previous iterate and leaves that rate out of the trace.
     """
     if num_streams < 1:
         raise ContractViolationError("num_streams must be >= 1")
@@ -285,13 +306,21 @@ def bcd_solve(
     converged = False
     combiner = mmse_receiver(grouped, f_bar, noise_var)
     for iteration in range(max_iters):
-        rate, q = _weighted_rate(grouped, f_bar, noise_var)
+        rate, q_rate = _weighted_rate(grouped, f_bar, noise_var)
+        if trace and rate < trace[-1]:
+            # at a fixed point the power bisection's slack can cost a step up
+            # to ~POWER_BISECT_REL_TOL in rate; keep the better iterate
+            f_bar, combiner = kept
+            converged = True
+            break
+        q = q_rate
         trace.append(rate)
         if len(trace) >= 2:
             prev = trace[-2]
             if rate - prev <= tol * max(abs(prev), 1e-12):
                 converged = True
                 break
+        kept = (f_bar, combiner)
         f_bar = precoder_update(grouped, combiner, q, total_power)
         combiner = mmse_receiver(grouped, f_bar, noise_var)
     return BcdState(

@@ -657,7 +657,12 @@ def _run_single_trial(name: str, config_dict: dict, seed: int, trial: int):
     spec = EXPERIMENTS[name]
     config = config_from_dict(config_dict)
     rng = np.random.default_rng([seed, trial])
-    return spec.evaluator(config, rng)
+    records = spec.evaluator(config, rng)
+    for scheme, param_name, param_value, metric, value in records:
+        if not math.isfinite(value):
+            key = (scheme, param_name, float(param_value), metric)
+            raise NumericalError(f"non-finite metric value {value!r} for {key}")
+    return records
 
 
 def run_experiment(
@@ -673,9 +678,11 @@ def run_experiment(
     and may fail with a domain error (ContractViolationError,
     NumericalError or FeasibilityError) without aborting the run; those
     failures are recorded on the result, and any other exception
-    propagates. Aggregation (mean/median/10th/90th percentiles) is keyed by
-    (scheme, param, metric) and independent of completion order, so worker
-    count never changes the output.
+    propagates. A non-finite metric value fails its trial with a
+    NumericalError that names the (scheme, param, metric) key. Aggregation
+    (mean/median/10th/90th percentiles) is keyed by (scheme, param, metric)
+    and independent of completion order, so worker count never changes the
+    output.
     """
     resolved = _resolve_config(name, config)
     spec = EXPERIMENTS[name]
@@ -712,26 +719,33 @@ def run_experiment(
             key = (scheme, param_name, float(param_value), metric)
             buckets.setdefault(key, []).append(float(value))
 
+    # one vectorized pass per distinct trial count
+    by_count: dict[int, list[tuple]] = {}
+    for key, bucket in buckets.items():
+        by_count.setdefault(len(bucket), []).append(key)
     rows = []
-    for key in sorted(buckets):
-        values = np.asarray(buckets[key], dtype=np.float64)
-        if not np.all(np.isfinite(values)):
-            raise NumericalError(f"non-finite metric values for {key}")
-        scheme, param_name, param_value, metric = key
-        rows.append(
-            ResultRow(
-                scheme=scheme,
-                param_name=param_name,
-                param_value=param_value,
-                metric=metric,
-                seed=seed,
-                trials=int(values.size),
-                mean=float(values.mean()),
-                median=float(np.median(values)),
-                p10=float(np.quantile(values, 0.10)),
-                p90=float(np.quantile(values, 0.90)),
+    for count, keys in by_count.items():
+        values = np.asarray([buckets[key] for key in keys], dtype=np.float64)
+        means = values.mean(axis=1)
+        medians = np.median(values, axis=1)
+        p10s, p90s = np.quantile(values, [0.10, 0.90], axis=1)
+        for key, mean, median, p10, p90 in zip(keys, means, medians, p10s, p90s):
+            scheme, param_name, param_value, metric = key
+            rows.append(
+                ResultRow(
+                    scheme=scheme,
+                    param_name=param_name,
+                    param_value=param_value,
+                    metric=metric,
+                    seed=seed,
+                    trials=count,
+                    mean=float(mean),
+                    median=float(median),
+                    p10=float(p10),
+                    p90=float(p90),
+                )
             )
-        )
+    rows.sort(key=lambda r: (r.scheme, r.param_name, r.param_value, r.metric))
     return ExperimentRun(
         experiment=name,
         seed=seed,

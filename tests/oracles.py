@@ -13,7 +13,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from ddamsim.bcd import GroupedChannels, interference_covariance
+from ddamsim.bcd import POWER_BISECT_REL_TOL, GroupedChannels, interference_covariance
 from ddamsim.benchmarks import (
     OfdmDesign,
     OfdmResult,
@@ -26,7 +26,7 @@ from ddamsim.benchmarks import (
 from ddamsim.channel import ChannelRealization, Timebase, apply_channel, array_response
 from ddamsim.config import SystemConfig
 from ddamsim.errors import ContractViolationError, NumericalError
-from ddamsim.linalg import DEFAULT_RANK_TOL, svd_reduced
+from ddamsim.linalg import DEFAULT_RANK_TOL, eig_hermitian, svd_reduced
 from ddamsim.zf import DdamDesign
 
 
@@ -96,6 +96,72 @@ def ddam_rx_analytic(
             rot = np.exp(2j * np.pi * dnu * n_idx[lag:] * ts) * const
             out[lag:] += (s[: n_samples - lag] @ coef.T) * rot[:, None]
     return out
+
+
+def precoder_update_dense(
+    grouped: GroupedChannels,
+    combiner: np.ndarray,
+    auxiliary: np.ndarray,
+    total_power: float,
+) -> np.ndarray:
+    """Dense version of `bcd.precoder_update`.
+
+    Forms the full (L*M_t) x (L*M_t) matrix `quad` and eigendecomposes it,
+    instead of working in the range of the stacked channel's adjoint.
+    """
+    if total_power <= 0:
+        raise ContractViolationError("total_power must be positive")
+    w = np.asarray(combiner, dtype=np.complex128)
+    q = np.asarray(auxiliary, dtype=np.complex128)
+    q = 0.5 * (q + q.conj().T)
+    wqw = w @ q @ w.conj().T
+    h_bar = grouped.stacked_channel
+    quad = h_bar.conj().T @ wqw @ h_bar
+    for block in grouped.isi_channels.values():
+        quad += block.conj().T @ wqw @ block
+    rhs = h_bar.conj().T @ (w @ q)
+    if not np.any(np.abs(rhs) > 0):
+        return np.zeros((h_bar.shape[1], w.shape[1]), dtype=np.complex128)
+    vals, vecs = eig_hermitian(quad, herm_tol=1e-8)
+    vals = np.maximum(vals.real, 0.0)
+    proj = vecs.conj().T @ rhs
+    row_power = np.sum(np.abs(proj) ** 2, axis=1)
+    # at beta = 0 the inverse acts as a pseudo-inverse on the zero eigenspace
+    active = vals > vals.max() * 1e-13 if vals.size else np.zeros(0, bool)
+
+    def power_at(beta: float) -> float:
+        if beta == 0.0:
+            out = np.zeros_like(row_power)
+            out[active] = row_power[active] / (vals[active] ** 2)
+            return float(out.sum())
+        return float(np.sum(row_power / ((vals + beta) ** 2)))
+
+    def precoder_at(beta: float) -> np.ndarray:
+        if beta == 0.0:
+            scaled = np.zeros_like(proj)
+            scaled[active] = proj[active] / vals[active, None]
+            return vecs @ scaled
+        return vecs @ (proj / (vals + beta)[:, None])
+
+    if power_at(0.0) <= total_power:
+        return precoder_at(0.0)
+    lo, hi = 0.0, float(np.trace(quad).real) / total_power + 1.0
+    guard = 0
+    while power_at(hi) > total_power:
+        hi *= 2.0
+        guard += 1
+        if guard > 200:
+            raise NumericalError("power bisection failed to bracket the budget")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        p = power_at(mid)
+        if abs(p - total_power) <= POWER_BISECT_REL_TOL * total_power:
+            return precoder_at(mid)
+        if p > total_power:
+            lo = mid
+        else:
+            hi = mid
+    raise NumericalError("power bisection did not converge")
 
 
 # --- large-array SNR references (asymptotic) ----------------------------------

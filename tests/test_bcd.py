@@ -2,19 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ddamsim import bcd
 from ddamsim.bcd import (
     GroupedChannels,
     bcd_solve,
+    colored_noise_rate,
     group_delay_differences,
     interference_covariance,
     mmse_receiver,
+    precoder_update,
 )
 from ddamsim.channel import coherence_partition, generate_paths, realize_channel
 from ddamsim.config import SystemConfig
 from ddamsim.errors import ContractViolationError
 from ddamsim.zf import zf_spatial_design
-from oracles import ddam_rate
+from oracles import ddam_rate, precoder_update_dense
 
 
 def _setup(seed, num_tx=8, num_paths=3):
@@ -202,3 +207,121 @@ def test_bcd_random_init_reaches_zf_ballpark():
         init_precoder=init,
     )
     assert state.rate_trace[-1] >= 0.5 * zf_result.rate_bps_hz
+
+
+def _grouped_draw(seed, num_tx, num_paths, num_rx, num_streams, block_index):
+    cfg = SystemConfig(
+        num_tx_antennas=num_tx,
+        num_rx_antennas=num_rx,
+        num_paths=num_paths,
+        num_streams=num_streams,
+    )
+    rng = np.random.default_rng(seed)
+    realization = realize_channel(generate_paths(cfg, rng), cfg)
+    grouped = group_delay_differences(realization, coherence_partition(cfg), block_index)
+    return cfg, grouped, rng
+
+
+def _relative_error(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+# every (M_t, L) pair once, with M_r and the block index rotating so each
+# M_r meets each M_t and L, and block 0 and a later block both occur
+ORACLE_CASES = [
+    (num_tx, num_paths, (1, 2, 4)[(i + j) % 3], 5 * ((i + j) % 2))
+    for i, num_tx in enumerate((1, 2, 16, 64, 256))
+    for j, num_paths in enumerate((1, 3, 5))
+]
+
+
+@pytest.mark.parametrize("num_tx,num_paths,num_rx,block_index", ORACLE_CASES)
+def test_precoder_update_matches_dense_oracle(num_tx, num_paths, num_rx, block_index):
+    # the low-rank update must return the precoder of the dense (L*M_t)^2
+    # eigendecomposition, in both the beta = 0 and the bisection branch
+    num_streams = min(2, num_rx, num_tx)
+    cfg, grouped, rng = _grouped_draw(
+        [num_tx, num_paths, num_rx], num_tx, num_paths, num_rx, num_streams, block_index
+    )
+    dim = grouped.stacked_channel.shape[1]
+    raw = rng.standard_normal((dim, num_streams)) + 1j * rng.standard_normal(
+        (dim, num_streams)
+    )
+    start = raw * np.sqrt(cfg.tx_power_watts) / np.linalg.norm(raw)
+    noise = cfg.noise_power_watts
+    w = mmse_receiver(grouped, start, noise)
+    _, q = colored_noise_rate(
+        grouped.stacked_channel @ start,
+        [block @ start for block in grouped.isi_channels.values()],
+        noise,
+    )
+
+    unconstrained = precoder_update_dense(grouped, w, q, 1e30)
+    assert _relative_error(precoder_update(grouped, w, q, 1e30), unconstrained) <= 1e-9
+
+    budget = 0.25 * float(np.sum(np.abs(unconstrained) ** 2))
+    fast = precoder_update(grouped, w, q, budget)
+    assert _relative_error(fast, precoder_update_dense(grouped, w, q, budget)) <= 1e-9
+    assert np.sum(np.abs(fast) ** 2) == pytest.approx(budget, rel=1e-8)
+
+    silent = np.zeros_like(w)
+    zero = precoder_update(grouped, silent, q, budget)
+    assert zero.shape == (dim, num_streams)
+    assert np.array_equal(zero, precoder_update_dense(grouped, silent, q, budget))
+
+
+def _criterion_04_traces():
+    cfg = SystemConfig(num_tx_antennas=16, num_rx_antennas=2, num_streams=2)
+    cfg1 = SystemConfig(num_tx_antennas=16, num_rx_antennas=2, num_paths=1)
+    runs = [(cfg, [4001, seed], 1e-3, 50) for seed in range(100)]
+    runs += [(cfg1, [4002, seed], 1e-10, 200) for seed in range(10)]
+    traces = []
+    for config, seed, tol, max_iters in runs:
+        realization = realize_channel(generate_paths(config, np.random.default_rng(seed)), config)
+        grouped = group_delay_differences(realization, coherence_partition(config), 0)
+        state = bcd_solve(
+            grouped,
+            config.tx_power_watts,
+            config.noise_power_watts,
+            config.num_streams,
+            tol=tol,
+            max_iters=max_iters,
+        )
+        traces.append(np.asarray(state.rate_trace))
+    return traces
+
+
+def test_bcd_rate_traces_match_dense_precoder_update(monkeypatch):
+    fast = _criterion_04_traces()
+    monkeypatch.setattr(bcd, "precoder_update", precoder_update_dense)
+    dense = _criterion_04_traces()
+    for index, (got, want) in enumerate(zip(fast, dense)):
+        assert got.shape == want.shape, f"run {index}: trace lengths differ"
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), f"run {index}"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_tx=st.integers(1, 32),
+    num_paths=st.integers(1, 5),
+    rx_streams=st.sampled_from([(1, 1), (2, 1), (2, 2), (4, 2)]),
+    block_index=st.integers(0, 20),
+)
+def test_bcd_trace_is_monotone_within_budget(
+    seed, num_tx, num_paths, rx_streams, block_index
+):
+    num_rx, num_streams = rx_streams
+    # a configuration cannot carry more streams than transmit antennas
+    num_streams = min(num_streams, num_tx)
+    cfg, grouped, rng = _grouped_draw(
+        seed, num_tx, num_paths, num_rx, num_streams, block_index
+    )
+    state = bcd_solve(
+        grouped, cfg.tx_power_watts, cfg.noise_power_watts, num_streams, rng=rng
+    )
+    trace = np.asarray(state.rate_trace)
+    slack = 1e-9 * np.maximum(1.0, np.abs(trace[:-1]))
+    assert np.all(np.diff(trace) >= -slack), f"trace decreased: {np.diff(trace).min()}"
+    power = float(np.sum(np.abs(state.precoder) ** 2))
+    assert power <= cfg.tx_power_watts * (1 + 1e-6)

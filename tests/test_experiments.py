@@ -189,6 +189,67 @@ def test_programming_error_propagates(monkeypatch, workers):
         run_experiment(spec.name, seed=0, num_trials=2, workers=workers)
 
 
+def _trial_nan_on(seed, bad_trial):
+    # trials are told apart by their first draw, which also works in a pool
+    marker = np.random.default_rng([seed, bad_trial]).random()
+
+    def trial(config, rng):
+        draw = rng.random()
+        value = float("nan") if draw == marker else draw
+        return [("s", "p", 1.0, "m", value), ("s", "p", 2.0, "m", 2.0 * draw)]
+
+    return trial
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_non_finite_metric_fails_only_its_trial(monkeypatch, workers):
+    spec = EXPERIMENTS["feasibility-map"]
+    monkeypatch.setitem(
+        EXPERIMENTS, spec.name, replace(spec, evaluator=_trial_nan_on(0, 1))
+    )
+    run = run_experiment(spec.name, seed=0, num_trials=4, workers=workers)
+    assert run.failures == [
+        (1, "NumericalError: non-finite metric value nan for ('s', 'p', 1.0, 'm')")
+    ]
+    draws = [np.random.default_rng([0, trial]).random() for trial in (0, 2, 3)]
+    assert [(r.param_value, r.trials) for r in run.rows] == [(1.0, 3), (2.0, 3)]
+    assert run.rows[0].mean == pytest.approx(np.mean(draws), rel=1e-15)
+    assert run.rows[1].median == pytest.approx(2.0 * np.median(draws), rel=1e-15)
+
+
+def _trial_ragged(config, rng):
+    # bucket sizes differ: "b" only reports in some trials
+    records = [("a", "p", float(k), "m", float(rng.standard_normal())) for k in range(3)]
+    if rng.random() < 0.5:
+        records.append(("b", "p", 0.0, "m", float(rng.exponential())))
+    return records
+
+
+def test_aggregation_matches_per_bucket_statistics(monkeypatch):
+    spec = EXPERIMENTS["feasibility-map"]
+    monkeypatch.setitem(EXPERIMENTS, spec.name, replace(spec, evaluator=_trial_ragged))
+    run = run_experiment(spec.name, seed=3, num_trials=13)
+    buckets = {}
+    for trial in range(13):
+        for scheme, name, param, metric, value in _trial_ragged(
+            None, np.random.default_rng([3, trial])
+        ):
+            buckets.setdefault((scheme, name, param, metric), []).append(value)
+    assert [(r.scheme, r.param_name, r.param_value, r.metric) for r in run.rows] == sorted(
+        buckets
+    )
+    assert len({r.trials for r in run.rows}) == 2
+    for row in run.rows:
+        values = np.asarray(buckets[(row.scheme, row.param_name, row.param_value, row.metric)])
+        assert row.trials == values.size
+        assert (row.mean, row.median, row.p10, row.p90) == (
+            float(values.mean()),
+            float(np.median(values)),
+            float(np.quantile(values, 0.10)),
+            float(np.quantile(values, 0.90)),
+        )
+
+
 def test_mismatched_alignment_with_true_csi_matches_zf_rate():
     cfg = SystemConfig(num_tx_antennas=16, num_rx_antennas=2, num_streams=2)
     timebase = coherence_partition(cfg)
