@@ -35,8 +35,7 @@ from .errors import ContractViolationError, FeasibilityError, NumericalError
 from .linalg import eig_hermitian
 from .zf import FeasibilityVerdict, zf_feasibility, zf_spatial_design
 
-POWER_BISECT_REL_TOL = 1e-8
-RATE_EIGENVALUE_FLOOR = 1e-30
+POWER_BISECT_REL_TOL = 1e-12
 
 
 @dataclass
@@ -182,8 +181,8 @@ def precoder_update(
     Fbar(beta) = (Hbar^H W Q W^H Hbar + sum_i Gbar[i]^H W Q W^H Gbar[i]
     + beta I)^{-1} Hbar^H W Q, with beta = 0 if the unconstrained solution
     already fits the budget and otherwise bisected so the power constraint
-    is met within POWER_BISECT_REL_TOL (complementary slackness). At
-    beta = 0 the inverse is the pseudo-inverse.
+    is met from below within POWER_BISECT_REL_TOL (complementary
+    slackness). At beta = 0 the inverse is the pseudo-inverse.
 
     The (L*M_t) x (L*M_t) matrix in brackets is never formed. With
     B = [Hbar; Gbar[i]...] it equals B^H (I_blocks (x) W Q W^H) B, and the
@@ -209,9 +208,22 @@ def precoder_update(
     if not np.any(np.abs(rhs) > 0):
         return np.zeros((h_bar.shape[1], w.shape[1]), dtype=np.complex128)
     vals, sub_vecs = eig_hermitian(quad, herm_tol=1e-8)
+    return _budgeted_precoder(vals, basis @ sub_vecs, sub_vecs.conj().T @ rhs, total_power)
+
+
+def _budgeted_precoder(
+    vals: np.ndarray, vecs: np.ndarray, proj: np.ndarray, total_power: float
+) -> np.ndarray:
+    """Fbar(beta) = vecs diag(1 / (vals + beta)) proj under the power budget.
+
+    vals/vecs are the eigenpairs of the precoder step's quadratic term and
+    proj the right-hand side in that eigenbasis. beta = 0 (pseudo-inverse)
+    if that fits the budget; otherwise beta is bisected until the power is
+    on the feasible side of the budget and within POWER_BISECT_REL_TOL of
+    it. Stopping only there keeps each step an ascent step up to rounding:
+    a power left below the budget would cost rate at a fixed point.
+    """
     vals = np.maximum(vals.real, 0.0)
-    proj = sub_vecs.conj().T @ rhs
-    vecs = basis @ sub_vecs
     row_power = np.sum(np.abs(proj) ** 2, axis=1)
     # at beta = 0 the inverse acts as a pseudo-inverse on the zero eigenspace
     active = vals > vals.max() * 1e-13 if vals.size else np.zeros(0, bool)
@@ -232,7 +244,7 @@ def precoder_update(
 
     if power_at(0.0) <= total_power:
         return precoder_at(0.0)
-    lo, hi = 0.0, float(np.trace(quad).real) / total_power + 1.0
+    lo, hi = 0.0, float(vals.sum()) / total_power + 1.0
     guard = 0
     while power_at(hi) > total_power:
         hi *= 2.0
@@ -242,10 +254,10 @@ def precoder_update(
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         p = power_at(mid)
-        if abs(p - total_power) <= POWER_BISECT_REL_TOL * total_power:
-            return precoder_at(mid)
         if p > total_power:
             lo = mid
+        elif p >= (1.0 - POWER_BISECT_REL_TOL) * total_power:
+            return precoder_at(mid)
         else:
             hi = mid
     raise NumericalError("power bisection did not converge")
@@ -283,9 +295,7 @@ def bcd_solve(
     active streams), otherwise a random precoder scaled to the power
     budget. Convergence is declared when the fractional rate increase
     drops below tol; the trace of per-iteration rates is returned and is
-    non-decreasing. A step that would lower the rate (possible only within
-    the power bisection's tolerance) is not taken: the solver stops as
-    converged at the previous iterate and leaves that rate out of the trace.
+    non-decreasing up to numerical slack.
     """
     if num_streams < 1:
         raise ContractViolationError("num_streams must be >= 1")
@@ -306,21 +316,13 @@ def bcd_solve(
     converged = False
     combiner = mmse_receiver(grouped, f_bar, noise_var)
     for iteration in range(max_iters):
-        rate, q_rate = _weighted_rate(grouped, f_bar, noise_var)
-        if trace and rate < trace[-1]:
-            # at a fixed point the power bisection's slack can cost a step up
-            # to ~POWER_BISECT_REL_TOL in rate; keep the better iterate
-            f_bar, combiner = kept
-            converged = True
-            break
-        q = q_rate
+        rate, q = _weighted_rate(grouped, f_bar, noise_var)
         trace.append(rate)
         if len(trace) >= 2:
             prev = trace[-2]
             if rate - prev <= tol * max(abs(prev), 1e-12):
                 converged = True
                 break
-        kept = (f_bar, combiner)
         f_bar = precoder_update(grouped, combiner, q, total_power)
         combiner = mmse_receiver(grouped, f_bar, noise_var)
     return BcdState(

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from ddamsim.bcd import POWER_BISECT_REL_TOL, GroupedChannels, interference_covariance
+from ddamsim.bcd import GroupedChannels, _budgeted_precoder, interference_covariance
 from ddamsim.benchmarks import (
     OfdmDesign,
     OfdmResult,
@@ -107,7 +107,9 @@ def precoder_update_dense(
     """Dense version of `bcd.precoder_update`.
 
     Forms the full (L*M_t) x (L*M_t) matrix `quad` and eigendecomposes it,
-    instead of working in the range of the stacked channel's adjoint.
+    instead of working in the range of the stacked channel's adjoint. The
+    power-budget solve from the eigenpairs is the library's own, so a
+    comparison isolates the range reduction.
     """
     if total_power <= 0:
         raise ContractViolationError("total_power must be positive")
@@ -123,45 +125,7 @@ def precoder_update_dense(
     if not np.any(np.abs(rhs) > 0):
         return np.zeros((h_bar.shape[1], w.shape[1]), dtype=np.complex128)
     vals, vecs = eig_hermitian(quad, herm_tol=1e-8)
-    vals = np.maximum(vals.real, 0.0)
-    proj = vecs.conj().T @ rhs
-    row_power = np.sum(np.abs(proj) ** 2, axis=1)
-    # at beta = 0 the inverse acts as a pseudo-inverse on the zero eigenspace
-    active = vals > vals.max() * 1e-13 if vals.size else np.zeros(0, bool)
-
-    def power_at(beta: float) -> float:
-        if beta == 0.0:
-            out = np.zeros_like(row_power)
-            out[active] = row_power[active] / (vals[active] ** 2)
-            return float(out.sum())
-        return float(np.sum(row_power / ((vals + beta) ** 2)))
-
-    def precoder_at(beta: float) -> np.ndarray:
-        if beta == 0.0:
-            scaled = np.zeros_like(proj)
-            scaled[active] = proj[active] / vals[active, None]
-            return vecs @ scaled
-        return vecs @ (proj / (vals + beta)[:, None])
-
-    if power_at(0.0) <= total_power:
-        return precoder_at(0.0)
-    lo, hi = 0.0, float(np.trace(quad).real) / total_power + 1.0
-    guard = 0
-    while power_at(hi) > total_power:
-        hi *= 2.0
-        guard += 1
-        if guard > 200:
-            raise NumericalError("power bisection failed to bracket the budget")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        p = power_at(mid)
-        if abs(p - total_power) <= POWER_BISECT_REL_TOL * total_power:
-            return precoder_at(mid)
-        if p > total_power:
-            lo = mid
-        else:
-            hi = mid
-    raise NumericalError("power bisection did not converge")
+    return _budgeted_precoder(vals, vecs, vecs.conj().T @ rhs, total_power)
 
 
 # --- large-array SNR references (asymptotic) ----------------------------------

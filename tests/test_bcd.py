@@ -222,6 +222,14 @@ def _grouped_draw(seed, num_tx, num_paths, num_rx, num_streams, block_index):
     return cfg, grouped, rng
 
 
+def _rate_and_weights(grouped, precoder, noise_var):
+    return colored_noise_rate(
+        grouped.stacked_channel @ precoder,
+        [block @ precoder for block in grouped.isi_channels.values()],
+        noise_var,
+    )
+
+
 def _relative_error(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
 
@@ -250,11 +258,7 @@ def test_precoder_update_matches_dense_oracle(num_tx, num_paths, num_rx, block_i
     start = raw * np.sqrt(cfg.tx_power_watts) / np.linalg.norm(raw)
     noise = cfg.noise_power_watts
     w = mmse_receiver(grouped, start, noise)
-    _, q = colored_noise_rate(
-        grouped.stacked_channel @ start,
-        [block @ start for block in grouped.isi_channels.values()],
-        noise,
-    )
+    _, q = _rate_and_weights(grouped, start, noise)
 
     unconstrained = precoder_update_dense(grouped, w, q, 1e30)
     assert _relative_error(precoder_update(grouped, w, q, 1e30), unconstrained) <= 1e-9
@@ -262,7 +266,9 @@ def test_precoder_update_matches_dense_oracle(num_tx, num_paths, num_rx, block_i
     budget = 0.25 * float(np.sum(np.abs(unconstrained) ** 2))
     fast = precoder_update(grouped, w, q, budget)
     assert _relative_error(fast, precoder_update_dense(grouped, w, q, budget)) <= 1e-9
-    assert np.sum(np.abs(fast) ** 2) == pytest.approx(budget, rel=1e-8)
+    # the bisection meets the budget from below
+    power = float(np.sum(np.abs(fast) ** 2))
+    assert budget * (1 - 2e-12) <= power <= budget * (1 + 1e-12)
 
     silent = np.zeros_like(w)
     zero = precoder_update(grouped, silent, q, budget)
@@ -317,11 +323,22 @@ def test_bcd_trace_is_monotone_within_budget(
     cfg, grouped, rng = _grouped_draw(
         seed, num_tx, num_paths, num_rx, num_streams, block_index
     )
-    state = bcd_solve(
-        grouped, cfg.tx_power_watts, cfg.noise_power_watts, num_streams, rng=rng
-    )
+    budget, noise = cfg.tx_power_watts, cfg.noise_power_watts
+    state = bcd_solve(grouped, budget, noise, num_streams, rng=rng)
     trace = np.asarray(state.rate_trace)
     slack = 1e-9 * np.maximum(1.0, np.abs(trace[:-1]))
     assert np.all(np.diff(trace) >= -slack), f"trace decreased: {np.diff(trace).min()}"
-    power = float(np.sum(np.abs(state.precoder) ** 2))
-    assert power <= cfg.tx_power_watts * (1 + 1e-6)
+    # past the solver's stopping rule, at (or near) a fixed point where a
+    # step that loses power against the budget would show as a rate drop,
+    # every receiver/weights/precoder step must still be an ascent step
+    f_bar = state.precoder
+    rate, q = _rate_and_weights(grouped, f_bar, noise)
+    for step in range(5):
+        combiner = mmse_receiver(grouped, f_bar, noise)
+        f_bar = precoder_update(grouped, combiner, q, budget)
+        assert float(np.sum(np.abs(f_bar) ** 2)) <= budget * (1 + 1e-6)
+        new_rate, q = _rate_and_weights(grouped, f_bar, noise)
+        assert new_rate >= rate - 1e-9 * max(1.0, abs(rate)), (
+            f"step {step}: rate {rate!r} -> {new_rate!r}"
+        )
+        rate = new_rate
