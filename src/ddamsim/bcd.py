@@ -295,7 +295,9 @@ def bcd_solve(
     active streams), otherwise a random precoder scaled to the power
     budget. Convergence is declared when the fractional rate increase
     drops below tol; the trace of per-iteration rates is returned and is
-    non-decreasing up to numerical slack.
+    non-decreasing up to numerical slack. Whether the solver converged or
+    stopped at max_iters, the returned precoder, combiner and weights are
+    the ones rate_trace[-1] was evaluated at.
     """
     if num_streams < 1:
         raise ContractViolationError("num_streams must be >= 1")
@@ -323,6 +325,8 @@ def bcd_solve(
             if rate - prev <= tol * max(abs(prev), 1e-12):
                 converged = True
                 break
+        if iteration == max_iters - 1:
+            break  # no untraced step: the state stays the one rated last
         f_bar = precoder_update(grouped, combiner, q, total_power)
         combiner = mmse_receiver(grouped, f_bar, noise_var)
     return BcdState(

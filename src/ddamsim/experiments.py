@@ -473,17 +473,18 @@ def _ofdm_papr_frame(config: SystemConfig, rng: np.random.Generator) -> np.ndarr
         num_streams=config.num_streams,
     )
     precoders = result.design.precoders
+    ranks = np.array([f.shape[1] for f in precoders])
     # one draw for every loaded stream, in subcarrier order
-    symbols = qam_symbols(
-        PAPR_MODULATION_ORDER, sum(f.shape[1] for f in precoders), rng
+    symbols = qam_symbols(PAPR_MODULATION_ORDER, int(ranks.sum()), rng)
+    # row i: loaded stream i's precoder column times its symbol; last row zero
+    streams = np.zeros((symbols.size + 1, config.num_tx_antennas), dtype=np.complex128)
+    streams[:-1] = np.concatenate([f.T for f in precoders]) * symbols[:, None]
+    # subcarrier k sums its ranks[k] consecutive rows, padded with the zero row
+    slot = np.arange(ranks.max(initial=0))
+    rows = np.where(
+        slot < ranks[:, None], (np.cumsum(ranks) - ranks)[:, None] + slot, symbols.size
     )
-    loaded = np.zeros((OFDM_SUBCARRIERS, config.num_tx_antennas), dtype=np.complex128)
-    start = 0
-    for k, precoder in enumerate(precoders):
-        stop = start + precoder.shape[1]
-        if stop > start:
-            loaded[k] = precoder @ symbols[start:stop]
-        start = stop
+    loaded = streams[rows].sum(axis=1)
     # unitary-style synthesis: (1/sqrt(K)) sum_k X[k] e^{j 2 pi k n / K}
     return np.fft.ifft(loaded, axis=0) * math.sqrt(OFDM_SUBCARRIERS)
 

@@ -134,28 +134,34 @@ def zf_feasibility(num_tx: int, num_rx: int, num_streams: int, num_paths: int) -
 def path_zf_precoder_bases(
     matrices: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL
 ) -> list[np.ndarray]:
-    """Orthonormal bases of the per-path interference-free subspaces.
+    """Orthonormal bases of the reachable per-path interference-free subspaces.
 
     matrices is the (L, M_r, M_t) stack of path channels. bases[l] spans the
-    orthogonal complement of the column space of
-    [H_1^H, ..., H_{l-1}^H, H_{l+1}^H, ..., H_L^H], so H_k @ bases[l] = 0
-    for every k != l. With a single path there is nothing to null and the
-    full identity basis is returned.
+    directions inside the channels' joint row space, range([H_1^H, ...,
+    H_L^H]), that every other path annihilates, so H_k @ bases[l] = 0 for
+    every k != l. The rest of the null space of the other paths is
+    orthogonal to every H_k, path l's included: it carries no signal, so
+    dropping it leaves H_l's projection onto the full null space, and with
+    it the capacity-achieving design, unchanged.
+
+    One thin QR of the stacked adjoint [H_1^H, ..., H_L^H] = Q R gives an
+    orthonormal Q with at most L * M_r columns; each null space is taken
+    of R's other-path column blocks in those coordinates and mapped back
+    by Q, so the cost does not grow with M_t. With a single path there is
+    nothing to null and bases[0] = Q.
     """
-    num_paths, _, num_tx = matrices.shape
-    if num_paths == 1:
-        return [np.eye(num_tx, dtype=np.complex128)]
+    num_paths, num_rx, num_tx = matrices.shape
+    basis, tri = np.linalg.qr(np.concatenate(matrices.conj().transpose(0, 2, 1), axis=1))
     bases = []
     for l in range(num_paths):
-        others = [matrices[k].conj().T for k in range(num_paths) if k != l]
-        stack = np.concatenate(others, axis=1)
-        basis = null_space_basis(stack, tol=rank_tol)
-        if basis.shape[1] == 0:
+        others = np.delete(tri, np.s_[l * num_rx : (l + 1) * num_rx], axis=1)
+        reduced = null_space_basis(others, tol=rank_tol)
+        if reduced.shape[1] == 0:
             raise FeasibilityError(
                 f"path {l}: no interference-free transmit directions left "
                 f"(M_t = {num_tx}, L = {num_paths})"
             )
-        bases.append(basis)
+        bases.append(basis @ reduced)
     return bases
 
 
@@ -170,12 +176,20 @@ def zf_spatial_design(
 
     Pure spatial solution (no delay/Doppler bookkeeping): nulling bases,
     aligned effective channel, SVD and water-filling, then the stacked
-    solution split back into per-path precoders.
+    solution split back into per-path precoders. The bases span only the
+    reachable part of each null space (see path_zf_precoder_bases), so the
+    effective channel has at most L * (L * M_r) columns whatever M_t is;
+    the precoders equal those over the full null spaces up to one phase per
+    stream, which leaves the rate, mode gains and F F^H unchanged.
     """
     mats = np.asarray(matrices, dtype=np.complex128)
     bases = path_zf_precoder_bases(mats, rank_tol)
     blocks = [mats[l] @ bases[l] for l in range(len(bases))]
     h_eff = np.concatenate(blocks, axis=1)
+    if np.linalg.norm(h_eff) <= rank_tol * np.linalg.norm(mats):
+        # only rounding residue survived the nulling (every path shares its
+        # signature with another, or is silent): no stream, no power
+        h_eff = np.zeros_like(h_eff)
     result = zf_capacity_design(h_eff, total_power, noise_var, num_streams, rank_tol)
     return split_stacked_precoder(bases, result.stacked_precoder), result
 
@@ -319,24 +333,29 @@ def build_ddam_tx(
 
     x[n] = sum_l F_l s[n - kappa_l] exp(-j*2*pi*nu_l*n*T_s), with s = 0 for
     negative indices. symbols has shape (N, N_s); the output is (N, M_t).
+
+    The advanced, derotated streams of all paths go side by side into one
+    (N, L * N_s) array, which is multiplied once by the (L * N_s, M_t)
+    stack of the F_l^T; a path with kappa_l >= N contributes nothing.
     """
     s = np.asarray(symbols, dtype=np.complex128)
     if s.ndim != 2 or s.shape[1] != design.num_streams:
         raise ContractViolationError(
             f"symbols must have shape (N, {design.num_streams}), got {s.shape}"
         )
-    n_samples = s.shape[0]
-    num_tx = design.precoders.shape[1]
+    n_samples, num_streams = s.shape
+    num_paths, num_tx, _ = design.precoders.shape
     ts = timebase.symbol_duration_s
-    x = np.zeros((n_samples, num_tx), dtype=np.complex128)
+    streams = np.zeros((n_samples, num_paths, num_streams), dtype=np.complex128)
     n_idx = np.arange(n_samples)
-    for l in range(design.num_paths):
+    for l in range(num_paths):
         kappa = int(design.delay_comp[l])
         if kappa >= n_samples:
             continue
         rot = np.exp(-2j * np.pi * design.doppler_comp[l] * n_idx[kappa:] * ts)
-        x[kappa:] += (s[: n_samples - kappa] @ design.precoders[l].T) * rot[:, None]
-    return x
+        streams[kappa:, l] = s[: n_samples - kappa] * rot[:, None]
+    stacked = design.precoders.transpose(0, 2, 1).reshape(num_paths * num_streams, num_tx)
+    return streams.reshape(n_samples, num_paths * num_streams) @ stacked
 
 
 def residual_isi_power(

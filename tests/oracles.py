@@ -21,12 +21,22 @@ from ddamsim.benchmarks import (
     StrongestPathDesign,
     _rank_one_components,
     ici_coefficient,
+    ofdm_design_and_rate,
     otfs_effective_gains,
 )
-from ddamsim.channel import ChannelRealization, Timebase, apply_channel, array_response
+from ddamsim.channel import (
+    ChannelRealization,
+    Timebase,
+    apply_channel,
+    array_response,
+    generate_paths,
+    realize_channel,
+)
 from ddamsim.config import SystemConfig
-from ddamsim.errors import ContractViolationError, NumericalError
-from ddamsim.linalg import DEFAULT_RANK_TOL, eig_hermitian, svd_reduced
+from ddamsim.errors import ContractViolationError, FeasibilityError, NumericalError
+from ddamsim.experiments import OFDM_SUBCARRIERS, PAPR_MODULATION_ORDER
+from ddamsim.linalg import DEFAULT_RANK_TOL, eig_hermitian, null_space_basis, svd_reduced
+from ddamsim.metrics import qam_symbols
 from ddamsim.zf import DdamDesign
 
 
@@ -126,6 +136,60 @@ def precoder_update_dense(
         return np.zeros((h_bar.shape[1], w.shape[1]), dtype=np.complex128)
     vals, vecs = eig_hermitian(quad, herm_tol=1e-8)
     return _budgeted_precoder(vals, vecs, vecs.conj().T @ rhs, total_power)
+
+
+def path_zf_precoder_bases_dense(
+    matrices: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL
+) -> list[np.ndarray]:
+    """Dense version of `zf.path_zf_precoder_bases`.
+
+    bases[l] spans the full orthogonal complement of the column space of
+    [H_1^H, ..., H_{l-1}^H, H_{l+1}^H, ..., H_L^H], from one M_t x M_t SVD
+    per path, instead of its part inside the channels' joint row space.
+    With a single path the full identity basis is returned.
+    """
+    num_paths, _, num_tx = matrices.shape
+    if num_paths == 1:
+        return [np.eye(num_tx, dtype=np.complex128)]
+    bases = []
+    for l in range(num_paths):
+        others = [matrices[k].conj().T for k in range(num_paths) if k != l]
+        stack = np.concatenate(others, axis=1)
+        basis = null_space_basis(stack, tol=rank_tol)
+        if basis.shape[1] == 0:
+            raise FeasibilityError(
+                f"path {l}: no interference-free transmit directions left "
+                f"(M_t = {num_tx}, L = {num_paths})"
+            )
+        bases.append(basis)
+    return bases
+
+
+def build_ddam_tx_loop(
+    design: DdamDesign, symbols: np.ndarray, timebase: Timebase
+) -> np.ndarray:
+    """Per-path loop version of `zf.build_ddam_tx`.
+
+    Accumulates one (N, M_t) precoded, advanced, derotated stream per path
+    instead of multiplying the stacked streams by the stacked precoders once.
+    """
+    s = np.asarray(symbols, dtype=np.complex128)
+    if s.ndim != 2 or s.shape[1] != design.num_streams:
+        raise ContractViolationError(
+            f"symbols must have shape (N, {design.num_streams}), got {s.shape}"
+        )
+    n_samples = s.shape[0]
+    num_tx = design.precoders.shape[1]
+    ts = timebase.symbol_duration_s
+    x = np.zeros((n_samples, num_tx), dtype=np.complex128)
+    n_idx = np.arange(n_samples)
+    for l in range(design.num_paths):
+        kappa = int(design.delay_comp[l])
+        if kappa >= n_samples:
+            continue
+        rot = np.exp(-2j * np.pi * design.doppler_comp[l] * n_idx[kappa:] * ts)
+        x[kappa:] += (s[: n_samples - kappa] @ design.precoders[l].T) * rot[:, None]
+    return x
 
 
 # --- large-array SNR references (asymptotic) ----------------------------------
@@ -384,6 +448,36 @@ def ofdm_ici_direct(realization: ChannelRealization, design: OfdmDesign) -> list
         leak = np.abs(np.einsum("ai,qaj->qij", u.conj(), coupled)) ** 2
         ici.append(np.delete(leak, k, axis=0).sum(axis=(0, 2)))
     return ici
+
+
+def ofdm_papr_frame_loop(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
+    """Per-subcarrier loop version of `experiments._ofdm_papr_frame`.
+
+    Loads each subcarrier with its own precoder-times-symbols product
+    instead of gathering all loaded streams in one pass.
+    """
+    paths = generate_paths(config, rng)
+    realization = realize_channel(paths, config)
+    result = ofdm_design_and_rate(
+        realization,
+        OFDM_SUBCARRIERS,
+        config.max_delay_tap,
+        config.tx_power_watts,
+        config.noise_power_watts,
+        num_streams=config.num_streams,
+    )
+    precoders = result.design.precoders
+    symbols = qam_symbols(
+        PAPR_MODULATION_ORDER, sum(f.shape[1] for f in precoders), rng
+    )
+    loaded = np.zeros((OFDM_SUBCARRIERS, config.num_tx_antennas), dtype=np.complex128)
+    start = 0
+    for k, precoder in enumerate(precoders):
+        stop = start + precoder.shape[1]
+        if stop > start:
+            loaded[k] = precoder @ symbols[start:stop]
+        start = stop
+    return np.fft.ifft(loaded, axis=0) * math.sqrt(OFDM_SUBCARRIERS)
 
 
 def measure_beam_sinr(

@@ -342,3 +342,32 @@ def test_bcd_trace_is_monotone_within_budget(
             f"step {step}: rate {rate!r} -> {new_rate!r}"
         )
         rate = new_rate
+
+
+def test_bcd_state_at_max_iters_belongs_to_last_rate():
+    # stopped by max_iters, not by tol: the returned precoder, combiner and
+    # weights must be the iterate that rate_trace[-1] was measured on
+    cfg, realization, timebase, rng = _setup(5, num_tx=16)
+    grouped = group_delay_differences(realization, timebase, 0)
+    dim = grouped.stacked_channel.shape[1]
+    raw = rng.standard_normal((dim, cfg.num_streams)) + 1j * rng.standard_normal(
+        (dim, cfg.num_streams)
+    )
+    init = raw * np.sqrt(cfg.tx_power_watts) / np.linalg.norm(raw)
+    noise = cfg.noise_power_watts
+    state = bcd_solve(
+        grouped,
+        cfg.tx_power_watts,
+        noise,
+        cfg.num_streams,
+        tol=0.0,
+        max_iters=3,
+        init_precoder=init,
+    )
+    assert not state.converged and len(state.rate_trace) == 3
+    rate, q = _rate_and_weights(grouped, state.precoder, noise)
+    assert rate == pytest.approx(state.rate_trace[-1], rel=1e-12, abs=0.0)
+    assert np.allclose(state.auxiliary, q, rtol=1e-12, atol=0.0)
+    assert np.allclose(
+        state.combiner, mmse_receiver(grouped, state.precoder, noise), rtol=1e-12, atol=0.0
+    )

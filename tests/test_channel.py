@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddamsim.channel import (
     REALIZATION_SCHEMA,
@@ -128,6 +130,37 @@ def test_apply_channel_matches_manual_convolution():
             rot = np.exp(2j * np.pi * paths.doppler_hz[l] * sample * ts)
             expected[sample] += rot * (realization.matrices[l] @ x[sample - m])
     assert np.max(np.abs(y - expected)) <= 1e-12
+
+
+_coefficient = st.builds(complex, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_tx=st.integers(1, 16),
+    num_rx=st.sampled_from([1, 2, 4]),
+    num_paths=st.integers(1, 5),
+    n_samples=st.integers(1, 200),
+    a=_coefficient,
+    b=_coefficient,
+)
+def test_apply_channel_is_linear(seed, num_tx, num_rx, num_paths, n_samples, a, b):
+    cfg = SystemConfig(
+        num_tx_antennas=num_tx,
+        num_rx_antennas=num_rx,
+        num_paths=num_paths,
+        num_streams=1,
+    )
+    rng = np.random.default_rng(seed)
+    realization = realize_channel(generate_paths(cfg, rng), cfg)
+    shape = (n_samples, num_tx)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    hx, hy = apply_channel(realization, x), apply_channel(realization, y)
+    combined = apply_channel(realization, a * x + b * y)
+    scale = abs(a) * np.max(np.abs(hx)) + abs(b) * np.max(np.abs(hy))
+    assert np.max(np.abs(combined - (a * hx + b * hy))) <= 1e-12 * scale
 
 
 def test_apply_channel_noise_contract():

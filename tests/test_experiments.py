@@ -14,12 +14,14 @@ from ddamsim.errors import ContractViolationError, FeasibilityError, NumericalEr
 from ddamsim.experiments import (
     CSV_HEADER,
     EXPERIMENTS,
+    _ofdm_papr_frame,
     list_experiments,
     mismatched_alignment_rate,
     run_experiment,
 )
 from ddamsim.metrics import CsiError, perturb_csi
 from ddamsim.zf import zf_design
+from oracles import ofdm_papr_frame_loop
 
 
 EXPECTED_NAMES = {
@@ -320,3 +322,12 @@ def test_mismatched_alignment_doppler_error_is_mild():
         losses.append(1.0 - rate / result.rate_bps_hz)
     med = float(np.median(losses))
     assert med <= 0.1, f"small Doppler error should cost little, lost {med:.3f}"
+
+
+@pytest.mark.parametrize("num_streams", [1, 2])
+def test_ofdm_papr_frame_matches_per_subcarrier_loop(num_streams):
+    # fig8 loads one stream per subcarrier; two streams exercise the padding
+    cfg = SystemConfig(num_tx_antennas=16, num_streams=num_streams)
+    got = _ofdm_papr_frame(cfg, np.random.default_rng(11))
+    want = ofdm_papr_frame_loop(cfg, np.random.default_rng(11))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

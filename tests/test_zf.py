@@ -1,10 +1,13 @@
 """Zero-forcing delay-Doppler alignment: feasibility, design, alignment."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddamsim import zf
 from ddamsim.channel import (
     PathSet,
     apply_channel,
@@ -13,7 +16,7 @@ from ddamsim.channel import (
     realize_channel,
 )
 from ddamsim.config import SystemConfig
-from ddamsim.errors import ContractViolationError
+from ddamsim.errors import ContractViolationError, FeasibilityError
 from ddamsim.zf import (
     DdamDesign,
     FeasibilityVerdict,
@@ -24,8 +27,9 @@ from ddamsim.zf import (
     water_filling,
     zf_design,
     zf_feasibility,
+    zf_spatial_design,
 )
-from oracles import ddam_rx_analytic
+from oracles import build_ddam_tx_loop, ddam_rx_analytic, path_zf_precoder_bases_dense
 
 
 def _random_realization(cfg, seed):
@@ -112,8 +116,6 @@ def test_zf_design_rejects_infeasible_geometry():
     # other two paths are projected out
     cfg = SystemConfig(num_tx_antennas=2, num_rx_antennas=2, num_streams=2)
     realization, _ = _random_realization(cfg, 0)
-    from ddamsim.errors import FeasibilityError
-
     with pytest.raises(FeasibilityError):
         zf_design(realization, 1.0, 1e-13, 2)
 
@@ -311,3 +313,108 @@ def test_ddam_design_validation():
             delay_comp=np.array([-1, 2], dtype=np.int64),  # negative
             doppler_comp=np.zeros(2),
         )
+
+
+def _dense_spatial_design(*args):
+    # zf_spatial_design over the full null spaces of the dense oracle
+    with mock.patch.object(zf, "path_zf_precoder_bases", path_zf_precoder_bases_dense):
+        return zf_spatial_design(*args)
+
+
+def _path_stack(kind, seed, num_tx, num_rx, num_paths):
+    """(L, M_r, M_t) path channels and the link budget for one draw.
+
+    "geometric" draws rank-one paths from the channel model; the other kinds
+    are i.i.d. Gaussian, "duplicate" with one path repeated and "zero-gain"
+    with one path silenced, so the stacked adjoint is rank-deficient.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "geometric":
+        cfg = SystemConfig(
+            num_tx_antennas=num_tx,
+            num_rx_antennas=num_rx,
+            num_paths=num_paths,
+            num_streams=1,
+        )
+        realization = realize_channel(generate_paths(cfg, rng), cfg)
+        return realization.matrices, cfg.tx_power_watts, cfg.noise_power_watts
+    shape = (num_paths, num_rx, num_tx)
+    mats = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    first, second = rng.choice(num_paths, size=2, replace=num_paths == 1)
+    if kind == "duplicate":
+        mats[second] = mats[first]
+    elif kind == "zero-gain":
+        mats[first] = 0.0
+    return mats, 1.0, 0.1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["gaussian", "geometric", "duplicate", "zero-gain"]),
+    seed=st.integers(0, 2**32 - 1),
+    num_tx=st.integers(1, 64),
+    num_paths=st.integers(1, 5),
+    num_rx=st.sampled_from([1, 2, 4]),
+    stream_pick=st.integers(1, 4),
+)
+def test_zf_spatial_design_matches_dense_null_spaces(
+    kind, seed, num_tx, num_paths, num_rx, stream_pick
+):
+    num_streams = min(stream_pick, num_tx, num_rx)
+    mats, budget, noise = _path_stack(kind, seed, num_tx, num_rx, num_paths)
+    try:
+        want_precoders, want = _dense_spatial_design(mats, budget, noise, num_streams)
+    except FeasibilityError:
+        with pytest.raises(FeasibilityError):
+            zf_spatial_design(mats, budget, noise, num_streams)
+        return
+    precoders, got = zf_spatial_design(mats, budget, noise, num_streams)
+    for l, f_l in enumerate(precoders):
+        for k in range(num_paths):
+            if k != l:
+                leak = np.linalg.norm(mats[k] @ f_l)
+                assert leak <= 1e-8 * np.linalg.norm(mats[k]) * np.linalg.norm(f_l)
+    assert got.n_active_streams == want.n_active_streams
+    power = sum(float(np.sum(np.abs(f) ** 2)) for f in precoders)
+    if want.n_active_streams:
+        assert power == pytest.approx(budget, rel=1e-9, abs=0.0)
+    else:
+        assert power == 0.0
+    assert got.rate_bps_hz == pytest.approx(want.rate_bps_hz, rel=1e-12, abs=0.0)
+    assert np.allclose(got.mode_gains, want.mode_gains, rtol=1e-12, atol=0.0)
+    # F is unique up to one phase per stream, so F F^H is the invariant
+    f_got = np.concatenate(precoders, axis=0)
+    f_want = np.concatenate(want_precoders, axis=0)
+    gram_got, gram_want = f_got @ f_got.conj().T, f_want @ f_want.conj().T
+    assert np.linalg.norm(gram_got - gram_want) <= 1e-9 * max(
+        np.linalg.norm(gram_want), 1e-300
+    )
+
+
+@pytest.mark.parametrize("num_streams", [1, 2])
+@pytest.mark.parametrize(
+    "delays,n_samples",
+    [
+        ([0, 3, 11, 40], 600),   # every advance inside the frame
+        ([0, 3, 11, 40], 11),    # the last two advances reach past the frame
+        ([5, 9], 5),             # no path reaches the frame: all-zero output
+    ],
+)
+def test_build_ddam_tx_matches_per_path_loop(num_streams, delays, n_samples):
+    cfg = SystemConfig(num_tx_antennas=16, num_rx_antennas=2)
+    timebase = coherence_partition(cfg)
+    rng = np.random.default_rng([num_streams, n_samples, len(delays)])
+    shape = (len(delays), cfg.num_tx_antennas, num_streams)
+    design = DdamDesign(
+        precoders=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+        combiner=np.eye(2, num_streams, dtype=np.complex128),
+        delay_comp=np.array(delays, dtype=np.int64),
+        doppler_comp=rng.uniform(-2e4, 2e4, len(delays)),
+    )
+    s = rng.standard_normal((n_samples, num_streams)) + 1j * rng.standard_normal(
+        (n_samples, num_streams)
+    )
+    got = build_ddam_tx(design, s, timebase)
+    want = build_ddam_tx_loop(design, s, timebase)
+    assert got.shape == want.shape == (n_samples, cfg.num_tx_antennas)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want), initial=0.0)
