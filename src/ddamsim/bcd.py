@@ -88,7 +88,7 @@ def group_delay_differences(
     paths = realization.path_set
     num_paths = paths.num_paths
     num_rx, num_tx = realization.num_rx, realization.num_tx
-    stacked = np.concatenate([realization.matrices[l] for l in range(num_paths)], axis=1)
+    stacked = realization.matrices.transpose(1, 0, 2).reshape(num_rx, num_paths * num_tx)
     isi: dict[int, np.ndarray] = {}
     ts = timebase.symbol_duration_s
     block_s = block_index * timebase.samples_per_coherence * ts
@@ -352,21 +352,14 @@ def _default_init(
     streams = min(num_streams, num_rx)
     verdict = zf_feasibility(num_tx, num_rx, streams, num_paths).verdict
     if verdict == FeasibilityVerdict.FEASIBLE:
-        mats = np.stack(
-            [
-                grouped.stacked_channel[:, l * num_tx : (l + 1) * num_tx]
-                for l in range(num_paths)
-            ]
-        )
+        mats = grouped.stacked_channel.reshape(num_rx, num_paths, num_tx).transpose(1, 0, 2)
         try:
-            per_path, result = zf_spatial_design(mats, total_power, noise_var, streams)
+            precoders, result = zf_spatial_design(mats, total_power, noise_var, streams)
         except FeasibilityError:
-            per_path, result = None, None
-        if per_path is not None and result.n_active_streams > 0:
+            result = None
+        if result is not None and result.n_active_streams > 0:
             f_bar = np.zeros((num_paths * num_tx, num_streams), dtype=np.complex128)
-            active = per_path[0].shape[1]
-            for l in range(num_paths):
-                f_bar[l * num_tx : (l + 1) * num_tx, :active] = per_path[l]
+            f_bar[:, : result.n_active_streams] = precoders.reshape(num_paths * num_tx, -1)
             return f_bar
     gen = rng if rng is not None else np.random.default_rng(0)
     raw = gen.standard_normal((num_paths * num_tx, num_streams)) + 1j * gen.standard_normal(

@@ -31,56 +31,22 @@ BEAM_NORM_TOL = 1e-9
 
 
 @dataclass
-class OfdmDesign:
-    """Per-subcarrier SVD precoders and combiners.
+class OfdmResult:
+    """Per-subcarrier SVD transceivers, their SINRs and the spectral efficiency.
 
-    precoders[k] is M_t x r_k with squared Frobenius norm equal to the
-    power budget (all of it is spent on every subcarrier); combiners[k] is
-    M_r x r_k with orthonormal columns. r_k is the numerical rank of the
-    subcarrier's desired-channel matrix, optionally capped.
+    Zero-padded stacks over K subcarriers and r_max = max(1, max_k r_k)
+    stream slots, r_k = ranks[k] being the (optionally capped) rank of
+    subcarrier k. precoders[k, :, :r_k] spends the whole power budget,
+    combiners[k, :, :r_k] has orthonormal columns, and every entry of a slot
+    i >= r_k is zero, so sinr[:, 0] is the strongest stream's SINR.
     """
 
-    num_subcarriers: int
-    cp_length: int
-    total_power: float
-    precoders: list[np.ndarray]
-    combiners: list[np.ndarray]
-    singular_values: list[np.ndarray]
-
-    def __post_init__(self) -> None:
-        if self.num_subcarriers < 1 or self.cp_length < 0:
-            raise ContractViolationError("need num_subcarriers >= 1 and cp_length >= 0")
-        if (
-            len(self.precoders) != self.num_subcarriers
-            or len(self.combiners) != self.num_subcarriers
-        ):
-            raise ContractViolationError("one precoder/combiner per subcarrier required")
-        # per-subcarrier power from one pass over all precoder columns
-        ranks = np.array([u.shape[1] for u in self.precoders])
-        columns = np.concatenate(self.precoders, axis=1)
-        power = np.bincount(
-            np.repeat(np.arange(self.num_subcarriers), ranks),
-            weights=np.sum(np.abs(columns) ** 2, axis=0),
-            minlength=self.num_subcarriers,
-        )
-        # math.isclose(power, total_power, rel_tol=1e-9), skipping rank-0 ones
-        budget = self.total_power
-        close = np.abs(power - budget) <= 1e-9 * np.maximum(np.abs(power), abs(budget))
-        if np.any((ranks > 0) & ~close):
-            raise ContractViolationError("subcarrier precoder violates the power budget")
-
-
-@dataclass
-class OfdmResult:
-    """Per-subcarrier SINRs and the effective spectral efficiency."""
-
-    sinr: list[np.ndarray]     # length num_subcarriers, entry k has r_k values
+    precoders: np.ndarray          # (K, M_t, r_max)
+    combiners: np.ndarray          # (K, M_r, r_max)
+    singular_values: np.ndarray    # (K, r_max)
+    sinr: np.ndarray               # (K, r_max)
+    ranks: np.ndarray              # (K,) integer
     rate_bps_hz: float
-    design: OfdmDesign
-
-    def first_stream_sinr(self) -> np.ndarray:
-        """SINR of the strongest stream per subcarrier (0 where rank is 0)."""
-        return np.array([float(s[0]) if s.size else 0.0 for s in self.sinr])
 
 
 def ici_coefficient(
@@ -160,7 +126,9 @@ def ofdm_design_and_rate(
     products (set to zero at delta = 0, which leaves out the q = k term)
     and g[q, c, d] the ramp-weighted transmit Gram terms of source q. That
     is a circular cross-correlation along the subcarrier index, computed
-    with FFTs in O(C^2 K log K).
+    with FFTs in O(C^2 K log K). The result keeps that stacked layout (see
+    OfdmResult); a loaded subcarrier off the power budget by more than
+    1e-9 relative raises ContractViolationError.
     """
     k_sub = int(num_subcarriers)
     if k_sub < 1:
@@ -202,25 +170,22 @@ def ofdm_design_and_rate(
     ranks = np.count_nonzero(s > rank_tol * s[:, :1], axis=1)
     if num_streams is not None:
         ranks = np.minimum(ranks, num_streams)
-    r_max = int(ranks.max())
+    r_max = max(1, int(ranks.max()))
     active = np.arange(r_max)[None, :] < ranks[:, None]            # (K, r_max)
     # sqrt(P / r_k) on the r_k active columns, zero on the rest
     scale = np.sqrt(total_power / np.maximum(ranks, 1))[:, None] * active
-    precoder_stack = vh[:, :r_max].conj().transpose(0, 2, 1) * scale[:, None, :]
-    rank_list = ranks.tolist()
-    design = OfdmDesign(
-        num_subcarriers=k_sub,
-        cp_length=int(cp_length),
-        total_power=total_power,
-        precoders=[f[:, :r] for f, r in zip(precoder_stack, rank_list)],
-        combiners=[w[:, :r] for w, r in zip(u, rank_list)],
-        singular_values=[v[:r] for v, r in zip(s, rank_list)],
-    )
+    precoders = vh[:, :r_max].conj().transpose(0, 2, 1) * scale[:, None, :]
+    combiners = np.where(active[:, None, :], u[:, :, :r_max], 0.0)
+    # math.isclose(power, total_power, rel_tol=1e-9) on every loaded subcarrier
+    power = np.sum(np.abs(precoders) ** 2, axis=(1, 2))
+    close = np.abs(power - total_power) <= 1e-9 * np.maximum(power, total_power)
+    if np.any((ranks > 0) & ~close):
+        raise ContractViolationError("subcarrier precoder violates the power budget")
 
     # receive- and transmit-side projections of every rank-one component;
     # inactive streams have zero precoder columns and drop out of the Gram
-    u_proj = np.einsum("kai,ca->kic", u[:, :, :r_max].conj(), left)   # (K, r_max, C)
-    w_proj = right.conj() @ precoder_stack                            # (K, C, r_max)
+    u_proj = np.einsum("kai,ca->kic", combiners.conj(), left)        # (K, r_max, C)
+    w_proj = right.conj() @ precoders                                # (K, C, r_max)
     gram = w_proj @ w_proj.conj().transpose(0, 2, 1)                  # (K, C, C)
 
     coupling = coeff.T
@@ -233,12 +198,12 @@ def ofdm_design_and_rate(
     ici_power = np.einsum("kic,kid,kcd->ki", u_proj, u_proj.conj(), cross).real
     ici_power = np.maximum(ici_power, 0.0)
 
-    signal = total_power * s[:, :r_max] ** 2 / np.maximum(ranks, 1)[:, None]
-    sinr_stack = np.where(active, signal / (ici_power + noise_var), 0.0)
+    singular_values = np.where(active, s[:, :r_max], 0.0)
+    signal = total_power * singular_values**2 / np.maximum(ranks, 1)[:, None]
+    sinr = np.where(active, signal / (ici_power + noise_var), 0.0)
     overhead = k_sub / (k_sub + cp_length)
-    rate = overhead * float(np.sum(np.log2(1.0 + sinr_stack))) / k_sub
-    sinr = [v[:r] for v, r in zip(sinr_stack, rank_list)]
-    return OfdmResult(sinr=sinr, rate_bps_hz=rate, design=design)
+    rate = overhead * float(np.sum(np.log2(1.0 + sinr))) / k_sub
+    return OfdmResult(precoders, combiners, singular_values, sinr, ranks, rate)
 
 
 def cfo_compensate(paths: PathSet) -> PathSet:

@@ -309,26 +309,57 @@ def realization_to_json(realization: ChannelRealization) -> str:
     return json.dumps(doc)
 
 
+def _finite_array(value, name: str, ndim: int, kinds: str = "iuf") -> np.ndarray:
+    """value as an ndim-D array of finite numbers of the given dtype kinds."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        raise ContractViolationError(f"{name} is ragged") from None
+    if arr.ndim != ndim or arr.dtype.kind not in kinds or not np.all(np.isfinite(arr)):
+        what = "integers" if kinds == "iu" else "numbers"
+        raise ContractViolationError(f"{name} must be a {ndim}-D array of finite {what}")
+    return arr
+
+
 def realization_from_json(text: str) -> ChannelRealization:
-    doc = json.loads(text)
-    if doc.get("schema") != REALIZATION_SCHEMA:
-        raise ContractViolationError(
-            f"expected schema {REALIZATION_SCHEMA}, got {doc.get('schema')!r}"
-        )
-    path_docs = doc["paths"]
+    """Read and validate a realization written by `realization_to_json`.
+
+    Invalid JSON, another schema, a missing field, a ragged or misshapen
+    array, a non-numeric or non-finite number and a fractional tap all
+    raise ContractViolationError, as does anything PathSet rejects.
+    """
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ContractViolationError(f"channel realization is not valid JSON: {exc}") from None
+    schema = doc.get("schema") if isinstance(doc, dict) else doc
+    if schema != REALIZATION_SCHEMA:
+        raise ContractViolationError(f"expected schema {REALIZATION_SCHEMA}, got {schema!r}")
+    try:
+        path_docs = doc["paths"]
+        gains = _finite_array([p["gain"] for p in path_docs], "gain", 2)
+        angles = [_finite_array([p[k] for p in path_docs], k, 1) for k in ("aoa_rad", "aod_rad")]
+        delays = _finite_array([p["delay_tap"] for p in path_docs], "delay_tap", 1, "iu")
+        doppler = _finite_array([p["doppler_hz"] for p in path_docs], "doppler_hz", 1)
+        mats = _finite_array(doc["matrices"], "matrices", 4)
+        symbol_s = _finite_array(doc["symbol_duration_s"], "symbol_duration_s", 0)
+        bound_hz = _finite_array(doc["doppler_bound_hz"], "doppler_bound_hz", 0)
+        tap_bound = _finite_array(doc["delay_tap_bound"], "delay_tap_bound", 0, "iu")
+    except (KeyError, TypeError) as exc:
+        raise ContractViolationError(f"malformed channel realization: {exc!r}") from None
+    if gains.shape[1] != 2 or mats.shape[-1] != 2:
+        raise ContractViolationError("gains and matrix entries must be [re, im] pairs")
     paths = PathSet(
-        gains=np.array([complex(p["gain"][0], p["gain"][1]) for p in path_docs]),
-        aoa_rad=np.array([p["aoa_rad"] for p in path_docs]),
-        aod_rad=np.array([p["aod_rad"] for p in path_docs]),
-        delay_taps=np.array([p["delay_tap"] for p in path_docs]),
-        doppler_hz=np.array([p["doppler_hz"] for p in path_docs]),
-        doppler_bound_hz=doc["doppler_bound_hz"],
-        delay_tap_bound=doc["delay_tap_bound"],
+        gains=gains[:, 0] + 1j * gains[:, 1],
+        aoa_rad=angles[0],
+        aod_rad=angles[1],
+        delay_taps=delays,
+        doppler_hz=doppler,
+        doppler_bound_hz=float(bound_hz),
+        delay_tap_bound=int(tap_bound),
     )
-    mats = np.array(doc["matrices"], dtype=np.float64)
-    matrices = mats[..., 0] + 1j * mats[..., 1]
     return ChannelRealization(
         path_set=paths,
-        matrices=matrices,
-        symbol_duration_s=doc["symbol_duration_s"],
+        matrices=mats[..., 0] + 1j * mats[..., 1],
+        symbol_duration_s=float(symbol_s),
     )

@@ -110,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ContractViolationError, FileNotFoundError) as exc:
+    except (ContractViolationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 from .errors import ContractViolationError
@@ -35,6 +36,9 @@ class SystemConfig:
     static_frame_duration_s: float = 1e-3  # stands in for T_c and T_bar when v = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ContractViolationError(f"{f.name} must be finite")
         if self.bandwidth_hz <= 0:
             raise ContractViolationError("bandwidth_hz must be positive")
         if self.carrier_freq_hz <= 0:
@@ -91,7 +95,7 @@ _INT_FIELDS = {
 
 
 def config_from_dict(data: dict) -> SystemConfig:
-    """Build a SystemConfig from a mapping; unknown keys are errors."""
+    """Build a SystemConfig from a mapping; unknown keys and non-numbers are errors."""
     known = {f.name for f in fields(SystemConfig)}
     unknown = sorted(set(data) - known)
     if unknown:
@@ -100,19 +104,28 @@ def config_from_dict(data: dict) -> SystemConfig:
         )
     coerced = {}
     for key, value in data.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ContractViolationError(f"config key {key} must be a number, got {value!r}")
+        try:
+            number = float(value)
+        except OverflowError:
+            raise ContractViolationError(f"config key {key} is out of range") from None
         if key in _INT_FIELDS:
-            if float(value) != int(value):
+            if not number.is_integer():
                 raise ContractViolationError(f"config key {key} must be an integer")
             coerced[key] = int(value)
         else:
-            coerced[key] = float(value)
+            coerced[key] = number
     return SystemConfig(**coerced)
 
 
 def load_config(path: str) -> SystemConfig:
     """Read a JSON config file mirroring SystemConfig field names."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ContractViolationError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ContractViolationError("config file must contain a JSON object")
     return config_from_dict(data)

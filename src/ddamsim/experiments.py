@@ -433,7 +433,7 @@ def _ber_trial(config: SystemConfig, rng: np.random.Generator) -> list:
                     power_dbm,
                     "ber",
                     ofdm_ber(
-                        result.first_stream_sinr(),
+                        result.sinr[:, 0],
                         OFDM_SUBCARRIERS,
                         config.max_delay_tap,
                         BER_MODULATION_ORDER,
@@ -472,19 +472,13 @@ def _ofdm_papr_frame(config: SystemConfig, rng: np.random.Generator) -> np.ndarr
         config.noise_power_watts,
         num_streams=config.num_streams,
     )
-    precoders = result.design.precoders
-    ranks = np.array([f.shape[1] for f in precoders])
-    # one draw for every loaded stream, in subcarrier order
-    symbols = qam_symbols(PAPR_MODULATION_ORDER, int(ranks.sum()), rng)
-    # row i: loaded stream i's precoder column times its symbol; last row zero
-    streams = np.zeros((symbols.size + 1, config.num_tx_antennas), dtype=np.complex128)
-    streams[:-1] = np.concatenate([f.T for f in precoders]) * symbols[:, None]
-    # subcarrier k sums its ranks[k] consecutive rows, padded with the zero row
-    slot = np.arange(ranks.max(initial=0))
-    rows = np.where(
-        slot < ranks[:, None], (np.cumsum(ranks) - ranks)[:, None] + slot, symbols.size
+    ranks = result.ranks
+    # one draw for every loaded stream, scattered in subcarrier order
+    symbols = np.zeros(result.sinr.shape, dtype=np.complex128)
+    symbols[np.arange(symbols.shape[1]) < ranks[:, None]] = qam_symbols(
+        PAPR_MODULATION_ORDER, int(ranks.sum()), rng
     )
-    loaded = streams[rows].sum(axis=1)
+    loaded = np.einsum("ktr,kr->kt", result.precoders, symbols)
     # unitary-style synthesis: (1/sqrt(K)) sum_k X[k] e^{j 2 pi k n / K}
     return np.fft.ifft(loaded, axis=0) * math.sqrt(OFDM_SUBCARRIERS)
 

@@ -171,12 +171,13 @@ def zf_spatial_design(
     noise_var: float,
     num_streams: int,
     rank_tol: float = DEFAULT_RANK_TOL,
-) -> tuple[list[np.ndarray], "ZfCapacityResult"]:
+) -> tuple[np.ndarray, "ZfCapacityResult"]:
     """Per-path zero-forcing precoders for a stack of path matrices.
 
     Pure spatial solution (no delay/Doppler bookkeeping): nulling bases,
     aligned effective channel, SVD and water-filling, then the stacked
-    solution split back into per-path precoders. The bases span only the
+    solution split back into the (L, M_t, n_active) stack of the F_l
+    (n_active = 0 when no stream survives). The bases span only the
     reachable part of each null space (see path_zf_precoder_bases), so the
     effective channel has at most L * (L * M_r) columns whatever M_t is;
     the precoders equal those over the full null spaces up to one phase per
@@ -280,17 +281,13 @@ def zf_capacity_design(
 
 def split_stacked_precoder(
     bases: list[np.ndarray], stacked_precoder: np.ndarray
-) -> list[np.ndarray]:
-    """Map the stacked solution back to per-path precoders F_l = B_l X_l."""
+) -> np.ndarray:
+    """Map the stacked solution back to the (L, M_t, N_s) stack F_l = B_l X_l."""
     sizes = [b.shape[1] for b in bases]
     if stacked_precoder.shape[0] != sum(sizes):
         raise ContractViolationError("stacked precoder rows do not match basis sizes")
-    precoders = []
-    offset = 0
-    for basis, size in zip(bases, sizes):
-        precoders.append(basis @ stacked_precoder[offset : offset + size])
-        offset += size
-    return precoders
+    blocks = np.split(stacked_precoder, np.cumsum(sizes)[:-1])
+    return np.stack([basis @ block for basis, block in zip(bases, blocks)])
 
 
 def aligned_design(
@@ -320,10 +317,10 @@ def zf_design(
     rank_tol: float = DEFAULT_RANK_TOL,
 ) -> tuple[DdamDesign, ZfCapacityResult]:
     """Full zero-forcing alignment design for one realization."""
-    per_path, result = zf_spatial_design(
+    precoders, result = zf_spatial_design(
         realization.matrices, total_power, noise_var, num_streams, rank_tol
     )
-    return aligned_design(realization, np.stack(per_path), result.combiner), result
+    return aligned_design(realization, precoders, result.combiner), result
 
 
 def build_ddam_tx(

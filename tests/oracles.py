@@ -15,7 +15,6 @@ import scipy.linalg
 
 from ddamsim.bcd import GroupedChannels, _budgeted_precoder, interference_covariance
 from ddamsim.benchmarks import (
-    OfdmDesign,
     OfdmResult,
     OtfsConfig,
     StrongestPathDesign,
@@ -351,34 +350,28 @@ def ofdm_design_and_rate_loop(
         "kc,ca,cb->kab", desired_weight, left, right.conj(), optimize=True
     )
 
-    precoders: list[np.ndarray] = []
-    combiners: list[np.ndarray] = []
-    sing_values: list[np.ndarray] = []
+    # stacks with a slot for every possible stream, trimmed to r_max below
+    r_cap = min(realization.num_rx, realization.num_tx)
+    precoders = np.zeros((k_sub, realization.num_tx, r_cap), dtype=np.complex128)
+    combiners = np.zeros((k_sub, realization.num_rx, r_cap), dtype=np.complex128)
+    sing_values = np.zeros((k_sub, r_cap))
     ranks = np.zeros(k_sub, dtype=np.int64)
     for k in range(k_sub):
         u, s, v = svd_reduced(desired[k], rank_tol=rank_tol)
         r_k = s.size if num_streams is None else min(s.size, num_streams)
         ranks[k] = r_k
-        combiners.append(u[:, :r_k])
-        sing_values.append(s[:r_k])
+        combiners[k, :, :r_k] = u[:, :r_k]
+        sing_values[k, :r_k] = s[:r_k]
         if r_k:
-            precoders.append(v[:, :r_k] * math.sqrt(total_power / r_k))
-        else:
-            precoders.append(np.zeros((realization.num_tx, 0), dtype=np.complex128))
-    r_max = int(ranks.max()) if k_sub else 0
+            precoders[k, :, :r_k] = v[:, :r_k] * math.sqrt(total_power / r_k)
+    r_max = max(1, int(ranks.max()))
+    precoders = precoders[:, :, :r_max]
+    combiners = combiners[:, :, :r_max]
+    sing_values = sing_values[:, :r_max]
+    sinr = np.zeros((k_sub, r_max))
 
-    design = OfdmDesign(
-        num_subcarriers=k_sub,
-        cp_length=int(cp_length),
-        total_power=total_power,
-        precoders=precoders,
-        combiners=combiners,
-        singular_values=sing_values,
-    )
-
-    if n_comp == 0 or r_max == 0:
-        empty = [np.zeros(0) for _ in range(k_sub)]
-        return OfdmResult(sinr=empty, rate_bps_hz=0.0, design=design)
+    if n_comp == 0 or not ranks.any():
+        return OfdmResult(precoders, combiners, sing_values, sinr, ranks, 0.0)
 
     # receive- and transmit-side projections of every rank-one component
     u_proj = np.zeros((k_sub, r_max, n_comp), dtype=np.complex128)
@@ -387,8 +380,8 @@ def ofdm_design_and_rate_loop(
         r_k = ranks[k]
         if r_k == 0:
             continue
-        u_proj[k, :r_k] = combiners[k].conj().T @ left.T
-        w_proj[k, :, :r_k] = right.conj() @ precoders[k]
+        u_proj[k, :r_k] = combiners[k, :, :r_k].conj().T @ left.T
+        w_proj[k, :, :r_k] = right.conj() @ precoders[k, :, :r_k]
     gram = np.einsum("qci,qdi->qcd", w_proj, w_proj.conj())
 
     # phase tensor over (target k, source q, component): coupling times ramp
@@ -404,49 +397,43 @@ def ofdm_design_and_rate_loop(
     ).real
     ici_power = np.maximum(ici_power, 0.0)
 
-    sinr: list[np.ndarray] = []
     rate_sum = 0.0
     for k in range(k_sub):
         r_k = ranks[k]
         if r_k == 0:
-            sinr.append(np.zeros(0))
             continue
-        signal = total_power * sing_values[k] ** 2 / r_k
-        values = signal / (ici_power[k, :r_k] + noise_var)
-        sinr.append(values)
-        rate_sum += float(np.sum(np.log2(1.0 + values)))
+        signal = total_power * sing_values[k, :r_k] ** 2 / r_k
+        sinr[k, :r_k] = signal / (ici_power[k, :r_k] + noise_var)
+        rate_sum += float(np.sum(np.log2(1.0 + sinr[k, :r_k])))
     overhead = k_sub / (k_sub + cp_length)
     rate = overhead * rate_sum / k_sub
-    return OfdmResult(sinr=sinr, rate_bps_hz=rate, design=design)
+    return OfdmResult(precoders, combiners, sing_values, sinr, ranks, rate)
 
 
-def ofdm_ici_direct(realization: ChannelRealization, design: OfdmDesign) -> list:
-    """ICI power on every stream of every subcarrier, summed directly.
+def ofdm_ici_direct(realization: ChannelRealization, result: OfdmResult) -> np.ndarray:
+    """ICI power on every stream slot of every subcarrier, summed directly.
 
     Forms each coupling H[k, q] F_q = sum_l c_l((q - k) mod K)
     e^{-j 2 pi q m_l / K} H_l F_q from the path matrices and adds
     |u_{k,i}^H H[k, q] F_q|^2 over the sources q != k. Every summand is
     non-negative and the q = k term is never formed, so the sum carries no
-    cancellation at any SINR.
+    cancellation at any SINR. Returns a (K, r_max) array, zero on the
+    inactive slots, whose combiner columns are zero.
     """
     paths = realization.path_set
-    k_sub = design.num_subcarriers
+    k_sub = result.ranks.size
     grid = np.arange(k_sub)
     coeff = ici_coefficient(
         paths.doppler_hz[:, None], realization.symbol_duration_s, k_sub, grid[None, :]
     )
     ramp = np.exp(-2j * np.pi * np.outer(paths.delay_taps, grid) / k_sub)   # (L, K)
-    r_max = max(f.shape[1] for f in design.precoders)
-    stack = np.zeros((k_sub, realization.num_tx, r_max), dtype=np.complex128)
-    for q, f in enumerate(design.precoders):
-        stack[q, :, : f.shape[1]] = f
-    path_precoded = np.einsum("lat,qtj->lqaj", realization.matrices, stack)
-    ici = []
-    for k, u in enumerate(design.combiners):
+    path_precoded = np.einsum("lat,qtj->lqaj", realization.matrices, result.precoders)
+    ici = np.zeros(result.sinr.shape)
+    for k, u in enumerate(result.combiners):
         weight = coeff[:, (grid - k) % k_sub] * ramp
         coupled = np.einsum("lq,lqaj->qaj", weight, path_precoded)
         leak = np.abs(np.einsum("ai,qaj->qij", u.conj(), coupled)) ** 2
-        ici.append(np.delete(leak, k, axis=0).sum(axis=(0, 2)))
+        ici[k] = np.delete(leak, k, axis=0).sum(axis=(0, 2))
     return ici
 
 
@@ -466,16 +453,14 @@ def ofdm_papr_frame_loop(config: SystemConfig, rng: np.random.Generator) -> np.n
         config.noise_power_watts,
         num_streams=config.num_streams,
     )
-    precoders = result.design.precoders
-    symbols = qam_symbols(
-        PAPR_MODULATION_ORDER, sum(f.shape[1] for f in precoders), rng
-    )
+    ranks = result.ranks
+    symbols = qam_symbols(PAPR_MODULATION_ORDER, int(ranks.sum()), rng)
     loaded = np.zeros((OFDM_SUBCARRIERS, config.num_tx_antennas), dtype=np.complex128)
     start = 0
-    for k, precoder in enumerate(precoders):
-        stop = start + precoder.shape[1]
+    for k, r_k in enumerate(ranks):
+        stop = start + r_k
         if stop > start:
-            loaded[k] = precoder @ symbols[start:stop]
+            loaded[k] = result.precoders[k, :, :r_k] @ symbols[start:stop]
         start = stop
     return np.fft.ifft(loaded, axis=0) * math.sqrt(OFDM_SUBCARRIERS)
 

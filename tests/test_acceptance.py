@@ -223,12 +223,11 @@ def test_criterion_06_ofdm_without_doppler_has_no_intercarrier_leakage():
             num_streams=cfg.num_streams,
         )
         noise = cfg.noise_power_watts
-        for k in range(512):
-            values = result.sinr[k]
-            r_k = values.size
+        for k, r_k in enumerate(result.ranks):
             if r_k == 0:
                 continue
-            signal = cfg.tx_power_watts / r_k * result.design.singular_values[k] ** 2
+            values = result.sinr[k, :r_k]
+            signal = cfg.tx_power_watts / r_k * result.singular_values[k, :r_k] ** 2
             implied_ici = signal / values - noise
             assert np.all(implied_ici <= 1e-10 * signal), f"seed {seed}, k={k}"
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddamsim.benchmarks import (
     OtfsConfig,
@@ -142,7 +144,6 @@ def test_ofdm_sinr_against_naive_loops():
     k_sub, cp = 8, 4
     power, noise = 1.0, cfg.noise_power_watts
     result = ofdm_design_and_rate(realization, k_sub, cp, power, noise, num_streams=2)
-    design = result.design
     ts = cfg.symbol_duration_s
 
     def coupling(k, q):
@@ -157,19 +158,18 @@ def test_ofdm_sinr_against_naive_loops():
 
     rate_sum = 0.0
     for k in range(k_sub):
-        u = design.combiners[k]
-        r_k = u.shape[1]
+        r_k = result.ranks[k]
+        u = result.combiners[k, :, :r_k]
         for i in range(r_k):
-            sig = power / r_k * design.singular_values[k][i] ** 2
+            sig = power / r_k * result.singular_values[k, i] ** 2
             ici = 0.0
             for q in range(k_sub):
                 if q == k:
                     continue
-                ici += float(
-                    np.sum(np.abs(u[:, i].conj() @ coupling(k, q) @ design.precoders[q]) ** 2)
-                )
+                f_q = result.precoders[q, :, : result.ranks[q]]
+                ici += float(np.sum(np.abs(u[:, i].conj() @ coupling(k, q) @ f_q) ** 2))
             sinr = sig / (ici + noise)
-            assert sinr == pytest.approx(result.sinr[k][i], rel=1e-9), f"k={k} i={i}"
+            assert sinr == pytest.approx(result.sinr[k, i], rel=1e-9), f"k={k} i={i}"
             rate_sum += np.log2(1.0 + sinr)
     expected_rate = k_sub / (k_sub + cp) * rate_sum / k_sub
     assert result.rate_bps_hz == pytest.approx(expected_rate, rel=1e-9)
@@ -187,17 +187,14 @@ def test_ofdm_matches_per_subcarrier_loop_oracle(num_tx, velocity_mps, num_strea
         )
         result = ofdm_design_and_rate(*args, num_streams=num_streams)
         reference = ofdm_design_and_rate_loop(*args, num_streams=num_streams)
+        assert np.array_equal(result.ranks, reference.ranks), f"seed {seed}"
+        # the zero padding past each rank must match too
         for name in ("precoders", "combiners", "singular_values"):
-            got_all = getattr(result.design, name)
-            want_all = getattr(reference.design, name)
-            assert len(got_all) == len(want_all) == 512
-            for k, (got, want) in enumerate(zip(got_all, want_all)):
-                assert got.shape == want.shape, f"{name}[{k}] seed {seed}"
-                assert np.array_equal(got, want), f"{name}[{k}] seed {seed}"
+            got, want = getattr(result, name), getattr(reference, name)
+            assert got.shape[0] == 512
+            assert np.array_equal(got, want), f"{name} seed {seed}"
         assert result.rate_bps_hz == pytest.approx(reference.rate_bps_hz, rel=1e-12)
-        for k, (got, want) in enumerate(zip(result.sinr, reference.sinr)):
-            assert got.shape == want.shape
-            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0, err_msg=f"k={k}")
+        np.testing.assert_allclose(result.sinr, reference.sinr, rtol=1e-9, atol=0)
 
 
 def test_ofdm_sinr_matches_direct_ici_sum_at_high_sinr():
@@ -213,12 +210,15 @@ def test_ofdm_sinr_matches_direct_ici_sum_at_high_sinr():
         cfg.noise_power_watts,
         num_streams=1,
     )
-    ici = ofdm_ici_direct(realization, result.design)
+    ici = ofdm_ici_direct(realization, result)
     peak = 0.0
-    for k, (sinr, sv) in enumerate(zip(result.sinr, result.design.singular_values)):
-        if sv.size == 0:
+    for k, r_k in enumerate(result.ranks):
+        if r_k == 0:
             continue
-        direct = cfg.tx_power_watts * sv**2 / sv.size / (ici[k] + cfg.noise_power_watts)
+        sinr, sv = result.sinr[k, :r_k], result.singular_values[k, :r_k]
+        direct = (
+            cfg.tx_power_watts * sv**2 / r_k / (ici[k, :r_k] + cfg.noise_power_watts)
+        )
         np.testing.assert_allclose(sinr, direct, rtol=1e-12, atol=0, err_msg=f"k={k}")
         peak = max(peak, float(direct.max()))
     assert peak > 5e4
@@ -229,10 +229,89 @@ def test_ofdm_all_zero_channel_loads_no_stream():
     realization = realize_channel(_path_set([0.0, 0.0], [0, 3], [1e3, -2e3]), cfg)
     result = ofdm_design_and_rate(realization, 16, 4, 1.0, cfg.noise_power_watts)
     assert result.rate_bps_hz == 0.0
-    assert all(f.shape == (4, 0) for f in result.design.precoders)
-    assert all(w.shape == (2, 0) for w in result.design.combiners)
-    assert all(v.shape == (0,) for v in result.sinr)
-    assert np.array_equal(result.first_stream_sinr(), np.zeros(16))
+    assert np.array_equal(result.ranks, np.zeros(16))
+    # one all-zero slot per subcarrier, so sinr[:, 0] always exists
+    assert np.array_equal(result.precoders, np.zeros((16, 4, 1)))
+    assert np.array_equal(result.combiners, np.zeros((16, 2, 1)))
+    assert np.array_equal(result.singular_values, np.zeros((16, 1)))
+    assert np.array_equal(result.sinr, np.zeros((16, 1)))
+
+
+def _uneven_rank_realization(cfg, num_subcarriers, doppler_hz):
+    """Paths 1 and 2 share one direction and cancel on every even subcarrier.
+
+    Path 0 has its own direction, so the desired matrices have rank 2 on
+    odd subcarriers and rank 1 on even ones (for M_r, M_t >= 2).
+    """
+    half = num_subcarriers // 2
+    paths = PathSet(
+        gains=np.array([0.8 - 0.3j, 1.0, -1.0]),
+        aoa_rad=np.array([0.4, -0.3, -0.3]),
+        aod_rad=np.array([-0.2, 0.5, 0.5]),
+        delay_taps=np.array([num_subcarriers + 1, 0, half]),
+        doppler_hz=np.array([doppler_hz, 0.0, 0.0]),
+        doppler_bound_hz=max(abs(doppler_hz), 1.0),
+        delay_tap_bound=num_subcarriers + 1,
+    )
+    return realize_channel(paths, cfg)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["geometric", "uneven-rank", "silent"]),
+    seed=st.integers(0, 2**32 - 1),
+    num_tx=st.integers(1, 6),
+    num_rx=st.integers(1, 3),
+    num_paths=st.integers(1, 3),
+    half_subcarriers=st.integers(1, 8),
+    num_streams=st.sampled_from([None, 1, 2]),
+    velocity_mps=st.sampled_from([0.0, 50.0, 500.0 / 3.6]),
+)
+def test_ofdm_result_stacks_keep_their_contract(
+    kind, seed, num_tx, num_rx, num_paths, half_subcarriers, num_streams, velocity_mps
+):
+    num_subcarriers = 2 * half_subcarriers
+    cfg = SystemConfig(
+        num_tx_antennas=num_tx,
+        num_rx_antennas=num_rx,
+        num_streams=1,
+        num_paths=num_paths,
+        velocity_mps=velocity_mps,
+    )
+    if kind == "geometric":
+        realization = _realization(cfg, seed)
+    elif kind == "uneven-rank":
+        realization = _uneven_rank_realization(cfg, num_subcarriers, cfg.max_doppler_hz)
+    else:
+        realization = realize_channel(_path_set([0.0, 0.0], [0, 3], [1e3, -2e3]), cfg)
+    cp, power = cfg.max_delay_tap, cfg.tx_power_watts
+    result = ofdm_design_and_rate(
+        realization, num_subcarriers, cp, power, cfg.noise_power_watts, num_streams
+    )
+    ranks = result.ranks
+    r_max = max(1, int(ranks.max()))
+    assert ranks.shape == (num_subcarriers,)
+    assert np.all(ranks <= min(num_tx, num_rx, num_streams or num_rx))
+    assert result.precoders.shape == (num_subcarriers, num_tx, r_max)
+    assert result.combiners.shape == (num_subcarriers, num_rx, r_max)
+    assert result.singular_values.shape == result.sinr.shape == (num_subcarriers, r_max)
+    # every entry of an inactive stream slot is zero
+    inactive = np.arange(r_max)[None, :] >= ranks[:, None]
+    assert not np.any(np.moveaxis(result.precoders, 2, 1)[inactive])
+    assert not np.any(np.moveaxis(result.combiners, 2, 1)[inactive])
+    assert not np.any(result.singular_values[inactive])
+    assert not np.any(result.sinr[inactive])
+    assert np.all(np.isfinite(result.sinr)) and np.all(result.sinr >= 0)
+    for k, r_k in enumerate(ranks):
+        if r_k == 0:
+            continue
+        loaded = float(np.sum(np.abs(result.precoders[k]) ** 2))
+        assert loaded == pytest.approx(power, rel=1e-9, abs=0.0), f"k={k}"
+        w = result.combiners[k, :, :r_k]
+        assert np.max(np.abs(w.conj().T @ w - np.eye(r_k))) <= 1e-12, f"k={k}"
+    cp_factor = num_subcarriers / (num_subcarriers + cp)
+    expected = cp_factor * float(np.sum(np.log2(1.0 + result.sinr))) / num_subcarriers
+    assert result.rate_bps_hz == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("num_streams", [0, -1, 2.5, True, "2"])
@@ -251,10 +330,10 @@ def test_ofdm_zero_doppler_has_no_ici():
     result = ofdm_design_and_rate(
         realization, 32, 8, 1.0, cfg.noise_power_watts, num_streams=2
     )
-    for k in range(32):
-        values = result.sinr[k]
+    for k, r_k in enumerate(result.ranks):
+        values = result.sinr[k, :r_k]
         # with no ICI the SINR equals signal over pure noise
-        sig = 1.0 / values.size * result.design.singular_values[k] ** 2
+        sig = 1.0 / r_k * result.singular_values[k, :r_k] ** 2
         assert np.allclose(values, sig / cfg.noise_power_watts, rtol=1e-9)
 
 

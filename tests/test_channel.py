@@ -241,3 +241,112 @@ def test_realization_json_rejects_wrong_schema():
     blob["schema"] = "something/else"
     with pytest.raises(ContractViolationError):
         realization_from_json(json.dumps(blob))
+
+
+def _mutated_realization_json(mutate):
+    cfg = SystemConfig(num_tx_antennas=3, num_rx_antennas=2, num_paths=2)
+    realization = realize_channel(generate_paths(cfg, np.random.default_rng(8)), cfg)
+    blob = json.loads(realization_to_json(realization))
+    mutate(blob)
+    return json.dumps(blob)
+
+
+def _set(path, value):
+    def mutate(blob):
+        node = blob
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return mutate
+
+
+def _drop(path):
+    def mutate(blob):
+        node = blob
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        "[1, 2]",
+        "null",
+        _mutated_realization_json(_drop(["matrices"])),
+        _mutated_realization_json(_drop(["symbol_duration_s"])),
+        _mutated_realization_json(_drop(["paths", 1, "doppler_hz"])),
+        _mutated_realization_json(_set(["paths"], 3)),
+        _mutated_realization_json(_set(["paths", 0], [1.0, 0.0])),
+        _mutated_realization_json(_set(["paths", 0, "gain"], [1.0])),
+        _mutated_realization_json(_set(["paths", 0, "gain"], ["a", "b"])),
+        _mutated_realization_json(_set(["paths", 0, "delay_tap"], 2.5)),
+        _mutated_realization_json(_set(["paths", 0, "aoa_rad"], None)),
+        _mutated_realization_json(_set(["matrices", 0, 1], [[1.0, 0.0]])),
+        _mutated_realization_json(_set(["matrices", 0, 1, 2], [1.0])),
+        _mutated_realization_json(_set(["matrices", 0, 1, 2, 0], float("nan"))),
+        _mutated_realization_json(_set(["matrices", 1, 0, 0, 1], float("inf"))),
+        _mutated_realization_json(_set(["symbol_duration_s"], float("nan"))),
+        _mutated_realization_json(_set(["symbol_duration_s"], [1e-8])),
+        _mutated_realization_json(_set(["doppler_bound_hz"], float("inf"))),
+        _mutated_realization_json(_set(["delay_tap_bound"], "40")),
+    ],
+    ids=[
+        "invalid-json",
+        "array-document",
+        "null-document",
+        "missing-matrices",
+        "missing-symbol-duration",
+        "missing-path-doppler",
+        "paths-not-a-list",
+        "path-not-an-object",
+        "short-gain",
+        "string-gain",
+        "fractional-delay-tap",
+        "null-angle",
+        "ragged-matrix-row",
+        "short-matrix-entry",
+        "nan-matrix-entry",
+        "inf-matrix-entry",
+        "nan-symbol-duration",
+        "array-symbol-duration",
+        "inf-doppler-bound",
+        "string-tap-bound",
+    ],
+)
+def test_realization_json_rejects_malformed_documents(text):
+    with pytest.raises(ContractViolationError):
+        realization_from_json(text)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_paths=st.integers(1, 5),
+    num_rx=st.integers(1, 4),
+    num_tx=st.integers(1, 16),
+    velocity=st.sampled_from([0.0, 50.0, 500.0 / 3.6]),
+)
+def test_realization_json_round_trip_is_exact(seed, num_paths, num_rx, num_tx, velocity):
+    cfg = SystemConfig(
+        num_tx_antennas=num_tx,
+        num_rx_antennas=num_rx,
+        num_streams=1,
+        num_paths=num_paths,
+        velocity_mps=velocity,
+    )
+    realization = realize_channel(generate_paths(cfg, np.random.default_rng(seed)), cfg)
+    text = realization_to_json(realization)
+    clone = realization_from_json(text)
+    assert np.array_equal(clone.matrices, realization.matrices)
+    assert clone.symbol_duration_s == realization.symbol_duration_s
+    for name in ("gains", "aoa_rad", "aod_rad", "delay_taps", "doppler_hz"):
+        got, want = getattr(clone.path_set, name), getattr(realization.path_set, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert clone.path_set.doppler_bound_hz == realization.path_set.doppler_bound_hz
+    assert clone.path_set.delay_tap_bound == realization.path_set.delay_tap_bound
+    assert realization_to_json(clone) == text

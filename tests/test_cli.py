@@ -123,6 +123,29 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"num_tx_antennas": "abc"}',
+        '{"num_paths": 1e400}',
+        '{"num_tx_antennas": 16',
+        '{"bandwidth_hz": NaN}',
+        '{"tx_power_watts": Infinity}',
+    ],
+)
+def test_bad_config_file_exits_2(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    code = main(["run", "fig3-convergence", "--trials", "1", "--config", str(cfg_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_directory_as_config_file_exits_2(tmp_path, capsys):
+    assert main(["run", "fig3-convergence", "--trials", "1", "--config", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_negative_seed_exits_2(capsys):
     assert main(["run", "fig3-convergence", "--seed", "-1", "--trials", "1"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -75,6 +75,68 @@ def test_validation_errors():
             config_from_dict(overrides)
 
 
+@pytest.mark.parametrize(
+    "name", ["bandwidth_hz", "tx_power_watts", "noise_psd_dbm_per_hz", "max_delay_s"]
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_fields_are_rejected(name, value):
+    with pytest.raises(ContractViolationError, match="finite"):
+        SystemConfig(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"num_tx_antennas": "abc"},
+        {"num_tx_antennas": "64"},
+        {"velocity_mps": None},
+        {"velocity_mps": [50.0]},
+        {"num_paths": True},
+        {"velocity_mps": True},
+        {"num_paths": float("inf")},
+        {"num_paths": float("nan")},
+        {"num_paths": 10**400},
+        {"bandwidth_hz": 10**400},
+        {"bandwidth_hz": float("nan")},
+        {"tx_power_watts": float("inf")},
+    ],
+    ids=[
+        "str",
+        "numeric-str",
+        "null",
+        "list",
+        "bool-int-field",
+        "bool-float-field",
+        "inf-int-field",
+        "nan-int-field",
+        "huge-int-field",
+        "huge-float-field",
+        "nan-float-field",
+        "inf-float-field",
+    ],
+)
+def test_config_from_dict_rejects_non_numbers_and_overflow(overrides):
+    with pytest.raises(ContractViolationError):
+        config_from_dict(overrides)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"num_tx_antennas": 16',
+        "",
+        '{"num_paths": 1e400}',
+        '{"bandwidth_hz": NaN}',
+        '{"tx_power_watts": Infinity}',
+    ],
+)
+def test_load_config_rejects_malformed_or_non_finite_json(tmp_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ContractViolationError):
+        load_config(path)
+
+
 def test_load_config_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"velocity_mps": 90.0, "num_paths": 5}))
