@@ -10,10 +10,15 @@ signal collapses to
 
 with Hbar = [H_1, ..., H_L] and Gbar[i] collecting, per transmit branch,
 the path whose delay differs by exactly i taps (phase-rotated by the
-branch/path Doppler difference over the block). The rate of that channel
+residual Doppler up to the block and the branch's Doppler over the delay
+difference; see group_delay_differences). The rate of that channel
 is maximized by alternating closed-form updates of the receive filter, a
 weighting matrix and the stacked precoder (a weighted-MMSE scheme); each
 step is a coordinate ascent so the rate trace never decreases.
+
+This module owns the lag model: group_delay_differences is the one
+enumeration of (true path, transmit branch) pairs, for the BCD design and,
+with branches aligned to wrong delays/Dopplers, the mismatched-CSI rate.
 
 The precoder step is the closed-form WMMSE update (Shi, Razaviyayn, Luo
 and He, IEEE TSP 2011). Its solution lies in the range of the adjoint of
@@ -44,7 +49,6 @@ class GroupedChannels:
 
     stacked_channel: np.ndarray        # Hbar, shape (M_r, L * M_t)
     isi_channels: dict[int, np.ndarray]  # delay offset -> Gbar[i], same shape
-    block_index: int
     num_paths: int
     num_tx: int
 
@@ -58,6 +62,13 @@ class GroupedChannels:
     @property
     def num_rx(self) -> int:
         return int(self.stacked_channel.shape[0])
+
+    def isi_outputs(self, precoder: np.ndarray) -> np.ndarray:
+        """(#offsets, M_r, N_s) stack of the Gbar[i] Fbar in map order, as one product."""
+        if not self.isi_channels:
+            return np.zeros((0, self.num_rx, precoder.shape[1]), dtype=np.complex128)
+        side = np.concatenate(list(self.isi_channels.values())) @ precoder
+        return side.reshape(len(self.isi_channels), self.num_rx, precoder.shape[1])
 
 
 @dataclass
@@ -73,65 +84,65 @@ class BcdState:
 
 
 def group_delay_differences(
-    realization: ChannelRealization, timebase: Timebase, block_index: int
+    realization: ChannelRealization,
+    timebase: Timebase,
+    block_index: int,
+    branch_delays: np.ndarray | None = None,
+    branch_dopplers: np.ndarray | None = None,
 ) -> GroupedChannels:
     """Regroup the per-path channels by delay difference for one block.
 
-    Branch l' of Gbar[i] holds H_l rotated by the Doppler difference
-    nu_l - nu_l' accumulated over block_index coherence blocks, where l is
-    the (unique, delays being distinct) path whose delay differs from path
-    l' by i taps. Offsets that no path pair produces are simply absent
-    from the map; with one path the map is empty.
+    Transmit branch l' is aligned to delay m^_l' and Doppler nu^_l'
+    (branch_delays, branch_dopplers; by default the true paths, i.e.
+    perfect CSI). True path l carries branch l' to offset i = m^_l' - m_l,
+    and the branch's block of Gbar[i] holds
+
+        H_l * exp(j 2 pi [(nu_l - nu^_l') n0 + nu^_l' (m_l - m^_l')] T_s)
+
+    with n0 the first sample of coherence block block_index. The phase is
+    relative to the un-folded spatial precoders (zf.aligned_design folds
+    exp(-j 2 pi nu^_l' m^_l' T_s) into the transmitted ones). Offset 0 is
+    the desired channel Hbar, exactly [H_1, ..., H_L] with perfect CSI.
+    Offsets that no pair produces are absent from the map.
     """
     if block_index < 0:
         raise ContractViolationError("block_index must be non-negative")
     paths = realization.path_set
-    num_paths = paths.num_paths
-    num_rx, num_tx = realization.num_rx, realization.num_tx
-    stacked = realization.matrices.transpose(1, 0, 2).reshape(num_rx, num_paths * num_tx)
-    isi: dict[int, np.ndarray] = {}
-    ts = timebase.symbol_duration_s
-    block_s = block_index * timebase.samples_per_coherence * ts
-    delays = paths.delay_taps
-    for lp in range(num_paths):
-        for l in range(num_paths):
-            if l == lp:
-                continue
-            offset = int(delays[lp] - delays[l])
-            dnu = paths.doppler_hz[l] - paths.doppler_hz[lp]
-            phase = np.exp(2j * np.pi * dnu * block_s)
-            block = isi.setdefault(
-                offset, np.zeros((num_rx, num_paths * num_tx), dtype=np.complex128)
-            )
-            block[:, lp * num_tx : (lp + 1) * num_tx] = realization.matrices[l] * phase
-    return GroupedChannels(
-        stacked_channel=stacked,
-        isi_channels=isi,
-        block_index=block_index,
-        num_paths=num_paths,
-        num_tx=num_tx,
+    delays, dopplers = paths.delay_taps, paths.doppler_hz
+    est_delays = delays if branch_delays is None else np.asarray(branch_delays, np.int64)
+    est_dopplers = dopplers if branch_dopplers is None else np.asarray(branch_dopplers)
+    if est_delays.ndim != 1 or not est_delays.size or est_dopplers.shape != est_delays.shape:
+        raise ContractViolationError("branch inputs must be matching non-empty 1-D arrays")
+    num_branches, num_rx, num_tx = est_delays.size, realization.num_rx, realization.num_tx
+    offsets = est_delays[:, None] - delays[None, :]  # [l', l] = m^_l' - m_l
+    n0 = block_index * timebase.samples_per_coherence
+    drift = (dopplers[None, :] - est_dopplers[:, None]) * n0
+    phases = np.exp(
+        2j * np.pi * (drift - est_dopplers[:, None] * offsets) * timebase.symbol_duration_s
     )
+    # one block per distinct offset, first seen first; pair (l', l) fills its branch l'
+    rows = offsets.tolist()
+    slot = {offset: k for k, offset in enumerate(dict.fromkeys(sum(rows, [])))}
+    pair_slot = [[slot[offset] for offset in row] for row in rows]
+    blocks = np.zeros((len(slot), num_rx, num_branches, num_tx), dtype=np.complex128)
+    terms = realization.matrices * phases[:, :, None, None]  # [l', l]: H_l * phase
+    blocks[pair_slot, :, np.arange(num_branches)[:, None], :] = terms
+    groups = dict(zip(slot, blocks.reshape(len(slot), num_rx, -1)))
+    desired = groups.pop(0, np.zeros((num_rx, num_branches * num_tx), dtype=np.complex128))
+    return GroupedChannels(desired, groups, num_paths=num_branches, num_tx=num_tx)
 
 
-def _noise_plus_interference(
-    num_rx: int, interferers, noise_var: float
-) -> np.ndarray:
+def _noise_plus_interference(num_rx: int, interferers, noise_var: float) -> np.ndarray:
     """C = noise_var * I + sum_B B B^H over the interfering M_r x N_s blocks."""
-    cov = noise_var * np.eye(num_rx, dtype=np.complex128)
-    for block in interferers:
-        cov += block @ block.conj().T
-    return cov
+    side = np.concatenate([np.zeros((num_rx, 0)), *interferers], axis=1)  # [B_1, B_2, ...]
+    return noise_var * np.eye(num_rx, dtype=np.complex128) + side @ side.conj().T
 
 
 def interference_covariance(
     grouped: GroupedChannels, precoder: np.ndarray, noise_var: float
 ) -> np.ndarray:
     """C = sum_i Gbar[i] Fbar Fbar^H Gbar[i]^H + noise_var * I."""
-    return _noise_plus_interference(
-        grouped.num_rx,
-        (block @ precoder for block in grouped.isi_channels.values()),
-        noise_var,
-    )
+    return _noise_plus_interference(grouped.num_rx, grouped.isi_outputs(precoder), noise_var)
 
 
 def colored_noise_rate(
@@ -272,9 +283,7 @@ def _weighted_rate(
     increases.
     """
     return colored_noise_rate(
-        grouped.stacked_channel @ precoder,
-        [block @ precoder for block in grouped.isi_channels.values()],
-        noise_var,
+        grouped.stacked_channel @ precoder, grouped.isi_outputs(precoder), noise_var
     )
 
 

@@ -71,8 +71,6 @@ def _cmd_feasibility(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config) if args.config else None
-    if args.seed < 0:
-        raise ContractViolationError("--seed must be non-negative")
     run = run_experiment(
         args.experiment,
         seed=args.seed,

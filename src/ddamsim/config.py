@@ -30,7 +30,6 @@ class SystemConfig:
     velocity_mps: float = 50.0           # user speed (180 km/h)
     coherence_coeff: float = 0.1         # channel coherence time = coeff / nu_max
     max_delay_s: float = 400e-9          # delay spread upper bound
-    rng_seed: int = 0
     path_gain_db: float = -92.0          # large-scale gain of the normalized profile
     path_power_ratio: float = 0.1        # mean power ratio between successive delay-ordered paths
     static_frame_duration_s: float = 1e-3  # stands in for T_c and T_bar when v = 0
@@ -90,7 +89,6 @@ _INT_FIELDS = {
     "num_rx_antennas",
     "num_streams",
     "num_paths",
-    "rng_seed",
 }
 
 

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .bcd import bcd_solve, colored_noise_rate, group_delay_differences
+from .bcd import _weighted_rate, bcd_solve, group_delay_differences
 from .benchmarks import (
     cfo_compensate,
     make_otfs_config,
@@ -278,40 +279,26 @@ def mismatched_alignment_rate(
 ) -> float:
     """Rate actually achieved when the alignment design used wrong CSI.
 
-    Propagates every (true path, transmit branch) pair, groups the
-    composite coefficients by arrival lag with their exact phases frozen
-    at each evaluated block start, and treats all groups away from the
-    intended lag as colored noise under an MMSE combiner. With a design
-    built from the true parameters this reduces to the interference-free
-    zero-forcing rate.
+    Branch l' of the design is aligned to delay aligned_lag - kappa_l'
+    and Doppler doppler_comp[l']. Per evaluated block, the true channels
+    are grouped against those branches (group_delay_differences) and the
+    un-folded stacked precoder is rated with every off-lag group as
+    colored noise under an MMSE combiner, the rate BCD maximizes. With a
+    design built from the true parameters this is the ZF rate.
     """
-    paths = realization.path_set
-    ts = timebase.symbol_duration_s
     if block_indices is None:
         block_indices = _block_samples(timebase)
-    num_streams = design.num_streams
+    branch_delays = aligned_lag - design.delay_comp
+    # undo the phase aligned_design folds into each transmitted F_l'
+    ts = timebase.symbol_duration_s
+    unfold = np.exp(2j * np.pi * design.doppler_comp * branch_delays * ts)
+    precoder = (design.precoders * unfold[:, None, None]).reshape(-1, design.num_streams)
     rates = []
     for block in block_indices:
-        n0 = block * timebase.samples_per_coherence
-        groups: dict[int, np.ndarray] = {}
-        for l in range(paths.num_paths):
-            m_l = int(paths.delay_taps[l])
-            for lp in range(design.num_paths):
-                lag = m_l + int(design.delay_comp[lp])
-                drift = (paths.doppler_hz[l] - design.doppler_comp[lp]) * n0
-                phase = np.exp(
-                    2j * np.pi * (drift + design.doppler_comp[lp] * m_l) * ts
-                )
-                term = (realization.matrices[l] @ design.precoders[lp]) * phase
-                if lag in groups:
-                    groups[lag] += term
-                else:
-                    groups[lag] = term
-        desired = groups.pop(
-            aligned_lag,
-            np.zeros((realization.num_rx, num_streams), dtype=np.complex128),
+        grouped = group_delay_differences(
+            realization, timebase, block, branch_delays, design.doppler_comp
         )
-        rates.append(colored_noise_rate(desired, list(groups.values()), noise_var)[0])
+        rates.append(_weighted_rate(grouped, precoder, noise_var)[0])
     return float(np.mean(rates))
 
 
@@ -647,6 +634,13 @@ def _resolve_config(name: str, base: SystemConfig | None) -> SystemConfig:
     return config
 
 
+def _checked_int(name: str, value, low: int) -> int:
+    """value as an int; ContractViolationError unless it is an integer >= low."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ContractViolationError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 def _run_single_trial(name: str, config_dict: dict, seed: int, trial: int):
     """Worker entry point; must stay importable at module top level."""
     spec = EXPERIMENTS[name]
@@ -677,15 +671,15 @@ def run_experiment(
     NumericalError that names the (scheme, param, metric) key. Aggregation
     (mean/median/10th/90th percentiles) is keyed by (scheme, param, metric)
     and independent of completion order, so worker count never changes the
-    output.
+    output. seed (>= 0), num_trials and workers (>= 1) must be integers,
+    else ContractViolationError is raised before any trial runs.
     """
     resolved = _resolve_config(name, config)
     spec = EXPERIMENTS[name]
-    trials = spec.default_trials if num_trials is None else int(num_trials)
-    if trials < 1:
-        raise ContractViolationError("num_trials must be >= 1")
-    if workers is not None and workers < 1:
-        raise ContractViolationError("workers must be >= 1")
+    seed = _checked_int("seed", seed, 0)
+    trials = spec.default_trials if num_trials is None else num_trials
+    trials = _checked_int("num_trials", trials, 1)
+    workers = None if workers is None else _checked_int("workers", workers, 1)
     config_dict = resolved.to_dict()
 
     results: dict[int, list] = {}

@@ -13,7 +13,12 @@ import math
 import numpy as np
 import scipy.linalg
 
-from ddamsim.bcd import GroupedChannels, _budgeted_precoder, interference_covariance
+from ddamsim.bcd import (
+    GroupedChannels,
+    _budgeted_precoder,
+    colored_noise_rate,
+    interference_covariance,
+)
 from ddamsim.benchmarks import (
     OfdmResult,
     OtfsConfig,
@@ -189,6 +194,44 @@ def build_ddam_tx_loop(
         rot = np.exp(-2j * np.pi * design.doppler_comp[l] * n_idx[kappa:] * ts)
         x[kappa:] += (s[: n_samples - kappa] @ design.precoders[l].T) * rot[:, None]
     return x
+
+
+def mismatched_alignment_rate_loop(
+    realization: ChannelRealization,
+    design: DdamDesign,
+    aligned_lag: int,
+    noise_var: float,
+    timebase: Timebase,
+    block_indices: list[int],
+) -> float:
+    """Pair-loop version of `experiments.mismatched_alignment_rate`.
+
+    Propagates every (true path, transmit branch) pair through the
+    transmitted (folded) precoders, sums the composite M_r x N_s
+    coefficients H_l F_l' per arrival lag kappa_l' + m_l with their exact
+    phases frozen at each block start, and treats every lag other than
+    aligned_lag as colored noise, instead of grouping the channels by
+    delay offset and rating the un-folded stacked precoder.
+    """
+    paths = realization.path_set
+    ts = timebase.symbol_duration_s
+    rates = []
+    for block in block_indices:
+        n0 = block * timebase.samples_per_coherence
+        groups: dict[int, np.ndarray] = {}
+        for l in range(paths.num_paths):
+            m_l = int(paths.delay_taps[l])
+            for lp in range(design.num_paths):
+                lag = m_l + int(design.delay_comp[lp])
+                drift = (paths.doppler_hz[l] - design.doppler_comp[lp]) * n0
+                phase = np.exp(2j * np.pi * (drift + design.doppler_comp[lp] * m_l) * ts)
+                term = (realization.matrices[l] @ design.precoders[lp]) * phase
+                groups[lag] = groups[lag] + term if lag in groups else term
+        desired = groups.pop(
+            aligned_lag, np.zeros((realization.num_rx, design.num_streams), dtype=np.complex128)
+        )
+        rates.append(colored_noise_rate(desired, list(groups.values()), noise_var)[0])
+    return float(np.mean(rates))
 
 
 # --- large-array SNR references (asymptotic) ----------------------------------

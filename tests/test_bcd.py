@@ -57,8 +57,10 @@ def test_grouping_places_paths_by_delay_difference():
     }
     assert set(grouped.isi_channels) == expected_offsets
     assert 0 not in grouped.isi_channels
-    # at block 0 every accumulated phase is unity, so each ISI slot holds
-    # the raw channel of the path at the matching delay difference
+    # at block 0 no Doppler difference has accumulated, so each ISI slot
+    # holds the channel of the path at the matching delay difference with
+    # only the branch Doppler's phase over that difference
+    ts = timebase.symbol_duration_s
     for offset, mat in grouped.isi_channels.items():
         for lp in range(3):
             block = mat[:, lp * mt : (lp + 1) * mt]
@@ -68,7 +70,10 @@ def test_grouping_places_paths_by_delay_difference():
                 if l != lp and paths.delay_taps[lp] - paths.delay_taps[l] == offset
             ]
             if matches:
-                assert np.allclose(block, realization.matrices[matches[0]], atol=0)
+                l = matches[0]
+                lag = paths.delay_taps[l] - paths.delay_taps[lp]
+                phase = np.exp(2j * np.pi * paths.doppler_hz[lp] * lag * ts)
+                assert np.allclose(block, realization.matrices[l] * phase, atol=0)
             else:
                 assert not np.any(block)
 
@@ -79,7 +84,7 @@ def test_grouping_accumulates_block_phase():
     block_index = 5
     grouped = group_delay_differences(realization, timebase, block_index)
     ts = timebase.symbol_duration_s
-    block_s = block_index * timebase.samples_per_coherence * ts
+    n0 = block_index * timebase.samples_per_coherence
     mt = cfg.num_tx_antennas
     for lp in range(3):
         for l in range(3):
@@ -87,9 +92,26 @@ def test_grouping_accumulates_block_phase():
                 continue
             offset = int(paths.delay_taps[lp] - paths.delay_taps[l])
             dnu = paths.doppler_hz[l] - paths.doppler_hz[lp]
-            expected = realization.matrices[l] * np.exp(2j * np.pi * dnu * block_s)
+            lag = paths.delay_taps[l] - paths.delay_taps[lp]
+            cycles = (dnu * n0 + paths.doppler_hz[lp] * lag) * ts
+            expected = realization.matrices[l] * np.exp(2j * np.pi * cycles)
             block = grouped.isi_channels[offset][:, lp * mt : (lp + 1) * mt]
             assert np.allclose(block, expected, atol=1e-18)
+
+
+def test_grouping_branch_inputs_default_to_the_true_paths():
+    _, realization, timebase, _ = _setup(4)
+    paths = realization.path_set
+    default = group_delay_differences(realization, timebase, 3)
+    explicit = group_delay_differences(
+        realization, timebase, 3, paths.delay_taps, paths.doppler_hz
+    )
+    assert np.array_equal(explicit.stacked_channel, default.stacked_channel)
+    assert list(explicit.isi_channels) == list(default.isi_channels)
+    for offset, block in default.isi_channels.items():
+        assert np.array_equal(explicit.isi_channels[offset], block)
+    with pytest.raises(ContractViolationError):
+        group_delay_differences(realization, timebase, 3, paths.delay_taps[:2], paths.doppler_hz)
 
 
 def test_grouping_single_path_has_no_isi():
@@ -104,7 +126,6 @@ def test_grouped_channels_rejects_zero_offset():
         GroupedChannels(
             stacked_channel=stacked,
             isi_channels={0: np.zeros((2, 8), dtype=np.complex128)},
-            block_index=0,
             num_paths=1,
             num_tx=8,
         )

@@ -30,7 +30,7 @@ def test_max_delay_tap_rounding():
 
 
 def test_dict_round_trip():
-    cfg = SystemConfig(num_tx_antennas=16, velocity_mps=120.0, rng_seed=7)
+    cfg = SystemConfig(num_tx_antennas=16, velocity_mps=120.0)
     clone = config_from_dict(cfg.to_dict())
     assert clone == cfg
 

@@ -7,21 +7,25 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ddamsim.bcd import colored_noise_rate, group_delay_differences
 from ddamsim.channel import coherence_partition, generate_paths, realize_channel
 from ddamsim.config import SystemConfig
 from ddamsim.errors import ContractViolationError, FeasibilityError, NumericalError
 from ddamsim.experiments import (
     CSV_HEADER,
     EXPERIMENTS,
+    _block_samples,
     _ofdm_papr_frame,
     list_experiments,
     mismatched_alignment_rate,
     run_experiment,
 )
 from ddamsim.metrics import CsiError, perturb_csi
-from ddamsim.zf import zf_design
-from oracles import ofdm_papr_frame_loop
+from ddamsim.zf import aligned_design, zf_design
+from oracles import mismatched_alignment_rate_loop, ofdm_papr_frame_loop
 
 
 EXPECTED_NAMES = {
@@ -54,6 +58,31 @@ def test_unknown_experiment_raises():
 def test_workers_below_one_rejected(workers):
     with pytest.raises(ContractViolationError):
         run_experiment("feasibility-map", seed=0, workers=workers)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"seed": -1},
+        {"seed": 1.5},
+        {"seed": True},
+        {"seed": "3"},
+        {"num_trials": 2.7},
+        {"num_trials": True},
+        {"num_trials": 0},
+        {"workers": 1.5},
+        {"workers": True},
+    ],
+)
+def test_run_arguments_validated_before_any_trial(bad):
+    with pytest.raises(ContractViolationError):
+        run_experiment("fig3-convergence", **{"seed": 0, "num_trials": 1, **bad})
+
+
+def test_numpy_integer_arguments_are_recorded_as_ints():
+    run = run_experiment("feasibility-map", seed=np.int64(4), num_trials=np.int64(1))
+    assert type(run.seed) is int and type(run.num_trials) is int
+    assert json.loads(run.to_json())["config"]["seed"] == 4
 
 
 def test_csv_shape_and_header():
@@ -322,6 +351,106 @@ def test_mismatched_alignment_doppler_error_is_mild():
         losses.append(1.0 - rate / result.rate_bps_hz)
     med = float(np.median(losses))
     assert med <= 0.1, f"small Doppler error should cost little, lost {med:.3f}"
+
+
+def _random_design(realization, num_streams, total_power, rng):
+    """Aligned design around random (not zero-forcing) spatial precoders."""
+    shape = (realization.path_set.num_paths, realization.num_tx, num_streams)
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    precoders = raw * np.sqrt(total_power) / np.linalg.norm(raw)
+    combiner = np.zeros((realization.num_rx, num_streams), dtype=np.complex128)
+    return precoders, aligned_design(realization, precoders, combiner)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_paths=st.integers(1, 5),
+    num_rx=st.integers(1, 3),
+    num_tx=st.integers(2, 12),
+    num_streams=st.integers(1, 3),
+    late_block=st.booleans(),
+    velocity=st.sampled_from([50.0, 500.0 / 3.6]),
+    accuracy=st.sampled_from([1.0, 2.0 / 3.0, 1.0 / 3.0]),
+    doppler_error=st.sampled_from([0.0, 0.05]),
+    colliding=st.booleans(),
+)
+@example(
+    seed=1,
+    num_paths=3,
+    num_rx=2,
+    num_tx=8,
+    num_streams=2,
+    late_block=True,
+    velocity=500.0 / 3.6,
+    accuracy=1.0,
+    doppler_error=0.0,
+    colliding=True,
+)
+def test_lag_grouping_matches_pair_loop(
+    seed,
+    num_paths,
+    num_rx,
+    num_tx,
+    num_streams,
+    late_block,
+    velocity,
+    accuracy,
+    doppler_error,
+    colliding,
+):
+    cfg = SystemConfig(
+        num_tx_antennas=num_tx,
+        num_rx_antennas=num_rx,
+        num_streams=min(num_streams, num_rx, num_tx),
+        num_paths=num_paths,
+        velocity_mps=velocity,
+    )
+    rng = np.random.default_rng(seed)
+    paths = generate_paths(cfg, rng)
+    if colliding:
+        # evenly spaced delays: several path pairs share each delay difference
+        step = cfg.max_delay_tap // max(num_paths - 1, 1)
+        paths = replace(paths, delay_taps=step * np.arange(num_paths))
+    realization = realize_channel(paths, cfg)
+    timebase = coherence_partition(cfg)
+    block = _block_samples(timebase)[-1 if late_block else 0]
+    noise = cfg.noise_power_watts
+
+    # imperfect CSI: branches aligned to perturbed delays and Dopplers
+    wrong, _ = perturb_csi(paths, CsiError(accuracy, doppler_error), rng)
+    _, design = _random_design(realize_channel(wrong, cfg), cfg.num_streams, 1.0, rng)
+    args = (realization, design, wrong.max_delay_tap, noise, timebase, [block])
+    want = mismatched_alignment_rate_loop(*args)
+    assert mismatched_alignment_rate(*args) == pytest.approx(want, rel=1e-12, abs=0)
+
+    # perfect CSI: BCD's default grouping rates the un-folded stacked precoder
+    precoders, design = _random_design(realization, cfg.num_streams, 1.0, rng)
+    grouped = group_delay_differences(realization, timebase, block)
+    f_bar = precoders.reshape(-1, cfg.num_streams)
+    got, _ = colored_noise_rate(
+        grouped.stacked_channel @ f_bar,
+        [g @ f_bar for g in grouped.isi_channels.values()],
+        noise,
+    )
+    want = mismatched_alignment_rate_loop(
+        realization, design, paths.max_delay_tap, noise, timebase, [block]
+    )
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_fig9_perfect_csi_rows_equal_fig4_zero_forcing_rows():
+    # both experiments draw the same paths from each trial's generator
+    fig4 = run_experiment("fig4-se-vs-mt", seed=2, num_trials=3)
+    fig9 = run_experiment("fig9-imperfect-csi", seed=2, num_trials=3)
+    zf_rows = {r.param_value: r for r in fig4.rows if r.scheme == "ddam-zf"}
+    perfect = {r.param_value: r for r in fig9.rows if r.scheme == "perfect"}
+    assert set(perfect) == set(zf_rows) and perfect
+    for mt, row in perfect.items():
+        want = zf_rows[mt]
+        assert row.trials == want.trials == 3
+        for stat in ("mean", "median", "p10", "p90"):
+            assert getattr(row, stat) == pytest.approx(getattr(want, stat), rel=1e-9)
 
 
 @pytest.mark.parametrize("num_streams", [1, 2])
