@@ -16,9 +16,10 @@ is maximized by alternating closed-form updates of the receive filter, a
 weighting matrix and the stacked precoder (a weighted-MMSE scheme); each
 step is a coordinate ascent so the rate trace never decreases.
 
-This module owns the lag model: group_delay_differences is the one
-enumeration of (true path, transmit branch) pairs, for the BCD design and,
-with branches aligned to wrong delays/Dopplers, the mismatched-CSI rate.
+This module owns the lag model: _lag_pairs is the one enumeration of
+(true path, transmit branch) pairs. group_delay_differences builds BCD's
+grouped channels on it, and the mismatched-CSI rate, with branches aligned
+to wrong delays/Dopplers, rates every block's grouped outputs at once.
 
 The precoder step is the closed-form WMMSE update (Shi, Razaviyayn, Luo
 and He, IEEE TSP 2011). Its solution lies in the range of the adjoint of
@@ -83,6 +84,47 @@ class BcdState:
     n_iterations: int
 
 
+def _lag_pairs(
+    realization: ChannelRealization,
+    timebase: Timebase,
+    block_indices,
+    branch_delays: np.ndarray | None = None,
+    branch_dopplers: np.ndarray | None = None,
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The (transmit branch l', true path l) pairs of the lag model.
+
+    Returns the distinct offsets m^_l' - m_l in first-seen (row-major)
+    order, the (L', L) index of each pair's offset in that list, and the
+    (B, L', L) pair phases
+
+        exp(j 2 pi [(nu_l - nu^_l') n0 + nu^_l' (m_l - m^_l')] T_s)
+
+    at the first sample n0 of each of the B coherence blocks in
+    block_indices. The branches default to the true paths (perfect CSI).
+    """
+    blocks = np.asarray(block_indices)
+    if blocks.ndim != 1 or not blocks.size:
+        raise ContractViolationError("block indices must be a non-empty 1-D sequence")
+    if blocks.min() < 0:
+        raise ContractViolationError("block indices must be non-negative")
+    paths = realization.path_set
+    delays, dopplers = paths.delay_taps, paths.doppler_hz
+    est_delays = delays if branch_delays is None else np.asarray(branch_delays, np.int64)
+    est_dopplers = dopplers if branch_dopplers is None else np.asarray(branch_dopplers)
+    if est_delays.ndim != 1 or not est_delays.size or est_dopplers.shape != est_delays.shape:
+        raise ContractViolationError("branch inputs must be matching non-empty 1-D arrays")
+    offsets = est_delays[:, None] - delays[None, :]  # [l', l] = m^_l' - m_l
+    n0 = blocks * timebase.samples_per_coherence
+    drift = (dopplers[None, :] - est_dopplers[:, None]) * n0[:, None, None]
+    phases = np.exp(
+        2j * np.pi * (drift - est_dopplers[:, None] * offsets) * timebase.symbol_duration_s
+    )
+    rows = offsets.tolist()
+    slot = {offset: k for k, offset in enumerate(dict.fromkeys(sum(rows, [])))}
+    pair_slot = np.array([[slot[offset] for offset in row] for row in rows])
+    return list(slot), pair_slot, phases
+
+
 def group_delay_differences(
     realization: ChannelRealization,
     timebase: Timebase,
@@ -105,37 +147,32 @@ def group_delay_differences(
     the desired channel Hbar, exactly [H_1, ..., H_L] with perfect CSI.
     Offsets that no pair produces are absent from the map.
     """
-    if block_index < 0:
-        raise ContractViolationError("block_index must be non-negative")
-    paths = realization.path_set
-    delays, dopplers = paths.delay_taps, paths.doppler_hz
-    est_delays = delays if branch_delays is None else np.asarray(branch_delays, np.int64)
-    est_dopplers = dopplers if branch_dopplers is None else np.asarray(branch_dopplers)
-    if est_delays.ndim != 1 or not est_delays.size or est_dopplers.shape != est_delays.shape:
-        raise ContractViolationError("branch inputs must be matching non-empty 1-D arrays")
-    num_branches, num_rx, num_tx = est_delays.size, realization.num_rx, realization.num_tx
-    offsets = est_delays[:, None] - delays[None, :]  # [l', l] = m^_l' - m_l
-    n0 = block_index * timebase.samples_per_coherence
-    drift = (dopplers[None, :] - est_dopplers[:, None]) * n0
-    phases = np.exp(
-        2j * np.pi * (drift - est_dopplers[:, None] * offsets) * timebase.symbol_duration_s
+    offsets, pair_slot, phases = _lag_pairs(
+        realization, timebase, [block_index], branch_delays, branch_dopplers
     )
-    # one block per distinct offset, first seen first; pair (l', l) fills its branch l'
-    rows = offsets.tolist()
-    slot = {offset: k for k, offset in enumerate(dict.fromkeys(sum(rows, [])))}
-    pair_slot = [[slot[offset] for offset in row] for row in rows]
-    blocks = np.zeros((len(slot), num_rx, num_branches, num_tx), dtype=np.complex128)
-    terms = realization.matrices * phases[:, :, None, None]  # [l', l]: H_l * phase
+    num_branches, num_rx, num_tx = pair_slot.shape[0], realization.num_rx, realization.num_tx
+    # one block per distinct offset; pair (l', l) fills its branch l'
+    blocks = np.zeros((len(offsets), num_rx, num_branches, num_tx), dtype=np.complex128)
+    terms = realization.matrices * phases[0, :, :, None, None]  # [l', l]: H_l * phase
     blocks[pair_slot, :, np.arange(num_branches)[:, None], :] = terms
-    groups = dict(zip(slot, blocks.reshape(len(slot), num_rx, -1)))
+    groups = dict(zip(offsets, blocks.reshape(len(offsets), num_rx, -1)))
     desired = groups.pop(0, np.zeros((num_rx, num_branches * num_tx), dtype=np.complex128))
     return GroupedChannels(desired, groups, num_paths=num_branches, num_tx=num_tx)
 
 
 def _noise_plus_interference(num_rx: int, interferers, noise_var: float) -> np.ndarray:
-    """C = noise_var * I + sum_B B B^H over the interfering M_r x N_s blocks."""
-    side = np.concatenate([np.zeros((num_rx, 0)), *interferers], axis=1)  # [B_1, B_2, ...]
-    return noise_var * np.eye(num_rx, dtype=np.complex128) + side @ side.conj().T
+    """C = noise_var * I + sum_B B B^H over the interfering M_r x N_s blocks.
+
+    interferers is a sequence of blocks or a (..., K, M_r, N_s) stack;
+    leading axes give a stack of covariances.
+    """
+    eye = noise_var * np.eye(num_rx, dtype=np.complex128)
+    blocks = np.asarray(interferers, dtype=np.complex128)
+    if blocks.ndim < 3:  # an empty sequence
+        return eye
+    *lead, count, _, width = blocks.shape
+    side = np.swapaxes(blocks, -3, -2).reshape(*lead, num_rx, count * width)  # [B_1, B_2, ...]
+    return eye + side @ side.conj().swapaxes(-1, -2)
 
 
 def interference_covariance(
@@ -147,25 +184,32 @@ def interference_covariance(
 
 def colored_noise_rate(
     desired: np.ndarray, interferers, noise_var: float
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Rate of the desired M_r x N_s channel with interference as colored noise.
 
     Returns log2 det(Q) and Q = I + A^H C^{-1} A, where A is the desired
     channel and C the colored-noise covariance of the interfering blocks.
     Q is the inverse MMSE matrix of the optimal (MMSE) receiver, so its
     log-determinant is the achievable rate.
+
+    Both inputs may carry leading stack axes: a (B, M_r, N_s) desired
+    stack with a (B, K, M_r, N_s) interferer stack rates B channels at
+    once and returns a length-B array of rates with the (B, N_s, N_s)
+    stack of Q.
     """
-    cov = _noise_plus_interference(desired.shape[0], interferers, noise_var)
+    cov = _noise_plus_interference(desired.shape[-2], interferers, noise_var)
     try:
         cinv_a = np.linalg.solve(cov, desired)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"interference covariance solve failed: {exc}") from exc
-    q = np.eye(desired.shape[1], dtype=np.complex128) + desired.conj().T @ cinv_a
-    q = 0.5 * (q + q.conj().T)
+    adjoint = desired.conj().swapaxes(-1, -2)
+    q = np.eye(desired.shape[-1], dtype=np.complex128) + adjoint @ cinv_a
+    q = 0.5 * (q + q.conj().swapaxes(-1, -2))
     sign, logdet = np.linalg.slogdet(q)
-    if sign.real <= 0:
+    if np.any(sign.real <= 0):
         raise NumericalError("weight matrix lost positive definiteness")
-    return float(logdet / math.log(2.0)), q
+    rate = logdet / math.log(2.0)
+    return (float(rate) if desired.ndim == 2 else rate), q
 
 
 def mmse_receiver(

@@ -181,11 +181,12 @@ def generate_paths(config: SystemConfig, rng: np.random.Generator) -> PathSet:
 def realize_channel(paths: PathSet, config: SystemConfig) -> ChannelRealization:
     """Build the rank-one per-path matrices H_l = alpha_l a_rx a_tx^H."""
     m_r, m_t = config.num_rx_antennas, config.num_tx_antennas
-    mats = np.empty((paths.num_paths, m_r, m_t), dtype=np.complex128)
-    for l in range(paths.num_paths):
-        a_rx = array_response(m_r, paths.aoa_rad[l])
-        a_tx = array_response(m_t, paths.aod_rad[l])
-        mats[l] = paths.gains[l] * np.outer(a_rx, a_tx.conj())
+    # the entries of array_response for every path at once, same arithmetic
+    sin_rx = np.array([math.sin(angle) for angle in paths.aoa_rad])
+    sin_tx = np.array([math.sin(angle) for angle in paths.aod_rad])
+    a_rx = np.exp(1j * np.pi * np.arange(m_r) * sin_rx[:, None])
+    a_tx = np.exp(1j * np.pi * np.arange(m_t) * sin_tx[:, None])
+    mats = paths.gains[:, None, None] * (a_rx[:, :, None] * a_tx.conj()[:, None, :])
     return ChannelRealization(
         path_set=paths, matrices=mats, symbol_duration_s=config.symbol_duration_s
     )

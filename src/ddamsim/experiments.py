@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .bcd import _weighted_rate, bcd_solve, group_delay_differences
+from .bcd import _lag_pairs, bcd_solve, colored_noise_rate, group_delay_differences
 from .benchmarks import (
     cfo_compensate,
     make_otfs_config,
@@ -280,25 +280,38 @@ def mismatched_alignment_rate(
     """Rate actually achieved when the alignment design used wrong CSI.
 
     Branch l' of the design is aligned to delay aligned_lag - kappa_l'
-    and Doppler doppler_comp[l']. Per evaluated block, the true channels
-    are grouped against those branches (group_delay_differences) and the
-    un-folded stacked precoder is rated with every off-lag group as
-    colored noise under an MMSE combiner, the rate BCD maximizes. With a
-    design built from the true parameters this is the ZF rate.
+    and Doppler doppler_comp[l']. The true channels are grouped against
+    those branches by the lag model (bcd._lag_pairs), and per evaluated
+    block the un-folded stacked precoder is rated with every off-lag group
+    as colored noise under an MMSE combiner, the rate BCD maximizes. With
+    a design built from the true parameters this is the ZF rate.
+
+    The pair outputs H_l F_l' do not depend on the block, so they are
+    formed once; one product with the (B, L', L) pair phases sums them
+    into every block's per-offset outputs, and all B blocks are rated in
+    one stacked pass.
     """
     if block_indices is None:
         block_indices = _block_samples(timebase)
     branch_delays = aligned_lag - design.delay_comp
+    offsets, pair_slot, phases = _lag_pairs(
+        realization, timebase, block_indices, branch_delays, design.doppler_comp
+    )
     # undo the phase aligned_design folds into each transmitted F_l'
     ts = timebase.symbol_duration_s
     unfold = np.exp(2j * np.pi * design.doppler_comp * branch_delays * ts)
-    precoder = (design.precoders * unfold[:, None, None]).reshape(-1, design.num_streams)
-    rates = []
-    for block in block_indices:
-        grouped = group_delay_differences(
-            realization, timebase, block, branch_delays, design.doppler_comp
-        )
-        rates.append(_weighted_rate(grouped, precoder, noise_var)[0])
+    precoders = design.precoders * unfold[:, None, None]
+    pair_outputs = realization.matrices[None] @ precoders[:, None]  # [l', l]: H_l F_l'
+    num_blocks, num_offsets = phases.shape[0], len(offsets)
+    # weights[b, k, (l', l)]: the pair's phase in block b if it lands on offset k
+    in_slot = pair_slot.ravel() == np.arange(num_offsets)[:, None]
+    weights = in_slot * phases.reshape(num_blocks, 1, -1)
+    outputs = (weights @ pair_outputs.reshape(in_slot.shape[1], -1)).reshape(
+        num_blocks, num_offsets, *pair_outputs.shape[2:]
+    )
+    desired = outputs[:, offsets.index(0)] if 0 in offsets else np.zeros_like(outputs[:, 0])
+    off_lag = [k for k, offset in enumerate(offsets) if offset != 0]
+    rates, _ = colored_noise_rate(desired, outputs[:, off_lag], noise_var)
     return float(np.mean(rates))
 
 

@@ -1,8 +1,9 @@
 """Thin wrappers around dense linear algebra with explicit tolerance contracts.
 
-All routines accept anything convertible to a 2-D complex array and refuse
-non-finite input. Rank decisions are always made relative to the largest
-singular value so the same tolerance works across scales.
+All routines accept anything convertible to a 2-D complex array
+(null_space_basis also a 3-D stack of them) and refuse non-finite input.
+Rank decisions are always made relative to the largest singular value so
+the same tolerance works across scales.
 """
 
 from __future__ import annotations
@@ -68,19 +69,30 @@ def eig_hermitian(a, herm_tol: float = DEFAULT_HERMITIAN_TOL):
     return vals[order], vecs[:, order]
 
 
-def null_space_basis(a, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def null_space_basis(a, tol: float = DEFAULT_RANK_TOL):
     """Orthonormal basis of the orthogonal complement of the columns of `a`.
 
     Returns b with a.conj().T @ b == 0 and b.conj().T @ b == I; the number of
     columns is rows(a) minus the numerical rank of `a` at tolerance tol.
+
+    `a` may also be an (S, n, k) stack of matrices. Their null spaces come
+    from one batched SVD, and the S bases are returned as a list, each with
+    as many columns as its own matrix's rank leaves.
     """
-    arr = as_complex_matrix(a)
-    if arr.shape[1] == 0:
-        return np.eye(arr.shape[0], dtype=np.complex128)
-    try:
-        u, s, _ = np.linalg.svd(arr, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge: {exc}") from exc
-    s_max = s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > tol * s_max))
-    return u[:, rank:]
+    arr = np.asarray(a, dtype=np.complex128)
+    if arr.ndim not in (2, 3):
+        raise ContractViolationError(f"matrix must be 2-D or a 3-D stack, got ndim={arr.ndim}")
+    if arr.size and not np.all(np.isfinite(arr)):
+        raise ContractViolationError("matrix contains non-finite entries")
+    stack = arr if arr.ndim == 3 else arr[None]
+    count, rows, cols = stack.shape
+    if cols == 0:
+        bases = [np.eye(rows, dtype=np.complex128) for _ in range(count)]
+    else:
+        try:
+            u, s, _ = np.linalg.svd(stack, full_matrices=True)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"SVD did not converge: {exc}") from exc
+        ranks = np.count_nonzero(s > tol * s[:, :1], axis=1)
+        bases = [u_i[:, rank:] for u_i, rank in zip(u, ranks.tolist())]
+    return bases if arr.ndim == 3 else bases[0]

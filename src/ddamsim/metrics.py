@@ -261,7 +261,8 @@ def perturb_csi(
     realized per-path indicator flags.
     """
     num_paths = paths.num_paths
-    num_wrong = int(math.floor((1.0 - err.delay_accuracy) * num_paths))
+    # tiny back-off guards float fuzz: (1 - 0.9) * 10 is 0.9999999999999998
+    num_wrong = int(math.floor((1.0 - err.delay_accuracy) * num_paths + 1e-9))
     indicator = np.ones(num_paths, dtype=np.int64)
     delays = paths.delay_taps.copy()
     if num_wrong > 0:

@@ -147,15 +147,18 @@ def path_zf_precoder_bases(
     One thin QR of the stacked adjoint [H_1^H, ..., H_L^H] = Q R gives an
     orthonormal Q with at most L * M_r columns; each null space is taken
     of R's other-path column blocks in those coordinates and mapped back
-    by Q, so the cost does not grow with M_t. With a single path there is
-    nothing to null and bases[0] = Q.
+    by Q, so the cost does not grow with M_t. The L null spaces come from
+    one batched SVD. With a single path there is nothing to null and
+    bases[0] = Q.
     """
     num_paths, num_rx, num_tx = matrices.shape
     basis, tri = np.linalg.qr(np.concatenate(matrices.conj().transpose(0, 2, 1), axis=1))
+    # others[l]: R's columns of every path but l, in path order
+    cols = np.arange(num_paths * num_rx).reshape(num_paths, num_rx)
+    other_paths = np.nonzero(~np.eye(num_paths, dtype=bool))[1].reshape(num_paths, -1)
+    others = tri[:, cols[other_paths].reshape(num_paths, -1)].transpose(1, 0, 2)
     bases = []
-    for l in range(num_paths):
-        others = np.delete(tri, np.s_[l * num_rx : (l + 1) * num_rx], axis=1)
-        reduced = null_space_basis(others, tol=rank_tol)
+    for l, reduced in enumerate(null_space_basis(others, tol=rank_tol)):
         if reduced.shape[1] == 0:
             raise FeasibilityError(
                 f"path {l}: no interference-free transmit directions left "

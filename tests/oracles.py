@@ -169,6 +169,30 @@ def path_zf_precoder_bases_dense(
     return bases
 
 
+def path_zf_precoder_bases_loop(
+    matrices: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL
+) -> list[np.ndarray]:
+    """Per-path loop version of `zf.path_zf_precoder_bases`.
+
+    Same thin QR of the stacked adjoint, but each path's other-path block
+    of R is cut out with np.delete and given its own null_space_basis call
+    instead of one batched SVD over all L blocks.
+    """
+    num_paths, num_rx, num_tx = matrices.shape
+    basis, tri = np.linalg.qr(np.concatenate(matrices.conj().transpose(0, 2, 1), axis=1))
+    bases = []
+    for l in range(num_paths):
+        others = np.delete(tri, np.s_[l * num_rx : (l + 1) * num_rx], axis=1)
+        reduced = null_space_basis(others, tol=rank_tol)
+        if reduced.shape[1] == 0:
+            raise FeasibilityError(
+                f"path {l}: no interference-free transmit directions left "
+                f"(M_t = {num_tx}, L = {num_paths})"
+            )
+        bases.append(basis @ reduced)
+    return bases
+
+
 def build_ddam_tx_loop(
     design: DdamDesign, symbols: np.ndarray, timebase: Timebase
 ) -> np.ndarray:

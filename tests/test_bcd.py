@@ -392,3 +392,21 @@ def test_bcd_state_at_max_iters_belongs_to_last_rate():
     assert np.allclose(
         state.combiner, mmse_receiver(grouped, state.precoder, noise), rtol=1e-12, atol=0.0
     )
+
+
+@pytest.mark.parametrize("num_interferers", [0, 1, 3])
+def test_colored_noise_rate_rates_a_block_stack(num_interferers):
+    rng = np.random.default_rng(31)
+    num_blocks, num_rx, num_streams = 4, 3, 2
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    desired = draw(num_blocks, num_rx, num_streams)
+    interferers = 0.5 * draw(num_blocks, num_interferers, num_rx, num_streams)
+    rates, q = colored_noise_rate(desired, interferers, 0.1)
+    assert rates.shape == (num_blocks,) and q.shape == (num_blocks, num_streams, num_streams)
+    for b in range(num_blocks):
+        want_rate, want_q = colored_noise_rate(desired[b], list(interferers[b]), 0.1)
+        assert rates[b] == pytest.approx(want_rate, rel=1e-12, abs=0)
+        assert np.allclose(q[b], want_q, rtol=1e-12, atol=0)

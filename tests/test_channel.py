@@ -350,3 +350,33 @@ def test_realization_json_round_trip_is_exact(seed, num_paths, num_rx, num_tx, v
     assert clone.path_set.doppler_bound_hz == realization.path_set.doppler_bound_hz
     assert clone.path_set.delay_tap_bound == realization.path_set.delay_tap_bound
     assert realization_to_json(clone) == text
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_paths=st.integers(1, 6),
+    num_rx=st.integers(1, 4),
+    num_tx=st.integers(1, 128),
+)
+def test_realize_channel_equals_per_path_outer_products(seed, num_paths, num_rx, num_tx):
+    cfg = SystemConfig(
+        num_tx_antennas=num_tx, num_rx_antennas=num_rx, num_streams=1, num_paths=num_paths
+    )
+    rng = np.random.default_rng(seed)
+    paths = generate_paths(cfg, rng)
+    # arbitrary angles, not only generate_paths' evenly spaced ones
+    paths = PathSet(
+        gains=paths.gains,
+        aoa_rad=rng.uniform(-1.5, 1.5, num_paths),
+        aod_rad=rng.uniform(-1.5, 1.5, num_paths),
+        delay_taps=paths.delay_taps,
+        doppler_hz=paths.doppler_hz,
+        doppler_bound_hz=paths.doppler_bound_hz,
+        delay_tap_bound=paths.delay_tap_bound,
+    )
+    got = realize_channel(paths, cfg).matrices
+    for l in range(num_paths):
+        a_rx = array_response(num_rx, paths.aoa_rad[l])
+        a_tx = array_response(num_tx, paths.aod_rad[l])
+        assert np.array_equal(got[l], paths.gains[l] * np.outer(a_rx, a_tx.conj()))

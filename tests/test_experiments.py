@@ -423,6 +423,10 @@ def test_lag_grouping_matches_pair_loop(
     args = (realization, design, wrong.max_delay_tap, noise, timebase, [block])
     want = mismatched_alignment_rate_loop(*args)
     assert mismatched_alignment_rate(*args) == pytest.approx(want, rel=1e-12, abs=0)
+    # every evaluated block rated in one stacked call
+    args = (*args[:-1], _block_samples(timebase))
+    want = mismatched_alignment_rate_loop(*args)
+    assert mismatched_alignment_rate(*args) == pytest.approx(want, rel=1e-12, abs=0)
 
     # perfect CSI: BCD's default grouping rates the un-folded stacked precoder
     precoders, design = _random_design(realization, cfg.num_streams, 1.0, rng)
@@ -437,6 +441,29 @@ def test_lag_grouping_matches_pair_loop(
         realization, design, paths.max_delay_tap, noise, timebase, [block]
     )
     assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("defect", ["negative block", "mismatched branches"])
+def test_mismatched_rate_rejects_bad_inputs(defect):
+    cfg = SystemConfig(num_tx_antennas=8, num_paths=3)
+    rng = np.random.default_rng(5)
+    realization = realize_channel(generate_paths(cfg, rng), cfg)
+    timebase = coherence_partition(cfg)
+    _, design = _random_design(realization, cfg.num_streams, 1.0, rng)
+    blocks = [0, 1]
+    if defect == "negative block":
+        blocks = [0, -1]
+    else:
+        design.doppler_comp = design.doppler_comp[:2]  # one Doppler short of L
+    with pytest.raises(ContractViolationError):
+        mismatched_alignment_rate(
+            realization,
+            design,
+            realization.path_set.max_delay_tap,
+            cfg.noise_power_watts,
+            timebase,
+            blocks,
+        )
 
 
 def test_fig9_perfect_csi_rows_equal_fig4_zero_forcing_rows():

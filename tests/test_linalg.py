@@ -101,3 +101,30 @@ def test_null_space_basis_rank_deficient_input():
 def test_null_space_basis_empty_input_is_identity():
     b = null_space_basis(np.zeros((4, 0)))
     assert np.array_equal(b, np.eye(4, dtype=np.complex128))
+
+
+def test_null_space_basis_stack_matches_per_matrix_calls():
+    # full-rank, rank-deficient and all-zero matrices: the bases differ in width
+    rng = np.random.default_rng(6)
+    col = _random_complex(rng, (5, 1))
+    stack = np.stack(
+        [
+            _random_complex(rng, (5, 3)),
+            np.concatenate([col, 2.0 * col, -1j * col], axis=1),
+            np.zeros((5, 3), dtype=np.complex128),
+        ]
+    )
+    bases = null_space_basis(stack)
+    assert [b.shape[1] for b in bases] == [2, 4, 5]
+    for a, b in zip(stack, bases):
+        assert np.array_equal(b, null_space_basis(a))
+
+
+def test_null_space_basis_stack_contracts():
+    empty = null_space_basis(np.zeros((2, 4, 0)))
+    assert len(empty) == 2
+    assert all(np.array_equal(b, np.eye(4, dtype=np.complex128)) for b in empty)
+    with pytest.raises(ContractViolationError):
+        null_space_basis(np.zeros((1, 2, 3, 4)))
+    with pytest.raises(ContractViolationError):
+        null_space_basis(np.full((2, 3, 1), np.nan))

@@ -233,17 +233,28 @@ def test_perturb_csi_perfect_model_is_identity():
 
 
 def test_perturb_csi_moves_expected_path_count():
-    paths = _paths()
+    # floor((1 - accuracy) * L) wrong paths, also where the product rounds
+    # just below an integer: (1 - 0.9) * 10 is 0.9999999999999998
+    cases = [
+        (0.9, 10, 1),
+        (0.7, 10, 3),
+        (0.6, 5, 2),
+        (2.0 / 3.0, 3, 1),
+        (1.0 / 3.0, 3, 2),
+    ]
     rng = np.random.default_rng(1)
-    for _ in range(50):
-        out, realized = perturb_csi(paths, CsiError(2.0 / 3.0, 0.0), rng)
-        moved = np.count_nonzero(out.delay_taps != paths.delay_taps)
-        assert moved == 1
-        assert realized.indicator.sum() == 2
-        assert len(set(out.delay_taps.tolist())) == 3
-        assert out.delay_taps.min() >= 0 and out.delay_taps.max() <= 40
-        shift = np.abs(out.delay_taps - paths.delay_taps).max()
-        assert shift == 1, "free neighbors exist, the move must be one tap"
+    for accuracy, num_paths, num_wrong in cases:
+        # taps 4 apart inside [0, 40]: every path has two free neighbors
+        paths = _paths() if num_paths == 3 else _paths(delays=tuple(range(2, 40, 4))[:num_paths])
+        for _ in range(50):
+            out, realized = perturb_csi(paths, CsiError(accuracy, 0.0), rng)
+            moved = np.count_nonzero(out.delay_taps != paths.delay_taps)
+            assert moved == num_wrong, (accuracy, num_paths)
+            assert realized.indicator.sum() == num_paths - num_wrong
+            assert len(set(out.delay_taps.tolist())) == num_paths
+            assert out.delay_taps.min() >= 0 and out.delay_taps.max() <= 40
+            shift = np.abs(out.delay_taps - paths.delay_taps).max()
+            assert shift == 1, "free neighbors exist, the move must be one tap"
 
 
 def test_perturb_csi_resamples_collisions_outward():

@@ -29,7 +29,12 @@ from ddamsim.zf import (
     zf_feasibility,
     zf_spatial_design,
 )
-from oracles import build_ddam_tx_loop, ddam_rx_analytic, path_zf_precoder_bases_dense
+from oracles import (
+    build_ddam_tx_loop,
+    ddam_rx_analytic,
+    path_zf_precoder_bases_dense,
+    path_zf_precoder_bases_loop,
+)
 
 
 def _random_realization(cfg, seed):
@@ -346,6 +351,28 @@ def _path_stack(kind, seed, num_tx, num_rx, num_paths):
     elif kind == "zero-gain":
         mats[first] = 0.0
     return mats, 1.0, 0.1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["gaussian", "geometric", "duplicate", "zero-gain"]),
+    seed=st.integers(0, 2**32 - 1),
+    num_tx=st.integers(1, 64),
+    num_paths=st.integers(1, 5),
+    num_rx=st.sampled_from([1, 2, 4]),
+)
+def test_batched_null_spaces_equal_per_path_loop(kind, seed, num_tx, num_paths, num_rx):
+    mats, _, _ = _path_stack(kind, seed, num_tx, num_rx, num_paths)
+    try:
+        want = path_zf_precoder_bases_loop(mats)
+    except FeasibilityError:
+        with pytest.raises(FeasibilityError):
+            zf.path_zf_precoder_bases(mats)
+        return
+    got = zf.path_zf_precoder_bases(mats)
+    assert len(got) == len(want)
+    for b_got, b_want in zip(got, want):
+        assert np.array_equal(b_got, b_want)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
