@@ -26,13 +26,18 @@ and He, IEEE TSP 2011). Its solution lies in the range of the adjoint of
 the stacked channels [Hbar; Gbar[i]...], which has at most
 M_r * (1 + #offsets) dimensions however large L * M_t is, so the update
 works in an orthonormal basis of that range and its cost barely grows
-with the array size.
+with the array size. A GroupedChannels is immutable and carries the
+stacked blocks and their thin QR, built once on first use, so no BCD
+iteration restacks or refactors them. The zero-forcing warm start depends
+on Hbar alone, which with perfect CSI is the same in every coherence
+block, so experiments builds one per realization and shares it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,9 +49,13 @@ from .zf import FeasibilityVerdict, zf_feasibility, zf_spatial_design
 POWER_BISECT_REL_TOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupedChannels:
-    """Aligned desired channel plus ISI channels grouped by delay difference."""
+    """Aligned desired channel plus ISI channels grouped by delay difference.
+
+    Immutable. The stacked blocks B = [Hbar; Gbar[i]...] and the thin QR of
+    B^H are built on first use and shared by every BCD iteration on them.
+    """
 
     stacked_channel: np.ndarray        # Hbar, shape (M_r, L * M_t)
     isi_channels: dict[int, np.ndarray]  # delay offset -> Gbar[i], same shape
@@ -54,8 +63,9 @@ class GroupedChannels:
     num_tx: int
 
     def __post_init__(self) -> None:
-        self.stacked_channel = np.asarray(self.stacked_channel, dtype=np.complex128)
-        if self.stacked_channel.shape[1] != self.num_paths * self.num_tx:
+        desired = np.asarray(self.stacked_channel, dtype=np.complex128)
+        object.__setattr__(self, "stacked_channel", desired)
+        if desired.shape[1] != self.num_paths * self.num_tx:
             raise ContractViolationError("stacked channel width must be L * M_t")
         if 0 in self.isi_channels:
             raise ContractViolationError("delay offset 0 belongs to the desired channel")
@@ -64,11 +74,19 @@ class GroupedChannels:
     def num_rx(self) -> int:
         return int(self.stacked_channel.shape[0])
 
+    @cached_property
+    def stacked_blocks(self) -> np.ndarray:
+        """B = [Hbar; Gbar[i]...] in map order, shape ((1 + #offsets) M_r, L M_t)."""
+        return np.vstack([self.stacked_channel, *self.isi_channels.values()])
+
+    @cached_property
+    def adjoint_qr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Thin QR B^H = U R; column block j of R belongs to block j of B."""
+        return np.linalg.qr(self.stacked_blocks.conj().T)
+
     def isi_outputs(self, precoder: np.ndarray) -> np.ndarray:
         """(#offsets, M_r, N_s) stack of the Gbar[i] Fbar in map order, as one product."""
-        if not self.isi_channels:
-            return np.zeros((0, self.num_rx, precoder.shape[1]), dtype=np.complex128)
-        side = np.concatenate(list(self.isi_channels.values())) @ precoder
+        side = self.stacked_blocks[self.num_rx :] @ precoder
         return side.reshape(len(self.isi_channels), self.num_rx, precoder.shape[1])
 
 
@@ -253,15 +271,13 @@ def precoder_update(
     q = np.asarray(auxiliary, dtype=np.complex128)
     q = 0.5 * (q + q.conj().T)
     wqw = w @ q @ w.conj().T
-    h_bar = grouped.stacked_channel
+    basis, tri = grouped.adjoint_qr
     num_rx = grouped.num_rx
-    blocks = [h_bar, *grouped.isi_channels.values()]
-    basis, tri = np.linalg.qr(np.vstack(blocks).conj().T)
-    coords = [tri[:, j * num_rx : (j + 1) * num_rx] for j in range(len(blocks))]
-    quad = sum(r_j @ wqw @ r_j.conj().T for r_j in coords)
-    rhs = coords[0] @ (w @ q)
+    # every M_r-column block R_j times W Q W^H, then one product with R^H
+    quad = (tri.reshape(-1, num_rx) @ wqw).reshape(tri.shape) @ tri.conj().T
+    rhs = tri[:, :num_rx] @ (w @ q)
     if not np.any(np.abs(rhs) > 0):
-        return np.zeros((h_bar.shape[1], w.shape[1]), dtype=np.complex128)
+        return np.zeros((basis.shape[0], w.shape[1]), dtype=np.complex128)
     vals, sub_vecs = eig_hermitian(quad, herm_tol=1e-8)
     return _budgeted_precoder(vals, basis @ sub_vecs, sub_vecs.conj().T @ rhs, total_power)
 
@@ -352,17 +368,24 @@ def bcd_solve(
     stopped at max_iters, the returned precoder, combiner and weights are
     the ones rate_trace[-1] was evaluated at.
     """
-    if num_streams < 1:
-        raise ContractViolationError("num_streams must be >= 1")
-    if max_iters < 1:
-        raise ContractViolationError("max_iters must be >= 1")
+    for name, count in (("num_streams", num_streams), ("max_iters", max_iters)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+            raise ContractViolationError(f"{name} must be an integer >= 1, got {count!r}")
     dim = grouped.stacked_channel.shape[1]
     if init_precoder is not None:
         f_bar = np.asarray(init_precoder, dtype=np.complex128).copy()
         if f_bar.shape != (dim, num_streams):
             raise ContractViolationError("init_precoder has the wrong shape")
+        if not np.all(np.isfinite(f_bar)):
+            raise ContractViolationError("init_precoder contains non-finite entries")
     else:
-        f_bar = _default_init(grouped, total_power, noise_var, num_streams, rng)
+        f_bar = _zf_warm_start(grouped, total_power, noise_var, num_streams)
+        if f_bar is None:
+            gen = rng if rng is not None else np.random.default_rng(0)
+            raw = gen.standard_normal((dim, num_streams)) + 1j * gen.standard_normal(
+                (dim, num_streams)
+            )
+            f_bar = raw * math.sqrt(total_power) / np.linalg.norm(raw)
     power = float(np.sum(np.abs(f_bar) ** 2))
     if power > total_power * (1 + 1e-9):
         f_bar = f_bar * math.sqrt(total_power / power)
@@ -392,30 +415,28 @@ def bcd_solve(
     )
 
 
-def _default_init(
-    grouped: GroupedChannels,
-    total_power: float,
-    noise_var: float,
-    num_streams: int,
-    rng: np.random.Generator | None,
-) -> np.ndarray:
-    """Zero-forcing warm start when feasible, else a scaled random matrix."""
+def _zf_warm_start(
+    grouped: GroupedChannels, total_power: float, noise_var: float, num_streams: int
+) -> np.ndarray | None:
+    """Zero-forcing start for bcd_solve, None if ZF is infeasible or loads no stream.
+
+    Streams beyond those ZF loads are zero columns. The start depends on
+    the desired channel Hbar only, so with perfect CSI, where Hbar is
+    [H_1, ..., H_L] in every coherence block, one start serves them all.
+    """
     num_paths, num_tx = grouped.num_paths, grouped.num_tx
     num_rx = grouped.num_rx
     streams = min(num_streams, num_rx)
     verdict = zf_feasibility(num_tx, num_rx, streams, num_paths).verdict
-    if verdict == FeasibilityVerdict.FEASIBLE:
-        mats = grouped.stacked_channel.reshape(num_rx, num_paths, num_tx).transpose(1, 0, 2)
-        try:
-            precoders, result = zf_spatial_design(mats, total_power, noise_var, streams)
-        except FeasibilityError:
-            result = None
-        if result is not None and result.n_active_streams > 0:
-            f_bar = np.zeros((num_paths * num_tx, num_streams), dtype=np.complex128)
-            f_bar[:, : result.n_active_streams] = precoders.reshape(num_paths * num_tx, -1)
-            return f_bar
-    gen = rng if rng is not None else np.random.default_rng(0)
-    raw = gen.standard_normal((num_paths * num_tx, num_streams)) + 1j * gen.standard_normal(
-        (num_paths * num_tx, num_streams)
-    )
-    return raw * math.sqrt(total_power) / np.linalg.norm(raw)
+    if verdict != FeasibilityVerdict.FEASIBLE:
+        return None
+    mats = grouped.stacked_channel.reshape(num_rx, num_paths, num_tx).transpose(1, 0, 2)
+    try:
+        precoders, result = zf_spatial_design(mats, total_power, noise_var, streams)
+    except FeasibilityError:
+        return None
+    if result.n_active_streams == 0:
+        return None
+    f_bar = np.zeros((num_paths * num_tx, num_streams), dtype=np.complex128)
+    f_bar[:, : result.n_active_streams] = precoders.reshape(num_paths * num_tx, -1)
+    return f_bar

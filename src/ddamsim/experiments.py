@@ -27,7 +27,13 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .bcd import _lag_pairs, bcd_solve, colored_noise_rate, group_delay_differences
+from .bcd import (
+    _lag_pairs,
+    _zf_warm_start,
+    bcd_solve,
+    colored_noise_rate,
+    group_delay_differences,
+)
 from .benchmarks import (
     cfo_compensate,
     make_otfs_config,
@@ -214,9 +220,17 @@ def _bcd_se(
     overhead: float,
     rng: np.random.Generator,
 ) -> float:
+    blocks = [
+        group_delay_differences(realization, timebase, block)
+        for block in _block_samples(timebase)
+    ]
+    # Hbar is the same in every block; without a ZF start (None) each block
+    # draws its own random start from rng
+    start = _zf_warm_start(
+        blocks[0], config.tx_power_watts, config.noise_power_watts, config.num_streams
+    )
     rates = []
-    for block in _block_samples(timebase):
-        grouped = group_delay_differences(realization, timebase, block)
+    for grouped in blocks:
         state = bcd_solve(
             grouped,
             config.tx_power_watts,
@@ -224,6 +238,7 @@ def _bcd_se(
             config.num_streams,
             tol=1e-4,
             max_iters=60,
+            init_precoder=start,
             rng=rng,
         )
         rates.append(state.rate_trace[-1])
@@ -514,14 +529,23 @@ def _imperfect_csi_trial(config: SystemConfig, rng: np.random.Generator) -> list
     estimated = {}
     for scheme, accuracy, coeff in IMPERFECT_CSI_MODELS:
         err = CsiError(delay_accuracy=accuracy, doppler_error_coeff=coeff)
-        estimated[scheme], _ = perturb_csi(paths, err, rng)
+        est_paths, _ = perturb_csi(paths, err, rng)
+        # an estimate that moved no delay, Doppler or bound is the true path set
+        unmoved = (
+            np.array_equal(est_paths.delay_taps, paths.delay_taps)
+            and np.array_equal(est_paths.doppler_hz, paths.doppler_hz)
+            and est_paths.doppler_bound_hz == paths.doppler_bound_hz
+        )
+        estimated[scheme] = paths if unmoved else est_paths
     records = []
     for mt in TRANSMIT_ANTENNA_SWEEP:
         cfg = replace(config, num_tx_antennas=mt)
         true_realization = realize_channel(paths, cfg)
         for scheme, _, _ in IMPERFECT_CSI_MODELS:
             est_paths = estimated[scheme]
-            est_realization = realize_channel(est_paths, cfg)
+            est_realization = (
+                true_realization if est_paths is paths else realize_channel(est_paths, cfg)
+            )
             design, _ = zf_design(
                 est_realization, cfg.tx_power_watts, noise, cfg.num_streams
             )

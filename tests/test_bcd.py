@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddamsim import bcd
@@ -410,3 +410,123 @@ def test_colored_noise_rate_rates_a_block_stack(num_interferers):
         want_rate, want_q = colored_noise_rate(desired[b], list(interferers[b]), 0.1)
         assert rates[b] == pytest.approx(want_rate, rel=1e-12, abs=0)
         assert np.allclose(q[b], want_q, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_tx=st.integers(1, 48),
+    num_paths=st.integers(1, 5),
+    num_rx=st.integers(1, 4),
+    block_index=st.integers(0, 20),
+)
+@example(seed=1, num_tx=1, num_paths=5, num_rx=4, block_index=3)  # tall B
+@example(seed=2, num_tx=48, num_paths=3, num_rx=2, block_index=0)  # wide B
+@example(seed=3, num_tx=16, num_paths=1, num_rx=2, block_index=7)  # no ISI blocks
+def test_cached_factor_reproduces_the_stacked_blocks(
+    seed, num_tx, num_paths, num_rx, block_index
+):
+    _, grouped, rng = _grouped_draw(seed, num_tx, num_paths, num_rx, 1, block_index)
+    isi = list(grouped.isi_channels.values())
+    blocks = np.vstack([grouped.stacked_channel, *isi])
+    assert np.array_equal(grouped.stacked_blocks, blocks)
+    basis, tri = grouped.adjoint_qr
+    assert grouped.adjoint_qr is grouped.adjoint_qr  # factored once
+    width = basis.shape[1]
+    assert width == min(blocks.shape) == tri.shape[0]
+    assert np.linalg.norm(basis.conj().T @ basis - np.eye(width)) <= 1e-12
+    assert np.linalg.norm(basis @ tri - blocks.conj().T) <= 1e-12 * np.linalg.norm(blocks)
+
+    precoder = rng.standard_normal((blocks.shape[1], 2)) + 1j * rng.standard_normal(
+        (blocks.shape[1], 2)
+    )
+    got = grouped.isi_outputs(precoder)
+    assert got.shape == (len(isi), num_rx, 2)
+    if isi:
+        want = np.stack([block @ precoder for block in isi])
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_grouped_channels_is_immutable():
+    _, realization, timebase, _ = _setup(6)
+    grouped = group_delay_differences(realization, timebase, 0)
+    with pytest.raises(AttributeError):
+        grouped.stacked_channel = np.zeros_like(grouped.stacked_channel)
+
+
+def test_bcd_solve_routes_each_step_through_module_globals(monkeypatch):
+    # perfbench rebinds these globals and the dense-oracle trace test
+    # replaces precoder_update, so every step must look them up there;
+    # the thin QR of the stacked blocks is taken once per grouped channel
+    calls = {"precoder_update": 0, "mmse_receiver": 0, "qr": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(bcd, "precoder_update", counted("precoder_update", precoder_update))
+    monkeypatch.setattr(bcd, "mmse_receiver", counted("mmse_receiver", mmse_receiver))
+    monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+    cfg, realization, timebase, rng = _setup(8, num_tx=64)
+    grouped = group_delay_differences(realization, timebase, 0)
+    dim = grouped.stacked_channel.shape[1]
+    raw = rng.standard_normal((dim, cfg.num_streams)) + 1j * rng.standard_normal(
+        (dim, cfg.num_streams)
+    )
+    state = bcd_solve(
+        grouped,
+        cfg.tx_power_watts,
+        cfg.noise_power_watts,
+        cfg.num_streams,
+        tol=0.0,
+        max_iters=20,
+        init_precoder=raw * np.sqrt(cfg.tx_power_watts) / np.linalg.norm(raw),
+    )
+    assert state.n_iterations == 20 and not state.converged
+    assert calls == {"precoder_update": 19, "mmse_receiver": 20, "qr": 1}
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"init_precoder": "nan"},
+        {"init_precoder": "inf"},
+        {"num_streams": 2.5},
+        {"num_streams": True},
+        {"max_iters": 2.5},
+        {"max_iters": True},
+        {"max_iters": 0},
+    ],
+    ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+)
+def test_bcd_solve_rejects_bad_arguments_before_the_loop(bad, monkeypatch):
+    cfg, realization, timebase, _ = _setup(9)
+    grouped = group_delay_differences(realization, timebase, 0)
+    kwargs = {"num_streams": 2, "max_iters": 5, **bad}
+    if "init_precoder" in bad:
+        init = np.full((grouped.stacked_channel.shape[1], 2), 0.1 + 0j)
+        init[3, 1] = float(bad["init_precoder"])
+        kwargs["init_precoder"] = init
+
+    def never(*args, **kwargs):
+        raise AssertionError("the solver started on invalid arguments")
+
+    monkeypatch.setattr(bcd, "mmse_receiver", never)
+    with pytest.raises(ContractViolationError):
+        bcd_solve(grouped, cfg.tx_power_watts, cfg.noise_power_watts, **kwargs)
+
+
+def test_bcd_solve_accepts_numpy_integer_counts():
+    cfg, realization, timebase, _ = _setup(9)
+    grouped = group_delay_differences(realization, timebase, 0)
+    state = bcd_solve(
+        grouped,
+        cfg.tx_power_watts,
+        cfg.noise_power_watts,
+        np.int64(2),
+        max_iters=np.int32(4),
+    )
+    assert 1 <= state.n_iterations <= 4

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ddamsim import experiments
 from ddamsim.bcd import colored_noise_rate, group_delay_differences
 from ddamsim.channel import coherence_partition, generate_paths, realize_channel
 from ddamsim.config import SystemConfig
@@ -464,6 +465,21 @@ def test_mismatched_rate_rejects_bad_inputs(defect):
             timebase,
             blocks,
         )
+
+
+def test_fig9_reuses_the_true_realization_for_an_unmoved_estimate(monkeypatch):
+    # per M_t: the true channel plus the three estimates that moved a delay
+    # or Doppler; the perfect estimate aligns to the true realization
+    calls = []
+
+    def counted(paths, config):
+        calls.append(paths)
+        return realize_channel(paths, config)
+
+    monkeypatch.setattr(experiments, "realize_channel", counted)
+    run = run_experiment("fig9-imperfect-csi", seed=4, num_trials=2)
+    assert run.failures == []
+    assert len(calls) == 2 * 12
 
 
 def test_fig9_perfect_csi_rows_equal_fig4_zero_forcing_rows():
