@@ -118,23 +118,53 @@ def ofdm_design_and_rate(
     assumed to hold a whole number of OFDM symbols, fractional leftovers
     at the frame edge are not modeled.
 
-    All K subcarriers are processed as stacked arrays: one batched SVD of
-    the (K, M_r, M_t) desired matrices, and no per-subcarrier loop. Over
-    the C rank-one components of the path matrices, the ICI on subcarrier
-    k is sum over q != k of h[(q - k) mod K] * g[q], with
-    h[delta, c, d] = coeff_c[delta] * conj(coeff_d[delta]) the coupling
-    products (set to zero at delta = 0, which leaves out the q = k term)
-    and g[q, c, d] the ramp-weighted transmit Gram terms of source q. That
-    is a circular cross-correlation along the subcarrier index, computed
-    with FFTs in O(C^2 K log K). The result keeps that stacked layout (see
-    OfdmResult); a loaded subcarrier off the power budget by more than
-    1e-9 relative raises ContractViolationError.
+    All K subcarriers are processed as stacked arrays: one batched SVD and
+    no per-subcarrier loop. The SVD does not run on the (K, M_r, M_t)
+    desired matrices but on (K, M_r, W) compressed ones. With `right` the
+    (C, M_t) right vectors of the C rank-one components, every desired
+    row lies in the span of the first M_r antenna coordinates plus the
+    components' tail span, so when M_t > W = max(2 M_r, M_r + C) the
+    remaining T = M_t - M_r coordinates go through one thin QR,
+    right[:, M_r:].T = Q R with Q of size T x C, and each component is
+    described by [conj(right[:, :M_r]), conj(right[:, M_r:]) @ Q],
+    zero-padded to width W. Below that threshold the same code runs with
+    identity coordinates (Q = I, W = M_t). The precoders are assembled once
+    from the small right vectors: lead rows as they are, tail rows Q times
+    their next C entries; the power budget is checked on the small vectors,
+    and the transmit projections are taken in W dimensions.
+
+    The compression keeps LAPACK's singular-vector phases, which fig8's
+    OFDM frame PAPR depends on. For a wide matrix zgesdd first takes a
+    Householder LQ and then the SVD of L. Row i's reflector depends only on
+    its pivot entry (a column < M_r), the norm of the rest of its row, and
+    inner products between rows; a unitary acting only on the columns after
+    M_r leaves all of these unchanged, so L, and with it the combiners, the
+    singular values and the small right vectors, equal the full SVD's up to
+    rounding. zgesdd takes that LQ path once N >= int(17 M / 9); padding
+    the width to at least 2 M_r >= int(17 M_r / 9) keeps the compressed
+    problem on the same path as the full one, which has M_t > 2 M_r.
+
+    Over the C components, the ICI on subcarrier k is sum over q != k of
+    h[(q - k) mod K] * g[q], with h[delta, c, d] = coeff_c[delta] *
+    conj(coeff_d[delta]) the coupling products (set to zero at delta = 0,
+    which leaves out the q = k term) and g[q, c, d] the ramp-weighted
+    transmit Gram terms of source q. That is a circular cross-correlation
+    along the subcarrier index, computed with FFTs in O(C^2 K log K). The
+    result keeps the stacked layout of OfdmResult; a loaded subcarrier off
+    the power budget by more than 1e-9 relative raises
+    ContractViolationError, as do a bool or non-integer subcarrier count or
+    cyclic prefix and a non-finite power or noise.
     """
+    for name, count in (("num_subcarriers", num_subcarriers), ("cp_length", cp_length)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ContractViolationError(f"{name} must be an integer, got {count!r}")
     k_sub = int(num_subcarriers)
     if k_sub < 1:
         raise ContractViolationError("num_subcarriers must be >= 1")
     if cp_length < 0:
         raise ContractViolationError("cp_length must be >= 0")
+    if not (math.isfinite(total_power) and math.isfinite(noise_var)):
+        raise ContractViolationError("total_power and noise_var must be finite")
     if total_power <= 0 or noise_var <= 0:
         raise ContractViolationError("total_power and noise_var must be positive")
     if num_streams is not None and (
@@ -151,13 +181,27 @@ def ofdm_design_and_rate(
     comp_doppler = paths.doppler_hz[parent]
     comp_delay = paths.delay_taps[parent]
 
+    # per-component coordinates: the first M_r antennas as they are, the
+    # tail on an orthonormal basis of its span (see the docstring)
+    n_comp, m_t = right.shape
+    lead = min(realization.num_rx, m_t)
+    width = max(2 * lead, lead + n_comp)
+    if m_t > width:
+        basis = np.linalg.qr(right[:, lead:].T)[0]                    # (T, C)
+    else:
+        basis = np.eye(m_t - lead, dtype=np.complex128)
+        width = m_t
+    coords = np.zeros((n_comp, width), dtype=np.complex128)
+    coords[:, :lead] = right[:, :lead].conj()
+    coords[:, lead : lead + basis.shape[1]] = right[:, lead:].conj() @ basis
+
     # coupling coefficients for every offset (periodic in delta with period K)
     k_grid = np.arange(k_sub)
     coeff = ici_coefficient(comp_doppler[:, None], ts, k_sub, k_grid[None, :])
     # e^{-j 2 pi k m_c / K} ramps, one column per component
     ramp = np.exp(-2j * np.pi * np.outer(k_grid, comp_delay) / k_sub)
     desired = np.einsum(
-        "kc,ca,cb->kab", ramp * coeff[:, 0][None, :], left, right.conj(), optimize=True
+        "kc,ca,cb->kab", ramp * coeff[:, 0][None, :], left, coords, optimize=True
     )
     if not np.all(np.isfinite(desired)):
         raise ContractViolationError("subcarrier channels contain non-finite entries")
@@ -174,18 +218,21 @@ def ofdm_design_and_rate(
     active = np.arange(r_max)[None, :] < ranks[:, None]            # (K, r_max)
     # sqrt(P / r_k) on the r_k active columns, zero on the rest
     scale = np.sqrt(total_power / np.maximum(ranks, 1))[:, None] * active
-    precoders = vh[:, :r_max].conj().transpose(0, 2, 1) * scale[:, None, :]
+    small = vh[:, :r_max].conj().transpose(0, 2, 1) * scale[:, None, :]  # (K, W, r_max)
     combiners = np.where(active[:, None, :], u[:, :, :r_max], 0.0)
     # math.isclose(power, total_power, rel_tol=1e-9) on every loaded subcarrier
-    power = np.sum(np.abs(precoders) ** 2, axis=(1, 2))
+    power = np.sum(np.abs(small) ** 2, axis=(1, 2))
     close = np.abs(power - total_power) <= 1e-9 * np.maximum(power, total_power)
     if np.any((ranks > 0) & ~close):
         raise ContractViolationError("subcarrier precoder violates the power budget")
+    precoders = np.empty((k_sub, m_t, r_max), dtype=np.complex128)
+    precoders[:, :lead] = small[:, :lead]
+    precoders[:, lead:] = basis @ small[:, lead : lead + basis.shape[1]]
 
     # receive- and transmit-side projections of every rank-one component;
     # inactive streams have zero precoder columns and drop out of the Gram
     u_proj = np.einsum("kai,ca->kic", combiners.conj(), left)        # (K, r_max, C)
-    w_proj = right.conj() @ precoders                                # (K, C, r_max)
+    w_proj = coords @ small                                          # (K, C, r_max)
     gram = w_proj @ w_proj.conj().transpose(0, 2, 1)                  # (K, C, C)
 
     coupling = coeff.T

@@ -110,13 +110,6 @@ class PaprCcdf:
     num_values: int
     num_excluded: int          # antennas skipped for carrying no power
 
-    def exceedance_db(self, level: float) -> float:
-        """Smallest threshold whose CCDF drops to the given level or below."""
-        hit = np.nonzero(self.ccdf <= level)[0]
-        if hit.size == 0:
-            return float("inf")
-        return float(self.thresholds_db[hit[0]])
-
 
 def papr_db(frame: np.ndarray) -> tuple[np.ndarray, int]:
     """Per-antenna PAPR of one frame, in dB.

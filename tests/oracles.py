@@ -40,7 +40,7 @@ from ddamsim.config import SystemConfig
 from ddamsim.errors import ContractViolationError, FeasibilityError, NumericalError
 from ddamsim.experiments import OFDM_SUBCARRIERS, PAPR_MODULATION_ORDER
 from ddamsim.linalg import DEFAULT_RANK_TOL, eig_hermitian, null_space_basis, svd_reduced
-from ddamsim.metrics import qam_symbols
+from ddamsim.metrics import PaprCcdf, qam_symbols
 from ddamsim.zf import DdamDesign
 
 
@@ -386,10 +386,12 @@ def ofdm_design_and_rate_loop(
 ) -> OfdmResult:
     """Per-subcarrier loop version of `ofdm_design_and_rate`.
 
-    One `svd_reduced` call per subcarrier, and the ICI sum contracted over
-    a (K, K, C) phase tensor from which the q = k self term is subtracted
-    afterwards. The library computes the same design (bit for bit) and
-    the same SINRs with one batched SVD and an FFT correlation.
+    One `svd_reduced` call per subcarrier on the full M_r x M_t desired
+    matrix, and the ICI sum contracted over a (K, K, C) phase tensor from
+    which the q = k self term is subtracted afterwards. The library
+    computes the same design, LAPACK's singular-vector phases included,
+    up to rounding from one batched SVD of compressed channels, and the
+    same SINRs with an FFT correlation.
     """
     k_sub = int(num_subcarriers)
     if k_sub < 1:
@@ -574,3 +576,14 @@ def measure_beam_sinr(
     desired = float(np.abs(coef) ** 2 * np.mean(np.abs(ref) ** 2))
     interference = float(np.mean(np.abs(obs - coef * ref) ** 2))
     return desired, interference
+
+
+# --- PAPR CCDF read-out (metrics) ---------------------------------------------
+
+
+def papr_exceedance_db(ccdf: PaprCcdf, level: float) -> float:
+    """Smallest threshold whose CCDF drops to the given level or below."""
+    hit = np.nonzero(ccdf.ccdf <= level)[0]
+    if hit.size == 0:
+        return float("inf")
+    return float(ccdf.thresholds_db[hit[0]])

@@ -1,5 +1,7 @@
 """Reference transceivers: OFDM with ICI, OTFS, strongest-path beams."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,13 +190,31 @@ def test_ofdm_matches_per_subcarrier_loop_oracle(num_tx, velocity_mps, num_strea
         result = ofdm_design_and_rate(*args, num_streams=num_streams)
         reference = ofdm_design_and_rate_loop(*args, num_streams=num_streams)
         assert np.array_equal(result.ranks, reference.ranks), f"seed {seed}"
-        # the zero padding past each rank must match too
-        for name in ("precoders", "combiners", "singular_values"):
-            got, want = getattr(result, name), getattr(reference, name)
-            assert got.shape[0] == 512
-            assert np.array_equal(got, want), f"{name} seed {seed}"
+        _assert_same_design(result, reference, cfg.tx_power_watts, f"seed {seed}")
         assert result.rate_bps_hz == pytest.approx(reference.rate_bps_hz, rel=1e-12)
         np.testing.assert_allclose(result.sinr, reference.sinr, rtol=1e-9, atol=0)
+
+
+def _assert_same_design(result, reference, total_power, msg):
+    """Same stacks as the loop oracle's, zero padding included, to rounding.
+
+    The tolerances pin the singular-vector phases too: a column with
+    another phase is off by O(1) of its norm.
+    """
+    for name in ("combiners", "singular_values"):
+        got, want = getattr(result, name), getattr(reference, name)
+        assert got.shape == want.shape, f"{name} {msg}"
+        scale = max(float(np.max(np.abs(want))), np.finfo(float).tiny)
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale, f"{name} {msg}"
+    assert result.precoders.shape == reference.precoders.shape, msg
+    # each loaded subcarrier's precoder has Frobenius norm sqrt(total_power)
+    np.testing.assert_allclose(
+        result.precoders,
+        reference.precoders,
+        rtol=0,
+        atol=1e-12 * np.sqrt(total_power),
+        err_msg=f"precoders {msg}",
+    )
 
 
 def test_ofdm_sinr_matches_direct_ici_sum_at_high_sinr():
@@ -235,6 +255,62 @@ def test_ofdm_all_zero_channel_loads_no_stream():
     assert np.array_equal(result.combiners, np.zeros((16, 2, 1)))
     assert np.array_equal(result.singular_values, np.zeros((16, 1)))
     assert np.array_equal(result.sinr, np.zeros((16, 1)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    branch=st.sampled_from(["identity", "padded", "unpadded", "all-zero"]),
+    seed=st.integers(0, 2**32 - 1),
+    num_subcarriers=st.sampled_from([8, 32]),
+    num_streams=st.sampled_from([None, 1]),
+    velocity_mps=st.sampled_from([50.0, 500.0 / 3.6]),
+)
+def test_ofdm_compressed_svd_matches_loop_oracle(
+    data, branch, seed, num_subcarriers, num_streams, velocity_mps
+):
+    # a ray channel has C = L rank-one components; the SVD is compressed
+    # when M_t > max(2 M_r, M_r + C) and zero-padded when C < M_r
+    if branch == "padded":
+        num_rx = data.draw(st.sampled_from([2, 4]), label="num_rx")
+        num_paths = data.draw(st.integers(1, num_rx - 1), label="num_paths")
+        num_tx = data.draw(st.integers(2 * num_rx + 1, 64), label="num_tx")
+    elif branch == "unpadded":
+        num_rx = data.draw(st.sampled_from([1, 2, 4]), label="num_rx")
+        num_paths = data.draw(st.integers(num_rx, 5), label="num_paths")
+        num_tx = data.draw(st.integers(num_rx + num_paths + 1, 64), label="num_tx")
+    else:
+        num_rx = data.draw(st.sampled_from([1, 2, 4]), label="num_rx")
+        num_paths = data.draw(st.integers(1, 5), label="num_paths")
+        widest = 64 if branch == "all-zero" else max(2 * num_rx, num_rx + num_paths)
+        num_tx = data.draw(st.integers(1, widest), label="num_tx")
+    cfg = SystemConfig(
+        num_tx_antennas=num_tx,
+        num_rx_antennas=num_rx,
+        num_streams=1,
+        num_paths=num_paths,
+        velocity_mps=velocity_mps,
+    )
+    if branch == "all-zero":
+        realization = realize_channel(_path_set([0.0, 0.0], [0, 3], [1e3, -2e3]), cfg)
+    else:
+        realization = _realization(cfg, seed)
+    args = (
+        realization,
+        num_subcarriers,
+        cfg.max_delay_tap,
+        cfg.tx_power_watts,
+        cfg.noise_power_watts,
+        num_streams,
+    )
+    result = ofdm_design_and_rate(*args)
+    reference = ofdm_design_and_rate_loop(*args)
+    assert np.array_equal(result.ranks, reference.ranks)
+    _assert_same_design(result, reference, cfg.tx_power_watts, branch)
+    # the oracle takes the q = k term back out of a full ICI sum, which
+    # costs it ~1e-11 of SINR (and ~1e-12 of rate) when SINRs reach ~1e5
+    assert result.rate_bps_hz == pytest.approx(reference.rate_bps_hz, rel=1e-10, abs=0.0)
+    np.testing.assert_allclose(result.sinr, reference.sinr, rtol=1e-9, atol=0)
 
 
 def _uneven_rank_realization(cfg, num_subcarriers, doppler_hz):
@@ -322,6 +398,48 @@ def test_ofdm_rejects_invalid_num_streams(num_streams):
         ofdm_design_and_rate(
             realization, 16, 4, 1.0, cfg.noise_power_watts, num_streams=num_streams
         )
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"num_subcarriers": 512.7},
+        {"num_subcarriers": 16.0},
+        {"num_subcarriers": True},
+        {"cp_length": 2.5},
+        {"cp_length": True},
+        {"noise_var": float("nan")},
+        {"noise_var": float("inf")},
+        {"total_power": float("nan")},
+        {"total_power": float("inf")},
+    ],
+    ids=repr,
+)
+def test_ofdm_rejects_malformed_arguments(bad):
+    cfg = SystemConfig(num_tx_antennas=4, num_rx_antennas=2)
+    realization = _realization(cfg, 0)
+    kwargs = {
+        "num_subcarriers": 16,
+        "cp_length": 4,
+        "total_power": 1.0,
+        "noise_var": cfg.noise_power_watts,
+    }
+    kwargs.update(bad)
+    # rejected up front, before any numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractViolationError, match="integer|finite"):
+            ofdm_design_and_rate(realization, **kwargs)
+
+
+def test_ofdm_accepts_numpy_integer_sizes():
+    cfg = SystemConfig(num_tx_antennas=4, num_rx_antennas=2)
+    realization = _realization(cfg, 0)
+    plain = ofdm_design_and_rate(realization, 16, 4, 1.0, cfg.noise_power_watts)
+    numpy_ints = ofdm_design_and_rate(
+        realization, np.int64(16), np.int32(4), 1.0, cfg.noise_power_watts
+    )
+    assert numpy_ints.rate_bps_hz == plain.rate_bps_hz
 
 
 def test_ofdm_zero_doppler_has_no_ici():
