@@ -14,7 +14,10 @@ residual Doppler up to the block and the branch's Doppler over the delay
 difference; see group_delay_differences). The rate of that channel
 is maximized by alternating closed-form updates of the receive filter, a
 weighting matrix and the stacked precoder (a weighted-MMSE scheme); each
-step is a coordinate ascent so the rate trace never decreases.
+step is a coordinate ascent so the rate trace never decreases. Each
+iterate is evaluated once: mmse_receiver forms the desired and ISI
+outputs in one product and, from one solve with their covariance, returns
+the traced rate, the weights and the receive filter together.
 
 This module owns the lag model: _lag_pairs is the one enumeration of
 (true path, transmit branch) pairs. group_delay_differences builds BCD's
@@ -84,11 +87,6 @@ class GroupedChannels:
         """Thin QR B^H = U R; column block j of R belongs to block j of B."""
         return np.linalg.qr(self.stacked_blocks.conj().T)
 
-    def isi_outputs(self, precoder: np.ndarray) -> np.ndarray:
-        """(#offsets, M_r, N_s) stack of the Gbar[i] Fbar in map order, as one product."""
-        side = self.stacked_blocks[self.num_rx :] @ precoder
-        return side.reshape(len(self.isi_channels), self.num_rx, precoder.shape[1])
-
 
 @dataclass
 class BcdState:
@@ -144,37 +142,30 @@ def _lag_pairs(
 
 
 def group_delay_differences(
-    realization: ChannelRealization,
-    timebase: Timebase,
-    block_index: int,
-    branch_delays: np.ndarray | None = None,
-    branch_dopplers: np.ndarray | None = None,
+    realization: ChannelRealization, timebase: Timebase, block_index: int
 ) -> GroupedChannels:
     """Regroup the per-path channels by delay difference for one block.
 
-    Transmit branch l' is aligned to delay m^_l' and Doppler nu^_l'
-    (branch_delays, branch_dopplers; by default the true paths, i.e.
-    perfect CSI). True path l carries branch l' to offset i = m^_l' - m_l,
+    Transmit branch l' is aligned to the true delay m_l' and Doppler nu_l'
+    (perfect CSI). True path l carries branch l' to offset i = m_l' - m_l,
     and the branch's block of Gbar[i] holds
 
-        H_l * exp(j 2 pi [(nu_l - nu^_l') n0 + nu^_l' (m_l - m^_l')] T_s)
+        H_l * exp(j 2 pi [(nu_l - nu_l') n0 + nu_l' (m_l - m_l')] T_s)
 
     with n0 the first sample of coherence block block_index. The phase is
     relative to the un-folded spatial precoders (zf.aligned_design folds
-    exp(-j 2 pi nu^_l' m^_l' T_s) into the transmitted ones). Offset 0 is
-    the desired channel Hbar, exactly [H_1, ..., H_L] with perfect CSI.
-    Offsets that no pair produces are absent from the map.
+    exp(-j 2 pi nu_l' m_l' T_s) into the transmitted ones). Offset 0 is
+    the desired channel Hbar = [H_1, ..., H_L]. Offsets that no pair
+    produces are absent from the map.
     """
-    offsets, pair_slot, phases = _lag_pairs(
-        realization, timebase, [block_index], branch_delays, branch_dopplers
-    )
+    offsets, pair_slot, phases = _lag_pairs(realization, timebase, [block_index])
     num_branches, num_rx, num_tx = pair_slot.shape[0], realization.num_rx, realization.num_tx
     # one block per distinct offset; pair (l', l) fills its branch l'
     blocks = np.zeros((len(offsets), num_rx, num_branches, num_tx), dtype=np.complex128)
     terms = realization.matrices * phases[0, :, :, None, None]  # [l', l]: H_l * phase
     blocks[pair_slot, :, np.arange(num_branches)[:, None], :] = terms
     groups = dict(zip(offsets, blocks.reshape(len(offsets), num_rx, -1)))
-    desired = groups.pop(0, np.zeros((num_rx, num_branches * num_tx), dtype=np.complex128))
+    desired = groups.pop(0)  # the pairs l' = l
     return GroupedChannels(desired, groups, num_paths=num_branches, num_tx=num_tx)
 
 
@@ -193,27 +184,20 @@ def _noise_plus_interference(num_rx: int, interferers, noise_var: float) -> np.n
     return eye + side @ side.conj().swapaxes(-1, -2)
 
 
-def interference_covariance(
-    grouped: GroupedChannels, precoder: np.ndarray, noise_var: float
-) -> np.ndarray:
-    """C = sum_i Gbar[i] Fbar Fbar^H Gbar[i]^H + noise_var * I."""
-    return _noise_plus_interference(grouped.num_rx, grouped.isi_outputs(precoder), noise_var)
-
-
 def colored_noise_rate(
     desired: np.ndarray, interferers, noise_var: float
-) -> tuple[float | np.ndarray, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """Rate of the desired M_r x N_s channel with interference as colored noise.
 
-    Returns log2 det(Q) and Q = I + A^H C^{-1} A, where A is the desired
-    channel and C the colored-noise covariance of the interfering blocks.
-    Q is the inverse MMSE matrix of the optimal (MMSE) receiver, so its
-    log-determinant is the achievable rate.
+    Returns log2 det(Q), Q = I + A^H C^{-1} A and C^{-1} A, where A is the
+    desired channel and C the colored-noise covariance of the interfering
+    blocks. Q is the inverse MMSE matrix of the optimal (MMSE) receiver, so
+    its log-determinant is the achievable rate.
 
     Both inputs may carry leading stack axes: a (B, M_r, N_s) desired
     stack with a (B, K, M_r, N_s) interferer stack rates B channels at
     once and returns a length-B array of rates with the (B, N_s, N_s)
-    stack of Q.
+    stack of Q and the (B, M_r, N_s) stack of C^{-1} A.
     """
     cov = _noise_plus_interference(desired.shape[-2], interferers, noise_var)
     try:
@@ -227,20 +211,24 @@ def colored_noise_rate(
     if np.any(sign.real <= 0):
         raise NumericalError("weight matrix lost positive definiteness")
     rate = logdet / math.log(2.0)
-    return (float(rate) if desired.ndim == 2 else rate), q
+    return (float(rate) if desired.ndim == 2 else rate), q, cinv_a
 
 
 def mmse_receiver(
     grouped: GroupedChannels, precoder: np.ndarray, noise_var: float
-) -> np.ndarray:
-    """W = (Hbar Fbar Fbar^H Hbar^H + C)^{-1} Hbar Fbar."""
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Evaluate one iterate: its rate, weights Q and MMSE receive filter W.
+
+    One product B Fbar gives A = Hbar Fbar and the ISI outputs Gbar[i] Fbar.
+    colored_noise_rate solves their covariance C once for C^{-1} A, the
+    rate log2 det Q and Q = I + A^H C^{-1} A; then W = C^{-1} A Q^{-1},
+    which by the matrix-inversion lemma equals (A A^H + C)^{-1} A.
+    """
     f_bar = np.asarray(precoder, dtype=np.complex128)
-    a = grouped.stacked_channel @ f_bar
-    total = a @ a.conj().T + interference_covariance(grouped, f_bar, noise_var)
-    try:
-        return np.linalg.solve(total, a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"MMSE receive filter solve failed: {exc}") from exc
+    outputs = (grouped.stacked_blocks @ f_bar).reshape(-1, grouped.num_rx, f_bar.shape[1])
+    rate, q, cinv_a = colored_noise_rate(outputs[0], outputs[1:], noise_var)
+    # W^H = Q^{-1} (C^{-1} A)^H, as Q is Hermitian positive definite
+    return rate, q, np.linalg.solve(q, cinv_a.conj().T).conj().T
 
 
 def precoder_update(
@@ -334,19 +322,6 @@ def _budgeted_precoder(
     raise NumericalError("power bisection did not converge")
 
 
-def _weighted_rate(
-    grouped: GroupedChannels, precoder: np.ndarray, noise_var: float
-) -> tuple[float, np.ndarray]:
-    """Rate at the MMSE receiver plus the matching weight matrix Q.
-
-    The log-determinant of Q is what the alternating scheme monotonically
-    increases.
-    """
-    return colored_noise_rate(
-        grouped.stacked_channel @ precoder, grouped.isi_outputs(precoder), noise_var
-    )
-
-
 def bcd_solve(
     grouped: GroupedChannels,
     total_power: float,
@@ -371,6 +346,11 @@ def bcd_solve(
     for name, count in (("num_streams", num_streams), ("max_iters", max_iters)):
         if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
             raise ContractViolationError(f"{name} must be an integer >= 1, got {count!r}")
+    for name, value in (("total_power", total_power), ("noise_var", noise_var)):
+        if not (math.isfinite(value) and value > 0):
+            raise ContractViolationError(f"{name} must be finite and positive, got {value!r}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ContractViolationError(f"tol must be finite and non-negative, got {tol!r}")
     dim = grouped.stacked_channel.shape[1]
     if init_precoder is not None:
         f_bar = np.asarray(init_precoder, dtype=np.complex128).copy()
@@ -390,21 +370,15 @@ def bcd_solve(
     if power > total_power * (1 + 1e-9):
         f_bar = f_bar * math.sqrt(total_power / power)
 
-    trace: list[float] = []
+    # one mmse_receiver call per iterate; no step follows the last one rated
+    rate, q, combiner = mmse_receiver(grouped, f_bar, noise_var)
+    trace = [rate]
     converged = False
-    combiner = mmse_receiver(grouped, f_bar, noise_var)
-    for iteration in range(max_iters):
-        rate, q = _weighted_rate(grouped, f_bar, noise_var)
-        trace.append(rate)
-        if len(trace) >= 2:
-            prev = trace[-2]
-            if rate - prev <= tol * max(abs(prev), 1e-12):
-                converged = True
-                break
-        if iteration == max_iters - 1:
-            break  # no untraced step: the state stays the one rated last
+    while not converged and len(trace) < max_iters:
         f_bar = precoder_update(grouped, combiner, q, total_power)
-        combiner = mmse_receiver(grouped, f_bar, noise_var)
+        rate, q, combiner = mmse_receiver(grouped, f_bar, noise_var)
+        converged = rate - trace[-1] <= tol * max(abs(trace[-1]), 1e-12)
+        trace.append(rate)
     return BcdState(
         precoder=f_bar,
         combiner=combiner,

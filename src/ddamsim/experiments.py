@@ -326,7 +326,7 @@ def mismatched_alignment_rate(
     )
     desired = outputs[:, offsets.index(0)] if 0 in offsets else np.zeros_like(outputs[:, 0])
     off_lag = [k for k, offset in enumerate(offsets) if offset != 0]
-    rates, _ = colored_noise_rate(desired, outputs[:, off_lag], noise_var)
+    rates = colored_noise_rate(desired, outputs[:, off_lag], noise_var)[0]
     return float(np.mean(rates))
 
 

@@ -101,16 +101,6 @@ def qam_symbols(order: int, size, rng: np.random.Generator) -> np.ndarray:
     return points[rng.integers(0, order, size=size)]
 
 
-@dataclass
-class PaprCcdf:
-    """Complementary CDF of per-antenna PAPR over a batch of frames."""
-
-    thresholds_db: np.ndarray
-    ccdf: np.ndarray           # fraction of (antenna, frame) values above each threshold
-    num_values: int
-    num_excluded: int          # antennas skipped for carrying no power
-
-
 def papr_db(frame: np.ndarray) -> tuple[np.ndarray, int]:
     """Per-antenna PAPR of one frame, in dB.
 
@@ -136,37 +126,6 @@ def exceedance_fractions(values, thresholds) -> np.ndarray:
     if v.size == 0:
         return np.zeros(t.shape)
     return np.mean(v[None, :] > t[:, None], axis=1)
-
-
-def papr_ccdf(frames, thresholds_db) -> PaprCcdf:
-    """CCDF of PAPR over every (antenna, frame) pair.
-
-    frames may be a single 2-D frame, a 3-D stack of frames, or any
-    iterable of 2-D frames. The CCDF is non-increasing in the threshold by
-    construction.
-    """
-    thresholds = np.asarray(thresholds_db, dtype=np.float64)
-    if thresholds.ndim != 1 or thresholds.size == 0:
-        raise ContractViolationError("thresholds_db must be a non-empty 1-D array")
-    if isinstance(frames, np.ndarray) and frames.ndim == 2:
-        frames = [frames]
-    values = []
-    excluded = 0
-    for frame in frames:
-        v, skipped = papr_db(frame)
-        values.append(v)
-        excluded += skipped
-    if not values:
-        raise ContractViolationError("papr_ccdf needs at least one frame")
-    flat = np.concatenate(values)
-    if flat.size == 0:
-        raise ContractViolationError("every antenna was excluded for zero power")
-    return PaprCcdf(
-        thresholds_db=thresholds,
-        ccdf=exceedance_fractions(flat, thresholds),
-        num_values=int(flat.size),
-        num_excluded=excluded,
-    )
 
 
 def guard_overhead(scheme: str, **params) -> float:

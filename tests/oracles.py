@@ -9,16 +9,12 @@ independent oracle for each.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from ddamsim.bcd import (
-    GroupedChannels,
-    _budgeted_precoder,
-    colored_noise_rate,
-    interference_covariance,
-)
+from ddamsim.bcd import GroupedChannels, _budgeted_precoder, colored_noise_rate
 from ddamsim.benchmarks import (
     OfdmResult,
     OtfsConfig,
@@ -40,7 +36,7 @@ from ddamsim.config import SystemConfig
 from ddamsim.errors import ContractViolationError, FeasibilityError, NumericalError
 from ddamsim.experiments import OFDM_SUBCARRIERS, PAPR_MODULATION_ORDER
 from ddamsim.linalg import DEFAULT_RANK_TOL, eig_hermitian, null_space_basis, svd_reduced
-from ddamsim.metrics import PaprCcdf, qam_symbols
+from ddamsim.metrics import exceedance_fractions, papr_db, qam_symbols
 from ddamsim.zf import DdamDesign
 
 
@@ -65,7 +61,7 @@ def ddam_rate(
     if w.shape[0] != grouped.num_rx:
         raise ContractViolationError("combiner rows must equal M_r")
     signal = w.conj().T @ (grouped.stacked_channel @ f_bar)
-    cov_w = w.conj().T @ interference_covariance(grouped, f_bar, noise_var) @ w
+    cov_w = w.conj().T @ isi_covariance(grouped, f_bar, noise_var) @ w
     sign, logdet_cov = np.linalg.slogdet(cov_w)
     if sign.real <= 0 or not np.isfinite(logdet_cov):
         raise NumericalError("combined noise covariance is singular")
@@ -73,6 +69,29 @@ def ddam_rate(
     if sign2.real <= 0:
         raise NumericalError("rate determinant is not positive")
     return float((logdet_full - logdet_cov) / math.log(2.0))
+
+
+def isi_covariance(
+    grouped: GroupedChannels, precoder: np.ndarray, noise_var: float
+) -> np.ndarray:
+    """C = sum_i Gbar[i] Fbar Fbar^H Gbar[i]^H + noise_var * I, one offset at a time."""
+    cov = noise_var * np.eye(grouped.num_rx, dtype=np.complex128)
+    for block in grouped.isi_channels.values():
+        out = block @ precoder
+        cov += out @ out.conj().T
+    return cov
+
+
+def mmse_receiver_direct(
+    grouped: GroupedChannels, precoder: np.ndarray, noise_var: float
+) -> np.ndarray:
+    """W = (A A^H + C)^{-1} A with A = Hbar Fbar, solved directly.
+
+    The library reaches the same filter as C^{-1} A Q^{-1} from the solve
+    it already makes for the rate.
+    """
+    a = grouped.stacked_channel @ precoder
+    return np.linalg.solve(a @ a.conj().T + isi_covariance(grouped, precoder, noise_var), a)
 
 
 def ddam_rx_analytic(
@@ -387,8 +406,8 @@ def ofdm_design_and_rate_loop(
     """Per-subcarrier loop version of `ofdm_design_and_rate`.
 
     One `svd_reduced` call per subcarrier on the full M_r x M_t desired
-    matrix, and the ICI sum contracted over a (K, K, C) phase tensor from
-    which the q = k self term is subtracted afterwards. The library
+    matrix, and the ICI sum contracted over a (K, K, C) phase tensor whose
+    q = k (desired) slots are zero, so only the sources q != k enter. The library
     computes the same design, LAPACK's singular-vector phases included,
     up to rounding from one batched SVD of compressed channels, and the
     same SINRs with an FFT correlation.
@@ -453,14 +472,12 @@ def ofdm_design_and_rate_loop(
         w_proj[k, :, :r_k] = right.conj() @ precoders[k, :, :r_k]
     gram = np.einsum("qci,qdi->qcd", w_proj, w_proj.conj())
 
-    # phase tensor over (target k, source q, component): coupling times ramp
+    # phase tensor over (target k, source q, component): coupling times ramp,
+    # with the q = k (desired) source left out, so the sum has no cancellation
     idx = (k_grid[None, :] - k_grid[:, None]) % k_sub
     tphase = coeff[:, idx].transpose(1, 2, 0) * ramp[None, :, :]
+    tphase[k_grid, k_grid] = 0.0
     cross = np.einsum("kqc,kqd,qcd->kcd", tphase, tphase.conj(), gram, optimize=True)
-    self_term = np.einsum(
-        "kc,kd,kcd->kcd", desired_weight, desired_weight.conj(), gram
-    )
-    cross -= self_term
     ici_power = np.einsum(
         "kic,kid,kcd->ki", u_proj, u_proj.conj(), cross, optimize=True
     ).real
@@ -578,7 +595,49 @@ def measure_beam_sinr(
     return desired, interference
 
 
-# --- PAPR CCDF read-out (metrics) ---------------------------------------------
+# --- PAPR CCDF (metrics) ------------------------------------------------------
+
+
+@dataclass
+class PaprCcdf:
+    """Complementary CDF of per-antenna PAPR over a batch of frames."""
+
+    thresholds_db: np.ndarray
+    ccdf: np.ndarray           # fraction of (antenna, frame) values above each threshold
+    num_values: int
+    num_excluded: int          # antennas skipped for carrying no power
+
+
+def papr_ccdf(frames, thresholds_db) -> PaprCcdf:
+    """CCDF of PAPR over every (antenna, frame) pair.
+
+    frames may be a single 2-D frame, a 3-D stack of frames, or any
+    iterable of 2-D frames. The CCDF is non-increasing in the threshold by
+    construction. fig8 computes its CCDF from `papr_db` and
+    `exceedance_fractions` directly.
+    """
+    thresholds = np.asarray(thresholds_db, dtype=np.float64)
+    if thresholds.ndim != 1 or thresholds.size == 0:
+        raise ContractViolationError("thresholds_db must be a non-empty 1-D array")
+    if isinstance(frames, np.ndarray) and frames.ndim == 2:
+        frames = [frames]
+    values = []
+    excluded = 0
+    for frame in frames:
+        v, skipped = papr_db(frame)
+        values.append(v)
+        excluded += skipped
+    if not values:
+        raise ContractViolationError("papr_ccdf needs at least one frame")
+    flat = np.concatenate(values)
+    if flat.size == 0:
+        raise ContractViolationError("every antenna was excluded for zero power")
+    return PaprCcdf(
+        thresholds_db=thresholds,
+        ccdf=exceedance_fractions(flat, thresholds),
+        num_values=int(flat.size),
+        num_excluded=excluded,
+    )
 
 
 def papr_exceedance_db(ccdf: PaprCcdf, level: float) -> float:

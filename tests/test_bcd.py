@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from ddamsim import bcd
 from ddamsim.bcd import (
     GroupedChannels,
+    _lag_pairs,
     bcd_solve,
     colored_noise_rate,
     group_delay_differences,
-    interference_covariance,
     mmse_receiver,
     precoder_update,
 )
@@ -19,7 +19,7 @@ from ddamsim.channel import coherence_partition, generate_paths, realize_channel
 from ddamsim.config import SystemConfig
 from ddamsim.errors import ContractViolationError
 from ddamsim.zf import zf_spatial_design
-from oracles import ddam_rate, precoder_update_dense
+from oracles import ddam_rate, isi_covariance, mmse_receiver_direct, precoder_update_dense
 
 
 def _setup(seed, num_tx=8, num_paths=3):
@@ -100,18 +100,17 @@ def test_grouping_accumulates_block_phase():
 
 
 def test_grouping_branch_inputs_default_to_the_true_paths():
+    # the lag model's branches default to the true paths, the perfect CSI
+    # that group_delay_differences groups by
     _, realization, timebase, _ = _setup(4)
     paths = realization.path_set
-    default = group_delay_differences(realization, timebase, 3)
-    explicit = group_delay_differences(
-        realization, timebase, 3, paths.delay_taps, paths.doppler_hz
-    )
-    assert np.array_equal(explicit.stacked_channel, default.stacked_channel)
-    assert list(explicit.isi_channels) == list(default.isi_channels)
-    for offset, block in default.isi_channels.items():
-        assert np.array_equal(explicit.isi_channels[offset], block)
+    default = _lag_pairs(realization, timebase, [0, 3])
+    explicit = _lag_pairs(realization, timebase, [0, 3], paths.delay_taps, paths.doppler_hz)
+    assert default[0] == explicit[0]
+    assert np.array_equal(default[1], explicit[1])
+    assert np.array_equal(default[2], explicit[2])
     with pytest.raises(ContractViolationError):
-        group_delay_differences(realization, timebase, 3, paths.delay_taps[:2], paths.doppler_hz)
+        _lag_pairs(realization, timebase, [3], paths.delay_taps[:2], paths.doppler_hz)
 
 
 def test_grouping_single_path_has_no_isi():
@@ -136,7 +135,7 @@ def test_zf_precoder_silences_interference_covariance():
     grouped = group_delay_differences(realization, timebase, 0)
     f_stack, _ = _stack_zf_precoder(realization, cfg)
     noise = cfg.noise_power_watts
-    c = interference_covariance(grouped, f_stack, noise)
+    c = isi_covariance(grouped, f_stack, noise)
     assert np.allclose(c, noise * np.eye(2), atol=1e-12 * noise)
     vals = np.linalg.eigvalsh(c)
     assert np.all(vals >= 0)
@@ -151,9 +150,9 @@ def test_rate_of_zf_precoder_matches_capacity_result():
         rate = ddam_rate(grouped, f_stack, result.combiner, noise)
         assert rate == pytest.approx(result.rate_bps_hz, rel=1e-9), f"seed {10 + seed}"
         # the MMSE receiver attains the same mutual information
-        w = mmse_receiver(grouped, f_stack, noise)
-        rate_mmse = ddam_rate(grouped, f_stack, w, noise)
+        rate_mmse, _, w = mmse_receiver(grouped, f_stack, noise)
         assert rate_mmse == pytest.approx(result.rate_bps_hz, rel=1e-9)
+        assert ddam_rate(grouped, f_stack, w, noise) == pytest.approx(rate_mmse, rel=1e-9)
 
 
 def test_bcd_trace_is_monotone_and_converges():
@@ -278,8 +277,7 @@ def test_precoder_update_matches_dense_oracle(num_tx, num_paths, num_rx, block_i
     )
     start = raw * np.sqrt(cfg.tx_power_watts) / np.linalg.norm(raw)
     noise = cfg.noise_power_watts
-    w = mmse_receiver(grouped, start, noise)
-    _, q = _rate_and_weights(grouped, start, noise)
+    _, q, w = mmse_receiver(grouped, start, noise)
 
     unconstrained = precoder_update_dense(grouped, w, q, 1e30)
     assert _relative_error(precoder_update(grouped, w, q, 1e30), unconstrained) <= 1e-9
@@ -295,6 +293,38 @@ def test_precoder_update_matches_dense_oracle(num_tx, num_paths, num_rx, block_i
     zero = precoder_update(grouped, silent, q, budget)
     assert zero.shape == (dim, num_streams)
     assert np.array_equal(zero, precoder_update_dense(grouped, silent, q, budget))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    num_rx=st.sampled_from([1, 2, 4]),
+    num_paths=st.integers(1, 5),
+    num_tx=st.integers(1, 48),
+    block_index=st.integers(0, 20),
+)
+def test_mmse_receiver_matches_direct_oracle(
+    data, seed, num_rx, num_paths, num_tx, block_index
+):
+    # the filter taken from the rate's solve, C^{-1} A Q^{-1}, is the direct
+    # (A A^H + C)^{-1} A, and the rate and Q are those of the per-offset sum
+    num_streams = data.draw(st.integers(1, min(num_rx, num_tx)), label="num_streams")
+    cfg, grouped, rng = _grouped_draw(
+        seed, num_tx, num_paths, num_rx, num_streams, block_index
+    )
+    dim = grouped.stacked_channel.shape[1]
+    raw = rng.standard_normal((dim, num_streams)) + 1j * rng.standard_normal(
+        (dim, num_streams)
+    )
+    precoder = raw * np.sqrt(cfg.tx_power_watts) / np.linalg.norm(raw)
+    noise = cfg.noise_power_watts
+    rate, q, w = mmse_receiver(grouped, precoder, noise)
+    assert w.shape == (num_rx, num_streams)
+    assert _relative_error(w, mmse_receiver_direct(grouped, precoder, noise)) <= 1e-10
+    want_rate, want_q, _ = _rate_and_weights(grouped, precoder, noise)
+    assert rate == pytest.approx(want_rate, rel=1e-12, abs=0.0)
+    assert _relative_error(q, want_q) <= 1e-12
 
 
 def _criterion_04_traces():
@@ -353,12 +383,12 @@ def test_bcd_trace_is_monotone_within_budget(
     # step that loses power against the budget would show as a rate drop,
     # every receiver/weights/precoder step must still be an ascent step
     f_bar = state.precoder
-    rate, q = _rate_and_weights(grouped, f_bar, noise)
+    rate, q, _ = _rate_and_weights(grouped, f_bar, noise)
     for step in range(5):
-        combiner = mmse_receiver(grouped, f_bar, noise)
+        combiner = mmse_receiver(grouped, f_bar, noise)[2]
         f_bar = precoder_update(grouped, combiner, q, budget)
         assert float(np.sum(np.abs(f_bar) ** 2)) <= budget * (1 + 1e-6)
-        new_rate, q = _rate_and_weights(grouped, f_bar, noise)
+        new_rate, q, _ = _rate_and_weights(grouped, f_bar, noise)
         assert new_rate >= rate - 1e-9 * max(1.0, abs(rate)), (
             f"step {step}: rate {rate!r} -> {new_rate!r}"
         )
@@ -386,11 +416,11 @@ def test_bcd_state_at_max_iters_belongs_to_last_rate():
         init_precoder=init,
     )
     assert not state.converged and len(state.rate_trace) == 3
-    rate, q = _rate_and_weights(grouped, state.precoder, noise)
+    rate, q, _ = _rate_and_weights(grouped, state.precoder, noise)
     assert rate == pytest.approx(state.rate_trace[-1], rel=1e-12, abs=0.0)
     assert np.allclose(state.auxiliary, q, rtol=1e-12, atol=0.0)
     assert np.allclose(
-        state.combiner, mmse_receiver(grouped, state.precoder, noise), rtol=1e-12, atol=0.0
+        state.combiner, mmse_receiver(grouped, state.precoder, noise)[2], rtol=1e-12, atol=0.0
     )
 
 
@@ -404,12 +434,14 @@ def test_colored_noise_rate_rates_a_block_stack(num_interferers):
 
     desired = draw(num_blocks, num_rx, num_streams)
     interferers = 0.5 * draw(num_blocks, num_interferers, num_rx, num_streams)
-    rates, q = colored_noise_rate(desired, interferers, 0.1)
+    rates, q, cinv_a = colored_noise_rate(desired, interferers, 0.1)
     assert rates.shape == (num_blocks,) and q.shape == (num_blocks, num_streams, num_streams)
+    assert cinv_a.shape == desired.shape
     for b in range(num_blocks):
-        want_rate, want_q = colored_noise_rate(desired[b], list(interferers[b]), 0.1)
+        want_rate, want_q, want_cinv_a = colored_noise_rate(desired[b], list(interferers[b]), 0.1)
         assert rates[b] == pytest.approx(want_rate, rel=1e-12, abs=0)
         assert np.allclose(q[b], want_q, rtol=1e-12, atol=0)
+        assert np.allclose(cinv_a[b], want_cinv_a, rtol=1e-12, atol=0)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -426,7 +458,7 @@ def test_colored_noise_rate_rates_a_block_stack(num_interferers):
 def test_cached_factor_reproduces_the_stacked_blocks(
     seed, num_tx, num_paths, num_rx, block_index
 ):
-    _, grouped, rng = _grouped_draw(seed, num_tx, num_paths, num_rx, 1, block_index)
+    _, grouped, _ = _grouped_draw(seed, num_tx, num_paths, num_rx, 1, block_index)
     isi = list(grouped.isi_channels.values())
     blocks = np.vstack([grouped.stacked_channel, *isi])
     assert np.array_equal(grouped.stacked_blocks, blocks)
@@ -436,15 +468,6 @@ def test_cached_factor_reproduces_the_stacked_blocks(
     assert width == min(blocks.shape) == tri.shape[0]
     assert np.linalg.norm(basis.conj().T @ basis - np.eye(width)) <= 1e-12
     assert np.linalg.norm(basis @ tri - blocks.conj().T) <= 1e-12 * np.linalg.norm(blocks)
-
-    precoder = rng.standard_normal((blocks.shape[1], 2)) + 1j * rng.standard_normal(
-        (blocks.shape[1], 2)
-    )
-    got = grouped.isi_outputs(precoder)
-    assert got.shape == (len(isi), num_rx, 2)
-    if isi:
-        want = np.stack([block @ precoder for block in isi])
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_grouped_channels_is_immutable():
@@ -499,24 +522,42 @@ def test_bcd_solve_routes_each_step_through_module_globals(monkeypatch):
         {"max_iters": 2.5},
         {"max_iters": True},
         {"max_iters": 0},
+        {"total_power": float("inf")},
+        {"total_power": float("nan")},
+        {"total_power": 0.0},
+        {"total_power": -1.0},
+        {"noise_var": 0.0},
+        {"noise_var": float("nan")},
+        {"noise_var": float("inf")},
+        {"noise_var": -1e-12},
+        {"tol": float("nan")},
+        {"tol": float("inf")},
+        {"tol": -1e-4},
     ],
     ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
 )
 def test_bcd_solve_rejects_bad_arguments_before_the_loop(bad, monkeypatch):
     cfg, realization, timebase, _ = _setup(9)
     grouped = group_delay_differences(realization, timebase, 0)
-    kwargs = {"num_streams": 2, "max_iters": 5, **bad}
+    # a valid start, so neither the ZF warm start nor the loop can be what fails
+    init = np.full((grouped.stacked_channel.shape[1], 2), 0.1 + 0j)
     if "init_precoder" in bad:
-        init = np.full((grouped.stacked_channel.shape[1], 2), 0.1 + 0j)
         init[3, 1] = float(bad["init_precoder"])
-        kwargs["init_precoder"] = init
+    kwargs = {
+        "total_power": cfg.tx_power_watts,
+        "noise_var": cfg.noise_power_watts,
+        "num_streams": 2,
+        "max_iters": 5,
+        **bad,
+        "init_precoder": init,
+    }
 
     def never(*args, **kwargs):
         raise AssertionError("the solver started on invalid arguments")
 
     monkeypatch.setattr(bcd, "mmse_receiver", never)
     with pytest.raises(ContractViolationError):
-        bcd_solve(grouped, cfg.tx_power_watts, cfg.noise_power_watts, **kwargs)
+        bcd_solve(grouped, **kwargs)
 
 
 def test_bcd_solve_accepts_numpy_integer_counts():

@@ -433,11 +433,11 @@ def test_lag_grouping_matches_pair_loop(
     precoders, design = _random_design(realization, cfg.num_streams, 1.0, rng)
     grouped = group_delay_differences(realization, timebase, block)
     f_bar = precoders.reshape(-1, cfg.num_streams)
-    got, _ = colored_noise_rate(
+    got = colored_noise_rate(
         grouped.stacked_channel @ f_bar,
         [g @ f_bar for g in grouped.isi_channels.values()],
         noise,
-    )
+    )[0]
     want = mismatched_alignment_rate_loop(
         realization, design, paths.max_delay_tap, noise, timebase, [block]
     )

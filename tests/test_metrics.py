@@ -9,7 +9,6 @@ from ddamsim.metrics import (
     CsiError,
     guard_overhead,
     ofdm_ber,
-    papr_ccdf,
     papr_db,
     perturb_csi,
     qam_awgn_ber,
@@ -17,7 +16,7 @@ from ddamsim.metrics import (
     qam_symbols,
     qfunc,
 )
-from oracles import papr_exceedance_db
+from oracles import papr_ccdf, papr_exceedance_db
 
 
 def test_qfunc_anchors():
