@@ -197,9 +197,15 @@ def colored_noise_rate(
     Both inputs may carry leading stack axes: a (B, M_r, N_s) desired
     stack with a (B, K, M_r, N_s) interferer stack rates B channels at
     once and returns a length-B array of rates with the (B, N_s, N_s)
-    stack of Q and the (B, M_r, N_s) stack of C^{-1} A.
+    stack of Q and the (B, M_r, N_s) stack of C^{-1} A. A non-finite
+    input raises NumericalError.
     """
-    cov = _noise_plus_interference(desired.shape[-2], interferers, noise_var)
+    blocks = np.asarray(interferers, dtype=np.complex128)
+    # a NaN would pass the sign check below; an inf interferer turns C into NaNs
+    finite = np.isfinite(desired).all() and np.isfinite(blocks).all()
+    if not (finite and math.isfinite(noise_var)):
+        raise NumericalError("colored-noise rate of a non-finite channel or noise variance")
+    cov = _noise_plus_interference(desired.shape[-2], blocks, noise_var)
     try:
         cinv_a = np.linalg.solve(cov, desired)
     except np.linalg.LinAlgError as exc:

@@ -17,7 +17,7 @@ from ddamsim.bcd import (
 )
 from ddamsim.channel import coherence_partition, generate_paths, realize_channel
 from ddamsim.config import SystemConfig
-from ddamsim.errors import ContractViolationError
+from ddamsim.errors import ContractViolationError, NumericalError
 from ddamsim.zf import zf_spatial_design
 from oracles import ddam_rate, isi_covariance, mmse_receiver_direct, precoder_update_dense
 
@@ -444,6 +444,22 @@ def test_colored_noise_rate_rates_a_block_stack(num_interferers):
         assert np.allclose(cinv_a[b], want_cinv_a, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize(
+    "where", ["desired-nan", "desired-inf", "interferer-nan", "interferer-inf", "noise-nan"]
+)
+def test_colored_noise_rate_rejects_a_non_finite_channel(where):
+    desired = np.array([[1.0 + 0j], [0.5j]])
+    interferers = np.array([[[0.3 + 0j], [0.2 + 0j]]])
+    bad = np.nan if where.endswith("nan") else np.inf
+    if where.startswith("noise"):
+        noise_var = bad
+    else:
+        noise_var = 1.0
+        (desired if where.startswith("desired") else interferers)[..., 1, 0] = bad
+    with pytest.raises(NumericalError):
+        colored_noise_rate(desired, interferers, noise_var)
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -539,18 +555,21 @@ def test_bcd_solve_routes_each_step_through_module_globals(monkeypatch):
 def test_bcd_solve_rejects_bad_arguments_before_the_loop(bad, monkeypatch):
     cfg, realization, timebase, _ = _setup(9)
     grouped = group_delay_differences(realization, timebase, 0)
-    # a valid start, so neither the ZF warm start nor the loop can be what fails
-    init = np.full((grouped.stacked_channel.shape[1], 2), 0.1 + 0j)
-    if "init_precoder" in bad:
-        init[3, 1] = float(bad["init_precoder"])
     kwargs = {
         "total_power": cfg.tx_power_watts,
         "noise_var": cfg.noise_power_watts,
         "num_streams": 2,
         "max_iters": 5,
         **bad,
-        "init_precoder": init,
     }
+    if "num_streams" not in bad:
+        # a valid start, so neither the ZF warm start nor the loop can be what
+        # fails; a bad stream count gets none, so init_precoder's shape check
+        # cannot be what rejects it
+        init = np.full((grouped.stacked_channel.shape[1], 2), 0.1 + 0j)
+        if "init_precoder" in bad:
+            init[3, 1] = float(bad["init_precoder"])
+        kwargs["init_precoder"] = init
 
     def never(*args, **kwargs):
         raise AssertionError("the solver started on invalid arguments")
