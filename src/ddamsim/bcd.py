@@ -272,7 +272,7 @@ def precoder_update(
     rhs = tri[:, :num_rx] @ (w @ q)
     if not np.any(np.abs(rhs) > 0):
         return np.zeros((basis.shape[0], w.shape[1]), dtype=np.complex128)
-    vals, sub_vecs = eig_hermitian(quad, herm_tol=1e-8)
+    vals, sub_vecs = eig_hermitian(quad)
     return _budgeted_precoder(vals, basis @ sub_vecs, sub_vecs.conj().T @ rhs, total_power)
 
 

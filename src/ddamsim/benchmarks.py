@@ -15,16 +15,17 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .channel import ChannelRealization, PathSet, array_response
 from .errors import ContractViolationError, NumericalError
-from .linalg import DEFAULT_RANK_TOL, eig_hermitian, svd_reduced
+from .linalg import RANK_TOL, eig_hermitian, svd_reduced
 
 # ratio this close to 1 switches the geometric series to its limit value
 ICI_GEOMETRIC_GUARD = 1e-12
 BEAM_NORM_TOL = 1e-9
+# otfs_beam_opt stops after this many sweeps or below this relative gain step
+BEAM_OPT_MAX_ITERS = 50
+BEAM_OPT_TOL = 1e-9
 
 
 # --- OFDM with inter-carrier interference -----------------------------------
@@ -35,8 +36,8 @@ class OfdmResult:
     """Per-subcarrier SVD transceivers, their SINRs and the spectral efficiency.
 
     Zero-padded stacks over K subcarriers and r_max = max(1, max_k r_k)
-    stream slots, r_k = ranks[k] being the (optionally capped) rank of
-    subcarrier k. precoders[k, :, :r_k] spends the whole power budget,
+    stream slots, r_k = ranks[k] being the rank of subcarrier k capped at
+    the stream count. precoders[k, :, :r_k] spends the whole power budget,
     combiners[k, :, :r_k] has orthonormal columns, and every entry of a slot
     i >= r_k is zero, so sinr[:, 0] is the strongest stream's SINR.
     """
@@ -75,7 +76,7 @@ def ici_coefficient(
     return out.reshape(shape)
 
 
-def _rank_one_components(realization: ChannelRealization, rank_tol: float):
+def _rank_one_components(realization: ChannelRealization):
     """Split each path matrix into rank-one pieces (a no-op split for ray channels).
 
     Returns (left, right, parent): H_l = sum over components c with
@@ -83,7 +84,7 @@ def _rank_one_components(realization: ChannelRealization, rank_tol: float):
     """
     left, right, parent = [], [], []
     for l in range(realization.path_set.num_paths):
-        u, s, v = svd_reduced(realization.matrices[l], rank_tol=rank_tol)
+        u, s, v = svd_reduced(realization.matrices[l])
         for m in range(s.size):
             left.append(s[m] * u[:, m])
             right.append(v[:, m])
@@ -105,18 +106,18 @@ def ofdm_design_and_rate(
     cp_length: int,
     total_power: float,
     noise_var: float,
-    num_streams: int | None = None,
-    rank_tol: float = DEFAULT_RANK_TOL,
+    num_streams: int,
 ) -> OfdmResult:
     """SVD transceiver per subcarrier plus the resulting SINRs and rate.
 
     The desired matrix of subcarrier k sums the paths' self-coupled
     channels with their delay phase ramps; its SVD gives the combiner
-    (left vectors) and the precoder (right vectors scaled to spend the
-    whole budget). ICI from every other subcarrier is treated as noise.
-    The rate carries the cyclic-prefix penalty K / (K + N_CP); frames are
-    assumed to hold a whole number of OFDM symbols, fractional leftovers
-    at the frame edge are not modeled.
+    (left vectors) and the precoder (right vectors of the at most
+    num_streams strongest modes, scaled to spend the whole budget). ICI
+    from every other subcarrier is treated as noise. The rate carries the
+    cyclic-prefix penalty K / (K + N_CP); frames are assumed to hold a
+    whole number of OFDM symbols, fractional leftovers at the frame edge
+    are not modeled.
 
     All K subcarriers are processed as stacked arrays: one batched SVD and
     no per-subcarrier loop. The SVD does not run on the (K, M_r, M_t)
@@ -167,17 +168,15 @@ def ofdm_design_and_rate(
         raise ContractViolationError("total_power and noise_var must be finite")
     if total_power <= 0 or noise_var <= 0:
         raise ContractViolationError("total_power and noise_var must be positive")
-    if num_streams is not None and (
+    if (
         isinstance(num_streams, bool)
         or not isinstance(num_streams, (int, np.integer))
         or num_streams < 1
     ):
-        raise ContractViolationError(
-            f"num_streams must be None or an integer >= 1, got {num_streams!r}"
-        )
+        raise ContractViolationError(f"num_streams must be an integer >= 1, got {num_streams!r}")
     paths = realization.path_set
     ts = realization.symbol_duration_s
-    left, right, parent = _rank_one_components(realization, rank_tol)
+    left, right, parent = _rank_one_components(realization)
     comp_doppler = paths.doppler_hz[parent]
     comp_delay = paths.delay_taps[parent]
 
@@ -211,9 +210,7 @@ def ofdm_design_and_rate(
         raise NumericalError(f"SVD did not converge: {exc}") from exc
 
     # numerical rank per subcarrier, relative to its largest singular value
-    ranks = np.count_nonzero(s > rank_tol * s[:, :1], axis=1)
-    if num_streams is not None:
-        ranks = np.minimum(ranks, num_streams)
+    ranks = np.minimum(np.count_nonzero(s > RANK_TOL * s[:, :1], axis=1), num_streams)
     r_max = max(1, int(ranks.max()))
     active = np.arange(r_max)[None, :] < ranks[:, None]            # (K, r_max)
     # sqrt(P / r_k) on the r_k active columns, zero on the rest
@@ -275,7 +272,6 @@ class OtfsConfig:
 
     num_delay_bins: int        # M, also the number of subcarriers
     num_doppler_bins: int      # N symbols per frame
-    cp_length: int
     tx_beam: np.ndarray        # unit-norm M_t vector
     rx_beam: np.ndarray        # unit-norm M_r vector
     delay_taps: np.ndarray     # integers in [0, M)
@@ -285,8 +281,6 @@ class OtfsConfig:
     def __post_init__(self) -> None:
         if self.num_delay_bins < 1 or self.num_doppler_bins < 1:
             raise ContractViolationError("grid dimensions must be >= 1")
-        if self.cp_length < 0:
-            raise ContractViolationError("cp_length must be >= 0")
         self.tx_beam = np.asarray(self.tx_beam, dtype=np.complex128).reshape(-1)
         self.rx_beam = np.asarray(self.rx_beam, dtype=np.complex128).reshape(-1)
         for name in ("tx_beam", "rx_beam"):
@@ -310,10 +304,7 @@ class OtfsConfig:
 
 
 def make_otfs_config(
-    realization: ChannelRealization,
-    num_delay_bins: int,
-    num_doppler_bins: int,
-    cp_length: int,
+    realization: ChannelRealization, num_delay_bins: int, num_doppler_bins: int
 ) -> OtfsConfig:
     """Quantize the realization onto the delay-Doppler grid.
 
@@ -332,7 +323,6 @@ def make_otfs_config(
     return OtfsConfig(
         num_delay_bins=num_delay_bins,
         num_doppler_bins=num_doppler_bins,
-        cp_length=cp_length,
         tx_beam=a_tx / np.linalg.norm(a_tx),
         rx_beam=a_rx / np.linalg.norm(a_rx),
         delay_taps=paths.delay_taps.copy(),
@@ -351,22 +341,18 @@ def otfs_effective_gains(
 
 
 def otfs_beam_opt(
-    realization: ChannelRealization,
-    config: OtfsConfig,
-    max_iters: int = 50,
-    tol: float = 1e-9,
+    realization: ChannelRealization, config: OtfsConfig
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Alternating top-eigenvector updates of the beam pair.
 
     Maximizes the squared Frobenius norm of the scalarized channel. Both
     subproblems are Rayleigh quotients whose optimum is the dominant
-    eigenvector, so the gain trace is non-decreasing. The pairwise overlap
-    trace of the shift-phase operators is MN when two paths share both
-    taps and zero otherwise, which collapses the quadratic forms to
-    cheap L x L sums.
+    eigenvector, so the gain trace is non-decreasing. It stops after
+    BEAM_OPT_MAX_ITERS sweeps, or once a sweep gains at most BEAM_OPT_TOL
+    relative. The pairwise overlap trace of the shift-phase operators is
+    MN when two paths share both taps and zero otherwise, which collapses
+    the quadratic forms to cheap L x L sums.
     """
-    if max_iters < 1:
-        raise ContractViolationError("max_iters must be >= 1")
     mats = realization.matrices
     mn = config.grid_size
     i_taps, j_taps = config.delay_taps, config.doppler_taps
@@ -381,23 +367,23 @@ def otfs_beam_opt(
         return float((h.conj() @ overlap @ h).real)
 
     trace = [gain(f, v)]
-    for _ in range(max_iters):
+    for _ in range(BEAM_OPT_MAX_ITERS):
         b_rows = np.einsum("r,lrt->lt", v.conj(), mats)        # row l = v^H H_l
         lam = b_rows.conj().T @ overlap @ b_rows
-        vals, vecs = eig_hermitian(lam, herm_tol=1e-8)
+        vals, vecs = eig_hermitian(lam)
         if vals[0] <= 0:
             break
         f = vecs[:, 0]
         c_cols = np.einsum("lrt,t->lr", mats, f)               # row l = H_l f
         gam = c_cols.T @ overlap @ c_cols.conj()
-        vals, vecs = eig_hermitian(gam, herm_tol=1e-8)
+        vals, vecs = eig_hermitian(gam)
         if vals[0] <= 0:
             break
         v = vecs[:, 0]
         current = gain(f, v)
         trace.append(current)
         previous = trace[-2]
-        if current - previous <= tol * max(abs(previous), 1e-30):
+        if current - previous <= BEAM_OPT_TOL * max(abs(previous), 1e-30):
             break
     return f, v, trace
 
@@ -420,12 +406,20 @@ def otfs_rate_from_taps(
     dense MN x MN matrix (the dense chain in tests/oracles.py is the
     reference it is checked against); a sparse LU
     factorization supplies it as the sum of log|U_ii|, valid here because
-    the Gram matrix is Hermitian positive definite.
+    the Gram matrix is Hermitian positive definite. The gains and both tap
+    arrays must be non-empty 1-D arrays of one length, one entry per path.
     """
+    # loaded here, not at import: only OTFS needs scipy.sparse
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     mn = num_delay_bins * num_doppler_bins
-    if power_over_noise < 0 or cp_length < 0:
-        raise ContractViolationError("power_over_noise and cp_length must be >= 0")
+    if not (math.isfinite(power_over_noise) and power_over_noise >= 0) or cp_length < 0:
+        raise ContractViolationError("power_over_noise must be finite and >= 0, cp_length >= 0")
     gains = np.asarray(effective_gains, dtype=np.complex128)
+    shapes = {np.shape(x) for x in (gains, delay_taps, doppler_taps)}
+    if len(shapes) != 1 or len(shapes.pop()) != 1 or not gains.size:
+        raise ContractViolationError("gains and taps must be matching non-empty 1-D arrays")
     n_idx = np.arange(mn)
     rows = []
     cols = []

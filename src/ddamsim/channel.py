@@ -192,17 +192,11 @@ def realize_channel(paths: PathSet, config: SystemConfig) -> ChannelRealization:
     )
 
 
-def apply_channel(
-    realization: ChannelRealization,
-    tx: np.ndarray,
-    noise_std: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Exact time-domain channel oracle.
+def apply_channel(realization: ChannelRealization, tx: np.ndarray) -> np.ndarray:
+    """Exact noiseless time-domain channel oracle.
 
-    r[n] = sum_l H_l exp(j*2*pi*nu_l*n*T_s) x[n - m_l] + z[n], with x = 0
-    for negative indices and z circularly symmetric complex Gaussian with
-    per-entry variance noise_std**2. noise_std = 0 skips the rng entirely.
+    r[n] = sum_l H_l exp(j*2*pi*nu_l*n*T_s) x[n - m_l], with x = 0 for
+    negative indices.
     """
     x = np.asarray(tx, dtype=np.complex128)
     if x.ndim != 2 or x.shape[1] != realization.num_tx:
@@ -220,11 +214,6 @@ def apply_channel(
             continue
         phase = np.exp(2j * np.pi * paths.doppler_hz[l] * n_idx[m_l:] * ts)
         out[m_l:] += (x[: n_samples - m_l] @ realization.matrices[l].T) * phase[:, None]
-    if noise_std > 0.0:
-        if rng is None:
-            raise ContractViolationError("noise_std > 0 requires an rng")
-        noise = rng.standard_normal(out.shape) + 1j * rng.standard_normal(out.shape)
-        out += noise * (noise_std / math.sqrt(2.0))
     return out
 
 

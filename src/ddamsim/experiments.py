@@ -258,9 +258,7 @@ def _ofdm_se(realization: ChannelRealization, config: SystemConfig) -> float:
 
 
 def _otfs_se(realization: ChannelRealization, config: SystemConfig) -> float:
-    otfs = make_otfs_config(
-        realization, OTFS_DELAY_BINS, OTFS_DOPPLER_BINS, config.max_delay_tap
-    )
+    otfs = make_otfs_config(realization, OTFS_DELAY_BINS, OTFS_DOPPLER_BINS)
     beam_tx, beam_rx, _ = otfs_beam_opt(realization, otfs)
     otfs = replace(otfs, tx_beam=beam_tx, rx_beam=beam_rx)
     gains = otfs_effective_gains(realization, otfs)
@@ -290,7 +288,6 @@ def mismatched_alignment_rate(
     aligned_lag: int,
     noise_var: float,
     timebase: Timebase,
-    block_indices: list[int] | None = None,
 ) -> float:
     """Rate actually achieved when the alignment design used wrong CSI.
 
@@ -298,19 +295,18 @@ def mismatched_alignment_rate(
     and Doppler doppler_comp[l']. The true channels are grouped against
     those branches by the lag model (bcd._lag_pairs), and per evaluated
     block the un-folded stacked precoder is rated with every off-lag group
-    as colored noise under an MMSE combiner, the rate BCD maximizes. With
-    a design built from the true parameters this is the ZF rate.
+    as colored noise under an MMSE combiner, the rate BCD maximizes, and
+    the rates of the blocks _block_samples picks are averaged. With a
+    design built from the true parameters this is the ZF rate.
 
     The pair outputs H_l F_l' do not depend on the block, so they are
     formed once; one product with the (B, L', L) pair phases sums them
     into every block's per-offset outputs, and all B blocks are rated in
     one stacked pass.
     """
-    if block_indices is None:
-        block_indices = _block_samples(timebase)
     branch_delays = aligned_lag - design.delay_comp
     offsets, pair_slot, phases = _lag_pairs(
-        realization, timebase, block_indices, branch_delays, design.doppler_comp
+        realization, timebase, _block_samples(timebase), branch_delays, design.doppler_comp
     )
     # undo the phase aligned_design folds into each transmitted F_l'
     ts = timebase.symbol_duration_s
@@ -678,10 +674,9 @@ def _checked_int(name: str, value, low: int) -> int:
     return int(value)
 
 
-def _run_single_trial(name: str, config_dict: dict, seed: int, trial: int):
+def _run_single_trial(name: str, config: SystemConfig, seed: int, trial: int):
     """Worker entry point; must stay importable at module top level."""
     spec = EXPERIMENTS[name]
-    config = config_from_dict(config_dict)
     rng = np.random.default_rng([seed, trial])
     records = spec.evaluator(config, rng)
     for scheme, param_name, param_value, metric, value in records:
@@ -709,7 +704,8 @@ def run_experiment(
     (mean/median/10th/90th percentiles) is keyed by (scheme, param, metric)
     and independent of completion order, so worker count never changes the
     output. seed (>= 0), num_trials and workers (>= 1) must be integers,
-    else ContractViolationError is raised before any trial runs.
+    and the config must pass config_from_dict, else ContractViolationError
+    is raised before any trial runs.
     """
     resolved = _resolve_config(name, config)
     spec = EXPERIMENTS[name]
@@ -717,14 +713,15 @@ def run_experiment(
     trials = spec.default_trials if num_trials is None else num_trials
     trials = _checked_int("num_trials", trials, 1)
     workers = None if workers is None else _checked_int("workers", workers, 1)
-    config_dict = resolved.to_dict()
+    # validated and coerced once per run; trials share the frozen result
+    trial_config = config_from_dict(resolved.to_dict())
 
     results: dict[int, list] = {}
     failures: list[tuple[int, str]] = []
     if workers is not None and workers > 1 and trials > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
-                trial: pool.submit(_run_single_trial, name, config_dict, seed, trial)
+                trial: pool.submit(_run_single_trial, name, trial_config, seed, trial)
                 for trial in range(trials)
             }
             for trial, future in futures.items():
@@ -735,7 +732,7 @@ def run_experiment(
     else:
         for trial in range(trials):
             try:
-                results[trial] = _run_single_trial(name, config_dict, seed, trial)
+                results[trial] = _run_single_trial(name, trial_config, seed, trial)
             except TRIAL_FAILURES as exc:
                 failures.append((trial, f"{type(exc).__name__}: {exc}"))
 

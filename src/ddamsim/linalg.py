@@ -12,25 +12,27 @@ import numpy as np
 
 from .errors import ContractViolationError, NumericalError
 
-DEFAULT_RANK_TOL = 1e-10
-DEFAULT_HERMITIAN_TOL = 1e-10
+# singular values at or below RANK_TOL * s_max count as zero
+RANK_TOL = 1e-10
+# relative Frobenius norm of the anti-Hermitian part eig_hermitian accepts
+HERMITIAN_TOL = 1e-8
 
 
-def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
+def as_complex_matrix(a) -> np.ndarray:
     """Validate and return `a` as a 2-D complex128 array."""
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2:
-        raise ContractViolationError(f"{name} must be 2-D, got ndim={arr.ndim}")
+        raise ContractViolationError(f"matrix must be 2-D, got ndim={arr.ndim}")
     if arr.size and not np.all(np.isfinite(arr)):
-        raise ContractViolationError(f"{name} contains non-finite entries")
+        raise ContractViolationError("matrix contains non-finite entries")
     return arr
 
 
-def svd_reduced(a, rank_tol: float = DEFAULT_RANK_TOL):
+def svd_reduced(a):
     """Reduced SVD truncated at the numerical rank.
 
     Returns (u, s, v) with a ~= u @ diag(s) @ v.conj().T, singular values
-    sorted descending, and only values above rank_tol * s_max kept.
+    sorted descending, and only values above RANK_TOL * s_max kept.
     """
     arr = as_complex_matrix(a)
     if arr.size == 0:
@@ -40,14 +42,14 @@ def svd_reduced(a, rank_tol: float = DEFAULT_RANK_TOL):
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
     s_max = s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > rank_tol * s_max))
+    rank = int(np.count_nonzero(s > RANK_TOL * s_max))
     return u[:, :rank], s[:rank], vh[:rank].conj().T
 
 
-def eig_hermitian(a, herm_tol: float = DEFAULT_HERMITIAN_TOL):
+def eig_hermitian(a):
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
-    The input must be Hermitian within herm_tol (Frobenius norm of the
+    The input must be Hermitian within HERMITIAN_TOL (Frobenius norm of the
     anti-Hermitian part, relative to the matrix norm with an absolute
     floor of 1); it is symmetrized before factorization so the output is
     exactly consistent with a Hermitian operator.
@@ -56,7 +58,7 @@ def eig_hermitian(a, herm_tol: float = DEFAULT_HERMITIAN_TOL):
     if arr.shape[0] != arr.shape[1]:
         raise ContractViolationError(f"expected square matrix, got {arr.shape}")
     deviation = np.linalg.norm(arr - arr.conj().T)
-    if deviation > herm_tol * max(1.0, np.linalg.norm(arr)):
+    if deviation > HERMITIAN_TOL * max(1.0, np.linalg.norm(arr)):
         raise ContractViolationError(
             f"matrix is not Hermitian within tolerance (deviation {deviation:.3e})"
         )
@@ -69,11 +71,11 @@ def eig_hermitian(a, herm_tol: float = DEFAULT_HERMITIAN_TOL):
     return vals[order], vecs[:, order]
 
 
-def null_space_basis(a, tol: float = DEFAULT_RANK_TOL):
+def null_space_basis(a):
     """Orthonormal basis of the orthogonal complement of the columns of `a`.
 
     Returns b with a.conj().T @ b == 0 and b.conj().T @ b == I; the number of
-    columns is rows(a) minus the numerical rank of `a` at tolerance tol.
+    columns is rows(a) minus the numerical rank of `a` at RANK_TOL.
 
     `a` may also be an (S, n, k) stack of matrices. Their null spaces come
     from one batched SVD, and the S bases are returned as a list, each with
@@ -93,6 +95,6 @@ def null_space_basis(a, tol: float = DEFAULT_RANK_TOL):
             u, s, _ = np.linalg.svd(stack, full_matrices=True)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"SVD did not converge: {exc}") from exc
-        ranks = np.count_nonzero(s > tol * s[:, :1], axis=1)
+        ranks = np.count_nonzero(s > RANK_TOL * s[:, :1], axis=1)
         bases = [u_i[:, rank:] for u_i, rank in zip(u, ranks.tolist())]
     return bases if arr.ndim == 3 else bases[0]

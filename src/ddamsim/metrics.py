@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erfc
 
 from .channel import PathSet
 from .errors import ContractViolationError
@@ -17,6 +16,9 @@ from .errors import ContractViolationError
 
 def qfunc(x) -> np.ndarray:
     """Gaussian tail probability Q(x) = P(N(0,1) > x)."""
+    # loaded here, not at import: only the BER curves need scipy
+    from scipy.special import erfc
+
     return 0.5 * erfc(np.asarray(x, dtype=np.float64) / math.sqrt(2.0))
 
 

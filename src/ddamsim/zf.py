@@ -28,7 +28,7 @@ import numpy as np
 
 from .channel import ChannelRealization, PathSet, Timebase, apply_channel
 from .errors import ContractViolationError, FeasibilityError, NumericalError
-from .linalg import DEFAULT_RANK_TOL, null_space_basis, svd_reduced
+from .linalg import RANK_TOL, null_space_basis, svd_reduced
 
 POWER_MATCH_REL_TOL = 1e-9
 
@@ -131,9 +131,7 @@ def zf_feasibility(num_tx: int, num_rx: int, num_streams: int, num_paths: int) -
     return ZfFeasibility(verdict, num_equations, num_variables)
 
 
-def path_zf_precoder_bases(
-    matrices: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL
-) -> list[np.ndarray]:
+def path_zf_precoder_bases(matrices: np.ndarray) -> list[np.ndarray]:
     """Orthonormal bases of the reachable per-path interference-free subspaces.
 
     matrices is the (L, M_r, M_t) stack of path channels. bases[l] spans the
@@ -158,7 +156,7 @@ def path_zf_precoder_bases(
     other_paths = np.nonzero(~np.eye(num_paths, dtype=bool))[1].reshape(num_paths, -1)
     others = tri[:, cols[other_paths].reshape(num_paths, -1)].transpose(1, 0, 2)
     bases = []
-    for l, reduced in enumerate(null_space_basis(others, tol=rank_tol)):
+    for l, reduced in enumerate(null_space_basis(others)):
         if reduced.shape[1] == 0:
             raise FeasibilityError(
                 f"path {l}: no interference-free transmit directions left "
@@ -169,11 +167,7 @@ def path_zf_precoder_bases(
 
 
 def zf_spatial_design(
-    matrices: np.ndarray,
-    total_power: float,
-    noise_var: float,
-    num_streams: int,
-    rank_tol: float = DEFAULT_RANK_TOL,
+    matrices: np.ndarray, total_power: float, noise_var: float, num_streams: int
 ) -> tuple[np.ndarray, "ZfCapacityResult"]:
     """Per-path zero-forcing precoders for a stack of path matrices.
 
@@ -187,20 +181,18 @@ def zf_spatial_design(
     stream, which leaves the rate, mode gains and F F^H unchanged.
     """
     mats = np.asarray(matrices, dtype=np.complex128)
-    bases = path_zf_precoder_bases(mats, rank_tol)
+    bases = path_zf_precoder_bases(mats)
     blocks = [mats[l] @ bases[l] for l in range(len(bases))]
     h_eff = np.concatenate(blocks, axis=1)
-    if np.linalg.norm(h_eff) <= rank_tol * np.linalg.norm(mats):
+    if np.linalg.norm(h_eff) <= RANK_TOL * np.linalg.norm(mats):
         # only rounding residue survived the nulling (every path shares its
         # signature with another, or is silent): no stream, no power
         h_eff = np.zeros_like(h_eff)
-    result = zf_capacity_design(h_eff, total_power, noise_var, num_streams, rank_tol)
+    result = zf_capacity_design(h_eff, total_power, noise_var, num_streams)
     return split_stacked_precoder(bases, result.stacked_precoder), result
 
 
-def water_filling(
-    mode_gains: np.ndarray, total_power: float, noise_var: float = 1.0
-) -> np.ndarray:
+def water_filling(mode_gains: np.ndarray, total_power: float, noise_var: float) -> np.ndarray:
     """Classic water-filling over parallel modes, in closed form.
 
     Solves max sum_k log2(1 + p_k g_k / noise_var) s.t. sum p_k = total_power,
@@ -238,11 +230,7 @@ def water_filling(
 
 
 def zf_capacity_design(
-    effective_channel: np.ndarray,
-    total_power: float,
-    noise_var: float,
-    num_streams: int,
-    rank_tol: float = DEFAULT_RANK_TOL,
+    effective_channel: np.ndarray, total_power: float, noise_var: float, num_streams: int
 ) -> ZfCapacityResult:
     """Capacity-achieving combiner/precoder over the aligned channel.
 
@@ -264,7 +252,7 @@ def zf_capacity_design(
             mode_gains=np.zeros(0),
             n_active_streams=0,
         )
-    u, s, v = svd_reduced(h_eff, rank_tol=rank_tol)
+    u, s, v = svd_reduced(h_eff)
     n_active = min(len(s), num_streams)
     u = u[:, :n_active]
     v = v[:, :n_active]
@@ -313,15 +301,11 @@ def aligned_design(
 
 
 def zf_design(
-    realization: ChannelRealization,
-    total_power: float,
-    noise_var: float,
-    num_streams: int,
-    rank_tol: float = DEFAULT_RANK_TOL,
+    realization: ChannelRealization, total_power: float, noise_var: float, num_streams: int
 ) -> tuple[DdamDesign, ZfCapacityResult]:
     """Full zero-forcing alignment design for one realization."""
     precoders, result = zf_spatial_design(
-        realization.matrices, total_power, noise_var, num_streams, rank_tol
+        realization.matrices, total_power, noise_var, num_streams
     )
     return aligned_design(realization, precoders, result.combiner), result
 
@@ -383,7 +367,7 @@ def residual_isi_power(
         + 1j * rng.standard_normal((num_symbols, n_streams))
     ) / math.sqrt(2.0)
     x = build_ddam_tx(design, s, timebase)
-    r = apply_channel(realization, x, noise_std=0.0)
+    r = apply_channel(realization, x)
     y = r @ design.combiner.conj()
     lo = margin
     hi = num_symbols - margin

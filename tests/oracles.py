@@ -35,7 +35,7 @@ from ddamsim.channel import (
 from ddamsim.config import SystemConfig
 from ddamsim.errors import ContractViolationError, FeasibilityError, NumericalError
 from ddamsim.experiments import OFDM_SUBCARRIERS, PAPR_MODULATION_ORDER
-from ddamsim.linalg import DEFAULT_RANK_TOL, eig_hermitian, null_space_basis, svd_reduced
+from ddamsim.linalg import eig_hermitian, null_space_basis, svd_reduced
 from ddamsim.metrics import exceedance_fractions, papr_db, qam_symbols
 from ddamsim.zf import DdamDesign
 
@@ -157,13 +157,11 @@ def precoder_update_dense(
     rhs = h_bar.conj().T @ (w @ q)
     if not np.any(np.abs(rhs) > 0):
         return np.zeros((h_bar.shape[1], w.shape[1]), dtype=np.complex128)
-    vals, vecs = eig_hermitian(quad, herm_tol=1e-8)
+    vals, vecs = eig_hermitian(quad)
     return _budgeted_precoder(vals, vecs, vecs.conj().T @ rhs, total_power)
 
 
-def path_zf_precoder_bases_dense(
-    matrices: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL
-) -> list[np.ndarray]:
+def path_zf_precoder_bases_dense(matrices: np.ndarray) -> list[np.ndarray]:
     """Dense version of `zf.path_zf_precoder_bases`.
 
     bases[l] spans the full orthogonal complement of the column space of
@@ -178,7 +176,7 @@ def path_zf_precoder_bases_dense(
     for l in range(num_paths):
         others = [matrices[k].conj().T for k in range(num_paths) if k != l]
         stack = np.concatenate(others, axis=1)
-        basis = null_space_basis(stack, tol=rank_tol)
+        basis = null_space_basis(stack)
         if basis.shape[1] == 0:
             raise FeasibilityError(
                 f"path {l}: no interference-free transmit directions left "
@@ -188,9 +186,7 @@ def path_zf_precoder_bases_dense(
     return bases
 
 
-def path_zf_precoder_bases_loop(
-    matrices: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL
-) -> list[np.ndarray]:
+def path_zf_precoder_bases_loop(matrices: np.ndarray) -> list[np.ndarray]:
     """Per-path loop version of `zf.path_zf_precoder_bases`.
 
     Same thin QR of the stacked adjoint, but each path's other-path block
@@ -202,7 +198,7 @@ def path_zf_precoder_bases_loop(
     bases = []
     for l in range(num_paths):
         others = np.delete(tri, np.s_[l * num_rx : (l + 1) * num_rx], axis=1)
-        reduced = null_space_basis(others, tol=rank_tol)
+        reduced = null_space_basis(others)
         if reduced.shape[1] == 0:
             raise FeasibilityError(
                 f"path {l}: no interference-free transmit directions left "
@@ -401,7 +397,6 @@ def ofdm_design_and_rate_loop(
     total_power: float,
     noise_var: float,
     num_streams: int | None = None,
-    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> OfdmResult:
     """Per-subcarrier loop version of `ofdm_design_and_rate`.
 
@@ -410,7 +405,9 @@ def ofdm_design_and_rate_loop(
     q = k (desired) slots are zero, so only the sources q != k enter. The library
     computes the same design, LAPACK's singular-vector phases included,
     up to rounding from one batched SVD of compressed channels, and the
-    same SINRs with an FFT correlation.
+    same SINRs with an FFT correlation. num_streams = None leaves the
+    ranks uncapped; the library always takes a cap, and a cap of M_r is
+    the same since no rank exceeds M_r.
     """
     k_sub = int(num_subcarriers)
     if k_sub < 1:
@@ -421,7 +418,7 @@ def ofdm_design_and_rate_loop(
         raise ContractViolationError("total_power and noise_var must be positive")
     paths = realization.path_set
     ts = realization.symbol_duration_s
-    left, right, parent = _rank_one_components(realization, rank_tol)
+    left, right, parent = _rank_one_components(realization)
     n_comp = left.shape[0]
     comp_doppler = paths.doppler_hz[parent]
     comp_delay = paths.delay_taps[parent]
@@ -445,7 +442,7 @@ def ofdm_design_and_rate_loop(
     sing_values = np.zeros((k_sub, r_cap))
     ranks = np.zeros(k_sub, dtype=np.int64)
     for k in range(k_sub):
-        u, s, v = svd_reduced(desired[k], rank_tol=rank_tol)
+        u, s, v = svd_reduced(desired[k])
         r_k = s.size if num_streams is None else min(s.size, num_streams)
         ranks[k] = r_k
         combiners[k, :, :r_k] = u[:, :r_k]
@@ -576,7 +573,7 @@ def measure_beam_sinr(
         gen.standard_normal(num_symbols) + 1j * gen.standard_normal(num_symbols)
     ) / math.sqrt(2.0)
     x = np.outer(s, design.precoder)
-    r = apply_channel(realization, x, noise_std=0.0)
+    r = apply_channel(realization, x)
     n_idx = np.arange(num_symbols)
     derot = np.exp(
         -2j

@@ -239,25 +239,25 @@ def test_criterion_07_otfs_operators_keep_their_structure():
     realization1 = realize_channel(
         generate_paths(cfg1, np.random.default_rng(71)), cfg1
     )
-    otfs1 = make_otfs_config(realization1, 64, 8, 40)
+    otfs1 = make_otfs_config(realization1, 64, 8)
     gain = otfs_effective_gains(realization1, otfs1)[0]
     psi = otfs_time_channel(realization1, otfs1) / gain
     eye = np.eye(otfs1.grid_size)
     assert np.max(np.abs(psi.conj().T @ psi - eye)) <= 1e-12
     # the delay-Doppler transform is an isometry
     realization = realize_channel(generate_paths(cfg, np.random.default_rng(72)), cfg)
-    otfs = make_otfs_config(realization, 64, 8, 40)
+    otfs = make_otfs_config(realization, 64, 8)
     h_time = otfs_time_channel(realization, otfs)
     h_dd = otfs_delay_doppler_channel(realization, otfs)
     assert np.linalg.norm(h_dd) == pytest.approx(np.linalg.norm(h_time), rel=1e-9)
     # beam search: monotone ascent, exact optimum for a lone path
     for seed in range(10):
         r = realize_channel(generate_paths(cfg, np.random.default_rng([73, seed])), cfg)
-        c = make_otfs_config(r, 64, 8, 40)
+        c = make_otfs_config(r, 64, 8)
         _, _, trace = otfs_beam_opt(r, c)
         assert np.all(np.diff(trace) >= -1e-9 * max(abs(t) for t in trace))
     alpha = realization1.path_set.gains[0]
-    _, _, trace1 = otfs_beam_opt(realization1, otfs1, max_iters=100, tol=1e-13)
+    _, _, trace1 = otfs_beam_opt(realization1, otfs1)
     optimum = otfs1.grid_size * 16 * 4 * np.abs(alpha) ** 2
     assert trace1[-1] == pytest.approx(optimum, rel=1e-8)
 

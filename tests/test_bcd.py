@@ -113,6 +113,15 @@ def test_grouping_branch_inputs_default_to_the_true_paths():
         _lag_pairs(realization, timebase, [3], paths.delay_taps[:2], paths.doppler_hz)
 
 
+def test_grouping_rejects_a_negative_block():
+    # the lag model's block check, which the mismatched-CSI rate shares
+    _, realization, timebase, _ = _setup(5)
+    with pytest.raises(ContractViolationError):
+        group_delay_differences(realization, timebase, -1)
+    with pytest.raises(ContractViolationError):
+        _lag_pairs(realization, timebase, [0, -1])
+
+
 def test_grouping_single_path_has_no_isi():
     cfg, realization, timebase, _ = _setup(2, num_paths=1)
     grouped = group_delay_differences(realization, timebase, 0)

@@ -187,7 +187,8 @@ def test_ofdm_matches_per_subcarrier_loop_oracle(num_tx, velocity_mps, num_strea
         args = (
             realization, 512, cfg.max_delay_tap, cfg.tx_power_watts, cfg.noise_power_watts
         )
-        result = ofdm_design_and_rate(*args, num_streams=num_streams)
+        # None: the oracle runs uncapped, the library at the cap M_r
+        result = ofdm_design_and_rate(*args, num_streams=num_streams or cfg.num_rx_antennas)
         reference = ofdm_design_and_rate_loop(*args, num_streams=num_streams)
         assert np.array_equal(result.ranks, reference.ranks), f"seed {seed}"
         _assert_same_design(result, reference, cfg.tx_power_watts, f"seed {seed}")
@@ -247,7 +248,7 @@ def test_ofdm_sinr_matches_direct_ici_sum_at_high_sinr():
 def test_ofdm_all_zero_channel_loads_no_stream():
     cfg = SystemConfig(num_tx_antennas=4, num_rx_antennas=2, num_paths=2)
     realization = realize_channel(_path_set([0.0, 0.0], [0, 3], [1e3, -2e3]), cfg)
-    result = ofdm_design_and_rate(realization, 16, 4, 1.0, cfg.noise_power_watts)
+    result = ofdm_design_and_rate(realization, 16, 4, 1.0, cfg.noise_power_watts, 2)
     assert result.rate_bps_hz == 0.0
     assert np.array_equal(result.ranks, np.zeros(16))
     # one all-zero slot per subcarrier, so sinr[:, 0] always exists
@@ -301,10 +302,10 @@ def test_ofdm_compressed_svd_matches_loop_oracle(
         cfg.max_delay_tap,
         cfg.tx_power_watts,
         cfg.noise_power_watts,
-        num_streams,
     )
-    result = ofdm_design_and_rate(*args)
-    reference = ofdm_design_and_rate_loop(*args)
+    # None: the oracle runs uncapped, the library at the cap M_r
+    result = ofdm_design_and_rate(*args, num_streams or num_rx)
+    reference = ofdm_design_and_rate_loop(*args, num_streams)
     assert np.array_equal(result.ranks, reference.ranks)
     _assert_same_design(result, reference, cfg.tx_power_watts, branch)
     assert result.rate_bps_hz == pytest.approx(reference.rate_bps_hz, rel=1e-12, abs=0.0)
@@ -359,8 +360,9 @@ def test_ofdm_result_stacks_keep_their_contract(
     else:
         realization = realize_channel(_path_set([0.0, 0.0], [0, 3], [1e3, -2e3]), cfg)
     cp, power = cfg.max_delay_tap, cfg.tx_power_watts
+    # None: no cap beyond the rank, which is at most M_r
     result = ofdm_design_and_rate(
-        realization, num_subcarriers, cp, power, cfg.noise_power_watts, num_streams
+        realization, num_subcarriers, cp, power, cfg.noise_power_watts, num_streams or num_rx
     )
     ranks = result.ranks
     r_max = max(1, int(ranks.max()))
@@ -388,7 +390,7 @@ def test_ofdm_result_stacks_keep_their_contract(
     assert result.rate_bps_hz == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("num_streams", [0, -1, 2.5, True, "2"])
+@pytest.mark.parametrize("num_streams", [0, -1, 2.5, True, "2", None])
 def test_ofdm_rejects_invalid_num_streams(num_streams):
     cfg = SystemConfig(num_tx_antennas=4, num_rx_antennas=2)
     realization = _realization(cfg, 0)
@@ -421,6 +423,7 @@ def test_ofdm_rejects_malformed_arguments(bad):
         "cp_length": 4,
         "total_power": 1.0,
         "noise_var": cfg.noise_power_watts,
+        "num_streams": 2,
     }
     kwargs.update(bad)
     # rejected up front, before any numpy warning
@@ -433,9 +436,9 @@ def test_ofdm_rejects_malformed_arguments(bad):
 def test_ofdm_accepts_numpy_integer_sizes():
     cfg = SystemConfig(num_tx_antennas=4, num_rx_antennas=2)
     realization = _realization(cfg, 0)
-    plain = ofdm_design_and_rate(realization, 16, 4, 1.0, cfg.noise_power_watts)
+    plain = ofdm_design_and_rate(realization, 16, 4, 1.0, cfg.noise_power_watts, 2)
     numpy_ints = ofdm_design_and_rate(
-        realization, np.int64(16), np.int32(4), 1.0, cfg.noise_power_watts
+        realization, np.int64(16), np.int32(4), 1.0, cfg.noise_power_watts, np.int16(2)
     )
     assert numpy_ints.rate_bps_hz == plain.rate_bps_hz
 
@@ -488,7 +491,6 @@ def test_otfs_config_validation():
     kwargs = dict(
         num_delay_bins=16,
         num_doppler_bins=4,
-        cp_length=4,
         tx_beam=beam4,
         rx_beam=beam2,
         delay_taps=np.array([0, 3], dtype=np.int64),
@@ -515,7 +517,7 @@ def test_make_otfs_config_quantization():
     cfg = SystemConfig(num_tx_antennas=8, num_rx_antennas=2)
     paths = _path_set([1.0, 0.4], [2, 7], [0.9e5, -2.2e5])
     realization = realize_channel(paths, cfg)
-    otfs = make_otfs_config(realization, num_delay_bins=32, num_doppler_bins=8, cp_length=7)
+    otfs = make_otfs_config(realization, num_delay_bins=32, num_doppler_bins=8)
     frame_s = 32 * 8 * cfg.symbol_duration_s
     expect_taps = np.rint(paths.doppler_hz * frame_s).astype(np.int64)
     assert np.array_equal(otfs.doppler_taps, expect_taps)
@@ -533,7 +535,7 @@ def test_otfs_effective_gains_dominant_entry():
     cfg = SystemConfig(num_tx_antennas=8, num_rx_antennas=2)
     paths = _path_set([1.0 + 0.3j, 0.1], [0, 5], [0.0, 1e5])
     realization = realize_channel(paths, cfg)
-    otfs = make_otfs_config(realization, 32, 8, 7)
+    otfs = make_otfs_config(realization, 32, 8)
     gains = otfs_effective_gains(realization, otfs)
     expected = paths.gains[0] * np.sqrt(2.0) * np.sqrt(8.0)
     assert gains[0] == pytest.approx(expected, rel=1e-12)
@@ -543,7 +545,7 @@ def test_otfs_transform_preserves_energy():
     cfg = SystemConfig(num_tx_antennas=8, num_rx_antennas=2)
     paths = _path_set([0.9, 0.4j, 0.2], [1, 6, 11], [1.2e5, -0.7e5, 2.9e5])
     realization = realize_channel(paths, cfg)
-    otfs = make_otfs_config(realization, 16, 4, 5)
+    otfs = make_otfs_config(realization, 16, 4)
     h_time = otfs_time_channel(realization, otfs)
     h_dd = otfs_delay_doppler_channel(realization, otfs)
     assert h_time.shape == (64, 64) and h_dd.shape == (64, 64)
@@ -554,7 +556,7 @@ def test_otfs_dense_and_sparse_rates_agree():
     cfg = SystemConfig(num_tx_antennas=8, num_rx_antennas=2)
     paths = _path_set([0.9, 0.4j, 0.2], [1, 6, 11], [1.2e5, -0.7e5, 2.9e5])
     realization = realize_channel(paths, cfg)
-    otfs = make_otfs_config(realization, 16, 4, 5)
+    otfs = make_otfs_config(realization, 16, 4)
     h_dd = otfs_delay_doppler_channel(realization, otfs)
     pbar = 2.7
     dense = otfs_rate(h_dd, pbar, 5, 16, 4)
@@ -563,11 +565,42 @@ def test_otfs_dense_and_sparse_rates_agree():
     assert sparse == pytest.approx(dense, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        pytest.param({"effective_gains": np.ones(2)}, id="gains short"),
+        pytest.param({"delay_taps": np.array([0, 1, 2, 3])}, id="delays long"),
+        pytest.param({"doppler_taps": np.array([1])}, id="dopplers short"),
+        pytest.param({"effective_gains": np.ones((3, 1))}, id="gains 2-D"),
+        pytest.param(
+            {"effective_gains": np.ones(0), "delay_taps": [], "doppler_taps": []}, id="no path"
+        ),
+        pytest.param({"power_over_noise": float("nan")}, id="power nan"),
+        pytest.param({"power_over_noise": float("inf")}, id="power inf"),
+        pytest.param({"power_over_noise": -1.0}, id="power negative"),
+        pytest.param({"cp_length": -1}, id="cp negative"),
+    ],
+)
+def test_otfs_rate_from_taps_rejects_malformed_arguments(bad):
+    valid = {
+        "effective_gains": np.array([0.9, 0.4j, 0.2]),
+        "delay_taps": np.array([1, 6, 11]),
+        "doppler_taps": np.array([2, -1, 0]),
+        "num_delay_bins": 16,
+        "num_doppler_bins": 4,
+        "power_over_noise": 2.7,
+        "cp_length": 5,
+    }
+    assert otfs_rate_from_taps(**valid) > 0
+    with pytest.raises(ContractViolationError):
+        otfs_rate_from_taps(**{**valid, **bad})
+
+
 def test_otfs_beam_opt_trace_monotone():
     cfg = SystemConfig(num_tx_antennas=16, num_rx_antennas=4)
     for seed in range(10):
         realization = _realization(cfg, 70 + seed)
-        otfs = make_otfs_config(realization, 64, 4, 40)
+        otfs = make_otfs_config(realization, 64, 4)
         f, v, trace = otfs_beam_opt(realization, otfs)
         assert np.linalg.norm(f) == pytest.approx(1.0, rel=1e-9)
         assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-9)
@@ -581,8 +614,8 @@ def test_otfs_beam_opt_single_path_optimum():
     cfg = SystemConfig(num_tx_antennas=16, num_rx_antennas=4, num_paths=1)
     realization = _realization(cfg, 80)
     alpha = realization.path_set.gains[0]
-    otfs = make_otfs_config(realization, 64, 4, 40)
-    _, _, trace = otfs_beam_opt(realization, otfs, max_iters=100, tol=1e-13)
+    otfs = make_otfs_config(realization, 64, 4)
+    _, _, trace = otfs_beam_opt(realization, otfs)
     grid = 64 * 4
     optimum = grid * 16 * 4 * np.abs(alpha) ** 2
     assert trace[-1] == pytest.approx(optimum, rel=1e-8)
