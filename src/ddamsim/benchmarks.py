@@ -37,12 +37,18 @@ class OfdmResult:
 
     Zero-padded stacks over K subcarriers and r_max = max(1, max_k r_k)
     stream slots, r_k = ranks[k] being the rank of subcarrier k capped at
-    the stream count. precoders[k, :, :r_k] spends the whole power budget,
+    the stream count. The precoders are kept factored: subcarrier k's is
+    antenna_basis @ precoder_coords[k], where antenna_basis is
+    block-diag(I_{M_r}, Q) with Q the orthonormal (M_t - M_r, C) tail basis
+    and zero padding columns up to W = max(2 M_r, M_r + C), or I_{M_t} when
+    M_t <= W. Its nonzero columns are orthonormal, so precoder_coords[k, :,
+    :r_k] spends the whole power budget on the antennas too.
     combiners[k, :, :r_k] has orthonormal columns, and every entry of a slot
     i >= r_k is zero, so sinr[:, 0] is the strongest stream's SINR.
     """
 
-    precoders: np.ndarray          # (K, M_t, r_max)
+    precoder_coords: np.ndarray    # (K, W, r_max)
+    antenna_basis: np.ndarray      # (M_t, W)
     combiners: np.ndarray          # (K, M_r, r_max)
     singular_values: np.ndarray    # (K, r_max)
     sinr: np.ndarray               # (K, r_max)
@@ -55,24 +61,36 @@ def ici_coefficient(
 ) -> np.ndarray:
     """Doppler-induced coupling from subcarrier k onto k + delta.
 
-    Averages exp(j*2*pi*(nu*T_s + delta/K)*n) over one K-sample block; the
-    geometric closed form is used except when the ratio is within
-    ICI_GEOMETRIC_GUARD of 1, where the sum degenerates to 1. Broadcasts
-    over doppler_hz and delta.
+    Averages exp(j*2*pi*(nu*T_s + delta/K)*n) over one K-sample block. With
+    ratio = exp(j*2*pi*(nu*T_s + delta/K)) the geometric closed form is
+    (ratio^K - 1) / (K * (ratio - 1)), and for an integer delta ratio^K =
+    exp(j*2*pi*nu*T_s*K), which is exactly 1 at nu = 0, so a Doppler-free
+    path couples nothing off the diagonal. Where the ratio is within
+    ICI_GEOMETRIC_GUARD of 1 the sum degenerates to 1. Broadcasts over
+    doppler_hz and delta; a bool or non-integer delta or num_subcarriers
+    raises ContractViolationError.
     """
+    if isinstance(num_subcarriers, bool) or not isinstance(num_subcarriers, (int, np.integer)):
+        raise ContractViolationError(
+            f"num_subcarriers must be an integer, got {num_subcarriers!r}"
+        )
     if num_subcarriers < 1:
         raise ContractViolationError("num_subcarriers must be >= 1")
+    d = np.asarray(delta)
+    if not np.issubdtype(d.dtype, np.integer):
+        raise ContractViolationError(f"delta must be an integer, got {delta!r}")
     nu = np.asarray(doppler_hz, dtype=np.float64)
-    d = np.asarray(delta, dtype=np.float64)
     shape = np.broadcast_shapes(nu.shape, d.shape)
     ratio = np.atleast_1d(
         np.exp(2j * np.pi * (nu * symbol_duration_s + d / num_subcarriers))
     )
+    # ratio^K, one complex exponential per Doppler instead of a power per entry
+    turn = np.broadcast_to(
+        np.exp(2j * np.pi * nu * symbol_duration_s * num_subcarriers), ratio.shape
+    )
     out = np.ones(ratio.shape, dtype=np.complex128)
     far = np.abs(ratio - 1.0) >= ICI_GEOMETRIC_GUARD
-    out[far] = (ratio[far] ** num_subcarriers - 1.0) / (
-        num_subcarriers * (ratio[far] - 1.0)
-    )
+    out[far] = (turn[far] - 1.0) / (num_subcarriers * (ratio[far] - 1.0))
     return out.reshape(shape)
 
 
@@ -129,10 +147,11 @@ def ofdm_design_and_rate(
     right[:, M_r:].T = Q R with Q of size T x C, and each component is
     described by [conj(right[:, :M_r]), conj(right[:, M_r:]) @ Q],
     zero-padded to width W. Below that threshold the same code runs with
-    identity coordinates (Q = I, W = M_t). The precoders are assembled once
-    from the small right vectors: lead rows as they are, tail rows Q times
-    their next C entries; the power budget is checked on the small vectors,
-    and the transmit projections are taken in W dimensions.
+    identity coordinates (Q = I, W = M_t). The precoders stay in that
+    factored form, the small right vectors and the (M_t, W) antenna basis
+    block-diag(I, Q), so no per-subcarrier array has an M_t axis; the power
+    budget is checked on the small vectors, and the transmit projections
+    are taken in W dimensions.
 
     The compression keeps LAPACK's singular-vector phases, which fig8's
     OFDM frame PAPR depends on. For a wide matrix zgesdd first takes a
@@ -186,13 +205,13 @@ def ofdm_design_and_rate(
     lead = min(realization.num_rx, m_t)
     width = max(2 * lead, lead + n_comp)
     if m_t > width:
-        basis = np.linalg.qr(right[:, lead:].T)[0]                    # (T, C)
+        tail = np.linalg.qr(right[:, lead:].T)[0]                     # (T, C)
+        antenna_basis = np.zeros((m_t, width), dtype=np.complex128)
+        antenna_basis[:lead, :lead] = np.eye(lead)
+        antenna_basis[lead:, lead : lead + n_comp] = tail
     else:
-        basis = np.eye(m_t - lead, dtype=np.complex128)
-        width = m_t
-    coords = np.zeros((n_comp, width), dtype=np.complex128)
-    coords[:, :lead] = right[:, :lead].conj()
-    coords[:, lead : lead + basis.shape[1]] = right[:, lead:].conj() @ basis
+        antenna_basis = np.eye(m_t, dtype=np.complex128)
+    coords = right.conj() @ antenna_basis                            # (C, W)
 
     # coupling coefficients for every offset (periodic in delta with period K)
     k_grid = np.arange(k_sub)
@@ -222,9 +241,6 @@ def ofdm_design_and_rate(
     close = np.abs(power - total_power) <= 1e-9 * np.maximum(power, total_power)
     if np.any((ranks > 0) & ~close):
         raise ContractViolationError("subcarrier precoder violates the power budget")
-    precoders = np.empty((k_sub, m_t, r_max), dtype=np.complex128)
-    precoders[:, :lead] = small[:, :lead]
-    precoders[:, lead:] = basis @ small[:, lead : lead + basis.shape[1]]
 
     # receive- and transmit-side projections of every rank-one component;
     # inactive streams have zero precoder columns and drop out of the Gram
@@ -247,7 +263,7 @@ def ofdm_design_and_rate(
     sinr = np.where(active, signal / (ici_power + noise_var), 0.0)
     overhead = k_sub / (k_sub + cp_length)
     rate = overhead * float(np.sum(np.log2(1.0 + sinr))) / k_sub
-    return OfdmResult(precoders, combiners, singular_values, sinr, ranks, rate)
+    return OfdmResult(small, antenna_basis, combiners, singular_values, sinr, ranks, rate)
 
 
 def cfo_compensate(paths: PathSet) -> PathSet:

@@ -489,9 +489,11 @@ def _ofdm_papr_frame(config: SystemConfig, rng: np.random.Generator) -> np.ndarr
     symbols[np.arange(symbols.shape[1]) < ranks[:, None]] = qam_symbols(
         PAPR_MODULATION_ORDER, int(ranks.sum()), rng
     )
-    loaded = np.einsum("ktr,kr->kt", result.precoders, symbols)
-    # unitary-style synthesis: (1/sqrt(K)) sum_k X[k] e^{j 2 pi k n / K}
-    return np.fft.ifft(loaded, axis=0) * math.sqrt(OFDM_SUBCARRIERS)
+    loaded = np.einsum("kwr,kr->kw", result.precoder_coords, symbols)
+    # unitary-style synthesis: (1/sqrt(K)) sum_k X[k] e^{j 2 pi k n / K}, taken
+    # in W dimensions; the antenna map is linear, so it comes after the IFFT
+    frame = np.fft.ifft(loaded, axis=0) * math.sqrt(OFDM_SUBCARRIERS)
+    return frame @ result.antenna_basis.T
 
 
 def _papr_trial(config: SystemConfig, rng: np.random.Generator) -> list:

@@ -170,10 +170,10 @@ class CsiError:
     """Delay/Doppler estimation error model.
 
     delay_accuracy is the expected fraction of paths whose integer delay is
-    estimated correctly; doppler_error_coeff scales the Doppler error
-    standard deviation relative to the Doppler bound. After perturb_csi has
-    run, indicator holds the per-path delay-correct flags that were
-    actually realized.
+    estimated correctly; doppler_error_coeff, finite and >= 0, scales the
+    Doppler error standard deviation relative to the Doppler bound. After
+    perturb_csi has run, indicator holds the per-path delay-correct flags
+    that were actually realized.
     """
 
     delay_accuracy: float
@@ -183,8 +183,12 @@ class CsiError:
     def __post_init__(self) -> None:
         if not 0.0 <= self.delay_accuracy <= 1.0:
             raise ContractViolationError("delay_accuracy must lie in [0, 1]")
-        if self.doppler_error_coeff < 0:
-            raise ContractViolationError("doppler_error_coeff must be >= 0")
+        # a NaN would compare False against 0 and read as perfect Doppler CSI
+        coeff = self.doppler_error_coeff
+        if not (math.isfinite(coeff) and coeff >= 0):
+            raise ContractViolationError(
+                f"doppler_error_coeff must be finite and >= 0, got {coeff!r}"
+            )
         if self.indicator is not None:
             self.indicator = np.asarray(self.indicator, dtype=np.int64)
             if np.any((self.indicator != 0) & (self.indicator != 1)):

@@ -407,7 +407,9 @@ def ofdm_design_and_rate_loop(
     up to rounding from one batched SVD of compressed channels, and the
     same SINRs with an FFT correlation. num_streams = None leaves the
     ranks uncapped; the library always takes a cap, and a cap of M_r is
-    the same since no rank exceeds M_r.
+    the same since no rank exceeds M_r. The full (K, M_t, r_max) precoder
+    stack comes back as `precoder_coords` with the identity as
+    `antenna_basis`, so `ofdm_precoder_stack` reads both results alike.
     """
     k_sub = int(num_subcarriers)
     if k_sub < 1:
@@ -455,8 +457,9 @@ def ofdm_design_and_rate_loop(
     sing_values = sing_values[:, :r_max]
     sinr = np.zeros((k_sub, r_max))
 
+    basis = np.eye(realization.num_tx, dtype=np.complex128)
     if n_comp == 0 or not ranks.any():
-        return OfdmResult(precoders, combiners, sing_values, sinr, ranks, 0.0)
+        return OfdmResult(precoders, basis, combiners, sing_values, sinr, ranks, 0.0)
 
     # receive- and transmit-side projections of every rank-one component
     u_proj = np.zeros((k_sub, r_max, n_comp), dtype=np.complex128)
@@ -490,7 +493,12 @@ def ofdm_design_and_rate_loop(
         rate_sum += float(np.sum(np.log2(1.0 + sinr[k, :r_k])))
     overhead = k_sub / (k_sub + cp_length)
     rate = overhead * rate_sum / k_sub
-    return OfdmResult(precoders, combiners, sing_values, sinr, ranks, rate)
+    return OfdmResult(precoders, basis, combiners, sing_values, sinr, ranks, rate)
+
+
+def ofdm_precoder_stack(result: OfdmResult) -> np.ndarray:
+    """The (K, M_t, r_max) precoder stack of a factored `OfdmResult`."""
+    return result.antenna_basis @ result.precoder_coords
 
 
 def ofdm_ici_direct(realization: ChannelRealization, result: OfdmResult) -> np.ndarray:
@@ -510,7 +518,9 @@ def ofdm_ici_direct(realization: ChannelRealization, result: OfdmResult) -> np.n
         paths.doppler_hz[:, None], realization.symbol_duration_s, k_sub, grid[None, :]
     )
     ramp = np.exp(-2j * np.pi * np.outer(paths.delay_taps, grid) / k_sub)   # (L, K)
-    path_precoded = np.einsum("lat,qtj->lqaj", realization.matrices, result.precoders)
+    path_precoded = np.einsum(
+        "lat,qtj->lqaj", realization.matrices, ofdm_precoder_stack(result)
+    )
     ici = np.zeros(result.sinr.shape)
     for k, u in enumerate(result.combiners):
         weight = coeff[:, (grid - k) % k_sub] * ramp
@@ -523,8 +533,10 @@ def ofdm_ici_direct(realization: ChannelRealization, result: OfdmResult) -> np.n
 def ofdm_papr_frame_loop(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
     """Per-subcarrier loop version of `experiments._ofdm_papr_frame`.
 
-    Loads each subcarrier with its own precoder-times-symbols product
-    instead of gathering all loaded streams in one pass.
+    Loads each subcarrier with its own M_t-antenna precoder-times-symbols
+    product and takes the IFFT over all M_t antennas, instead of gathering
+    all loaded streams in one pass in W dimensions and mapping the IFFT to
+    the antennas afterwards.
     """
     paths = generate_paths(config, rng)
     realization = realize_channel(paths, config)
@@ -537,13 +549,14 @@ def ofdm_papr_frame_loop(config: SystemConfig, rng: np.random.Generator) -> np.n
         num_streams=config.num_streams,
     )
     ranks = result.ranks
+    precoders = ofdm_precoder_stack(result)
     symbols = qam_symbols(PAPR_MODULATION_ORDER, int(ranks.sum()), rng)
     loaded = np.zeros((OFDM_SUBCARRIERS, config.num_tx_antennas), dtype=np.complex128)
     start = 0
     for k, r_k in enumerate(ranks):
         stop = start + r_k
         if stop > start:
-            loaded[k] = result.precoders[k, :, :r_k] @ symbols[start:stop]
+            loaded[k] = precoders[k, :, :r_k] @ symbols[start:stop]
         start = stop
     return np.fft.ifft(loaded, axis=0) * math.sqrt(OFDM_SUBCARRIERS)
 

@@ -32,6 +32,7 @@ from oracles import (
     measure_beam_sinr,
     ofdm_design_and_rate_loop,
     ofdm_ici_direct,
+    ofdm_precoder_stack,
     otfs_delay_doppler_channel,
     otfs_rate,
     otfs_time_channel,
@@ -74,7 +75,44 @@ def test_ici_coefficient_zero_doppler():
     c0 = ici_coefficient(0.0, 1e-8, 32, 0)
     assert c0 == pytest.approx(1.0, abs=1e-15)
     for delta in range(1, 32):
-        assert abs(ici_coefficient(0.0, 1e-8, 32, delta)) <= 1e-14
+        assert ici_coefficient(0.0, 1e-8, 32, delta) == 0.0
+
+
+@pytest.mark.parametrize(
+    "num_subcarriers, delta",
+    [
+        (32, 1.0),
+        (32, 0.5),
+        (32, True),
+        (32, np.array([0, 1], dtype=bool)),
+        (32, np.arange(4, dtype=np.float64)),
+        (32.0, 1),
+        (True, 0),
+        (np.float64(16), 1),
+        (0, 1),
+    ],
+    ids=[
+        "float-delta",
+        "fractional-delta",
+        "bool-delta",
+        "bool-array-delta",
+        "float-array-delta",
+        "float-count",
+        "bool-count",
+        "numpy-float-count",
+        "zero-count",
+    ],
+)
+def test_ici_coefficient_rejects_non_integer_arguments(num_subcarriers, delta):
+    # the closed form takes exp(j 2 pi delta) = 1, which needs an integer delta
+    with pytest.raises(ContractViolationError):
+        ici_coefficient(100.0, 1e-8, num_subcarriers, delta)
+
+
+def test_ici_coefficient_accepts_numpy_integers():
+    want = ici_coefficient(123.0, 1e-8, 16, 3)
+    assert ici_coefficient(123.0, 1e-8, np.int16(16), np.int8(3)) == want
+    assert ici_coefficient(123.0, 1e-8, 16, np.array([3], dtype=np.uint8))[0] == want
 
 
 def test_ici_coefficient_energy_identity():
@@ -158,6 +196,7 @@ def test_ofdm_sinr_against_naive_loops():
             )
         return total
 
+    precoders = ofdm_precoder_stack(result)
     rate_sum = 0.0
     for k in range(k_sub):
         r_k = result.ranks[k]
@@ -168,7 +207,7 @@ def test_ofdm_sinr_against_naive_loops():
             for q in range(k_sub):
                 if q == k:
                     continue
-                f_q = result.precoders[q, :, : result.ranks[q]]
+                f_q = precoders[q, :, : result.ranks[q]]
                 ici += float(np.sum(np.abs(u[:, i].conj() @ coupling(k, q) @ f_q) ** 2))
             sinr = sig / (ici + noise)
             assert sinr == pytest.approx(result.sinr[k, i], rel=1e-9), f"k={k} i={i}"
@@ -207,15 +246,46 @@ def _assert_same_design(result, reference, total_power, msg):
         assert got.shape == want.shape, f"{name} {msg}"
         scale = max(float(np.max(np.abs(want))), np.finfo(float).tiny)
         assert np.max(np.abs(got - want)) <= 1e-12 * scale, f"{name} {msg}"
-    assert result.precoders.shape == reference.precoders.shape, msg
+    got, want = ofdm_precoder_stack(result), ofdm_precoder_stack(reference)
+    assert got.shape == want.shape, msg
     # each loaded subcarrier's precoder has Frobenius norm sqrt(total_power)
     np.testing.assert_allclose(
-        result.precoders,
-        reference.precoders,
+        got,
+        want,
         rtol=0,
         atol=1e-12 * np.sqrt(total_power),
         err_msg=f"precoders {msg}",
     )
+
+
+@pytest.mark.parametrize("num_paths", [1, 3], ids=["padded", "unpadded"])
+def test_ofdm_result_has_no_antenna_axis_per_subcarrier(num_paths):
+    # W = max(2 M_r, M_r + C) with C = L rank-one components of a ray channel
+    cfg = SystemConfig(num_tx_antennas=1024, num_paths=num_paths)
+    realization = _realization(cfg, 5)
+    result = ofdm_design_and_rate(
+        realization,
+        512,
+        cfg.max_delay_tap,
+        cfg.tx_power_watts,
+        cfg.noise_power_watts,
+        num_streams=cfg.num_streams,
+    )
+    m_r = cfg.num_rx_antennas
+    width = max(2 * m_r, m_r + num_paths)
+    assert result.precoder_coords.shape[1] == width
+    assert result.antenna_basis.shape == (1024, width)
+    # the nonzero columns are orthonormal, so the budget checked on the
+    # coordinates is the power on the antennas
+    basis = result.antenna_basis
+    used = basis[:, np.any(basis != 0, axis=0)]
+    assert used.shape[1] == m_r + num_paths
+    assert np.max(np.abs(used.conj().T @ used - np.eye(used.shape[1]))) <= 1e-12
+    loaded = result.ranks > 0
+    coord_power = np.sum(np.abs(result.precoder_coords[loaded]) ** 2, axis=(1, 2))
+    antenna_power = np.sum(np.abs(ofdm_precoder_stack(result)[loaded]) ** 2, axis=(1, 2))
+    np.testing.assert_allclose(coord_power, cfg.tx_power_watts, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(antenna_power, coord_power, rtol=1e-12, atol=0)
 
 
 def test_ofdm_sinr_matches_direct_ici_sum_at_high_sinr():
@@ -252,7 +322,7 @@ def test_ofdm_all_zero_channel_loads_no_stream():
     assert result.rate_bps_hz == 0.0
     assert np.array_equal(result.ranks, np.zeros(16))
     # one all-zero slot per subcarrier, so sinr[:, 0] always exists
-    assert np.array_equal(result.precoders, np.zeros((16, 4, 1)))
+    assert np.array_equal(ofdm_precoder_stack(result), np.zeros((16, 4, 1)))
     assert np.array_equal(result.combiners, np.zeros((16, 2, 1)))
     assert np.array_equal(result.singular_values, np.zeros((16, 1)))
     assert np.array_equal(result.sinr, np.zeros((16, 1)))
@@ -368,12 +438,13 @@ def test_ofdm_result_stacks_keep_their_contract(
     r_max = max(1, int(ranks.max()))
     assert ranks.shape == (num_subcarriers,)
     assert np.all(ranks <= min(num_tx, num_rx, num_streams or num_rx))
-    assert result.precoders.shape == (num_subcarriers, num_tx, r_max)
+    precoders = ofdm_precoder_stack(result)
+    assert precoders.shape == (num_subcarriers, num_tx, r_max)
     assert result.combiners.shape == (num_subcarriers, num_rx, r_max)
     assert result.singular_values.shape == result.sinr.shape == (num_subcarriers, r_max)
     # every entry of an inactive stream slot is zero
     inactive = np.arange(r_max)[None, :] >= ranks[:, None]
-    assert not np.any(np.moveaxis(result.precoders, 2, 1)[inactive])
+    assert not np.any(np.moveaxis(precoders, 2, 1)[inactive])
     assert not np.any(np.moveaxis(result.combiners, 2, 1)[inactive])
     assert not np.any(result.singular_values[inactive])
     assert not np.any(result.sinr[inactive])
@@ -381,7 +452,7 @@ def test_ofdm_result_stacks_keep_their_contract(
     for k, r_k in enumerate(ranks):
         if r_k == 0:
             continue
-        loaded = float(np.sum(np.abs(result.precoders[k]) ** 2))
+        loaded = float(np.sum(np.abs(precoders[k]) ** 2))
         assert loaded == pytest.approx(power, rel=1e-9, abs=0.0), f"k={k}"
         w = result.combiners[k, :, :r_k]
         assert np.max(np.abs(w.conj().T @ w - np.eye(r_k))) <= 1e-12, f"k={k}"

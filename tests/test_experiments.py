@@ -515,8 +515,10 @@ def test_fig9_perfect_csi_rows_equal_fig4_zero_forcing_rows():
 
 @pytest.mark.parametrize("num_streams", [1, 2])
 def test_ofdm_papr_frame_matches_per_subcarrier_loop(num_streams):
-    # fig8 loads one stream per subcarrier; two streams exercise the padding
-    cfg = SystemConfig(num_tx_antennas=16, num_streams=num_streams)
-    got = _ofdm_papr_frame(cfg, np.random.default_rng(11))
-    want = ofdm_papr_frame_loop(cfg, np.random.default_rng(11))
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # fig8 loads one stream per subcarrier; two streams exercise the padding.
+    # M_t = 3 <= W keeps the identity antenna basis, the others compress
+    for num_tx in (3, 16, 128, 1024):
+        cfg = SystemConfig(num_tx_antennas=num_tx, num_streams=num_streams)
+        got = _ofdm_papr_frame(cfg, np.random.default_rng(11))
+        want = ofdm_papr_frame_loop(cfg, np.random.default_rng(11))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), num_tx

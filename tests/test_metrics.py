@@ -201,6 +201,9 @@ def test_csi_error_validation():
         CsiError(delay_accuracy=1.2, doppler_error_coeff=0.0)
     with pytest.raises(ContractViolationError):
         CsiError(delay_accuracy=0.5, doppler_error_coeff=-0.1)
+    for coeff in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ContractViolationError):
+            CsiError(delay_accuracy=1.0, doppler_error_coeff=coeff)
     with pytest.raises(ContractViolationError):
         CsiError(0.5, 0.0, indicator=np.array([0, 2]))
     clean = CsiError(0.5, 0.0)
