@@ -32,8 +32,9 @@ _MAX_DELAY_REDRAWS = 10_000
 class PathSet:
     """Geometry and gains of the resolvable multipath components.
 
-    Delay taps are pairwise distinct integers in [0, delay_tap_bound] and
-    every Doppler shift is bounded by doppler_bound_hz in magnitude.
+    Delay taps are pairwise distinct integers in [0, delay_tap_bound],
+    every Doppler shift is bounded by doppler_bound_hz in magnitude, and
+    gains, angles, Dopplers and the bound are finite.
     """
 
     gains: np.ndarray          # complex, shape (L,)
@@ -56,6 +57,12 @@ class PathSet:
         for name in ("aoa_rad", "aod_rad", "delay_taps", "doppler_hz"):
             if getattr(self, name).shape != (n,):
                 raise ContractViolationError(f"PathSet field {name} has mismatched length")
+        # a NaN would pass every comparison below
+        for name in ("gains", "aoa_rad", "aod_rad", "doppler_hz"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ContractViolationError(f"PathSet field {name} must be finite")
+        if not math.isfinite(self.doppler_bound_hz):
+            raise ContractViolationError("PathSet field doppler_bound_hz must be finite")
         if len(set(self.delay_taps.tolist())) != n:
             raise ContractViolationError("delay taps must be pairwise distinct")
         if self.delay_taps.min() < 0 or self.delay_taps.max() > self.delay_tap_bound:
@@ -76,7 +83,10 @@ class PathSet:
 
 @dataclass
 class ChannelRealization:
-    """Per-path channel matrices plus the sampling interval they live on."""
+    """Per-path channel matrices plus the sampling interval they live on.
+
+    The matrices are finite and the interval is finite and positive.
+    """
 
     path_set: PathSet
     matrices: np.ndarray       # complex, shape (L, M_r, M_t)
@@ -88,8 +98,10 @@ class ChannelRealization:
             raise ContractViolationError("matrices must have shape (L, M_r, M_t)")
         if self.matrices.shape[0] != self.path_set.num_paths:
             raise ContractViolationError("one matrix per path required")
-        if self.symbol_duration_s <= 0:
-            raise ContractViolationError("symbol_duration_s must be positive")
+        if not np.isfinite(self.matrices).all():
+            raise ContractViolationError("matrices must be finite")
+        if not (math.isfinite(self.symbol_duration_s) and self.symbol_duration_s > 0):
+            raise ContractViolationError("symbol_duration_s must be finite and positive")
 
     @property
     def num_rx(self) -> int:

@@ -65,6 +65,7 @@ from .metrics import (
 from .zf import (
     DdamDesign,
     FeasibilityVerdict,
+    aligned_design,
     build_ddam_tx,
     zf_design,
     zf_feasibility,
@@ -535,17 +536,24 @@ def _imperfect_csi_trial(config: SystemConfig, rng: np.random.Generator) -> list
             and est_paths.doppler_bound_hz == paths.doppler_bound_hz
         )
         estimated[scheme] = paths if unmoved else est_paths
+    # the path matrices depend on gains and angles only, which perturb_csi
+    # keeps, so every estimate shares the true spatial design and only
+    # re-aligns it: unfold the true phases, fold in the estimate's
+    unfold = np.exp(2j * np.pi * paths.doppler_hz * paths.delay_taps * config.symbol_duration_s)
     records = []
     for mt in TRANSMIT_ANTENNA_SWEEP:
         cfg = replace(config, num_tx_antennas=mt)
         true_realization = realize_channel(paths, cfg)
+        perfect, _ = zf_design(true_realization, cfg.tx_power_watts, noise, cfg.num_streams)
+        spatial = perfect.precoders * unfold[:, None, None]
         for scheme, _, _ in IMPERFECT_CSI_MODELS:
             est_paths = estimated[scheme]
-            est_realization = (
-                true_realization if est_paths is paths else realize_channel(est_paths, cfg)
-            )
-            design, _ = zf_design(
-                est_realization, cfg.tx_power_watts, noise, cfg.num_streams
+            design = (
+                perfect
+                if est_paths is paths
+                else aligned_design(
+                    replace(true_realization, path_set=est_paths), spatial, perfect.combiner
+                )
             )
             rate = mismatched_alignment_rate(
                 true_realization,

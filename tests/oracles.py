@@ -9,7 +9,7 @@ independent oracle for each.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -29,15 +29,29 @@ from ddamsim.channel import (
     Timebase,
     apply_channel,
     array_response,
+    coherence_partition,
     generate_paths,
     realize_channel,
 )
 from ddamsim.config import SystemConfig
 from ddamsim.errors import ContractViolationError, FeasibilityError, NumericalError
-from ddamsim.experiments import OFDM_SUBCARRIERS, PAPR_MODULATION_ORDER
+from ddamsim.experiments import (
+    IMPERFECT_CSI_MODELS,
+    OFDM_SUBCARRIERS,
+    PAPR_MODULATION_ORDER,
+    TRANSMIT_ANTENNA_SWEEP,
+    _alignment_overhead,
+    mismatched_alignment_rate,
+)
 from ddamsim.linalg import eig_hermitian, null_space_basis, svd_reduced
-from ddamsim.metrics import exceedance_fractions, papr_db, qam_symbols
-from ddamsim.zf import DdamDesign
+from ddamsim.metrics import (
+    CsiError,
+    exceedance_fractions,
+    papr_db,
+    perturb_csi,
+    qam_symbols,
+)
+from ddamsim.zf import DdamDesign, zf_design
 
 
 # --- aligned-link rate and waveform (bcd, zf) ---------------------------------
@@ -271,6 +285,35 @@ def mismatched_alignment_rate_loop(
         )
         rates.append(colored_noise_rate(desired, list(groups.values()), noise_var)[0])
     return float(np.mean(rates))
+
+
+def imperfect_csi_trial_loop(config: SystemConfig, rng: np.random.Generator) -> list:
+    """Per-estimate version of `experiments._imperfect_csi_trial`.
+
+    Realizes the channel of every CSI model's estimated paths and builds
+    its zero-forcing alignment design from scratch, instead of re-aligning
+    the one spatial design of the true channel that every estimate shares.
+    """
+    paths = generate_paths(config, rng)
+    timebase = coherence_partition(config)
+    overhead = _alignment_overhead(config, timebase)
+    noise = config.noise_power_watts
+    estimates = [
+        (scheme, perturb_csi(paths, CsiError(accuracy, coeff), rng)[0])
+        for scheme, accuracy, coeff in IMPERFECT_CSI_MODELS
+    ]
+    records = []
+    for mt in TRANSMIT_ANTENNA_SWEEP:
+        cfg = replace(config, num_tx_antennas=mt)
+        true_realization = realize_channel(paths, cfg)
+        for scheme, est_paths in estimates:
+            est_realization = realize_channel(est_paths, cfg)
+            design, _ = zf_design(est_realization, cfg.tx_power_watts, noise, cfg.num_streams)
+            rate = mismatched_alignment_rate(
+                true_realization, design, est_paths.max_delay_tap, noise, timebase
+            )
+            records.append((scheme, "mt", float(mt), "se_bps_hz", rate * (1.0 - overhead)))
+    return records
 
 
 # --- large-array SNR references (asymptotic) ----------------------------------

@@ -1,6 +1,7 @@
 """Geometric channel model: path draws, realization, exact propagation."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -202,6 +203,57 @@ def test_path_set_validation():
         _path_set([1.0], [41], [0.0], tap_bound=40)  # out of range
     with pytest.raises(ContractViolationError):
         _path_set([1.0], [2], [6000.0], bound_hz=5000.0)  # doppler above bound
+
+
+def _valid_paths():
+    return _path_set([1.0, 1.0, 1.0], [2, 9, 17], [-1000.0, 0.0, 1000.0])
+
+
+def _valid_realization():
+    cfg = SystemConfig(num_tx_antennas=4, num_rx_antennas=2, num_paths=3)
+    return realize_channel(_valid_paths(), cfg)
+
+
+def _matrices_with(entry):
+    matrices = np.ones((3, 2, 4), dtype=np.complex128)
+    matrices[1, 0, 2] = entry
+    return matrices
+
+
+@pytest.mark.parametrize(
+    "valid, changes",
+    [
+        (_valid_paths, {"doppler_hz": np.array([-1000.0, np.nan, 1000.0])}),
+        (_valid_paths, {"doppler_bound_hz": np.nan}),
+        (
+            _valid_paths,
+            {"doppler_hz": np.array([-1000.0, np.inf, 1000.0]), "doppler_bound_hz": np.inf},
+        ),
+        (_valid_paths, {"gains": np.array([1.0, complex(np.nan, 0.0), 1.0])}),
+        (_valid_paths, {"aoa_rad": np.array([0.1, np.nan, 0.3])}),
+        (_valid_paths, {"aod_rad": np.array([0.1, 0.2, np.nan])}),
+        (_valid_realization, {"symbol_duration_s": np.nan}),
+        (_valid_realization, {"symbol_duration_s": np.inf}),
+        (_valid_realization, {"matrices": _matrices_with(np.nan)}),
+        (_valid_realization, {"matrices": _matrices_with(complex(0.0, np.inf))}),
+    ],
+    ids=[
+        "nan-doppler",
+        "nan-doppler-bound",
+        "inf-doppler-and-bound",
+        "nan-gain",
+        "nan-aoa",
+        "nan-aod",
+        "nan-symbol-duration",
+        "inf-symbol-duration",
+        "nan-matrix-entry",
+        "inf-matrix-entry",
+    ],
+)
+def test_constructors_reject_non_finite_fields(valid, changes):
+    # replace() reruns __post_init__, as any construction does
+    with pytest.raises(ContractViolationError):
+        replace(valid(), **changes)
 
 
 def test_realization_json_round_trip():

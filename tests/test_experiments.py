@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ddamsim import experiments
+from ddamsim import experiments, zf
 from ddamsim.bcd import colored_noise_rate, group_delay_differences
 from ddamsim.channel import coherence_partition, generate_paths, realize_channel
 from ddamsim.config import SystemConfig
@@ -29,8 +29,12 @@ from ddamsim.experiments import (
     run_experiment,
 )
 from ddamsim.metrics import CsiError, perturb_csi
-from ddamsim.zf import aligned_design, zf_design
-from oracles import mismatched_alignment_rate_loop, ofdm_papr_frame_loop
+from ddamsim.zf import aligned_design, zf_design, zf_spatial_design
+from oracles import (
+    imperfect_csi_trial_loop,
+    mismatched_alignment_rate_loop,
+    ofdm_papr_frame_loop,
+)
 
 
 EXPECTED_NAMES = {
@@ -485,8 +489,8 @@ def test_mismatched_rate_rejects_bad_inputs(defect):
 
 
 def test_fig9_reuses_the_true_realization_for_an_unmoved_estimate(monkeypatch):
-    # per M_t: the true channel plus the three estimates that moved a delay
-    # or Doppler; the perfect estimate aligns to the true realization
+    # per M_t: the true channel only; every estimate has its path matrices
+    # and re-aligns the true design instead of realizing its own channel
     calls = []
 
     def counted(paths, config):
@@ -496,7 +500,33 @@ def test_fig9_reuses_the_true_realization_for_an_unmoved_estimate(monkeypatch):
     monkeypatch.setattr(experiments, "realize_channel", counted)
     run = run_experiment("fig9-imperfect-csi", seed=4, num_trials=2)
     assert run.failures == []
-    assert len(calls) == 2 * 12
+    assert len(calls) == 2 * 3
+
+
+def test_fig9_builds_one_spatial_design_per_array_size(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return zf_spatial_design(*args)
+
+    monkeypatch.setattr(zf, "zf_spatial_design", counted)
+    run = run_experiment("fig9-imperfect-csi", seed=4, num_trials=2)
+    assert run.failures == []
+    assert len(calls) == 2 * 3
+
+
+@pytest.mark.parametrize("seed", [0, 3, 17, 2024])
+def test_imperfect_csi_trial_matches_per_estimate_design_loop(seed):
+    cfg = SystemConfig()
+    got = experiments._imperfect_csi_trial(cfg, np.random.default_rng(seed))
+    want = imperfect_csi_trial_loop(cfg, np.random.default_rng(seed))
+    assert [r[:4] for r in got] == [r[:4] for r in want]
+    for record, expected in zip(got, want):
+        if record[0] == "perfect":
+            assert record == expected
+        else:
+            assert record[4] == pytest.approx(expected[4], rel=1e-9, abs=0), record[:3]
 
 
 def test_fig9_perfect_csi_rows_equal_fig4_zero_forcing_rows():

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ddamsim.channel import PathSet
+from ddamsim.channel import PathSet, generate_paths, realize_channel
+from ddamsim.config import SystemConfig
 from ddamsim.errors import ContractViolationError
 from ddamsim.metrics import (
     CsiError,
@@ -289,3 +292,34 @@ def test_perturb_csi_doppler_error_statistics():
     assert np.std(flat) == pytest.approx(expected_std, rel=0.05)
     out, _ = perturb_csi(paths, CsiError(1.0, coeff), rng)
     assert out.doppler_bound_hz >= np.max(np.abs(out.doppler_hz))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_paths=st.integers(1, 5),
+    num_rx=st.integers(1, 3),
+    num_tx=st.integers(1, 64),
+    velocity=st.sampled_from([0.0, 50.0, 500.0 / 3.6]),
+    accuracy=st.sampled_from([1.0, 2.0 / 3.0, 1.0 / 3.0, 0.0]),
+    doppler_error=st.sampled_from([0.0, 0.05, 0.5]),
+)
+def test_perturb_csi_keeps_gains_angles_and_path_matrices(
+    seed, num_paths, num_rx, num_tx, velocity, accuracy, doppler_error
+):
+    # fig9 shares one spatial design across CSI models on this invariant
+    cfg = SystemConfig(
+        num_tx_antennas=num_tx,
+        num_rx_antennas=num_rx,
+        num_streams=1,
+        num_paths=num_paths,
+        velocity_mps=velocity,
+    )
+    rng = np.random.default_rng(seed)
+    paths = generate_paths(cfg, rng)
+    est, _ = perturb_csi(paths, CsiError(accuracy, doppler_error), rng)
+    for name in ("gains", "aoa_rad", "aod_rad"):
+        assert np.array_equal(getattr(est, name), getattr(paths, name)), name
+    assert np.array_equal(
+        realize_channel(est, cfg).matrices, realize_channel(paths, cfg).matrices
+    )
