@@ -20,9 +20,11 @@ outputs in one product and, from one solve with their covariance, returns
 the traced rate, the weights and the receive filter together.
 
 This module owns the lag model: _lag_pairs is the one enumeration of
-(true path, transmit branch) pairs. group_delay_differences builds BCD's
-grouped channels on it, and the mismatched-CSI rate, with branches aligned
-to wrong delays/Dopplers, rates every block's grouped outputs at once.
+(true path, transmit branch) pairs. It reads only delays, Dopplers and the
+timebase, never the array size. group_delay_differences builds BCD's
+grouped channels on it, and experiments.mismatched_alignment_rate, with
+branches aligned to estimated delays/Dopplers, builds one lag model per
+estimate and rates every (array size, estimate, block) at once.
 
 The precoder step is the closed-form WMMSE update (Shi, Razaviyayn, Luo
 and He, IEEE TSP 2011). Its solution lies in the range of the adjoint of
@@ -44,7 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import ChannelRealization, Timebase
+from .channel import ChannelRealization, PathSet, Timebase
 from .errors import ContractViolationError, FeasibilityError, NumericalError
 from .linalg import eig_hermitian
 from .zf import FeasibilityVerdict, zf_feasibility, zf_spatial_design
@@ -100,8 +102,19 @@ class BcdState:
     n_iterations: int
 
 
+def _whole_numbers(values, name: str) -> np.ndarray:
+    """values as int64; a NaN, inf or 2.7 raises instead of being cast silently."""
+    raw = np.asarray(values)
+    kind = raw.dtype.kind
+    if kind not in "iu" and not (
+        kind == "f" and np.isfinite(raw).all() and (raw == np.trunc(raw)).all()
+    ):
+        raise ContractViolationError(f"{name} must be whole numbers, got {values!r}")
+    return raw.astype(np.int64)
+
+
 def _lag_pairs(
-    realization: ChannelRealization,
+    paths: PathSet,
     timebase: Timebase,
     block_indices,
     branch_delays: np.ndarray | None = None,
@@ -109,26 +122,30 @@ def _lag_pairs(
 ) -> tuple[list[int], np.ndarray, np.ndarray]:
     """The (transmit branch l', true path l) pairs of the lag model.
 
-    Returns the distinct offsets m^_l' - m_l in first-seen (row-major)
-    order, the (L', L) index of each pair's offset in that list, and the
-    (B, L', L) pair phases
+    Returns the distinct offsets m^_l' - m_l, the desired offset 0 first
+    (listed even when no pair lands on it) and the others in first-seen
+    (row-major) order, the (L', L) index of each pair's offset in that
+    list, and the (B, L', L) pair phases
 
         exp(j 2 pi [(nu_l - nu^_l') n0 + nu^_l' (m_l - m^_l')] T_s)
 
     at the first sample n0 of each of the B coherence blocks in
     block_indices. The branches default to the true paths (perfect CSI).
     """
-    blocks = np.asarray(block_indices)
+    blocks = _whole_numbers(block_indices, "block indices")
     if blocks.ndim != 1 or not blocks.size:
         raise ContractViolationError("block indices must be a non-empty 1-D sequence")
     if blocks.min() < 0:
         raise ContractViolationError("block indices must be non-negative")
-    paths = realization.path_set
     delays, dopplers = paths.delay_taps, paths.doppler_hz
-    est_delays = delays if branch_delays is None else np.asarray(branch_delays, np.int64)
+    est_delays = (
+        delays if branch_delays is None else _whole_numbers(branch_delays, "branch delays")
+    )
     est_dopplers = dopplers if branch_dopplers is None else np.asarray(branch_dopplers)
     if est_delays.ndim != 1 or not est_delays.size or est_dopplers.shape != est_delays.shape:
         raise ContractViolationError("branch inputs must be matching non-empty 1-D arrays")
+    if est_dopplers.dtype.kind not in "iuf" or not np.isfinite(est_dopplers).all():
+        raise ContractViolationError("branch Dopplers must be finite real numbers")
     offsets = est_delays[:, None] - delays[None, :]  # [l', l] = m^_l' - m_l
     n0 = blocks * timebase.samples_per_coherence
     drift = (dopplers[None, :] - est_dopplers[:, None]) * n0[:, None, None]
@@ -136,7 +153,7 @@ def _lag_pairs(
         2j * np.pi * (drift - est_dopplers[:, None] * offsets) * timebase.symbol_duration_s
     )
     rows = offsets.tolist()
-    slot = {offset: k for k, offset in enumerate(dict.fromkeys(sum(rows, [])))}
+    slot = {offset: k for k, offset in enumerate(dict.fromkeys([0, *sum(rows, [])]))}
     pair_slot = np.array([[slot[offset] for offset in row] for row in rows])
     return list(slot), pair_slot, phases
 
@@ -158,7 +175,7 @@ def group_delay_differences(
     the desired channel Hbar = [H_1, ..., H_L]. Offsets that no pair
     produces are absent from the map.
     """
-    offsets, pair_slot, phases = _lag_pairs(realization, timebase, [block_index])
+    offsets, pair_slot, phases = _lag_pairs(realization.path_set, timebase, [block_index])
     num_branches, num_rx, num_tx = pair_slot.shape[0], realization.num_rx, realization.num_tx
     # one block per distinct offset; pair (l', l) fills its branch l'
     blocks = np.zeros((len(offsets), num_rx, num_branches, num_tx), dtype=np.complex128)

@@ -15,6 +15,9 @@ Spectral-efficiency conventions used throughout:
   optimizer, mismatched-CSI alignment) are averaged over three
   representative blocks of the path-invariant window: the first, the
   middle, and the last.
+
+fig9's mismatched-CSI rate builds each estimate's lag model with
+bcd._lag_pairs and rates a whole trial in one stacked call.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .benchmarks import (
 )
 from .channel import (
     ChannelRealization,
+    PathSet,
     Timebase,
     coherence_partition,
     generate_paths,
@@ -63,9 +67,7 @@ from .metrics import (
     qam_symbols,
 )
 from .zf import (
-    DdamDesign,
     FeasibilityVerdict,
-    aligned_design,
     build_ddam_tx,
     zf_design,
     zf_feasibility,
@@ -284,47 +286,48 @@ def _strongest_se(
 
 
 def mismatched_alignment_rate(
-    realization: ChannelRealization,
-    design: DdamDesign,
-    aligned_lag: int,
+    paths: PathSet,
+    pair_outputs,
+    estimates,
     noise_var: float,
     timebase: Timebase,
-) -> float:
-    """Rate actually achieved when the alignment design used wrong CSI.
+) -> np.ndarray:
+    """(T, E) rates achieved when the alignment used estimated CSI.
 
-    Branch l' of the design is aligned to delay aligned_lag - kappa_l'
-    and Doppler doppler_comp[l']. The true channels are grouped against
-    those branches by the lag model (bcd._lag_pairs), and per evaluated
-    block the un-folded stacked precoder is rated with every off-lag group
-    as colored noise under an MMSE combiner, the rate BCD maximizes, and
-    the rates of the blocks _block_samples picks are averaged. With a
-    design built from the true parameters this is the ZF rate.
+    pair_outputs are the (T, L', L, M_r, N_s) products H_l F_l' of the true
+    path matrices with T designs' un-folded spatial precoders. Each of the
+    E estimated path sets aligns branch l' to its delay and Doppler; the
+    lag model (bcd._lag_pairs) groups the true paths against those
+    branches, and in each block _block_samples picks the offset-0 group is
+    rated with the others as colored noise under an MMSE combiner (the
+    rate BCD maximizes), then averaged. True paths give the ZF rate.
 
-    The pair outputs H_l F_l' do not depend on the block, so they are
-    formed once; one product with the (B, L', L) pair phases sums them
-    into every block's per-offset outputs, and all B blocks are rated in
-    one stacked pass.
+    The lag model does not depend on the design, nor the pair outputs on
+    the estimate or block. Each estimate's groups are padded with zero
+    weights to a common count (offset 0 first), so one product sums every
+    (design, estimate, block) group and one colored_noise_rate call rates
+    them all.
     """
-    branch_delays = aligned_lag - design.delay_comp
-    offsets, pair_slot, phases = _lag_pairs(
-        realization, timebase, _block_samples(timebase), branch_delays, design.doppler_comp
-    )
-    # undo the phase aligned_design folds into each transmitted F_l'
-    ts = timebase.symbol_duration_s
-    unfold = np.exp(2j * np.pi * design.doppler_comp * branch_delays * ts)
-    precoders = design.precoders * unfold[:, None, None]
-    pair_outputs = realization.matrices[None] @ precoders[:, None]  # [l', l]: H_l F_l'
-    num_blocks, num_offsets = phases.shape[0], len(offsets)
-    # weights[b, k, (l', l)]: the pair's phase in block b if it lands on offset k
-    in_slot = pair_slot.ravel() == np.arange(num_offsets)[:, None]
-    weights = in_slot * phases.reshape(num_blocks, 1, -1)
-    outputs = (weights @ pair_outputs.reshape(in_slot.shape[1], -1)).reshape(
-        num_blocks, num_offsets, *pair_outputs.shape[2:]
-    )
-    desired = outputs[:, offsets.index(0)] if 0 in offsets else np.zeros_like(outputs[:, 0])
-    off_lag = [k for k, offset in enumerate(offsets) if offset != 0]
-    rates = colored_noise_rate(desired, outputs[:, off_lag], noise_var)[0]
-    return float(np.mean(rates))
+    outputs = np.asarray(pair_outputs, dtype=np.complex128)
+    if outputs.ndim != 5 or outputs.shape[2] != paths.num_paths:
+        raise ContractViolationError("pair outputs must have shape (T, L', L, M_r, N_s)")
+    num_designs, num_branches, _, num_rx, num_streams = outputs.shape
+    if not estimates or any(est.num_paths != num_branches for est in estimates):
+        raise ContractViolationError(f"estimates must be path sets of {num_branches} branches")
+    blocks = _block_samples(timebase)
+    lags = [
+        _lag_pairs(paths, timebase, blocks, est.delay_taps, est.doppler_hz) for est in estimates
+    ]
+    num_pairs = num_branches * paths.num_paths
+    num_slots = max(len(offsets) for offsets, _, _ in lags)
+    # weights[e, b, k, (l', l)]: the pair's phase in block b if it lands on offset k
+    weights = np.zeros((len(lags), len(blocks), num_slots, num_pairs), dtype=np.complex128)
+    for weight, (_, pair_slot, phases) in zip(weights, lags):
+        weight[:, pair_slot.ravel(), np.arange(num_pairs)] = phases.reshape(len(blocks), -1)
+    grouped = weights.reshape(-1, num_pairs) @ outputs.reshape(num_designs, num_pairs, -1)
+    grouped = grouped.reshape(num_designs, *weights.shape[:3], num_rx, num_streams)
+    rates = colored_noise_rate(grouped[..., 0, :, :], grouped[..., 1:, :, :], noise_var)[0]
+    return rates.mean(axis=-1)
 
 
 # --- per-experiment trial evaluators -----------------------------------------
@@ -525,47 +528,27 @@ def _imperfect_csi_trial(config: SystemConfig, rng: np.random.Generator) -> list
     timebase = coherence_partition(config)
     overhead = _alignment_overhead(config, timebase)
     noise = config.noise_power_watts
-    estimated = {}
-    for scheme, accuracy, coeff in IMPERFECT_CSI_MODELS:
-        err = CsiError(delay_accuracy=accuracy, doppler_error_coeff=coeff)
-        est_paths, _ = perturb_csi(paths, err, rng)
-        # an estimate that moved no delay, Doppler or bound is the true path set
-        unmoved = (
-            np.array_equal(est_paths.delay_taps, paths.delay_taps)
-            and np.array_equal(est_paths.doppler_hz, paths.doppler_hz)
-            and est_paths.doppler_bound_hz == paths.doppler_bound_hz
-        )
-        estimated[scheme] = paths if unmoved else est_paths
+    estimates = [
+        perturb_csi(paths, CsiError(delay_accuracy=accuracy, doppler_error_coeff=coeff), rng)[0]
+        for _, accuracy, coeff in IMPERFECT_CSI_MODELS
+    ]
     # the path matrices depend on gains and angles only, which perturb_csi
-    # keeps, so every estimate shares the true spatial design and only
-    # re-aligns it: unfold the true phases, fold in the estimate's
+    # keeps, so every estimate's alignment unfolds to the true spatial
+    # design and all of them share its pair outputs H_l F_l'
     unfold = np.exp(2j * np.pi * paths.doppler_hz * paths.delay_taps * config.symbol_duration_s)
-    records = []
+    pair_outputs = []
     for mt in TRANSMIT_ANTENNA_SWEEP:
         cfg = replace(config, num_tx_antennas=mt)
         true_realization = realize_channel(paths, cfg)
         perfect, _ = zf_design(true_realization, cfg.tx_power_watts, noise, cfg.num_streams)
         spatial = perfect.precoders * unfold[:, None, None]
-        for scheme, _, _ in IMPERFECT_CSI_MODELS:
-            est_paths = estimated[scheme]
-            design = (
-                perfect
-                if est_paths is paths
-                else aligned_design(
-                    replace(true_realization, path_set=est_paths), spatial, perfect.combiner
-                )
-            )
-            rate = mismatched_alignment_rate(
-                true_realization,
-                design,
-                est_paths.max_delay_tap,
-                noise,
-                timebase,
-            )
-            records.append(
-                (scheme, "mt", float(mt), "se_bps_hz", rate * (1.0 - overhead))
-            )
-    return records
+        pair_outputs.append(true_realization.matrices[None] @ spatial[:, None])
+    rates = mismatched_alignment_rate(paths, pair_outputs, estimates, noise, timebase)
+    return [
+        (scheme, "mt", float(mt), "se_bps_hz", float(rate) * (1.0 - overhead))
+        for mt, row in zip(TRANSMIT_ANTENNA_SWEEP, rates)
+        for (scheme, _, _), rate in zip(IMPERFECT_CSI_MODELS, row)
+    ]
 
 
 def _feasibility_trial(config: SystemConfig, rng: np.random.Generator) -> list:

@@ -41,7 +41,7 @@ from ddamsim.experiments import (
     PAPR_MODULATION_ORDER,
     TRANSMIT_ANTENNA_SWEEP,
     _alignment_overhead,
-    mismatched_alignment_rate,
+    _block_samples,
 )
 from ddamsim.linalg import eig_hermitian, null_space_basis, svd_reduced
 from ddamsim.metrics import (
@@ -259,12 +259,13 @@ def mismatched_alignment_rate_loop(
 ) -> float:
     """Pair-loop version of `experiments.mismatched_alignment_rate`.
 
-    Propagates every (true path, transmit branch) pair through the
-    transmitted (folded) precoders, sums the composite M_r x N_s
-    coefficients H_l F_l' per arrival lag kappa_l' + m_l with their exact
-    phases frozen at each block start, and treats every lag other than
-    aligned_lag as colored noise, instead of grouping the channels by
-    delay offset and rating the un-folded stacked precoder.
+    Rates one design aligned to one estimate. Propagates every (true path,
+    transmit branch) pair through the transmitted (folded) precoders, sums
+    the composite M_r x N_s coefficients H_l F_l' per arrival lag
+    kappa_l' + m_l with their exact phases frozen at each block start,
+    and treats every lag other than aligned_lag as colored noise, instead
+    of grouping the channels by delay offset and rating the un-folded
+    spatial precoders' pair outputs.
     """
     paths = realization.path_set
     ts = timebase.symbol_duration_s
@@ -290,9 +291,11 @@ def mismatched_alignment_rate_loop(
 def imperfect_csi_trial_loop(config: SystemConfig, rng: np.random.Generator) -> list:
     """Per-estimate version of `experiments._imperfect_csi_trial`.
 
-    Realizes the channel of every CSI model's estimated paths and builds
-    its zero-forcing alignment design from scratch, instead of re-aligning
-    the one spatial design of the true channel that every estimate shares.
+    Realizes the channel of every CSI model's estimated paths, builds its
+    zero-forcing alignment design from scratch and rates it against the
+    true channel with the pair loop `mismatched_alignment_rate_loop`,
+    instead of rating every estimate against the pair outputs of the one
+    spatial design of the true channel in one stacked call.
     """
     paths = generate_paths(config, rng)
     timebase = coherence_partition(config)
@@ -309,8 +312,13 @@ def imperfect_csi_trial_loop(config: SystemConfig, rng: np.random.Generator) -> 
         for scheme, est_paths in estimates:
             est_realization = realize_channel(est_paths, cfg)
             design, _ = zf_design(est_realization, cfg.tx_power_watts, noise, cfg.num_streams)
-            rate = mismatched_alignment_rate(
-                true_realization, design, est_paths.max_delay_tap, noise, timebase
+            rate = mismatched_alignment_rate_loop(
+                true_realization,
+                design,
+                est_paths.max_delay_tap,
+                noise,
+                timebase,
+                _block_samples(timebase),
             )
             records.append((scheme, "mt", float(mt), "se_bps_hz", rate * (1.0 - overhead)))
     return records

@@ -104,13 +104,13 @@ def test_grouping_branch_inputs_default_to_the_true_paths():
     # that group_delay_differences groups by
     _, realization, timebase, _ = _setup(4)
     paths = realization.path_set
-    default = _lag_pairs(realization, timebase, [0, 3])
-    explicit = _lag_pairs(realization, timebase, [0, 3], paths.delay_taps, paths.doppler_hz)
+    default = _lag_pairs(paths, timebase, [0, 3])
+    explicit = _lag_pairs(paths, timebase, [0, 3], paths.delay_taps, paths.doppler_hz)
     assert default[0] == explicit[0]
     assert np.array_equal(default[1], explicit[1])
     assert np.array_equal(default[2], explicit[2])
     with pytest.raises(ContractViolationError):
-        _lag_pairs(realization, timebase, [3], paths.delay_taps[:2], paths.doppler_hz)
+        _lag_pairs(paths, timebase, [3], paths.delay_taps[:2], paths.doppler_hz)
 
 
 def test_grouping_rejects_a_negative_block():
@@ -119,7 +119,32 @@ def test_grouping_rejects_a_negative_block():
     with pytest.raises(ContractViolationError):
         group_delay_differences(realization, timebase, -1)
     with pytest.raises(ContractViolationError):
-        _lag_pairs(realization, timebase, [0, -1])
+        _lag_pairs(realization.path_set, timebase, [0, -1])
+
+
+def test_lag_pairs_rejects_fractional_branch_delays():
+    # a cast to int64 would rate delay 2.7 as delay 2
+    _, realization, timebase, _ = _setup(5)
+    paths = realization.path_set
+    with pytest.raises(ContractViolationError):
+        _lag_pairs(paths, timebase, [0], paths.delay_taps + 0.7, paths.doppler_hz)
+
+
+def test_lag_pairs_rejects_a_fractional_block_index():
+    _, realization, timebase, _ = _setup(5)
+    with pytest.raises(ContractViolationError):
+        _lag_pairs(realization.path_set, timebase, [0.5])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lag_pairs_rejects_non_finite_branch_dopplers(bad):
+    # caught here rather than as a NumericalError from the rate downstream
+    _, realization, timebase, _ = _setup(5)
+    paths = realization.path_set
+    dopplers = paths.doppler_hz.copy()
+    dopplers[1] = bad
+    with pytest.raises(ContractViolationError):
+        _lag_pairs(paths, timebase, [0], paths.delay_taps, dopplers)
 
 
 def test_grouping_single_path_has_no_isi():

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddamsim import experiments, zf
-from ddamsim.bcd import colored_noise_rate, group_delay_differences
+from ddamsim.bcd import _lag_pairs, colored_noise_rate, group_delay_differences
 from ddamsim.channel import coherence_partition, generate_paths, realize_channel
 from ddamsim.config import SystemConfig
 from ddamsim.errors import ContractViolationError, FeasibilityError, NumericalError
@@ -29,7 +29,7 @@ from ddamsim.experiments import (
     run_experiment,
 )
 from ddamsim.metrics import CsiError, perturb_csi
-from ddamsim.zf import aligned_design, zf_design, zf_spatial_design
+from ddamsim.zf import aligned_design, zf_spatial_design
 from oracles import (
     imperfect_csi_trial_loop,
     mismatched_alignment_rate_loop,
@@ -313,6 +313,11 @@ def test_aggregation_matches_per_bucket_statistics(monkeypatch):
         )
 
 
+def _pair_outputs(realization, spatial):
+    """One design's (1, L', L, M_r, N_s) pair outputs H_l F_l'."""
+    return (realization.matrices[None] @ spatial[:, None])[None]
+
+
 def test_mismatched_alignment_with_true_csi_matches_zf_rate():
     cfg = SystemConfig(num_tx_antennas=16, num_rx_antennas=2, num_streams=2)
     timebase = coherence_partition(cfg)
@@ -320,16 +325,16 @@ def test_mismatched_alignment_with_true_csi_matches_zf_rate():
         rng = np.random.default_rng(seed)
         paths = generate_paths(cfg, rng)
         realization = realize_channel(paths, cfg)
-        design, result = zf_design(
-            realization, cfg.tx_power_watts, cfg.noise_power_watts, 2
+        spatial, result = zf_spatial_design(
+            realization.matrices, cfg.tx_power_watts, cfg.noise_power_watts, 2
         )
         rate = mismatched_alignment_rate(
-            realization,
-            design,
-            aligned_lag=int(paths.max_delay_tap),
+            paths,
+            _pair_outputs(realization, spatial),
+            [paths],
             noise_var=cfg.noise_power_watts,
             timebase=timebase,
-        )
+        )[0, 0]
         assert rate == pytest.approx(result.rate_bps_hz, rel=1e-9), f"seed {seed}"
 
 
@@ -343,16 +348,16 @@ def test_mismatched_alignment_loses_rate_with_wrong_delays():
         realization = realize_channel(paths, cfg)
         wrong, _ = perturb_csi(paths, CsiError(2.0 / 3.0, 0.0), rng)
         estimated = realize_channel(wrong, cfg)
-        design, result = zf_design(
-            estimated, cfg.tx_power_watts, cfg.noise_power_watts, 2
+        spatial, result = zf_spatial_design(
+            estimated.matrices, cfg.tx_power_watts, cfg.noise_power_watts, 2
         )
         rate = mismatched_alignment_rate(
-            realization,
-            design,
-            aligned_lag=int(wrong.max_delay_tap),
+            paths,
+            _pair_outputs(realization, spatial),
+            [wrong],
             noise_var=cfg.noise_power_watts,
             timebase=timebase,
-        )
+        )[0, 0]
         losses.append(1.0 - rate / result.rate_bps_hz)
     med = float(np.median(losses))
     assert 0.05 <= med <= 0.9, f"median loss {med:.3f} outside the plausible band"
@@ -368,16 +373,16 @@ def test_mismatched_alignment_doppler_error_is_mild():
         realization = realize_channel(paths, cfg)
         wrong, _ = perturb_csi(paths, CsiError(1.0, 0.05), rng)
         estimated = realize_channel(wrong, cfg)
-        design, result = zf_design(
-            estimated, cfg.tx_power_watts, cfg.noise_power_watts, 2
+        spatial, result = zf_spatial_design(
+            estimated.matrices, cfg.tx_power_watts, cfg.noise_power_watts, 2
         )
         rate = mismatched_alignment_rate(
-            realization,
-            design,
-            aligned_lag=int(wrong.max_delay_tap),
+            paths,
+            _pair_outputs(realization, spatial),
+            [wrong],
             noise_var=cfg.noise_power_watts,
             timebase=timebase,
-        )
+        )[0, 0]
         losses.append(1.0 - rate / result.rate_bps_hz)
     med = float(np.median(losses))
     assert med <= 0.1, f"small Doppler error should cost little, lost {med:.3f}"
@@ -390,6 +395,12 @@ def _random_design(realization, num_streams, total_power, rng):
     precoders = raw * np.sqrt(total_power) / np.linalg.norm(raw)
     combiner = np.zeros((realization.num_rx, num_streams), dtype=np.complex128)
     return precoders, aligned_design(realization, precoders, combiner)
+
+
+def _colliding(paths, cfg):
+    """The paths at evenly spaced delays: several pairs share each delay difference."""
+    step = cfg.max_delay_tap // max(paths.num_paths - 1, 1)
+    return replace(paths, delay_taps=step * np.arange(paths.num_paths))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -439,9 +450,7 @@ def test_lag_grouping_matches_pair_loop(
     rng = np.random.default_rng(seed)
     paths = generate_paths(cfg, rng)
     if colliding:
-        # evenly spaced delays: several path pairs share each delay difference
-        step = cfg.max_delay_tap // max(num_paths - 1, 1)
-        paths = replace(paths, delay_taps=step * np.arange(num_paths))
+        paths = _colliding(paths, cfg)
     realization = realize_channel(paths, cfg)
     timebase = coherence_partition(cfg)
     block = _block_samples(timebase)[-1 if late_block else 0]
@@ -449,11 +458,15 @@ def test_lag_grouping_matches_pair_loop(
 
     # imperfect CSI: branches aligned to perturbed delays and Dopplers
     wrong, _ = perturb_csi(paths, CsiError(accuracy, doppler_error), rng)
-    _, design = _random_design(realize_channel(wrong, cfg), cfg.num_streams, 1.0, rng)
+    precoders, design = _random_design(realize_channel(wrong, cfg), cfg.num_streams, 1.0, rng)
     # every evaluated block rated in one stacked call
-    args = (realization, design, wrong.max_delay_tap, noise, timebase)
-    want = mismatched_alignment_rate_loop(*args, _block_samples(timebase))
-    assert mismatched_alignment_rate(*args) == pytest.approx(want, rel=1e-12, abs=0)
+    want = mismatched_alignment_rate_loop(
+        realization, design, wrong.max_delay_tap, noise, timebase, _block_samples(timebase)
+    )
+    got = mismatched_alignment_rate(
+        paths, _pair_outputs(realization, precoders), [wrong], noise, timebase
+    )[0, 0]
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     # perfect CSI: BCD's default grouping rates the un-folded stacked precoder
     precoders, design = _random_design(realization, cfg.num_streams, 1.0, rng)
@@ -470,27 +483,90 @@ def test_lag_grouping_matches_pair_loop(
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("defect", ["mismatched branches"])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_paths=st.integers(1, 5),
+    num_rx=st.integers(1, 3),
+    num_streams=st.integers(1, 3),
+    sizes=st.lists(st.integers(2, 12), min_size=1, max_size=3),
+    velocity=st.sampled_from([50.0, 500.0 / 3.6]),
+    accuracy=st.sampled_from([1.0, 2.0 / 3.0, 1.0 / 3.0]),
+    doppler_error=st.sampled_from([0.0, 0.05]),
+    colliding=st.booleans(),
+)
+def test_stacked_mismatched_rate_matches_pair_loop_per_design_and_estimate(
+    seed, num_paths, num_rx, num_streams, sizes, velocity, accuracy, doppler_error, colliding
+):
+    cfg = SystemConfig(
+        num_rx_antennas=num_rx, num_streams=1, num_paths=num_paths, velocity_mps=velocity
+    )
+    rng = np.random.default_rng(seed)
+    paths = generate_paths(cfg, rng)
+    if colliding:
+        paths = _colliding(paths, cfg)
+    timebase = coherence_partition(cfg)
+    noise = cfg.noise_power_watts
+    wrong, _ = perturb_csi(paths, CsiError(accuracy, doppler_error), rng)
+    # the true delays shifted past every true path: offset 0 is missing and
+    # every other offset is shifted, so this estimate has one group more than
+    # the true paths and the true paths' groups are padded
+    bound = paths.delay_tap_bound
+    late = replace(wrong, delay_taps=paths.delay_taps + bound + 1, delay_tap_bound=2 * bound + 1)
+    estimates = [paths, wrong, late]
+    counts = [_lag_pairs(paths, timebase, [0], e.delay_taps, e.doppler_hz)[0] for e in estimates]
+    assert len(counts[2]) == len(counts[0]) + 1
+
+    designs = []
+    for mt in sizes:
+        realization = realize_channel(paths, replace(cfg, num_tx_antennas=mt))
+        designs.append((realization, _random_design(realization, num_streams, 1.0, rng)[0]))
+    pair_outputs = np.concatenate([_pair_outputs(*design) for design in designs])
+    got = mismatched_alignment_rate(paths, pair_outputs, estimates, noise, timebase)
+    assert got.shape == (len(sizes), len(estimates))
+
+    for t, (realization, spatial) in enumerate(designs):
+        for e, est in enumerate(estimates):
+            combiner = np.zeros((num_rx, num_streams), dtype=np.complex128)
+            design = aligned_design(replace(realization, path_set=est), spatial, combiner)
+            want = mismatched_alignment_rate_loop(
+                realization, design, est.max_delay_tap, noise, timebase, _block_samples(timebase)
+            )
+            assert got[t, e] == pytest.approx(want, rel=1e-12, abs=0), (t, e)
+    # padding invariance: an estimate rated alone gets the rate it gets in the
+    # stack, up to the order in which BLAS sums the zero-padded products
+    for e, est in enumerate(estimates):
+        alone = mismatched_alignment_rate(paths, pair_outputs, [est], noise, timebase)
+        assert alone[:, 0] == pytest.approx(got[:, e], rel=1e-13, abs=0), e
+
+
+@pytest.mark.parametrize("defect", ["mismatched branches", "no estimate", "unstacked outputs"])
 def test_mismatched_rate_rejects_bad_inputs(defect):
     cfg = SystemConfig(num_tx_antennas=8, num_paths=3)
     rng = np.random.default_rng(5)
-    realization = realize_channel(generate_paths(cfg, rng), cfg)
+    paths = generate_paths(cfg, rng)
+    realization = realize_channel(paths, cfg)
     timebase = coherence_partition(cfg)
-    _, design = _random_design(realization, cfg.num_streams, 1.0, rng)
-    design.doppler_comp = design.doppler_comp[:2]  # one Doppler short of L
+    precoders, _ = _random_design(realization, cfg.num_streams, 1.0, rng)
+    pair_outputs = _pair_outputs(realization, precoders)
+    estimates = [paths]
+    if defect == "mismatched branches":
+        # one branch short of the pair outputs' L'
+        estimates = [generate_paths(replace(cfg, num_paths=2), rng)]
+    elif defect == "no estimate":
+        estimates = []
+    else:
+        pair_outputs = pair_outputs[0]
     with pytest.raises(ContractViolationError):
         mismatched_alignment_rate(
-            realization,
-            design,
-            realization.path_set.max_delay_tap,
-            cfg.noise_power_watts,
-            timebase,
+            paths, pair_outputs, estimates, cfg.noise_power_watts, timebase
         )
 
 
 def test_fig9_reuses_the_true_realization_for_an_unmoved_estimate(monkeypatch):
     # per M_t: the true channel only; every estimate has its path matrices
-    # and re-aligns the true design instead of realizing its own channel
+    # and is rated against the true design's pair outputs instead of
+    # realizing its own channel
     calls = []
 
     def counted(paths, config):
@@ -501,6 +577,22 @@ def test_fig9_reuses_the_true_realization_for_an_unmoved_estimate(monkeypatch):
     run = run_experiment("fig9-imperfect-csi", seed=4, num_trials=2)
     assert run.failures == []
     assert len(calls) == 2 * 3
+
+
+def test_fig9_rates_a_trial_in_one_call(monkeypatch):
+    # every (M_t, CSI model, block) of a trial in one stacked rate, looked
+    # up through the module global
+    shapes = []
+
+    def counted(paths, pair_outputs, estimates, noise_var, timebase):
+        rates = mismatched_alignment_rate(paths, pair_outputs, estimates, noise_var, timebase)
+        shapes.append(rates.shape)
+        return rates
+
+    monkeypatch.setattr(experiments, "mismatched_alignment_rate", counted)
+    run = run_experiment("fig9-imperfect-csi", seed=4, num_trials=2)
+    assert run.failures == []
+    assert shapes == [(3, 4)] * 2
 
 
 def test_fig9_builds_one_spatial_design_per_array_size(monkeypatch):
@@ -522,11 +614,10 @@ def test_imperfect_csi_trial_matches_per_estimate_design_loop(seed):
     got = experiments._imperfect_csi_trial(cfg, np.random.default_rng(seed))
     want = imperfect_csi_trial_loop(cfg, np.random.default_rng(seed))
     assert [r[:4] for r in got] == [r[:4] for r in want]
+    # the oracle sums pair by pair, so even perfect CSI matches only to rounding
     for record, expected in zip(got, want):
-        if record[0] == "perfect":
-            assert record == expected
-        else:
-            assert record[4] == pytest.approx(expected[4], rel=1e-9, abs=0), record[:3]
+        rel = 1e-12 if record[0] == "perfect" else 1e-9
+        assert record[4] == pytest.approx(expected[4], rel=rel, abs=0), record[:3]
 
 
 def test_fig9_perfect_csi_rows_equal_fig4_zero_forcing_rows():
