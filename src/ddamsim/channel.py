@@ -32,9 +32,10 @@ _MAX_DELAY_REDRAWS = 10_000
 class PathSet:
     """Geometry and gains of the resolvable multipath components.
 
-    Delay taps are pairwise distinct integers in [0, delay_tap_bound],
-    every Doppler shift is bounded by doppler_bound_hz in magnitude, and
-    gains, angles, Dopplers and the bound are finite.
+    Delay taps are pairwise distinct integers in [0, delay_tap_bound], the
+    tap bound is an integer (not a bool), every Doppler shift is bounded by
+    doppler_bound_hz in magnitude, and gains, angles, Dopplers and the
+    bound are finite.
     """
 
     gains: np.ndarray          # complex, shape (L,)
@@ -63,6 +64,10 @@ class PathSet:
                 raise ContractViolationError(f"PathSet field {name} must be finite")
         if not math.isfinite(self.doppler_bound_hz):
             raise ContractViolationError("PathSet field doppler_bound_hz must be finite")
+        bound = self.delay_tap_bound
+        if isinstance(bound, bool) or not isinstance(bound, (int, np.integer)):
+            raise ContractViolationError(f"delay_tap_bound must be an integer, got {bound!r}")
+        self.delay_tap_bound = int(bound)
         if len(set(self.delay_taps.tolist())) != n:
             raise ContractViolationError("delay taps must be pairwise distinct")
         if self.delay_taps.min() < 0 or self.delay_taps.max() > self.delay_tap_bound:

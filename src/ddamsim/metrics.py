@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import PathSet
-from .errors import ContractViolationError
+from .errors import ContractViolationError, NumericalError
 
 
 def qfunc(x) -> np.ndarray:
@@ -108,13 +108,17 @@ def papr_db(frame: np.ndarray) -> tuple[np.ndarray, int]:
 
     frame has one time sample per row and one antenna per column. Antennas
     with zero average power carry no signal and are excluded; the count of
-    exclusions is returned alongside.
+    exclusions is returned alongside. A non-finite sample raises
+    NumericalError: a NaN antenna would otherwise read as silent.
     """
     x = np.asarray(frame, dtype=np.complex128)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ContractViolationError("frame must be a non-empty 2-D array (samples x antennas)")
     power = np.abs(x) ** 2
     mean = power.mean(axis=0)
+    # a NaN or infinite sample leaves its antenna's mean power non-finite
+    if not np.isfinite(mean).all():
+        raise NumericalError("frame has a non-finite sample")
     peak = power.max(axis=0)
     active = mean > 0
     ratios = peak[active] / mean[active]

@@ -209,6 +209,20 @@ def _valid_paths():
     return _path_set([1.0, 1.0, 1.0], [2, 9, 17], [-1000.0, 0.0, 1000.0])
 
 
+@pytest.mark.parametrize("bound", [2.5, 2.0, np.nan, np.inf, True, "2"])
+def test_path_set_rejects_a_non_integer_tap_bound(bound):
+    # taps 0 and 1 pass every range check against these bounds, so only the
+    # type check rejects them; a float bound would break perturb_csi's tap
+    # search with a TypeError, which aborts a whole run
+    with pytest.raises(ContractViolationError):
+        _path_set([1.0, 1.0], [0, 1], [0.0, 0.0], tap_bound=bound)
+
+
+def test_path_set_keeps_a_numpy_integer_tap_bound_as_int():
+    paths = _path_set([1.0, 1.0], [0, 1], [0.0, 0.0], tap_bound=np.int64(2))
+    assert type(paths.delay_tap_bound) is int and paths.delay_tap_bound == 2
+
+
 def _valid_realization():
     cfg = SystemConfig(num_tx_antennas=4, num_rx_antennas=2, num_paths=3)
     return realize_channel(_valid_paths(), cfg)

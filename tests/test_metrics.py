@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ddamsim.channel import PathSet, generate_paths, realize_channel
 from ddamsim.config import SystemConfig
-from ddamsim.errors import ContractViolationError
+from ddamsim.errors import ContractViolationError, NumericalError
 from ddamsim.metrics import (
     CsiError,
     guard_overhead,
@@ -150,6 +150,20 @@ def test_papr_excludes_silent_antennas():
     assert excluded == 1
     assert ratios.size == 2
     assert np.all(ratios > 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("whole_antenna", [True, False])
+def test_papr_rejects_non_finite_samples(bad, whole_antenna):
+    # a NaN antenna must not read as silent: excluded, it would let a
+    # corrupt frame score a CCDF of 0
+    frame = np.ones((4, 2), dtype=np.complex128)
+    if whole_antenna:
+        frame[:, 1] = bad
+    else:
+        frame[2, 0] = bad
+    with pytest.raises(NumericalError):
+        papr_db(frame)
 
 
 def test_papr_ccdf_monotone_and_bounded():
