@@ -18,7 +18,7 @@ import numpy as np
 from .channel import ChannelRealization, array_response
 from .config import SystemConfig
 from .errors import ContractViolationError
-from .zf import DdamDesign, aligned_design
+from .zf import DdamDesign
 
 
 def mrt_precoders(realization: ChannelRealization, power_alloc: np.ndarray) -> np.ndarray:
@@ -131,14 +131,11 @@ def asymptotic_snr(config: SystemConfig, gains: np.ndarray) -> float:
 def mrt_design(
     realization: ChannelRealization, power_alloc: np.ndarray
 ) -> DdamDesign:
-    """Assemble a full single-stream aligned design from the matched filters.
-
-    Folds the constant phase exp(-j*2*pi*nu_l*m_l*T_s) into each precoder so
-    the aligned desired coefficients keep the coherent-sum form exactly at
-    the waveform level (same convention as the zero-forcing design).
-    """
-    return aligned_design(
-        realization,
+    """Assemble a full single-stream aligned design from the matched filters."""
+    paths = realization.path_set
+    return DdamDesign(
         mrt_precoders(realization, power_alloc),
         asymptotic_combiner(realization, power_alloc),
+        paths.delay_taps,
+        paths.doppler_hz,
     )

@@ -169,11 +169,10 @@ def group_delay_differences(
 
         H_l * exp(j 2 pi [(nu_l - nu_l') n0 + nu_l' (m_l - m_l')] T_s)
 
-    with n0 the first sample of coherence block block_index. The phase is
-    relative to the un-folded spatial precoders (zf.aligned_design folds
-    exp(-j 2 pi nu_l' m_l' T_s) into the transmitted ones). Offset 0 is
-    the desired channel Hbar = [H_1, ..., H_L]. Offsets that no pair
-    produces are absent from the map.
+    with n0 the first sample of coherence block block_index, for the
+    spatial precoders that zf.build_ddam_tx transmits. Offset 0 is the
+    desired channel Hbar = [H_1, ..., H_L]. Offsets that no pair produces
+    are absent from the map.
     """
     offsets, pair_slot, phases = _lag_pairs(realization.path_set, timebase, [block_index])
     num_branches, num_rx, num_tx = pair_slot.shape[0], realization.num_rx, realization.num_tx

@@ -295,7 +295,7 @@ def mismatched_alignment_rate(
     """(T, E) rates achieved when the alignment used estimated CSI.
 
     pair_outputs are the (T, L', L, M_r, N_s) products H_l F_l' of the true
-    path matrices with T designs' un-folded spatial precoders. Each of the
+    path matrices with T designs' spatial precoders. Each of the
     E estimated path sets aligns branch l' to its delay and Doppler; the
     lag model (bcd._lag_pairs) groups the true paths against those
     branches, and in each block _block_samples picks the offset-0 group is
@@ -533,16 +533,14 @@ def _imperfect_csi_trial(config: SystemConfig, rng: np.random.Generator) -> list
         for _, accuracy, coeff in IMPERFECT_CSI_MODELS
     ]
     # the path matrices depend on gains and angles only, which perturb_csi
-    # keeps, so every estimate's alignment unfolds to the true spatial
-    # design and all of them share its pair outputs H_l F_l'
-    unfold = np.exp(2j * np.pi * paths.doppler_hz * paths.delay_taps * config.symbol_duration_s)
+    # keeps, so every estimate aligns the true spatial design and all of
+    # them share its pair outputs H_l F_l'
     pair_outputs = []
     for mt in TRANSMIT_ANTENNA_SWEEP:
         cfg = replace(config, num_tx_antennas=mt)
         true_realization = realize_channel(paths, cfg)
         perfect, _ = zf_design(true_realization, cfg.tx_power_watts, noise, cfg.num_streams)
-        spatial = perfect.precoders * unfold[:, None, None]
-        pair_outputs.append(true_realization.matrices[None] @ spatial[:, None])
+        pair_outputs.append(true_realization.matrices[None] @ perfect.precoders[:, None])
     rates = mismatched_alignment_rate(paths, pair_outputs, estimates, noise, timebase)
     return [
         (scheme, "mt", float(mt), "se_bps_hz", float(rate) * (1.0 - overhead))

@@ -11,11 +11,11 @@ complement of the other paths' spatial signatures removes inter-path
 interference entirely; the survivors combine into a single time-invariant
 MIMO channel whose capacity is reached by an SVD plus water-filling.
 
-Designs returned here fold the constant phase exp(-j*2*pi*nu_l*m_l*T_s)
-into F_l. That phase is what the per-path pre-rotation accumulates while
-propagating over the path's own delay; compensating it (free for the
-transmitter, which knows m_l and nu_l) makes the aligned channel equal the
-designed one exactly instead of up to a small per-path rotation.
+Path l's pre-rotation also accumulates the constant phase
+exp(-j*2*pi*nu_l*m_l*T_s) while propagating over the path's own delay.
+build_ddam_tx compensates it (free for the transmitter, which knows m_l
+and nu_l), so the aligned channel equals the designed one exactly and the
+precoders F_l stay purely spatial.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, PathSet, Timebase, apply_channel
+from .channel import ChannelRealization, Timebase, apply_channel
 from .errors import ContractViolationError, FeasibilityError, NumericalError
 from .linalg import RANK_TOL, null_space_basis, svd_reduced
 
@@ -50,27 +50,32 @@ class ZfFeasibility:
 
 @dataclass
 class DdamDesign:
-    """Everything the transmitter and receiver need for one aligned frame."""
+    """Everything the transmitter and receiver need for one aligned frame.
 
-    precoders: np.ndarray      # complex, shape (L, M_t, N_s)
+    Branch l sends through the spatial precoder F_l and is aligned to the
+    delay tap m_l and Doppler nu_l of the path it targets; build_ddam_tx
+    derives the advances and phases from them.
+    """
+
+    precoders: np.ndarray      # spatial F_l, complex, shape (L, M_t, N_s)
     combiner: np.ndarray       # complex, shape (M_r, N_s)
-    delay_comp: np.ndarray     # integer advances kappa_l, shape (L,)
-    doppler_comp: np.ndarray   # pre-rotation frequencies in Hz, shape (L,)
+    delay_taps: np.ndarray     # branch delays m_l, shape (L,)
+    doppler_hz: np.ndarray     # branch Dopplers nu_l, shape (L,)
 
     def __post_init__(self) -> None:
         self.precoders = np.asarray(self.precoders, dtype=np.complex128)
         self.combiner = np.asarray(self.combiner, dtype=np.complex128)
-        self.delay_comp = np.asarray(self.delay_comp, dtype=np.int64)
-        self.doppler_comp = np.asarray(self.doppler_comp, dtype=np.float64)
+        self.delay_taps = np.asarray(self.delay_taps, dtype=np.int64)
+        self.doppler_hz = np.asarray(self.doppler_hz, dtype=np.float64)
         if self.precoders.ndim != 3:
             raise ContractViolationError("precoders must have shape (L, M_t, N_s)")
         n = self.precoders.shape[0]
-        if self.delay_comp.shape != (n,) or self.doppler_comp.shape != (n,):
-            raise ContractViolationError("per-path compensation lists must match L")
-        if np.any(self.delay_comp < 0):
-            raise ContractViolationError("delay advances must be non-negative")
-        if len(set(self.delay_comp.tolist())) != n:
-            raise ContractViolationError("delay advances must be pairwise distinct")
+        if self.delay_taps.shape != (n,) or self.doppler_hz.shape != (n,):
+            raise ContractViolationError("per-branch delays and Dopplers must match L")
+        if np.any(self.delay_taps < 0):
+            raise ContractViolationError("branch delays must be non-negative")
+        if len(set(self.delay_taps.tolist())) != n:
+            raise ContractViolationError("branch delays must be pairwise distinct")
 
     @property
     def num_paths(self) -> int:
@@ -94,11 +99,6 @@ class ZfCapacityResult:
     mode_powers: np.ndarray        # water-filling powers, length n_active
     mode_gains: np.ndarray         # squared singular values, length n_active
     n_active_streams: int
-
-
-def delay_precompensation(paths: PathSet) -> np.ndarray:
-    """Per-path delay advances kappa_l = m_max - m_l (all >= 0, distinct)."""
-    return (paths.max_delay_tap - paths.delay_taps).astype(np.int64)
 
 
 def zf_feasibility(num_tx: int, num_rx: int, num_streams: int, num_paths: int) -> ZfFeasibility:
@@ -281,25 +281,6 @@ def split_stacked_precoder(
     return np.stack([basis @ block for basis, block in zip(bases, blocks)])
 
 
-def aligned_design(
-    realization: ChannelRealization, precoders: np.ndarray, combiner: np.ndarray
-) -> DdamDesign:
-    """Attach the per-path delay/Doppler compensation to spatial precoders.
-
-    Folds the constant phase exp(-j*2*pi*nu_l*m_l*T_s) into each F_l of the
-    (L, M_t, N_s) stack, so the aligned channel equals the designed one.
-    """
-    paths = realization.path_set
-    ts = realization.symbol_duration_s
-    fold = np.exp(-2j * np.pi * paths.doppler_hz * paths.delay_taps * ts)
-    return DdamDesign(
-        precoders=precoders * fold[:, None, None],
-        combiner=combiner,
-        delay_comp=delay_precompensation(paths),
-        doppler_comp=paths.doppler_hz.copy(),
-    )
-
-
 def zf_design(
     realization: ChannelRealization, total_power: float, noise_var: float, num_streams: int
 ) -> tuple[DdamDesign, ZfCapacityResult]:
@@ -307,7 +288,9 @@ def zf_design(
     precoders, result = zf_spatial_design(
         realization.matrices, total_power, noise_var, num_streams
     )
-    return aligned_design(realization, precoders, result.combiner), result
+    paths = realization.path_set
+    design = DdamDesign(precoders, result.combiner, paths.delay_taps, paths.doppler_hz)
+    return design, result
 
 
 def build_ddam_tx(
@@ -315,8 +298,11 @@ def build_ddam_tx(
 ) -> np.ndarray:
     """Superimpose the per-path precoded, advanced, derotated streams.
 
-    x[n] = sum_l F_l s[n - kappa_l] exp(-j*2*pi*nu_l*n*T_s), with s = 0 for
-    negative indices. symbols has shape (N, N_s); the output is (N, M_t).
+    x[n] = sum_l F_l s[n - kappa_l] exp(-j*2*pi*nu_l*(n + m_l)*T_s), with
+    kappa_l = m_max - m_l over the design's branch delays and s = 0 for
+    negative indices. The extra exp(-j*2*pi*nu_l*m_l*T_s) cancels the phase
+    the path's own delay adds to its Doppler, so path l delivers exactly
+    H_l F_l s[n - m_max]. symbols has shape (N, N_s); the output is (N, M_t).
 
     The advanced, derotated streams of all paths go side by side into one
     (N, L * N_s) array, which is multiplied once by the (L * N_s, M_t)
@@ -332,11 +318,13 @@ def build_ddam_tx(
     ts = timebase.symbol_duration_s
     streams = np.zeros((n_samples, num_paths, num_streams), dtype=np.complex128)
     n_idx = np.arange(n_samples)
+    delays = design.delay_taps
+    advances = delays.max() - delays
     for l in range(num_paths):
-        kappa = int(design.delay_comp[l])
+        kappa = int(advances[l])
         if kappa >= n_samples:
             continue
-        rot = np.exp(-2j * np.pi * design.doppler_comp[l] * n_idx[kappa:] * ts)
+        rot = np.exp(-2j * np.pi * design.doppler_hz[l] * (n_idx[kappa:] + delays[l]) * ts)
         streams[kappa:, l] = s[: n_samples - kappa] * rot[:, None]
     stacked = design.precoders.transpose(0, 2, 1).reshape(num_paths * num_streams, num_tx)
     return streams.reshape(n_samples, num_paths * num_streams) @ stacked

@@ -38,7 +38,6 @@ def golden_csv(name: str) -> str:
 
 
 def main() -> None:
-    assert set(GOLDEN_TRIALS) == set(EXPERIMENTS), "every experiment needs a golden size"
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in EXPERIMENTS:
         (GOLDEN_DIR / f"{name}.csv").write_text(golden_csv(name), encoding="utf-8")

@@ -115,9 +115,10 @@ def ddam_rx_analytic(
 ) -> np.ndarray:
     """Closed-form combined receive signal, term by term and phase exact.
 
-    Path l of the channel applied to the path-l' transmit branch lands at
-    lag kappa_l' + m_l with coefficient
-    W^H H_l F_l' exp(j*2*pi*(nu_l - nu_l')*n*T_s) exp(j*2*pi*nu_l'*m_l*T_s).
+    Path l of the channel applied to the transmit branch l' (aligned to the
+    branch delay m'_l' and Doppler nu'_l') lands at lag kappa_l' + m_l,
+    kappa_l' = max m' - m'_l', with coefficient
+    W^H H_l F_l' exp(j*2*pi*(nu_l - nu'_l')*n*T_s) exp(j*2*pi*nu'_l'*(m_l - m'_l')*T_s).
     Summing all (l, l') terms reproduces the time-domain oracle exactly
     (noise off); the l = l' terms are the aligned desired signal, the rest
     is inter-path interference at lags m_max + (m_l - m_l').
@@ -130,16 +131,17 @@ def ddam_rx_analytic(
     n_samples = s.shape[0]
     n_idx = np.arange(n_samples)
     w_h = design.combiner.conj().T
+    branch_delays = [int(m) for m in design.delay_taps]
     out = np.zeros((n_samples, w_h.shape[0]), dtype=np.complex128)
     for l in range(paths.num_paths):
         m_l = int(paths.delay_taps[l])
-        for lp in range(design.num_paths):
-            lag = int(design.delay_comp[lp]) + m_l
+        for lp, m_lp in enumerate(branch_delays):
+            lag = max(branch_delays) - m_lp + m_l
             if lag >= n_samples:
                 continue
             coef = w_h @ realization.matrices[l] @ design.precoders[lp]
-            const = np.exp(2j * np.pi * design.doppler_comp[lp] * m_l * ts)
-            dnu = paths.doppler_hz[l] - design.doppler_comp[lp]
+            const = np.exp(2j * np.pi * design.doppler_hz[lp] * (m_l - m_lp) * ts)
+            dnu = paths.doppler_hz[l] - design.doppler_hz[lp]
             rot = np.exp(2j * np.pi * dnu * n_idx[lag:] * ts) * const
             out[lag:] += (s[: n_samples - lag] @ coef.T) * rot[:, None]
     return out
@@ -227,8 +229,9 @@ def build_ddam_tx_loop(
 ) -> np.ndarray:
     """Per-path loop version of `zf.build_ddam_tx`.
 
-    Accumulates one (N, M_t) precoded, advanced, derotated stream per path
-    instead of multiplying the stacked streams by the stacked precoders once.
+    Accumulates one (N, M_t) precoded, advanced, derotated stream per path,
+    F_l s[n - kappa_l] exp(-j*2*pi*nu_l*(n + m_l)*T_s), instead of
+    multiplying the stacked streams by the stacked precoders once.
     """
     s = np.asarray(symbols, dtype=np.complex128)
     if s.ndim != 2 or s.shape[1] != design.num_streams:
@@ -240,11 +243,13 @@ def build_ddam_tx_loop(
     ts = timebase.symbol_duration_s
     x = np.zeros((n_samples, num_tx), dtype=np.complex128)
     n_idx = np.arange(n_samples)
+    m_max = int(design.delay_taps.max())
     for l in range(design.num_paths):
-        kappa = int(design.delay_comp[l])
+        m_l = int(design.delay_taps[l])
+        kappa = m_max - m_l
         if kappa >= n_samples:
             continue
-        rot = np.exp(-2j * np.pi * design.doppler_comp[l] * n_idx[kappa:] * ts)
+        rot = np.exp(-2j * np.pi * design.doppler_hz[l] * (n_idx[kappa:] + m_l) * ts)
         x[kappa:] += (s[: n_samples - kappa] @ design.precoders[l].T) * rot[:, None]
     return x
 
@@ -260,25 +265,27 @@ def mismatched_alignment_rate_loop(
     """Pair-loop version of `experiments.mismatched_alignment_rate`.
 
     Rates one design aligned to one estimate. Propagates every (true path,
-    transmit branch) pair through the transmitted (folded) precoders, sums
-    the composite M_r x N_s coefficients H_l F_l' per arrival lag
-    kappa_l' + m_l with their exact phases frozen at each block start,
+    transmit branch) pair through the transmit chain, sums the composite
+    M_r x N_s coefficients H_l F_l' per arrival lag kappa_l' + m_l with
+    their exact phases (see ddam_rx_analytic) frozen at each block start,
     and treats every lag other than aligned_lag as colored noise, instead
-    of grouping the channels by delay offset and rating the un-folded
-    spatial precoders' pair outputs.
+    of grouping the channels by delay offset and rating the pair outputs
+    in one stacked call.
     """
     paths = realization.path_set
     ts = timebase.symbol_duration_s
+    branch_delays = [int(m) for m in design.delay_taps]
     rates = []
     for block in block_indices:
         n0 = block * timebase.samples_per_coherence
         groups: dict[int, np.ndarray] = {}
         for l in range(paths.num_paths):
             m_l = int(paths.delay_taps[l])
-            for lp in range(design.num_paths):
-                lag = m_l + int(design.delay_comp[lp])
-                drift = (paths.doppler_hz[l] - design.doppler_comp[lp]) * n0
-                phase = np.exp(2j * np.pi * (drift + design.doppler_comp[lp] * m_l) * ts)
+            for lp, m_lp in enumerate(branch_delays):
+                lag = m_l + max(branch_delays) - m_lp
+                nu_lp = design.doppler_hz[lp]
+                drift = (paths.doppler_hz[l] - nu_lp) * n0
+                phase = np.exp(2j * np.pi * (drift + nu_lp * (m_l - m_lp)) * ts)
                 term = (realization.matrices[l] @ design.precoders[lp]) * phase
                 groups[lag] = groups[lag] + term if lag in groups else term
         desired = groups.pop(

@@ -144,9 +144,8 @@ def test_mrt_design_aligns_and_meets_power_budget():
     design = mrt_design(realization, p)
     assert design.num_streams == 1
     assert design.total_power() == pytest.approx(cfg.tx_power_watts, rel=1e-12)
-    kappa = design.delay_comp
-    m = paths.delay_taps
-    assert np.array_equal(kappa, m.max() - m)
+    assert np.array_equal(design.delay_taps, paths.delay_taps)
+    assert np.array_equal(design.doppler_hz, paths.doppler_hz)
     # matched filtering is not zero-forcing, but at 64 antennas the
     # residual inter-path leakage should sit well below the aligned power
     desired, isi = residual_isi_power(design, realization, timebase, 4000, rng)

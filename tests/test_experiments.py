@@ -29,7 +29,7 @@ from ddamsim.experiments import (
     run_experiment,
 )
 from ddamsim.metrics import CsiError, perturb_csi
-from ddamsim.zf import aligned_design, zf_spatial_design
+from ddamsim.zf import DdamDesign, zf_spatial_design
 from oracles import (
     imperfect_csi_trial_loop,
     mismatched_alignment_rate_loop,
@@ -390,11 +390,12 @@ def test_mismatched_alignment_doppler_error_is_mild():
 
 def _random_design(realization, num_streams, total_power, rng):
     """Aligned design around random (not zero-forcing) spatial precoders."""
-    shape = (realization.path_set.num_paths, realization.num_tx, num_streams)
+    paths = realization.path_set
+    shape = (paths.num_paths, realization.num_tx, num_streams)
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     precoders = raw * np.sqrt(total_power) / np.linalg.norm(raw)
     combiner = np.zeros((realization.num_rx, num_streams), dtype=np.complex128)
-    return precoders, aligned_design(realization, precoders, combiner)
+    return DdamDesign(precoders, combiner, paths.delay_taps, paths.doppler_hz)
 
 
 def _colliding(paths, cfg):
@@ -458,20 +459,20 @@ def test_lag_grouping_matches_pair_loop(
 
     # imperfect CSI: branches aligned to perturbed delays and Dopplers
     wrong, _ = perturb_csi(paths, CsiError(accuracy, doppler_error), rng)
-    precoders, design = _random_design(realize_channel(wrong, cfg), cfg.num_streams, 1.0, rng)
+    design = _random_design(realize_channel(wrong, cfg), cfg.num_streams, 1.0, rng)
     # every evaluated block rated in one stacked call
     want = mismatched_alignment_rate_loop(
         realization, design, wrong.max_delay_tap, noise, timebase, _block_samples(timebase)
     )
     got = mismatched_alignment_rate(
-        paths, _pair_outputs(realization, precoders), [wrong], noise, timebase
+        paths, _pair_outputs(realization, design.precoders), [wrong], noise, timebase
     )[0, 0]
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
-    # perfect CSI: BCD's default grouping rates the un-folded stacked precoder
-    precoders, design = _random_design(realization, cfg.num_streams, 1.0, rng)
+    # perfect CSI: BCD's default grouping rates the stacked spatial precoder
+    design = _random_design(realization, cfg.num_streams, 1.0, rng)
     grouped = group_delay_differences(realization, timebase, block)
-    f_bar = precoders.reshape(-1, cfg.num_streams)
+    f_bar = design.precoders.reshape(-1, cfg.num_streams)
     got = colored_noise_rate(
         grouped.stacked_channel @ f_bar,
         [g @ f_bar for g in grouped.isi_channels.values()],
@@ -520,7 +521,7 @@ def test_stacked_mismatched_rate_matches_pair_loop_per_design_and_estimate(
     designs = []
     for mt in sizes:
         realization = realize_channel(paths, replace(cfg, num_tx_antennas=mt))
-        designs.append((realization, _random_design(realization, num_streams, 1.0, rng)[0]))
+        designs.append((realization, _random_design(realization, num_streams, 1.0, rng).precoders))
     pair_outputs = np.concatenate([_pair_outputs(*design) for design in designs])
     got = mismatched_alignment_rate(paths, pair_outputs, estimates, noise, timebase)
     assert got.shape == (len(sizes), len(estimates))
@@ -528,7 +529,7 @@ def test_stacked_mismatched_rate_matches_pair_loop_per_design_and_estimate(
     for t, (realization, spatial) in enumerate(designs):
         for e, est in enumerate(estimates):
             combiner = np.zeros((num_rx, num_streams), dtype=np.complex128)
-            design = aligned_design(replace(realization, path_set=est), spatial, combiner)
+            design = DdamDesign(spatial, combiner, est.delay_taps, est.doppler_hz)
             want = mismatched_alignment_rate_loop(
                 realization, design, est.max_delay_tap, noise, timebase, _block_samples(timebase)
             )
@@ -547,8 +548,8 @@ def test_mismatched_rate_rejects_bad_inputs(defect):
     paths = generate_paths(cfg, rng)
     realization = realize_channel(paths, cfg)
     timebase = coherence_partition(cfg)
-    precoders, _ = _random_design(realization, cfg.num_streams, 1.0, rng)
-    pair_outputs = _pair_outputs(realization, precoders)
+    design = _random_design(realization, cfg.num_streams, 1.0, rng)
+    pair_outputs = _pair_outputs(realization, design.precoders)
     estimates = [paths]
     if defect == "mismatched branches":
         # one branch short of the pair outputs' L'
@@ -577,6 +578,17 @@ def test_fig9_reuses_the_true_realization_for_an_unmoved_estimate(monkeypatch):
     run = run_experiment("fig9-imperfect-csi", seed=4, num_trials=2)
     assert run.failures == []
     assert len(calls) == 2 * 3
+
+
+def test_fig8_trial_with_a_corrupt_frame_fails(monkeypatch):
+    # a corrupt frame fails its trial instead of scoring a CCDF of 0
+    def corrupt(design, symbols, timebase):
+        return np.full((symbols.shape[0], design.precoders.shape[1]), np.nan)
+
+    monkeypatch.setattr(experiments, "build_ddam_tx", corrupt)
+    run = run_experiment("fig8-papr", seed=0, num_trials=2)
+    assert [trial for trial, _ in run.failures] == [0, 1]
+    assert all("NumericalError" in message for _, message in run.failures)
 
 
 def test_fig9_rates_a_trial_in_one_call(monkeypatch):

@@ -1,5 +1,6 @@
 """Zero-forcing delay-Doppler alignment: feasibility, design, alignment."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,6 @@ from ddamsim.zf import (
     DdamDesign,
     FeasibilityVerdict,
     build_ddam_tx,
-    delay_precompensation,
     residual_isi_power,
     split_stacked_precoder,
     water_filling,
@@ -86,18 +86,21 @@ def test_feasibility_validation():
         zf_feasibility(num_tx=0, num_rx=2, num_streams=1, num_paths=1)
 
 
-def test_delay_precompensation_advances_to_max():
-    paths = PathSet(
-        gains=np.ones(3, dtype=np.complex128),
-        aoa_rad=np.zeros(3),
-        aod_rad=np.zeros(3),
-        delay_taps=np.array([7, 2, 5], dtype=np.int64),
+def test_build_ddam_tx_advances_each_branch_to_the_longest_delay():
+    # branch l drives antenna l alone; an impulse must leave it at
+    # kappa_l = m_max - m_l
+    cfg = SystemConfig(num_tx_antennas=3)
+    design = DdamDesign(
+        precoders=np.eye(3, dtype=np.complex128)[:, :, None],
+        combiner=np.ones((2, 1), dtype=np.complex128),
+        delay_taps=np.array([7, 2, 5]),
         doppler_hz=np.zeros(3),
-        doppler_bound_hz=1.0,
-        delay_tap_bound=10,
     )
-    kappa = delay_precompensation(paths)
-    assert np.array_equal(kappa, np.array([0, 5, 2]))
+    impulse = np.zeros((10, 1), dtype=np.complex128)
+    impulse[0] = 1.0
+    x = build_ddam_tx(design, impulse, coherence_partition(cfg))
+    assert [int(np.flatnonzero(x[:, l])[0]) for l in range(3)] == [0, 5, 2]
+    assert np.count_nonzero(x) == 3
 
 
 def test_zf_design_kills_interpath_interference():
@@ -179,8 +182,8 @@ def test_analytic_rx_interference_lags():
     design = DdamDesign(
         precoders=precoders,
         combiner=np.eye(2, 1, dtype=np.complex128),
-        delay_comp=delay_precompensation(paths),
-        doppler_comp=paths.doppler_hz.copy(),
+        delay_taps=paths.delay_taps,
+        doppler_hz=paths.doppler_hz,
     )
     n = 64
     s = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
@@ -193,7 +196,7 @@ def test_analytic_rx_interference_lags():
     impulse[0, 0] = 1.0
     resp = ddam_rx_analytic(realization, design, impulse)
     hot = set(np.flatnonzero(np.abs(resp[:, 0]) > 1e-15).tolist())
-    kappa = design.delay_comp
+    kappa = paths.max_delay_tap - paths.delay_taps
     allowed = {int(kappa[lp] + paths.delay_taps[l]) for l in range(2) for lp in range(2)}
     assert hot <= allowed, f"energy at unexpected lags {sorted(hot - allowed)}"
 
@@ -292,13 +295,8 @@ def test_split_stacked_precoder_round_trip():
 
     bases = path_zf_precoder_bases(realization.matrices)
     parts = split_stacked_precoder(bases, result.stacked_precoder)
-    # the design additionally folds the constant delay-Doppler phase of
-    # each path into its precoder
-    paths = realization.path_set
-    ts = realization.symbol_duration_s
-    fold = np.exp(-2j * np.pi * paths.doppler_hz * paths.delay_taps * ts)
-    for l in range(len(bases)):
-        assert np.allclose(parts[l] * fold[l], design.precoders[l], atol=1e-15)
+    # the design holds the spatial precoders as they are
+    assert np.array_equal(parts, design.precoders)
 
 
 def test_ddam_design_validation():
@@ -308,15 +306,15 @@ def test_ddam_design_validation():
         DdamDesign(
             precoders=precoders,
             combiner=combiner,
-            delay_comp=np.array([3, 3], dtype=np.int64),  # duplicate
-            doppler_comp=np.zeros(2),
+            delay_taps=np.array([3, 3], dtype=np.int64),  # duplicate
+            doppler_hz=np.zeros(2),
         )
     with pytest.raises(ContractViolationError):
         DdamDesign(
             precoders=precoders,
             combiner=combiner,
-            delay_comp=np.array([-1, 2], dtype=np.int64),  # negative
-            doppler_comp=np.zeros(2),
+            delay_taps=np.array([-1, 2], dtype=np.int64),  # negative
+            doppler_hz=np.zeros(2),
         )
 
 
@@ -422,9 +420,9 @@ def test_zf_spatial_design_matches_dense_null_spaces(
 @pytest.mark.parametrize(
     "delays,n_samples",
     [
-        ([0, 3, 11, 40], 600),   # every advance inside the frame
-        ([0, 3, 11, 40], 11),    # the last two advances reach past the frame
-        ([5, 9], 5),             # no path reaches the frame: all-zero output
+        ([40, 37, 29, 0], 600),  # advances 0, 3, 11, 40, all inside the frame
+        ([40, 37, 29, 0], 11),   # the last two advances reach past the frame
+        ([9, 0], 5),             # only the longest-delay branch reaches the frame
     ],
 )
 def test_build_ddam_tx_matches_per_path_loop(num_streams, delays, n_samples):
@@ -435,8 +433,8 @@ def test_build_ddam_tx_matches_per_path_loop(num_streams, delays, n_samples):
     design = DdamDesign(
         precoders=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
         combiner=np.eye(2, num_streams, dtype=np.complex128),
-        delay_comp=np.array(delays, dtype=np.int64),
-        doppler_comp=rng.uniform(-2e4, 2e4, len(delays)),
+        delay_taps=np.array(delays, dtype=np.int64),
+        doppler_hz=rng.uniform(-2e4, 2e4, len(delays)),
     )
     s = rng.standard_normal((n_samples, num_streams)) + 1j * rng.standard_normal(
         (n_samples, num_streams)
@@ -445,3 +443,56 @@ def test_build_ddam_tx_matches_per_path_loop(num_streams, delays, n_samples):
     want = build_ddam_tx_loop(design, s, timebase)
     assert got.shape == want.shape == (n_samples, cfg.num_tx_antennas)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want), initial=0.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    delays=st.lists(st.integers(0, 40), min_size=1, max_size=5, unique=True),
+    num_tx=st.integers(1, 12),
+    num_rx=st.integers(1, 3),
+    num_streams=st.integers(1, 3),
+    extra_samples=st.integers(1, 60),
+    velocity=st.sampled_from([50.0, 500.0 / 3.6]),
+)
+def test_each_branch_arrives_on_its_path_as_the_spatial_link(
+    seed, delays, num_tx, num_rx, num_streams, extra_samples, velocity
+):
+    # branch l alone through path l alone must deliver H_l F_l s[n - m_max]
+    # with no per-path phase left: build_ddam_tx cancels the Doppler phase
+    # that the path's own delay adds, so the precoders stay spatial
+    cfg = SystemConfig(
+        num_tx_antennas=num_tx, num_rx_antennas=num_rx, num_streams=1, velocity_mps=velocity
+    )
+    rng = np.random.default_rng(seed)
+    num_paths = len(delays)
+    nu_max = cfg.max_doppler_hz
+    paths = PathSet(
+        gains=rng.standard_normal(num_paths) + 1j * rng.standard_normal(num_paths),
+        aoa_rad=rng.uniform(-np.pi / 2, np.pi / 2, num_paths),
+        aod_rad=rng.uniform(-np.pi / 2, np.pi / 2, num_paths),
+        delay_taps=np.array(delays),
+        doppler_hz=rng.uniform(-nu_max, nu_max, num_paths),
+        doppler_bound_hz=nu_max,
+        delay_tap_bound=cfg.max_delay_tap,
+    )
+    realization = realize_channel(paths, cfg)
+    shape = (num_paths, num_tx, num_streams)
+    precoders = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    m_max = paths.max_delay_tap
+    n = m_max + extra_samples
+    s = rng.standard_normal((n, num_streams)) + 1j * rng.standard_normal((n, num_streams))
+    timebase = coherence_partition(cfg)
+    for l in range(num_paths):
+        alone = np.zeros_like(precoders)
+        alone[l] = precoders[l]
+        design = DdamDesign(
+            alone, np.zeros((num_rx, num_streams)), paths.delay_taps, paths.doppler_hz
+        )
+        only_path = np.zeros_like(realization.matrices)
+        only_path[l] = realization.matrices[l]
+        tx = build_ddam_tx(design, s, timebase)
+        got = apply_channel(replace(realization, matrices=only_path), tx)
+        want = np.zeros((n, num_rx), dtype=np.complex128)
+        want[m_max:] = s[: n - m_max] @ (realization.matrices[l] @ precoders[l]).T
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), l
