@@ -132,11 +132,12 @@ def ddam_rx_analytic(
     n_idx = np.arange(n_samples)
     w_h = design.combiner.conj().T
     branch_delays = [int(m) for m in design.delay_taps]
+    m_max = max(branch_delays)
     out = np.zeros((n_samples, w_h.shape[0]), dtype=np.complex128)
     for l in range(paths.num_paths):
         m_l = int(paths.delay_taps[l])
         for lp, m_lp in enumerate(branch_delays):
-            lag = max(branch_delays) - m_lp + m_l
+            lag = m_max - m_lp + m_l
             if lag >= n_samples:
                 continue
             coef = w_h @ realization.matrices[l] @ design.precoders[lp]
@@ -275,6 +276,7 @@ def mismatched_alignment_rate_loop(
     paths = realization.path_set
     ts = timebase.symbol_duration_s
     branch_delays = [int(m) for m in design.delay_taps]
+    m_max = max(branch_delays)
     rates = []
     for block in block_indices:
         n0 = block * timebase.samples_per_coherence
@@ -282,7 +284,7 @@ def mismatched_alignment_rate_loop(
         for l in range(paths.num_paths):
             m_l = int(paths.delay_taps[l])
             for lp, m_lp in enumerate(branch_delays):
-                lag = m_l + max(branch_delays) - m_lp
+                lag = m_max - m_lp + m_l
                 nu_lp = design.doppler_hz[lp]
                 drift = (paths.doppler_hz[l] - nu_lp) * n0
                 phase = np.exp(2j * np.pi * (drift + nu_lp * (m_l - m_lp)) * ts)
