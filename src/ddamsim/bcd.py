@@ -46,7 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import ChannelRealization, PathSet, Timebase
+from .channel import ChannelRealization, PathSet, Timebase, _whole_numbers
 from .errors import ContractViolationError, FeasibilityError, NumericalError
 from .linalg import eig_hermitian
 from .zf import FeasibilityVerdict, zf_feasibility, zf_spatial_design
@@ -100,17 +100,6 @@ class BcdState:
     rate_trace: list[float]
     converged: bool
     n_iterations: int
-
-
-def _whole_numbers(values, name: str) -> np.ndarray:
-    """values as int64; a NaN, inf or 2.7 raises instead of being cast silently."""
-    raw = np.asarray(values)
-    kind = raw.dtype.kind
-    if kind not in "iu" and not (
-        kind == "f" and np.isfinite(raw).all() and (raw == np.trunc(raw)).all()
-    ):
-        raise ContractViolationError(f"{name} must be whole numbers, got {values!r}")
-    return raw.astype(np.int64)
 
 
 def _lag_pairs(

@@ -28,12 +28,24 @@ from .errors import ContractViolationError
 _MAX_DELAY_REDRAWS = 10_000
 
 
+def _whole_numbers(values, name: str) -> np.ndarray:
+    """values as int64; a NaN, inf, 2.7 or bool raises instead of being cast silently."""
+    raw = np.asarray(values)
+    kind = raw.dtype.kind
+    if kind not in "iu" and not (
+        kind == "f" and np.isfinite(raw).all() and (raw == np.trunc(raw)).all()
+    ):
+        raise ContractViolationError(f"{name} must be whole numbers, got {values!r}")
+    return raw.astype(np.int64, copy=False)
+
+
 @dataclass
 class PathSet:
     """Geometry and gains of the resolvable multipath components.
 
-    Delay taps are pairwise distinct integers in [0, delay_tap_bound], the
-    tap bound is an integer (not a bool), every Doppler shift is bounded by
+    Delay taps are pairwise distinct whole numbers in [0, delay_tap_bound]
+    (a fractional, non-finite or bool tap raises), the tap bound is an
+    integer (not a bool), every Doppler shift is bounded by
     doppler_bound_hz in magnitude, and gains, angles, Dopplers and the
     bound are finite.
     """
@@ -50,7 +62,7 @@ class PathSet:
         self.gains = np.asarray(self.gains, dtype=np.complex128)
         self.aoa_rad = np.asarray(self.aoa_rad, dtype=np.float64)
         self.aod_rad = np.asarray(self.aod_rad, dtype=np.float64)
-        self.delay_taps = np.asarray(self.delay_taps, dtype=np.int64)
+        self.delay_taps = _whole_numbers(self.delay_taps, "delay taps")
         self.doppler_hz = np.asarray(self.doppler_hz, dtype=np.float64)
         n = self.gains.shape[0]
         if n == 0:

@@ -1,10 +1,10 @@
 """Seeded Monte-Carlo experiments and their tabular output.
 
 Every experiment is a named recipe: a set of SystemConfig overrides, a
-parameter sweep, and a per-trial evaluator mapping one random channel draw
-to metric records. Trials are seeded independently from (seed, trial), so
-runs are reproducible and identical no matter how many workers execute
-them.
+parameter sweep, and an evaluator mapping a chunk of consecutive trials,
+one random channel draw each, to their metric records. Trials are seeded
+independently from (seed, trial), so runs are reproducible and identical
+no matter how the trials are chunked or how many workers execute them.
 
 Spectral-efficiency conventions used throughout:
 
@@ -16,8 +16,9 @@ Spectral-efficiency conventions used throughout:
   representative blocks of the path-invariant window: the first, the
   middle, and the last.
 
-fig9's mismatched-CSI rate builds each estimate's lag model with
-bcd._lag_pairs and rates a whole trial in one stacked call.
+Six experiments evaluate a chunk trial by trial. fig9 designs a whole
+chunk with one stacked zero-forcing call per array size and rates it in
+one mismatched-CSI call, whose lag models come from bcd._lag_pairs.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -98,6 +100,10 @@ FEASIBILITY_RX_STREAM_PAIRS = ((1, 1), (2, 2), (4, 4), (4, 2))
 
 # domain errors that fail one trial; any other exception is a bug and propagates
 TRIAL_FAILURES = (ContractViolationError, NumericalError, FeasibilityError)
+# Trials per evaluator call. It bounds what a chunk holds at once: its
+# record lists and, for fig9, its stacked channels, designs and lag weights,
+# a few MB at the default config.
+TRIAL_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -118,12 +124,19 @@ class ResultRow:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Registry entry: overrides plus the per-trial evaluator."""
+    """Registry entry: overrides plus the chunk evaluator.
+
+    The evaluator takes the config and one generator per trial of a chunk
+    of consecutive trials, and returns one record list per trial, in
+    order. It consumes each trial's generator alone, as a run of that
+    trial by itself would, so a trial's records do not depend on the chunk
+    it runs in.
+    """
 
     name: str
     description: str
     config_overrides: dict
-    evaluator: object            # callable (SystemConfig, Generator) -> records
+    evaluator: object            # callable (SystemConfig, [Generator]) -> [records]
     default_trials: int
 
 
@@ -286,48 +299,80 @@ def _strongest_se(
 
 
 def mismatched_alignment_rate(
-    paths: PathSet,
+    paths: list[PathSet],
     pair_outputs,
-    estimates,
+    estimates: list[list[PathSet]],
     noise_var: float,
     timebase: Timebase,
 ) -> np.ndarray:
-    """(T, E) rates achieved when the alignment used estimated CSI.
+    """(S, T, E) rates achieved when the alignment used estimated CSI.
 
-    pair_outputs are the (T, L', L, M_r, N_s) products H_l F_l' of the true
-    path matrices with T designs' spatial precoders. Each of the
-    E estimated path sets aligns branch l' to its delay and Doppler; the
-    lag model (bcd._lag_pairs) groups the true paths against those
-    branches, and in each block _block_samples picks the offset-0 group is
-    rated with the others as colored noise under an MMSE combiner (the
-    rate BCD maximizes), then averaged. True paths give the ZF rate.
+    paths holds S trials' true path sets, each of L paths, and estimates
+    each trial's E estimated path sets of L' branches. pair_outputs are
+    the (S, T, L', L, M_r, N_s) products H_l F_l' of each trial's true path
+    matrices with T designs' spatial precoders. Each estimate aligns branch
+    l' to its delay and Doppler; the lag model (bcd._lag_pairs) groups the
+    true paths against those branches, and in each block _block_samples
+    picks the offset-0 group is rated with the others as colored noise
+    under an MMSE combiner (the rate BCD maximizes), then averaged. True
+    paths give the ZF rate.
 
     The lag model does not depend on the design, nor the pair outputs on
-    the estimate or block. Each estimate's groups are padded with zero
-    weights to a common count (offset 0 first), so one product sums every
-    (design, estimate, block) group and one colored_noise_rate call rates
-    them all.
+    the estimate or block. A trial's estimates have their groups padded
+    with zero weights to a common count (offset 0 first), so one product
+    sums every (design, estimate, block) group. Trials with the same count
+    are rated by one colored_noise_rate call; padding a trial no further
+    than its own estimates need keeps its rates independent of the other
+    trials it is rated with.
     """
     outputs = np.asarray(pair_outputs, dtype=np.complex128)
-    if outputs.ndim != 5 or outputs.shape[2] != paths.num_paths:
-        raise ContractViolationError("pair outputs must have shape (T, L', L, M_r, N_s)")
-    num_designs, num_branches, _, num_rx, num_streams = outputs.shape
-    if not estimates or any(est.num_paths != num_branches for est in estimates):
-        raise ContractViolationError(f"estimates must be path sets of {num_branches} branches")
+    if outputs.ndim != 6 or outputs.shape[0] != len(paths) or len(estimates) != len(paths):
+        raise ContractViolationError(
+            "pair outputs must have shape (S, T, L', L, M_r, N_s) for S trials with estimates"
+        )
+    num_trials, num_designs, num_branches, num_paths, num_rx, num_streams = outputs.shape
+    if any(p.num_paths != num_paths for p in paths):
+        raise ContractViolationError(f"true path sets must have {num_paths} paths")
+    num_estimates = len(estimates[0]) if num_trials else 0
+    if not num_estimates or any(
+        len(trial) != num_estimates or any(est.num_paths != num_branches for est in trial)
+        for trial in estimates
+    ):
+        raise ContractViolationError(
+            f"every trial needs the same number of path sets of {num_branches} branches"
+        )
     blocks = _block_samples(timebase)
-    lags = [
-        _lag_pairs(paths, timebase, blocks, est.delay_taps, est.doppler_hz) for est in estimates
-    ]
-    num_pairs = num_branches * paths.num_paths
-    num_slots = max(len(offsets) for offsets, _, _ in lags)
-    # weights[e, b, k, (l', l)]: the pair's phase in block b if it lands on offset k
-    weights = np.zeros((len(lags), len(blocks), num_slots, num_pairs), dtype=np.complex128)
-    for weight, (_, pair_slot, phases) in zip(weights, lags):
-        weight[:, pair_slot.ravel(), np.arange(num_pairs)] = phases.reshape(len(blocks), -1)
-    grouped = weights.reshape(-1, num_pairs) @ outputs.reshape(num_designs, num_pairs, -1)
-    grouped = grouped.reshape(num_designs, *weights.shape[:3], num_rx, num_streams)
-    rates = colored_noise_rate(grouped[..., 0, :, :], grouped[..., 1:, :, :], noise_var)[0]
-    return rates.mean(axis=-1)
+    num_pairs = num_branches * num_paths
+    by_slots: dict[int, list] = {}
+    for trial, (true_paths, trial_estimates) in enumerate(zip(paths, estimates)):
+        lags = [
+            _lag_pairs(true_paths, timebase, blocks, est.delay_taps, est.doppler_hz)
+            for est in trial_estimates
+        ]
+        by_slots.setdefault(max(len(offsets) for offsets, _, _ in lags), []).append((trial, lags))
+    rates = np.empty((num_trials, num_designs, num_estimates))
+    for num_slots, members in by_slots.items():
+        trials = [trial for trial, _ in members]
+        # weights[s, e, b, k, (l', l)]: the pair's phase in block b if it lands on offset k
+        weights = np.zeros(
+            (len(trials), num_estimates, len(blocks), num_slots, num_pairs), dtype=np.complex128
+        )
+        for trial_weights, (_, lags) in zip(weights, members):
+            for weight, (_, pair_slot, phases) in zip(trial_weights, lags):
+                weight[:, pair_slot.ravel(), np.arange(num_pairs)] = phases.reshape(
+                    len(blocks), -1
+                )
+        grouped = weights.reshape(len(trials), 1, -1, num_pairs) @ outputs[trials].reshape(
+            len(trials), num_designs, num_pairs, -1
+        )
+        grouped = grouped.reshape(
+            len(trials), num_designs, *weights.shape[1:4], num_rx, num_streams
+        )
+        group_rates = colored_noise_rate(
+            grouped[..., 0, :, :], grouped[..., 1:, :, :], noise_var
+        )[0]
+        rates[trials] = group_rates.mean(axis=-1)
+    return rates
 
 
 # --- per-experiment trial evaluators -----------------------------------------
@@ -523,29 +568,46 @@ IMPERFECT_CSI_MODELS = (
 )
 
 
-def _imperfect_csi_trial(config: SystemConfig, rng: np.random.Generator) -> list:
-    paths = generate_paths(config, rng)
+def _imperfect_csi_chunk(config: SystemConfig, rngs) -> list:
     timebase = coherence_partition(config)
     overhead = _alignment_overhead(config, timebase)
     noise = config.noise_power_watts
-    estimates = [
-        perturb_csi(paths, CsiError(delay_accuracy=accuracy, doppler_error_coeff=coeff), rng)[0]
-        for _, accuracy, coeff in IMPERFECT_CSI_MODELS
-    ]
+    paths, estimates = [], []
+    for rng in rngs:
+        trial_paths = generate_paths(config, rng)
+        paths.append(trial_paths)
+        estimates.append(
+            [
+                perturb_csi(trial_paths, CsiError(accuracy, coeff), rng)[0]
+                for _, accuracy, coeff in IMPERFECT_CSI_MODELS
+            ]
+        )
     # the path matrices depend on gains and angles only, which perturb_csi
     # keeps, so every estimate aligns the true spatial design and all of
     # them share its pair outputs H_l F_l'
     pair_outputs = []
     for mt in TRANSMIT_ANTENNA_SWEEP:
         cfg = replace(config, num_tx_antennas=mt)
-        true_realization = realize_channel(paths, cfg)
-        perfect, _ = zf_design(true_realization, cfg.tx_power_watts, noise, cfg.num_streams)
-        pair_outputs.append(true_realization.matrices[None] @ perfect.precoders[:, None])
-    rates = mismatched_alignment_rate(paths, pair_outputs, estimates, noise, timebase)
+        realizations = [realize_channel(trial_paths, cfg) for trial_paths in paths]
+        designs = zf_design(realizations, cfg.tx_power_watts, noise, cfg.num_streams)
+        # a rank-deficient draw loads fewer streams; its missing ones stay zero
+        precoders = np.zeros(
+            (len(paths), config.num_paths, mt, cfg.num_streams), dtype=np.complex128
+        )
+        for precoder, (design, _) in zip(precoders, designs):
+            precoder[..., : design.num_streams] = design.precoders
+        matrices = np.array([realization.matrices for realization in realizations])
+        pair_outputs.append(matrices[:, None] @ precoders[:, :, None])
+    rates = mismatched_alignment_rate(
+        paths, np.stack(pair_outputs, axis=1), estimates, noise, timebase
+    )
     return [
-        (scheme, "mt", float(mt), "se_bps_hz", float(rate) * (1.0 - overhead))
-        for mt, row in zip(TRANSMIT_ANTENNA_SWEEP, rates)
-        for (scheme, _, _), rate in zip(IMPERFECT_CSI_MODELS, row)
+        [
+            (scheme, "mt", float(mt), "se_bps_hz", float(rate) * (1.0 - overhead))
+            for mt, row in zip(TRANSMIT_ANTENNA_SWEEP, trial_rates)
+            for (scheme, _, _), rate in zip(IMPERFECT_CSI_MODELS, row)
+        ]
+        for trial_rates in rates
     ]
 
 
@@ -566,6 +628,11 @@ def _feasibility_trial(config: SystemConfig, rng: np.random.Generator) -> list:
     return records
 
 
+def _each_trial(trial, config: SystemConfig, rngs) -> list:
+    """Chunk evaluator of a per-trial evaluator: the trials one by one."""
+    return [trial(config, rng) for rng in rngs]
+
+
 EXPERIMENTS: dict[str, ExperimentSpec] = {
     spec.name: spec
     for spec in (
@@ -574,7 +641,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             description="Rate of the residual-ISI optimizer per iteration from a "
             "random start, with the zero-forcing rate as reference.",
             config_overrides={"num_tx_antennas": 64},
-            evaluator=_convergence_trial,
+            evaluator=partial(_each_trial, _convergence_trial),
             default_trials=20,
         ),
         ExperimentSpec(
@@ -582,7 +649,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             description="Spectral efficiency vs transmit antennas for both "
             "alignment designs, OFDM, and strongest-path beamforming.",
             config_overrides={},
-            evaluator=_se_vs_mt_trial,
+            evaluator=partial(_each_trial, _se_vs_mt_trial),
             default_trials=100,
         ),
         ExperimentSpec(
@@ -590,7 +657,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             description="Spectral efficiency vs transmit antennas at 500 km/h "
             "for the zero-forcing alignment design, OTFS, and OFDM.",
             config_overrides={"velocity_mps": 500.0 / 3.6},
-            evaluator=_se_high_mobility_trial,
+            evaluator=partial(_each_trial, _se_high_mobility_trial),
             default_trials=100,
         ),
         ExperimentSpec(
@@ -604,7 +671,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
                 # stay resolvable across the swept power range.
                 "path_gain_db": -120.0,
             },
-            evaluator=_ber_trial,
+            evaluator=partial(_each_trial, _ber_trial),
             default_trials=100,
         ),
         ExperimentSpec(
@@ -616,7 +683,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
                 "num_streams": 1,
                 "path_gain_db": -120.0,
             },
-            evaluator=_papr_trial,
+            evaluator=partial(_each_trial, _papr_trial),
             default_trials=500,
         ),
         ExperimentSpec(
@@ -624,7 +691,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             description="Spectral efficiency vs transmit antennas when the "
             "alignment design uses wrong delays/Dopplers.",
             config_overrides={},
-            evaluator=_imperfect_csi_trial,
+            evaluator=_imperfect_csi_chunk,
             default_trials=100,
         ),
         ExperimentSpec(
@@ -632,7 +699,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             description="Zero-forcing feasibility verdict (0 infeasible, "
             "1 feasible, 2 undetermined) over antennas and path counts.",
             config_overrides={},
-            evaluator=_feasibility_trial,
+            evaluator=partial(_each_trial, _feasibility_trial),
             default_trials=1,
         ),
     )
@@ -665,16 +732,43 @@ def _checked_int(name: str, value, low: int) -> int:
     return int(value)
 
 
-def _run_single_trial(name: str, config: SystemConfig, seed: int, trial: int):
-    """Worker entry point; must stay importable at module top level."""
+def _trial_chunks(trials: int, workers: int) -> list[range]:
+    """Consecutive trial ranges of at most TRIAL_CHUNK trials, at least one per worker."""
+    count = max(-(-trials // TRIAL_CHUNK), min(workers, trials))
+    bounds = [trials * k // count for k in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _run_chunk(name: str, config: SystemConfig, seed: int, trials: range):
+    """Worker entry point; must stay importable at module top level.
+
+    Returns the records of every trial that completed, keyed by trial, and
+    the (trial, message) pairs of the trials that failed. A domain error
+    from the evaluator re-runs the chunk one trial at a time on fresh
+    generators, so it fails only the trial that raised it.
+    """
     spec = EXPERIMENTS[name]
-    rng = np.random.default_rng([seed, trial])
-    records = spec.evaluator(config, rng)
-    for scheme, param_name, param_value, metric, value in records:
-        if not math.isfinite(value):
-            key = (scheme, param_name, float(param_value), metric)
-            raise NumericalError(f"non-finite metric value {value!r} for {key}")
-    return records
+    try:
+        outputs = spec.evaluator(config, [np.random.default_rng([seed, t]) for t in trials])
+    except TRIAL_FAILURES as exc:
+        if len(trials) == 1:
+            return {}, [(trials[0], f"{type(exc).__name__}: {exc}")]
+        results, failures = {}, []
+        for trial in trials:
+            done, failed = _run_chunk(name, config, seed, range(trial, trial + 1))
+            results.update(done)
+            failures.extend(failed)
+        return results, failures
+    results, failures = {}, []
+    for trial, records in zip(trials, outputs, strict=True):
+        bad = [record for record in records if not math.isfinite(record[4])]
+        if not bad:
+            results[trial] = records
+            continue
+        scheme, param_name, param_value, metric, value = bad[0]
+        key = (scheme, param_name, float(param_value), metric)
+        failures.append((trial, f"NumericalError: non-finite metric value {value!r} for {key}"))
+    return results, failures
 
 
 def run_experiment(
@@ -694,9 +788,11 @@ def run_experiment(
     NumericalError that names the (scheme, param, metric) key. Aggregation
     (mean/median/10th/90th percentiles) is keyed by (scheme, param, metric)
     and independent of completion order, so worker count never changes the
-    output. seed (>= 0), num_trials and workers (>= 1) must be integers,
-    and the config must pass config_from_dict, else ContractViolationError
-    is raised before any trial runs.
+    output. Trials run in consecutive chunks of at most TRIAL_CHUNK, one
+    evaluator call each; a pool gets one future per chunk and at least one
+    chunk per worker. seed (>= 0), num_trials and workers (>= 1) must be
+    integers, and the config must pass config_from_dict, else
+    ContractViolationError is raised before any trial runs.
     """
     resolved = _resolve_config(name, config)
     spec = EXPERIMENTS[name]
@@ -709,23 +805,19 @@ def run_experiment(
 
     results: dict[int, list] = {}
     failures: list[tuple[int, str]] = []
-    if workers is not None and workers > 1 and trials > 1:
+    pooled = workers is not None and workers > 1 and trials > 1
+    chunks = _trial_chunks(trials, workers if pooled else 1)
+    if pooled:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                trial: pool.submit(_run_single_trial, name, trial_config, seed, trial)
-                for trial in range(trials)
-            }
-            for trial, future in futures.items():
-                try:
-                    results[trial] = future.result()
-                except TRIAL_FAILURES as exc:
-                    failures.append((trial, f"{type(exc).__name__}: {exc}"))
+            futures = [
+                pool.submit(_run_chunk, name, trial_config, seed, chunk) for chunk in chunks
+            ]
+            outcomes = [future.result() for future in futures]
     else:
-        for trial in range(trials):
-            try:
-                results[trial] = _run_single_trial(name, trial_config, seed, trial)
-            except TRIAL_FAILURES as exc:
-                failures.append((trial, f"{type(exc).__name__}: {exc}"))
+        outcomes = (_run_chunk(name, trial_config, seed, chunk) for chunk in chunks)
+    for done, failed in outcomes:
+        results.update(done)
+        failures.extend(failed)
 
     buckets: dict[tuple, list[float]] = {}
     for trial in sorted(results):

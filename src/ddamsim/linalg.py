@@ -1,7 +1,8 @@
 """Thin wrappers around dense linear algebra with explicit tolerance contracts.
 
 All routines accept anything convertible to a 2-D complex array
-(null_space_basis also a 3-D stack of them) and refuse non-finite input.
+(svd_reduced and null_space_basis also a 3-D stack of them) and refuse
+non-finite input.
 Rank decisions are always made relative to the largest singular value so
 the same tolerance works across scales.
 """
@@ -23,7 +24,7 @@ def as_complex_matrix(a) -> np.ndarray:
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2:
         raise ContractViolationError(f"matrix must be 2-D, got ndim={arr.ndim}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise ContractViolationError("matrix contains non-finite entries")
     return arr
 
@@ -33,17 +34,28 @@ def svd_reduced(a):
 
     Returns (u, s, v) with a ~= u @ diag(s) @ v.conj().T, singular values
     sorted descending, and only values above RANK_TOL * s_max kept.
+
+    `a` may also be an (S, m, n) stack of matrices. Their factors come from
+    one batched SVD, and the S triples are returned as a list, each
+    truncated at its own matrix's rank.
     """
-    arr = as_complex_matrix(a)
+    arr = np.asarray(a, dtype=np.complex128)
+    if arr.ndim not in (2, 3):
+        raise ContractViolationError(f"matrix must be 2-D or a 3-D stack, got ndim={arr.ndim}")
     if arr.size == 0:
         raise ContractViolationError("svd_reduced needs a non-empty matrix")
+    if not np.isfinite(arr).all():
+        raise ContractViolationError("matrix contains non-finite entries")
+    stack = arr if arr.ndim == 3 else arr[None]
     try:
-        u, s, vh = np.linalg.svd(arr, full_matrices=False)
+        u, s, vh = np.linalg.svd(stack, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
-    s_max = s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > RANK_TOL * s_max))
-    return u[:, :rank], s[:rank], vh[:rank].conj().T
+    ranks = (s > RANK_TOL * s[:, :1]).sum(axis=1).tolist()
+    factors = [
+        (u[i, :, :rank], s[i, :rank], vh[i, :rank].conj().T) for i, rank in enumerate(ranks)
+    ]
+    return factors if arr.ndim == 3 else factors[0]
 
 
 def eig_hermitian(a):
@@ -84,7 +96,7 @@ def null_space_basis(a):
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim not in (2, 3):
         raise ContractViolationError(f"matrix must be 2-D or a 3-D stack, got ndim={arr.ndim}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise ContractViolationError("matrix contains non-finite entries")
     stack = arr if arr.ndim == 3 else arr[None]
     count, rows, cols = stack.shape

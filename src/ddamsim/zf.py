@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, Timebase, apply_channel
+from .channel import ChannelRealization, Timebase, _whole_numbers, apply_channel
 from .errors import ContractViolationError, FeasibilityError, NumericalError
 from .linalg import RANK_TOL, null_space_basis, svd_reduced
 
@@ -54,7 +54,8 @@ class DdamDesign:
 
     Branch l sends through the spatial precoder F_l and is aligned to the
     delay tap m_l and Doppler nu_l of the path it targets; build_ddam_tx
-    derives the advances and phases from them.
+    derives the advances and phases from them. The delays are
+    non-negative, pairwise distinct whole numbers and the Dopplers finite.
     """
 
     precoders: np.ndarray      # spatial F_l, complex, shape (L, M_t, N_s)
@@ -65,13 +66,15 @@ class DdamDesign:
     def __post_init__(self) -> None:
         self.precoders = np.asarray(self.precoders, dtype=np.complex128)
         self.combiner = np.asarray(self.combiner, dtype=np.complex128)
-        self.delay_taps = np.asarray(self.delay_taps, dtype=np.int64)
+        self.delay_taps = _whole_numbers(self.delay_taps, "branch delays")
         self.doppler_hz = np.asarray(self.doppler_hz, dtype=np.float64)
         if self.precoders.ndim != 3:
             raise ContractViolationError("precoders must have shape (L, M_t, N_s)")
         n = self.precoders.shape[0]
         if self.delay_taps.shape != (n,) or self.doppler_hz.shape != (n,):
             raise ContractViolationError("per-branch delays and Dopplers must match L")
+        if not np.isfinite(self.doppler_hz).all():
+            raise ContractViolationError("branch Dopplers must be finite")
         if np.any(self.delay_taps < 0):
             raise ContractViolationError("branch delays must be non-negative")
         if len(set(self.delay_taps.tolist())) != n:
@@ -131,44 +134,82 @@ def zf_feasibility(num_tx: int, num_rx: int, num_streams: int, num_paths: int) -
     return ZfFeasibility(verdict, num_equations, num_variables)
 
 
-def path_zf_precoder_bases(matrices: np.ndarray) -> list[np.ndarray]:
+def path_zf_precoder_bases(
+    matrices: np.ndarray,
+) -> list[tuple[list[int], list[tuple[slice, np.ndarray]]]]:
     """Orthonormal bases of the reachable per-path interference-free subspaces.
 
-    matrices is the (L, M_r, M_t) stack of path channels. bases[l] spans the
-    directions inside the channels' joint row space, range([H_1^H, ...,
-    H_L^H]), that every other path annihilates, so H_k @ bases[l] = 0 for
-    every k != l. The rest of the null space of the other paths is
-    orthogonal to every H_k, path l's included: it carries no signal, so
-    dropping it leaves H_l's projection onto the full null space, and with
-    it the capacity-achieving design, unchanged.
+    matrices is an (S, L, M_r, M_t) stack of S realizations' path channels.
+    For each realization, basis l spans the directions inside the
+    channels' joint row space, range([H_1^H, ..., H_L^H]), that every other
+    path annihilates, so H_k @ B_l = 0 for every k != l. The rest of the
+    null space of the other paths is orthogonal to every H_k, path l's
+    included: it carries no signal, so dropping it leaves H_l's projection
+    onto the full null space, and with it the capacity-achieving design,
+    unchanged.
 
-    One thin QR of the stacked adjoint [H_1^H, ..., H_L^H] = Q R gives an
-    orthonormal Q with at most L * M_r columns; each null space is taken
-    of R's other-path column blocks in those coordinates and mapped back
-    by Q, so the cost does not grow with M_t. The L null spaces come from
-    one batched SVD. With a single path there is nothing to null and
-    bases[0] = Q.
+    One batched thin QR of the stacked adjoints [H_1^H, ..., H_L^H] = Q R
+    gives an orthonormal Q with at most L * M_r columns per realization;
+    each null space is taken of R's other-path column blocks in those
+    coordinates and mapped back by Q, so the cost does not grow with M_t.
+    The S * L null spaces come from one batched SVD. With a single path
+    there is nothing to null and B_0 = Q.
+
+    Realizations whose L bases have the same widths are returned together,
+    as (members, bases) groups: members lists their indices into the stack
+    in order, and bases holds their B_l in runs of consecutive paths, each
+    run a (paths, B) pair of a slice of path indices and the
+    (S_g, paths in the run, M_t, r) array of their bases. When every
+    path's basis has the same width r (any draw in general position) one
+    run holds all L paths; otherwise each path is a run of its own. A
+    realization in which some path keeps no direction raises
+    FeasibilityError.
     """
-    num_paths, num_rx, num_tx = matrices.shape
-    basis, tri = np.linalg.qr(np.concatenate(matrices.conj().transpose(0, 2, 1), axis=1))
-    # others[l]: R's columns of every path but l, in path order
-    cols = np.arange(num_paths * num_rx).reshape(num_paths, num_rx)
-    other_paths = np.nonzero(~np.eye(num_paths, dtype=bool))[1].reshape(num_paths, -1)
-    others = tri[:, cols[other_paths].reshape(num_paths, -1)].transpose(1, 0, 2)
-    bases = []
-    for l, reduced in enumerate(null_space_basis(others)):
-        if reduced.shape[1] == 0:
+    count, num_paths, num_rx, num_tx = matrices.shape
+    # realization s's [H_1^H, ..., H_L^H], shape (M_t, L * M_r)
+    adjoints = matrices.conj().transpose(0, 3, 1, 2).reshape(count, num_tx, -1)
+    basis, tri = np.linalg.qr(adjoints)
+    # others[s, l]: R's columns of every path but l, in path order
+    others = tri[:, :, _other_path_columns(num_paths, num_rx)].transpose(0, 2, 1, 3)
+    reduced = null_space_basis(others.reshape(count * num_paths, *others.shape[2:]))
+    coords = [reduced[s * num_paths : (s + 1) * num_paths] for s in range(count)]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for s, paths in enumerate(coords):
+        widths = tuple(c.shape[1] for c in paths)
+        if 0 in widths:
             raise FeasibilityError(
-                f"path {l}: no interference-free transmit directions left "
+                f"path {widths.index(0)}: no interference-free transmit directions left "
                 f"(M_t = {num_tx}, L = {num_paths})"
             )
-        bases.append(basis @ reduced)
-    return bases
+        groups.setdefault(widths, []).append(s)
+    out = []
+    for widths, members in groups.items():
+        if len(set(widths)) == 1:
+            runs = [slice(0, num_paths)]
+        else:
+            runs = [slice(l, l + 1) for l in range(num_paths)]
+        q = _rows(basis, members)[:, None]
+        out.append(
+            (members, [(run, q @ np.array([coords[s][run] for s in members])) for run in runs])
+        )
+    return out
+
+
+def _other_path_columns(num_paths: int, num_rx: int) -> np.ndarray:
+    """Row l: the column indices of every path but l in [H_1^H, ..., H_L^H]."""
+    cols = np.arange(num_paths * num_rx).reshape(num_paths, num_rx)
+    other_paths = np.nonzero(~np.eye(num_paths, dtype=bool))[1].reshape(num_paths, -1)
+    return cols[other_paths].reshape(num_paths, -1)
+
+
+def _rows(stack: np.ndarray, members: list[int]) -> np.ndarray:
+    """stack[members] for ascending members, without a copy when that is all of it."""
+    return stack if len(members) == len(stack) else stack[members]
 
 
 def zf_spatial_design(
     matrices: np.ndarray, total_power: float, noise_var: float, num_streams: int
-) -> tuple[np.ndarray, "ZfCapacityResult"]:
+) -> tuple[np.ndarray, ZfCapacityResult] | list[tuple[np.ndarray, ZfCapacityResult]]:
     """Per-path zero-forcing precoders for a stack of path matrices.
 
     Pure spatial solution (no delay/Doppler bookkeeping): nulling bases,
@@ -179,17 +220,44 @@ def zf_spatial_design(
     effective channel has at most L * (L * M_r) columns whatever M_t is;
     the precoders equal those over the full null spaces up to one phase per
     stream, which leaves the rate, mode gains and F F^H unchanged.
+
+    matrices is one (L, M_r, M_t) path stack, which returns its
+    (precoders, result), or an (S, L, M_r, M_t) stack of S of them, which
+    returns the S pairs in a list. The stack's bases, effective channels,
+    SVDs and splits are batched over the realizations that share basis
+    widths and stream counts; the silent-channel check and water-filling
+    run per realization. Every member equals its own one-realization call
+    exactly.
     """
     mats = np.asarray(matrices, dtype=np.complex128)
-    bases = path_zf_precoder_bases(mats)
-    blocks = [mats[l] @ bases[l] for l in range(len(bases))]
-    h_eff = np.concatenate(blocks, axis=1)
-    if np.linalg.norm(h_eff) <= RANK_TOL * np.linalg.norm(mats):
-        # only rounding residue survived the nulling (every path shares its
-        # signature with another, or is silent): no stream, no power
-        h_eff = np.zeros_like(h_eff)
-    result = zf_capacity_design(h_eff, total_power, noise_var, num_streams)
-    return split_stacked_precoder(bases, result.stacked_precoder), result
+    stack = mats if mats.ndim == 4 else mats[None]
+    designs: list = [None] * len(stack)
+    for members, bases in path_zf_precoder_bases(stack):
+        chans = _rows(stack, members)
+        # every H_l B_l side by side, in path order
+        h_eff = np.concatenate(
+            [
+                (chans[:, paths] @ b).swapaxes(1, 2).reshape(len(members), chans.shape[2], -1)
+                for paths, b in bases
+            ],
+            axis=-1,
+        )
+        for h, chan in zip(h_eff, chans):
+            if np.linalg.norm(h) <= RANK_TOL * np.linalg.norm(chan):
+                # only rounding residue survived the nulling (every path
+                # shares its signature with another, or is silent): no
+                # stream, no power
+                h[...] = 0.0
+        results = zf_capacity_design(h_eff, total_power, noise_var, num_streams)
+        by_streams: dict[int, list[int]] = {}
+        for i, result in enumerate(results):
+            by_streams.setdefault(result.n_active_streams, []).append(i)
+        for part in by_streams.values():
+            stacked = np.array([results[i].stacked_precoder for i in part])
+            precoders = split_stacked_precoder([_rows(b, part) for _, b in bases], stacked)
+            for i, precoder in zip(part, precoders):
+                designs[members[i]] = (precoder, results[i])
+    return designs if mats.ndim == 4 else designs[0]
 
 
 def water_filling(mode_gains: np.ndarray, total_power: float, noise_var: float) -> np.ndarray:
@@ -209,15 +277,17 @@ def water_filling(mode_gains: np.ndarray, total_power: float, noise_var: float) 
         raise ContractViolationError("mode_gains must be a non-empty 1-D array")
     if total_power <= 0 or noise_var <= 0:
         raise ContractViolationError("total_power and noise_var must be positive")
-    modes = np.flatnonzero(gains > 0)
+    modes = (gains > 0).nonzero()[0]
     if modes.size == 0:
         raise ContractViolationError("water_filling needs at least one positive gain")
     floors = noise_var / gains[modes]
     order = np.argsort(floors, kind="stable")
     modes, floors = modes[order], floors[order]
     gaps = floors[:, None] - floors[None, :]          # f_i - f_j
-    # budget that lifts every lower floor to floor k; non-decreasing in k
-    reach = np.tril(gaps).sum(axis=1)
+    # budget that lifts every lower floor to floor k (the row sums of the
+    # lower triangle); non-decreasing in k
+    index = np.arange(modes.size)
+    reach = np.where(index[:, None] >= index, gaps, 0.0).sum(axis=1)
     n = int(np.count_nonzero(reach < total_power))
     powers = np.zeros_like(gains)
     powers[modes[:n]] = (total_power - gaps[:n, :n].sum(axis=1)) / n
@@ -231,7 +301,7 @@ def water_filling(mode_gains: np.ndarray, total_power: float, noise_var: float) 
 
 def zf_capacity_design(
     effective_channel: np.ndarray, total_power: float, noise_var: float, num_streams: int
-) -> ZfCapacityResult:
+) -> ZfCapacityResult | list[ZfCapacityResult]:
     """Capacity-achieving combiner/precoder over the aligned channel.
 
     Reduced SVD of the effective channel gives the receive combiner (left
@@ -239,58 +309,84 @@ def zf_capacity_design(
     vectors); water-filling splits power over the min(rank, num_streams)
     strongest modes. A rank-deficient channel simply transmits fewer
     streams; a zero channel yields zero rate and zero precoders.
+
+    An (S, M_r, W) stack of effective channels returns a list of S results
+    from one batched SVD.
     """
     h_eff = np.asarray(effective_channel, dtype=np.complex128)
     if num_streams < 1:
         raise ContractViolationError("num_streams must be >= 1")
-    if not np.any(np.abs(h_eff) > 0):
-        return ZfCapacityResult(
-            combiner=np.zeros((h_eff.shape[0], 0), dtype=np.complex128),
-            stacked_precoder=np.zeros((h_eff.shape[1], 0), dtype=np.complex128),
-            rate_bps_hz=0.0,
-            mode_powers=np.zeros(0),
-            mode_gains=np.zeros(0),
-            n_active_streams=0,
+    results = []
+    # only a zero channel has rank 0, and it loads no stream
+    for u, s, v in svd_reduced(h_eff if h_eff.ndim == 3 else h_eff[None]):
+        n_active = min(len(s), num_streams)
+        u = u[:, :n_active]
+        v = v[:, :n_active]
+        gains = s[:n_active] ** 2
+        powers = water_filling(gains, total_power, noise_var) if n_active else np.zeros(0)
+        results.append(
+            ZfCapacityResult(
+                combiner=u,
+                stacked_precoder=v * np.sqrt(powers)[None, :],
+                rate_bps_hz=float(np.sum(np.log2(1.0 + powers * gains / noise_var))),
+                mode_powers=powers,
+                mode_gains=gains,
+                n_active_streams=n_active,
+            )
         )
-    u, s, v = svd_reduced(h_eff)
-    n_active = min(len(s), num_streams)
-    u = u[:, :n_active]
-    v = v[:, :n_active]
-    gains = s[:n_active] ** 2
-    powers = water_filling(gains, total_power, noise_var)
-    stacked = v * np.sqrt(powers)[None, :]
-    rate = float(np.sum(np.log2(1.0 + powers * gains / noise_var)))
-    return ZfCapacityResult(
-        combiner=u,
-        stacked_precoder=stacked,
-        rate_bps_hz=rate,
-        mode_powers=powers,
-        mode_gains=gains,
-        n_active_streams=n_active,
-    )
+    return results if h_eff.ndim == 3 else results[0]
 
 
 def split_stacked_precoder(
     bases: list[np.ndarray], stacked_precoder: np.ndarray
 ) -> np.ndarray:
-    """Map the stacked solution back to the (L, M_t, N_s) stack F_l = B_l X_l."""
-    sizes = [b.shape[1] for b in bases]
-    if stacked_precoder.shape[0] != sum(sizes):
+    """Map stacked solutions back to the per-path precoders F_l = B_l X_l.
+
+    bases are one path_zf_precoder_bases group's runs, (S, P, M_t, r)
+    each, and stacked_precoder the (S, sum P * r, N_s) stack of the
+    group's solutions; returns the (S, L, M_t, N_s) precoders.
+    """
+    count, rows, num_streams = stacked_precoder.shape
+    if rows != sum(b.shape[1] * b.shape[3] for b in bases):
         raise ContractViolationError("stacked precoder rows do not match basis sizes")
-    blocks = np.split(stacked_precoder, np.cumsum(sizes)[:-1])
-    return np.stack([basis @ block for basis, block in zip(bases, blocks)])
+    parts, start = [], 0
+    for b in bases:
+        _, paths, _, width = b.shape
+        block = stacked_precoder[:, start : start + paths * width]
+        parts.append(b @ block.reshape(count, paths, width, num_streams))
+        start += paths * width
+    return np.concatenate(parts, axis=1)
 
 
 def zf_design(
-    realization: ChannelRealization, total_power: float, noise_var: float, num_streams: int
-) -> tuple[DdamDesign, ZfCapacityResult]:
-    """Full zero-forcing alignment design for one realization."""
-    precoders, result = zf_spatial_design(
-        realization.matrices, total_power, noise_var, num_streams
+    realization: ChannelRealization | list[ChannelRealization],
+    total_power: float,
+    noise_var: float,
+    num_streams: int,
+) -> tuple[DdamDesign, ZfCapacityResult] | list[tuple[DdamDesign, ZfCapacityResult]]:
+    """Full zero-forcing alignment design for one realization.
+
+    A sequence of realizations of equal shape is designed by one stacked
+    zf_spatial_design call and returns the list of (design, result)
+    pairs, each equal to its one-realization call.
+    """
+    single = isinstance(realization, ChannelRealization)
+    realizations = [realization] if single else list(realization)
+    if len({r.matrices.shape for r in realizations}) != 1:
+        raise ContractViolationError("zf_design needs realizations of one shape")
+    spatial = zf_spatial_design(
+        np.array([r.matrices for r in realizations]), total_power, noise_var, num_streams
     )
-    paths = realization.path_set
-    design = DdamDesign(precoders, result.combiner, paths.delay_taps, paths.doppler_hz)
-    return design, result
+    designs = [
+        (
+            DdamDesign(
+                precoders, result.combiner, r.path_set.delay_taps, r.path_set.doppler_hz
+            ),
+            result,
+        )
+        for r, (precoders, result) in zip(realizations, spatial)
+    ]
+    return designs[0] if single else designs
 
 
 def build_ddam_tx(

@@ -298,7 +298,7 @@ def mismatched_alignment_rate_loop(
 
 
 def imperfect_csi_trial_loop(config: SystemConfig, rng: np.random.Generator) -> list:
-    """Per-estimate version of `experiments._imperfect_csi_trial`.
+    """Per-estimate version of one trial of `experiments._imperfect_csi_chunk`.
 
     Realizes the channel of every CSI model's estimated paths, builds its
     zero-forcing alignment design from scratch and rates it against the

@@ -218,6 +218,21 @@ def test_path_set_rejects_a_non_integer_tap_bound(bound):
         _path_set([1.0, 1.0], [0, 1], [0.0, 0.0], tap_bound=bound)
 
 
+@pytest.mark.parametrize(
+    "taps", [[0.0, 1.5], [0, np.nan], [0.0, np.inf], [True, False], ["0", "1"]]
+)
+def test_path_set_rejects_taps_that_are_not_whole_numbers(taps):
+    # a cast to int64 would truncate 1.5 to 1 and turn True into 1
+    paths = _path_set([1.0, 1.0], [0, 1], [0.0, 0.0])
+    with pytest.raises(ContractViolationError):
+        replace(paths, delay_taps=taps)
+
+
+def test_path_set_takes_whole_float_taps_as_integers():
+    paths = replace(_path_set([1.0, 1.0], [0, 1], [0.0, 0.0]), delay_taps=[0.0, 3.0])
+    assert paths.delay_taps.dtype == np.int64 and paths.delay_taps.tolist() == [0, 3]
+
+
 def test_path_set_keeps_a_numpy_integer_tap_bound_as_int():
     paths = _path_set([1.0, 1.0], [0, 1], [0.0, 0.0], tap_bound=np.int64(2))
     assert type(paths.delay_tap_bound) is int and paths.delay_tap_bound == 2

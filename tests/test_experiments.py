@@ -220,10 +220,10 @@ def test_failures_collected_not_raised():
 
 
 def _trial_raising(error):
-    def trial(config, rng):
+    def chunk(config, rngs):
         raise error("injected by the test")
 
-    return trial
+    return chunk
 
 
 @pytest.mark.parametrize("workers", [None, 2])
@@ -256,12 +256,12 @@ def _trial_nan_on(seed, bad_trial):
     # trials are told apart by their first draw, which also works in a pool
     marker = np.random.default_rng([seed, bad_trial]).random()
 
-    def trial(config, rng):
+    def trial(rng):
         draw = rng.random()
         value = float("nan") if draw == marker else draw
         return [("s", "p", 1.0, "m", value), ("s", "p", 2.0, "m", 2.0 * draw)]
 
-    return trial
+    return lambda config, rngs: [trial(rng) for rng in rngs]
 
 
 @pytest.mark.parametrize("workers", [None, 2])
@@ -290,7 +290,11 @@ def _trial_ragged(config, rng):
 
 def test_aggregation_matches_per_bucket_statistics(monkeypatch):
     spec = EXPERIMENTS["feasibility-map"]
-    monkeypatch.setitem(EXPERIMENTS, spec.name, replace(spec, evaluator=_trial_ragged))
+    monkeypatch.setitem(
+        EXPERIMENTS,
+        spec.name,
+        replace(spec, evaluator=lambda config, rngs: [_trial_ragged(config, r) for r in rngs]),
+    )
     run = run_experiment(spec.name, seed=3, num_trials=13)
     buckets = {}
     for trial in range(13):
@@ -313,9 +317,77 @@ def test_aggregation_matches_per_bucket_statistics(monkeypatch):
         )
 
 
+def _fig9_records(trials, chunk_size, seed=0):
+    """Per-trial records of fig9's evaluator, called on consecutive chunks."""
+    config = SystemConfig()
+    evaluate = EXPERIMENTS["fig9-imperfect-csi"].evaluator
+    records = []
+    for start in range(0, trials, chunk_size):
+        chunk = range(start, min(start + chunk_size, trials))
+        records += evaluate(config, [np.random.default_rng([seed, t]) for t in chunk])
+    return records
+
+
+def test_fig9_trial_records_do_not_depend_on_the_chunk():
+    trials = 2 * experiments.TRIAL_CHUNK
+    alone = _fig9_records(trials, 1)
+    assert len(alone) == trials >= 100
+    assert _fig9_records(trials, 7) == alone
+    assert _fig9_records(trials, experiments.TRIAL_CHUNK) == alone
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("trials", [1, 5, 64, 65, 200])
+def test_trial_chunks_cover_the_run_in_order(trials, workers):
+    chunks = experiments._trial_chunks(trials, workers)
+    assert [t for chunk in chunks for t in chunk] == list(range(trials))
+    assert all(1 <= len(chunk) <= experiments.TRIAL_CHUNK for chunk in chunks)
+    assert len(chunks) >= min(workers, trials)
+
+
+def _spotting(evaluate, bad_trial, seed, action):
+    """evaluate, with one trial's generator spotted before any draw.
+
+    action "raise" fails a chunk holding that trial with a domain error;
+    "drop" returns no records for it, as if it had not run.
+    """
+    marker = np.random.default_rng([seed, bad_trial]).bit_generator.state
+
+    def chunk(config, rngs):
+        bad = [rng.bit_generator.state == marker for rng in rngs]
+        if action == "raise" and any(bad):
+            raise FeasibilityError("injected by the test")
+        records = evaluate(config, rngs)
+        return [[] if flag else trial for flag, trial in zip(bad, records)]
+
+    return chunk
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_a_domain_error_in_a_chunk_fails_only_its_trial(monkeypatch, workers):
+    spec = EXPERIMENTS["fig9-imperfect-csi"]
+    runs = {}
+    for action in ("raise", "drop"):
+        monkeypatch.setitem(
+            EXPERIMENTS, spec.name, replace(spec, evaluator=_spotting(spec.evaluator, 3, 9, action))
+        )
+        runs[action] = run_experiment(spec.name, seed=9, num_trials=10, workers=workers)
+    assert runs["raise"].failures == [(3, "FeasibilityError: injected by the test")]
+    assert runs["drop"].failures == []
+    assert runs["raise"].rows == runs["drop"].rows
+    assert {row.trials for row in runs["raise"].rows} == {9}
+
+
 def _pair_outputs(realization, spatial):
     """One design's (1, L', L, M_r, N_s) pair outputs H_l F_l'."""
     return (realization.matrices[None] @ spatial[:, None])[None]
+
+
+def _trial_rate(paths, pair_outputs, estimates, noise_var, timebase):
+    """(T, E) mismatched rates of one trial, rated as a chunk of one."""
+    return mismatched_alignment_rate(
+        [paths], pair_outputs[None], [estimates], noise_var, timebase
+    )[0]
 
 
 def test_mismatched_alignment_with_true_csi_matches_zf_rate():
@@ -328,7 +400,7 @@ def test_mismatched_alignment_with_true_csi_matches_zf_rate():
         spatial, result = zf_spatial_design(
             realization.matrices, cfg.tx_power_watts, cfg.noise_power_watts, 2
         )
-        rate = mismatched_alignment_rate(
+        rate = _trial_rate(
             paths,
             _pair_outputs(realization, spatial),
             [paths],
@@ -351,7 +423,7 @@ def test_mismatched_alignment_loses_rate_with_wrong_delays():
         spatial, result = zf_spatial_design(
             estimated.matrices, cfg.tx_power_watts, cfg.noise_power_watts, 2
         )
-        rate = mismatched_alignment_rate(
+        rate = _trial_rate(
             paths,
             _pair_outputs(realization, spatial),
             [wrong],
@@ -376,7 +448,7 @@ def test_mismatched_alignment_doppler_error_is_mild():
         spatial, result = zf_spatial_design(
             estimated.matrices, cfg.tx_power_watts, cfg.noise_power_watts, 2
         )
-        rate = mismatched_alignment_rate(
+        rate = _trial_rate(
             paths,
             _pair_outputs(realization, spatial),
             [wrong],
@@ -464,7 +536,7 @@ def test_lag_grouping_matches_pair_loop(
     want = mismatched_alignment_rate_loop(
         realization, design, wrong.max_delay_tap, noise, timebase, _block_samples(timebase)
     )
-    got = mismatched_alignment_rate(
+    got = _trial_rate(
         paths, _pair_outputs(realization, design.precoders), [wrong], noise, timebase
     )[0, 0]
     assert got == pytest.approx(want, rel=1e-12, abs=0)
@@ -523,7 +595,7 @@ def test_stacked_mismatched_rate_matches_pair_loop_per_design_and_estimate(
         realization = realize_channel(paths, replace(cfg, num_tx_antennas=mt))
         designs.append((realization, _random_design(realization, num_streams, 1.0, rng).precoders))
     pair_outputs = np.concatenate([_pair_outputs(*design) for design in designs])
-    got = mismatched_alignment_rate(paths, pair_outputs, estimates, noise, timebase)
+    got = _trial_rate(paths, pair_outputs, estimates, noise, timebase)
     assert got.shape == (len(sizes), len(estimates))
 
     for t, (realization, spatial) in enumerate(designs):
@@ -537,7 +609,7 @@ def test_stacked_mismatched_rate_matches_pair_loop_per_design_and_estimate(
     # padding invariance: an estimate rated alone gets the rate it gets in the
     # stack, up to the order in which BLAS sums the zero-padded products
     for e, est in enumerate(estimates):
-        alone = mismatched_alignment_rate(paths, pair_outputs, [est], noise, timebase)
+        alone = _trial_rate(paths, pair_outputs, [est], noise, timebase)
         assert alone[:, 0] == pytest.approx(got[:, e], rel=1e-13, abs=0), e
 
 
@@ -559,7 +631,7 @@ def test_mismatched_rate_rejects_bad_inputs(defect):
     else:
         pair_outputs = pair_outputs[0]
     with pytest.raises(ContractViolationError):
-        mismatched_alignment_rate(
+        _trial_rate(
             paths, pair_outputs, estimates, cfg.noise_power_watts, timebase
         )
 
@@ -591,9 +663,9 @@ def test_fig8_trial_with_a_corrupt_frame_fails(monkeypatch):
     assert all("NumericalError" in message for _, message in run.failures)
 
 
-def test_fig9_rates_a_trial_in_one_call(monkeypatch):
-    # every (M_t, CSI model, block) of a trial in one stacked rate, looked
-    # up through the module global
+def test_fig9_rates_a_chunk_in_one_call(monkeypatch):
+    # every (trial, M_t, CSI model, block) of a chunk in one stacked rate,
+    # looked up through the module global
     shapes = []
 
     def counted(paths, pair_outputs, estimates, noise_var, timebase):
@@ -604,7 +676,7 @@ def test_fig9_rates_a_trial_in_one_call(monkeypatch):
     monkeypatch.setattr(experiments, "mismatched_alignment_rate", counted)
     run = run_experiment("fig9-imperfect-csi", seed=4, num_trials=2)
     assert run.failures == []
-    assert shapes == [(3, 4)] * 2
+    assert shapes == [(2, 3, 4)]
 
 
 def test_fig9_builds_one_spatial_design_per_array_size(monkeypatch):
@@ -617,13 +689,14 @@ def test_fig9_builds_one_spatial_design_per_array_size(monkeypatch):
     monkeypatch.setattr(zf, "zf_spatial_design", counted)
     run = run_experiment("fig9-imperfect-csi", seed=4, num_trials=2)
     assert run.failures == []
-    assert len(calls) == 2 * 3
+    # one stacked design of both trials per array size
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("seed", [0, 3, 17, 2024])
 def test_imperfect_csi_trial_matches_per_estimate_design_loop(seed):
     cfg = SystemConfig()
-    got = experiments._imperfect_csi_trial(cfg, np.random.default_rng(seed))
+    [got] = experiments._imperfect_csi_chunk(cfg, [np.random.default_rng(seed)])
     want = imperfect_csi_trial_loop(cfg, np.random.default_rng(seed))
     assert [r[:4] for r in got] == [r[:4] for r in want]
     # the oracle sums pair by pair, so even perfect CSI matches only to rounding

@@ -291,12 +291,10 @@ def test_split_stacked_precoder_round_trip():
     cfg = SystemConfig(num_tx_antennas=8, num_rx_antennas=2, num_streams=2)
     realization, _ = _random_realization(cfg, 13)
     design, result = zf_design(realization, 1.0, cfg.noise_power_watts, 2)
-    from ddamsim.zf import path_zf_precoder_bases
-
-    bases = path_zf_precoder_bases(realization.matrices)
-    parts = split_stacked_precoder(bases, result.stacked_precoder)
+    [(_, runs)] = zf.path_zf_precoder_bases(realization.matrices[None])
+    parts = split_stacked_precoder([b for _, b in runs], result.stacked_precoder[None])
     # the design holds the spatial precoders as they are
-    assert np.array_equal(parts, design.precoders)
+    assert np.array_equal(parts[0], design.precoders)
 
 
 def test_ddam_design_validation():
@@ -318,9 +316,121 @@ def test_ddam_design_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "delays,dopplers",
+    [
+        ([0, 2.7], [0.0, 0.0]),     # fractional delay
+        ([0, np.nan], [0.0, 0.0]),  # NaN delay
+        ([0, 2], [0.0, np.nan]),    # NaN Doppler
+        ([0, 2], [np.inf, 0.0]),    # infinite Doppler
+        ([True, False], [0.0, 0.0]),
+    ],
+)
+def test_ddam_design_rejects_bad_branch_delays_and_dopplers(delays, dopplers):
+    # a cast would truncate 2.7 to 2, and a NaN Doppler makes an all-NaN frame
+    with pytest.raises(ContractViolationError):
+        DdamDesign(
+            precoders=np.zeros((2, 4, 1), dtype=np.complex128),
+            combiner=np.zeros((2, 1), dtype=np.complex128),
+            delay_taps=delays,
+            doppler_hz=dopplers,
+        )
+
+
+def _member_matrices(kind, cfg, rng):
+    """One stack member's (L, M_r, M_t) path channels, degenerate for some kinds.
+
+    "geometric" draws from the channel model, "shared-angle" gives two paths
+    the same departure angle, "zero-path" silences one path and "general"
+    is an i.i.d. Gaussian full-rank stack, as realization_from_json allows.
+    """
+    paths = generate_paths(cfg, rng)
+    first, second = rng.choice(cfg.num_paths, size=2, replace=cfg.num_paths == 1)
+    if kind == "shared-angle":
+        aod = paths.aod_rad.copy()
+        aod[second] = aod[first]
+        paths = replace(paths, aod_rad=aod)
+    elif kind == "zero-path":
+        gains = paths.gains.copy()
+        gains[first] = 0.0
+        paths = replace(paths, gains=gains)
+    realization = realize_channel(paths, cfg)
+    if kind == "general":
+        shape = realization.matrices.shape
+        matrices = 1e-5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        realization = replace(realization, matrices=matrices)
+    return realization
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_tx=st.integers(1, 64),
+    num_paths=st.integers(1, 5),
+    num_rx=st.sampled_from([1, 2, 4]),
+    stream_pick=st.integers(1, 4),
+    kinds=st.lists(
+        st.sampled_from(["geometric", "shared-angle", "zero-path", "general"]),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_stacked_zf_design_equals_one_realization_calls(
+    seed, num_tx, num_paths, num_rx, stream_pick, kinds
+):
+    num_streams = min(stream_pick, num_tx, num_rx)
+    cfg = SystemConfig(
+        num_tx_antennas=num_tx,
+        num_rx_antennas=num_rx,
+        num_paths=num_paths,
+        num_streams=num_streams,
+    )
+    rng = np.random.default_rng(seed)
+    realizations = [_member_matrices(kind, cfg, rng) for kind in kinds]
+    budget = (cfg.tx_power_watts, cfg.noise_power_watts, num_streams)
+    alone = []
+    for realization in realizations:
+        try:
+            alone.append(zf_design(realization, *budget))
+        except FeasibilityError:
+            alone.append(None)
+    if None in alone:
+        # a member with no null directions fails the whole stacked call
+        with pytest.raises(FeasibilityError):
+            zf_design(realizations, *budget)
+        return
+    stacked = zf_design(realizations, *budget)
+    assert len(stacked) == len(realizations)
+    for realization, (design, result), (want, want_result) in zip(realizations, stacked, alone):
+        assert np.array_equal(design.precoders, want.precoders)
+        assert np.array_equal(design.combiner, want.combiner)
+        assert result.rate_bps_hz == want_result.rate_bps_hz
+        mats = realization.matrices
+        for l, f_l in enumerate(design.precoders):
+            for k in range(num_paths):
+                if k != l:
+                    leak = np.linalg.norm(mats[k] @ f_l)
+                    assert leak <= 1e-8 * np.linalg.norm(mats[k]) * np.linalg.norm(f_l)
+
+
+def test_zf_design_rejects_realizations_of_different_shapes():
+    paths = generate_paths(SystemConfig(), np.random.default_rng(1))
+    small = realize_channel(paths, SystemConfig(num_tx_antennas=8))
+    large = realize_channel(paths, SystemConfig(num_tx_antennas=16))
+    for realizations in ([small, large], []):
+        with pytest.raises(ContractViolationError):
+            zf_design(realizations, 1.0, 1e-13, 2)
+
+
+def _dense_bases(stack):
+    # the dense oracle's bases of a one-realization stack, one run per path
+    bases = path_zf_precoder_bases_dense(stack[0])
+    return [([0], [(slice(l, l + 1), b[None, None]) for l, b in enumerate(bases)])]
+
+
 def _dense_spatial_design(*args):
     # zf_spatial_design over the full null spaces of the dense oracle
-    with mock.patch.object(zf, "path_zf_precoder_bases", path_zf_precoder_bases_dense):
+    with mock.patch.object(zf, "path_zf_precoder_bases", _dense_bases):
         return zf_spatial_design(*args)
 
 
@@ -365,9 +475,10 @@ def test_batched_null_spaces_equal_per_path_loop(kind, seed, num_tx, num_paths, 
         want = path_zf_precoder_bases_loop(mats)
     except FeasibilityError:
         with pytest.raises(FeasibilityError):
-            zf.path_zf_precoder_bases(mats)
+            zf.path_zf_precoder_bases(mats[None])
         return
-    got = zf.path_zf_precoder_bases(mats)
+    [(_, runs)] = zf.path_zf_precoder_bases(mats[None])
+    got = [basis for _, b in runs for basis in b[0]]
     assert len(got) == len(want)
     for b_got, b_want in zip(got, want):
         assert np.array_equal(b_got, b_want)
