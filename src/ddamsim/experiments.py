@@ -590,12 +590,7 @@ def _imperfect_csi_chunk(config: SystemConfig, rngs) -> list:
         cfg = replace(config, num_tx_antennas=mt)
         realizations = [realize_channel(trial_paths, cfg) for trial_paths in paths]
         designs = zf_design(realizations, cfg.tx_power_watts, noise, cfg.num_streams)
-        # a rank-deficient draw loads fewer streams; its missing ones stay zero
-        precoders = np.zeros(
-            (len(paths), config.num_paths, mt, cfg.num_streams), dtype=np.complex128
-        )
-        for precoder, (design, _) in zip(precoders, designs):
-            precoder[..., : design.num_streams] = design.precoders
+        precoders = np.array([design.precoders for design, _ in designs])
         matrices = np.array([realization.matrices for realization in realizations])
         pair_outputs.append(matrices[:, None] @ precoders[:, :, None])
     rates = mismatched_alignment_rate(

@@ -170,7 +170,9 @@ def path_zf_precoder_bases(
     adjoints = matrices.conj().transpose(0, 3, 1, 2).reshape(count, num_tx, -1)
     basis, tri = np.linalg.qr(adjoints)
     # others[s, l]: R's columns of every path but l, in path order
-    others = tri[:, :, _other_path_columns(num_paths, num_rx)].transpose(0, 2, 1, 3)
+    cols = np.arange(num_paths * num_rx).reshape(num_paths, num_rx)
+    other_paths = np.nonzero(~np.eye(num_paths, dtype=bool))[1].reshape(num_paths, -1)
+    others = tri[:, :, cols[other_paths].reshape(num_paths, -1)].transpose(0, 2, 1, 3)
     reduced = null_space_basis(others.reshape(count * num_paths, *others.shape[2:]))
     coords = [reduced[s * num_paths : (s + 1) * num_paths] for s in range(count)]
     groups: dict[tuple[int, ...], list[int]] = {}
@@ -193,13 +195,6 @@ def path_zf_precoder_bases(
             (members, [(run, q @ np.array([coords[s][run] for s in members])) for run in runs])
         )
     return out
-
-
-def _other_path_columns(num_paths: int, num_rx: int) -> np.ndarray:
-    """Row l: the column indices of every path but l in [H_1^H, ..., H_L^H]."""
-    cols = np.arange(num_paths * num_rx).reshape(num_paths, num_rx)
-    other_paths = np.nonzero(~np.eye(num_paths, dtype=bool))[1].reshape(num_paths, -1)
-    return cols[other_paths].reshape(num_paths, -1)
 
 
 def _rows(stack: np.ndarray, members: list[int]) -> np.ndarray:
