@@ -368,9 +368,8 @@ def test_a_domain_error_in_a_chunk_fails_only_its_trial(monkeypatch, workers):
     spec = EXPERIMENTS["fig9-imperfect-csi"]
     runs = {}
     for action in ("raise", "drop"):
-        monkeypatch.setitem(
-            EXPERIMENTS, spec.name, replace(spec, evaluator=_spotting(spec.evaluator, 3, 9, action))
-        )
+        evaluator = _spotting(spec.evaluator, 3, 9, action)
+        monkeypatch.setitem(EXPERIMENTS, spec.name, replace(spec, evaluator=evaluator))
         runs[action] = run_experiment(spec.name, seed=9, num_trials=10, workers=workers)
     assert runs["raise"].failures == [(3, "FeasibilityError: injected by the test")]
     assert runs["drop"].failures == []
