@@ -19,12 +19,14 @@ iterate is evaluated once: mmse_receiver forms the desired and ISI
 outputs in one product and, from one solve with their covariance, returns
 the traced rate, the weights and the receive filter together.
 
-This module owns the lag model: _lag_pairs is the one enumeration of
-(true path, transmit branch) pairs. It reads only delays, Dopplers and the
-timebase, never the array size. group_delay_differences builds BCD's
-grouped channels on it, and experiments.mismatched_alignment_rate, with
-branches aligned to estimated delays/Dopplers, builds one lag model per
-estimate and rates every (array size, estimate, block) at once.
+This module owns the lag model: _lag_models is the one enumeration of
+(true path, transmit branch) pairs, for a whole stack of rows at once. It
+reads only delays, Dopplers and the timebase, never the array size.
+group_delay_differences builds BCD's grouped channels on its one-row
+case, _lag_pairs, and experiments.mismatched_alignment_rate, with branches
+aligned to estimated delays/Dopplers, builds the lag models of a chunk's
+every (trial, estimate) in one call and rates every (trial, array size,
+estimate, block) at once.
 
 The precoder step is the closed-form WMMSE update (Shi, Razaviyayn, Luo
 and He, IEEE TSP 2011). Its solution lies in the range of the adjoint of
@@ -102,6 +104,60 @@ class BcdState:
     n_iterations: int
 
 
+def _lag_models(
+    delays: np.ndarray,
+    dopplers: np.ndarray,
+    branch_delays: np.ndarray,
+    branch_dopplers: np.ndarray,
+    timebase: Timebase,
+    block_indices,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The lag models of a stack of (true paths, transmit branches) rows at once.
+
+    delays and dopplers (..., L) are the true paths', branch_delays and
+    branch_dopplers (..., L') the transmit branches'; their leading axes
+    broadcast against each other. Returns each pair's slot, shape
+    (..., L', L), and the pair phases
+
+        exp(j 2 pi [(nu_l - nu^_l') n0 + nu^_l' (m_l - m^_l')] T_s),
+
+    shape (..., B, L', L), at the first sample n0 of each of the B
+    coherence blocks in block_indices. A row's slots number its distinct
+    offsets m^_l' - m_l: slot 0 is the desired offset 0 (even when no pair
+    lands on it) and the others follow in first-seen (row-major) order, so
+    the row's slot count is its largest pair slot plus one.
+    """
+    blocks = _whole_numbers(block_indices, "block indices")
+    if blocks.ndim != 1 or not blocks.size:
+        raise ContractViolationError("block indices must be a non-empty 1-D sequence")
+    if blocks.min() < 0:
+        raise ContractViolationError("block indices must be non-negative")
+    est_delays = _whole_numbers(branch_delays, "branch delays")
+    est_dopplers = np.asarray(branch_dopplers)
+    if not est_delays.ndim or not est_delays.shape[-1] or est_dopplers.shape != est_delays.shape:
+        raise ContractViolationError("branch inputs must be matching non-empty arrays")
+    if est_dopplers.dtype.kind not in "iuf" or not np.isfinite(est_dopplers).all():
+        raise ContractViolationError("branch Dopplers must be finite real numbers")
+    offsets = est_delays[..., :, None] - delays[..., None, :]  # [l', l] = m^_l' - m_l
+    n0 = blocks * timebase.samples_per_coherence
+    drift = (dopplers[..., None, None, :] - est_dopplers[..., None, :, None]) * n0[:, None, None]
+    phases = np.exp(
+        2j
+        * np.pi
+        * (drift - est_dopplers[..., None, :, None] * offsets[..., None, :, :])
+        * timebase.symbol_duration_s
+    )
+    # offset 0, then each row's pair offsets in row-major order; an offset's
+    # slot counts the distinct offsets whose first occurrence precedes its own
+    pairs = offsets.reshape(-1, offsets.shape[-2] * offsets.shape[-1])
+    seen = np.zeros((len(pairs), pairs.shape[1] + 1), dtype=np.int64)
+    seen[:, 1:] = pairs
+    first = (seen[:, :, None] == seen[:, None, :]).argmax(axis=2)
+    slots = np.cumsum(first == np.arange(seen.shape[1]), axis=1) - 1
+    pair_slot = slots[np.arange(len(pairs))[:, None], first[:, 1:]].reshape(offsets.shape)
+    return pair_slot, phases
+
+
 def _lag_pairs(
     paths: PathSet,
     timebase: Timebase,
@@ -109,42 +165,25 @@ def _lag_pairs(
     branch_delays: np.ndarray | None = None,
     branch_dopplers: np.ndarray | None = None,
 ) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """The (transmit branch l', true path l) pairs of the lag model.
+    """The (transmit branch l', true path l) pairs of one lag model.
 
-    Returns the distinct offsets m^_l' - m_l, the desired offset 0 first
-    (listed even when no pair lands on it) and the others in first-seen
-    (row-major) order, the (L', L) index of each pair's offset in that
-    list, and the (B, L', L) pair phases
-
-        exp(j 2 pi [(nu_l - nu^_l') n0 + nu^_l' (m_l - m^_l')] T_s)
-
-    at the first sample n0 of each of the B coherence blocks in
-    block_indices. The branches default to the true paths (perfect CSI).
+    Returns the distinct offsets m^_l' - m_l in slot order (see
+    _lag_models: the desired offset 0 first, the others first-seen), the
+    (L', L) slot of each pair's offset and the (B, L', L) pair phases at
+    the blocks in block_indices. The branches default to the true paths
+    (perfect CSI).
     """
-    blocks = _whole_numbers(block_indices, "block indices")
-    if blocks.ndim != 1 or not blocks.size:
-        raise ContractViolationError("block indices must be a non-empty 1-D sequence")
-    if blocks.min() < 0:
-        raise ContractViolationError("block indices must be non-negative")
     delays, dopplers = paths.delay_taps, paths.doppler_hz
-    est_delays = (
-        delays if branch_delays is None else _whole_numbers(branch_delays, "branch delays")
-    )
+    est_delays = delays if branch_delays is None else np.asarray(branch_delays)
     est_dopplers = dopplers if branch_dopplers is None else np.asarray(branch_dopplers)
-    if est_delays.ndim != 1 or not est_delays.size or est_dopplers.shape != est_delays.shape:
+    if est_delays.ndim != 1:
         raise ContractViolationError("branch inputs must be matching non-empty 1-D arrays")
-    if est_dopplers.dtype.kind not in "iuf" or not np.isfinite(est_dopplers).all():
-        raise ContractViolationError("branch Dopplers must be finite real numbers")
-    offsets = est_delays[:, None] - delays[None, :]  # [l', l] = m^_l' - m_l
-    n0 = blocks * timebase.samples_per_coherence
-    drift = (dopplers[None, :] - est_dopplers[:, None]) * n0[:, None, None]
-    phases = np.exp(
-        2j * np.pi * (drift - est_dopplers[:, None] * offsets) * timebase.symbol_duration_s
+    pair_slot, phases = _lag_models(
+        delays, dopplers, est_delays, est_dopplers, timebase, block_indices
     )
-    rows = offsets.tolist()
-    slot = {offset: k for k, offset in enumerate(dict.fromkeys([0, *sum(rows, [])]))}
-    pair_slot = np.array([[slot[offset] for offset in row] for row in rows])
-    return list(slot), pair_slot, phases
+    offsets = np.zeros(pair_slot.max() + 1, dtype=np.int64)
+    offsets[pair_slot] = est_delays.astype(np.int64)[:, None] - delays[None, :]
+    return offsets.tolist(), pair_slot, phases
 
 
 def group_delay_differences(

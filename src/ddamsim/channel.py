@@ -9,14 +9,12 @@ n reads
 
 with H_l = alpha_l * a_rx(phi_l) * a_tx(psi_l)^H a rank-one matrix. The
 module provides path sampling, steering vectors, channel realization, an
-exact time-domain convolution oracle, the double-timescale partition
-(Doppler coherence vs. delay/angle invariance) and a JSON round trip for
-realizations.
+exact time-domain convolution oracle and the double-timescale partition
+(Doppler coherence vs. delay/angle invariance).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -207,18 +205,32 @@ def generate_paths(config: SystemConfig, rng: np.random.Generator) -> PathSet:
     )
 
 
-def realize_channel(paths: PathSet, config: SystemConfig) -> ChannelRealization:
-    """Build the rank-one per-path matrices H_l = alpha_l a_rx a_tx^H."""
+def realize_channel(
+    paths: PathSet | list[PathSet], config: SystemConfig
+) -> ChannelRealization | list[ChannelRealization]:
+    """Build the rank-one per-path matrices H_l = alpha_l a_rx a_tx^H.
+
+    A sequence of path sets with one path count is realized in one stacked
+    computation and returns the list of their realizations, each equal to
+    its own one-path-set call.
+    """
+    single = isinstance(paths, PathSet)
+    path_sets = [paths] if single else list(paths)
+    if len({p.num_paths for p in path_sets}) != 1:
+        raise ContractViolationError("realize_channel needs path sets with one path count")
     m_r, m_t = config.num_rx_antennas, config.num_tx_antennas
     # the entries of array_response for every path at once, same arithmetic
-    sin_rx = np.array([math.sin(angle) for angle in paths.aoa_rad])
-    sin_tx = np.array([math.sin(angle) for angle in paths.aod_rad])
-    a_rx = np.exp(1j * np.pi * np.arange(m_r) * sin_rx[:, None])
-    a_tx = np.exp(1j * np.pi * np.arange(m_t) * sin_tx[:, None])
-    mats = paths.gains[:, None, None] * (a_rx[:, :, None] * a_tx.conj()[:, None, :])
-    return ChannelRealization(
-        path_set=paths, matrices=mats, symbol_duration_s=config.symbol_duration_s
-    )
+    sin_rx = np.array([[math.sin(angle) for angle in p.aoa_rad] for p in path_sets])
+    sin_tx = np.array([[math.sin(angle) for angle in p.aod_rad] for p in path_sets])
+    gains = np.array([p.gains for p in path_sets])
+    a_rx = np.exp(1j * np.pi * np.arange(m_r) * sin_rx[..., None])
+    a_tx = np.exp(1j * np.pi * np.arange(m_t) * sin_tx[..., None])
+    mats = gains[..., None, None] * (a_rx[..., :, None] * a_tx.conj()[..., None, :])
+    realizations = [
+        ChannelRealization(path_set=p, matrices=m, symbol_duration_s=config.symbol_duration_s)
+        for p, m in zip(path_sets, mats)
+    ]
+    return realizations[0] if single else realizations
 
 
 def apply_channel(realization: ChannelRealization, tx: np.ndarray) -> np.ndarray:
@@ -277,108 +289,4 @@ def coherence_partition(config: SystemConfig) -> Timebase:
         path_invariant_time_s=t_bar,
         samples_per_invariant=n_bar,
         symbol_duration_s=ts,
-    )
-
-
-# --- JSON round trip -------------------------------------------------------
-#
-# Schema (version 1):
-# {
-#   "schema": "ddamsim/channel-realization/v1",
-#   "symbol_duration_s": float,
-#   "doppler_bound_hz": float,
-#   "delay_tap_bound": int,
-#   "paths": [
-#     {"gain": [re, im], "aoa_rad": float, "aod_rad": float,
-#      "delay_tap": int, "doppler_hz": float},
-#     ...
-#   ],
-#   "matrices": [[[[re, im], ...], ...], ...]   # L x M_r x M_t entries
-# }
-
-REALIZATION_SCHEMA = "ddamsim/channel-realization/v1"
-
-
-def _complex_to_pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def realization_to_json(realization: ChannelRealization) -> str:
-    paths = realization.path_set
-    doc = {
-        "schema": REALIZATION_SCHEMA,
-        "symbol_duration_s": realization.symbol_duration_s,
-        "doppler_bound_hz": paths.doppler_bound_hz,
-        "delay_tap_bound": paths.delay_tap_bound,
-        "paths": [
-            {
-                "gain": _complex_to_pair(paths.gains[l]),
-                "aoa_rad": float(paths.aoa_rad[l]),
-                "aod_rad": float(paths.aod_rad[l]),
-                "delay_tap": int(paths.delay_taps[l]),
-                "doppler_hz": float(paths.doppler_hz[l]),
-            }
-            for l in range(paths.num_paths)
-        ],
-        "matrices": [
-            [[_complex_to_pair(v) for v in row] for row in mat]
-            for mat in realization.matrices
-        ],
-    }
-    return json.dumps(doc)
-
-
-def _finite_array(value, name: str, ndim: int, kinds: str = "iuf") -> np.ndarray:
-    """value as an ndim-D array of finite numbers of the given dtype kinds."""
-    try:
-        arr = np.asarray(value)
-    except ValueError:
-        raise ContractViolationError(f"{name} is ragged") from None
-    if arr.ndim != ndim or arr.dtype.kind not in kinds or not np.all(np.isfinite(arr)):
-        what = "integers" if kinds == "iu" else "numbers"
-        raise ContractViolationError(f"{name} must be a {ndim}-D array of finite {what}")
-    return arr
-
-
-def realization_from_json(text: str) -> ChannelRealization:
-    """Read and validate a realization written by `realization_to_json`.
-
-    Invalid JSON, another schema, a missing field, a ragged or misshapen
-    array, a non-numeric or non-finite number and a fractional tap all
-    raise ContractViolationError, as does anything PathSet rejects.
-    """
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise ContractViolationError(f"channel realization is not valid JSON: {exc}") from None
-    schema = doc.get("schema") if isinstance(doc, dict) else doc
-    if schema != REALIZATION_SCHEMA:
-        raise ContractViolationError(f"expected schema {REALIZATION_SCHEMA}, got {schema!r}")
-    try:
-        path_docs = doc["paths"]
-        gains = _finite_array([p["gain"] for p in path_docs], "gain", 2)
-        angles = [_finite_array([p[k] for p in path_docs], k, 1) for k in ("aoa_rad", "aod_rad")]
-        delays = _finite_array([p["delay_tap"] for p in path_docs], "delay_tap", 1, "iu")
-        doppler = _finite_array([p["doppler_hz"] for p in path_docs], "doppler_hz", 1)
-        mats = _finite_array(doc["matrices"], "matrices", 4)
-        symbol_s = _finite_array(doc["symbol_duration_s"], "symbol_duration_s", 0)
-        bound_hz = _finite_array(doc["doppler_bound_hz"], "doppler_bound_hz", 0)
-        tap_bound = _finite_array(doc["delay_tap_bound"], "delay_tap_bound", 0, "iu")
-    except (KeyError, TypeError) as exc:
-        raise ContractViolationError(f"malformed channel realization: {exc!r}") from None
-    if gains.shape[1] != 2 or mats.shape[-1] != 2:
-        raise ContractViolationError("gains and matrix entries must be [re, im] pairs")
-    paths = PathSet(
-        gains=gains[:, 0] + 1j * gains[:, 1],
-        aoa_rad=angles[0],
-        aod_rad=angles[1],
-        delay_taps=delays,
-        doppler_hz=doppler,
-        doppler_bound_hz=float(bound_hz),
-        delay_tap_bound=int(tap_bound),
-    )
-    return ChannelRealization(
-        path_set=paths,
-        matrices=mats[..., 0] + 1j * mats[..., 1],
-        symbol_duration_s=float(symbol_s),
     )

@@ -16,9 +16,10 @@ Spectral-efficiency conventions used throughout:
   representative blocks of the path-invariant window: the first, the
   middle, and the last.
 
-Six experiments evaluate a chunk trial by trial. fig9 designs a whole
-chunk with one stacked zero-forcing call per array size and rates it in
-one mismatched-CSI call, whose lag models come from bcd._lag_pairs.
+Six experiments evaluate a chunk trial by trial. fig9 evaluates a chunk
+as arrays: its CSI estimates are drawn as delay and Doppler arrays, each
+array size realizes and designs the whole chunk in one stacked call, and
+one mismatched-CSI call rates it on lag models built together.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from .bcd import (
-    _lag_pairs,
+    _lag_models,
     _zf_warm_start,
     bcd_solve,
     colored_noise_rate,
@@ -60,11 +61,12 @@ from .config import SystemConfig, config_from_dict
 from .errors import ContractViolationError, FeasibilityError, NumericalError
 from .metrics import (
     CsiError,
+    draw_csi,
     exceedance_fractions,
     guard_overhead,
     ofdm_ber,
     papr_db,
-    perturb_csi,
+    perturb_csi,  # not called here; perfbench's spans rebind experiments.perturb_csi
     qam_awgn_ber,
     qam_symbols,
 )
@@ -101,8 +103,9 @@ FEASIBILITY_RX_STREAM_PAIRS = ((1, 1), (2, 2), (4, 4), (4, 2))
 # domain errors that fail one trial; any other exception is a bug and propagates
 TRIAL_FAILURES = (ContractViolationError, NumericalError, FeasibilityError)
 # Trials per evaluator call. It bounds what a chunk holds at once: its
-# record lists and, for fig9, its stacked channels, designs and lag weights
-# (a traced peak of 6.2 MB for 64 trials at the default config, 2.4 MB for 25).
+# record lists and, for fig9, its estimate arrays, stacked channels, designs,
+# lag models and lag weights (a tracemalloc peak of 5.3 MiB for 64 trials at
+# the default config, 2.1 MiB for 25).
 TRIAL_CHUNK = 64
 
 
@@ -301,67 +304,74 @@ def _strongest_se(
 def mismatched_alignment_rate(
     paths: list[PathSet],
     pair_outputs,
-    estimates: list[list[PathSet]],
+    estimates: tuple[np.ndarray, np.ndarray],
     noise_var: float,
     timebase: Timebase,
 ) -> np.ndarray:
     """(S, T, E) rates achieved when the alignment used estimated CSI.
 
     paths holds S trials' true path sets, each of L paths, and estimates
-    each trial's E estimated path sets of L' branches. pair_outputs are
-    the (S, T, L', L, M_r, N_s) products H_l F_l' of each trial's true path
+    is the (delays, dopplers) pair of (S, E, L') arrays of each trial's E
+    estimated branch delays and Dopplers. pair_outputs are the
+    (S, T, L', L, M_r, N_s) products H_l F_l' of each trial's true path
     matrices with T designs' spatial precoders. Each estimate aligns branch
-    l' to its delay and Doppler; the lag model (bcd._lag_pairs) groups the
+    l' to its delay and Doppler; the lag model (bcd._lag_models) groups the
     true paths against those branches, and in each block _block_samples
     picks the offset-0 group is rated with the others as colored noise
     under an MMSE combiner (the rate BCD maximizes), then averaged. True
     paths give the ZF rate.
 
-    The lag model does not depend on the design, nor the pair outputs on
-    the estimate or block. A trial's estimates have their groups padded
-    with zero weights to a common count (offset 0 first), so one product
-    sums every (design, estimate, block) group. Trials with the same count
-    are rated by one colored_noise_rate call; padding a trial no further
-    than its own estimates need keeps its rates independent of the other
-    trials it is rated with.
+    The lag models of all (trial, estimate) rows come from one call; they
+    do not depend on the design, nor the pair outputs on the estimate or
+    block. A trial's estimates have their groups padded with zero weights
+    to a common count (offset 0 first), so one product sums every (design,
+    estimate, block) group. Trials with the same count are rated by one
+    colored_noise_rate call; padding a trial no further than its own
+    estimates need keeps its rates independent of the other trials it is
+    rated with.
     """
     outputs = np.asarray(pair_outputs, dtype=np.complex128)
-    if outputs.ndim != 6 or outputs.shape[0] != len(paths) or len(estimates) != len(paths):
+    if outputs.ndim != 6 or outputs.shape[0] != len(paths):
         raise ContractViolationError(
             "pair outputs must have shape (S, T, L', L, M_r, N_s) for S trials with estimates"
         )
     num_trials, num_designs, num_branches, num_paths, num_rx, num_streams = outputs.shape
     if any(p.num_paths != num_paths for p in paths):
         raise ContractViolationError(f"true path sets must have {num_paths} paths")
-    num_estimates = len(estimates[0]) if num_trials else 0
-    if not num_estimates or any(
-        len(trial) != num_estimates or any(est.num_paths != num_branches for est in trial)
-        for trial in estimates
+    est_delays, est_dopplers = (np.asarray(part) for part in estimates)
+    if (
+        est_delays.ndim != 3
+        or est_delays.shape[::2] != (num_trials, num_branches)
+        or not est_delays.shape[1]
     ):
         raise ContractViolationError(
-            f"every trial needs the same number of path sets of {num_branches} branches"
+            f"every trial needs the same number of estimates of {num_branches} branches"
         )
+    num_estimates = est_delays.shape[1]
     blocks = _block_samples(timebase)
     num_pairs = num_branches * num_paths
-    by_slots: dict[int, list] = {}
-    for trial, (true_paths, trial_estimates) in enumerate(zip(paths, estimates)):
-        lags = [
-            _lag_pairs(true_paths, timebase, blocks, est.delay_taps, est.doppler_hz)
-            for est in trial_estimates
-        ]
-        by_slots.setdefault(max(len(offsets) for offsets, _, _ in lags), []).append((trial, lags))
+    pair_slot, phases = _lag_models(
+        np.array([p.delay_taps for p in paths])[:, None],
+        np.array([p.doppler_hz for p in paths])[:, None],
+        est_delays,
+        est_dopplers,
+        timebase,
+        blocks,
+    )
+    pair_slot = pair_slot.reshape(num_trials, num_estimates, 1, num_pairs)
+    phases = phases.reshape(num_trials, num_estimates, len(blocks), num_pairs)
+    counts = pair_slot.max(axis=(1, 2, 3)) + 1
     rates = np.empty((num_trials, num_designs, num_estimates))
-    for num_slots, members in by_slots.items():
-        trials = [trial for trial, _ in members]
+    for num_slots in dict.fromkeys(counts.tolist()):
+        trials = np.flatnonzero(counts == num_slots)
         # weights[s, e, b, k, (l', l)]: the pair's phase in block b if it lands on offset k
         weights = np.zeros(
             (len(trials), num_estimates, len(blocks), num_slots, num_pairs), dtype=np.complex128
         )
-        for trial_weights, (_, lags) in zip(weights, members):
-            for weight, (_, pair_slot, phases) in zip(trial_weights, lags):
-                weight[:, pair_slot.ravel(), np.arange(num_pairs)] = phases.reshape(
-                    len(blocks), -1
-                )
+        trial, estimate, block, pair = np.ogrid[
+            : len(trials), :num_estimates, : len(blocks), :num_pairs
+        ]
+        weights[trial, estimate, block, pair_slot[trials], pair] = phases[trials]
         grouped = weights.reshape(len(trials), 1, -1, num_pairs) @ outputs[trials].reshape(
             len(trials), num_designs, num_pairs, -1
         )
@@ -572,33 +582,36 @@ def _imperfect_csi_chunk(config: SystemConfig, rngs: list[np.random.Generator]) 
     timebase = coherence_partition(config)
     overhead = _alignment_overhead(config, timebase)
     noise = config.noise_power_watts
-    paths, estimates = [], []
+    errors = [CsiError(accuracy, coeff) for _, accuracy, coeff in IMPERFECT_CSI_MODELS]
+    paths, est_delays, est_dopplers = [], [], []
     for rng in rngs:
         trial_paths = generate_paths(config, rng)
+        delays, dopplers, _ = draw_csi(trial_paths, errors, rng)
         paths.append(trial_paths)
-        estimates.append(
-            [
-                perturb_csi(
-                    trial_paths,
-                    CsiError(delay_accuracy=accuracy, doppler_error_coeff=coeff),
-                    rng,
-                )[0]
-                for _, accuracy, coeff in IMPERFECT_CSI_MODELS
-            ]
-        )
-    # the path matrices depend on gains and angles only, which perturb_csi
-    # keeps, so every estimate aligns the true spatial design and all of
-    # them share its pair outputs H_l F_l'
+        est_delays.append(delays)
+        est_dopplers.append(dopplers)
+    # the path matrices depend on gains and angles only, which the
+    # estimates keep, so every estimate aligns the true spatial design and
+    # all of them share its pair outputs H_l F_l'
     pair_outputs = []
     for mt in TRANSMIT_ANTENNA_SWEEP:
         cfg = replace(config, num_tx_antennas=mt)
-        realizations = [realize_channel(trial_paths, cfg) for trial_paths in paths]
+        realizations = realize_channel(paths, cfg)
         designs = zf_design(realizations, cfg.tx_power_watts, noise, cfg.num_streams)
-        precoders = np.array([design.precoders for design, _ in designs])
+        # streams a design leaves unloaded are zero columns, which rate nothing
+        precoders = np.zeros(
+            (len(paths), config.num_paths, mt, cfg.num_streams), dtype=np.complex128
+        )
+        for padded, (design, _) in zip(precoders, designs):
+            padded[..., : design.num_streams] = design.precoders
         matrices = np.array([realization.matrices for realization in realizations])
         pair_outputs.append(matrices[:, None] @ precoders[:, :, None])
     rates = mismatched_alignment_rate(
-        paths, np.stack(pair_outputs, axis=1), estimates, noise, timebase
+        paths,
+        np.stack(pair_outputs, axis=1),
+        (np.array(est_delays), np.array(est_dopplers)),
+        noise,
+        timebase,
     )
     return [
         [

@@ -36,8 +36,10 @@ def svd_reduced(a):
     sorted descending, and only values above RANK_TOL * s_max kept.
 
     `a` may also be an (S, m, n) stack of matrices. Their factors come from
-    one batched SVD, and the S triples are returned as a list, each
-    truncated at its own matrix's rank.
+    one batched SVD and are returned as the stacks u (S, m, k), s (S, k)
+    and v (S, n, k), k = min(m, n), with each matrix's singular values at
+    or below its own rank threshold set to 0: matrix i's truncated factors
+    are u[i, :, :r], s[i, :r] and v[i, :, :r], r = count_nonzero(s[i]).
     """
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim not in (2, 3):
@@ -51,11 +53,11 @@ def svd_reduced(a):
         u, s, vh = np.linalg.svd(stack, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
-    ranks = (s > RANK_TOL * s[:, :1]).sum(axis=1).tolist()
-    factors = [
-        (u[i, :, :rank], s[i, :rank], vh[i, :rank].conj().T) for i, rank in enumerate(ranks)
-    ]
-    return factors if arr.ndim == 3 else factors[0]
+    kept = s > RANK_TOL * s[:, :1]
+    if arr.ndim == 3:
+        return u, np.where(kept, s, 0.0), vh.conj().swapaxes(1, 2)
+    rank = int(np.count_nonzero(kept))
+    return u[0, :, :rank], s[0, :rank], vh[0, :rank].conj().T
 
 
 def eig_hermitian(a):

@@ -205,6 +205,51 @@ class CsiError:
         return float(np.mean(self.indicator))
 
 
+def draw_csi(
+    paths: PathSet, errors: list[CsiError], rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw E estimates of a path set's delays and Dopplers, one per error model.
+
+    Returns the (E, L) estimated delay taps, Doppler shifts and realized
+    per-path delay-correct indicators; row e applies errors[e] as
+    perturb_csi describes. The rows draw from rng in order, each exactly
+    as a perturb_csi call with its model would, so E calls of perturb_csi
+    on one generator give the same rows and leave it in the same state. A
+    model that moves no delay and adds no Doppler error draws nothing and
+    keeps the true row.
+    """
+    num_paths = paths.num_paths
+    tap_bound = paths.delay_tap_bound
+    bound = paths.doppler_bound_hz
+    delays = np.repeat(paths.delay_taps[None], len(errors), axis=0)
+    doppler = np.repeat(paths.doppler_hz[None], len(errors), axis=0)
+    indicator = np.ones((len(errors), num_paths), dtype=np.int64)
+    for row, err in enumerate(errors):
+        # tiny back-off guards float fuzz: (1 - 0.9) * 10 is 0.9999999999999998
+        num_wrong = int(math.floor((1.0 - err.delay_accuracy) * num_paths + 1e-9))
+        if num_wrong > 0:
+            taps = delays[row]
+            taken = set(taps.tolist())
+            for idx in rng.choice(num_paths, size=num_wrong, replace=False).tolist():
+                sign = 1 if rng.integers(0, 2) else -1
+                tap = int(taps[idx])
+                outward = (
+                    tap + offset
+                    for magnitude in range(1, tap_bound + 2)
+                    for offset in (sign * magnitude, -sign * magnitude)
+                )
+                moved = next((c for c in outward if 0 <= c <= tap_bound and c not in taken), None)
+                if moved is not None:
+                    taken.remove(tap)
+                    taken.add(moved)
+                    taps[idx] = moved
+                    indicator[row, idx] = 0
+        if err.doppler_error_coeff > 0 and bound > 0:
+            std = err.doppler_error_coeff * bound / math.sqrt(2.0)
+            doppler[row] = doppler[row] + std * rng.standard_normal(num_paths)
+    return delays, doppler, indicator
+
+
 def perturb_csi(
     paths: PathSet, err: CsiError, rng: np.random.Generator
 ) -> tuple[PathSet, CsiError]:
@@ -220,36 +265,10 @@ def perturb_csi(
     of doppler_error_coeff * doppler_bound / sqrt(2).
 
     Returns the perturbed paths plus a copy of the error model carrying the
-    realized per-path indicator flags.
+    realized per-path indicator flags. The draw is draw_csi's for one model.
     """
-    num_paths = paths.num_paths
-    # tiny back-off guards float fuzz: (1 - 0.9) * 10 is 0.9999999999999998
-    num_wrong = int(math.floor((1.0 - err.delay_accuracy) * num_paths + 1e-9))
-    indicator = np.ones(num_paths, dtype=np.int64)
-    delays = paths.delay_taps.copy()
-    if num_wrong > 0:
-        chosen = rng.choice(num_paths, size=num_wrong, replace=False)
-        for idx in chosen:
-            sign = 1 if rng.integers(0, 2) else -1
-            moved = False
-            for magnitude in range(1, paths.delay_tap_bound + 2):
-                for offset in (sign * magnitude, -sign * magnitude):
-                    cand = int(delays[idx]) + offset
-                    if 0 <= cand <= paths.delay_tap_bound and cand not in delays:
-                        delays[idx] = cand
-                        moved = True
-                        break
-                if moved:
-                    break
-            if moved:
-                indicator[idx] = 0
-
-    bound = paths.doppler_bound_hz
-    doppler = paths.doppler_hz.copy()
-    if err.doppler_error_coeff > 0 and bound > 0:
-        std = err.doppler_error_coeff * bound / math.sqrt(2.0)
-        doppler = doppler + std * rng.standard_normal(num_paths)
-    new_bound = max(bound, float(np.max(np.abs(doppler))))
+    [delays], [doppler], [indicator] = draw_csi(paths, [err], rng)
+    new_bound = max(paths.doppler_bound_hz, float(np.max(np.abs(doppler))))
     perturbed = replace(
         paths, delay_taps=delays, doppler_hz=doppler, doppler_bound_hz=new_bound
     )

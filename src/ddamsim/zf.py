@@ -204,7 +204,7 @@ def _rows(stack: np.ndarray, members: list[int]) -> np.ndarray:
 
 def zf_spatial_design(
     matrices: np.ndarray, total_power: float, noise_var: float, num_streams: int
-) -> tuple[np.ndarray, ZfCapacityResult] | list[tuple[np.ndarray, ZfCapacityResult]]:
+) -> tuple[np.ndarray, ZfCapacityResult | list[ZfCapacityResult]]:
     """Per-path zero-forcing precoders for a stack of path matrices.
 
     Pure spatial solution (no delay/Doppler bookkeeping): nulling bases,
@@ -218,15 +218,18 @@ def zf_spatial_design(
 
     matrices is one (L, M_r, M_t) path stack, which returns its
     (precoders, result), or an (S, L, M_r, M_t) stack of S of them, which
-    returns the S pairs in a list. The stack's bases, effective channels,
-    SVDs and splits are batched over the realizations that share basis
-    widths and stream counts; the silent-channel check and water-filling
-    run per realization. Every member equals its own one-realization call
+    returns the (S, L, M_t, num_streams) precoders, zero past each member's
+    n_active streams, and the list of S results. The stack's bases,
+    effective channels, silent-channel checks, SVDs, water-filling and
+    splits are batched over the realizations that share basis widths and
+    stream counts. Every member equals its own one-realization call
     exactly.
     """
     mats = np.asarray(matrices, dtype=np.complex128)
     stack = mats if mats.ndim == 4 else mats[None]
-    designs: list = [None] * len(stack)
+    count, num_paths, _, num_tx = stack.shape
+    precoders = np.zeros((count, num_paths, num_tx, num_streams), dtype=np.complex128)
+    results: list = [None] * count
     for members, bases in path_zf_precoder_bases(stack):
         chans = _rows(stack, members)
         # every H_l B_l side by side, in path order
@@ -237,22 +240,25 @@ def zf_spatial_design(
             ],
             axis=-1,
         )
-        for h, chan in zip(h_eff, chans):
-            if np.linalg.norm(h) <= RANK_TOL * np.linalg.norm(chan):
-                # only rounding residue survived the nulling (every path
-                # shares its signature with another, or is silent): no
-                # stream, no power
-                h[...] = 0.0
-        results = zf_capacity_design(h_eff, total_power, noise_var, num_streams)
-        by_streams: dict[int, list[int]] = {}
-        for i, result in enumerate(results):
-            by_streams.setdefault(result.n_active_streams, []).append(i)
-        for part in by_streams.values():
-            stacked = np.array([results[i].stacked_precoder for i in part])
-            precoders = split_stacked_precoder([_rows(b, part) for _, b in bases], stacked)
-            for i, precoder in zip(part, precoders):
-                designs[members[i]] = (precoder, results[i])
-    return designs if mats.ndim == 4 else designs[0]
+        # only rounding residue survived the nulling (every path shares its
+        # signature with another, or is silent): no stream, no power
+        residue = np.linalg.norm(h_eff.reshape(len(members), -1), axis=1)
+        scale = np.linalg.norm(chans.reshape(len(members), -1), axis=1)
+        h_eff[residue <= RANK_TOL * scale] = 0.0
+        group = zf_capacity_design(h_eff, total_power, noise_var, num_streams)
+        streams = np.array([result.n_active_streams for result in group])
+        for n in set(streams.tolist()):
+            part = (streams == n).nonzero()[0]
+            stacked = np.array([group[i].stacked_precoder for i in part])
+            rows = [members[i] for i in part]
+            precoders[rows, ..., :n] = split_stacked_precoder(
+                [_rows(b, part) for _, b in bases], stacked
+            )
+        for member, result in zip(members, group):
+            results[member] = result
+    if mats.ndim == 4:
+        return precoders, results
+    return np.ascontiguousarray(precoders[0, ..., : results[0].n_active_streams]), results[0]
 
 
 def water_filling(mode_gains: np.ndarray, total_power: float, noise_var: float) -> np.ndarray:
@@ -266,32 +272,48 @@ def water_filling(mode_gains: np.ndarray, total_power: float, noise_var: float) 
     mu - f_i for the water level mu but is taken from floor differences so
     it does not cancel when the floors dwarf the budget; a lone active mode
     gets exactly total_power. Modes with non-positive gain receive zero power.
+
+    mode_gains may also be an (S, K) stack, which returns the (S, K) powers
+    of its rows. The rows are solved together, grouped by their counts of
+    positive gains and of active modes, and each equals its one-row call
+    bit for bit; a one-row call is a stack of one.
     """
     gains = np.asarray(mode_gains, dtype=np.float64)
-    if gains.ndim != 1 or gains.size == 0:
-        raise ContractViolationError("mode_gains must be a non-empty 1-D array")
+    if gains.ndim not in (1, 2) or gains.shape[-1] == 0:
+        raise ContractViolationError("mode_gains must be a non-empty 1-D array or (S, K) stack")
     if total_power <= 0 or noise_var <= 0:
         raise ContractViolationError("total_power and noise_var must be positive")
-    modes = (gains > 0).nonzero()[0]
-    if modes.size == 0:
+    stack = gains if gains.ndim == 2 else gains[None]
+    positive = stack > 0
+    counts = positive.sum(axis=1)
+    if not counts.all():
         raise ContractViolationError("water_filling needs at least one positive gain")
-    floors = noise_var / gains[modes]
-    order = np.argsort(floors, kind="stable")
-    modes, floors = modes[order], floors[order]
-    gaps = floors[:, None] - floors[None, :]          # f_i - f_j
-    # budget that lifts every lower floor to floor k (the row sums of the
-    # lower triangle); non-decreasing in k
-    index = np.arange(modes.size)
-    reach = np.where(index[:, None] >= index, gaps, 0.0).sum(axis=1)
-    n = int(np.count_nonzero(reach < total_power))
-    powers = np.zeros_like(gains)
-    powers[modes[:n]] = (total_power - gaps[:n, :n].sum(axis=1)) / n
-    total = powers.sum()
-    if not math.isclose(total, total_power, rel_tol=POWER_MATCH_REL_TOL):
-        raise NumericalError(
-            f"water-filling missed the power budget ({total} vs {total_power})"
-        )
-    return powers
+    powers = np.zeros_like(stack)
+    for count in set(counts.tolist()):
+        rows = (counts == count).nonzero()[0]
+        pick = np.arange(len(rows))[:, None]
+        # each row's positive modes in index order, then by floor (stable)
+        modes = _rows(positive, rows).nonzero()[1].reshape(len(rows), count)
+        floors = noise_var / _rows(stack, rows)[pick, modes]
+        order = floors.argsort(axis=1, kind="stable")
+        modes, floors = modes[pick, order], floors[pick, order]
+        gaps = floors[:, :, None] - floors[:, None, :]          # f_i - f_j
+        # budget that lifts every lower floor to floor k: the row sums of the
+        # non-negative gaps f_k - f_j, with ascending floors those of the
+        # j <= k; non-decreasing in k
+        reach = np.maximum(gaps, 0.0).sum(axis=2)
+        active = (reach < total_power).sum(axis=1)
+        for n in set(active.tolist()):
+            part = (active == n).nonzero()[0]
+            powers[_rows(rows, part)[:, None], _rows(modes, part)[:, :n]] = (
+                total_power - _rows(gaps, part)[:, :n, :n].sum(axis=2)
+            ) / n
+    for total in powers.sum(axis=1).tolist():
+        if not math.isclose(total, total_power, rel_tol=POWER_MATCH_REL_TOL):
+            raise NumericalError(
+                f"water-filling missed the power budget ({total} vs {total_power})"
+            )
+    return powers if gains.ndim == 2 else powers[0]
 
 
 def zf_capacity_design(
@@ -306,29 +328,36 @@ def zf_capacity_design(
     streams; a zero channel yields zero rate and zero precoders.
 
     An (S, M_r, W) stack of effective channels returns a list of S results
-    from one batched SVD.
+    from one batched SVD, one stacked water-filling over the channels that
+    carry a stream and one stacked rate; each result's arrays are views
+    into those stacks.
     """
     h_eff = np.asarray(effective_channel, dtype=np.complex128)
     if num_streams < 1:
         raise ContractViolationError("num_streams must be >= 1")
-    results = []
+    u, s, v = svd_reduced(h_eff if h_eff.ndim == 3 else h_eff[None])
+    # singular values past a channel's rank are 0, and carry no stream
+    width = min(s.shape[1], num_streams)
+    gains = s[:, :width] ** 2
+    streams = (s[:, :width] > 0).sum(axis=1)
+    powers = np.zeros_like(gains)
     # only a zero channel has rank 0, and it loads no stream
-    for u, s, v in svd_reduced(h_eff if h_eff.ndim == 3 else h_eff[None]):
-        n_active = min(len(s), num_streams)
-        u = u[:, :n_active]
-        v = v[:, :n_active]
-        gains = s[:n_active] ** 2
-        powers = water_filling(gains, total_power, noise_var) if n_active else np.zeros(0)
-        results.append(
-            ZfCapacityResult(
-                combiner=u,
-                stacked_precoder=v * np.sqrt(powers)[None, :],
-                rate_bps_hz=float(np.sum(np.log2(1.0 + powers * gains / noise_var))),
-                mode_powers=powers,
-                mode_gains=gains,
-                n_active_streams=n_active,
-            )
+    loaded = streams > 0
+    if loaded.any():
+        powers[loaded] = water_filling(gains[loaded], total_power, noise_var)
+    rates = np.sum(np.log2(1.0 + powers * gains / noise_var), axis=1).tolist()
+    stacked = v[:, :, :width] * np.sqrt(powers)[:, None, :]
+    results = [
+        ZfCapacityResult(
+            combiner=u[i, :, :n],
+            stacked_precoder=stacked[i, :, :n],
+            rate_bps_hz=rate,
+            mode_powers=powers[i, :n],
+            mode_gains=gains[i, :n],
+            n_active_streams=n,
         )
+        for i, (n, rate) in enumerate(zip(streams.tolist(), rates))
+    ]
     return results if h_eff.ndim == 3 else results[0]
 
 
@@ -369,17 +398,20 @@ def zf_design(
     realizations = [realization] if single else list(realization)
     if len({r.matrices.shape for r in realizations}) != 1:
         raise ContractViolationError("zf_design needs realizations of one shape")
-    spatial = zf_spatial_design(
+    precoders, results = zf_spatial_design(
         np.array([r.matrices for r in realizations]), total_power, noise_var, num_streams
     )
     designs = [
         (
             DdamDesign(
-                precoders, result.combiner, r.path_set.delay_taps, r.path_set.doppler_hz
+                np.ascontiguousarray(f[..., : result.n_active_streams]),
+                result.combiner,
+                r.path_set.delay_taps,
+                r.path_set.doppler_hz,
             ),
             result,
         )
-        for r, (precoders, result) in zip(realizations, spatial)
+        for r, f, result in zip(realizations, precoders, results)
     ]
     return designs[0] if single else designs
 

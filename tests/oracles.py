@@ -3,11 +3,13 @@
 These are direct, dense or time-domain versions of quantities the package
 computes more cheaply (or does not need at run time). They live here so the
 library ships one implementation per quantity while the tests keep an
-independent oracle for each.
+independent oracle for each. The channel realization JSON round trip at the
+end has no package caller either; only the tests read and write it.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
 
@@ -26,6 +28,7 @@ from ddamsim.benchmarks import (
 )
 from ddamsim.channel import (
     ChannelRealization,
+    PathSet,
     Timebase,
     apply_channel,
     array_response,
@@ -253,6 +256,33 @@ def build_ddam_tx_loop(
         rot = np.exp(-2j * np.pi * design.doppler_hz[l] * (n_idx[kappa:] + m_l) * ts)
         x[kappa:] += (s[: n_samples - kappa] @ design.precoders[l].T) * rot[:, None]
     return x
+
+
+def lag_pairs_loop(
+    delays: np.ndarray,
+    dopplers: np.ndarray,
+    branch_delays: np.ndarray,
+    branch_dopplers: np.ndarray,
+    timebase: Timebase,
+    block_indices: list[int],
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Dict version of one row of `bcd._lag_models`, as `bcd._lag_pairs` returns it.
+
+    Numbers the distinct offsets m^_l' - m_l in a dict, offset 0 first and
+    the others as a row-major walk over the (branch, path) pairs meets
+    them, instead of comparing every pair's offset with every other.
+    """
+    offsets = branch_delays[:, None] - delays[None, :]
+    n0 = np.asarray(block_indices) * timebase.samples_per_coherence
+    drift = (dopplers[None, :] - branch_dopplers[:, None]) * n0[:, None, None]
+    phases = np.exp(
+        2j * np.pi * (drift - branch_dopplers[:, None] * offsets) * timebase.symbol_duration_s
+    )
+    slot: dict[int, int] = {0: 0}
+    for offset in offsets.ravel().tolist():
+        slot.setdefault(offset, len(slot))
+    pair_slot = np.array([[slot[offset] for offset in row] for row in offsets.tolist()])
+    return list(slot), pair_slot, phases
 
 
 def mismatched_alignment_rate_loop(
@@ -665,6 +695,46 @@ def measure_beam_sinr(
     return desired, interference
 
 
+# --- imperfect CSI draws (metrics) -------------------------------------------
+
+
+def perturb_csi_loop(
+    paths: PathSet, err: CsiError, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-path version of one row of `metrics.draw_csi`.
+
+    Returns one model's estimated delays, Dopplers and indicator flags.
+    Moves each chosen path by trying the candidate taps one at a time
+    against the current delay array, instead of a set of taken taps.
+    """
+    num_paths = paths.num_paths
+    num_wrong = int(math.floor((1.0 - err.delay_accuracy) * num_paths + 1e-9))
+    indicator = np.ones(num_paths, dtype=np.int64)
+    delays = paths.delay_taps.copy()
+    if num_wrong > 0:
+        chosen = rng.choice(num_paths, size=num_wrong, replace=False)
+        for idx in chosen:
+            sign = 1 if rng.integers(0, 2) else -1
+            moved = False
+            for magnitude in range(1, paths.delay_tap_bound + 2):
+                for offset in (sign * magnitude, -sign * magnitude):
+                    cand = int(delays[idx]) + offset
+                    if 0 <= cand <= paths.delay_tap_bound and cand not in delays:
+                        delays[idx] = cand
+                        moved = True
+                        break
+                if moved:
+                    break
+            if moved:
+                indicator[idx] = 0
+    bound = paths.doppler_bound_hz
+    doppler = paths.doppler_hz.copy()
+    if err.doppler_error_coeff > 0 and bound > 0:
+        std = err.doppler_error_coeff * bound / math.sqrt(2.0)
+        doppler = doppler + std * rng.standard_normal(num_paths)
+    return delays, doppler, indicator
+
+
 # --- PAPR CCDF (metrics) ------------------------------------------------------
 
 
@@ -716,3 +786,109 @@ def papr_exceedance_db(ccdf: PaprCcdf, level: float) -> float:
     if hit.size == 0:
         return float("inf")
     return float(ccdf.thresholds_db[hit[0]])
+
+
+# --- channel realization JSON round trip (channel) ---------------------------
+#
+# A serialization of ChannelRealization that only the tests use. Schema
+# (version 1):
+# {
+#   "schema": "ddamsim/channel-realization/v1",
+#   "symbol_duration_s": float,
+#   "doppler_bound_hz": float,
+#   "delay_tap_bound": int,
+#   "paths": [
+#     {"gain": [re, im], "aoa_rad": float, "aod_rad": float,
+#      "delay_tap": int, "doppler_hz": float},
+#     ...
+#   ],
+#   "matrices": [[[[re, im], ...], ...], ...]   # L x M_r x M_t entries
+# }
+
+REALIZATION_SCHEMA = "ddamsim/channel-realization/v1"
+
+
+def _complex_to_pair(z: complex) -> list[float]:
+    return [float(np.real(z)), float(np.imag(z))]
+
+
+def realization_to_json(realization: ChannelRealization) -> str:
+    """One realization as a JSON document of the schema above."""
+    paths = realization.path_set
+    doc = {
+        "schema": REALIZATION_SCHEMA,
+        "symbol_duration_s": realization.symbol_duration_s,
+        "doppler_bound_hz": paths.doppler_bound_hz,
+        "delay_tap_bound": paths.delay_tap_bound,
+        "paths": [
+            {
+                "gain": _complex_to_pair(paths.gains[l]),
+                "aoa_rad": float(paths.aoa_rad[l]),
+                "aod_rad": float(paths.aod_rad[l]),
+                "delay_tap": int(paths.delay_taps[l]),
+                "doppler_hz": float(paths.doppler_hz[l]),
+            }
+            for l in range(paths.num_paths)
+        ],
+        "matrices": [
+            [[_complex_to_pair(v) for v in row] for row in mat]
+            for mat in realization.matrices
+        ],
+    }
+    return json.dumps(doc)
+
+
+def _finite_array(value, name: str, ndim: int, kinds: str = "iuf") -> np.ndarray:
+    """value as an ndim-D array of finite numbers of the given dtype kinds."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        raise ContractViolationError(f"{name} is ragged") from None
+    if arr.ndim != ndim or arr.dtype.kind not in kinds or not np.all(np.isfinite(arr)):
+        what = "integers" if kinds == "iu" else "numbers"
+        raise ContractViolationError(f"{name} must be a {ndim}-D array of finite {what}")
+    return arr
+
+
+def realization_from_json(text: str) -> ChannelRealization:
+    """Read and validate a realization written by `realization_to_json`.
+
+    Invalid JSON, another schema, a missing field, a ragged or misshapen
+    array, a non-numeric or non-finite number and a fractional tap all
+    raise ContractViolationError, as does anything PathSet rejects.
+    """
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ContractViolationError(f"channel realization is not valid JSON: {exc}") from None
+    schema = doc.get("schema") if isinstance(doc, dict) else doc
+    if schema != REALIZATION_SCHEMA:
+        raise ContractViolationError(f"expected schema {REALIZATION_SCHEMA}, got {schema!r}")
+    try:
+        path_docs = doc["paths"]
+        gains = _finite_array([p["gain"] for p in path_docs], "gain", 2)
+        angles = [_finite_array([p[k] for p in path_docs], k, 1) for k in ("aoa_rad", "aod_rad")]
+        delays = _finite_array([p["delay_tap"] for p in path_docs], "delay_tap", 1, "iu")
+        doppler = _finite_array([p["doppler_hz"] for p in path_docs], "doppler_hz", 1)
+        mats = _finite_array(doc["matrices"], "matrices", 4)
+        symbol_s = _finite_array(doc["symbol_duration_s"], "symbol_duration_s", 0)
+        bound_hz = _finite_array(doc["doppler_bound_hz"], "doppler_bound_hz", 0)
+        tap_bound = _finite_array(doc["delay_tap_bound"], "delay_tap_bound", 0, "iu")
+    except (KeyError, TypeError) as exc:
+        raise ContractViolationError(f"malformed channel realization: {exc!r}") from None
+    if gains.shape[1] != 2 or mats.shape[-1] != 2:
+        raise ContractViolationError("gains and matrix entries must be [re, im] pairs")
+    paths = PathSet(
+        gains=gains[:, 0] + 1j * gains[:, 1],
+        aoa_rad=angles[0],
+        aod_rad=angles[1],
+        delay_taps=delays,
+        doppler_hz=doppler,
+        doppler_bound_hz=float(bound_hz),
+        delay_tap_bound=int(tap_bound),
+    )
+    return ChannelRealization(
+        path_set=paths,
+        matrices=mats[..., 0] + 1j * mats[..., 1],
+        symbol_duration_s=float(symbol_s),
+    )

@@ -9,18 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddamsim.channel import (
-    REALIZATION_SCHEMA,
     PathSet,
     apply_channel,
     array_response,
     coherence_partition,
     generate_paths,
-    realization_from_json,
-    realization_to_json,
     realize_channel,
 )
 from ddamsim.config import SystemConfig
 from ddamsim.errors import ContractViolationError
+from oracles import REALIZATION_SCHEMA, realization_from_json, realization_to_json
 
 
 def _path_set(gains, delays, dopplers, bound_hz=5000.0, tap_bound=40):
@@ -283,6 +281,23 @@ def test_constructors_reject_non_finite_fields(valid, changes):
     # replace() reruns __post_init__, as any construction does
     with pytest.raises(ContractViolationError):
         replace(valid(), **changes)
+
+
+def test_realize_channel_realizes_a_sequence_of_path_sets_at_once():
+    cfg = SystemConfig(num_tx_antennas=16)
+    rng = np.random.default_rng(4)
+    paths = [generate_paths(cfg, rng) for _ in range(3)]
+    realizations = realize_channel(paths, cfg)
+    assert len(realizations) == 3
+    for path_set, realization in zip(paths, realizations):
+        alone = realize_channel(path_set, cfg)
+        assert realization.path_set is path_set
+        assert realization.symbol_duration_s == alone.symbol_duration_s
+        assert np.array_equal(realization.matrices, alone.matrices)
+    fewer = generate_paths(replace(cfg, num_paths=2), rng)
+    for bad in ([paths[0], fewer], []):
+        with pytest.raises(ContractViolationError):
+            realize_channel(bad, cfg)
 
 
 def test_realization_json_round_trip():

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddamsim import experiments, zf
-from ddamsim.bcd import _lag_pairs, colored_noise_rate, group_delay_differences
+from ddamsim.bcd import _lag_models, _lag_pairs, colored_noise_rate, group_delay_differences
 from ddamsim.channel import coherence_partition, generate_paths, realize_channel
 from ddamsim.config import SystemConfig
 from ddamsim.errors import ContractViolationError, FeasibilityError, NumericalError
@@ -32,6 +32,7 @@ from ddamsim.metrics import CsiError, perturb_csi
 from ddamsim.zf import DdamDesign, zf_spatial_design
 from oracles import (
     imperfect_csi_trial_loop,
+    lag_pairs_loop,
     mismatched_alignment_rate_loop,
     ofdm_papr_frame_loop,
 )
@@ -383,9 +384,13 @@ def _pair_outputs(realization, spatial):
 
 
 def _trial_rate(paths, pair_outputs, estimates, noise_var, timebase):
-    """(T, E) mismatched rates of one trial, rated as a chunk of one."""
+    """(T, E) mismatched rates of one trial's estimated path sets, rated as a chunk of one."""
+    branches = (
+        np.array([[est.delay_taps for est in estimates]]),
+        np.array([[est.doppler_hz for est in estimates]]),
+    )
     return mismatched_alignment_rate(
-        [paths], pair_outputs[None], [estimates], noise_var, timebase
+        [paths], pair_outputs[None], branches, noise_var, timebase
     )[0]
 
 
@@ -612,6 +617,67 @@ def test_stacked_mismatched_rate_matches_pair_loop_per_design_and_estimate(
         assert alone[:, 0] == pytest.approx(got[:, e], rel=1e-13, abs=0), e
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_chunk_lag_models_match_per_estimate_dicts_and_pair_loop(seed):
+    # a chunk of trials at spread and at evenly spaced (colliding) delays,
+    # each with a true, two perturbed and one late estimate, so its trials
+    # pad to different slot counts
+    cfg = SystemConfig(num_tx_antennas=8, num_streams=1, velocity_mps=500.0 / 3.6)
+    rng = np.random.default_rng([11, seed])
+    timebase = coherence_partition(cfg)
+    blocks = _block_samples(timebase)
+    noise = cfg.noise_power_watts
+    paths, estimates = [], []
+    for colliding in (True, False, True, False):
+        trial = generate_paths(cfg, rng)
+        if colliding:
+            trial = _colliding(trial, cfg)
+        wrong = [perturb_csi(trial, CsiError(a, c), rng)[0] for a, c in ((2 / 3, 0.05), (1 / 3, 0))]
+        bound = trial.delay_tap_bound
+        late = replace(trial, delay_taps=trial.delay_taps + bound + 1, delay_tap_bound=2 * bound + 1)
+        paths.append(trial)
+        estimates.append([trial, *wrong, late])
+    branches = (
+        np.array([[est.delay_taps for est in trial] for trial in estimates]),
+        np.array([[est.doppler_hz for est in trial] for trial in estimates]),
+    )
+    pair_slot, phases = _lag_models(
+        np.array([p.delay_taps for p in paths])[:, None],
+        np.array([p.doppler_hz for p in paths])[:, None],
+        *branches,
+        timebase,
+        blocks,
+    )
+    counts = []
+    for s, (trial, trial_estimates) in enumerate(zip(paths, estimates)):
+        for e, est in enumerate(trial_estimates):
+            want = lag_pairs_loop(
+                trial.delay_taps, trial.doppler_hz, est.delay_taps, est.doppler_hz, timebase, blocks
+            )
+            assert np.array_equal(pair_slot[s, e], want[1])
+            assert np.array_equal(phases[s, e], want[2])
+            offsets, slots, row_phases = _lag_pairs(
+                trial, timebase, blocks, est.delay_taps, est.doppler_hz
+            )
+            assert offsets == want[0]
+            assert np.array_equal(slots, want[1]) and np.array_equal(row_phases, want[2])
+        counts.append(int(pair_slot[s].max()) + 1)
+    assert len(set(counts)) > 1, counts
+
+    # every (trial, estimate) rate of the chunk against the pair loop
+    realizations = [realize_channel(trial, cfg) for trial in paths]
+    designs = [_random_design(r, 1, 1.0, rng) for r in realizations]
+    pair_outputs = np.array([_pair_outputs(r, d.precoders) for r, d in zip(realizations, designs)])
+    rates = mismatched_alignment_rate(paths, pair_outputs, branches, noise, timebase)
+    for s, (realization, design) in enumerate(zip(realizations, designs)):
+        for e, est in enumerate(estimates[s]):
+            aligned = DdamDesign(design.precoders, design.combiner, est.delay_taps, est.doppler_hz)
+            want = mismatched_alignment_rate_loop(
+                realization, aligned, est.max_delay_tap, noise, timebase, blocks
+            )
+            assert rates[s, 0, e] == pytest.approx(want, rel=1e-12, abs=0), (s, e)
+
+
 @pytest.mark.parametrize("defect", ["mismatched branches", "no estimate", "unstacked outputs"])
 def test_mismatched_rate_rejects_bad_inputs(defect):
     cfg = SystemConfig(num_tx_antennas=8, num_paths=3)
@@ -636,9 +702,9 @@ def test_mismatched_rate_rejects_bad_inputs(defect):
 
 
 def test_fig9_reuses_the_true_realization_for_an_unmoved_estimate(monkeypatch):
-    # per M_t: the true channel only; every estimate has its path matrices
-    # and is rated against the true design's pair outputs instead of
-    # realizing its own channel
+    # per M_t: the true channels of the chunk only, in one call; every
+    # estimate has its path matrices and is rated against the true design's
+    # pair outputs instead of realizing its own channel
     calls = []
 
     def counted(paths, config):
@@ -648,7 +714,7 @@ def test_fig9_reuses_the_true_realization_for_an_unmoved_estimate(monkeypatch):
     monkeypatch.setattr(experiments, "realize_channel", counted)
     run = run_experiment("fig9-imperfect-csi", seed=4, num_trials=2)
     assert run.failures == []
-    assert len(calls) == 2 * 3
+    assert [len(paths) for paths in calls] == [2] * 3
 
 
 def test_fig8_trial_with_a_corrupt_frame_fails(monkeypatch):

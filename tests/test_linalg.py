@@ -55,6 +55,21 @@ def test_svd_reduced_truncates_at_numerical_rank():
     assert u.shape == (6, 2) and v.shape == (4, 2)
 
 
+def test_svd_reduced_stack_zeroes_values_past_each_rank():
+    rng = np.random.default_rng(3)
+    full = _random_complex(rng, (5, 3))
+    rank_one = _random_complex(rng, (5, 1)) @ _random_complex(rng, (3, 1)).conj().T
+    mats = [full, rank_one, np.zeros((5, 3))]
+    u, s, v = svd_reduced(np.array(mats))
+    assert u.shape == (3, 5, 3) and s.shape == (3, 3) and v.shape == (3, 3, 3)
+    for a, u_i, s_i, v_i, rank in zip(mats, u, s, v, (3, 1, 0)):
+        assert np.count_nonzero(s_i) == rank and not s_i[rank:].any()
+        want_u, want_s, want_v = svd_reduced(a)
+        assert np.array_equal(u_i[:, :rank], want_u)
+        assert np.array_equal(s_i[:rank], want_s)
+        assert np.array_equal(v_i[:, :rank], want_v)
+
+
 def test_svd_reduced_rejects_empty():
     with pytest.raises(ContractViolationError):
         svd_reduced(np.zeros((0, 3)))

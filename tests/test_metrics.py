@@ -10,6 +10,7 @@ from ddamsim.config import SystemConfig
 from ddamsim.errors import ContractViolationError, NumericalError
 from ddamsim.metrics import (
     CsiError,
+    draw_csi,
     guard_overhead,
     ofdm_ber,
     papr_db,
@@ -19,7 +20,7 @@ from ddamsim.metrics import (
     qam_symbols,
     qfunc,
 )
-from oracles import papr_ccdf, papr_exceedance_db
+from oracles import papr_ccdf, papr_exceedance_db, perturb_csi_loop
 
 
 def test_qfunc_anchors():
@@ -337,3 +338,52 @@ def test_perturb_csi_keeps_gains_angles_and_path_matrices(
     assert np.array_equal(
         realize_channel(est, cfg).matrices, realize_channel(paths, cfg).matrices
     )
+
+
+CSI_ACCURACIES = (1.0, 0.9, 2.0 / 3.0, 1.0 / 3.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_paths=st.integers(1, 10),
+    full_grid=st.booleans(),
+    models=st.lists(
+        st.tuples(st.sampled_from(CSI_ACCURACIES), st.sampled_from([0.0, 0.05])),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_csi_draws_match_per_estimate_loop(seed, num_paths, full_grid, models):
+    # a full grid (every tap of [0, L - 1] taken) leaves a wrong path no
+    # free tap: it keeps its delay and counts as correct, but its draws
+    # are still made
+    rng = np.random.default_rng(seed)
+    tap_bound = num_paths - 1 if full_grid else 40
+    paths = PathSet(
+        gains=np.ones(num_paths, dtype=np.complex128),
+        aoa_rad=np.zeros(num_paths),
+        aod_rad=np.zeros(num_paths),
+        delay_taps=rng.choice(tap_bound + 1, size=num_paths, replace=False),
+        doppler_hz=rng.uniform(-2000.0, 2000.0, size=num_paths),
+        doppler_bound_hz=2000.0,
+        delay_tap_bound=tap_bound,
+    )
+    errors = [CsiError(accuracy, coeff) for accuracy, coeff in models]
+    drawn, looped, wrapped = (np.random.default_rng([seed, 1]) for _ in range(3))
+    delays, dopplers, indicators = draw_csi(paths, errors, drawn)
+    for row, err in enumerate(errors):
+        want_delays, want_dopplers, want_indicator = perturb_csi_loop(paths, err, looped)
+        assert np.array_equal(delays[row], want_delays)
+        assert np.array_equal(dopplers[row], want_dopplers)
+        assert np.array_equal(indicators[row], want_indicator)
+        est, realized = perturb_csi(paths, err, wrapped)
+        assert np.array_equal(est.delay_taps, want_delays)
+        assert np.array_equal(est.doppler_hz, want_dopplers)
+        assert np.array_equal(realized.indicator, want_indicator)
+    if full_grid:
+        assert np.array_equal(delays, np.broadcast_to(paths.delay_taps, delays.shape))
+        assert indicators.all()
+    state = drawn.bit_generator.state
+    assert looped.bit_generator.state == state == wrapped.bit_generator.state
+    assert drawn.random() == looped.random() == wrapped.random()

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddamsim import zf
@@ -282,6 +282,36 @@ def test_water_filling_kkt_conditions(gains, total, noise):
     assert np.all(noise / gains[inactive] >= level * (1.0 - 1e-12))
 
 
+@st.composite
+def _gain_stacks(draw):
+    """An (S, K) stack of mode gains, each row with at least one positive gain.
+
+    Zero and negative gains get no power, repeated gains give tied floors,
+    and gains down to 1e-6 give floors that dwarf the smallest budgets.
+    """
+    width = draw(st.integers(1, 12))
+    gain = st.one_of(
+        st.sampled_from([0.0, -1.0, 0.25, 1.0, 4.0]), _log_uniform(-6.0, 6.0)
+    )
+    row = st.lists(gain, min_size=width, max_size=width).filter(
+        lambda g: any(x > 0 for x in g)
+    )
+    return np.array(draw(st.lists(row, min_size=1, max_size=8)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(stack=_gain_stacks(), total=_log_uniform(-6.0, 3.0), noise=_log_uniform(-3.0, 1.0))
+# a lone positive gain, and one lone active mode below a floor gap wider than the budget
+@example(stack=np.array([[0.0, 3.0, -1.0], [2.0, 1e-6, 0.0]]), total=1e-3, noise=1.0)
+# tied floors, all active and all but one inactive
+@example(stack=np.array([[1.0, 1.0, 1.0, 0.5], [4.0, 4.0, 0.0, 4.0]]), total=10.0, noise=0.1)
+def test_stacked_water_filling_equals_one_row_calls(stack, total, noise):
+    powers = water_filling(stack, total, noise)
+    assert powers.shape == stack.shape
+    for gains, got in zip(stack, powers):
+        assert np.array_equal(got, water_filling(gains, total, noise))
+
+
 def test_water_filling_floods_strong_mode_first():
     powers = water_filling(np.array([10.0, 0.01]), total_power=0.1, noise_var=1.0)
     assert powers[0] > 0.099 and powers[1] < 1e-3
@@ -411,6 +441,21 @@ def test_stacked_zf_design_equals_one_realization_calls(
                 if k != l:
                     leak = np.linalg.norm(mats[k] @ f_l)
                     assert leak <= 1e-8 * np.linalg.norm(mats[k]) * np.linalg.norm(f_l)
+
+
+def test_stacked_zf_spatial_design_pads_unloaded_streams_with_zeros():
+    cfg = SystemConfig(num_tx_antennas=8)
+    live = _random_realization(cfg, 6)[0].matrices
+    budget = (cfg.tx_power_watts, cfg.noise_power_watts, 2)
+    # a silent realization loads no stream and gets all-zero precoders
+    precoders, results = zf_spatial_design(np.array([live, 0 * live, live]), *budget)
+    assert precoders.shape == (3, cfg.num_paths, 8, 2)
+    assert [result.n_active_streams for result in results] == [2, 0, 2]
+    assert not precoders[1].any()
+    want, want_result = zf_spatial_design(live, *budget)
+    for i in (0, 2):
+        assert np.array_equal(precoders[i], want)
+        assert results[i].rate_bps_hz == want_result.rate_bps_hz
 
 
 def test_zf_design_rejects_realizations_of_different_shapes():
