@@ -197,14 +197,14 @@ def path_zf_precoder_bases(
     return out
 
 
-def _rows(stack: np.ndarray, members: list[int]) -> np.ndarray:
+def _rows(stack: np.ndarray, members: list[int] | np.ndarray) -> np.ndarray:
     """stack[members] for ascending members, without a copy when that is all of it."""
     return stack if len(members) == len(stack) else stack[members]
 
 
 def zf_spatial_design(
     matrices: np.ndarray, total_power: float, noise_var: float, num_streams: int
-) -> tuple[np.ndarray, ZfCapacityResult | list[ZfCapacityResult]]:
+) -> tuple[np.ndarray, ZfCapacityResult] | list[tuple[np.ndarray, ZfCapacityResult]]:
     """Per-path zero-forcing precoders for a stack of path matrices.
 
     Pure spatial solution (no delay/Doppler bookkeeping): nulling bases,
@@ -218,18 +218,14 @@ def zf_spatial_design(
 
     matrices is one (L, M_r, M_t) path stack, which returns its
     (precoders, result), or an (S, L, M_r, M_t) stack of S of them, which
-    returns the (S, L, M_t, num_streams) precoders, zero past each member's
-    n_active streams, and the list of S results. The stack's bases,
-    effective channels, silent-channel checks, SVDs, water-filling and
-    splits are batched over the realizations that share basis widths and
-    stream counts. Every member equals its own one-realization call
-    exactly.
+    returns the S pairs in a list. The stack's bases, effective channels,
+    silent-channel checks, SVDs, water-filling and splits are batched over
+    the realizations that share basis widths and stream counts. Every
+    member equals its own one-realization call exactly.
     """
     mats = np.asarray(matrices, dtype=np.complex128)
     stack = mats if mats.ndim == 4 else mats[None]
-    count, num_paths, _, num_tx = stack.shape
-    precoders = np.zeros((count, num_paths, num_tx, num_streams), dtype=np.complex128)
-    results: list = [None] * count
+    designs: list = [None] * len(stack)
     for members, bases in path_zf_precoder_bases(stack):
         chans = _rows(stack, members)
         # every H_l B_l side by side, in path order
@@ -245,20 +241,16 @@ def zf_spatial_design(
         residue = np.linalg.norm(h_eff.reshape(len(members), -1), axis=1)
         scale = np.linalg.norm(chans.reshape(len(members), -1), axis=1)
         h_eff[residue <= RANK_TOL * scale] = 0.0
-        group = zf_capacity_design(h_eff, total_power, noise_var, num_streams)
-        streams = np.array([result.n_active_streams for result in group])
-        for n in set(streams.tolist()):
-            part = (streams == n).nonzero()[0]
-            stacked = np.array([group[i].stacked_precoder for i in part])
-            rows = [members[i] for i in part]
-            precoders[rows, ..., :n] = split_stacked_precoder(
-                [_rows(b, part) for _, b in bases], stacked
-            )
-        for member, result in zip(members, group):
-            results[member] = result
-    if mats.ndim == 4:
-        return precoders, results
-    return np.ascontiguousarray(precoders[0, ..., : results[0].n_active_streams]), results[0]
+        results = zf_capacity_design(h_eff, total_power, noise_var, num_streams)
+        by_streams: dict[int, list[int]] = {}
+        for i, result in enumerate(results):
+            by_streams.setdefault(result.n_active_streams, []).append(i)
+        for part in by_streams.values():
+            stacked = np.array([results[i].stacked_precoder for i in part])
+            precoders = split_stacked_precoder([_rows(b, part) for _, b in bases], stacked)
+            for i, precoder in zip(part, precoders):
+                designs[members[i]] = (precoder, results[i])
+    return designs if mats.ndim == 4 else designs[0]
 
 
 def water_filling(mode_gains: np.ndarray, total_power: float, noise_var: float) -> np.ndarray:
@@ -398,20 +390,17 @@ def zf_design(
     realizations = [realization] if single else list(realization)
     if len({r.matrices.shape for r in realizations}) != 1:
         raise ContractViolationError("zf_design needs realizations of one shape")
-    precoders, results = zf_spatial_design(
+    spatial = zf_spatial_design(
         np.array([r.matrices for r in realizations]), total_power, noise_var, num_streams
     )
     designs = [
         (
             DdamDesign(
-                np.ascontiguousarray(f[..., : result.n_active_streams]),
-                result.combiner,
-                r.path_set.delay_taps,
-                r.path_set.doppler_hz,
+                precoders, result.combiner, r.path_set.delay_taps, r.path_set.doppler_hz
             ),
             result,
         )
-        for r, f, result in zip(realizations, precoders, results)
+        for r, (precoders, result) in zip(realizations, spatial)
     ]
     return designs[0] if single else designs
 
