@@ -104,8 +104,8 @@ FEASIBILITY_RX_STREAM_PAIRS = ((1, 1), (2, 2), (4, 4), (4, 2))
 TRIAL_FAILURES = (ContractViolationError, NumericalError, FeasibilityError)
 # Trials per evaluator call. It bounds what a chunk holds at once: its
 # record lists and, for fig9, its estimate arrays, stacked channels, designs,
-# lag models and lag weights (a tracemalloc peak of 5.3 MiB for 64 trials at
-# the default config, 2.1 MiB for 25).
+# lag models and lag weights (a tracemalloc peak of 6.1 MiB for 64 trials at
+# the default config, 2.4 MiB for 25).
 TRIAL_CHUNK = 64
 
 
