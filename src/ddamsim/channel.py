@@ -225,7 +225,9 @@ def realize_channel(
     gains = np.array([p.gains for p in path_sets])
     a_rx = np.exp(1j * np.pi * np.arange(m_r) * sin_rx[..., None])
     a_tx = np.exp(1j * np.pi * np.arange(m_t) * sin_tx[..., None])
-    mats = gains[..., None, None] * (a_rx[..., :, None] * a_tx.conj()[..., None, :])
+    # in place, so a chunk's stack is not held in three copies at once
+    mats = a_rx[..., :, None] * np.conj(a_tx, out=a_tx)[..., None, :]
+    np.multiply(gains[..., None, None], mats, out=mats)
     realizations = [
         ChannelRealization(path_set=p, matrices=m, symbol_duration_s=config.symbol_duration_s)
         for p, m in zip(path_sets, mats)

@@ -337,7 +337,7 @@ def zf_capacity_design(
     loaded = streams > 0
     if loaded.any():
         powers[loaded] = water_filling(gains[loaded], total_power, noise_var)
-    rates = np.sum(np.log2(1.0 + powers * gains / noise_var), axis=1).tolist()
+    rates = np.log2(1.0 + powers * gains / noise_var).sum(axis=1).tolist()
     stacked = v[:, :, :width] * np.sqrt(powers)[:, None, :]
     results = [
         ZfCapacityResult(
