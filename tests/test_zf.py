@@ -443,21 +443,6 @@ def test_stacked_zf_design_equals_one_realization_calls(
                     assert leak <= 1e-8 * np.linalg.norm(mats[k]) * np.linalg.norm(f_l)
 
 
-def test_stacked_zf_spatial_design_keeps_a_silent_member_apart():
-    cfg = SystemConfig(num_tx_antennas=8)
-    live = _random_realization(cfg, 6)[0].matrices
-    budget = (cfg.tx_power_watts, cfg.noise_power_watts, 2)
-    # a silent realization loads no stream and leaves the water-filling of the others alone
-    stacked = zf_spatial_design(np.array([live, 0 * live, live]), *budget)
-    assert [result.n_active_streams for _, result in stacked] == [2, 0, 2]
-    assert stacked[1][0].shape == (cfg.num_paths, 8, 0)
-    assert stacked[1][1].rate_bps_hz == 0.0
-    want, want_result = zf_spatial_design(live, *budget)
-    for precoders, result in stacked[::2]:
-        assert np.array_equal(precoders, want)
-        assert result.rate_bps_hz == want_result.rate_bps_hz
-
-
 def test_zf_design_rejects_realizations_of_different_shapes():
     paths = generate_paths(SystemConfig(), np.random.default_rng(1))
     small = realize_channel(paths, SystemConfig(num_tx_antennas=8))
