@@ -22,22 +22,24 @@ the traced rate, the weights and the receive filter together.
 This module owns the lag model: _lag_models is the one enumeration of
 (true path, transmit branch) pairs, for a whole stack of rows at once. It
 reads only delays, Dopplers and the timebase, never the array size.
-group_delay_differences builds BCD's grouped channels on its one-row
-case, _lag_pairs, and experiments.mismatched_alignment_rate, with branches
-aligned to estimated delays/Dopplers, builds the lag models of a chunk's
-every (trial, estimate) in one call and rates every (trial, array size,
-estimate, block) at once.
+group_delay_differences builds BCD's grouped channels from one row, with
+the branches aligned to the true paths, and
+experiments.mismatched_alignment_rate, with branches aligned to estimated
+delays/Dopplers, builds the lag models of a chunk's every (trial,
+estimate) in one call and rates every (trial, array size, estimate,
+block) at once.
 
 The precoder step is the closed-form WMMSE update (Shi, Razaviyayn, Luo
 and He, IEEE TSP 2011). Its solution lies in the range of the adjoint of
 the stacked channels [Hbar; Gbar[i]...], which has at most
 M_r * (1 + #offsets) dimensions however large L * M_t is, so the update
 works in an orthonormal basis of that range and its cost barely grows
-with the array size. A GroupedChannels is immutable and carries the
-stacked blocks and their thin QR, built once on first use, so no BCD
-iteration restacks or refactors them. The zero-forcing warm start depends
-on Hbar alone, which with perfect CSI is the same in every coherence
-block, so experiments builds one per realization and shares it.
+with the array size. A GroupedChannels is immutable and holds the blocks
+Hbar, Gbar[i]... as one array in the lag model's slot order, with their
+thin QR built once on first use, so no BCD iteration restacks or
+refactors them. The zero-forcing warm start depends on Hbar alone, which
+with perfect CSI is the same in every coherence block, so experiments
+builds one per realization and shares it.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import ChannelRealization, PathSet, Timebase, _whole_numbers
+from .channel import ChannelRealization, Timebase, _checked_int, _checked_positive, _whole_numbers
 from .errors import ContractViolationError, FeasibilityError, NumericalError
 from .linalg import eig_hermitian
 from .zf import FeasibilityVerdict, zf_feasibility, zf_spatial_design
@@ -60,31 +62,41 @@ POWER_BISECT_REL_TOL = 1e-12
 class GroupedChannels:
     """Aligned desired channel plus ISI channels grouped by delay difference.
 
-    Immutable. The stacked blocks B = [Hbar; Gbar[i]...] and the thin QR of
-    B^H are built on first use and shared by every BCD iteration on them.
+    blocks[k] is the channel of delay offset offsets[k], in the lag
+    model's slot order: blocks[0] is Hbar (offset 0), the others are the
+    Gbar[i]. Immutable. The thin QR of B^H, B = [Hbar; Gbar[i]...] the
+    blocks stacked by rows, is built on first use and shared by every BCD
+    iteration on them.
     """
 
-    stacked_channel: np.ndarray        # Hbar, shape (M_r, L * M_t)
-    isi_channels: dict[int, np.ndarray]  # delay offset -> Gbar[i], same shape
+    blocks: np.ndarray         # (K, M_r, L * M_t), K distinct offsets
+    offsets: tuple[int, ...]   # (K,), offsets[0] = 0
     num_paths: int
     num_tx: int
 
     def __post_init__(self) -> None:
-        desired = np.asarray(self.stacked_channel, dtype=np.complex128)
-        object.__setattr__(self, "stacked_channel", desired)
-        if desired.shape[1] != self.num_paths * self.num_tx:
-            raise ContractViolationError("stacked channel width must be L * M_t")
-        if 0 in self.isi_channels:
-            raise ContractViolationError("delay offset 0 belongs to the desired channel")
+        blocks = np.ascontiguousarray(self.blocks, dtype=np.complex128)
+        object.__setattr__(self, "blocks", blocks)
+        offsets = tuple(self.offsets)
+        object.__setattr__(self, "offsets", offsets)
+        if blocks.ndim != 3 or blocks.shape[2] != self.num_paths * self.num_tx:
+            raise ContractViolationError("blocks must have shape (K, M_r, L * M_t)")
+        if offsets[:1] != (0,) or not len(set(offsets)) == len(offsets) == len(blocks):
+            raise ContractViolationError("offsets must be distinct, one per block, 0 first")
+
+    @property
+    def stacked_channel(self) -> np.ndarray:
+        """Hbar, shape (M_r, L * M_t)."""
+        return self.blocks[0]
 
     @property
     def num_rx(self) -> int:
-        return int(self.stacked_channel.shape[0])
+        return int(self.blocks.shape[1])
 
-    @cached_property
+    @property
     def stacked_blocks(self) -> np.ndarray:
-        """B = [Hbar; Gbar[i]...] in map order, shape ((1 + #offsets) M_r, L M_t)."""
-        return np.vstack([self.stacked_channel, *self.isi_channels.values()])
+        """B = [Hbar; Gbar[i]...], shape (K M_r, L M_t), a view of blocks."""
+        return self.blocks.reshape(-1, self.blocks.shape[2])
 
     @cached_property
     def adjoint_qr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -158,34 +170,6 @@ def _lag_models(
     return pair_slot, phases
 
 
-def _lag_pairs(
-    paths: PathSet,
-    timebase: Timebase,
-    block_indices,
-    branch_delays: np.ndarray | None = None,
-    branch_dopplers: np.ndarray | None = None,
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """The (transmit branch l', true path l) pairs of one lag model.
-
-    Returns the distinct offsets m^_l' - m_l in slot order (see
-    _lag_models: the desired offset 0 first, the others first-seen), the
-    (L', L) slot of each pair's offset and the (B, L', L) pair phases at
-    the blocks in block_indices. The branches default to the true paths
-    (perfect CSI).
-    """
-    delays, dopplers = paths.delay_taps, paths.doppler_hz
-    est_delays = delays if branch_delays is None else np.asarray(branch_delays)
-    est_dopplers = dopplers if branch_dopplers is None else np.asarray(branch_dopplers)
-    if est_delays.ndim != 1:
-        raise ContractViolationError("branch inputs must be matching non-empty 1-D arrays")
-    pair_slot, phases = _lag_models(
-        delays, dopplers, est_delays, est_dopplers, timebase, block_indices
-    )
-    offsets = np.zeros(pair_slot.max() + 1, dtype=np.int64)
-    offsets[pair_slot] = est_delays.astype(np.int64)[:, None] - delays[None, :]
-    return offsets.tolist(), pair_slot, phases
-
-
 def group_delay_differences(
     realization: ChannelRealization, timebase: Timebase, block_index: int
 ) -> GroupedChannels:
@@ -199,18 +183,21 @@ def group_delay_differences(
 
     with n0 the first sample of coherence block block_index, for the
     spatial precoders that zf.build_ddam_tx transmits. Offset 0 is the
-    desired channel Hbar = [H_1, ..., H_L]. Offsets that no pair produces
-    are absent from the map.
+    desired channel Hbar = [H_1, ..., H_L]. The blocks follow the lag
+    model's slot order; offsets that no pair produces have no block.
     """
-    offsets, pair_slot, phases = _lag_pairs(realization.path_set, timebase, [block_index])
+    delays, dopplers = realization.path_set.delay_taps, realization.path_set.doppler_hz
+    pair_slot, phases = _lag_models(delays, dopplers, delays, dopplers, timebase, [block_index])
     num_branches, num_rx, num_tx = pair_slot.shape[0], realization.num_rx, realization.num_tx
+    offsets = np.zeros(pair_slot.max() + 1, dtype=np.int64)
+    offsets[pair_slot] = delays[:, None] - delays[None, :]  # [l', l] = m_l' - m_l
     # one block per distinct offset; pair (l', l) fills its branch l'
     blocks = np.zeros((len(offsets), num_rx, num_branches, num_tx), dtype=np.complex128)
     terms = realization.matrices * phases[0, :, :, None, None]  # [l', l]: H_l * phase
     blocks[pair_slot, :, np.arange(num_branches)[:, None], :] = terms
-    groups = dict(zip(offsets, blocks.reshape(len(offsets), num_rx, -1)))
-    desired = groups.pop(0)  # the pairs l' = l
-    return GroupedChannels(desired, groups, num_paths=num_branches, num_tx=num_tx)
+    return GroupedChannels(
+        blocks.reshape(len(offsets), num_rx, -1), offsets.tolist(), num_branches, num_tx
+    )
 
 
 def _noise_plus_interference(num_rx: int, interferers, noise_var: float) -> np.ndarray:
@@ -393,12 +380,10 @@ def bcd_solve(
     stopped at max_iters, the returned precoder, combiner and weights are
     the ones rate_trace[-1] was evaluated at.
     """
-    for name, count in (("num_streams", num_streams), ("max_iters", max_iters)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-            raise ContractViolationError(f"{name} must be an integer >= 1, got {count!r}")
-    for name, value in (("total_power", total_power), ("noise_var", noise_var)):
-        if not (math.isfinite(value) and value > 0):
-            raise ContractViolationError(f"{name} must be finite and positive, got {value!r}")
+    _checked_int(num_streams, "num_streams", 1)
+    _checked_int(max_iters, "max_iters", 1)
+    _checked_positive(total_power, "total_power")
+    _checked_positive(noise_var, "noise_var")
     if not (math.isfinite(tol) and tol >= 0):
         raise ContractViolationError(f"tol must be finite and non-negative, got {tol!r}")
     dim = grouped.stacked_channel.shape[1]
@@ -456,7 +441,7 @@ def _zf_warm_start(
         return None
     mats = grouped.stacked_channel.reshape(num_rx, num_paths, num_tx).transpose(1, 0, 2)
     try:
-        precoders, result = zf_spatial_design(mats, total_power, noise_var, streams)
+        [(precoders, result)] = zf_spatial_design(mats[None], total_power, noise_var, streams)
     except FeasibilityError:
         return None
     if result.n_active_streams == 0:

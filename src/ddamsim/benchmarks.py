@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelRealization, PathSet, array_response
+from .channel import ChannelRealization, PathSet, _checked_int, _checked_positive, array_response
 from .errors import ContractViolationError, NumericalError
 from .linalg import RANK_TOL, eig_hermitian, svd_reduced
 
@@ -70,12 +70,7 @@ def ici_coefficient(
     doppler_hz and delta; a bool or non-integer delta or num_subcarriers
     raises ContractViolationError.
     """
-    if isinstance(num_subcarriers, bool) or not isinstance(num_subcarriers, (int, np.integer)):
-        raise ContractViolationError(
-            f"num_subcarriers must be an integer, got {num_subcarriers!r}"
-        )
-    if num_subcarriers < 1:
-        raise ContractViolationError("num_subcarriers must be >= 1")
+    _checked_int(num_subcarriers, "num_subcarriers", 1)
     d = np.asarray(delta)
     if not np.issubdtype(d.dtype, np.integer):
         raise ContractViolationError(f"delta must be an integer, got {delta!r}")
@@ -98,24 +93,14 @@ def _rank_one_components(realization: ChannelRealization):
     """Split each path matrix into rank-one pieces (a no-op split for ray channels).
 
     Returns (left, right, parent): H_l = sum over components c with
-    parent[c] = l of outer(left[c], right[c].conj()).
+    parent[c] = l of outer(left[c], right[c].conj()). The components come
+    from one stacked SVD of the path matrices, in path order and within a
+    path by descending singular value; an all-zero channel has none.
     """
-    left, right, parent = [], [], []
-    for l in range(realization.path_set.num_paths):
-        u, s, v = svd_reduced(realization.matrices[l])
-        for m in range(s.size):
-            left.append(s[m] * u[:, m])
-            right.append(v[:, m])
-            parent.append(l)
-    if not left:
-        # an all-zero channel still needs well-formed arrays
-        m_r, m_t = realization.num_rx, realization.num_tx
-        return (
-            np.zeros((0, m_r), dtype=np.complex128),
-            np.zeros((0, m_t), dtype=np.complex128),
-            np.zeros(0, dtype=np.int64),
-        )
-    return np.array(left), np.array(right), np.array(parent, dtype=np.int64)
+    u, s, v = svd_reduced(realization.matrices)
+    parent, mode = np.nonzero(s)
+    left = (u * s[:, None, :]).transpose(0, 2, 1)[parent, mode]
+    return left, v.transpose(0, 2, 1)[parent, mode], parent
 
 
 def ofdm_design_and_rate(
@@ -175,24 +160,11 @@ def ofdm_design_and_rate(
     ContractViolationError, as do a bool or non-integer subcarrier count or
     cyclic prefix and a non-finite power or noise.
     """
-    for name, count in (("num_subcarriers", num_subcarriers), ("cp_length", cp_length)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-            raise ContractViolationError(f"{name} must be an integer, got {count!r}")
-    k_sub = int(num_subcarriers)
-    if k_sub < 1:
-        raise ContractViolationError("num_subcarriers must be >= 1")
-    if cp_length < 0:
-        raise ContractViolationError("cp_length must be >= 0")
-    if not (math.isfinite(total_power) and math.isfinite(noise_var)):
-        raise ContractViolationError("total_power and noise_var must be finite")
-    if total_power <= 0 or noise_var <= 0:
-        raise ContractViolationError("total_power and noise_var must be positive")
-    if (
-        isinstance(num_streams, bool)
-        or not isinstance(num_streams, (int, np.integer))
-        or num_streams < 1
-    ):
-        raise ContractViolationError(f"num_streams must be an integer >= 1, got {num_streams!r}")
+    k_sub = _checked_int(num_subcarriers, "num_subcarriers", 1)
+    _checked_int(cp_length, "cp_length", 0)
+    _checked_int(num_streams, "num_streams", 1)
+    _checked_positive(total_power, "total_power")
+    _checked_positive(noise_var, "noise_var")
     paths = realization.path_set
     ts = realization.symbol_duration_s
     left, right, parent = _rank_one_components(realization)
@@ -484,10 +456,11 @@ def strongest_path_design(
     The receiver is assumed to synchronize to the dominant path's delay
     and Doppler, so that path contributes a constant coefficient while
     every other path lands at a different lag and acts as interference;
-    sinr_multipath accounts for it, snr_dominant ignores it.
+    sinr_multipath accounts for it, snr_dominant ignores it. A non-finite
+    or non-positive power or noise raises ContractViolationError.
     """
-    if total_power <= 0 or noise_var <= 0:
-        raise ContractViolationError("total_power and noise_var must be positive")
+    _checked_positive(total_power, "total_power")
+    _checked_positive(noise_var, "noise_var")
     paths = realization.path_set
     dominant = int(np.argmax(np.abs(paths.gains) ** 2))
     a_tx = array_response(realization.num_tx, paths.aod_rad[dominant])

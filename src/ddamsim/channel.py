@@ -16,6 +16,7 @@ exact time-domain convolution oracle and the double-timescale partition
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,13 +38,26 @@ def _whole_numbers(values, name: str) -> np.ndarray:
     return raw.astype(np.int64, copy=False)
 
 
+def _checked_int(value, name: str, low: int) -> int:
+    """value as an int; ContractViolationError unless it is an integer >= low (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ContractViolationError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _checked_positive(value, name: str) -> None:
+    """ContractViolationError unless value is a finite number > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ContractViolationError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass
 class PathSet:
     """Geometry and gains of the resolvable multipath components.
 
     Delay taps are pairwise distinct whole numbers in [0, delay_tap_bound]
     (a fractional, non-finite or bool tap raises), the tap bound is an
-    integer (not a bool), every Doppler shift is bounded by
+    integer >= 0 (not a bool), every Doppler shift is bounded by
     doppler_bound_hz in magnitude, and gains, angles, Dopplers and the
     bound are finite.
     """
@@ -74,10 +88,7 @@ class PathSet:
                 raise ContractViolationError(f"PathSet field {name} must be finite")
         if not math.isfinite(self.doppler_bound_hz):
             raise ContractViolationError("PathSet field doppler_bound_hz must be finite")
-        bound = self.delay_tap_bound
-        if isinstance(bound, bool) or not isinstance(bound, (int, np.integer)):
-            raise ContractViolationError(f"delay_tap_bound must be an integer, got {bound!r}")
-        self.delay_tap_bound = int(bound)
+        self.delay_tap_bound = _checked_int(self.delay_tap_bound, "delay_tap_bound", 0)
         if len(set(self.delay_taps.tolist())) != n:
             raise ContractViolationError("delay taps must be pairwise distinct")
         if self.delay_taps.min() < 0 or self.delay_taps.max() > self.delay_tap_bound:

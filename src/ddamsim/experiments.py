@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import partial
@@ -53,6 +52,7 @@ from .channel import (
     ChannelRealization,
     PathSet,
     Timebase,
+    _checked_int,
     coherence_partition,
     generate_paths,
     realize_channel,
@@ -737,13 +737,6 @@ def _resolve_config(name: str, base: SystemConfig | None) -> SystemConfig:
     return config
 
 
-def _checked_int(name: str, value, low: int) -> int:
-    """value as an int; ContractViolationError unless it is an integer >= low."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ContractViolationError(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
-
-
 def _trial_chunks(trials: int, workers: int) -> list[range]:
     """Consecutive trial ranges of at most TRIAL_CHUNK trials, at least one per worker."""
     count = max(-(-trials // TRIAL_CHUNK), min(workers, trials))
@@ -808,10 +801,10 @@ def run_experiment(
     """
     resolved = _resolve_config(name, config)
     spec = EXPERIMENTS[name]
-    seed = _checked_int("seed", seed, 0)
+    seed = _checked_int(seed, "seed", 0)
     trials = spec.default_trials if num_trials is None else num_trials
-    trials = _checked_int("num_trials", trials, 1)
-    workers = None if workers is None else _checked_int("workers", workers, 1)
+    trials = _checked_int(trials, "num_trials", 1)
+    workers = None if workers is None else _checked_int(workers, "workers", 1)
     # validated and coerced once per run; trials share the frozen result
     trial_config = config_from_dict(resolved.to_dict())
 

@@ -1,8 +1,8 @@
 """Thin wrappers around dense linear algebra with explicit tolerance contracts.
 
-All routines accept anything convertible to a 2-D complex array
-(svd_reduced and null_space_basis also a 3-D stack of them) and refuse
-non-finite input.
+as_complex_matrix and eig_hermitian take one 2-D matrix; svd_reduced and
+null_space_basis take a 3-D stack of matrices and factor it with one
+batched SVD. All refuse non-finite input.
 Rank decisions are always made relative to the largest singular value so
 the same tolerance works across scales.
 """
@@ -30,34 +30,26 @@ def as_complex_matrix(a) -> np.ndarray:
 
 
 def svd_reduced(a):
-    """Reduced SVD truncated at the numerical rank.
+    """Reduced SVD of an (S, m, n) stack of matrices, zeroed past each rank.
 
-    Returns (u, s, v) with a ~= u @ diag(s) @ v.conj().T, singular values
-    sorted descending, and only values above RANK_TOL * s_max kept.
-
-    `a` may also be an (S, m, n) stack of matrices. Their factors come from
-    one batched SVD and are returned as the stacks u (S, m, k), s (S, k)
-    and v (S, n, k), k = min(m, n), with each matrix's singular values at
-    or below its own rank threshold set to 0: matrix i's truncated factors
+    Returns the stacks u (S, m, k), s (S, k) and v (S, n, k), k = min(m, n),
+    from one batched SVD, with a[i] ~= u[i] @ diag(s[i]) @ v[i].conj().T and
+    each matrix's singular values sorted descending; those at or below
+    RANK_TOL times its largest are set to 0, so matrix i's truncated factors
     are u[i, :, :r], s[i, :r] and v[i, :, :r], r = count_nonzero(s[i]).
     """
     arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim not in (2, 3):
-        raise ContractViolationError(f"matrix must be 2-D or a 3-D stack, got ndim={arr.ndim}")
+    if arr.ndim != 3:
+        raise ContractViolationError(f"matrices must be a 3-D stack, got ndim={arr.ndim}")
     if arr.size == 0:
         raise ContractViolationError("svd_reduced needs a non-empty matrix")
     if not np.isfinite(arr).all():
         raise ContractViolationError("matrix contains non-finite entries")
-    stack = arr if arr.ndim == 3 else arr[None]
     try:
-        u, s, vh = np.linalg.svd(stack, full_matrices=False)
+        u, s, vh = np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
-    kept = s > RANK_TOL * s[:, :1]
-    if arr.ndim == 3:
-        return u, np.where(kept, s, 0.0), vh.conj().swapaxes(1, 2)
-    rank = int(np.count_nonzero(kept))
-    return u[0, :, :rank], s[0, :rank], vh[0, :rank].conj().T
+    return u, np.where(s > RANK_TOL * s[:, :1], s, 0.0), vh.conj().swapaxes(1, 2)
 
 
 def eig_hermitian(a):
@@ -86,29 +78,23 @@ def eig_hermitian(a):
 
 
 def null_space_basis(a):
-    """Orthonormal basis of the orthogonal complement of the columns of `a`.
+    """Orthonormal bases of the orthogonal complements of an (S, n, k) stack's columns.
 
-    Returns b with a.conj().T @ b == 0 and b.conj().T @ b == I; the number of
-    columns is rows(a) minus the numerical rank of `a` at RANK_TOL.
-
-    `a` may also be an (S, n, k) stack of matrices. Their null spaces come
-    from one batched SVD, and the S bases are returned as a list, each with
-    as many columns as its own matrix's rank leaves.
+    Returns the list of the S bases b_i, from one batched SVD, with
+    a[i].conj().T @ b_i == 0 and b_i.conj().T @ b_i == I; b_i has n minus
+    the numerical rank of a[i] at RANK_TOL columns.
     """
     arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim not in (2, 3):
-        raise ContractViolationError(f"matrix must be 2-D or a 3-D stack, got ndim={arr.ndim}")
+    if arr.ndim != 3:
+        raise ContractViolationError(f"matrices must be a 3-D stack, got ndim={arr.ndim}")
     if arr.size and not np.isfinite(arr).all():
         raise ContractViolationError("matrix contains non-finite entries")
-    stack = arr if arr.ndim == 3 else arr[None]
-    count, rows, cols = stack.shape
+    count, rows, cols = arr.shape
     if cols == 0:
-        bases = [np.eye(rows, dtype=np.complex128) for _ in range(count)]
-    else:
-        try:
-            u, s, _ = np.linalg.svd(stack, full_matrices=True)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"SVD did not converge: {exc}") from exc
-        ranks = np.count_nonzero(s > RANK_TOL * s[:, :1], axis=1)
-        bases = [u_i[:, rank:] for u_i, rank in zip(u, ranks.tolist())]
-    return bases if arr.ndim == 3 else bases[0]
+        return [np.eye(rows, dtype=np.complex128) for _ in range(count)]
+    try:
+        u, s, _ = np.linalg.svd(arr, full_matrices=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD did not converge: {exc}") from exc
+    ranks = np.count_nonzero(s > RANK_TOL * s[:, :1], axis=1)
+    return [u_i[:, rank:] for u_i, rank in zip(u, ranks.tolist())]

@@ -26,7 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, Timebase, _whole_numbers, apply_channel
+from .channel import (
+    ChannelRealization,
+    Timebase,
+    _checked_int,
+    _checked_positive,
+    _whole_numbers,
+    apply_channel,
+)
 from .errors import ContractViolationError, FeasibilityError, NumericalError
 from .linalg import RANK_TOL, null_space_basis, svd_reduced
 
@@ -204,8 +211,8 @@ def _rows(stack: np.ndarray, members: list[int] | np.ndarray) -> np.ndarray:
 
 def zf_spatial_design(
     matrices: np.ndarray, total_power: float, noise_var: float, num_streams: int
-) -> tuple[np.ndarray, ZfCapacityResult] | list[tuple[np.ndarray, ZfCapacityResult]]:
-    """Per-path zero-forcing precoders for a stack of path matrices.
+) -> list[tuple[np.ndarray, ZfCapacityResult]]:
+    """Per-path zero-forcing precoders for an (S, L, M_r, M_t) stack of path matrices.
 
     Pure spatial solution (no delay/Doppler bookkeeping): nulling bases,
     aligned effective channel, SVD and water-filling, then the stacked
@@ -216,15 +223,14 @@ def zf_spatial_design(
     the precoders equal those over the full null spaces up to one phase per
     stream, which leaves the rate, mode gains and F F^H unchanged.
 
-    matrices is one (L, M_r, M_t) path stack, which returns its
-    (precoders, result), or an (S, L, M_r, M_t) stack of S of them, which
-    returns the S pairs in a list. The stack's bases, effective channels,
-    silent-channel checks, SVDs, water-filling and splits are batched over
-    the realizations that share basis widths and stream counts. Every
-    member equals its own one-realization call exactly.
+    Returns the S (precoders, result) pairs in a list. The stack's bases,
+    effective channels, silent-channel checks, SVDs, water-filling and
+    splits are batched over the realizations that share basis widths and
+    stream counts. Every member equals its own stack-of-one call exactly.
     """
-    mats = np.asarray(matrices, dtype=np.complex128)
-    stack = mats if mats.ndim == 4 else mats[None]
+    stack = np.asarray(matrices, dtype=np.complex128)
+    if stack.ndim != 4:
+        raise ContractViolationError("matrices must be an (S, L, M_r, M_t) stack")
     designs: list = [None] * len(stack)
     for members, bases in path_zf_precoder_bases(stack):
         chans = _rows(stack, members)
@@ -250,14 +256,14 @@ def zf_spatial_design(
             precoders = split_stacked_precoder([_rows(b, part) for _, b in bases], stacked)
             for i, precoder in zip(part, precoders):
                 designs[members[i]] = (precoder, results[i])
-    return designs if mats.ndim == 4 else designs[0]
+    return designs
 
 
 def water_filling(mode_gains: np.ndarray, total_power: float, noise_var: float) -> np.ndarray:
-    """Classic water-filling over parallel modes, in closed form.
+    """Classic water-filling over the parallel modes of each row of an (S, K) stack.
 
-    Solves max sum_k log2(1 + p_k g_k / noise_var) s.t. sum p_k = total_power,
-    p_k >= 0. With the floors f_k = noise_var / g_k sorted ascending, the n
+    Solves, per row, max sum_k log2(1 + p_k g_k / noise_var) s.t. sum p_k =
+    total_power, p_k >= 0. With the floors f_k = noise_var / g_k sorted ascending, the n
     lowest floors are active, n being the largest count whose top floor the
     budget can reach: total_power > sum_{j<n} (f_n - f_j). Each active mode
     gets p_i = (total_power - sum_{j active} (f_i - f_j)) / n, which equals
@@ -265,17 +271,16 @@ def water_filling(mode_gains: np.ndarray, total_power: float, noise_var: float) 
     it does not cancel when the floors dwarf the budget; a lone active mode
     gets exactly total_power. Modes with non-positive gain receive zero power.
 
-    mode_gains may also be an (S, K) stack, which returns the (S, K) powers
-    of its rows. The rows are solved together, grouped by their counts of
-    positive gains and of active modes, and each equals its one-row call
-    bit for bit; a one-row call is a stack of one.
+    Returns the (S, K) powers. The rows are solved together, grouped by
+    their counts of positive gains and of active modes, and each equals its
+    stack-of-one call bit for bit. A non-finite or non-positive power or
+    noise raises ContractViolationError.
     """
-    gains = np.asarray(mode_gains, dtype=np.float64)
-    if gains.ndim not in (1, 2) or gains.shape[-1] == 0:
-        raise ContractViolationError("mode_gains must be a non-empty 1-D array or (S, K) stack")
-    if total_power <= 0 or noise_var <= 0:
-        raise ContractViolationError("total_power and noise_var must be positive")
-    stack = gains if gains.ndim == 2 else gains[None]
+    stack = np.asarray(mode_gains, dtype=np.float64)
+    if stack.ndim != 2 or stack.shape[1] == 0:
+        raise ContractViolationError("mode_gains must be a non-empty (S, K) stack")
+    _checked_positive(total_power, "total_power")
+    _checked_positive(noise_var, "noise_var")
     positive = stack > 0
     counts = positive.sum(axis=1)
     if not counts.all():
@@ -305,29 +310,31 @@ def water_filling(mode_gains: np.ndarray, total_power: float, noise_var: float) 
             raise NumericalError(
                 f"water-filling missed the power budget ({total} vs {total_power})"
             )
-    return powers if gains.ndim == 2 else powers[0]
+    return powers
 
 
 def zf_capacity_design(
     effective_channel: np.ndarray, total_power: float, noise_var: float, num_streams: int
-) -> ZfCapacityResult | list[ZfCapacityResult]:
-    """Capacity-achieving combiner/precoder over the aligned channel.
+) -> list[ZfCapacityResult]:
+    """Capacity-achieving combiners/precoders over an (S, M_r, W) stack of aligned channels.
 
-    Reduced SVD of the effective channel gives the receive combiner (left
+    Reduced SVD of an effective channel gives the receive combiner (left
     singular vectors) and stacked precoder directions (right singular
     vectors); water-filling splits power over the min(rank, num_streams)
     strongest modes. A rank-deficient channel simply transmits fewer
     streams; a zero channel yields zero rate and zero precoders.
 
-    An (S, M_r, W) stack of effective channels returns a list of S results
-    from one batched SVD, one stacked water-filling over the channels that
-    carry a stream and one stacked rate; each result's arrays are views
-    into those stacks.
+    Returns a list of S results from one batched SVD, one stacked
+    water-filling over the channels that carry a stream and one stacked
+    rate; each result's arrays are views into those stacks. A stream count
+    that is not an integer >= 1 (a bool included), or a non-finite or
+    non-positive power or noise, raises ContractViolationError, also when
+    no channel carries a stream.
     """
-    h_eff = np.asarray(effective_channel, dtype=np.complex128)
-    if num_streams < 1:
-        raise ContractViolationError("num_streams must be >= 1")
-    u, s, v = svd_reduced(h_eff if h_eff.ndim == 3 else h_eff[None])
+    num_streams = _checked_int(num_streams, "num_streams", 1)
+    _checked_positive(total_power, "total_power")
+    _checked_positive(noise_var, "noise_var")
+    u, s, v = svd_reduced(effective_channel)
     # singular values past a channel's rank are 0, and carry no stream
     width = min(s.shape[1], num_streams)
     gains = s[:, :width] ** 2
@@ -339,7 +346,7 @@ def zf_capacity_design(
         powers[loaded] = water_filling(gains[loaded], total_power, noise_var)
     rates = np.log2(1.0 + powers * gains / noise_var).sum(axis=1).tolist()
     stacked = v[:, :, :width] * np.sqrt(powers)[:, None, :]
-    results = [
+    return [
         ZfCapacityResult(
             combiner=u[i, :, :n],
             stacked_precoder=stacked[i, :, :n],
@@ -350,7 +357,6 @@ def zf_capacity_design(
         )
         for i, (n, rate) in enumerate(zip(streams.tolist(), rates))
     ]
-    return results if h_eff.ndim == 3 else results[0]
 
 
 def split_stacked_precoder(

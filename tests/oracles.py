@@ -93,7 +93,7 @@ def isi_covariance(
 ) -> np.ndarray:
     """C = sum_i Gbar[i] Fbar Fbar^H Gbar[i]^H + noise_var * I, one offset at a time."""
     cov = noise_var * np.eye(grouped.num_rx, dtype=np.complex128)
-    for block in grouped.isi_channels.values():
+    for block in grouped.blocks[1:]:
         out = block @ precoder
         cov += out @ out.conj().T
     return cov
@@ -172,7 +172,7 @@ def precoder_update_dense(
     wqw = w @ q @ w.conj().T
     h_bar = grouped.stacked_channel
     quad = h_bar.conj().T @ wqw @ h_bar
-    for block in grouped.isi_channels.values():
+    for block in grouped.blocks[1:]:
         quad += block.conj().T @ wqw @ block
     rhs = h_bar.conj().T @ (w @ q)
     if not np.any(np.abs(rhs) > 0):
@@ -196,7 +196,7 @@ def path_zf_precoder_bases_dense(matrices: np.ndarray) -> list[np.ndarray]:
     for l in range(num_paths):
         others = [matrices[k].conj().T for k in range(num_paths) if k != l]
         stack = np.concatenate(others, axis=1)
-        basis = null_space_basis(stack)
+        [basis] = null_space_basis(stack[None])
         if basis.shape[1] == 0:
             raise FeasibilityError(
                 f"path {l}: no interference-free transmit directions left "
@@ -211,14 +211,14 @@ def path_zf_precoder_bases_loop(matrices: np.ndarray) -> list[np.ndarray]:
 
     Same thin QR of the stacked adjoint, but each path's other-path block
     of R is cut out with np.delete and given its own null_space_basis call
-    instead of one batched SVD over all L blocks.
+    (a stack of one) instead of one batched SVD over all L blocks.
     """
     num_paths, num_rx, num_tx = matrices.shape
     basis, tri = np.linalg.qr(np.concatenate(matrices.conj().transpose(0, 2, 1), axis=1))
     bases = []
     for l in range(num_paths):
         others = np.delete(tri, np.s_[l * num_rx : (l + 1) * num_rx], axis=1)
-        reduced = null_space_basis(others)
+        [reduced] = null_space_basis(others[None])
         if reduced.shape[1] == 0:
             raise FeasibilityError(
                 f"path {l}: no interference-free transmit directions left "
@@ -266,11 +266,13 @@ def lag_pairs_loop(
     timebase: Timebase,
     block_indices: list[int],
 ) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Dict version of one row of `bcd._lag_models`, as `bcd._lag_pairs` returns it.
+    """Dict version of one row of `bcd._lag_models`.
 
     Numbers the distinct offsets m^_l' - m_l in a dict, offset 0 first and
     the others as a row-major walk over the (branch, path) pairs meets
     them, instead of comparing every pair's offset with every other.
+    Returns the offsets in slot order (as `GroupedChannels.offsets` holds
+    them), each pair's slot and the pair phases.
     """
     offsets = branch_delays[:, None] - delays[None, :]
     n0 = np.asarray(block_indices) * timebase.samples_per_coherence
@@ -283,6 +285,30 @@ def lag_pairs_loop(
         slot.setdefault(offset, len(slot))
     pair_slot = np.array([[slot[offset] for offset in row] for row in offsets.tolist()])
     return list(slot), pair_slot, phases
+
+
+def grouped_blocks_loop(
+    realization: ChannelRealization, timebase: Timebase, block_index: int
+) -> tuple[list[int], np.ndarray]:
+    """Pair-loop version of `bcd.group_delay_differences`' offsets and blocks.
+
+    Takes the offsets, pair slots and phases of lag_pairs_loop with the
+    branches aligned to the true paths, and adds each pair (l', l)'s
+    H_l * phase to branch l''s columns of its offset's block, one pair at a
+    time, instead of scattering all pairs at once.
+    """
+    paths = realization.path_set
+    delays, dopplers = paths.delay_taps, paths.doppler_hz
+    offsets, pair_slot, phases = lag_pairs_loop(
+        delays, dopplers, delays, dopplers, timebase, [block_index]
+    )
+    num_paths, num_rx, num_tx = realization.matrices.shape
+    blocks = np.zeros((len(offsets), num_rx, num_paths * num_tx), dtype=np.complex128)
+    for lp in range(num_paths):
+        for l in range(num_paths):
+            term = realization.matrices[l] * phases[0, lp, l]
+            blocks[pair_slot[lp, l], :, lp * num_tx : (lp + 1) * num_tx] += term
+    return offsets, blocks
 
 
 def mismatched_alignment_rate_loop(
@@ -490,8 +516,8 @@ def ofdm_design_and_rate_loop(
 ) -> OfdmResult:
     """Per-subcarrier loop version of `ofdm_design_and_rate`.
 
-    One `svd_reduced` call per subcarrier on the full M_r x M_t desired
-    matrix, and the ICI sum contracted over a (K, K, C) phase tensor whose
+    One `svd_reduced` call per subcarrier (a stack of one) on the full
+    M_r x M_t desired matrix, and the ICI sum contracted over a (K, K, C) phase tensor whose
     q = k (desired) slots are zero, so only the sources q != k enter. The library
     computes the same design, LAPACK's singular-vector phases included,
     up to rounding from one batched SVD of compressed channels, and the
@@ -534,8 +560,9 @@ def ofdm_design_and_rate_loop(
     sing_values = np.zeros((k_sub, r_cap))
     ranks = np.zeros(k_sub, dtype=np.int64)
     for k in range(k_sub):
-        u, s, v = svd_reduced(desired[k])
-        r_k = s.size if num_streams is None else min(s.size, num_streams)
+        [u], [s], [v] = svd_reduced(desired[k : k + 1])
+        rank = int(np.count_nonzero(s))
+        r_k = rank if num_streams is None else min(rank, num_streams)
         ranks[k] = r_k
         combiners[k, :, :r_k] = u[:, :r_k]
         sing_values[k, :r_k] = s[:r_k]

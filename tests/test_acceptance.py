@@ -158,8 +158,8 @@ def test_criterion_04_rate_optimizer_monotone_convergent_and_exact_for_one_path(
         paths = generate_paths(cfg1, rng)
         realization = realize_channel(paths, cfg1)
         grouped = group_delay_differences(realization, coherence_partition(cfg1), 0)
-        _, zf_result = zf_spatial_design(
-            realization.matrices,
+        [(_, zf_result)] = zf_spatial_design(
+            realization.matrices[None],
             cfg1.tx_power_watts,
             cfg1.noise_power_watts,
             cfg1.num_streams,
@@ -183,7 +183,7 @@ def test_criterion_05_water_filling_matches_exhaustive_power_grid():
         gains = rng.uniform(0.05, 4.0, size=k)
         total = float(rng.uniform(0.5, 3.0))
         noise = float(rng.uniform(0.2, 1.5))
-        powers = water_filling(gains, total, noise)
+        [powers] = water_filling(gains[None], total, noise)
         rate = float(np.sum(np.log2(1.0 + gains * powers / noise)))
         step = 1e-3 * total
         fracs = np.arange(0.0, total + step / 2, step)

@@ -1,5 +1,7 @@
 """Block-coordinate-descent rate maximization over grouped channels."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from ddamsim import bcd
 from ddamsim.bcd import (
     GroupedChannels,
-    _lag_pairs,
+    _lag_models,
     bcd_solve,
     colored_noise_rate,
     group_delay_differences,
@@ -19,7 +21,13 @@ from ddamsim.channel import coherence_partition, generate_paths, realize_channel
 from ddamsim.config import SystemConfig
 from ddamsim.errors import ContractViolationError, NumericalError
 from ddamsim.zf import zf_spatial_design
-from oracles import ddam_rate, isi_covariance, mmse_receiver_direct, precoder_update_dense
+from oracles import (
+    ddam_rate,
+    grouped_blocks_loop,
+    isi_covariance,
+    mmse_receiver_direct,
+    precoder_update_dense,
+)
 
 
 def _setup(seed, num_tx=8, num_paths=3):
@@ -32,8 +40,8 @@ def _setup(seed, num_tx=8, num_paths=3):
 
 
 def _stack_zf_precoder(realization, cfg):
-    per_path, result = zf_spatial_design(
-        realization.matrices,
+    [(per_path, result)] = zf_spatial_design(
+        realization.matrices[None],
         cfg.tx_power_watts,
         cfg.noise_power_watts,
         cfg.num_streams,
@@ -55,13 +63,13 @@ def test_grouping_places_paths_by_delay_difference():
         for l in range(3)
         if l != lp
     }
-    assert set(grouped.isi_channels) == expected_offsets
-    assert 0 not in grouped.isi_channels
+    assert grouped.offsets[0] == 0 and set(grouped.offsets[1:]) == expected_offsets
+    assert len(grouped.blocks) == len(grouped.offsets)
     # at block 0 no Doppler difference has accumulated, so each ISI slot
     # holds the channel of the path at the matching delay difference with
     # only the branch Doppler's phase over that difference
     ts = timebase.symbol_duration_s
-    for offset, mat in grouped.isi_channels.items():
+    for offset, mat in zip(grouped.offsets[1:], grouped.blocks[1:]):
         for lp in range(3):
             block = mat[:, lp * mt : (lp + 1) * mt]
             matches = [
@@ -95,22 +103,38 @@ def test_grouping_accumulates_block_phase():
             lag = paths.delay_taps[l] - paths.delay_taps[lp]
             cycles = (dnu * n0 + paths.doppler_hz[lp] * lag) * ts
             expected = realization.matrices[l] * np.exp(2j * np.pi * cycles)
-            block = grouped.isi_channels[offset][:, lp * mt : (lp + 1) * mt]
+            mat = grouped.blocks[grouped.offsets.index(offset)]
+            block = mat[:, lp * mt : (lp + 1) * mt]
             assert np.allclose(block, expected, atol=1e-18)
 
 
+def _true_branches(paths, branch_delays=None, branch_dopplers=None):
+    """_lag_models' path and branch arguments, the branches defaulting to the paths."""
+    return (
+        paths.delay_taps,
+        paths.doppler_hz,
+        paths.delay_taps if branch_delays is None else branch_delays,
+        paths.doppler_hz if branch_dopplers is None else branch_dopplers,
+    )
+
+
 def test_grouping_branch_inputs_default_to_the_true_paths():
-    # the lag model's branches default to the true paths, the perfect CSI
-    # that group_delay_differences groups by
-    _, realization, timebase, _ = _setup(4)
-    paths = realization.path_set
-    default = _lag_pairs(paths, timebase, [0, 3])
-    explicit = _lag_pairs(paths, timebase, [0, 3], paths.delay_taps, paths.doppler_hz)
-    assert default[0] == explicit[0]
-    assert np.array_equal(default[1], explicit[1])
-    assert np.array_equal(default[2], explicit[2])
+    # group_delay_differences aligns the branches to the true paths; its
+    # offsets and blocks equal the dict oracle's exactly, also when evenly
+    # spaced delays make several pairs share an offset
+    cfg, spread, timebase, _ = _setup(4, num_paths=4)
+    even = replace(spread.path_set, delay_taps=cfg.max_delay_tap // 3 * np.arange(4))
+    colliding = replace(spread, path_set=even)
+    for realization in (spread, colliding):
+        for block_index in (0, 3):
+            grouped = group_delay_differences(realization, timebase, block_index)
+            offsets, blocks = grouped_blocks_loop(realization, timebase, block_index)
+            assert list(grouped.offsets) == offsets
+            assert np.array_equal(grouped.blocks, blocks)
+    assert len(offsets) == 7  # the 12 interfering pairs share 6 offsets
+    paths = spread.path_set
     with pytest.raises(ContractViolationError):
-        _lag_pairs(paths, timebase, [3], paths.delay_taps[:2], paths.doppler_hz)
+        _lag_models(*_true_branches(paths, paths.delay_taps[:2]), timebase, [3])
 
 
 def test_grouping_rejects_a_negative_block():
@@ -119,7 +143,7 @@ def test_grouping_rejects_a_negative_block():
     with pytest.raises(ContractViolationError):
         group_delay_differences(realization, timebase, -1)
     with pytest.raises(ContractViolationError):
-        _lag_pairs(realization.path_set, timebase, [0, -1])
+        _lag_models(*_true_branches(realization.path_set), timebase, [0, -1])
 
 
 def test_lag_pairs_rejects_fractional_branch_delays():
@@ -127,13 +151,15 @@ def test_lag_pairs_rejects_fractional_branch_delays():
     _, realization, timebase, _ = _setup(5)
     paths = realization.path_set
     with pytest.raises(ContractViolationError):
-        _lag_pairs(paths, timebase, [0], paths.delay_taps + 0.7, paths.doppler_hz)
+        _lag_models(*_true_branches(paths, paths.delay_taps + 0.7), timebase, [0])
 
 
 def test_lag_pairs_rejects_a_fractional_block_index():
     _, realization, timebase, _ = _setup(5)
     with pytest.raises(ContractViolationError):
-        _lag_pairs(realization.path_set, timebase, [0.5])
+        _lag_models(*_true_branches(realization.path_set), timebase, [0.5])
+    with pytest.raises(ContractViolationError):
+        group_delay_differences(realization, timebase, 0.5)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -144,24 +170,29 @@ def test_lag_pairs_rejects_non_finite_branch_dopplers(bad):
     dopplers = paths.doppler_hz.copy()
     dopplers[1] = bad
     with pytest.raises(ContractViolationError):
-        _lag_pairs(paths, timebase, [0], paths.delay_taps, dopplers)
+        _lag_models(*_true_branches(paths, None, dopplers), timebase, [0])
 
 
 def test_grouping_single_path_has_no_isi():
     cfg, realization, timebase, _ = _setup(2, num_paths=1)
     grouped = group_delay_differences(realization, timebase, 0)
-    assert grouped.isi_channels == {}
+    assert grouped.offsets == (0,) and grouped.blocks.shape == (1, 2, cfg.num_tx_antennas)
+    offsets, blocks = grouped_blocks_loop(realization, timebase, 0)
+    assert list(grouped.offsets) == offsets
+    assert np.array_equal(grouped.blocks, blocks)
+    assert np.array_equal(grouped.stacked_channel, realization.matrices[0])
 
 
 def test_grouped_channels_rejects_zero_offset():
-    stacked = np.zeros((2, 8), dtype=np.complex128)
-    with pytest.raises(ContractViolationError):
-        GroupedChannels(
-            stacked_channel=stacked,
-            isi_channels={0: np.zeros((2, 8), dtype=np.complex128)},
-            num_paths=1,
-            num_tx=8,
-        )
+    # offset 0 is the desired channel's: first, once, and one offset per block
+    for offsets in [(0, 0), (1, 0), (0,), (0, 1, 2)]:
+        with pytest.raises(ContractViolationError):
+            GroupedChannels(
+                blocks=np.zeros((2, 2, 8), dtype=np.complex128),
+                offsets=offsets,
+                num_paths=1,
+                num_tx=8,
+            )
 
 
 def test_zf_precoder_silences_interference_covariance():
@@ -279,7 +310,7 @@ def _grouped_draw(seed, num_tx, num_paths, num_rx, num_streams, block_index):
 def _rate_and_weights(grouped, precoder, noise_var):
     return colored_noise_rate(
         grouped.stacked_channel @ precoder,
-        [block @ precoder for block in grouped.isi_channels.values()],
+        [block @ precoder for block in grouped.blocks[1:]],
         noise_var,
     )
 
@@ -509,9 +540,9 @@ def test_cached_factor_reproduces_the_stacked_blocks(
     seed, num_tx, num_paths, num_rx, block_index
 ):
     _, grouped, _ = _grouped_draw(seed, num_tx, num_paths, num_rx, 1, block_index)
-    isi = list(grouped.isi_channels.values())
-    blocks = np.vstack([grouped.stacked_channel, *isi])
+    blocks = np.vstack(list(grouped.blocks))
     assert np.array_equal(grouped.stacked_blocks, blocks)
+    assert np.shares_memory(grouped.stacked_blocks, grouped.blocks)  # a view, no copy
     basis, tri = grouped.adjoint_qr
     assert grouped.adjoint_qr is grouped.adjoint_qr  # factored once
     width = basis.shape[1]
@@ -524,7 +555,9 @@ def test_grouped_channels_is_immutable():
     _, realization, timebase, _ = _setup(6)
     grouped = group_delay_differences(realization, timebase, 0)
     with pytest.raises(AttributeError):
-        grouped.stacked_channel = np.zeros_like(grouped.stacked_channel)
+        grouped.blocks = np.zeros_like(grouped.blocks)
+    with pytest.raises(AttributeError):
+        grouped.offsets = (0,)
 
 
 def test_bcd_solve_routes_each_step_through_module_globals(monkeypatch):

@@ -705,6 +705,16 @@ def test_strongest_path_design_geometry():
     assert design.sinr_multipath <= design.snr_dominant
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1.0])
+@pytest.mark.parametrize("name", ["total_power", "noise_var"])
+def test_strongest_path_design_rejects_bad_power_and_noise(name, bad):
+    # an inf or NaN budget once came back as a NaN SINR
+    cfg = SystemConfig(num_tx_antennas=8, num_rx_antennas=2)
+    budget = {"total_power": 1.0, "noise_var": cfg.noise_power_watts, name: bad}
+    with pytest.raises(ContractViolationError):
+        strongest_path_design(_realization(cfg, 92), **budget)
+
+
 def test_measure_beam_sinr_single_path():
     cfg = SystemConfig(num_tx_antennas=8, num_rx_antennas=2, num_paths=1)
     realization = _realization(cfg, 90)

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddamsim import experiments, zf
-from ddamsim.bcd import _lag_models, _lag_pairs, colored_noise_rate, group_delay_differences
+from ddamsim.bcd import _lag_models, colored_noise_rate, group_delay_differences
 from ddamsim.channel import coherence_partition, generate_paths, realize_channel
 from ddamsim.config import SystemConfig
 from ddamsim.errors import ContractViolationError, FeasibilityError, NumericalError
@@ -401,8 +401,8 @@ def test_mismatched_alignment_with_true_csi_matches_zf_rate():
         rng = np.random.default_rng(seed)
         paths = generate_paths(cfg, rng)
         realization = realize_channel(paths, cfg)
-        spatial, result = zf_spatial_design(
-            realization.matrices, cfg.tx_power_watts, cfg.noise_power_watts, 2
+        [(spatial, result)] = zf_spatial_design(
+            realization.matrices[None], cfg.tx_power_watts, cfg.noise_power_watts, 2
         )
         rate = _trial_rate(
             paths,
@@ -424,8 +424,8 @@ def test_mismatched_alignment_loses_rate_with_wrong_delays():
         realization = realize_channel(paths, cfg)
         wrong, _ = perturb_csi(paths, CsiError(2.0 / 3.0, 0.0), rng)
         estimated = realize_channel(wrong, cfg)
-        spatial, result = zf_spatial_design(
-            estimated.matrices, cfg.tx_power_watts, cfg.noise_power_watts, 2
+        [(spatial, result)] = zf_spatial_design(
+            estimated.matrices[None], cfg.tx_power_watts, cfg.noise_power_watts, 2
         )
         rate = _trial_rate(
             paths,
@@ -449,8 +449,8 @@ def test_mismatched_alignment_doppler_error_is_mild():
         realization = realize_channel(paths, cfg)
         wrong, _ = perturb_csi(paths, CsiError(1.0, 0.05), rng)
         estimated = realize_channel(wrong, cfg)
-        spatial, result = zf_spatial_design(
-            estimated.matrices, cfg.tx_power_watts, cfg.noise_power_watts, 2
+        [(spatial, result)] = zf_spatial_design(
+            estimated.matrices[None], cfg.tx_power_watts, cfg.noise_power_watts, 2
         )
         rate = _trial_rate(
             paths,
@@ -549,11 +549,8 @@ def test_lag_grouping_matches_pair_loop(
     design = _random_design(realization, cfg.num_streams, 1.0, rng)
     grouped = group_delay_differences(realization, timebase, block)
     f_bar = design.precoders.reshape(-1, cfg.num_streams)
-    got = colored_noise_rate(
-        grouped.stacked_channel @ f_bar,
-        [g @ f_bar for g in grouped.isi_channels.values()],
-        noise,
-    )[0]
+    outputs = grouped.blocks @ f_bar
+    got = colored_noise_rate(outputs[0], outputs[1:], noise)[0]
     want = mismatched_alignment_rate_loop(
         realization, design, paths.max_delay_tap, noise, timebase, [block]
     )
@@ -591,7 +588,12 @@ def test_stacked_mismatched_rate_matches_pair_loop_per_design_and_estimate(
     bound = paths.delay_tap_bound
     late = replace(wrong, delay_taps=paths.delay_taps + bound + 1, delay_tap_bound=2 * bound + 1)
     estimates = [paths, wrong, late]
-    counts = [_lag_pairs(paths, timebase, [0], e.delay_taps, e.doppler_hz)[0] for e in estimates]
+    counts = [
+        lag_pairs_loop(
+            paths.delay_taps, paths.doppler_hz, e.delay_taps, e.doppler_hz, timebase, [0]
+        )[0]
+        for e in estimates
+    ]
     assert len(counts[2]) == len(counts[0]) + 1
 
     designs = []
@@ -656,11 +658,12 @@ def test_chunk_lag_models_match_per_estimate_dicts_and_pair_loop(seed):
             )
             assert np.array_equal(pair_slot[s, e], want[1])
             assert np.array_equal(phases[s, e], want[2])
-            offsets, slots, row_phases = _lag_pairs(
-                trial, timebase, blocks, est.delay_taps, est.doppler_hz
+            # the row alone, with no leading axes, gets its result in the chunk
+            slots, row_phases = _lag_models(
+                trial.delay_taps, trial.doppler_hz, est.delay_taps, est.doppler_hz, timebase, blocks
             )
-            assert offsets == want[0]
-            assert np.array_equal(slots, want[1]) and np.array_equal(row_phases, want[2])
+            assert np.array_equal(slots, pair_slot[s, e])
+            assert np.array_equal(row_phases, phases[s, e])
         counts.append(int(pair_slot[s].max()) + 1)
     assert len(set(counts)) > 1, counts
 

@@ -37,7 +37,7 @@ def test_svd_reduced_reconstructs_and_sorts():
     rng = np.random.default_rng(0)
     for _ in range(20):
         a = _random_complex(rng, (5, 3))
-        u, s, v = svd_reduced(a)
+        [u], [s], [v] = svd_reduced(a[None])
         assert np.all(np.diff(s) <= 0), "singular values must be non-increasing"
         recon = u @ np.diag(s) @ v.conj().T
         assert np.linalg.norm(recon - a) <= 1e-12 * np.linalg.norm(a)
@@ -50,9 +50,12 @@ def test_svd_reduced_truncates_at_numerical_rank():
     left = _random_complex(rng, (6, 2))
     right = _random_complex(rng, (4, 2))
     a = left @ right.conj().T
-    u, s, v = svd_reduced(a)
-    assert s.size == 2, f"rank-2 product reported rank {s.size}"
-    assert u.shape == (6, 2) and v.shape == (4, 2)
+    [u], [s], [v] = svd_reduced(a[None])
+    assert u.shape == (6, 4) and s.shape == (4,) and v.shape == (4, 4)
+    rank = np.count_nonzero(s)
+    assert rank == 2 and not s[2:].any(), f"rank-2 product reported rank {rank}"
+    recon = u[:, :2] @ np.diag(s[:2]) @ v[:, :2].conj().T
+    assert np.linalg.norm(recon - a) <= 1e-12 * np.linalg.norm(a)
 
 
 def test_svd_reduced_stack_zeroes_values_past_each_rank():
@@ -64,15 +67,17 @@ def test_svd_reduced_stack_zeroes_values_past_each_rank():
     assert u.shape == (3, 5, 3) and s.shape == (3, 3) and v.shape == (3, 3, 3)
     for a, u_i, s_i, v_i, rank in zip(mats, u, s, v, (3, 1, 0)):
         assert np.count_nonzero(s_i) == rank and not s_i[rank:].any()
-        want_u, want_s, want_v = svd_reduced(a)
-        assert np.array_equal(u_i[:, :rank], want_u)
-        assert np.array_equal(s_i[:rank], want_s)
-        assert np.array_equal(v_i[:, :rank], want_v)
+        [want_u], [want_s], [want_v] = svd_reduced(a[None])
+        assert np.array_equal(u_i, want_u)
+        assert np.array_equal(s_i, want_s)
+        assert np.array_equal(v_i, want_v)
 
 
 def test_svd_reduced_rejects_empty():
     with pytest.raises(ContractViolationError):
-        svd_reduced(np.zeros((0, 3)))
+        svd_reduced(np.zeros((1, 0, 3)))
+    with pytest.raises(ContractViolationError):
+        svd_reduced(np.ones((2, 3)))  # a matrix, not a stack
 
 
 def test_eig_hermitian_decomposition():
@@ -98,7 +103,7 @@ def test_null_space_basis_contract():
     rng = np.random.default_rng(4)
     for _ in range(20):
         a = _random_complex(rng, (6, 3))
-        b = null_space_basis(a)
+        [b] = null_space_basis(a[None])
         assert b.shape == (6, 3), "rows minus rank columns expected"
         assert np.max(np.abs(a.conj().T @ b)) <= 1e-12 * np.linalg.norm(a)
         assert np.allclose(b.conj().T @ b, np.eye(3), atol=1e-12)
@@ -108,13 +113,13 @@ def test_null_space_basis_rank_deficient_input():
     rng = np.random.default_rng(5)
     col = _random_complex(rng, (5, 1))
     a = np.concatenate([col, 2.0 * col, -1j * col], axis=1)  # rank 1
-    b = null_space_basis(a)
+    [b] = null_space_basis(a[None])
     assert b.shape == (5, 4)
     assert np.max(np.abs(a.conj().T @ b)) <= 1e-12 * np.linalg.norm(a)
 
 
 def test_null_space_basis_empty_input_is_identity():
-    b = null_space_basis(np.zeros((4, 0)))
+    [b] = null_space_basis(np.zeros((1, 4, 0)))
     assert np.array_equal(b, np.eye(4, dtype=np.complex128))
 
 
@@ -132,7 +137,7 @@ def test_null_space_basis_stack_matches_per_matrix_calls():
     bases = null_space_basis(stack)
     assert [b.shape[1] for b in bases] == [2, 4, 5]
     for a, b in zip(stack, bases):
-        assert np.array_equal(b, null_space_basis(a))
+        assert np.array_equal(b, null_space_basis(a[None])[0])
 
 
 def test_null_space_basis_stack_contracts():
@@ -141,5 +146,7 @@ def test_null_space_basis_stack_contracts():
     assert all(np.array_equal(b, np.eye(4, dtype=np.complex128)) for b in empty)
     with pytest.raises(ContractViolationError):
         null_space_basis(np.zeros((1, 2, 3, 4)))
+    with pytest.raises(ContractViolationError):
+        null_space_basis(np.ones((3, 1)))  # a matrix, not a stack
     with pytest.raises(ContractViolationError):
         null_space_basis(np.full((2, 3, 1), np.nan))

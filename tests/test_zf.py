@@ -220,7 +220,7 @@ def test_water_filling_matches_grid_search():
         gains = np.sort(rng.uniform(0.1, 3.0, size=k))[::-1]
         total = float(rng.uniform(0.5, 4.0))
         noise = float(rng.uniform(0.1, 1.0))
-        powers = water_filling(gains, total, noise)
+        [powers] = water_filling(gains[None], total, noise)
         assert powers.min() >= -1e-12
         assert powers.sum() == pytest.approx(total, rel=1e-9)
         best = _grid_best_rate(gains, total, noise, steps=200)
@@ -270,7 +270,7 @@ def test_water_filling_kkt_conditions(gains, total, noise):
     # floors noise/g reach 1e10 times the budget here, where a bisected
     # water level loses the budget to cancellation
     gains = np.asarray(gains)
-    powers = water_filling(gains, total, noise)
+    [powers] = water_filling(gains[None], total, noise)
     assert powers.sum() == pytest.approx(total, rel=1e-12, abs=0.0)
     assert np.all(powers[gains <= 0] == 0.0)
     active = powers > 0
@@ -309,12 +309,43 @@ def test_stacked_water_filling_equals_one_row_calls(stack, total, noise):
     powers = water_filling(stack, total, noise)
     assert powers.shape == stack.shape
     for gains, got in zip(stack, powers):
-        assert np.array_equal(got, water_filling(gains, total, noise))
+        assert np.array_equal(got, water_filling(gains[None], total, noise)[0])
 
 
 def test_water_filling_floods_strong_mode_first():
-    powers = water_filling(np.array([10.0, 0.01]), total_power=0.1, noise_var=1.0)
+    [powers] = water_filling(np.array([[10.0, 0.01]]), total_power=0.1, noise_var=1.0)
     assert powers[0] > 0.099 and powers[1] < 1e-3
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1.0])
+@pytest.mark.parametrize("name", ["total_power", "noise_var"])
+def test_water_filling_and_zf_design_reject_bad_power_and_noise(name, bad):
+    # an inf budget once returned an infinite rate, and a NaN budget or a
+    # non-finite noise a NumericalError that blamed the solver
+    budget = {"total_power": 1.0, "noise_var": 0.1, name: bad}
+    with pytest.raises(ContractViolationError):
+        water_filling(np.array([[2.0, 0.5]]), **budget)
+    cfg = SystemConfig(num_tx_antennas=8, num_rx_antennas=2, num_streams=2)
+    realization, _ = _random_realization(cfg, 17)
+    with pytest.raises(ContractViolationError):
+        zf_design(realization, num_streams=2, **budget)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, 0, np.float64(2.0)])
+def test_zf_design_rejects_a_stream_count_that_is_not_a_positive_integer(bad):
+    # 1.5 once raised a TypeError from a slice, and True ran as one stream
+    cfg = SystemConfig(num_tx_antennas=8, num_rx_antennas=2, num_streams=2)
+    realization, _ = _random_realization(cfg, 17)
+    with pytest.raises(ContractViolationError):
+        zf_design(realization, 1.0, cfg.noise_power_watts, bad)
+
+
+def test_zf_design_accepts_a_numpy_integer_stream_count():
+    cfg = SystemConfig(num_tx_antennas=8, num_rx_antennas=2, num_streams=2)
+    realization, _ = _random_realization(cfg, 17)
+    _, want = zf_design(realization, 1.0, cfg.noise_power_watts, 2)
+    _, got = zf_design(realization, 1.0, cfg.noise_power_watts, np.int64(2))
+    assert got.rate_bps_hz == want.rate_bps_hz
 
 
 def test_split_stacked_precoder_round_trip():
@@ -529,12 +560,12 @@ def test_zf_spatial_design_matches_dense_null_spaces(
     num_streams = min(stream_pick, num_tx, num_rx)
     mats, budget, noise = _path_stack(kind, seed, num_tx, num_rx, num_paths)
     try:
-        want_precoders, want = _dense_spatial_design(mats, budget, noise, num_streams)
+        [(want_precoders, want)] = _dense_spatial_design(mats[None], budget, noise, num_streams)
     except FeasibilityError:
         with pytest.raises(FeasibilityError):
-            zf_spatial_design(mats, budget, noise, num_streams)
+            zf_spatial_design(mats[None], budget, noise, num_streams)
         return
-    precoders, got = zf_spatial_design(mats, budget, noise, num_streams)
+    [(precoders, got)] = zf_spatial_design(mats[None], budget, noise, num_streams)
     for l, f_l in enumerate(precoders):
         for k in range(num_paths):
             if k != l:
