@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .channel import ChannelRealization, array_response
+from .channel import ChannelRealization, _checked_positive, array_response
 from .config import SystemConfig
 from .errors import ContractViolationError
 from .zf import DdamDesign
@@ -104,8 +104,7 @@ def mrt_power_allocation(gains: np.ndarray, total_power: float) -> np.ndarray:
     g = np.abs(np.asarray(gains, dtype=np.complex128)) ** 2
     if g.ndim != 1 or g.size == 0:
         raise ContractViolationError("gains must be a non-empty 1-D array")
-    if total_power <= 0:
-        raise ContractViolationError("total_power must be positive")
+    _checked_positive(total_power, "total_power")
     total = g.sum()
     if total == 0.0:
         raise ContractViolationError("all path gains are zero")

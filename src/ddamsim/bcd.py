@@ -37,9 +37,13 @@ works in an orthonormal basis of that range and its cost barely grows
 with the array size. A GroupedChannels is immutable and holds the blocks
 Hbar, Gbar[i]... as one array in the lag model's slot order, with their
 thin QR built once on first use, so no BCD iteration restacks or
-refactors them. The zero-forcing warm start depends on Hbar alone, which
-with perfect CSI is the same in every coherence block, so experiments
-builds one per realization and shares it.
+refactors them.
+
+bcd_solve refines the start its caller passes and nothing else. Started
+from the zero-forcing design, the ascent can never end below the ZF rate;
+that design depends on Hbar alone, which with perfect CSI is the same in
+every coherence block, so experiments designs ZF once per realization and
+starts every block from it.
 """
 
 from __future__ import annotations
@@ -51,9 +55,8 @@ from functools import cached_property
 import numpy as np
 
 from .channel import ChannelRealization, Timebase, _checked_int, _checked_positive, _whole_numbers
-from .errors import ContractViolationError, FeasibilityError, NumericalError
+from .errors import ContractViolationError, NumericalError
 from .linalg import eig_hermitian
-from .zf import FeasibilityVerdict, zf_feasibility, zf_spatial_design
 
 POWER_BISECT_REL_TOL = 1e-12
 
@@ -290,8 +293,7 @@ def precoder_update(
     S = sum_j R_j W Q W^H R_j^H, where R_j holds R's columns of block j;
     this is exact, not an approximation.
     """
-    if total_power <= 0:
-        raise ContractViolationError("total_power must be positive")
+    _checked_positive(total_power, "total_power")
     w = np.asarray(combiner, dtype=np.complex128)
     q = np.asarray(auxiliary, dtype=np.complex128)
     q = 0.5 * (q + q.conj().T)
@@ -363,44 +365,30 @@ def bcd_solve(
     grouped: GroupedChannels,
     total_power: float,
     noise_var: float,
-    num_streams: int,
+    init_precoder: np.ndarray,
     tol: float = 1e-4,
     max_iters: int = 200,
-    init_precoder: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
 ) -> BcdState:
-    """Alternate receiver / weights / precoder until the rate stalls.
+    """Alternate receiver / weights / precoder from init_precoder until the rate stalls.
 
-    Initialization uses the zero-forcing design when it is feasible for
-    the block's dimensions (padding with zero columns if it carries fewer
-    active streams), otherwise a random precoder scaled to the power
-    budget. Convergence is declared when the fractional rate increase
-    drops below tol; the trace of per-iteration rates is returned and is
-    non-decreasing up to numerical slack. Whether the solver converged or
-    stopped at max_iters, the returned precoder, combiner and weights are
-    the ones rate_trace[-1] was evaluated at.
+    init_precoder is the (L * M_t, N_s) start; it is copied, its column
+    count is the stream count, and a start above the power budget is
+    scaled onto it. Convergence is declared when the fractional rate
+    increase drops below tol; the trace of per-iteration rates is returned
+    and is non-decreasing up to numerical slack. Whether the solver
+    converged or stopped at max_iters, the returned precoder, combiner and
+    weights are the ones rate_trace[-1] was evaluated at.
     """
-    _checked_int(num_streams, "num_streams", 1)
     _checked_int(max_iters, "max_iters", 1)
     _checked_positive(total_power, "total_power")
     _checked_positive(noise_var, "noise_var")
     if not (math.isfinite(tol) and tol >= 0):
         raise ContractViolationError(f"tol must be finite and non-negative, got {tol!r}")
-    dim = grouped.stacked_channel.shape[1]
-    if init_precoder is not None:
-        f_bar = np.asarray(init_precoder, dtype=np.complex128).copy()
-        if f_bar.shape != (dim, num_streams):
-            raise ContractViolationError("init_precoder has the wrong shape")
-        if not np.all(np.isfinite(f_bar)):
-            raise ContractViolationError("init_precoder contains non-finite entries")
-    else:
-        f_bar = _zf_warm_start(grouped, total_power, noise_var, num_streams)
-        if f_bar is None:
-            gen = rng if rng is not None else np.random.default_rng(0)
-            raw = gen.standard_normal((dim, num_streams)) + 1j * gen.standard_normal(
-                (dim, num_streams)
-            )
-            f_bar = raw * math.sqrt(total_power) / np.linalg.norm(raw)
+    f_bar = np.array(init_precoder, dtype=np.complex128)
+    if f_bar.ndim != 2 or f_bar.shape[0] != grouped.stacked_channel.shape[1] or not f_bar.size:
+        raise ContractViolationError("init_precoder must have shape (L * M_t, N_s), N_s >= 1")
+    if not np.all(np.isfinite(f_bar)):
+        raise ContractViolationError("init_precoder contains non-finite entries")
     power = float(np.sum(np.abs(f_bar) ** 2))
     if power > total_power * (1 + 1e-9):
         f_bar = f_bar * math.sqrt(total_power / power)
@@ -422,30 +410,3 @@ def bcd_solve(
         converged=converged,
         n_iterations=len(trace),
     )
-
-
-def _zf_warm_start(
-    grouped: GroupedChannels, total_power: float, noise_var: float, num_streams: int
-) -> np.ndarray | None:
-    """Zero-forcing start for bcd_solve, None if ZF is infeasible or loads no stream.
-
-    Streams beyond those ZF loads are zero columns. The start depends on
-    the desired channel Hbar only, so with perfect CSI, where Hbar is
-    [H_1, ..., H_L] in every coherence block, one start serves them all.
-    """
-    num_paths, num_tx = grouped.num_paths, grouped.num_tx
-    num_rx = grouped.num_rx
-    streams = min(num_streams, num_rx)
-    verdict = zf_feasibility(num_tx, num_rx, streams, num_paths).verdict
-    if verdict != FeasibilityVerdict.FEASIBLE:
-        return None
-    mats = grouped.stacked_channel.reshape(num_rx, num_paths, num_tx).transpose(1, 0, 2)
-    try:
-        [(precoders, result)] = zf_spatial_design(mats[None], total_power, noise_var, streams)
-    except FeasibilityError:
-        return None
-    if result.n_active_streams == 0:
-        return None
-    f_bar = np.zeros((num_paths * num_tx, num_streams), dtype=np.complex128)
-    f_bar[:, : result.n_active_streams] = precoders.reshape(num_paths * num_tx, -1)
-    return f_bar

@@ -16,7 +16,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelRealization, PathSet, _checked_int, _checked_positive, array_response
+from .channel import (
+    ChannelRealization,
+    PathSet,
+    _checked_int,
+    _checked_positive,
+    _whole_numbers,
+    array_response,
+)
 from .errors import ContractViolationError, NumericalError
 from .linalg import RANK_TOL, eig_hermitian, svd_reduced
 
@@ -267,28 +274,41 @@ class OtfsConfig:
     doppler_residual_hz: np.ndarray  # off-grid Doppler lost to tap rounding
 
     def __post_init__(self) -> None:
-        if self.num_delay_bins < 1 or self.num_doppler_bins < 1:
-            raise ContractViolationError("grid dimensions must be >= 1")
+        self.num_delay_bins = _checked_int(self.num_delay_bins, "num_delay_bins", 1)
+        self.num_doppler_bins = _checked_int(self.num_doppler_bins, "num_doppler_bins", 1)
         self.tx_beam = np.asarray(self.tx_beam, dtype=np.complex128).reshape(-1)
         self.rx_beam = np.asarray(self.rx_beam, dtype=np.complex128).reshape(-1)
         for name in ("tx_beam", "rx_beam"):
             norm = float(np.linalg.norm(getattr(self, name)))
             if abs(norm - 1.0) > BEAM_NORM_TOL:
                 raise ContractViolationError(f"{name} must have unit norm, got {norm}")
-        self.delay_taps = np.asarray(self.delay_taps, dtype=np.int64)
-        self.doppler_taps = np.asarray(self.doppler_taps, dtype=np.int64)
+        self.delay_taps, self.doppler_taps = _checked_taps(
+            self.delay_taps, self.doppler_taps, self.num_delay_bins, self.num_doppler_bins
+        )
         self.doppler_residual_hz = np.asarray(self.doppler_residual_hz, dtype=np.float64)
         n = self.delay_taps.shape[0]
         if self.doppler_taps.shape != (n,) or self.doppler_residual_hz.shape != (n,):
             raise ContractViolationError("per-path tap arrays must share one length")
-        if n and (self.delay_taps.min() < 0 or self.delay_taps.max() >= self.num_delay_bins):
-            raise ContractViolationError("delay taps must lie in [0, num_delay_bins)")
-        if n and np.any(np.abs(self.doppler_taps) >= self.num_doppler_bins):
-            raise ContractViolationError("|doppler taps| must be < num_doppler_bins")
 
     @property
     def grid_size(self) -> int:
         return self.num_delay_bins * self.num_doppler_bins
+
+
+def _checked_taps(
+    delay_taps, doppler_taps, num_delay_bins: int, num_doppler_bins: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Delay and Doppler taps as int64 if whole numbers in [0, M) and (-N, N).
+
+    Anything else raises ContractViolationError.
+    """
+    delays = _whole_numbers(delay_taps, "delay taps")
+    dopplers = _whole_numbers(doppler_taps, "doppler taps")
+    if delays.size and (delays.min() < 0 or delays.max() >= num_delay_bins):
+        raise ContractViolationError("delay taps must lie in [0, num_delay_bins)")
+    if np.any(np.abs(dopplers) >= num_doppler_bins):
+        raise ContractViolationError("|doppler taps| must be < num_doppler_bins")
+    return delays, dopplers
 
 
 def make_otfs_config(
@@ -395,19 +415,27 @@ def otfs_rate_from_taps(
     reference it is checked against); a sparse LU
     factorization supplies it as the sum of log|U_ii|, valid here because
     the Gram matrix is Hermitian positive definite. The gains and both tap
-    arrays must be non-empty 1-D arrays of one length, one entry per path.
+    arrays must be non-empty 1-D arrays of one length, one entry per path;
+    the taps whole numbers in OtfsConfig's ranges, the grid sizes integers
+    >= 1 and cp_length an integer >= 0 (bools are not integers here).
     """
     # loaded here, not at import: only OTFS needs scipy.sparse
     import scipy.sparse
     import scipy.sparse.linalg
 
-    mn = num_delay_bins * num_doppler_bins
-    if not (math.isfinite(power_over_noise) and power_over_noise >= 0) or cp_length < 0:
-        raise ContractViolationError("power_over_noise must be finite and >= 0, cp_length >= 0")
+    num_delay_bins = _checked_int(num_delay_bins, "num_delay_bins", 1)
+    num_doppler_bins = _checked_int(num_doppler_bins, "num_doppler_bins", 1)
+    cp_length = _checked_int(cp_length, "cp_length", 0)
+    if not (math.isfinite(power_over_noise) and power_over_noise >= 0):
+        raise ContractViolationError("power_over_noise must be finite and >= 0")
     gains = np.asarray(effective_gains, dtype=np.complex128)
+    delay_taps, doppler_taps = _checked_taps(
+        delay_taps, doppler_taps, num_delay_bins, num_doppler_bins
+    )
     shapes = {np.shape(x) for x in (gains, delay_taps, doppler_taps)}
     if len(shapes) != 1 or len(shapes.pop()) != 1 or not gains.size:
         raise ContractViolationError("gains and taps must be matching non-empty 1-D arrays")
+    mn = num_delay_bins * num_doppler_bins
     n_idx = np.arange(mn)
     rows = []
     cols = []

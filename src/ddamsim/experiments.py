@@ -34,7 +34,6 @@ import numpy as np
 
 from .bcd import (
     _lag_models,
-    _zf_warm_start,
     bcd_solve,
     colored_noise_rate,
     group_delay_differences,
@@ -71,6 +70,7 @@ from .metrics import (
     qam_symbols,
 )
 from .zf import (
+    DdamDesign,
     FeasibilityVerdict,
     build_ddam_tx,
     zf_design,
@@ -220,16 +220,12 @@ def _block_samples(timebase: Timebase) -> list[int]:
     return sorted({0, n_blocks // 2, n_blocks - 1})
 
 
-def _zf_se(
-    realization: ChannelRealization, config: SystemConfig, overhead: float
-) -> float:
-    _, result = zf_design(
-        realization,
-        config.tx_power_watts,
-        config.noise_power_watts,
-        config.num_streams,
-    )
-    return result.rate_bps_hz * (1.0 - overhead)
+def _zf_start(design: DdamDesign, num_streams: int) -> np.ndarray:
+    """The ZF design's F_l stacked to (L * M_t, n_active), zero columns up to num_streams."""
+    num_paths, num_tx, active = design.precoders.shape
+    start = np.zeros((num_paths * num_tx, num_streams), dtype=np.complex128)
+    start[:, :active] = design.precoders.reshape(num_paths * num_tx, active)
+    return start
 
 
 def _bcd_se(
@@ -237,30 +233,20 @@ def _bcd_se(
     config: SystemConfig,
     timebase: Timebase,
     overhead: float,
-    rng: np.random.Generator,
+    start: np.ndarray,
 ) -> float:
-    blocks = [
-        group_delay_differences(realization, timebase, block)
-        for block in _block_samples(timebase)
-    ]
-    # Hbar is the same in every block; without a ZF start (None) each block
-    # draws its own random start from rng
-    start = _zf_warm_start(
-        blocks[0], config.tx_power_watts, config.noise_power_watts, config.num_streams
-    )
-    rates = []
-    for grouped in blocks:
-        state = bcd_solve(
-            grouped,
+    # Hbar, and with it the ZF start, is the same in every block
+    rates = [
+        bcd_solve(
+            group_delay_differences(realization, timebase, block),
             config.tx_power_watts,
             config.noise_power_watts,
-            config.num_streams,
+            start,
             tol=1e-4,
             max_iters=60,
-            init_precoder=start,
-            rng=rng,
-        )
-        rates.append(state.rate_trace[-1])
+        ).rate_trace[-1]
+        for block in _block_samples(timebase)
+    ]
     return float(np.mean(rates)) * (1.0 - overhead)
 
 
@@ -401,10 +387,9 @@ def _convergence_trial(config: SystemConfig, rng: np.random.Generator) -> list:
         grouped,
         config.tx_power_watts,
         config.noise_power_watts,
-        config.num_streams,
+        init,
         tol=0.0,
         max_iters=CONVERGENCE_ITERATIONS,
-        init_precoder=init,
     )
     trace = list(state.rate_trace)
     while len(trace) < CONVERGENCE_ITERATIONS:
@@ -429,8 +414,12 @@ def _se_vs_mt_trial(config: SystemConfig, rng: np.random.Generator) -> list:
     for mt in TRANSMIT_ANTENNA_SWEEP:
         cfg = replace(config, num_tx_antennas=mt)
         realization = realize_channel(paths, cfg)
+        design, zf_result = zf_design(
+            realization, cfg.tx_power_watts, cfg.noise_power_watts, cfg.num_streams
+        )
+        start = _zf_start(design, cfg.num_streams)
         records.append(
-            ("ddam-zf", "mt", float(mt), "se_bps_hz", _zf_se(realization, cfg, overhead))
+            ("ddam-zf", "mt", float(mt), "se_bps_hz", zf_result.rate_bps_hz * (1.0 - overhead))
         )
         records.append(
             (
@@ -438,7 +427,7 @@ def _se_vs_mt_trial(config: SystemConfig, rng: np.random.Generator) -> list:
                 "mt",
                 float(mt),
                 "se_bps_hz",
-                _bcd_se(realization, cfg, timebase, overhead, rng),
+                _bcd_se(realization, cfg, timebase, overhead, start),
             )
         )
         records.append(("ofdm", "mt", float(mt), "se_bps_hz", _ofdm_se(realization, cfg)))
@@ -462,8 +451,11 @@ def _se_high_mobility_trial(config: SystemConfig, rng: np.random.Generator) -> l
     for mt in TRANSMIT_ANTENNA_SWEEP:
         cfg = replace(config, num_tx_antennas=mt)
         realization = realize_channel(paths, cfg)
+        _, zf_result = zf_design(
+            realization, cfg.tx_power_watts, cfg.noise_power_watts, cfg.num_streams
+        )
         records.append(
-            ("ddam-zf", "mt", float(mt), "se_bps_hz", _zf_se(realization, cfg, overhead))
+            ("ddam-zf", "mt", float(mt), "se_bps_hz", zf_result.rate_bps_hz * (1.0 - overhead))
         )
         records.append(("otfs", "mt", float(mt), "se_bps_hz", _otfs_se(realization, cfg)))
         records.append(("ofdm", "mt", float(mt), "se_bps_hz", _ofdm_se(realization, cfg)))
@@ -475,14 +467,15 @@ def _ber_trial(config: SystemConfig, rng: np.random.Generator) -> list:
     realization = realize_channel(paths, config)
     compensated = realize_channel(cfo_compensate(paths), config)
     noise = config.noise_power_watts
+    # One stream, designed once: its mode gain does not depend on the power,
+    # and water_filling gives a lone active mode exactly the whole budget, so
+    # power * gain / noise is, bit for bit, the SNR of a design at each power.
+    _, zf_result = zf_design(realization, config.tx_power_watts, noise, 1)
+    gain = zf_result.mode_gains[0] if zf_result.n_active_streams else 0.0
     records = []
     for power_dbm in BER_POWER_SWEEP_DBM:
         power = 10.0 ** ((power_dbm - 30.0) / 10.0)
-        _, zf_result = zf_design(realization, power, noise, config.num_streams)
-        if zf_result.n_active_streams:
-            snr = float(zf_result.mode_powers[0] * zf_result.mode_gains[0] / noise)
-        else:
-            snr = 0.0
+        snr = float(power * gain / noise)
         records.append(
             (
                 "ddam-zf",

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import PathSet
+from .channel import PathSet, _checked_int
 from .errors import ContractViolationError, NumericalError
 
 
@@ -53,13 +53,13 @@ def ofdm_ber(per_subcarrier_snr, num_subcarriers: int, max_delay_tap: int, order
     prefix, then pushed through the AWGN QAM curve; the ICI folded into the
     SNRs is treated as Gaussian.
     """
+    _checked_int(num_subcarriers, "num_subcarriers", 1)
+    _checked_int(max_delay_tap, "max_delay_tap", 0)
     snr = np.asarray(per_subcarrier_snr, dtype=np.float64)
     if snr.shape != (num_subcarriers,):
         raise ContractViolationError(
             f"need one SNR per subcarrier, got shape {snr.shape} for K = {num_subcarriers}"
         )
-    if max_delay_tap < 0:
-        raise ContractViolationError("max_delay_tap must be >= 0")
     derated = num_subcarriers * snr / (num_subcarriers + max_delay_tap)
     return float(np.mean(qam_awgn_ber(derated, order)))
 

@@ -30,14 +30,13 @@ from ddamsim.channel import (
     realize_channel,
 )
 from ddamsim.config import SystemConfig
-from ddamsim.experiments import run_experiment
+from ddamsim.experiments import _zf_start, run_experiment
 from ddamsim.metrics import guard_overhead
 from ddamsim.zf import (
     build_ddam_tx,
     residual_isi_power,
     water_filling,
     zf_design,
-    zf_spatial_design,
 )
 from oracles import otfs_delay_doppler_channel, otfs_time_channel
 
@@ -140,11 +139,14 @@ def test_criterion_04_rate_optimizer_monotone_convergent_and_exact_for_one_path(
         paths = generate_paths(cfg, rng)
         realization = realize_channel(paths, cfg)
         grouped = group_delay_differences(realization, timebase, 0)
+        design, _ = zf_design(
+            realization, cfg.tx_power_watts, cfg.noise_power_watts, cfg.num_streams
+        )
         state = bcd_solve(
             grouped,
             cfg.tx_power_watts,
             cfg.noise_power_watts,
-            cfg.num_streams,
+            _zf_start(design, cfg.num_streams),
             tol=1e-3,
             max_iters=50,
         )
@@ -158,17 +160,14 @@ def test_criterion_04_rate_optimizer_monotone_convergent_and_exact_for_one_path(
         paths = generate_paths(cfg1, rng)
         realization = realize_channel(paths, cfg1)
         grouped = group_delay_differences(realization, coherence_partition(cfg1), 0)
-        [(_, zf_result)] = zf_spatial_design(
-            realization.matrices[None],
-            cfg1.tx_power_watts,
-            cfg1.noise_power_watts,
-            cfg1.num_streams,
+        design, zf_result = zf_design(
+            realization, cfg1.tx_power_watts, cfg1.noise_power_watts, cfg1.num_streams
         )
         state = bcd_solve(
             grouped,
             cfg1.tx_power_watts,
             cfg1.noise_power_watts,
-            cfg1.num_streams,
+            _zf_start(design, cfg1.num_streams),
             tol=1e-10,
         )
         assert state.rate_trace[-1] == pytest.approx(

@@ -20,6 +20,7 @@ from ddamsim.channel import (
     realize_channel,
 )
 from ddamsim.config import SystemConfig
+from ddamsim.errors import ContractViolationError
 from ddamsim.zf import residual_isi_power
 from oracles import cross_path_leakage, strongest_path_snr
 
@@ -37,6 +38,9 @@ def test_mrt_power_allocation_closed_form():
     mags = np.abs(gains) ** 2
     assert np.allclose(p, total * mags / mags.sum(), atol=1e-15)
     assert p.sum() == pytest.approx(total)
+    for budget in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ContractViolationError):
+            mrt_power_allocation(gains, budget)
 
 
 def test_mrt_power_allocation_beats_simplex_grid():

@@ -19,8 +19,9 @@ from ddamsim.bcd import (
 )
 from ddamsim.channel import coherence_partition, generate_paths, realize_channel
 from ddamsim.config import SystemConfig
-from ddamsim.errors import ContractViolationError, NumericalError
-from ddamsim.zf import zf_spatial_design
+from ddamsim.errors import ContractViolationError, FeasibilityError, NumericalError
+from ddamsim.experiments import _zf_start
+from ddamsim.zf import zf_design, zf_spatial_design
 from oracles import (
     ddam_rate,
     grouped_blocks_loop,
@@ -47,6 +48,14 @@ def _stack_zf_precoder(realization, cfg):
         cfg.num_streams,
     )
     return np.concatenate(per_path, axis=0), result
+
+
+def _zf_bcd_start(realization, cfg):
+    """The ZF start fig4 gives BCD: the stacked F_l, zero columns up to N_s."""
+    design, _ = zf_design(
+        realization, cfg.tx_power_watts, cfg.noise_power_watts, cfg.num_streams
+    )
+    return _zf_start(design, cfg.num_streams)
 
 
 def test_grouping_places_paths_by_delay_difference():
@@ -228,7 +237,7 @@ def test_bcd_trace_is_monotone_and_converges():
             grouped,
             total_power=cfg.tx_power_watts,
             noise_var=cfg.noise_power_watts,
-            num_streams=cfg.num_streams,
+            init_precoder=_zf_bcd_start(realization, cfg),
             tol=1e-4,
             max_iters=100,
         )
@@ -251,7 +260,7 @@ def test_bcd_does_not_lose_to_zf_warm_start():
             grouped,
             cfg.tx_power_watts,
             cfg.noise_power_watts,
-            cfg.num_streams,
+            _zf_bcd_start(realization, cfg),
         )
         assert state.rate_trace[-1] >= zf_result.rate_bps_hz - 1e-9
 
@@ -267,7 +276,7 @@ def test_bcd_single_path_equals_mimo_capacity():
             grouped,
             cfg.tx_power_watts,
             cfg.noise_power_watts,
-            cfg.num_streams,
+            _zf_bcd_start(realization, cfg),
             tol=1e-10,
         )
         assert state.rate_trace[-1] == pytest.approx(
@@ -283,14 +292,7 @@ def test_bcd_random_init_reaches_zf_ballpark():
     k = grouped.stacked_channel.shape[1]
     init = rng.standard_normal((k, 2)) + 1j * rng.standard_normal((k, 2))
     init *= np.sqrt(cfg.tx_power_watts) / np.linalg.norm(init)
-    state = bcd_solve(
-        grouped,
-        cfg.tx_power_watts,
-        cfg.noise_power_watts,
-        cfg.num_streams,
-        max_iters=200,
-        init_precoder=init,
-    )
+    state = bcd_solve(grouped, cfg.tx_power_watts, cfg.noise_power_watts, init, max_iters=200)
     assert state.rate_trace[-1] >= 0.5 * zf_result.rate_bps_hz
 
 
@@ -304,7 +306,7 @@ def _grouped_draw(seed, num_tx, num_paths, num_rx, num_streams, block_index):
     rng = np.random.default_rng(seed)
     realization = realize_channel(generate_paths(cfg, rng), cfg)
     grouped = group_delay_differences(realization, coherence_partition(cfg), block_index)
-    return cfg, grouped, rng
+    return cfg, realization, grouped, rng
 
 
 def _rate_and_weights(grouped, precoder, noise_var):
@@ -333,7 +335,7 @@ def test_precoder_update_matches_dense_oracle(num_tx, num_paths, num_rx, block_i
     # the low-rank update must return the precoder of the dense (L*M_t)^2
     # eigendecomposition, in both the beta = 0 and the bisection branch
     num_streams = min(2, num_rx, num_tx)
-    cfg, grouped, rng = _grouped_draw(
+    cfg, _, grouped, rng = _grouped_draw(
         [num_tx, num_paths, num_rx], num_tx, num_paths, num_rx, num_streams, block_index
     )
     dim = grouped.stacked_channel.shape[1]
@@ -375,7 +377,7 @@ def test_mmse_receiver_matches_direct_oracle(
     # the filter taken from the rate's solve, C^{-1} A Q^{-1}, is the direct
     # (A A^H + C)^{-1} A, and the rate and Q are those of the per-offset sum
     num_streams = data.draw(st.integers(1, min(num_rx, num_tx)), label="num_streams")
-    cfg, grouped, rng = _grouped_draw(
+    cfg, _, grouped, rng = _grouped_draw(
         seed, num_tx, num_paths, num_rx, num_streams, block_index
     )
     dim = grouped.stacked_channel.shape[1]
@@ -405,7 +407,7 @@ def _criterion_04_traces():
             grouped,
             config.tx_power_watts,
             config.noise_power_watts,
-            config.num_streams,
+            _zf_bcd_start(realization, config),
             tol=tol,
             max_iters=max_iters,
         )
@@ -436,11 +438,19 @@ def test_bcd_trace_is_monotone_within_budget(
     num_rx, num_streams = rx_streams
     # a configuration cannot carry more streams than transmit antennas
     num_streams = min(num_streams, num_tx)
-    cfg, grouped, rng = _grouped_draw(
+    cfg, realization, grouped, rng = _grouped_draw(
         seed, num_tx, num_paths, num_rx, num_streams, block_index
     )
     budget, noise = cfg.tx_power_watts, cfg.noise_power_watts
-    state = bcd_solve(grouped, budget, noise, num_streams, rng=rng)
+    try:
+        start = _zf_bcd_start(realization, cfg)
+    except FeasibilityError:
+        dim = grouped.stacked_channel.shape[1]
+        raw = rng.standard_normal((dim, num_streams)) + 1j * rng.standard_normal(
+            (dim, num_streams)
+        )
+        start = raw * np.sqrt(budget) / np.linalg.norm(raw)
+    state = bcd_solve(grouped, budget, noise, start)
     trace = np.asarray(state.rate_trace)
     slack = 1e-9 * np.maximum(1.0, np.abs(trace[:-1]))
     assert np.all(np.diff(trace) >= -slack), f"trace decreased: {np.diff(trace).min()}"
@@ -471,15 +481,7 @@ def test_bcd_state_at_max_iters_belongs_to_last_rate():
     )
     init = raw * np.sqrt(cfg.tx_power_watts) / np.linalg.norm(raw)
     noise = cfg.noise_power_watts
-    state = bcd_solve(
-        grouped,
-        cfg.tx_power_watts,
-        noise,
-        cfg.num_streams,
-        tol=0.0,
-        max_iters=3,
-        init_precoder=init,
-    )
+    state = bcd_solve(grouped, cfg.tx_power_watts, noise, init, tol=0.0, max_iters=3)
     assert not state.converged and len(state.rate_trace) == 3
     rate, q, _ = _rate_and_weights(grouped, state.precoder, noise)
     assert rate == pytest.approx(state.rate_trace[-1], rel=1e-12, abs=0.0)
@@ -539,7 +541,7 @@ def test_colored_noise_rate_rejects_a_non_finite_channel(where):
 def test_cached_factor_reproduces_the_stacked_blocks(
     seed, num_tx, num_paths, num_rx, block_index
 ):
-    _, grouped, _ = _grouped_draw(seed, num_tx, num_paths, num_rx, 1, block_index)
+    _, _, grouped, _ = _grouped_draw(seed, num_tx, num_paths, num_rx, 1, block_index)
     blocks = np.vstack(list(grouped.blocks))
     assert np.array_equal(grouped.stacked_blocks, blocks)
     assert np.shares_memory(grouped.stacked_blocks, grouped.blocks)  # a view, no copy
@@ -586,10 +588,9 @@ def test_bcd_solve_routes_each_step_through_module_globals(monkeypatch):
         grouped,
         cfg.tx_power_watts,
         cfg.noise_power_watts,
-        cfg.num_streams,
+        raw * np.sqrt(cfg.tx_power_watts) / np.linalg.norm(raw),
         tol=0.0,
         max_iters=20,
-        init_precoder=raw * np.sqrt(cfg.tx_power_watts) / np.linalg.norm(raw),
     )
     assert state.n_iterations == 20 and not state.converged
     assert calls == {"precoder_update": 19, "mmse_receiver": 20, "qr": 1}
@@ -600,8 +601,8 @@ def test_bcd_solve_routes_each_step_through_module_globals(monkeypatch):
     [
         {"init_precoder": "nan"},
         {"init_precoder": "inf"},
-        {"num_streams": 2.5},
-        {"num_streams": True},
+        {"init_precoder": "one row short"},
+        {"init_precoder": "no column"},
         {"max_iters": 2.5},
         {"max_iters": True},
         {"max_iters": 0},
@@ -622,21 +623,21 @@ def test_bcd_solve_routes_each_step_through_module_globals(monkeypatch):
 def test_bcd_solve_rejects_bad_arguments_before_the_loop(bad, monkeypatch):
     cfg, realization, timebase, _ = _setup(9)
     grouped = group_delay_differences(realization, timebase, 0)
+    # a valid start unless the case is about the start
+    init = np.full((grouped.stacked_channel.shape[1], 2), 0.1 + 0j)
+    if bad.get("init_precoder") == "one row short":
+        init = init[1:]
+    elif bad.get("init_precoder") == "no column":
+        init = init[:, :0]
+    elif "init_precoder" in bad:
+        init[3, 1] = float(bad["init_precoder"])
     kwargs = {
         "total_power": cfg.tx_power_watts,
         "noise_var": cfg.noise_power_watts,
-        "num_streams": 2,
         "max_iters": 5,
         **bad,
+        "init_precoder": init,
     }
-    if "num_streams" not in bad:
-        # a valid start, so neither the ZF warm start nor the loop can be what
-        # fails; a bad stream count gets none, so init_precoder's shape check
-        # cannot be what rejects it
-        init = np.full((grouped.stacked_channel.shape[1], 2), 0.1 + 0j)
-        if "init_precoder" in bad:
-            init[3, 1] = float(bad["init_precoder"])
-        kwargs["init_precoder"] = init
 
     def never(*args, **kwargs):
         raise AssertionError("the solver started on invalid arguments")
@@ -644,6 +645,11 @@ def test_bcd_solve_rejects_bad_arguments_before_the_loop(bad, monkeypatch):
     monkeypatch.setattr(bcd, "mmse_receiver", never)
     with pytest.raises(ContractViolationError):
         bcd_solve(grouped, **kwargs)
+    if "total_power" in bad:
+        # the precoder step checks its budget too: a NaN one would bisect
+        # into a NumericalError, an inf one return the unconstrained precoder
+        with pytest.raises(ContractViolationError):
+            precoder_update(grouped, np.ones((2, 2)), np.eye(2), bad["total_power"])
 
 
 def test_bcd_solve_accepts_numpy_integer_counts():
@@ -653,7 +659,7 @@ def test_bcd_solve_accepts_numpy_integer_counts():
         grouped,
         cfg.tx_power_watts,
         cfg.noise_power_watts,
-        np.int64(2),
+        _zf_bcd_start(realization, cfg),
         max_iters=np.int32(4),
     )
     assert 1 <= state.n_iterations <= 4

@@ -582,6 +582,15 @@ def test_otfs_config_validation():
     bad["doppler_taps"] = np.array([0, 4], dtype=np.int64)  # beyond the grid
     with pytest.raises(ContractViolationError):
         OtfsConfig(**bad)
+    for field, value in (
+        ("num_delay_bins", True),
+        ("num_delay_bins", 2.5),
+        ("num_doppler_bins", 0),
+        ("num_doppler_bins", 4.0),
+        ("delay_taps", np.array([0.5, 3.0])),
+    ):
+        with pytest.raises(ContractViolationError):
+            OtfsConfig(**{**kwargs, field: value})
 
 
 def test_make_otfs_config_quantization():
@@ -650,6 +659,16 @@ def test_otfs_dense_and_sparse_rates_agree():
         pytest.param({"power_over_noise": float("inf")}, id="power inf"),
         pytest.param({"power_over_noise": -1.0}, id="power negative"),
         pytest.param({"cp_length": -1}, id="cp negative"),
+        pytest.param({"cp_length": 1.5}, id="cp fractional"),
+        pytest.param({"cp_length": True}, id="cp bool"),
+        pytest.param({"num_delay_bins": 0}, id="no delay bin"),
+        pytest.param({"num_delay_bins": 2.5}, id="delay bins fractional"),
+        pytest.param({"num_doppler_bins": True}, id="doppler bins bool"),
+        pytest.param({"delay_taps": np.array([1.5, 6, 11])}, id="delay fractional"),
+        pytest.param({"delay_taps": np.array([1, 6, 40])}, id="delay off the grid"),
+        pytest.param({"delay_taps": np.array([-1, 6, 11])}, id="delay negative"),
+        pytest.param({"doppler_taps": np.array([2, -1, 9])}, id="doppler off the grid"),
+        pytest.param({"doppler_taps": np.array([2, -4, 0])}, id="doppler at -N"),
     ],
 )
 def test_otfs_rate_from_taps_rejects_malformed_arguments(bad):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ddamsim import experiments, zf
+from ddamsim import bcd, experiments, zf
 from ddamsim.bcd import _lag_models, colored_noise_rate, group_delay_differences
 from ddamsim.channel import coherence_partition, generate_paths, realize_channel
 from ddamsim.config import SystemConfig
@@ -759,6 +759,43 @@ def test_fig9_builds_one_spatial_design_per_array_size(monkeypatch):
     assert run.failures == []
     # one stacked design of both trials per array size
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("name,designs_per_trial", [("fig4-se-vs-mt", 3), ("fig6-ber", 1)])
+def test_one_zf_design_per_realization(monkeypatch, name, designs_per_trial):
+    # fig4 rates ZF and starts BCD from one design per array size; fig6's
+    # single-stream design serves every power. Counted wherever a module of
+    # the package binds the design.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return zf_spatial_design(*args)
+
+    for module in (zf, bcd, experiments):
+        bound = [name for name, value in vars(module).items() if value is zf_spatial_design]
+        for attribute in bound:
+            monkeypatch.setattr(module, attribute, counted)
+    run = run_experiment(name, seed=4, num_trials=2)
+    assert run.failures == []
+    assert len(calls) == 2 * designs_per_trial
+
+
+@pytest.mark.parametrize(
+    "config",
+    [SystemConfig(), SystemConfig(num_rx_antennas=4, num_paths=6)],
+    ids=["default", "rx4-paths6"],
+)
+def test_fig4_bcd_never_rates_below_its_trials_zf(config):
+    # BCD ascends from the trial's ZF design, so it ends at or above the ZF
+    # rate, also where the feasibility verdict is not FEASIBLE (M_r = 4 and
+    # L = 6 at M_t = 16 is UNDETERMINED)
+    for trial in range(40):
+        records = experiments._se_vs_mt_trial(config, np.random.default_rng([0, trial]))
+        rates = {(scheme, mt): rate for scheme, _, mt, _, rate in records}
+        for mt in experiments.TRANSMIT_ANTENNA_SWEEP:
+            zf_rate = rates["ddam-zf", float(mt)]
+            assert rates["ddam-bcd", float(mt)] >= zf_rate * (1 - 1e-9), (trial, mt)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 17, 2024])

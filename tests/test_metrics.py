@@ -100,6 +100,16 @@ def test_ofdm_ber_derates_by_guard():
     assert plain == pytest.approx(float(qam_awgn_ber(12.0, 16)), rel=1e-12)
     with pytest.raises(ContractViolationError):
         ofdm_ber(snr[:10], k_sub, m_max, 16)
+    # every SNR array fits its K (True == 1, 64.0 == 64); the counts must be integers
+    for bad_snr, bad_k, bad_m in (
+        (snr, k_sub, -1),
+        (snr, k_sub, 1.5),
+        (snr, k_sub, True),
+        (snr[:1], True, 0),
+        (snr, 64.0, m_max),
+    ):
+        with pytest.raises(ContractViolationError):
+            ofdm_ber(bad_snr, bad_k, bad_m, 16)
 
 
 def test_qam_constellation_shapes_and_energy():
