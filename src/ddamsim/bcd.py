@@ -373,11 +373,14 @@ def bcd_solve(
 
     init_precoder is the (L * M_t, N_s) start; it is copied, its column
     count is the stream count, and a start above the power budget is
-    scaled onto it. Convergence is declared when the fractional rate
-    increase drops below tol; the trace of per-iteration rates is returned
-    and is non-decreasing up to numerical slack. Whether the solver
-    converged or stopped at max_iters, the returned precoder, combiner and
-    weights are the ones rate_trace[-1] was evaluated at.
+    scaled onto it. A zero column stays zero in every iterate, so BCD
+    loads no stream its start does not, and an all-zero start, a fixed
+    point at rate 0, raises ContractViolationError. Convergence is
+    declared when the fractional rate increase drops below tol; the trace
+    of per-iteration rates is returned and is non-decreasing up to
+    numerical slack. Whether the solver converged or stopped at
+    max_iters, the returned precoder, combiner and weights are the ones
+    rate_trace[-1] was evaluated at.
     """
     _checked_int(max_iters, "max_iters", 1)
     _checked_positive(total_power, "total_power")
@@ -389,6 +392,8 @@ def bcd_solve(
         raise ContractViolationError("init_precoder must have shape (L * M_t, N_s), N_s >= 1")
     if not np.all(np.isfinite(f_bar)):
         raise ContractViolationError("init_precoder contains non-finite entries")
+    if not np.any(f_bar):
+        raise ContractViolationError("init_precoder is all zero, a fixed point at rate 0")
     power = float(np.sum(np.abs(f_bar) ** 2))
     if power > total_power * (1 + 1e-9):
         f_bar = f_bar * math.sqrt(total_power / power)

@@ -245,6 +245,14 @@ def ofdm_design_and_rate(
     return OfdmResult(small, antenna_basis, combiners, singular_values, sinr, ranks, rate)
 
 
+def _dominant_path(paths: PathSet, *array_sizes: int) -> tuple:
+    """Strongest path (largest |alpha_l|^2), then its unit beams at the sizes (M_t, M_r) given."""
+    dominant = int(np.argmax(np.abs(paths.gains) ** 2))
+    angles = (paths.aod_rad[dominant], paths.aoa_rad[dominant])
+    beams = [array_response(size, angle) for size, angle in zip(array_sizes, angles)]
+    return (dominant, *(beam / np.linalg.norm(beam) for beam in beams))
+
+
 def cfo_compensate(paths: PathSet) -> PathSet:
     """Shift every Doppler by the strongest path's, as a receive-side CFO fix.
 
@@ -252,7 +260,7 @@ def cfo_compensate(paths: PathSet) -> PathSet:
     strongest path is the natural anchor. The returned PathSet keeps all
     other fields and widens the Doppler bound to cover the shifted values.
     """
-    anchor = int(np.argmax(np.abs(paths.gains) ** 2))
+    (anchor,) = _dominant_path(paths)
     shifted = paths.doppler_hz - paths.doppler_hz[anchor]
     bound = max(paths.doppler_bound_hz, float(np.max(np.abs(shifted))))
     return replace(paths, doppler_hz=shifted, doppler_bound_hz=bound)
@@ -286,8 +294,7 @@ class OtfsConfig:
             self.delay_taps, self.doppler_taps, self.num_delay_bins, self.num_doppler_bins
         )
         self.doppler_residual_hz = np.asarray(self.doppler_residual_hz, dtype=np.float64)
-        n = self.delay_taps.shape[0]
-        if self.doppler_taps.shape != (n,) or self.doppler_residual_hz.shape != (n,):
+        if self.doppler_residual_hz.shape != self.delay_taps.shape:
             raise ContractViolationError("per-path tap arrays must share one length")
 
     @property
@@ -298,12 +305,14 @@ class OtfsConfig:
 def _checked_taps(
     delay_taps, doppler_taps, num_delay_bins: int, num_doppler_bins: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Delay and Doppler taps as int64 if whole numbers in [0, M) and (-N, N).
+    """Equal-length 1-D delay and Doppler taps as int64, whole numbers in [0, M) and (-N, N).
 
     Anything else raises ContractViolationError.
     """
     delays = _whole_numbers(delay_taps, "delay taps")
     dopplers = _whole_numbers(doppler_taps, "doppler taps")
+    if delays.ndim != 1 or dopplers.shape != delays.shape:
+        raise ContractViolationError("delay and doppler taps must be 1-D arrays of one length")
     if delays.size and (delays.min() < 0 or delays.max() >= num_delay_bins):
         raise ContractViolationError("delay taps must lie in [0, num_delay_bins)")
     if np.any(np.abs(dopplers) >= num_doppler_bins):
@@ -325,14 +334,12 @@ def make_otfs_config(
     frame_s = num_doppler_bins * num_delay_bins * realization.symbol_duration_s
     doppler_taps = np.rint(paths.doppler_hz * frame_s).astype(np.int64)
     residual = paths.doppler_hz - doppler_taps / frame_s
-    dominant = int(np.argmax(np.abs(paths.gains) ** 2))
-    a_tx = array_response(realization.num_tx, paths.aod_rad[dominant])
-    a_rx = array_response(realization.num_rx, paths.aoa_rad[dominant])
+    _, tx_beam, rx_beam = _dominant_path(paths, realization.num_tx, realization.num_rx)
     return OtfsConfig(
         num_delay_bins=num_delay_bins,
         num_doppler_bins=num_doppler_bins,
-        tx_beam=a_tx / np.linalg.norm(a_tx),
-        rx_beam=a_rx / np.linalg.norm(a_rx),
+        tx_beam=tx_beam,
+        rx_beam=rx_beam,
         delay_taps=paths.delay_taps.copy(),
         doppler_taps=doppler_taps,
         doppler_residual_hz=residual,
@@ -432,8 +439,7 @@ def otfs_rate_from_taps(
     delay_taps, doppler_taps = _checked_taps(
         delay_taps, doppler_taps, num_delay_bins, num_doppler_bins
     )
-    shapes = {np.shape(x) for x in (gains, delay_taps, doppler_taps)}
-    if len(shapes) != 1 or len(shapes.pop()) != 1 or not gains.size:
+    if gains.shape != delay_taps.shape or not gains.size:
         raise ContractViolationError("gains and taps must be matching non-empty 1-D arrays")
     mn = num_delay_bins * num_doppler_bins
     n_idx = np.arange(mn)
@@ -490,11 +496,8 @@ def strongest_path_design(
     _checked_positive(total_power, "total_power")
     _checked_positive(noise_var, "noise_var")
     paths = realization.path_set
-    dominant = int(np.argmax(np.abs(paths.gains) ** 2))
-    a_tx = array_response(realization.num_tx, paths.aod_rad[dominant])
-    a_rx = array_response(realization.num_rx, paths.aoa_rad[dominant])
-    f = math.sqrt(total_power) * a_tx / np.linalg.norm(a_tx)
-    w = a_rx / np.linalg.norm(a_rx)
+    dominant, tx_beam, w = _dominant_path(paths, realization.num_tx, realization.num_rx)
+    f = math.sqrt(total_power) * tx_beam
     coupling = np.einsum("r,lrt,t->l", w.conj(), realization.matrices, f)
     powers = np.abs(coupling) ** 2
     interference = float(powers.sum() - powers[dominant])

@@ -42,7 +42,7 @@ class SystemConfig:
             raise ContractViolationError("bandwidth_hz must be positive")
         if self.carrier_freq_hz <= 0:
             raise ContractViolationError("carrier_freq_hz must be positive")
-        for name in ("num_tx_antennas", "num_rx_antennas", "num_streams", "num_paths"):
+        for name in _INT_FIELDS:
             if getattr(self, name) < 1:
                 raise ContractViolationError(f"{name} must be >= 1")
         if self.num_streams > min(self.num_tx_antennas, self.num_rx_antennas):
@@ -84,12 +84,8 @@ class SystemConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-_INT_FIELDS = {
-    "num_tx_antennas",
-    "num_rx_antennas",
-    "num_streams",
-    "num_paths",
-}
+# the counts: every field annotated int (a string under postponed annotations)
+_INT_FIELDS = tuple(f.name for f in fields(SystemConfig) if f.type == "int")
 
 
 def config_from_dict(data: dict) -> SystemConfig:

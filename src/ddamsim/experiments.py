@@ -624,12 +624,8 @@ def _feasibility_trial(config: SystemConfig, rng: np.random.Generator) -> list:
         for num_paths in FEASIBILITY_PATH_RANGE:
             metric = f"verdict_l{num_paths}"
             for num_tx in FEASIBILITY_ANTENNA_RANGE:
-                if num_streams > min(num_tx, num_rx):
-                    code = VERDICT_CODES[FeasibilityVerdict.INFEASIBLE]
-                else:
-                    verdict = zf_feasibility(num_tx, num_rx, num_streams, num_paths)
-                    code = VERDICT_CODES[verdict.verdict]
-                records.append((scheme, "mt", float(num_tx), metric, code))
+                verdict = zf_feasibility(num_tx, num_rx, num_streams, num_paths).verdict
+                records.append((scheme, "mt", float(num_tx), metric, VERDICT_CODES[verdict]))
     return records
 
 

@@ -48,7 +48,7 @@ class FeasibilityVerdict(enum.Enum):
 
 @dataclass(frozen=True)
 class ZfFeasibility:
-    """Counting-argument verdict for perfect inter-path interference nulling."""
+    """Whether a ZF pair (W, F_l) exists for generic path matrices, with the counts."""
 
     verdict: FeasibilityVerdict
     num_equations: int
@@ -112,30 +112,24 @@ class ZfCapacityResult:
 
 
 def zf_feasibility(num_tx: int, num_rx: int, num_streams: int, num_paths: int) -> ZfFeasibility:
-    """Classify perfect nulling by counting bilinear equations vs. variables.
+    """Decide whether a ZF pair (W, F_l) exists for generic path matrices.
 
-    Infeasible when the unknowns cannot cover the constraints even before
-    losing degrees of freedom to scaling ambiguity; feasible under either
-    sufficient condition (enough transmit antennas to null all interfering
-    receive dimensions, or the square-stream case at its exact threshold);
-    otherwise undetermined.
+    Infeasible when N_s > min(M_t, M_r) or the unknowns cannot cover the
+    bilinear nulling equations, L M_t + M_r < (L^2 + 1) N_s. Feasible when
+    M_t >= L N_s: under a generic combiner W each F_l then fits in the null
+    space of the other paths' W^H H_k. Otherwise undetermined; for N_s = M_r
+    both bounds meet. zf_design nulls at the transmitter alone, which may
+    not suffice for path matrices that are not rank one.
     """
     if min(num_tx, num_rx, num_streams, num_paths) < 1:
         raise ContractViolationError("all dimensions must be >= 1")
-    if num_streams > min(num_tx, num_rx):
-        raise ContractViolationError("num_streams cannot exceed min(num_tx, num_rx)")
     l, mt, mr, ns = num_paths, num_tx, num_rx, num_streams
     num_equations = l * (l - 1) * ns * ns
     num_variables = ns * (l * mt + mr) - (l + 1) * ns * ns
-    if l * mt + mr < (l * l + 1) * ns:
+    if ns > min(mt, mr) or l * mt + mr < (l * l + 1) * ns:
         verdict = FeasibilityVerdict.INFEASIBLE
-    elif mt >= (l - 1) * mr + ns:
+    elif mt >= l * ns:
         verdict = FeasibilityVerdict.FEASIBLE
-    elif ns == mr and mt >= l * ns:
-        verdict = FeasibilityVerdict.FEASIBLE
-    elif ns == mr and mt < l * ns:
-        # square-stream case is an exact threshold, no undetermined band
-        verdict = FeasibilityVerdict.INFEASIBLE
     else:
         verdict = FeasibilityVerdict.UNDETERMINED
     return ZfFeasibility(verdict, num_equations, num_variables)

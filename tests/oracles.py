@@ -228,6 +228,33 @@ def path_zf_precoder_bases_loop(matrices: np.ndarray) -> list[np.ndarray]:
     return bases
 
 
+def zf_pair_witness(
+    matrices: np.ndarray, num_streams: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """A ZF pair (W, F_l) for (L, M_r, M_t) path matrices, the proof of M_t >= L * N_s.
+
+    W is a random M_r x N_s combiner with orthonormal columns. Each F_l is
+    the first N_s columns of an orthonormal basis of the null space of the
+    other paths' stacked W^H H_k, which has (L - 1) N_s rows, so for
+    generic matrices there is room exactly when M_t >= L * N_s; then
+    W^H H_k F_l = 0 for every k != l. Returns W and the (L, M_t, N_s) F_l.
+    """
+    num_paths, num_rx, num_tx = matrices.shape
+    draw = rng.standard_normal((num_rx, num_streams)) + 1j * rng.standard_normal(
+        (num_rx, num_streams)
+    )
+    combiner, _ = np.linalg.qr(draw)
+    projected = combiner.conj().T @ matrices           # (L, N_s, M_t)
+    precoders = []
+    for l in range(num_paths):
+        others = np.delete(projected, l, axis=0).reshape(-1, num_tx)
+        basis = scipy.linalg.null_space(others) if len(others) else np.eye(num_tx)
+        if basis.shape[1] < num_streams:
+            raise FeasibilityError(f"path {l}: null space narrower than {num_streams} streams")
+        precoders.append(basis[:, :num_streams])
+    return combiner, np.array(precoders)
+
+
 def build_ddam_tx_loop(
     design: DdamDesign, symbols: np.ndarray, timebase: Timebase
 ) -> np.ndarray:

@@ -20,7 +20,7 @@ from ddamsim.bcd import (
 from ddamsim.channel import coherence_partition, generate_paths, realize_channel
 from ddamsim.config import SystemConfig
 from ddamsim.errors import ContractViolationError, FeasibilityError, NumericalError
-from ddamsim.experiments import _zf_start
+from ddamsim.experiments import _bcd_se, _zf_start
 from ddamsim.zf import zf_design, zf_spatial_design
 from oracles import (
     ddam_rate,
@@ -603,6 +603,7 @@ def test_bcd_solve_routes_each_step_through_module_globals(monkeypatch):
         {"init_precoder": "inf"},
         {"init_precoder": "one row short"},
         {"init_precoder": "no column"},
+        {"init_precoder": "zero"},
         {"max_iters": 2.5},
         {"max_iters": True},
         {"max_iters": 0},
@@ -629,6 +630,8 @@ def test_bcd_solve_rejects_bad_arguments_before_the_loop(bad, monkeypatch):
         init = init[1:]
     elif bad.get("init_precoder") == "no column":
         init = init[:, :0]
+    elif bad.get("init_precoder") == "zero":
+        init[:] = 0.0
     elif "init_precoder" in bad:
         init[3, 1] = float(bad["init_precoder"])
     kwargs = {
@@ -650,6 +653,22 @@ def test_bcd_solve_rejects_bad_arguments_before_the_loop(bad, monkeypatch):
         # into a NumericalError, an inf one return the unconstrained precoder
         with pytest.raises(ContractViolationError):
             precoder_update(grouped, np.ones((2, 2)), np.eye(2), bad["total_power"])
+
+
+def test_bcd_from_a_zf_design_without_streams_is_rejected():
+    # two paths with one AoD and one AoA null each other completely, so ZF
+    # loads no stream and fig4 would hand BCD an all-zero start
+    cfg, _, timebase, rng = _setup(0, num_tx=64, num_paths=2)
+    paths = replace(
+        generate_paths(cfg, rng), aod_rad=np.full(2, 0.3), aoa_rad=np.full(2, 0.3)
+    )
+    realization = realize_channel(paths, cfg)
+    design, result = zf_design(
+        realization, cfg.tx_power_watts, cfg.noise_power_watts, cfg.num_streams
+    )
+    assert result.n_active_streams == 0
+    with pytest.raises(ContractViolationError, match="all zero"):
+        _bcd_se(realization, cfg, timebase, 0.0, _zf_start(design, cfg.num_streams))
 
 
 def test_bcd_solve_accepts_numpy_integer_counts():

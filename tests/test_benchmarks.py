@@ -588,9 +588,13 @@ def test_otfs_config_validation():
         ("num_doppler_bins", 0),
         ("num_doppler_bins", 4.0),
         ("delay_taps", np.array([0.5, 3.0])),
+        ("delay_taps", 3),  # 0-d
+        ("doppler_taps", np.int64(1)),  # 0-d
     ):
         with pytest.raises(ContractViolationError):
             OtfsConfig(**{**kwargs, field: value})
+    with pytest.raises(ContractViolationError):
+        OtfsConfig(16, 4, beam4, beam2, 3, 1, 0.0)  # every per-path array 0-d
 
 
 def test_make_otfs_config_quantization():
@@ -652,6 +656,9 @@ def test_otfs_dense_and_sparse_rates_agree():
         pytest.param({"delay_taps": np.array([0, 1, 2, 3])}, id="delays long"),
         pytest.param({"doppler_taps": np.array([1])}, id="dopplers short"),
         pytest.param({"effective_gains": np.ones((3, 1))}, id="gains 2-D"),
+        pytest.param(
+            {"effective_gains": 0.9, "delay_taps": 1, "doppler_taps": 2}, id="0-d path"
+        ),
         pytest.param(
             {"effective_gains": np.ones(0), "delay_taps": [], "doppler_taps": []}, id="no path"
         ),

@@ -42,6 +42,11 @@ def test_feasibility_flags(capsys):
     assert "tx=5 rx=2 streams=2 paths=3: infeasible" in capsys.readouterr().out
 
 
+def test_feasibility_more_streams_than_antennas_is_infeasible(capsys):
+    assert main(["feasibility", "--rx-antennas", "2", "--streams", "3"]) == 0
+    assert "tx=64 rx=2 streams=3 paths=3: infeasible" in capsys.readouterr().out
+
+
 def test_run_writes_csv(tmp_path, capsys):
     out_path = tmp_path / "rows.csv"
     code = main(

@@ -34,6 +34,7 @@ from oracles import (
     ddam_rx_analytic,
     path_zf_precoder_bases_dense,
     path_zf_precoder_bases_loop,
+    zf_pair_witness,
 )
 
 
@@ -61,7 +62,7 @@ def test_feasibility_equal_stream_boundary():
 
 
 def test_feasibility_sufficient_antennas():
-    # mt >= (l-1) mr + ns guarantees null-space room for every branch
+    # mt >= l ns leaves null-space room for every branch under a generic combiner
     res = zf_feasibility(num_tx=10, num_rx=4, num_streams=2, num_paths=3)
     assert res.verdict is FeasibilityVerdict.FEASIBLE
 
@@ -73,17 +74,48 @@ def test_feasibility_counting_bound():
 
 
 def test_feasibility_gap_is_undetermined():
-    # mr=4, ns=2, l=3: sufficient condition wants mt >= 10, the counting
-    # bound only kills mt <= 5, so the middle band stays open
-    res = zf_feasibility(num_tx=6, num_rx=4, num_streams=2, num_paths=3)
+    # mr=4, ns=2, l=2: the sufficient condition wants mt >= 4, the counting
+    # bound only kills mt <= 2, so mt = 3 stays open
+    res = zf_feasibility(num_tx=3, num_rx=4, num_streams=2, num_paths=2)
     assert res.verdict is FeasibilityVerdict.UNDETERMINED
+    # a former band cell: mt = 6 = l ns
+    res = zf_feasibility(num_tx=6, num_rx=4, num_streams=2, num_paths=3)
+    assert res.verdict is FeasibilityVerdict.FEASIBLE
 
 
 def test_feasibility_validation():
-    with pytest.raises(ContractViolationError):
-        zf_feasibility(num_tx=2, num_rx=2, num_streams=3, num_paths=2)
+    res = zf_feasibility(num_tx=2, num_rx=2, num_streams=3, num_paths=2)
+    assert res.verdict is FeasibilityVerdict.INFEASIBLE
     with pytest.raises(ContractViolationError):
         zf_feasibility(num_tx=0, num_rx=2, num_streams=1, num_paths=1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    rx_streams=st.sampled_from([(1, 1), (2, 2), (4, 4), (4, 2), (8, 2), (8, 3), (6, 4)]),
+    num_paths=st.integers(1, 8),
+    # M_t around the threshold L * N_s, where the verdict changes
+    tx_offset=st.integers(-4, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rx_streams=(4, 2), num_paths=3, tx_offset=0, seed=0)
+def test_feasible_verdict_has_a_zf_witness(rx_streams, num_paths, tx_offset, seed):
+    num_rx, num_streams = rx_streams
+    num_tx = max(1, num_paths * num_streams + tx_offset)
+    verdict = zf_feasibility(num_tx, num_rx, num_streams, num_paths).verdict
+    if verdict is not FeasibilityVerdict.FEASIBLE:
+        return
+    rng = np.random.default_rng(seed)
+    shape = (num_paths, num_rx, num_tx)
+    matrices = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+    combiner, precoders = zf_pair_witness(matrices, num_streams, rng)
+    blocks = combiner.conj().T @ matrices[:, None] @ precoders[None]  # [k, l] = W^H H_k F_l
+    for k in range(num_paths):
+        for l in range(num_paths):
+            if k == l:
+                assert np.linalg.svd(blocks[k, l], compute_uv=False).min() > 1e-6
+            else:
+                assert np.linalg.norm(blocks[k, l]) <= 1e-8
 
 
 def test_build_ddam_tx_advances_each_branch_to_the_longest_delay():
