@@ -31,13 +31,27 @@ block) at once.
 
 The precoder step is the closed-form WMMSE update (Shi, Razaviyayn, Luo
 and He, IEEE TSP 2011). Its solution lies in the range of the adjoint of
-the stacked channels [Hbar; Gbar[i]...], which has at most
-M_r * (1 + #offsets) dimensions however large L * M_t is, so the update
-works in an orthonormal basis of that range and its cost barely grows
-with the array size. A GroupedChannels is immutable and holds the blocks
-Hbar, Gbar[i]... as one array in the lag model's slot order, with their
-thin QR built once on first use, so no BCD iteration restacks or
-refactors them.
+the stacked channels B = [Hbar; Gbar[i]...], which has n <= M_r * K
+dimensions (K the number of offsets) however large L * M_t is. A
+GroupedChannels is immutable and holds the blocks Hbar, Gbar[i]... as one
+array in the lag model's slot order, with the coordinates of that range
+built once on first use from a thin QR B^H = U R. BCD iterates on X with
+F = U X, so B F = R^H X and ||F|| = ||X||, and maps back to the antennas
+only at the end: M_t enters through the QR and that final product alone.
+The precoder step's power budget is met by safeguarded Newton steps on
+1 / sqrt(p(beta)), the secular-equation step of More and Sorensen, a few
+steps where a bisection took dozens.
+
+bcd_solve_stack is the one BCD loop, on a stack of problems; bcd_solve is
+its stack of one. Problems with equal coordinate and stream counts run as
+one stack, and each iteration makes one precoder_update and one
+mmse_receiver call on the members that have not converged yet, each
+member keeping its own convergence test and trace. All the array sizes and
+coherence blocks of a fig4 trial share n = K * M_r, so experiments solves
+a fig4 trial in one call. fig3 still makes one bcd_solve call per trial:
+perfbench's traced runs read n_iterations from every result returned
+through experiments.bcd_solve, so that name must keep returning one
+BcdState, and stacking a fig3 chunk waits for a change to the benchmark.
 
 bcd_solve refines the start its caller passes and nothing else. Started
 from the zero-forcing design, the ascent can never end below the ZF rate;
@@ -67,9 +81,9 @@ class GroupedChannels:
 
     blocks[k] is the channel of delay offset offsets[k], in the lag
     model's slot order: blocks[0] is Hbar (offset 0), the others are the
-    Gbar[i]. Immutable. The thin QR of B^H, B = [Hbar; Gbar[i]...] the
-    blocks stacked by rows, is built on first use and shared by every BCD
-    iteration on them.
+    Gbar[i]. Immutable. The coordinates of range(B^H), B = [Hbar;
+    Gbar[i]...] the blocks stacked by rows, are built on first use from
+    one thin QR and shared by every BCD iteration on them.
     """
 
     blocks: np.ndarray         # (K, M_r, L * M_t), K distinct offsets
@@ -102,9 +116,17 @@ class GroupedChannels:
         return self.blocks.reshape(-1, self.blocks.shape[2])
 
     @cached_property
-    def adjoint_qr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Thin QR B^H = U R; column block j of R belongs to block j of B."""
-        return np.linalg.qr(self.stacked_blocks.conj().T)
+    def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """U and the blocks B_k U, shape (K, M_r, n), from the thin QR B^H = U R.
+
+        U is the (L * M_t, n) orthonormal basis of range(B^H), n =
+        min(K * M_r, L * M_t), and B_k U = R^H's row block k. For F = U X,
+        B F = R^H X and ||F|| = ||X||, so BCD iterates on the n x N_s
+        coordinates X whatever the array size.
+        """
+        basis, tri = np.linalg.qr(self.stacked_blocks.conj().T)
+        coords = np.ascontiguousarray(tri.conj().T)
+        return basis, coords.reshape(len(self.blocks), self.num_rx, -1)
 
 
 @dataclass
@@ -255,110 +277,256 @@ def colored_noise_rate(
 
 
 def mmse_receiver(
-    grouped: GroupedChannels, precoder: np.ndarray, noise_var: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Evaluate one iterate: its rate, weights Q and MMSE receive filter W.
+    blocks: np.ndarray, precoders: np.ndarray, noise_var: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Evaluate a stack of iterates: their rates, weights Q and MMSE receive filters W.
 
-    One product B Fbar gives A = Hbar Fbar and the ISI outputs Gbar[i] Fbar.
-    colored_noise_rate solves their covariance C once for C^{-1} A, the
-    rate log2 det Q and Q = I + A^H C^{-1} A; then W = C^{-1} A Q^{-1},
-    which by the matrix-inversion lemma equals (A A^H + C)^{-1} A.
+    blocks is an (S, K, M_r, D) stack of lag-model blocks and precoders
+    the (S, D, N_s) iterates in the same D coordinates: bcd_solve_stack
+    passes GroupedChannels.coordinates, and GroupedChannels.blocks[None]
+    is a stack of one on the antennas. One product B Fbar per member gives
+    A = Hbar Fbar and the ISI outputs Gbar[i] Fbar; colored_noise_rate
+    solves their covariance C once for C^{-1} A, the rate log2 det Q and
+    Q = I + A^H C^{-1} A; then W = C^{-1} A Q^{-1}, which by the
+    matrix-inversion lemma equals (A A^H + C)^{-1} A. Returns the (S,)
+    rates and the (S, N_s, N_s) and (S, M_r, N_s) stacks of Q and W.
     """
-    f_bar = np.asarray(precoder, dtype=np.complex128)
-    outputs = (grouped.stacked_blocks @ f_bar).reshape(-1, grouped.num_rx, f_bar.shape[1])
-    rate, q, cinv_a = colored_noise_rate(outputs[0], outputs[1:], noise_var)
+    count, num_blocks, num_rx, dim = blocks.shape
+    outputs = (blocks.reshape(count, num_blocks * num_rx, dim) @ precoders).reshape(
+        count, num_blocks, num_rx, -1
+    )
+    rates, q, cinv_a = colored_noise_rate(outputs[:, 0], outputs[:, 1:], noise_var)
     # W^H = Q^{-1} (C^{-1} A)^H, as Q is Hermitian positive definite
-    return rate, q, np.linalg.solve(q, cinv_a.conj().T).conj().T
+    return rates, q, np.linalg.solve(q, cinv_a.conj().swapaxes(1, 2)).conj().swapaxes(1, 2)
 
 
 def precoder_update(
-    grouped: GroupedChannels,
-    combiner: np.ndarray,
-    auxiliary: np.ndarray,
+    blocks: np.ndarray,
+    combiners: np.ndarray,
+    auxiliaries: np.ndarray,
     total_power: float,
 ) -> np.ndarray:
-    """Power-constrained closed-form precoder for fixed receiver and weights.
+    """Power-constrained closed-form precoders for fixed receivers and weights.
 
-    Fbar(beta) = (Hbar^H W Q W^H Hbar + sum_i Gbar[i]^H W Q W^H Gbar[i]
-    + beta I)^{-1} Hbar^H W Q, with beta = 0 if the unconstrained solution
-    already fits the budget and otherwise bisected so the power constraint
-    is met from below within POWER_BISECT_REL_TOL (complementary
-    slackness). At beta = 0 the inverse is the pseudo-inverse.
+    For each member of the (S, K, M_r, D) block stack, with B = [Hbar;
+    Gbar[i]...] its blocks stacked by rows,
 
-    The (L*M_t) x (L*M_t) matrix in brackets is never formed. With
-    B = [Hbar; Gbar[i]...] it equals B^H (I_blocks (x) W Q W^H) B, and the
-    right-hand side lies in range(B^H), so every Fbar(beta) does too. A
-    thin QR B^H = U R (U orthonormal, at most M_r * (1 + #offsets)
-    columns) turns the update into an eigendecomposition of
-    S = sum_j R_j W Q W^H R_j^H, where R_j holds R's columns of block j;
-    this is exact, not an approximation.
+        Fbar(beta) = (B^H (I_K (x) W Q W^H) B + beta I)^{-1} Hbar^H W Q,
+
+    with beta = 0 if the unconstrained solution already fits the budget
+    and otherwise the root of the power budget, met from below within
+    POWER_BISECT_REL_TOL (complementary slackness). At beta = 0 the
+    inverse is the pseudo-inverse. Returns the (S, D, N_s) stack. BCD
+    calls it in the coordinates of range(B^H), where D <= K M_r however
+    large L M_t is, so one eigendecomposition of a D x D matrix per member
+    solves every beta.
     """
     _checked_positive(total_power, "total_power")
-    w = np.asarray(combiner, dtype=np.complex128)
-    q = np.asarray(auxiliary, dtype=np.complex128)
-    q = 0.5 * (q + q.conj().T)
-    wqw = w @ q @ w.conj().T
-    basis, tri = grouped.adjoint_qr
-    num_rx = grouped.num_rx
-    # every M_r-column block R_j times W Q W^H, then one product with R^H
-    quad = (tri.reshape(-1, num_rx) @ wqw).reshape(tri.shape) @ tri.conj().T
-    rhs = tri[:, :num_rx] @ (w @ q)
-    if not np.any(np.abs(rhs) > 0):
-        return np.zeros((basis.shape[0], w.shape[1]), dtype=np.complex128)
-    vals, sub_vecs = eig_hermitian(quad)
-    return _budgeted_precoder(vals, basis @ sub_vecs, sub_vecs.conj().T @ rhs, total_power)
+    count, num_blocks, num_rx, dim = blocks.shape
+    q = 0.5 * (auxiliaries + auxiliaries.conj().swapaxes(1, 2))
+    wq = combiners @ q
+    wqw = wq @ combiners.conj().swapaxes(1, 2)
+    rows = blocks.reshape(count, num_blocks * num_rx, dim)
+    adjoint = np.conj(rows.swapaxes(1, 2), order="C")  # B^H, (S, D, K M_r)
+    # every M_r-column block of B^H times W Q W^H, then one product with B
+    quad = (adjoint.reshape(count, dim * num_blocks, num_rx) @ wqw).reshape(
+        count, dim, -1
+    ) @ rows
+    vals, vecs = eig_hermitian(quad)
+    proj = vecs.conj().swapaxes(1, 2) @ (adjoint[:, :, :num_rx] @ wq)
+    return vecs @ _budgeted_coefficients(vals, proj, total_power)
 
 
-def _budgeted_precoder(
-    vals: np.ndarray, vecs: np.ndarray, proj: np.ndarray, total_power: float
+def _budgeted_coefficients(
+    vals: np.ndarray, proj: np.ndarray, total_power: float
 ) -> np.ndarray:
-    """Fbar(beta) = vecs diag(1 / (vals + beta)) proj under the power budget.
+    """diag(1 / (vals + beta)) proj for each member, beta set by the power budget.
 
-    vals/vecs are the eigenpairs of the precoder step's quadratic term and
-    proj the right-hand side in that eigenbasis. beta = 0 (pseudo-inverse)
-    if that fits the budget; otherwise beta is bisected until the power is
-    on the feasible side of the budget and within POWER_BISECT_REL_TOL of
-    it. Stopping only there keeps each step an ascent step up to rounding:
-    a power left below the budget would cost rate at a fixed point.
+    vals (S, n) are the eigenvalues of the precoder step's quadratic term
+    and proj (S, n, N_s) the right-hand side in its eigenbasis, so the
+    power of a member at beta is p(beta) = sum_i r_i / (vals_i + beta)^2,
+    r_i the squared norm of proj's row i. beta = 0 (pseudo-inverse) if
+    that fits the budget; otherwise beta is the root that _budget_root
+    finds, on the feasible side of the budget and within
+    POWER_BISECT_REL_TOL of it. Ending only there keeps each step an
+    ascent step up to rounding: a power left below the budget would cost
+    rate at a fixed point.
     """
     vals = np.maximum(vals.real, 0.0)
-    row_power = np.sum(np.abs(proj) ** 2, axis=1)
+    row_power = np.sum(np.abs(proj) ** 2, axis=2)
     # at beta = 0 the inverse acts as a pseudo-inverse on the zero eigenspace
-    active = vals > vals.max() * 1e-13 if vals.size else np.zeros(0, bool)
+    active = vals > vals.max(axis=1, keepdims=True) * 1e-13
+    squares = np.divide(row_power, vals**2, out=np.zeros_like(vals), where=active)
+    power = np.sum(squares, axis=1)
+    constrained = power > total_power
+    beta = np.zeros(len(vals))
+    if constrained.any():
+        beta[constrained] = _budget_root(
+            vals[constrained], row_power[constrained], active[constrained], total_power
+        )
+        active = active | constrained[:, None]
+    denom = vals + beta[:, None]
+    return np.divide(
+        proj, denom[:, :, None], out=np.zeros_like(proj), where=active[:, :, None]
+    )
 
-    def power_at(beta: float) -> float:
-        if beta == 0.0:
-            out = np.zeros_like(row_power)
-            out[active] = row_power[active] / (vals[active] ** 2)
-            return float(out.sum())
-        return float(np.sum(row_power / ((vals + beta) ** 2)))
 
-    def precoder_at(beta: float) -> np.ndarray:
-        if beta == 0.0:
-            scaled = np.zeros_like(proj)
-            scaled[active] = proj[active] / vals[active, None]
-            return vecs @ scaled
-        return vecs @ (proj / (vals + beta)[:, None])
+def _budget_root(
+    vals: np.ndarray, row_power: np.ndarray, active: np.ndarray, total_power: float
+) -> np.ndarray:
+    """The beta > 0 of each row with p(beta) in [(1 - POWER_BISECT_REL_TOL) P, P].
 
-    if power_at(0.0) <= total_power:
-        return precoder_at(0.0)
-    lo, hi = 0.0, float(vals.sum()) / total_power + 1.0
-    guard = 0
-    while power_at(hi) > total_power:
-        hi *= 2.0
-        guard += 1
-        if guard > 200:
-            raise NumericalError("power bisection failed to bracket the budget")
+    Safeguarded Newton steps on 1 / sqrt(p(beta)), the secular-equation
+    step of More and Sorensen (SIAM J. Sci. Stat. Comput. 1983). That
+    function is increasing and concave, so a Newton step from the left of
+    a root never passes it. The first step starts at beta = 0 from the
+    power of the active eigenvalues alone, whose root lies left of the
+    full one, and every step aims just inside the budget, at
+    (1 - POWER_BISECT_REL_TOL / 2) P, so the iterates climb to the budget
+    from above and stop on its feasible side. A step that leaves the
+    bracket of betas known to be over and under budget is replaced by
+    bisection of that bracket.
+    """
+    target = total_power * (1.0 - 0.5 * POWER_BISECT_REL_TOL)
+    floor = total_power * (1.0 - POWER_BISECT_REL_TOL)
+    # p(beta) <= sum_i r_i / beta^2, which is the target at hi
+    lo, hi = np.zeros(len(vals)), np.sqrt(row_power.sum(axis=1) / target)
+    beta = lo.copy()
+    inverse = np.divide(1.0, vals, out=np.zeros_like(vals), where=active)
+    power = np.sum(row_power * inverse**2, axis=1)
+    slope = np.sum(row_power * inverse**3, axis=1)  # -p'(beta) / 2
+    searching = np.ones(len(vals), dtype=bool)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        p = power_at(mid)
-        if p > total_power:
-            lo = mid
-        elif p >= (1.0 - POWER_BISECT_REL_TOL) * total_power:
-            return precoder_at(mid)
-        else:
-            hi = mid
-    raise NumericalError("power bisection did not converge")
+        step = beta + power / slope * (np.sqrt(power / target) - 1.0)
+        inside = (step > lo) & (step < hi)
+        beta = np.where(searching, np.where(inside, step, 0.5 * (lo + hi)), beta)
+        inverse = 1.0 / (vals + beta[:, None])
+        power = np.sum(row_power * inverse**2, axis=1)
+        slope = np.sum(row_power * inverse**3, axis=1)
+        over, under = power > total_power, power < floor
+        searching &= over | under
+        if not searching.any():
+            return beta
+        lo = np.where(over, beta, lo)
+        hi = np.where(under, beta, hi)
+    raise NumericalError("power budget search did not converge")
+
+
+def _ascend(
+    groups: list[GroupedChannels],
+    starts: list[np.ndarray],
+    total_power: float,
+    noise_var: float,
+    tol: float,
+    max_iters: int,
+) -> list[BcdState]:
+    """The BCD loop on a stack of problems with equal coordinate and stream counts."""
+    bases = [grouped.coordinates[0] for grouped in groups]
+    blocks = np.stack([grouped.coordinates[1] for grouped in groups])
+    # F = U X; the start's part outside range(U) is invisible to B
+    coords = np.stack([basis.conj().T @ start for basis, start in zip(bases, starts)])
+    # one mmse_receiver call per iterate; no step follows the last one rated
+    rates, q, combiners = mmse_receiver(blocks, coords, noise_var)
+    traces = [[rate] for rate in rates.tolist()]
+    converged = [False] * len(groups)
+    live = np.arange(len(groups))
+    for _ in range(1, max_iters):
+        # converged members sit out; a full stack is passed without a copy
+        sub = slice(None) if live.size == len(groups) else live
+        step = precoder_update(blocks[sub], combiners[sub], q[sub], total_power)
+        rates, q[sub], combiners[sub] = mmse_receiver(blocks[sub], step, noise_var)
+        coords[sub] = step
+        still = []
+        for member, rate in zip(live.tolist(), rates.tolist()):
+            trace = traces[member]
+            converged[member] = rate - trace[-1] <= tol * max(abs(trace[-1]), 1e-12)
+            trace.append(rate)
+            if not converged[member]:
+                still.append(member)
+        if not still:
+            break
+        live = np.array(still)
+    return [
+        BcdState(
+            precoder=basis @ coords[member] if len(trace) > 1 else start,
+            combiner=combiners[member],
+            auxiliary=q[member],
+            rate_trace=trace,
+            converged=converged[member],
+            n_iterations=len(trace),
+        )
+        for member, (basis, start, trace) in enumerate(zip(bases, starts, traces))
+    ]
+
+
+def bcd_solve_stack(
+    groups,
+    total_power: float,
+    noise_var: float,
+    init_precoders,
+    tol: float = 1e-4,
+    max_iters: int = 200,
+) -> list[BcdState]:
+    """Alternate receiver / weights / precoder on a stack of problems until each rate stalls.
+
+    groups is a sequence of GroupedChannels and init_precoders one
+    (L * M_t, N_s) start each; member i is solved from start i exactly as
+    bcd_solve would solve it alone, bit for bit, and its BcdState is
+    element i of the returned list. Members of equal coordinate and
+    stream counts (every block and array size of a fig4 trial) run as one
+    stack: each iteration makes one precoder_update and one mmse_receiver
+    call on the members that have not converged yet.
+
+    Each start is copied, its column count is the stream count, and a
+    start above the power budget is scaled onto it. A zero column stays
+    zero in every iterate, so BCD loads no stream its start does not, and
+    an all-zero start, a fixed point at rate 0, raises
+    ContractViolationError. A member converges when its fractional rate
+    increase drops below tol; its trace of per-iteration rates is
+    non-decreasing up to numerical slack. Whether a member converged or
+    stopped at max_iters, its precoder, combiner and weights are the ones
+    its rate_trace[-1] was evaluated at. A member whose step fails raises
+    for the whole call.
+    """
+    _checked_int(max_iters, "max_iters", 1)
+    _checked_positive(total_power, "total_power")
+    _checked_positive(noise_var, "noise_var")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ContractViolationError(f"tol must be finite and non-negative, got {tol!r}")
+    groups = list(groups)
+    init_precoders = list(init_precoders)
+    if not groups or len(init_precoders) != len(groups):
+        raise ContractViolationError("bcd_solve_stack needs one start per grouped channel")
+    starts = []
+    for grouped, init in zip(groups, init_precoders):
+        f_bar = np.array(init, dtype=np.complex128)
+        if f_bar.ndim != 2 or f_bar.shape[0] != grouped.blocks.shape[2] or not f_bar.size:
+            raise ContractViolationError("init_precoder must have shape (L * M_t, N_s), N_s >= 1")
+        if not np.all(np.isfinite(f_bar)):
+            raise ContractViolationError("init_precoder contains non-finite entries")
+        if not np.any(f_bar):
+            raise ContractViolationError("init_precoder is all zero, a fixed point at rate 0")
+        power = float(np.sum(np.abs(f_bar) ** 2))
+        if power > total_power * (1 + 1e-9):
+            f_bar = f_bar * math.sqrt(total_power / power)
+        starts.append(f_bar)
+    shapes: dict[tuple, list[int]] = {}
+    for member, (grouped, start) in enumerate(zip(groups, starts)):
+        key = (grouped.coordinates[1].shape, start.shape[1])
+        shapes.setdefault(key, []).append(member)
+    states = [None] * len(groups)
+    for members in shapes.values():
+        solved = _ascend(
+            [groups[m] for m in members],
+            [starts[m] for m in members],
+            total_power,
+            noise_var,
+            tol,
+            max_iters,
+        )
+        for member, state in zip(members, solved):
+            states[member] = state
+    return states
 
 
 def bcd_solve(
@@ -369,49 +537,12 @@ def bcd_solve(
     tol: float = 1e-4,
     max_iters: int = 200,
 ) -> BcdState:
-    """Alternate receiver / weights / precoder from init_precoder until the rate stalls.
+    """One problem of bcd_solve_stack, the stack of one grouped channel and its start.
 
-    init_precoder is the (L * M_t, N_s) start; it is copied, its column
-    count is the stream count, and a start above the power budget is
-    scaled onto it. A zero column stays zero in every iterate, so BCD
-    loads no stream its start does not, and an all-zero start, a fixed
-    point at rate 0, raises ContractViolationError. Convergence is
-    declared when the fractional rate increase drops below tol; the trace
-    of per-iteration rates is returned and is non-decreasing up to
-    numerical slack. Whether the solver converged or stopped at
-    max_iters, the returned precoder, combiner and weights are the ones
-    rate_trace[-1] was evaluated at.
+    init_precoder is the (L * M_t, N_s) start; see bcd_solve_stack for
+    the contract.
     """
-    _checked_int(max_iters, "max_iters", 1)
-    _checked_positive(total_power, "total_power")
-    _checked_positive(noise_var, "noise_var")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ContractViolationError(f"tol must be finite and non-negative, got {tol!r}")
-    f_bar = np.array(init_precoder, dtype=np.complex128)
-    if f_bar.ndim != 2 or f_bar.shape[0] != grouped.stacked_channel.shape[1] or not f_bar.size:
-        raise ContractViolationError("init_precoder must have shape (L * M_t, N_s), N_s >= 1")
-    if not np.all(np.isfinite(f_bar)):
-        raise ContractViolationError("init_precoder contains non-finite entries")
-    if not np.any(f_bar):
-        raise ContractViolationError("init_precoder is all zero, a fixed point at rate 0")
-    power = float(np.sum(np.abs(f_bar) ** 2))
-    if power > total_power * (1 + 1e-9):
-        f_bar = f_bar * math.sqrt(total_power / power)
-
-    # one mmse_receiver call per iterate; no step follows the last one rated
-    rate, q, combiner = mmse_receiver(grouped, f_bar, noise_var)
-    trace = [rate]
-    converged = False
-    while not converged and len(trace) < max_iters:
-        f_bar = precoder_update(grouped, combiner, q, total_power)
-        rate, q, combiner = mmse_receiver(grouped, f_bar, noise_var)
-        converged = rate - trace[-1] <= tol * max(abs(trace[-1]), 1e-12)
-        trace.append(rate)
-    return BcdState(
-        precoder=f_bar,
-        combiner=combiner,
-        auxiliary=q,
-        rate_trace=trace,
-        converged=converged,
-        n_iterations=len(trace),
+    [state] = bcd_solve_stack(
+        [grouped], total_power, noise_var, [init_precoder], tol, max_iters
     )
+    return state

@@ -385,13 +385,13 @@ def otfs_beam_opt(
     for _ in range(BEAM_OPT_MAX_ITERS):
         b_rows = np.einsum("r,lrt->lt", v.conj(), mats)        # row l = v^H H_l
         lam = b_rows.conj().T @ overlap @ b_rows
-        vals, vecs = eig_hermitian(lam)
+        [vals], [vecs] = eig_hermitian(lam[None])
         if vals[0] <= 0:
             break
         f = vecs[:, 0]
         c_cols = np.einsum("lrt,t->lr", mats, f)               # row l = H_l f
         gam = c_cols.T @ overlap @ c_cols.conj()
-        vals, vecs = eig_hermitian(gam)
+        [vals], [vecs] = eig_hermitian(gam[None])
         if vals[0] <= 0:
             break
         v = vecs[:, 0]

@@ -35,6 +35,7 @@ import numpy as np
 from .bcd import (
     _lag_models,
     bcd_solve,
+    bcd_solve_stack,
     colored_noise_rate,
     group_delay_differences,
 )
@@ -229,25 +230,28 @@ def _zf_start(design: DdamDesign, num_streams: int) -> np.ndarray:
 
 
 def _bcd_se(
-    realization: ChannelRealization,
+    realizations: list[ChannelRealization],
+    starts: list[np.ndarray],
     config: SystemConfig,
     timebase: Timebase,
     overhead: float,
-    start: np.ndarray,
-) -> float:
+) -> list[float]:
+    """BCD's SE of each realization from its start, its blocks' mean, from one stacked solve."""
+    blocks = _block_samples(timebase)
     # Hbar, and with it the ZF start, is the same in every block
-    rates = [
-        bcd_solve(
-            group_delay_differences(realization, timebase, block),
-            config.tx_power_watts,
-            config.noise_power_watts,
-            start,
-            tol=1e-4,
-            max_iters=60,
-        ).rate_trace[-1]
-        for block in _block_samples(timebase)
+    states = bcd_solve_stack(
+        [group_delay_differences(r, timebase, block) for r in realizations for block in blocks],
+        config.tx_power_watts,
+        config.noise_power_watts,
+        [start for start in starts for _ in blocks],
+        tol=1e-4,
+        max_iters=60,
+    )
+    rates = [state.rate_trace[-1] for state in states]
+    return [
+        float(np.mean(rates[i : i + len(blocks)])) * (1.0 - overhead)
+        for i in range(0, len(rates), len(blocks))
     ]
-    return float(np.mean(rates)) * (1.0 - overhead)
 
 
 def _ofdm_se(realization: ChannelRealization, config: SystemConfig) -> float:
@@ -410,26 +414,23 @@ def _se_vs_mt_trial(config: SystemConfig, rng: np.random.Generator) -> list:
     paths = generate_paths(config, rng)
     timebase = coherence_partition(config)
     overhead = _alignment_overhead(config, timebase)
-    records = []
-    for mt in TRANSMIT_ANTENNA_SWEEP:
-        cfg = replace(config, num_tx_antennas=mt)
-        realization = realize_channel(paths, cfg)
+    configs = [replace(config, num_tx_antennas=mt) for mt in TRANSMIT_ANTENNA_SWEEP]
+    realizations = [realize_channel(paths, cfg) for cfg in configs]
+    zf_rates, starts = [], []
+    for realization, cfg in zip(realizations, configs):
         design, zf_result = zf_design(
             realization, cfg.tx_power_watts, cfg.noise_power_watts, cfg.num_streams
         )
-        start = _zf_start(design, cfg.num_streams)
-        records.append(
-            ("ddam-zf", "mt", float(mt), "se_bps_hz", zf_result.rate_bps_hz * (1.0 - overhead))
-        )
-        records.append(
-            (
-                "ddam-bcd",
-                "mt",
-                float(mt),
-                "se_bps_hz",
-                _bcd_se(realization, cfg, timebase, overhead, start),
-            )
-        )
+        zf_rates.append(zf_result.rate_bps_hz * (1.0 - overhead))
+        starts.append(_zf_start(design, cfg.num_streams))
+    # every array size and block of the trial in one BCD solve
+    bcd_rates = _bcd_se(realizations, starts, config, timebase, overhead)
+    records = []
+    for mt, realization, cfg, zf_rate, bcd_rate in zip(
+        TRANSMIT_ANTENNA_SWEEP, realizations, configs, zf_rates, bcd_rates
+    ):
+        records.append(("ddam-zf", "mt", float(mt), "se_bps_hz", zf_rate))
+        records.append(("ddam-bcd", "mt", float(mt), "se_bps_hz", bcd_rate))
         records.append(("ofdm", "mt", float(mt), "se_bps_hz", _ofdm_se(realization, cfg)))
         records.append(
             (

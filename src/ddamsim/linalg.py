@@ -1,8 +1,8 @@
 """Thin wrappers around dense linear algebra with explicit tolerance contracts.
 
-as_complex_matrix and eig_hermitian take one 2-D matrix; svd_reduced and
-null_space_basis take a 3-D stack of matrices and factor it with one
-batched SVD. All refuse non-finite input.
+as_complex_matrix takes one 2-D matrix; svd_reduced, null_space_basis and
+eig_hermitian take a 3-D stack of matrices and factor it with one batched
+SVD or eigendecomposition. All refuse non-finite input.
 Rank decisions are always made relative to the largest singular value so
 the same tolerance works across scales.
 """
@@ -53,28 +53,33 @@ def svd_reduced(a):
 
 
 def eig_hermitian(a):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+    """Eigendecompositions of an (S, n, n) stack of Hermitian matrices, eigenvalues descending.
 
-    The input must be Hermitian within HERMITIAN_TOL (Frobenius norm of the
-    anti-Hermitian part, relative to the matrix norm with an absolute
-    floor of 1); it is symmetrized before factorization so the output is
-    exactly consistent with a Hermitian operator.
+    Returns the stacks vals (S, n) and vecs (S, n, n) from one batched
+    eigh, a[i] ~= vecs[i] @ diag(vals[i]) @ vecs[i].conj().T. Each matrix
+    must be Hermitian within HERMITIAN_TOL (Frobenius norm of its
+    anti-Hermitian part, relative to its norm with an absolute floor of
+    1); it is symmetrized before factorization so the output is exactly
+    consistent with a Hermitian operator.
     """
-    arr = as_complex_matrix(a)
-    if arr.shape[0] != arr.shape[1]:
-        raise ContractViolationError(f"expected square matrix, got {arr.shape}")
-    deviation = np.linalg.norm(arr - arr.conj().T)
-    if deviation > HERMITIAN_TOL * max(1.0, np.linalg.norm(arr)):
+    arr = np.asarray(a, dtype=np.complex128)
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+        raise ContractViolationError(f"expected an (S, n, n) stack, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ContractViolationError("matrix contains non-finite entries")
+    adjoint = arr.conj().swapaxes(1, 2)
+    deviation = np.linalg.norm(arr - adjoint, axis=(1, 2))
+    scale = np.maximum(1.0, np.linalg.norm(arr, axis=(1, 2)))
+    if np.any(deviation > HERMITIAN_TOL * scale):
         raise ContractViolationError(
-            f"matrix is not Hermitian within tolerance (deviation {deviation:.3e})"
+            f"matrix is not Hermitian within tolerance (deviation {deviation.max():.3e})"
         )
-    sym = 0.5 * (arr + arr.conj().T)
     try:
-        vals, vecs = np.linalg.eigh(sym)
+        vals, vecs = np.linalg.eigh(0.5 * (arr + adjoint))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
+    # eigh sorts ascending; copies keep the stacks contiguous for BLAS
+    return vals[:, ::-1].copy(), vecs[:, :, ::-1].copy()
 
 
 def null_space_basis(a):

@@ -2,17 +2,20 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/make_golden.py
+    PYTHONPATH=src python tests/make_golden.py [experiment ...]
 
-Each registered experiment runs serially at seed 0 with the small trial
-count below and its CSV is written to tests/golden/<experiment>.csv. A
-regeneration changes test data: state it, with the largest move per
-experiment, wherever the change is recorded.
+Each named experiment, or every registered one when none is named, runs
+serially at seed 0 with the small trial count below and its CSV is written
+to tests/golden/<experiment>.csv. Name only the goldens a change means to
+move: fig9's does not reproduce bit for bit. A regeneration changes test
+data: state it, with the largest move per experiment, wherever the change
+is recorded.
 """
 
 from __future__ import annotations
 
 import pathlib
+import sys
 
 from ddamsim.experiments import EXPERIMENTS, run_experiment
 
@@ -37,12 +40,15 @@ def golden_csv(name: str) -> str:
     return run.to_csv()
 
 
-def main() -> None:
+def main(names: list[str]) -> None:
+    unknown = sorted(set(names) - set(EXPERIMENTS))
+    if unknown:
+        raise SystemExit(f"unknown experiments {unknown}; known: {sorted(EXPERIMENTS)}")
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name in EXPERIMENTS:
+    for name in names or EXPERIMENTS:
         (GOLDEN_DIR / f"{name}.csv").write_text(golden_csv(name), encoding="utf-8")
         print(f"wrote {name}.csv")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -16,7 +16,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from ddamsim.bcd import GroupedChannels, _budgeted_precoder, colored_noise_rate
+from ddamsim.bcd import (
+    POWER_BISECT_REL_TOL,
+    GroupedChannels,
+    bcd_solve,
+    colored_noise_rate,
+    group_delay_differences,
+)
 from ddamsim.benchmarks import (
     OfdmResult,
     OtfsConfig,
@@ -45,6 +51,9 @@ from ddamsim.experiments import (
     TRANSMIT_ANTENNA_SWEEP,
     _alignment_overhead,
     _block_samples,
+    _ofdm_se,
+    _strongest_se,
+    _zf_start,
 )
 from ddamsim.linalg import eig_hermitian, null_space_basis, svd_reduced
 from ddamsim.metrics import (
@@ -151,18 +160,70 @@ def ddam_rx_analytic(
     return out
 
 
+def budgeted_precoder_bisect(
+    vals: np.ndarray, vecs: np.ndarray, proj: np.ndarray, total_power: float
+) -> np.ndarray:
+    """Fbar(beta) = vecs diag(1 / (vals + beta)) proj under the power budget, by bisection.
+
+    One member's version of the budget search in `bcd.precoder_update`:
+    beta = 0 (pseudo-inverse on the eigenvalues above 1e-13 of the
+    largest) if that fits the budget, otherwise beta is bisected until the
+    power is on the feasible side of the budget and within
+    POWER_BISECT_REL_TOL of it. The library takes safeguarded Newton steps
+    instead.
+    """
+    vals = np.maximum(vals.real, 0.0)
+    row_power = np.sum(np.abs(proj) ** 2, axis=1)
+    active = vals > vals.max() * 1e-13 if vals.size else np.zeros(0, bool)
+
+    def power_at(beta: float) -> float:
+        if beta == 0.0:
+            out = np.zeros_like(row_power)
+            out[active] = row_power[active] / (vals[active] ** 2)
+            return float(out.sum())
+        return float(np.sum(row_power / ((vals + beta) ** 2)))
+
+    def precoder_at(beta: float) -> np.ndarray:
+        if beta == 0.0:
+            scaled = np.zeros_like(proj)
+            scaled[active] = proj[active] / vals[active, None]
+            return vecs @ scaled
+        return vecs @ (proj / (vals + beta)[:, None])
+
+    if power_at(0.0) <= total_power:
+        return precoder_at(0.0)
+    lo, hi = 0.0, float(vals.sum()) / total_power + 1.0
+    guard = 0
+    while power_at(hi) > total_power:
+        hi *= 2.0
+        guard += 1
+        if guard > 200:
+            raise NumericalError("power bisection failed to bracket the budget")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        p = power_at(mid)
+        if p > total_power:
+            lo = mid
+        elif p >= (1.0 - POWER_BISECT_REL_TOL) * total_power:
+            return precoder_at(mid)
+        else:
+            hi = mid
+    raise NumericalError("power bisection did not converge")
+
+
 def precoder_update_dense(
     grouped: GroupedChannels,
     combiner: np.ndarray,
     auxiliary: np.ndarray,
     total_power: float,
 ) -> np.ndarray:
-    """Dense version of `bcd.precoder_update`.
+    """Dense, one-member version of `bcd.precoder_update`.
 
-    Forms the full (L*M_t) x (L*M_t) matrix `quad` and eigendecomposes it,
-    instead of working in the range of the stacked channel's adjoint. The
-    power-budget solve from the eigenpairs is the library's own, so a
-    comparison isolates the range reduction.
+    Forms the full (L*M_t) x (L*M_t) matrix `quad` block by block and
+    eigendecomposes it, instead of working in the coordinates of the
+    stacked channel's adjoint, and meets the budget by bisection
+    (`budgeted_precoder_bisect`) instead of Newton steps. Returns the
+    (L*M_t, N_s) precoder on the antennas.
     """
     if total_power <= 0:
         raise ContractViolationError("total_power must be positive")
@@ -177,8 +238,8 @@ def precoder_update_dense(
     rhs = h_bar.conj().T @ (w @ q)
     if not np.any(np.abs(rhs) > 0):
         return np.zeros((h_bar.shape[1], w.shape[1]), dtype=np.complex128)
-    vals, vecs = eig_hermitian(quad)
-    return _budgeted_precoder(vals, vecs, vecs.conj().T @ rhs, total_power)
+    [vals], [vecs] = eig_hermitian(quad[None])
+    return budgeted_precoder_bisect(vals, vecs, vecs.conj().T @ rhs, total_power)
 
 
 def path_zf_precoder_bases_dense(matrices: np.ndarray) -> list[np.ndarray]:
@@ -413,6 +474,45 @@ def imperfect_csi_trial_loop(config: SystemConfig, rng: np.random.Generator) -> 
                 _block_samples(timebase),
             )
             records.append((scheme, "mt", float(mt), "se_bps_hz", rate * (1.0 - overhead)))
+    return records
+
+
+def se_vs_mt_trial_loop(config: SystemConfig, rng: np.random.Generator) -> list:
+    """Per-solve version of one trial of `experiments._se_vs_mt_trial`.
+
+    Runs `bcd_solve` once per array size and coherence block, each a stack
+    of one, instead of the trial's one stacked BCD solve, and averages
+    each array size's blocks as the trial does.
+    """
+    paths = generate_paths(config, rng)
+    timebase = coherence_partition(config)
+    overhead = _alignment_overhead(config, timebase)
+    records = []
+    for mt in TRANSMIT_ANTENNA_SWEEP:
+        cfg = replace(config, num_tx_antennas=mt)
+        realization = realize_channel(paths, cfg)
+        design, zf_result = zf_design(
+            realization, cfg.tx_power_watts, cfg.noise_power_watts, cfg.num_streams
+        )
+        start = _zf_start(design, cfg.num_streams)
+        rates = [
+            bcd_solve(
+                group_delay_differences(realization, timebase, block),
+                cfg.tx_power_watts,
+                cfg.noise_power_watts,
+                start,
+                tol=1e-4,
+                max_iters=60,
+            ).rate_trace[-1]
+            for block in _block_samples(timebase)
+        ]
+        values = {
+            "ddam-zf": zf_result.rate_bps_hz * (1.0 - overhead),
+            "ddam-bcd": float(np.mean(rates)) * (1.0 - overhead),
+            "ofdm": _ofdm_se(realization, cfg),
+            "strongest-path": _strongest_se(realization, cfg, overhead),
+        }
+        records += [(scheme, "mt", float(mt), "se_bps_hz", v) for scheme, v in values.items()]
     return records
 
 

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from ddamsim import bcd
 from ddamsim.bcd import (
+    POWER_BISECT_REL_TOL,
     GroupedChannels,
+    _budgeted_coefficients,
     _lag_models,
     bcd_solve,
+    bcd_solve_stack,
     colored_noise_rate,
     group_delay_differences,
     mmse_receiver,
@@ -23,6 +26,7 @@ from ddamsim.errors import ContractViolationError, FeasibilityError, NumericalEr
 from ddamsim.experiments import _bcd_se, _zf_start
 from ddamsim.zf import zf_design, zf_spatial_design
 from oracles import (
+    budgeted_precoder_bisect,
     ddam_rate,
     grouped_blocks_loop,
     isi_covariance,
@@ -48,6 +52,19 @@ def _stack_zf_precoder(realization, cfg):
         cfg.num_streams,
     )
     return np.concatenate(per_path, axis=0), result
+
+
+def _receive(grouped, precoder, noise_var):
+    """mmse_receiver on the antennas, a stack of one: (rate, Q, W)."""
+    [rate], [q], [w] = mmse_receiver(grouped.blocks[None], precoder[None], noise_var)
+    return rate, q, w
+
+
+def _update(grouped, combiner, auxiliary, total_power):
+    """precoder_update in the grouped channel's coordinates, mapped to the antennas."""
+    basis, coords = grouped.coordinates
+    [x] = precoder_update(coords[None], combiner[None], auxiliary[None], total_power)
+    return basis @ x
 
 
 def _zf_bcd_start(realization, cfg):
@@ -224,7 +241,7 @@ def test_rate_of_zf_precoder_matches_capacity_result():
         rate = ddam_rate(grouped, f_stack, result.combiner, noise)
         assert rate == pytest.approx(result.rate_bps_hz, rel=1e-9), f"seed {10 + seed}"
         # the MMSE receiver attains the same mutual information
-        rate_mmse, _, w = mmse_receiver(grouped, f_stack, noise)
+        rate_mmse, _, w = _receive(grouped, f_stack, noise)
         assert rate_mmse == pytest.approx(result.rate_bps_hz, rel=1e-9)
         assert ddam_rate(grouped, f_stack, w, noise) == pytest.approx(rate_mmse, rel=1e-9)
 
@@ -332,8 +349,9 @@ ORACLE_CASES = [
 
 @pytest.mark.parametrize("num_tx,num_paths,num_rx,block_index", ORACLE_CASES)
 def test_precoder_update_matches_dense_oracle(num_tx, num_paths, num_rx, block_index):
-    # the low-rank update must return the precoder of the dense (L*M_t)^2
-    # eigendecomposition, in both the beta = 0 and the bisection branch
+    # the update in the coordinates of range(B^H) must return the precoder
+    # of the dense (L*M_t)^2 eigendecomposition with the bisected budget, in
+    # both the beta = 0 and the constrained branch
     num_streams = min(2, num_rx, num_tx)
     cfg, _, grouped, rng = _grouped_draw(
         [num_tx, num_paths, num_rx], num_tx, num_paths, num_rx, num_streams, block_index
@@ -344,20 +362,20 @@ def test_precoder_update_matches_dense_oracle(num_tx, num_paths, num_rx, block_i
     )
     start = raw * np.sqrt(cfg.tx_power_watts) / np.linalg.norm(raw)
     noise = cfg.noise_power_watts
-    _, q, w = mmse_receiver(grouped, start, noise)
+    _, q, w = _receive(grouped, start, noise)
 
     unconstrained = precoder_update_dense(grouped, w, q, 1e30)
-    assert _relative_error(precoder_update(grouped, w, q, 1e30), unconstrained) <= 1e-9
+    assert _relative_error(_update(grouped, w, q, 1e30), unconstrained) <= 1e-9
 
     budget = 0.25 * float(np.sum(np.abs(unconstrained) ** 2))
-    fast = precoder_update(grouped, w, q, budget)
+    fast = _update(grouped, w, q, budget)
     assert _relative_error(fast, precoder_update_dense(grouped, w, q, budget)) <= 1e-9
-    # the bisection meets the budget from below
+    # the Newton steps meet the budget from below
     power = float(np.sum(np.abs(fast) ** 2))
     assert budget * (1 - 2e-12) <= power <= budget * (1 + 1e-12)
 
     silent = np.zeros_like(w)
-    zero = precoder_update(grouped, silent, q, budget)
+    zero = _update(grouped, silent, q, budget)
     assert zero.shape == (dim, num_streams)
     assert np.array_equal(zero, precoder_update_dense(grouped, silent, q, budget))
 
@@ -386,15 +404,24 @@ def test_mmse_receiver_matches_direct_oracle(
     )
     precoder = raw * np.sqrt(cfg.tx_power_watts) / np.linalg.norm(raw)
     noise = cfg.noise_power_watts
-    rate, q, w = mmse_receiver(grouped, precoder, noise)
+    rate, q, w = _receive(grouped, precoder, noise)
     assert w.shape == (num_rx, num_streams)
     assert _relative_error(w, mmse_receiver_direct(grouped, precoder, noise)) <= 1e-10
     want_rate, want_q, _ = _rate_and_weights(grouped, precoder, noise)
     assert rate == pytest.approx(want_rate, rel=1e-12, abs=0.0)
     assert _relative_error(q, want_q) <= 1e-12
+    # in the coordinates of range(B^H), where BCD evaluates it, B F = R^H U^H F
+    basis, coords = grouped.coordinates
+    [coord_rate], _, [coord_w] = mmse_receiver(
+        coords[None], (basis.conj().T @ precoder)[None], noise
+    )
+    assert coord_rate == pytest.approx(want_rate, rel=1e-12, abs=0.0)
+    assert _relative_error(coord_w, w) <= 1e-10
 
 
-def _criterion_04_traces():
+def _criterion_04_traces(monkeypatch=None):
+    # with monkeypatch, every precoder step is the dense oracle's, mapped
+    # into the coordinates the solver iterates on
     cfg = SystemConfig(num_tx_antennas=16, num_rx_antennas=2, num_streams=2)
     cfg1 = SystemConfig(num_tx_antennas=16, num_rx_antennas=2, num_paths=1)
     runs = [(cfg, [4001, seed], 1e-3, 50) for seed in range(100)]
@@ -403,6 +430,14 @@ def _criterion_04_traces():
     for config, seed, tol, max_iters in runs:
         realization = realize_channel(generate_paths(config, np.random.default_rng(seed)), config)
         grouped = group_delay_differences(realization, coherence_partition(config), 0)
+        if monkeypatch is not None:
+            basis = grouped.coordinates[0]
+
+            def dense(blocks, combiners, auxiliaries, total_power, grouped=grouped, basis=basis):
+                [w], [q] = combiners, auxiliaries
+                return (basis.conj().T @ precoder_update_dense(grouped, w, q, total_power))[None]
+
+            monkeypatch.setattr(bcd, "precoder_update", dense)
         state = bcd_solve(
             grouped,
             config.tx_power_watts,
@@ -417,8 +452,7 @@ def _criterion_04_traces():
 
 def test_bcd_rate_traces_match_dense_precoder_update(monkeypatch):
     fast = _criterion_04_traces()
-    monkeypatch.setattr(bcd, "precoder_update", precoder_update_dense)
-    dense = _criterion_04_traces()
+    dense = _criterion_04_traces(monkeypatch)
     for index, (got, want) in enumerate(zip(fast, dense)):
         assert got.shape == want.shape, f"run {index}: trace lengths differ"
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), f"run {index}"
@@ -460,8 +494,8 @@ def test_bcd_trace_is_monotone_within_budget(
     f_bar = state.precoder
     rate, q, _ = _rate_and_weights(grouped, f_bar, noise)
     for step in range(5):
-        combiner = mmse_receiver(grouped, f_bar, noise)[2]
-        f_bar = precoder_update(grouped, combiner, q, budget)
+        combiner = _receive(grouped, f_bar, noise)[2]
+        f_bar = _update(grouped, combiner, q, budget)
         assert float(np.sum(np.abs(f_bar) ** 2)) <= budget * (1 + 1e-6)
         new_rate, q, _ = _rate_and_weights(grouped, f_bar, noise)
         assert new_rate >= rate - 1e-9 * max(1.0, abs(rate)), (
@@ -487,7 +521,7 @@ def test_bcd_state_at_max_iters_belongs_to_last_rate():
     assert rate == pytest.approx(state.rate_trace[-1], rel=1e-12, abs=0.0)
     assert np.allclose(state.auxiliary, q, rtol=1e-12, atol=0.0)
     assert np.allclose(
-        state.combiner, mmse_receiver(grouped, state.precoder, noise)[2], rtol=1e-12, atol=0.0
+        state.combiner, _receive(grouped, state.precoder, noise)[2], rtol=1e-12, atol=0.0
     )
 
 
@@ -545,12 +579,14 @@ def test_cached_factor_reproduces_the_stacked_blocks(
     blocks = np.vstack(list(grouped.blocks))
     assert np.array_equal(grouped.stacked_blocks, blocks)
     assert np.shares_memory(grouped.stacked_blocks, grouped.blocks)  # a view, no copy
-    basis, tri = grouped.adjoint_qr
-    assert grouped.adjoint_qr is grouped.adjoint_qr  # factored once
+    basis, coords = grouped.coordinates
+    assert grouped.coordinates is grouped.coordinates  # factored once
     width = basis.shape[1]
-    assert width == min(blocks.shape) == tri.shape[0]
+    assert width == min(blocks.shape) and coords.shape == (*grouped.blocks.shape[:2], width)
     assert np.linalg.norm(basis.conj().T @ basis - np.eye(width)) <= 1e-12
-    assert np.linalg.norm(basis @ tri - blocks.conj().T) <= 1e-12 * np.linalg.norm(blocks)
+    # B_k = (B_k U) U^H, as the rows of B lie in range(U)
+    rebuilt = coords.reshape(-1, width) @ basis.conj().T
+    assert np.linalg.norm(rebuilt - blocks) <= 1e-12 * np.linalg.norm(blocks)
 
 
 def test_grouped_channels_is_immutable():
@@ -649,10 +685,11 @@ def test_bcd_solve_rejects_bad_arguments_before_the_loop(bad, monkeypatch):
     with pytest.raises(ContractViolationError):
         bcd_solve(grouped, **kwargs)
     if "total_power" in bad:
-        # the precoder step checks its budget too: a NaN one would bisect
+        # the precoder step checks its budget too: a NaN one would search
         # into a NumericalError, an inf one return the unconstrained precoder
+        coords = grouped.coordinates[1][None]
         with pytest.raises(ContractViolationError):
-            precoder_update(grouped, np.ones((2, 2)), np.eye(2), bad["total_power"])
+            precoder_update(coords, np.ones((1, 2, 2)), np.eye(2)[None], bad["total_power"])
 
 
 def test_bcd_from_a_zf_design_without_streams_is_rejected():
@@ -668,7 +705,7 @@ def test_bcd_from_a_zf_design_without_streams_is_rejected():
     )
     assert result.n_active_streams == 0
     with pytest.raises(ContractViolationError, match="all zero"):
-        _bcd_se(realization, cfg, timebase, 0.0, _zf_start(design, cfg.num_streams))
+        _bcd_se([realization], [_zf_start(design, cfg.num_streams)], cfg, timebase, 0.0)
 
 
 def test_bcd_solve_accepts_numpy_integer_counts():
@@ -682,3 +719,132 @@ def test_bcd_solve_accepts_numpy_integer_counts():
         max_iters=np.int32(4),
     )
     assert 1 <= state.n_iterations <= 4
+
+
+def _random_unitary(rng, size):
+    raw = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    return np.linalg.qr(raw)[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 10),
+    num_streams=st.integers(1, 3),
+    scale=st.sampled_from([1e-20, 1.0, 1e15]),
+    spread_decades=st.floats(0.0, 12.0),
+    zero_count=st.integers(0, 3),
+    near_zero_count=st.integers(0, 2),
+    tiny_rows=st.lists(st.sampled_from([1e-12, 1e-30]), max_size=3),
+    budget_decades=st.floats(-12.0, 1.0),
+)
+@example(  # a budget just below the unconstrained power
+    seed=0, size=6, num_streams=2, scale=1.0, spread_decades=3.0, zero_count=0,
+    near_zero_count=0, tiny_rows=[], budget_decades=-1e-13,
+)
+@example(  # every eigenvalue zero: the pseudo-inverse loads nothing
+    seed=1, size=3, num_streams=1, scale=1.0, spread_decades=0.0, zero_count=3,
+    near_zero_count=0, tiny_rows=[], budget_decades=-3.0,
+)
+def test_budget_newton_steps_match_the_bisection_oracle(
+    seed, size, num_streams, scale, spread_decades, zero_count, near_zero_count,
+    tiny_rows, budget_decades,
+):
+    # eigenvalues over up to 12 decades, with exact zeros and ones below the
+    # 1e-13 activity threshold, right-hand-side rows scaled down to 1e-30 of
+    # the others (not all of them: the oracle's bisection starts from an
+    # interval far too wide for a power 1e-60 of its eigenvalues), and budgets from 1e-12 to 10 times the unconstrained power;
+    # the right-hand side scales with sqrt(eigenvalue), as in the BCD step
+    rng = np.random.default_rng(seed)
+    vals = scale * 10.0 ** (-spread_decades * rng.random(size))
+    vals[0] = scale
+    picks = rng.permutation(size)
+    vals[picks[:zero_count]] = 0.0
+    vals[picks[zero_count : zero_count + near_zero_count]] = scale * 1e-14
+    vals = np.sort(vals)[::-1].copy()
+    vecs = _random_unitary(rng, size)
+    proj = np.sqrt(scale) * (
+        rng.standard_normal((size, num_streams)) + 1j * rng.standard_normal((size, num_streams))
+    )
+    for row, factor in zip(rng.permutation(size)[1:], tiny_rows):  # one row stays whole
+        proj[row] *= factor
+    active = vals > vals.max() * 1e-13
+    unconstrained = float(np.sum(np.sum(np.abs(proj[active]) ** 2, axis=1) / vals[active] ** 2))
+    budget = unconstrained * 10.0**budget_decades if unconstrained else 1.0
+
+    got = vecs @ _budgeted_coefficients(vals[None], proj[None], budget)[0]
+    want = budgeted_precoder_bisect(vals, vecs, proj, budget)
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+    power = float(np.sum(np.abs(got) ** 2))
+    if unconstrained > budget:
+        assert (1.0 - POWER_BISECT_REL_TOL) * budget <= power <= budget
+    else:  # the pseudo-inverse, whose power is the unconstrained one up to rounding
+        assert power <= budget * (1.0 + 1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rx_streams=st.sampled_from([(1, 1), (2, 1), (2, 2), (4, 2)]),
+    num_paths=st.integers(1, 4),
+    members=st.lists(
+        st.tuples(st.sampled_from([2, 8, 16, 48]), st.integers(0, 20), st.booleans()),
+        min_size=2,
+        max_size=6,
+    ),
+)
+@example(  # fig4's mix: three array sizes, three blocks each, ZF and random starts
+    seed=7,
+    rx_streams=(2, 2),
+    num_paths=3,
+    members=[(mt, block, mt != 32) for mt in (16, 48, 8) for block in (0, 9, 19)],
+)
+def test_stacked_bcd_equals_stack_of_one_calls(seed, rx_streams, num_paths, members):
+    # each member of a mixed stack is solved exactly as alone: precoder,
+    # combiner, weights, trace and stopping state agree bit for bit, also
+    # where members converge at different iterations and where their
+    # coordinate counts differ (L M_t < K M_r splits the stack)
+    num_rx, num_streams = rx_streams
+    base = SystemConfig(num_rx_antennas=num_rx, num_paths=num_paths, num_streams=num_streams)
+    rng = np.random.default_rng(seed)
+    paths = generate_paths(base, rng)
+    timebase = coherence_partition(base)
+    groups, starts = [], []
+    for num_tx, block_index, zf_start in members:
+        cfg = replace(base, num_tx_antennas=num_tx)
+        realization = realize_channel(paths, cfg)
+        groups.append(group_delay_differences(realization, timebase, block_index))
+        if zf_start and num_tx >= num_paths * num_streams:
+            starts.append(_zf_bcd_start(realization, cfg))
+        else:
+            dim = num_paths * num_tx
+            raw = rng.standard_normal((dim, num_streams)) + 1j * rng.standard_normal(
+                (dim, num_streams)
+            )
+            starts.append(raw * np.sqrt(cfg.tx_power_watts) / np.linalg.norm(raw))
+    budget, noise = base.tx_power_watts, base.noise_power_watts
+    stacked = bcd_solve_stack(groups, budget, noise, starts, tol=1e-4, max_iters=40)
+    assert len(stacked) == len(members)
+    for grouped, start, state in zip(groups, starts, stacked):
+        alone = bcd_solve(grouped, budget, noise, start, tol=1e-4, max_iters=40)
+        assert state.rate_trace == alone.rate_trace
+        assert state.n_iterations == alone.n_iterations
+        assert state.converged == alone.converged
+        assert np.array_equal(state.precoder, alone.precoder)
+        assert np.array_equal(state.combiner, alone.combiner)
+        assert np.array_equal(state.auxiliary, alone.auxiliary)
+        # each member stops at its first iteration that meets the rule
+        trace = state.rate_trace
+        gained = [b - a > 1e-4 * max(abs(a), 1e-12) for a, b in zip(trace, trace[1:])]
+        assert all(gained[:-1])
+        assert state.converged == (not gained[-1])
+        assert state.converged or state.n_iterations == 40
+
+
+def test_bcd_solve_stack_needs_one_start_per_member():
+    cfg, realization, timebase, _ = _setup(9)
+    grouped = group_delay_differences(realization, timebase, 0)
+    start = _zf_bcd_start(realization, cfg)
+    for groups, starts in [([], []), ([grouped], []), ([grouped, grouped], [start])]:
+        with pytest.raises(ContractViolationError):
+            bcd_solve_stack(groups, cfg.tx_power_watts, cfg.noise_power_watts, starts)

@@ -35,6 +35,7 @@ from oracles import (
     lag_pairs_loop,
     mismatched_alignment_rate_loop,
     ofdm_papr_frame_loop,
+    se_vs_mt_trial_loop,
 )
 
 
@@ -796,6 +797,18 @@ def test_fig4_bcd_never_rates_below_its_trials_zf(config):
         for mt in experiments.TRANSMIT_ANTENNA_SWEEP:
             zf_rate = rates["ddam-zf", float(mt)]
             assert rates["ddam-bcd", float(mt)] >= zf_rate * (1 - 1e-9), (trial, mt)
+
+
+def test_fig4_trial_matches_per_solve_loop():
+    # the trial's one stacked BCD solve rates every array size and block as
+    # one bcd_solve each would
+    cfg = SystemConfig()
+    for seed in range(50):
+        got = experiments._se_vs_mt_trial(cfg, np.random.default_rng(seed))
+        want = se_vs_mt_trial_loop(cfg, np.random.default_rng(seed))
+        assert [r[:4] for r in got] == [r[:4] for r in want]
+        for record, expected in zip(got, want):
+            assert record[4] == pytest.approx(expected[4], rel=1e-12, abs=0), (seed, record[:3])
 
 
 @pytest.mark.parametrize("seed", [0, 3, 17, 2024])

@@ -12,6 +12,7 @@ import io
 
 import pytest
 
+import make_golden
 from ddamsim.experiments import EXPERIMENTS
 from make_golden import GOLDEN_DIR, GOLDEN_TRIALS, golden_csv
 
@@ -47,3 +48,18 @@ def test_seeded_run_matches_golden(name):
                 )
             else:
                 assert got_row[column] == value, (got_row, column)
+
+
+def test_make_golden_writes_only_the_named_goldens(tmp_path, monkeypatch):
+    monkeypatch.setattr(make_golden, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(make_golden, "golden_csv", lambda name: f"{name}\n")
+    make_golden.main(["fig4-se-vs-mt", "fig3-convergence"])
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "fig3-convergence.csv",
+        "fig4-se-vs-mt.csv",
+    ]
+    with pytest.raises(SystemExit):
+        make_golden.main(["fig3-convergence", "fig3"])
+    assert len(list(tmp_path.iterdir())) == 2  # nothing written for a bad name
+    make_golden.main([])
+    assert {path.stem for path in tmp_path.iterdir()} == set(EXPERIMENTS)

@@ -82,21 +82,30 @@ def test_svd_reduced_rejects_empty():
 
 def test_eig_hermitian_decomposition():
     rng = np.random.default_rng(2)
-    for _ in range(20):
-        b = _random_complex(rng, (5, 5))
-        a = b + b.conj().T
-        vals, vecs = eig_hermitian(a)
-        assert np.all(np.diff(vals) <= 1e-12), "eigenvalues must be descending"
-        assert np.max(np.abs(a @ vecs - vecs * vals[None, :])) <= 1e-10
-        assert np.allclose(vecs.conj().T @ vecs, np.eye(5), atol=1e-10)
+    b = _random_complex(rng, (20, 5, 5))
+    stack = b + b.conj().swapaxes(1, 2)
+    vals, vecs = eig_hermitian(stack)
+    assert vals.shape == (20, 5) and vecs.shape == (20, 5, 5)
+    for a, vals_i, vecs_i in zip(stack, vals, vecs):
+        assert np.all(np.diff(vals_i) <= 1e-12), "eigenvalues must be descending"
+        assert np.max(np.abs(a @ vecs_i - vecs_i * vals_i[None, :])) <= 1e-10
+        assert np.allclose(vecs_i.conj().T @ vecs_i, np.eye(5), atol=1e-10)
+        # each member is its stack-of-one call
+        [want_vals], [want_vecs] = eig_hermitian(a[None])
+        assert np.array_equal(vals_i, want_vals) and np.array_equal(vecs_i, want_vecs)
 
 
 def test_eig_hermitian_rejects_non_hermitian():
+    # one non-Hermitian member fails the whole stack
     a = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=np.complex128)
     with pytest.raises(ContractViolationError):
-        eig_hermitian(a)
+        eig_hermitian(np.stack([np.eye(2), a]))
     with pytest.raises(ContractViolationError):
-        eig_hermitian(np.zeros((2, 3)))
+        eig_hermitian(np.zeros((1, 2, 3)))
+    with pytest.raises(ContractViolationError):
+        eig_hermitian(np.eye(2))  # a matrix, not a stack
+    with pytest.raises(ContractViolationError):
+        eig_hermitian(np.full((1, 2, 2), np.nan))
 
 
 def test_null_space_basis_contract():
