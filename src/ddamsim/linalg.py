@@ -2,7 +2,9 @@
 
 as_complex_matrix takes one 2-D matrix; svd_reduced, null_space_basis and
 eig_hermitian take a 3-D stack of matrices and factor it with one batched
-SVD or eigendecomposition. All refuse non-finite input.
+SVD or eigendecomposition into stacks whose shapes depend on the input's
+shape alone: svd_reduced and null_space_basis mark each matrix's rank by
+zeroed singular values or basis columns. All refuse non-finite input.
 Rank decisions are always made relative to the largest singular value so
 the same tolerance works across scales.
 """
@@ -85,9 +87,11 @@ def eig_hermitian(a):
 def null_space_basis(a):
     """Orthonormal bases of the orthogonal complements of an (S, n, k) stack's columns.
 
-    Returns the list of the S bases b_i, from one batched SVD, with
-    a[i].conj().T @ b_i == 0 and b_i.conj().T @ b_i == I; b_i has n minus
-    the numerical rank of a[i] at RANK_TOL columns.
+    Returns one (S, n, n) stack b from one batched SVD: the left singular
+    vectors of each a[i], with the first rank(a[i]) columns (those spanning
+    a[i]'s range, rank taken at RANK_TOL) set to 0. So a[i].conj().T @ b[i]
+    == 0, and the nonzero columns of b[i] are orthonormal, n - rank(a[i])
+    of them. With k = 0 every b[i] is the identity.
     """
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 3:
@@ -96,10 +100,10 @@ def null_space_basis(a):
         raise ContractViolationError("matrix contains non-finite entries")
     count, rows, cols = arr.shape
     if cols == 0:
-        return [np.eye(rows, dtype=np.complex128) for _ in range(count)]
+        return np.tile(np.eye(rows, dtype=np.complex128), (count, 1, 1))
     try:
         u, s, _ = np.linalg.svd(arr, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
     ranks = np.count_nonzero(s > RANK_TOL * s[:, :1], axis=1)
-    return [u_i[:, rank:] for u_i, rank in zip(u, ranks.tolist())]
+    return np.where(np.arange(rows) < ranks[:, None, None], 0.0, u)

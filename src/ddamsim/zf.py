@@ -104,7 +104,7 @@ class ZfCapacityResult:
     """SVD + water-filling solution over the interference-free channel."""
 
     combiner: np.ndarray           # M_r x n_active
-    stacked_precoder: np.ndarray   # r_sum x n_active
+    stacked_precoder: np.ndarray   # (L * basis width) x n_active, in path order
     rate_bps_hz: float
     mode_powers: np.ndarray        # water-filling powers, length n_active
     mode_gains: np.ndarray         # squared singular values, length n_active
@@ -135,9 +135,7 @@ def zf_feasibility(num_tx: int, num_rx: int, num_streams: int, num_paths: int) -
     return ZfFeasibility(verdict, num_equations, num_variables)
 
 
-def path_zf_precoder_bases(
-    matrices: np.ndarray,
-) -> list[tuple[list[int], list[tuple[slice, np.ndarray]]]]:
+def path_zf_precoder_bases(matrices: np.ndarray) -> np.ndarray:
     """Orthonormal bases of the reachable per-path interference-free subspaces.
 
     matrices is an (S, L, M_r, M_t) stack of S realizations' path channels.
@@ -150,21 +148,16 @@ def path_zf_precoder_bases(
     unchanged.
 
     One batched thin QR of the stacked adjoints [H_1^H, ..., H_L^H] = Q R
-    gives an orthonormal Q with at most L * M_r columns per realization;
-    each null space is taken of R's other-path column blocks in those
-    coordinates and mapped back by Q, so the cost does not grow with M_t.
-    The S * L null spaces come from one batched SVD. With a single path
-    there is nothing to null and B_0 = Q.
+    gives an orthonormal Q with n = min(M_t, L * M_r) columns per
+    realization; each null space is taken of R's other-path column blocks
+    in those coordinates and mapped back by Q, so the cost does not grow
+    with M_t. The S * L null spaces come from one batched SVD. With a
+    single path there is nothing to null and B_0 = Q.
 
-    Realizations whose L bases have the same widths are returned together,
-    as (members, bases) groups: members lists their indices into the stack
-    in order, and bases holds their B_l in runs of consecutive paths, each
-    run a (paths, B) pair of a slice of path indices and the
-    (S_g, paths in the run, M_t, r) array of their bases. When every
-    path's basis has the same width r (any draw in general position) one
-    run holds all L paths; otherwise each path is a run of its own. A
-    realization in which some path keeps no direction raises
-    FeasibilityError.
+    Returns the (S, L, M_t, n) stack of the B_l, each padded to n columns
+    with zero columns (see null_space_basis), so the shapes depend on the
+    input's shape alone. A realization in which some path keeps no
+    direction raises FeasibilityError.
     """
     count, num_paths, num_rx, num_tx = matrices.shape
     # realization s's [H_1^H, ..., H_L^H], shape (M_t, L * M_r)
@@ -175,32 +168,13 @@ def path_zf_precoder_bases(
     other_paths = np.nonzero(~np.eye(num_paths, dtype=bool))[1].reshape(num_paths, -1)
     others = tri[:, :, cols[other_paths].reshape(num_paths, -1)].transpose(0, 2, 1, 3)
     reduced = null_space_basis(others.reshape(count * num_paths, *others.shape[2:]))
-    coords = [reduced[s * num_paths : (s + 1) * num_paths] for s in range(count)]
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for s, paths in enumerate(coords):
-        widths = tuple(c.shape[1] for c in paths)
-        if 0 in widths:
-            raise FeasibilityError(
-                f"path {widths.index(0)}: no interference-free transmit directions left "
-                f"(M_t = {num_tx}, L = {num_paths})"
-            )
-        groups.setdefault(widths, []).append(s)
-    out = []
-    for widths, members in groups.items():
-        if len(set(widths)) == 1:
-            runs = [slice(0, num_paths)]
-        else:
-            runs = [slice(l, l + 1) for l in range(num_paths)]
-        q = _rows(basis, members)[:, None]
-        out.append(
-            (members, [(run, q @ np.array([coords[s][run] for s in members])) for run in runs])
+    empty = ~reduced.any(axis=(1, 2))
+    if empty.any():
+        raise FeasibilityError(
+            f"path {empty.argmax() % num_paths}: no interference-free transmit directions "
+            f"left (M_t = {num_tx}, L = {num_paths})"
         )
-    return out
-
-
-def _rows(stack: np.ndarray, members: list[int] | np.ndarray) -> np.ndarray:
-    """stack[members] for ascending members, without a copy when that is all of it."""
-    return stack if len(members) == len(stack) else stack[members]
+    return basis[:, None] @ reduced.reshape(count, num_paths, *reduced.shape[1:])
 
 
 def zf_spatial_design(
@@ -210,47 +184,39 @@ def zf_spatial_design(
 
     Pure spatial solution (no delay/Doppler bookkeeping): nulling bases,
     aligned effective channel, SVD and water-filling, then the stacked
-    solution split back into the (L, M_t, n_active) stack of the F_l
+    solution mapped back to the (L, M_t, n_active) stack of the F_l = B_l X_l
     (n_active = 0 when no stream survives). The bases span only the
     reachable part of each null space (see path_zf_precoder_bases), so the
-    effective channel has at most L * (L * M_r) columns whatever M_t is;
+    effective channel has L * min(M_t, L * M_r) columns, not L * M_t;
     the precoders equal those over the full null spaces up to one phase per
     stream, which leaves the rate, mode gains and F F^H unchanged.
 
-    Returns the S (precoders, result) pairs in a list. The stack's bases,
-    effective channels, silent-channel checks, SVDs, water-filling and
-    splits are batched over the realizations that share basis widths and
-    stream counts. Every member equals its own stack-of-one call exactly.
+    Returns the S (precoders, result) pairs in a list. The whole stack
+    shares one set of bases, effective channels, SVDs, water-filling and
+    map back, all of shapes set by the input's shape alone (the bases'
+    zero columns carry no stream), so every member equals its own
+    stack-of-one call exactly.
     """
     stack = np.asarray(matrices, dtype=np.complex128)
     if stack.ndim != 4:
         raise ContractViolationError("matrices must be an (S, L, M_r, M_t) stack")
-    designs: list = [None] * len(stack)
-    for members, bases in path_zf_precoder_bases(stack):
-        chans = _rows(stack, members)
-        # every H_l B_l side by side, in path order
-        h_eff = np.concatenate(
-            [
-                (chans[:, paths] @ b).swapaxes(1, 2).reshape(len(members), chans.shape[2], -1)
-                for paths, b in bases
-            ],
-            axis=-1,
-        )
-        # only rounding residue survived the nulling (every path shares its
-        # signature with another, or is silent): no stream, no power
-        residue = np.linalg.norm(h_eff.reshape(len(members), -1), axis=1)
-        scale = np.linalg.norm(chans.reshape(len(members), -1), axis=1)
-        h_eff[residue <= RANK_TOL * scale] = 0.0
-        results = zf_capacity_design(h_eff, total_power, noise_var, num_streams)
-        by_streams: dict[int, list[int]] = {}
-        for i, result in enumerate(results):
-            by_streams.setdefault(result.n_active_streams, []).append(i)
-        for part in by_streams.values():
-            stacked = np.array([results[i].stacked_precoder for i in part])
-            precoders = split_stacked_precoder([_rows(b, part) for _, b in bases], stacked)
-            for i, precoder in zip(part, precoders):
-                designs[members[i]] = (precoder, results[i])
-    return designs
+    count, num_paths, num_rx, _ = stack.shape
+    bases = path_zf_precoder_bases(stack)
+    # every H_l B_l side by side, in path order
+    h_eff = (stack @ bases).swapaxes(1, 2).reshape(count, num_rx, -1)
+    # only rounding residue survived the nulling (every path shares its
+    # signature with another, or is silent): no stream, no power
+    residue = np.linalg.norm(h_eff.reshape(count, -1), axis=1)
+    scale = np.linalg.norm(stack.reshape(count, -1), axis=1)
+    h_eff[residue <= RANK_TOL * scale] = 0.0
+    results = zf_capacity_design(h_eff, total_power, noise_var, num_streams)
+    # every member's solution padded to the stack's stream width
+    width = min(num_rx, h_eff.shape[2], num_streams)
+    stacked = np.zeros((count, h_eff.shape[2], width), dtype=np.complex128)
+    for x, result in zip(stacked, results):
+        x[:, : result.n_active_streams] = result.stacked_precoder
+    precoders = bases @ stacked.reshape(count, num_paths, bases.shape[3], -1)
+    return [(f[..., : r.n_active_streams], r) for f, r in zip(precoders, results)]
 
 
 def water_filling(mode_gains: np.ndarray, total_power: float, noise_var: float) -> np.ndarray:
@@ -265,8 +231,10 @@ def water_filling(mode_gains: np.ndarray, total_power: float, noise_var: float) 
     it does not cancel when the floors dwarf the budget; a lone active mode
     gets exactly total_power. Modes with non-positive gain receive zero power.
 
-    Returns the (S, K) powers. The rows are solved together, grouped by
-    their counts of positive gains and of active modes, and each equals its
+    Returns the (S, K) powers, all rows solved in one pass: a
+    non-positive gain's floor is +inf, so it sorts last and is never
+    active, and every row's sums run over all K modes with the inactive
+    terms masked to 0. Shapes depend on K alone, so each row equals its
     stack-of-one call bit for bit. A non-finite or non-positive power or
     noise raises ContractViolationError.
     """
@@ -276,29 +244,25 @@ def water_filling(mode_gains: np.ndarray, total_power: float, noise_var: float) 
     _checked_positive(total_power, "total_power")
     _checked_positive(noise_var, "noise_var")
     positive = stack > 0
-    counts = positive.sum(axis=1)
-    if not counts.all():
+    if not positive.any(axis=1).all():
         raise ContractViolationError("water_filling needs at least one positive gain")
+    # each row's floors ascending, ties in mode order; the +inf ones last
+    floors = np.full_like(stack, np.inf)
+    np.divide(noise_var, stack, out=floors, where=positive)
+    order = floors.argsort(axis=1, kind="stable")
+    floors = np.take_along_axis(floors, order, axis=1)
+    finite = np.isfinite(floors)
+    held = np.where(finite, floors, 0.0)
+    gaps = held[:, :, None] - held[:, None, :]              # f_i - f_j
+    # budget that lifts every lower floor to floor k: the row sums of the
+    # non-negative gaps f_k - f_j over finite f_j, with ascending floors
+    # those of the j <= k; non-decreasing in k
+    reach = np.where(finite[:, None, :], np.maximum(gaps, 0.0), 0.0).sum(axis=2)
+    active = ((reach < total_power) & finite).sum(axis=1)[:, None]
+    lower = np.arange(stack.shape[1]) < active             # the n lowest floors
+    share = (total_power - np.where(lower[:, None, :], gaps, 0.0).sum(axis=2)) / active
     powers = np.zeros_like(stack)
-    for count in set(counts.tolist()):
-        rows = (counts == count).nonzero()[0]
-        pick = np.arange(len(rows))[:, None]
-        # each row's positive modes in index order, then by floor (stable)
-        modes = _rows(positive, rows).nonzero()[1].reshape(len(rows), count)
-        floors = noise_var / _rows(stack, rows)[pick, modes]
-        order = floors.argsort(axis=1, kind="stable")
-        modes, floors = modes[pick, order], floors[pick, order]
-        gaps = floors[:, :, None] - floors[:, None, :]          # f_i - f_j
-        # budget that lifts every lower floor to floor k: the row sums of the
-        # non-negative gaps f_k - f_j, with ascending floors those of the
-        # j <= k; non-decreasing in k
-        reach = np.maximum(gaps, 0.0).sum(axis=2)
-        active = (reach < total_power).sum(axis=1)
-        for n in set(active.tolist()):
-            part = (active == n).nonzero()[0]
-            powers[_rows(rows, part)[:, None], _rows(modes, part)[:, :n]] = (
-                total_power - _rows(gaps, part)[:, :n, :n].sum(axis=2)
-            ) / n
+    np.put_along_axis(powers, order, np.where(lower, share, 0.0), axis=1)
     for total in powers.sum(axis=1).tolist():
         if not math.isclose(total, total_power, rel_tol=POWER_MATCH_REL_TOL):
             raise NumericalError(
@@ -351,27 +315,6 @@ def zf_capacity_design(
         )
         for i, (n, rate) in enumerate(zip(streams.tolist(), rates))
     ]
-
-
-def split_stacked_precoder(
-    bases: list[np.ndarray], stacked_precoder: np.ndarray
-) -> np.ndarray:
-    """Map stacked solutions back to the per-path precoders F_l = B_l X_l.
-
-    bases are one path_zf_precoder_bases group's runs, (S, P, M_t, r)
-    each, and stacked_precoder the (S, sum P * r, N_s) stack of the
-    group's solutions; returns the (S, L, M_t, N_s) precoders.
-    """
-    count, rows, num_streams = stacked_precoder.shape
-    if rows != sum(b.shape[1] * b.shape[3] for b in bases):
-        raise ContractViolationError("stacked precoder rows do not match basis sizes")
-    parts, start = [], 0
-    for b in bases:
-        _, paths, _, width = b.shape
-        block = stacked_precoder[:, start : start + paths * width]
-        parts.append(b @ block.reshape(count, paths, width, num_streams))
-        start += paths * width
-    return np.concatenate(parts, axis=1)
 
 
 def zf_design(

@@ -242,37 +242,40 @@ def precoder_update_dense(
     return budgeted_precoder_bisect(vals, vecs, vecs.conj().T @ rhs, total_power)
 
 
-def path_zf_precoder_bases_dense(matrices: np.ndarray) -> list[np.ndarray]:
+def path_zf_precoder_bases_dense(matrices: np.ndarray) -> np.ndarray:
     """Dense version of `zf.path_zf_precoder_bases`.
 
     bases[l] spans the full orthogonal complement of the column space of
     [H_1^H, ..., H_{l-1}^H, H_{l+1}^H, ..., H_L^H], from one M_t x M_t SVD
     per path, instead of its part inside the channels' joint row space.
-    With a single path the full identity basis is returned.
+    Returns the (L, M_t, M_t) stack of the bases, each padded with zero
+    columns as null_space_basis pads them. With a single path the full
+    identity basis is returned.
     """
     num_paths, _, num_tx = matrices.shape
     if num_paths == 1:
-        return [np.eye(num_tx, dtype=np.complex128)]
+        return np.eye(num_tx, dtype=np.complex128)[None]
     bases = []
     for l in range(num_paths):
         others = [matrices[k].conj().T for k in range(num_paths) if k != l]
         stack = np.concatenate(others, axis=1)
         [basis] = null_space_basis(stack[None])
-        if basis.shape[1] == 0:
+        if not basis.any():
             raise FeasibilityError(
                 f"path {l}: no interference-free transmit directions left "
                 f"(M_t = {num_tx}, L = {num_paths})"
             )
         bases.append(basis)
-    return bases
+    return np.array(bases)
 
 
-def path_zf_precoder_bases_loop(matrices: np.ndarray) -> list[np.ndarray]:
+def path_zf_precoder_bases_loop(matrices: np.ndarray) -> np.ndarray:
     """Per-path loop version of `zf.path_zf_precoder_bases`.
 
     Same thin QR of the stacked adjoint, but each path's other-path block
     of R is cut out with np.delete and given its own null_space_basis call
-    (a stack of one) instead of one batched SVD over all L blocks.
+    (a stack of one) instead of one batched SVD over all L blocks. Returns
+    the (L, M_t, n) stack of the padded bases, n = min(M_t, L * M_r).
     """
     num_paths, num_rx, num_tx = matrices.shape
     basis, tri = np.linalg.qr(np.concatenate(matrices.conj().transpose(0, 2, 1), axis=1))
@@ -280,13 +283,13 @@ def path_zf_precoder_bases_loop(matrices: np.ndarray) -> list[np.ndarray]:
     for l in range(num_paths):
         others = np.delete(tri, np.s_[l * num_rx : (l + 1) * num_rx], axis=1)
         [reduced] = null_space_basis(others[None])
-        if reduced.shape[1] == 0:
+        if not reduced.any():
             raise FeasibilityError(
                 f"path {l}: no interference-free transmit directions left "
                 f"(M_t = {num_tx}, L = {num_paths})"
             )
         bases.append(basis @ reduced)
-    return bases
+    return np.array(bases)
 
 
 def zf_pair_witness(

@@ -108,14 +108,19 @@ def test_eig_hermitian_rejects_non_hermitian():
         eig_hermitian(np.full((1, 2, 2), np.nan))
 
 
+def _nonzero_columns(b):
+    return b[:, np.abs(b).sum(axis=0) > 0]
+
+
 def test_null_space_basis_contract():
     rng = np.random.default_rng(4)
     for _ in range(20):
         a = _random_complex(rng, (6, 3))
         [b] = null_space_basis(a[None])
-        assert b.shape == (6, 3), "rows minus rank columns expected"
+        assert b.shape == (6, 6), "one column per row, the range columns zeroed"
+        assert np.array_equal(b[:, :3], np.zeros((6, 3))), "rank columns zeroed first"
         assert np.max(np.abs(a.conj().T @ b)) <= 1e-12 * np.linalg.norm(a)
-        assert np.allclose(b.conj().T @ b, np.eye(3), atol=1e-12)
+        assert np.allclose(b[:, 3:].conj().T @ b[:, 3:], np.eye(3), atol=1e-12)
 
 
 def test_null_space_basis_rank_deficient_input():
@@ -123,7 +128,8 @@ def test_null_space_basis_rank_deficient_input():
     col = _random_complex(rng, (5, 1))
     a = np.concatenate([col, 2.0 * col, -1j * col], axis=1)  # rank 1
     [b] = null_space_basis(a[None])
-    assert b.shape == (5, 4)
+    assert b.shape == (5, 5)
+    assert _nonzero_columns(b).shape == (5, 4)
     assert np.max(np.abs(a.conj().T @ b)) <= 1e-12 * np.linalg.norm(a)
 
 
@@ -133,7 +139,8 @@ def test_null_space_basis_empty_input_is_identity():
 
 
 def test_null_space_basis_stack_matches_per_matrix_calls():
-    # full-rank, rank-deficient and all-zero matrices: the bases differ in width
+    # full-rank, rank-deficient and all-zero matrices: the bases differ in
+    # width, and each is padded with zero columns to one shape
     rng = np.random.default_rng(6)
     col = _random_complex(rng, (5, 1))
     stack = np.stack(
@@ -144,14 +151,15 @@ def test_null_space_basis_stack_matches_per_matrix_calls():
         ]
     )
     bases = null_space_basis(stack)
-    assert [b.shape[1] for b in bases] == [2, 4, 5]
+    assert bases.shape == (3, 5, 5)
+    assert [_nonzero_columns(b).shape[1] for b in bases] == [2, 4, 5]
     for a, b in zip(stack, bases):
         assert np.array_equal(b, null_space_basis(a[None])[0])
 
 
 def test_null_space_basis_stack_contracts():
     empty = null_space_basis(np.zeros((2, 4, 0)))
-    assert len(empty) == 2
+    assert empty.shape == (2, 4, 4)
     assert all(np.array_equal(b, np.eye(4, dtype=np.complex128)) for b in empty)
     with pytest.raises(ContractViolationError):
         null_space_basis(np.zeros((1, 2, 3, 4)))

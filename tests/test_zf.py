@@ -23,7 +23,6 @@ from ddamsim.zf import (
     FeasibilityVerdict,
     build_ddam_tx,
     residual_isi_power,
-    split_stacked_precoder,
     water_filling,
     zf_design,
     zf_feasibility,
@@ -373,16 +372,6 @@ def test_zf_design_rejects_a_stream_count_that_is_not_a_positive_integer(bad):
         zf_design(realization, 1.0, cfg.noise_power_watts, bad)
 
 
-def test_split_stacked_precoder_round_trip():
-    cfg = SystemConfig(num_tx_antennas=8, num_rx_antennas=2, num_streams=2)
-    realization, _ = _random_realization(cfg, 13)
-    design, result = zf_design(realization, 1.0, cfg.noise_power_watts, 2)
-    [(_, runs)] = zf.path_zf_precoder_bases(realization.matrices[None])
-    parts = split_stacked_precoder([b for _, b in runs], result.stacked_precoder[None])
-    # the design holds the spatial precoders as they are
-    assert np.array_equal(parts[0], design.precoders)
-
-
 def test_ddam_design_validation():
     precoders = np.zeros((2, 4, 1), dtype=np.complex128)
     combiner = np.zeros((2, 1), dtype=np.complex128)
@@ -509,9 +498,8 @@ def test_zf_design_rejects_realizations_of_different_shapes():
 
 
 def _dense_bases(stack):
-    # the dense oracle's bases of a one-realization stack, one run per path
-    bases = path_zf_precoder_bases_dense(stack[0])
-    return [([0], [(slice(l, l + 1), b[None, None]) for l, b in enumerate(bases)])]
+    # the dense oracle's bases of a one-realization stack, padded to M_t columns
+    return path_zf_precoder_bases_dense(stack[0])[None]
 
 
 def _dense_spatial_design(*args):
@@ -563,11 +551,8 @@ def test_batched_null_spaces_equal_per_path_loop(kind, seed, num_tx, num_paths, 
         with pytest.raises(FeasibilityError):
             zf.path_zf_precoder_bases(mats[None])
         return
-    [(_, runs)] = zf.path_zf_precoder_bases(mats[None])
-    got = [basis for _, b in runs for basis in b[0]]
-    assert len(got) == len(want)
-    for b_got, b_want in zip(got, want):
-        assert np.array_equal(b_got, b_want)
+    [got] = zf.path_zf_precoder_bases(mats[None])
+    assert np.array_equal(got, want)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
