@@ -43,15 +43,17 @@ The precoder step's power budget is met by safeguarded Newton steps on
 steps where a bisection took dozens.
 
 bcd_solve_stack is the one BCD loop, on a stack of problems; bcd_solve is
-its stack of one. Problems with equal coordinate and stream counts run as
-one stack, and each iteration makes one precoder_update and one
+its stack of one. The coordinates are zero-padded to K' = L (L - 1) + 1
+offsets and K' M_r coordinates, shapes set by L and M_r alone, so
+problems that share L, M_r and N_s run as one stack whatever their array
+sizes or offset counts. Each iteration makes one precoder_update and one
 mmse_receiver call on the members that have not converged yet, each
-member keeping its own convergence test and trace. All the array sizes and
-coherence blocks of a fig4 trial share n = K * M_r, so experiments solves
-a fig4 trial in one call. fig3 still makes one bcd_solve call per trial:
-perfbench's traced runs read n_iterations from every result returned
-through experiments.bcd_solve, so that name must keep returning one
-BcdState, and stacking a fig3 chunk waits for a change to the benchmark.
+member keeping its own convergence test and trace, so experiments solves
+a fig4 trial's array sizes and coherence blocks in one call. fig3 still
+makes one bcd_solve call per trial: perfbench's traced runs read
+n_iterations from every result returned through experiments.bcd_solve,
+so that name must keep returning one BcdState, and stacking a fig3 chunk
+waits for a change to the benchmark.
 
 bcd_solve refines the start its caller passes and nothing else. Started
 from the zero-forcing design, the ascent can never end below the ZF rate;
@@ -100,6 +102,8 @@ class GroupedChannels:
             raise ContractViolationError("blocks must have shape (K, M_r, L * M_t)")
         if offsets[:1] != (0,) or not len(set(offsets)) == len(offsets) == len(blocks):
             raise ContractViolationError("offsets must be distinct, one per block, 0 first")
+        if len(offsets) > self.num_paths * (self.num_paths - 1) + 1:
+            raise ContractViolationError("L branches make at most L (L - 1) + 1 offsets")
 
     @property
     def stacked_channel(self) -> np.ndarray:
@@ -117,16 +121,28 @@ class GroupedChannels:
 
     @cached_property
     def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
-        """U and the blocks B_k U, shape (K, M_r, n), from the thin QR B^H = U R.
+        """U and the blocks B_k U from the thin QR B^H = U R, zero-padded to fixed shapes.
 
-        U is the (L * M_t, n) orthonormal basis of range(B^H), n =
-        min(K * M_r, L * M_t), and B_k U = R^H's row block k. For F = U X,
-        B F = R^H X and ||F|| = ||X||, so BCD iterates on the n x N_s
-        coordinates X whatever the array size.
+        U is the orthonormal basis of range(B^H), whose n = min(K * M_r,
+        L * M_t) columns are followed by zero columns up to K' * M_r, K' =
+        L (L - 1) + 1 the most offsets a lag model of L branches has. B_k U
+        is R^H's row block k with the same zero columns, followed by zero
+        blocks up to K'. So U has shape (L * M_t, K' M_r) and the blocks
+        (K', M_r, K' M_r), shapes set by L, M_r and M_t alone. For F = U X,
+        B F = R^H X and ||F|| = ||X|| on the nonzero coordinates, so BCD
+        iterates on the K' M_r x N_s coordinates X whatever the array size;
+        the padded ones meet zero columns of U and of every block.
         """
         basis, tri = np.linalg.qr(self.stacked_blocks.conj().T)
-        coords = np.ascontiguousarray(tri.conj().T)
-        return basis, coords.reshape(len(self.blocks), self.num_rx, -1)
+        num_slots = self.num_paths * (self.num_paths - 1) + 1
+        width = num_slots * self.num_rx
+        padded = np.zeros((len(basis), width), dtype=np.complex128)
+        padded[:, : basis.shape[1]] = basis
+        coords = np.zeros((num_slots, self.num_rx, width), dtype=np.complex128)
+        coords[: len(self.blocks), :, : len(tri)] = tri.conj().T.reshape(
+            len(self.blocks), self.num_rx, -1
+        )
+        return padded, coords
 
 
 @dataclass
@@ -225,43 +241,41 @@ def group_delay_differences(
     )
 
 
-def _noise_plus_interference(num_rx: int, interferers, noise_var: float) -> np.ndarray:
-    """C = noise_var * I + sum_B B B^H over the interfering M_r x N_s blocks.
+def _noise_plus_interference(interferers: np.ndarray, noise_var: float) -> np.ndarray:
+    """C = noise_var * I + sum_k B_k B_k^H over each (K, M_r, N_s) stack of interferers.
 
-    interferers is a sequence of blocks or a (..., K, M_r, N_s) stack;
-    leading axes give a stack of covariances.
+    interferers is a (..., K, M_r, N_s) stack; returns the (..., M_r, M_r) covariances.
     """
-    eye = noise_var * np.eye(num_rx, dtype=np.complex128)
-    blocks = np.asarray(interferers, dtype=np.complex128)
-    if blocks.ndim < 3:  # an empty sequence
-        return eye
-    *lead, count, _, width = blocks.shape
-    side = np.swapaxes(blocks, -3, -2).reshape(*lead, num_rx, count * width)  # [B_1, B_2, ...]
-    return eye + side @ side.conj().swapaxes(-1, -2)
+    *lead, count, num_rx, width = interferers.shape
+    side = np.swapaxes(interferers, -3, -2).reshape(*lead, num_rx, count * width)  # [B_1, B_2, ...]
+    return noise_var * np.eye(num_rx, dtype=np.complex128) + side @ side.conj().swapaxes(-1, -2)
 
 
 def colored_noise_rate(
-    desired: np.ndarray, interferers, noise_var: float
-) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
-    """Rate of the desired M_r x N_s channel with interference as colored noise.
+    desired: np.ndarray, interferers: np.ndarray, noise_var: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rates of a stack of desired M_r x N_s channels with interference as colored noise.
 
-    Returns log2 det(Q), Q = I + A^H C^{-1} A and C^{-1} A, where A is the
-    desired channel and C the colored-noise covariance of the interfering
-    blocks. Q is the inverse MMSE matrix of the optimal (MMSE) receiver, so
-    its log-determinant is the achievable rate.
-
-    Both inputs may carry leading stack axes: a (B, M_r, N_s) desired
-    stack with a (B, K, M_r, N_s) interferer stack rates B channels at
-    once and returns a length-B array of rates with the (B, N_s, N_s)
-    stack of Q and the (B, M_r, N_s) stack of C^{-1} A. A non-finite
-    input raises NumericalError.
+    desired is a (..., M_r, N_s) stack and interferers the (..., K, M_r,
+    N_s) stack of each channel's K interfering blocks (K may be 0). For
+    each channel A with colored-noise covariance C of its interferers,
+    returns log2 det(Q), Q = I + A^H C^{-1} A and C^{-1} A, as the (...)
+    array of rates with the (..., N_s, N_s) stack of Q and the (..., M_r,
+    N_s) stack of C^{-1} A. Q is the inverse MMSE matrix of the optimal
+    (MMSE) receiver, so its log-determinant is the achievable rate. A
+    non-finite input raises NumericalError.
     """
+    desired = np.asarray(desired, dtype=np.complex128)
     blocks = np.asarray(interferers, dtype=np.complex128)
+    if desired.ndim < 3 or blocks.shape[:-3] + blocks.shape[-2:] != desired.shape:
+        raise ContractViolationError(
+            "colored_noise_rate takes (..., M_r, N_s) and (..., K, M_r, N_s) stacks"
+        )
     # a NaN would pass the sign check below; an inf interferer turns C into NaNs
     finite = np.isfinite(desired).all() and np.isfinite(blocks).all()
     if not (finite and math.isfinite(noise_var)):
         raise NumericalError("colored-noise rate of a non-finite channel or noise variance")
-    cov = _noise_plus_interference(desired.shape[-2], blocks, noise_var)
+    cov = _noise_plus_interference(blocks, noise_var)
     try:
         cinv_a = np.linalg.solve(cov, desired)
     except np.linalg.LinAlgError as exc:
@@ -272,8 +286,7 @@ def colored_noise_rate(
     sign, logdet = np.linalg.slogdet(q)
     if np.any(sign.real <= 0):
         raise NumericalError("weight matrix lost positive definiteness")
-    rate = logdet / math.log(2.0)
-    return (float(rate) if desired.ndim == 2 else rate), q, cinv_a
+    return logdet / math.log(2.0), q, cinv_a
 
 
 def mmse_receiver(
@@ -283,8 +296,9 @@ def mmse_receiver(
 
     blocks is an (S, K, M_r, D) stack of lag-model blocks and precoders
     the (S, D, N_s) iterates in the same D coordinates: bcd_solve_stack
-    passes GroupedChannels.coordinates, and GroupedChannels.blocks[None]
-    is a stack of one on the antennas. One product B Fbar per member gives
+    passes the padded GroupedChannels.coordinates, whose zero blocks add
+    nothing to the covariance, and GroupedChannels.blocks[None] is a stack
+    of one on the antennas. One product B Fbar per member gives
     A = Hbar Fbar and the ISI outputs Gbar[i] Fbar; colored_noise_rate
     solves their covariance C once for C^{-1} A, the rate log2 det Q and
     Q = I + A^H C^{-1} A; then W = C^{-1} A Q^{-1}, which by the
@@ -384,8 +398,8 @@ def _budget_root(
     full one, and every step aims just inside the budget, at
     (1 - POWER_BISECT_REL_TOL / 2) P, so the iterates climb to the budget
     from above and stop on its feasible side. A step that leaves the
-    bracket of betas known to be over and under budget is replaced by
-    bisection of that bracket.
+    bracket of betas known to be over and under budget, or whose slope
+    underflows to 0, is replaced by bisection of that bracket.
     """
     target = total_power * (1.0 - 0.5 * POWER_BISECT_REL_TOL)
     floor = total_power * (1.0 - POWER_BISECT_REL_TOL)
@@ -397,8 +411,11 @@ def _budget_root(
     slope = np.sum(row_power * inverse**3, axis=1)  # -p'(beta) / 2
     searching = np.ones(len(vals), dtype=bool)
     for _ in range(200):
-        step = beta + power / slope * (np.sqrt(power / target) - 1.0)
-        inside = (step > lo) & (step < hi)
+        # a slope that underflows to 0 (beta far above every eigenvalue) bisects
+        newton = slope > 0
+        ratio = np.divide(power, slope, out=np.zeros_like(power), where=newton)
+        step = beta + ratio * (np.sqrt(power / target) - 1.0)
+        inside = newton & (step > lo) & (step < hi)
         beta = np.where(searching, np.where(inside, step, 0.5 * (lo + hi)), beta)
         inverse = 1.0 / (vals + beta[:, None])
         power = np.sum(row_power * inverse**2, axis=1)
@@ -412,15 +429,61 @@ def _budget_root(
     raise NumericalError("power budget search did not converge")
 
 
-def _ascend(
-    groups: list[GroupedChannels],
-    starts: list[np.ndarray],
+def bcd_solve_stack(
+    groups,
     total_power: float,
     noise_var: float,
-    tol: float,
-    max_iters: int,
+    init_precoders,
+    tol: float = 1e-4,
+    max_iters: int = 200,
 ) -> list[BcdState]:
-    """The BCD loop on a stack of problems with equal coordinate and stream counts."""
+    """Alternate receiver / weights / precoder on a stack of problems until each rate stalls.
+
+    groups is a sequence of GroupedChannels that share L, M_r and, through
+    their starts, N_s (ContractViolationError otherwise), and
+    init_precoders one (L * M_t, N_s) start each; M_t may differ. Member i
+    is solved from start i exactly as bcd_solve would solve it alone, bit
+    for bit, and its BcdState is element i of the returned list. The
+    members' padded coordinates (GroupedChannels.coordinates) have one
+    shape, so they run as one stack: each iteration makes one
+    precoder_update and one mmse_receiver call on the members that have
+    not converged yet.
+
+    Each start is copied, its column count is the stream count, and a
+    start above the power budget is scaled onto it. A zero column stays
+    zero in every iterate, so BCD loads no stream its start does not, and
+    an all-zero start, a fixed point at rate 0, raises
+    ContractViolationError. A member converges when its fractional rate
+    increase drops below tol; its trace of per-iteration rates is
+    non-decreasing up to numerical slack. Whether a member converged or
+    stopped at max_iters, its precoder, combiner and weights are the ones
+    its rate_trace[-1] was evaluated at. A member whose step fails raises
+    for the whole call.
+    """
+    _checked_int(max_iters, "max_iters", 1)
+    _checked_positive(total_power, "total_power")
+    _checked_positive(noise_var, "noise_var")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ContractViolationError(f"tol must be finite and non-negative, got {tol!r}")
+    groups = list(groups)
+    init_precoders = list(init_precoders)
+    if not groups or len(init_precoders) != len(groups):
+        raise ContractViolationError("bcd_solve_stack needs one start per grouped channel")
+    starts = []
+    for grouped, init in zip(groups, init_precoders):
+        f_bar = np.array(init, dtype=np.complex128)
+        if f_bar.ndim != 2 or f_bar.shape[0] != grouped.blocks.shape[2] or not f_bar.size:
+            raise ContractViolationError("init_precoder must have shape (L * M_t, N_s), N_s >= 1")
+        if not np.all(np.isfinite(f_bar)):
+            raise ContractViolationError("init_precoder contains non-finite entries")
+        if not np.any(f_bar):
+            raise ContractViolationError("init_precoder is all zero, a fixed point at rate 0")
+        power = float(np.sum(np.abs(f_bar) ** 2))
+        if power > total_power * (1 + 1e-9):
+            f_bar = f_bar * math.sqrt(total_power / power)
+        starts.append(f_bar)
+    if len({(g.num_paths, g.num_rx, f.shape[1]) for g, f in zip(groups, starts)}) > 1:
+        raise ContractViolationError("the members of a BCD stack must share L, M_r and N_s")
     bases = [grouped.coordinates[0] for grouped in groups]
     blocks = np.stack([grouped.coordinates[1] for grouped in groups])
     # F = U X; the start's part outside range(U) is invisible to B
@@ -457,76 +520,6 @@ def _ascend(
         )
         for member, (basis, start, trace) in enumerate(zip(bases, starts, traces))
     ]
-
-
-def bcd_solve_stack(
-    groups,
-    total_power: float,
-    noise_var: float,
-    init_precoders,
-    tol: float = 1e-4,
-    max_iters: int = 200,
-) -> list[BcdState]:
-    """Alternate receiver / weights / precoder on a stack of problems until each rate stalls.
-
-    groups is a sequence of GroupedChannels and init_precoders one
-    (L * M_t, N_s) start each; member i is solved from start i exactly as
-    bcd_solve would solve it alone, bit for bit, and its BcdState is
-    element i of the returned list. Members of equal coordinate and
-    stream counts (every block and array size of a fig4 trial) run as one
-    stack: each iteration makes one precoder_update and one mmse_receiver
-    call on the members that have not converged yet.
-
-    Each start is copied, its column count is the stream count, and a
-    start above the power budget is scaled onto it. A zero column stays
-    zero in every iterate, so BCD loads no stream its start does not, and
-    an all-zero start, a fixed point at rate 0, raises
-    ContractViolationError. A member converges when its fractional rate
-    increase drops below tol; its trace of per-iteration rates is
-    non-decreasing up to numerical slack. Whether a member converged or
-    stopped at max_iters, its precoder, combiner and weights are the ones
-    its rate_trace[-1] was evaluated at. A member whose step fails raises
-    for the whole call.
-    """
-    _checked_int(max_iters, "max_iters", 1)
-    _checked_positive(total_power, "total_power")
-    _checked_positive(noise_var, "noise_var")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ContractViolationError(f"tol must be finite and non-negative, got {tol!r}")
-    groups = list(groups)
-    init_precoders = list(init_precoders)
-    if not groups or len(init_precoders) != len(groups):
-        raise ContractViolationError("bcd_solve_stack needs one start per grouped channel")
-    starts = []
-    for grouped, init in zip(groups, init_precoders):
-        f_bar = np.array(init, dtype=np.complex128)
-        if f_bar.ndim != 2 or f_bar.shape[0] != grouped.blocks.shape[2] or not f_bar.size:
-            raise ContractViolationError("init_precoder must have shape (L * M_t, N_s), N_s >= 1")
-        if not np.all(np.isfinite(f_bar)):
-            raise ContractViolationError("init_precoder contains non-finite entries")
-        if not np.any(f_bar):
-            raise ContractViolationError("init_precoder is all zero, a fixed point at rate 0")
-        power = float(np.sum(np.abs(f_bar) ** 2))
-        if power > total_power * (1 + 1e-9):
-            f_bar = f_bar * math.sqrt(total_power / power)
-        starts.append(f_bar)
-    shapes: dict[tuple, list[int]] = {}
-    for member, (grouped, start) in enumerate(zip(groups, starts)):
-        key = (grouped.coordinates[1].shape, start.shape[1])
-        shapes.setdefault(key, []).append(member)
-    states = [None] * len(groups)
-    for members in shapes.values():
-        solved = _ascend(
-            [groups[m] for m in members],
-            [starts[m] for m in members],
-            total_power,
-            noise_var,
-            tol,
-            max_iters,
-        )
-        for member, state in zip(members, solved):
-            states[member] = state
-    return states
 
 
 def bcd_solve(

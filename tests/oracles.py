@@ -440,7 +440,9 @@ def mismatched_alignment_rate_loop(
         desired = groups.pop(
             aligned_lag, np.zeros((realization.num_rx, design.num_streams), dtype=np.complex128)
         )
-        rates.append(colored_noise_rate(desired, list(groups.values()), noise_var)[0])
+        interferers = np.array(list(groups.values())).reshape(1, len(groups), *desired.shape)
+        [rate], _, _ = colored_noise_rate(desired[None], interferers, noise_var)
+        rates.append(rate)
     return float(np.mean(rates))
 
 

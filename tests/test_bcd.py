@@ -1,5 +1,6 @@
 """Block-coordinate-descent rate maximization over grouped channels."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -210,8 +211,9 @@ def test_grouping_single_path_has_no_isi():
 
 
 def test_grouped_channels_rejects_zero_offset():
-    # offset 0 is the desired channel's: first, once, and one offset per block
-    for offsets in [(0, 0), (1, 0), (0,), (0, 1, 2)]:
+    # offset 0 is the desired channel's: first, once, and one offset per
+    # block; one branch makes no offset but 0
+    for offsets in [(0, 0), (1, 0), (0,), (0, 1, 2), (0, 1)]:
         with pytest.raises(ContractViolationError):
             GroupedChannels(
                 blocks=np.zeros((2, 2, 8), dtype=np.complex128),
@@ -327,11 +329,10 @@ def _grouped_draw(seed, num_tx, num_paths, num_rx, num_streams, block_index):
 
 
 def _rate_and_weights(grouped, precoder, noise_var):
-    return colored_noise_rate(
-        grouped.stacked_channel @ precoder,
-        [block @ precoder for block in grouped.blocks[1:]],
-        noise_var,
-    )
+    """colored_noise_rate of the outputs on the antennas, a stack of one: (rate, Q, C^-1 A)."""
+    outputs = np.stack([block @ precoder for block in grouped.blocks])
+    [rate], [q], [cinv_a] = colored_noise_rate(outputs[None, 0], outputs[None, 1:], noise_var)
+    return rate, q, cinv_a
 
 
 def _relative_error(got, want):
@@ -539,7 +540,9 @@ def test_colored_noise_rate_rates_a_block_stack(num_interferers):
     assert rates.shape == (num_blocks,) and q.shape == (num_blocks, num_streams, num_streams)
     assert cinv_a.shape == desired.shape
     for b in range(num_blocks):
-        want_rate, want_q, want_cinv_a = colored_noise_rate(desired[b], list(interferers[b]), 0.1)
+        [want_rate], [want_q], [want_cinv_a] = colored_noise_rate(
+            desired[b : b + 1], interferers[b : b + 1], 0.1
+        )
         assert rates[b] == pytest.approx(want_rate, rel=1e-12, abs=0)
         assert np.allclose(q[b], want_q, rtol=1e-12, atol=0)
         assert np.allclose(cinv_a[b], want_cinv_a, rtol=1e-12, atol=0)
@@ -549,8 +552,8 @@ def test_colored_noise_rate_rates_a_block_stack(num_interferers):
     "where", ["desired-nan", "desired-inf", "interferer-nan", "interferer-inf", "noise-nan"]
 )
 def test_colored_noise_rate_rejects_a_non_finite_channel(where):
-    desired = np.array([[1.0 + 0j], [0.5j]])
-    interferers = np.array([[[0.3 + 0j], [0.2 + 0j]]])
+    desired = np.array([[[1.0 + 0j], [0.5j]]])
+    interferers = np.array([[[[0.3 + 0j], [0.2 + 0j]]]])
     bad = np.nan if where.endswith("nan") else np.inf
     if where.startswith("noise"):
         noise_var = bad
@@ -559,6 +562,19 @@ def test_colored_noise_rate_rejects_a_non_finite_channel(where):
         (desired if where.startswith("desired") else interferers)[..., 1, 0] = bad
     with pytest.raises(NumericalError):
         colored_noise_rate(desired, interferers, noise_var)
+
+
+def test_colored_noise_rate_takes_stacks_only():
+    # one 2-D channel, or interferers whose stack or block shape differs
+    desired = np.ones((1, 2, 1), dtype=np.complex128)
+    interferers = np.ones((1, 3, 2, 1), dtype=np.complex128)
+    for args in [
+        (desired[0], interferers[0]),
+        (desired, interferers[0]),
+        (desired, interferers[:, :, :1]),
+    ]:
+        with pytest.raises(ContractViolationError):
+            colored_noise_rate(*args, 1.0)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -581,8 +597,14 @@ def test_cached_factor_reproduces_the_stacked_blocks(
     assert np.shares_memory(grouped.stacked_blocks, grouped.blocks)  # a view, no copy
     basis, coords = grouped.coordinates
     assert grouped.coordinates is grouped.coordinates  # factored once
-    width = basis.shape[1]
-    assert width == min(blocks.shape) and coords.shape == (*grouped.blocks.shape[:2], width)
+    # zero-padded to K' = L (L - 1) + 1 offsets and K' M_r coordinates
+    num_slots = num_paths * (num_paths - 1) + 1
+    count, width = len(grouped.blocks), min(blocks.shape)
+    assert basis.shape == (num_paths * num_tx, num_slots * num_rx)
+    assert coords.shape == (num_slots, num_rx, num_slots * num_rx)
+    assert not np.any(basis[:, width:])
+    assert not np.any(coords[count:]) and not np.any(coords[..., width:])
+    basis, coords = basis[:, :width], coords[:count, :, :width]
     assert np.linalg.norm(basis.conj().T @ basis - np.eye(width)) <= 1e-12
     # B_k = (B_k U) U^H, as the rows of B lie in range(U)
     rebuilt = coords.reshape(-1, width) @ basis.conj().T
@@ -782,6 +804,19 @@ def test_budget_newton_steps_match_the_bisection_oracle(
         assert power <= budget * (1.0 + 1e-12)
 
 
+def test_budget_root_bisects_where_the_slope_underflows():
+    # at beta ~ 1e110 the slope sum_i r_i / (vals_i + beta)^3 underflows to
+    # 0, so that step bisects the bracket instead of dividing by it
+    budget = 1e-220
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coeffs = _budgeted_coefficients(
+            np.array([[1.0, 0.0]]), np.ones((1, 2, 1), dtype=np.complex128), budget
+        )
+    power = float(np.sum(np.abs(coeffs) ** 2))
+    assert (1.0 - POWER_BISECT_REL_TOL) * budget <= power <= budget
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -803,7 +838,7 @@ def test_stacked_bcd_equals_stack_of_one_calls(seed, rx_streams, num_paths, memb
     # each member of a mixed stack is solved exactly as alone: precoder,
     # combiner, weights, trace and stopping state agree bit for bit, also
     # where members converge at different iterations and where their
-    # coordinate counts differ (L M_t < K M_r splits the stack)
+    # unpadded coordinate counts differ (L M_t < K M_r pads more columns)
     num_rx, num_streams = rx_streams
     base = SystemConfig(num_rx_antennas=num_rx, num_paths=num_paths, num_streams=num_streams)
     rng = np.random.default_rng(seed)
@@ -848,3 +883,26 @@ def test_bcd_solve_stack_needs_one_start_per_member():
     for groups, starts in [([], []), ([grouped], []), ([grouped, grouped], [start])]:
         with pytest.raises(ContractViolationError):
             bcd_solve_stack(groups, cfg.tx_power_watts, cfg.noise_power_watts, starts)
+
+
+def test_bcd_solve_stack_rejects_members_of_other_shapes():
+    # padded coordinates share one shape where L, M_r and N_s agree; M_t may differ
+    base = SystemConfig(num_tx_antennas=8, num_rx_antennas=2, num_paths=3)
+
+    def member(cfg, num_streams):
+        realization = realize_channel(generate_paths(cfg, np.random.default_rng(0)), cfg)
+        grouped = group_delay_differences(realization, coherence_partition(cfg), 0)
+        return grouped, np.full((grouped.blocks.shape[2], num_streams), 0.1 + 0j)
+
+    first = member(base, 2)
+    budget, noise = base.tx_power_watts, base.noise_power_watts
+    for other in [
+        member(replace(base, num_paths=2), 2),
+        member(replace(base, num_rx_antennas=4), 2),
+        member(base, 1),
+    ]:
+        groups, starts = zip(first, other)
+        with pytest.raises(ContractViolationError, match="share L, M_r and N_s"):
+            bcd_solve_stack(groups, budget, noise, starts)
+    groups, starts = zip(first, member(replace(base, num_tx_antennas=16), 2))
+    assert len(bcd_solve_stack(groups, budget, noise, starts, max_iters=2)) == 2

@@ -551,7 +551,7 @@ def test_lag_grouping_matches_pair_loop(
     grouped = group_delay_differences(realization, timebase, block)
     f_bar = design.precoders.reshape(-1, cfg.num_streams)
     outputs = grouped.blocks @ f_bar
-    got = colored_noise_rate(outputs[0], outputs[1:], noise)[0]
+    [got], _, _ = colored_noise_rate(outputs[None, 0], outputs[None, 1:], noise)
     want = mismatched_alignment_rate_loop(
         realization, design, paths.max_delay_tap, noise, timebase, [block]
     )
@@ -783,15 +783,21 @@ def test_one_zf_design_per_realization(monkeypatch, name, designs_per_trial):
 
 
 @pytest.mark.parametrize(
-    "config",
-    [SystemConfig(), SystemConfig(num_rx_antennas=4, num_paths=6)],
-    ids=["default", "rx4-paths6"],
+    "config, num_trials",
+    [
+        (SystemConfig(), 40),
+        (SystemConfig(num_rx_antennas=4, num_paths=6), 40),
+        (SystemConfig(num_rx_antennas=12, num_streams=6), 10),
+    ],
+    ids=["default", "rx4-paths6", "rx12-streams6"],
 )
-def test_fig4_bcd_never_rates_below_its_trials_zf(config):
+def test_fig4_bcd_never_rates_below_its_trials_zf(config, num_trials):
     # BCD ascends from the trial's ZF design, so it ends at or above the ZF
-    # rate, also where the feasibility verdict is not FEASIBLE (M_r = 4 and
-    # L = 6 at M_t = 16 is UNDETERMINED)
-    for trial in range(40):
+    # rate, also where the feasibility verdict is not FEASIBLE (M_r = 12 and
+    # N_s = 6 at M_t = 16 is UNDETERMINED, as 16 < L N_s = 18) and where
+    # BCD's basis U gets zero columns, L M_t < K' M_r with K' = L (L - 1) + 1
+    # (both non-default configs at M_t = 16)
+    for trial in range(num_trials):
         records = experiments._se_vs_mt_trial(config, np.random.default_rng([0, trial]))
         rates = {(scheme, mt): rate for scheme, _, mt, _, rate in records}
         for mt in experiments.TRANSMIT_ANTENNA_SWEEP:
