@@ -31,13 +31,15 @@ block) at once.
 
 The precoder step is the closed-form WMMSE update (Shi, Razaviyayn, Luo
 and He, IEEE TSP 2011). Its solution lies in the range of the adjoint of
-the stacked channels B = [Hbar; Gbar[i]...], which has n <= M_r * K
+the stacked channels B = [Hbar; Gbar[i]...], which has at most M_r * K
 dimensions (K the number of offsets) however large L * M_t is. A
 GroupedChannels is immutable and holds the blocks Hbar, Gbar[i]... as one
-array in the lag model's slot order, with the coordinates of that range
-built once on first use from a thin QR B^H = U R. BCD iterates on X with
-F = U X, so B F = R^H X and ||F|| = ||X||, and maps back to the antennas
-only at the end: M_t enters through the QR and that final product alone.
+array in the lag model's slot order and in the realization's path
+coordinates, C_l = H_l Q in place of H_l, with the coordinates of that
+range built once on first use from a thin QR of their small adjoint. BCD
+iterates on X with F = U X, so B F = R^H X and ||F|| = ||X||, and maps
+back to the antennas only at the end: M_t enters through products with Q
+alone, never through a factorization.
 The precoder step's power budget is met by safeguarded Newton steps on
 1 / sqrt(p(beta)), the secular-equation step of More and Sorensen, a few
 steps where a bisection took dozens.
@@ -81,63 +83,59 @@ POWER_BISECT_REL_TOL = 1e-12
 class GroupedChannels:
     """Aligned desired channel plus ISI channels grouped by delay difference.
 
-    blocks[k] is the channel of delay offset offsets[k], in the lag
-    model's slot order: blocks[0] is Hbar (offset 0), the others are the
-    Gbar[i]. Immutable. The coordinates of range(B^H), B = [Hbar;
-    Gbar[i]...] the blocks stacked by rows, are built on first use from
-    one thin QR and shared by every BCD iteration on them.
+    blocks[k] is the channel of delay offset offsets[k] on the path basis
+    Q, blocks[k] blockdiag(Q)^H on the antennas, in the lag model's slot
+    order: blocks[0] is Hbar (offset 0), the others are the Gbar[i].
+    Immutable. The coordinates of range(B^H), B = [Hbar; Gbar[i]...] the
+    blocks stacked by rows, are built on first use from one thin QR and
+    shared by every BCD iteration on them.
     """
 
-    blocks: np.ndarray         # (K, M_r, L * M_t), K distinct offsets
+    blocks: np.ndarray         # (K, M_r, L * n), K distinct offsets
     offsets: tuple[int, ...]   # (K,), offsets[0] = 0
     num_paths: int
-    num_tx: int
+    path_basis: np.ndarray     # Q, (M_t, n)
 
     def __post_init__(self) -> None:
         blocks = np.ascontiguousarray(self.blocks, dtype=np.complex128)
         object.__setattr__(self, "blocks", blocks)
         offsets = tuple(self.offsets)
         object.__setattr__(self, "offsets", offsets)
-        if blocks.ndim != 3 or blocks.shape[2] != self.num_paths * self.num_tx:
-            raise ContractViolationError("blocks must have shape (K, M_r, L * M_t)")
+        if blocks.ndim != 3 or blocks.shape[2] != self.num_paths * np.shape(self.path_basis)[-1]:
+            raise ContractViolationError("blocks must have shape (K, M_r, L * n), Q (M_t, n)")
         if offsets[:1] != (0,) or not len(set(offsets)) == len(offsets) == len(blocks):
             raise ContractViolationError("offsets must be distinct, one per block, 0 first")
         if len(offsets) > self.num_paths * (self.num_paths - 1) + 1:
             raise ContractViolationError("L branches make at most L (L - 1) + 1 offsets")
 
     @property
-    def stacked_channel(self) -> np.ndarray:
-        """Hbar, shape (M_r, L * M_t)."""
-        return self.blocks[0]
-
-    @property
     def num_rx(self) -> int:
         return int(self.blocks.shape[1])
 
-    @property
-    def stacked_blocks(self) -> np.ndarray:
-        """B = [Hbar; Gbar[i]...], shape (K M_r, L M_t), a view of blocks."""
-        return self.blocks.reshape(-1, self.blocks.shape[2])
-
     @cached_property
     def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
-        """U and the blocks B_k U from the thin QR B^H = U R, zero-padded to fixed shapes.
+        """U and the blocks B_k U from the thin QR B~^H = U~ R, zero-padded to fixed shapes.
 
-        U is the orthonormal basis of range(B^H), whose n = min(K * M_r,
-        L * M_t) columns are followed by zero columns up to K' * M_r, K' =
-        L (L - 1) + 1 the most offsets a lag model of L branches has. B_k U
-        is R^H's row block k with the same zero columns, followed by zero
-        blocks up to K'. So U has shape (L * M_t, K' M_r) and the blocks
-        (K', M_r, K' M_r), shapes set by L, M_r and M_t alone. For F = U X,
-        B F = R^H X and ||F|| = ||X|| on the nonzero coordinates, so BCD
-        iterates on the K' M_r x N_s coordinates X whatever the array size;
-        the padded ones meet zero columns of U and of every block.
+        B~ is the blocks stacked by rows, (K M_r, L n), and B = B~
+        blockdiag(Q)^H on the antennas. U = blockdiag(Q) U~ is the
+        orthonormal basis of range(B^H), whose min(K M_r, L n) columns are
+        followed by zero columns up to K' * M_r, K' = L (L - 1) + 1 the
+        most offsets a lag model of L branches has. B_k U is R^H's row
+        block k with the same zero columns, followed by zero blocks up to
+        K'. So U has shape (L * M_t, K' M_r) and the blocks (K', M_r, K'
+        M_r), shapes set by L, M_r and M_t alone. For F = U X, B F = R^H X
+        and ||F|| = ||X|| on the nonzero coordinates, so BCD iterates on the
+        K' M_r x N_s coordinates X whatever the array size; the padded ones
+        meet zero columns of U and of every block.
         """
-        basis, tri = np.linalg.qr(self.stacked_blocks.conj().T)
+        local, tri = np.linalg.qr(self.blocks.reshape(-1, self.blocks.shape[2]).conj().T)
+        num_tx, num_coords = self.path_basis.shape
         num_slots = self.num_paths * (self.num_paths - 1) + 1
         width = num_slots * self.num_rx
-        padded = np.zeros((len(basis), width), dtype=np.complex128)
-        padded[:, : basis.shape[1]] = basis
+        padded = np.zeros((self.num_paths * num_tx, width), dtype=np.complex128)
+        padded[:, : local.shape[1]] = (
+            self.path_basis @ local.reshape(self.num_paths, num_coords, -1)
+        ).reshape(len(padded), -1)
         coords = np.zeros((num_slots, self.num_rx, width), dtype=np.complex128)
         coords[: len(self.blocks), :, : len(tri)] = tri.conj().T.reshape(
             len(self.blocks), self.num_rx, -1
@@ -225,19 +223,25 @@ def group_delay_differences(
     with n0 the first sample of coherence block block_index, for the
     spatial precoders that zf.build_ddam_tx transmits. Offset 0 is the
     desired channel Hbar = [H_1, ..., H_L]. The blocks follow the lag
-    model's slot order; offsets that no pair produces have no block.
+    model's slot order; offsets that no pair produces have no block. The
+    blocks hold the path coordinates C_l = H_l Q in place of the H_l, so
+    they have L * n columns and no M_t axis.
     """
     delays, dopplers = realization.path_set.delay_taps, realization.path_set.doppler_hz
     pair_slot, phases = _lag_models(delays, dopplers, delays, dopplers, timebase, [block_index])
-    num_branches, num_rx, num_tx = pair_slot.shape[0], realization.num_rx, realization.num_tx
+    coords = realization.path_coords
+    num_branches, num_rx, width = pair_slot.shape[0], *coords.shape[1:]
     offsets = np.zeros(pair_slot.max() + 1, dtype=np.int64)
     offsets[pair_slot] = delays[:, None] - delays[None, :]  # [l', l] = m_l' - m_l
     # one block per distinct offset; pair (l', l) fills its branch l'
-    blocks = np.zeros((len(offsets), num_rx, num_branches, num_tx), dtype=np.complex128)
-    terms = realization.matrices * phases[0, :, :, None, None]  # [l', l]: H_l * phase
+    blocks = np.zeros((len(offsets), num_rx, num_branches, width), dtype=np.complex128)
+    terms = coords * phases[0, :, :, None, None]  # [l', l]: C_l * phase
     blocks[pair_slot, :, np.arange(num_branches)[:, None], :] = terms
     return GroupedChannels(
-        blocks.reshape(len(offsets), num_rx, -1), offsets.tolist(), num_branches, num_tx
+        blocks.reshape(len(offsets), num_rx, -1),
+        offsets.tolist(),
+        num_branches,
+        realization.path_basis,
     )
 
 
@@ -298,7 +302,7 @@ def mmse_receiver(
     the (S, D, N_s) iterates in the same D coordinates: bcd_solve_stack
     passes the padded GroupedChannels.coordinates, whose zero blocks add
     nothing to the covariance, and GroupedChannels.blocks[None] is a stack
-    of one on the antennas. One product B Fbar per member gives
+    of one in path coordinates. One product B Fbar per member gives
     A = Hbar Fbar and the ISI outputs Gbar[i] Fbar; colored_noise_rate
     solves their covariance C once for C^{-1} A, the rate log2 det Q and
     Q = I + A^H C^{-1} A; then W = C^{-1} A Q^{-1}, which by the
@@ -472,7 +476,8 @@ def bcd_solve_stack(
     starts = []
     for grouped, init in zip(groups, init_precoders):
         f_bar = np.array(init, dtype=np.complex128)
-        if f_bar.ndim != 2 or f_bar.shape[0] != grouped.blocks.shape[2] or not f_bar.size:
+        rows = grouped.num_paths * len(grouped.path_basis)
+        if f_bar.ndim != 2 or f_bar.shape[0] != rows or not f_bar.size:
             raise ContractViolationError("init_precoder must have shape (L * M_t, N_s), N_s >= 1")
         if not np.all(np.isfinite(f_bar)):
             raise ContractViolationError("init_precoder contains non-finite entries")

@@ -367,8 +367,12 @@ def otfs_beam_opt(
     relative. The pairwise overlap trace of the shift-phase operators is
     MN when two paths share both taps and zero otherwise, which collapses
     the quadratic forms to cheap L x L sums.
+    The transmit step runs in the path coordinates (H_l = C_l Q^H): the top
+    eigenvector e of its n x n form gives f = Q e, so no eigenproblem has an
+    M_t axis, and f differs from the M_t x M_t form's eigenvector by one
+    phase at most, which leaves every |gain|, and the OTFS rate, unchanged.
     """
-    mats = realization.matrices
+    basis, coords = realization.path_basis, realization.path_coords
     mn = config.grid_size
     i_taps, j_taps = config.delay_taps, config.doppler_taps
     overlap = mn * (
@@ -376,26 +380,28 @@ def otfs_beam_opt(
     ).astype(np.float64)
     f = config.tx_beam.copy()
     v = config.rx_beam.copy()
+    e = basis.conj().T @ f                                     # f's path coordinates
 
-    def gain(f_vec: np.ndarray, v_vec: np.ndarray) -> float:
-        h = np.einsum("r,lrt,t->l", v_vec.conj(), mats, f_vec)
+    def gain(e_vec: np.ndarray, v_vec: np.ndarray) -> float:
+        h = np.einsum("r,lrn,n->l", v_vec.conj(), coords, e_vec)
         return float((h.conj() @ overlap @ h).real)
 
-    trace = [gain(f, v)]
+    trace = [gain(e, v)]
     for _ in range(BEAM_OPT_MAX_ITERS):
-        b_rows = np.einsum("r,lrt->lt", v.conj(), mats)        # row l = v^H H_l
+        b_rows = np.einsum("r,lrn->ln", v.conj(), coords)      # row l = v^H C_l
         lam = b_rows.conj().T @ overlap @ b_rows
         [vals], [vecs] = eig_hermitian(lam[None])
         if vals[0] <= 0:
             break
-        f = vecs[:, 0]
-        c_cols = np.einsum("lrt,t->lr", mats, f)               # row l = H_l f
+        e = vecs[:, 0]
+        f = basis @ e
+        c_cols = coords @ e                                    # row l = H_l f = C_l e
         gam = c_cols.T @ overlap @ c_cols.conj()
         [vals], [vecs] = eig_hermitian(gam[None])
         if vals[0] <= 0:
             break
         v = vecs[:, 0]
-        current = gain(f, v)
+        current = gain(e, v)
         trace.append(current)
         previous = trace[-2]
         if current - previous <= BEAM_OPT_TOL * max(abs(previous), 1e-30):

@@ -109,14 +109,18 @@ class PathSet:
 
 @dataclass
 class ChannelRealization:
-    """Per-path channel matrices plus the sampling interval they live on.
+    """Per-path channel matrices, their path basis and the sampling interval they live on.
 
-    The matrices are finite and the interval is finite and positive.
+    path_basis Q and path_coords C are path_coordinates(matrices), so H_l =
+    C_l Q^H. The matrices are finite, Q and C have the shapes below, n =
+    min(M_t, L * M_r), and the interval is finite and positive.
     """
 
     path_set: PathSet
     matrices: np.ndarray       # complex, shape (L, M_r, M_t)
     symbol_duration_s: float
+    path_basis: np.ndarray     # Q, complex, shape (M_t, n)
+    path_coords: np.ndarray    # C, complex, shape (L, M_r, n)
 
     def __post_init__(self) -> None:
         self.matrices = np.asarray(self.matrices, dtype=np.complex128)
@@ -128,6 +132,11 @@ class ChannelRealization:
             raise ContractViolationError("matrices must be finite")
         if not (math.isfinite(self.symbol_duration_s) and self.symbol_duration_s > 0):
             raise ContractViolationError("symbol_duration_s must be finite and positive")
+        num_paths, num_rx, num_tx = self.matrices.shape
+        width = min(num_tx, num_paths * num_rx)
+        want = ((num_tx, width), (num_paths, num_rx, width))
+        if (np.shape(self.path_basis), np.shape(self.path_coords)) != want:
+            raise ContractViolationError(f"path basis and coordinates must have shapes {want}")
 
     @property
     def num_rx(self) -> int:
@@ -216,14 +225,28 @@ def generate_paths(config: SystemConfig, rng: np.random.Generator) -> PathSet:
     )
 
 
+def path_coordinates(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The path bases Q (S, M_t, n) and coordinates C (S, L, M_r, n) of an (S, L, M_r, M_t) stack.
+
+    One batched thin QR [H_1^H, ..., H_L^H] = Q R per member, n = min(M_t,
+    L * M_r); C_l = H_l Q = R_l^H, R_l being R's columns of path l, and
+    every path's rows lie in range(Q), so H_l = C_l Q^H up to rounding.
+    """
+    count, num_paths, num_rx, num_tx = matrices.shape
+    adjoints = matrices.conj().transpose(0, 3, 1, 2).reshape(count, num_tx, -1)
+    basis, tri = np.linalg.qr(adjoints)
+    coords = tri.conj().transpose(0, 2, 1).reshape(count, num_paths, num_rx, -1)
+    return basis, coords
+
+
 def realize_channel(
     paths: PathSet | list[PathSet], config: SystemConfig
 ) -> ChannelRealization | list[ChannelRealization]:
-    """Build the rank-one per-path matrices H_l = alpha_l a_rx a_tx^H.
+    """Build the rank-one per-path matrices H_l = alpha_l a_rx a_tx^H and their path basis.
 
     A sequence of path sets with one path count is realized in one stacked
-    computation and returns the list of their realizations, each equal to
-    its own one-path-set call.
+    computation, path bases included, and returns the list of their
+    realizations, each equal to its own one-path-set call.
     """
     single = isinstance(paths, PathSet)
     path_sets = [paths] if single else list(paths)
@@ -239,9 +262,10 @@ def realize_channel(
     # in place, so a chunk's stack is not held in three copies at once
     mats = a_rx[..., :, None] * np.conj(a_tx, out=a_tx)[..., None, :]
     np.multiply(gains[..., None, None], mats, out=mats)
+    bases, coords = path_coordinates(mats)
     realizations = [
-        ChannelRealization(path_set=p, matrices=m, symbol_duration_s=config.symbol_duration_s)
-        for p, m in zip(path_sets, mats)
+        ChannelRealization(p, m, config.symbol_duration_s, q, c)
+        for p, m, q, c in zip(path_sets, mats, bases, coords)
     ]
     return realizations[0] if single else realizations
 

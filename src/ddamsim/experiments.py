@@ -382,7 +382,7 @@ def _convergence_trial(config: SystemConfig, rng: np.random.Generator) -> list:
     realization = realize_channel(generate_paths(config, rng), config)
     timebase = coherence_partition(config)
     grouped = group_delay_differences(realization, timebase, 0)
-    dim = grouped.stacked_channel.shape[1]
+    dim = config.num_paths * config.num_tx_antennas
     raw = rng.standard_normal((dim, config.num_streams)) + 1j * rng.standard_normal(
         (dim, config.num_streams)
     )
@@ -600,6 +600,8 @@ def _imperfect_csi_chunk(config: SystemConfig, rngs: list[np.random.Generator]) 
             padded[..., : design.num_streams] = design.precoders
         matrices = np.array([realization.matrices for realization in realizations])
         pair_outputs.append(matrices[:, None] @ precoders[:, :, None])
+    # the last array size's realizations, path bases included, are not held while rating
+    del realizations, designs, precoders, matrices
     rates = mismatched_alignment_rate(
         paths,
         np.stack(pair_outputs, axis=1),

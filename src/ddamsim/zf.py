@@ -135,56 +135,58 @@ def zf_feasibility(num_tx: int, num_rx: int, num_streams: int, num_paths: int) -
     return ZfFeasibility(verdict, num_equations, num_variables)
 
 
-def path_zf_precoder_bases(matrices: np.ndarray) -> np.ndarray:
+def path_zf_precoder_bases(coords: np.ndarray) -> np.ndarray:
     """Orthonormal bases of the reachable per-path interference-free subspaces.
 
-    matrices is an (S, L, M_r, M_t) stack of S realizations' path channels.
-    For each realization, basis l spans the directions inside the
-    channels' joint row space, range([H_1^H, ..., H_L^H]), that every other
-    path annihilates, so H_k @ B_l = 0 for every k != l. The rest of the
-    null space of the other paths is orthogonal to every H_k, path l's
-    included: it carries no signal, so dropping it leaves H_l's projection
-    onto the full null space, and with it the capacity-achieving design,
-    unchanged.
+    coords is an (S, L, M_r, n) stack of S realizations' path coordinates
+    C_l = H_l Q (channel.path_coordinates), Q spanning the channels' joint
+    row space, range([H_1^H, ..., H_L^H]). For each realization, basis N_l
+    spans the directions of that row space, in Q's coordinates, that every
+    other path annihilates, so H_k @ Q @ N_l = C_k @ N_l = 0 for every k !=
+    l. The rest of the null space of the other paths is orthogonal to
+    every H_k, path l's included: it carries no signal, so dropping it
+    leaves H_l's projection onto the full null space, and with it the
+    capacity-achieving design, unchanged. The S * L null spaces of the
+    other paths' C_k^H come from one batched SVD with no M_t axis. With a
+    single path there is nothing to null and N_0 = I.
 
-    One batched thin QR of the stacked adjoints [H_1^H, ..., H_L^H] = Q R
-    gives an orthonormal Q with n = min(M_t, L * M_r) columns per
-    realization; each null space is taken of R's other-path column blocks
-    in those coordinates and mapped back by Q, so the cost does not grow
-    with M_t. The S * L null spaces come from one batched SVD. With a
-    single path there is nothing to null and B_0 = Q.
-
-    Returns the (S, L, M_t, n) stack of the B_l, each padded to n columns
+    Returns the (S, L, n, n) stack of the N_l, each padded to n columns
     with zero columns (see null_space_basis), so the shapes depend on the
     input's shape alone. A realization in which some path keeps no
     direction raises FeasibilityError.
     """
-    count, num_paths, num_rx, num_tx = matrices.shape
-    # realization s's [H_1^H, ..., H_L^H], shape (M_t, L * M_r)
-    adjoints = matrices.conj().transpose(0, 3, 1, 2).reshape(count, num_tx, -1)
-    basis, tri = np.linalg.qr(adjoints)
-    # others[s, l]: R's columns of every path but l, in path order
-    cols = np.arange(num_paths * num_rx).reshape(num_paths, num_rx)
+    count, num_paths, num_rx, width = coords.shape
+    # others[s, l]: the C_k^H of every path k but l side by side, in path order
+    adjoints = coords.conj().transpose(0, 3, 1, 2)
     other_paths = np.nonzero(~np.eye(num_paths, dtype=bool))[1].reshape(num_paths, -1)
-    others = tri[:, :, cols[other_paths].reshape(num_paths, -1)].transpose(0, 2, 1, 3)
-    reduced = null_space_basis(others.reshape(count * num_paths, *others.shape[2:]))
+    others = adjoints[:, :, other_paths].transpose(0, 2, 1, 3, 4).reshape(
+        count * num_paths, width, (num_paths - 1) * num_rx
+    )
+    reduced = null_space_basis(others)
     empty = ~reduced.any(axis=(1, 2))
     if empty.any():
         raise FeasibilityError(
             f"path {empty.argmax() % num_paths}: no interference-free transmit directions "
-            f"left (M_t = {num_tx}, L = {num_paths})"
+            f"left in the paths' {width}-dimensional row space (L = {num_paths})"
         )
-    return basis[:, None] @ reduced.reshape(count, num_paths, *reduced.shape[1:])
+    return reduced.reshape(count, num_paths, width, width)
 
 
 def zf_spatial_design(
-    matrices: np.ndarray, total_power: float, noise_var: float, num_streams: int
+    bases: np.ndarray,
+    coords: np.ndarray,
+    total_power: float,
+    noise_var: float,
+    num_streams: int,
 ) -> list[tuple[np.ndarray, ZfCapacityResult]]:
-    """Per-path zero-forcing precoders for an (S, L, M_r, M_t) stack of path matrices.
+    """Per-path zero-forcing precoders from S realizations' path bases Q and coordinates C.
 
-    Pure spatial solution (no delay/Doppler bookkeeping): nulling bases,
-    aligned effective channel, SVD and water-filling, then the stacked
-    solution mapped back to the (L, M_t, n_active) stack of the F_l = B_l X_l
+    Pure spatial solution (no delay/Doppler bookkeeping) on the (S, M_t,
+    n) and (S, L, M_r, n) stacks of the path bases and the path coordinates
+    C_l = H_l Q (channel.path_coordinates): nulling bases N_l,
+    aligned effective channel [C_1 N_1, ..., C_L N_L], SVD and
+    water-filling, none with an M_t axis, then the stacked solution mapped
+    back once to the (L, M_t, n_active) stack of the F_l = Q N_l X_l
     (n_active = 0 when no stream survives). The bases span only the
     reachable part of each null space (see path_zf_precoder_bases), so the
     effective channel has L * min(M_t, L * M_r) columns, not L * M_t;
@@ -197,13 +199,14 @@ def zf_spatial_design(
     zero columns carry no stream), so every member equals its own
     stack-of-one call exactly.
     """
-    stack = np.asarray(matrices, dtype=np.complex128)
-    if stack.ndim != 4:
-        raise ContractViolationError("matrices must be an (S, L, M_r, M_t) stack")
-    count, num_paths, num_rx, _ = stack.shape
-    bases = path_zf_precoder_bases(stack)
-    # every H_l B_l side by side, in path order
-    h_eff = (stack @ bases).swapaxes(1, 2).reshape(count, num_rx, -1)
+    bases = np.asarray(bases, dtype=np.complex128)
+    stack = np.asarray(coords, dtype=np.complex128)
+    if stack.ndim != 4 or bases.ndim != 3 or bases.shape[::2] != stack.shape[::3]:
+        raise ContractViolationError("bases and coords must be (S, M_t, n) and (S, L, M_r, n)")
+    count, num_paths, num_rx, num_coords = stack.shape
+    nulls = path_zf_precoder_bases(stack)
+    # every C_l N_l side by side, in path order
+    h_eff = (stack @ nulls).swapaxes(1, 2).reshape(count, num_rx, -1)
     # only rounding residue survived the nulling (every path shares its
     # signature with another, or is silent): no stream, no power
     residue = np.linalg.norm(h_eff.reshape(count, -1), axis=1)
@@ -215,7 +218,7 @@ def zf_spatial_design(
     stacked = np.zeros((count, h_eff.shape[2], width), dtype=np.complex128)
     for x, result in zip(stacked, results):
         x[:, : result.n_active_streams] = result.stacked_precoder
-    precoders = bases @ stacked.reshape(count, num_paths, bases.shape[3], -1)
+    precoders = bases[:, None] @ (nulls @ stacked.reshape(count, num_paths, num_coords, -1))
     return [(f[..., : r.n_active_streams], r) for f, r in zip(precoders, results)]
 
 
@@ -334,7 +337,11 @@ def zf_design(
     if len({r.matrices.shape for r in realizations}) != 1:
         raise ContractViolationError("zf_design needs realizations of one shape")
     spatial = zf_spatial_design(
-        np.array([r.matrices for r in realizations]), total_power, noise_var, num_streams
+        np.array([r.path_basis for r in realizations]),
+        np.array([r.path_coords for r in realizations]),
+        total_power,
+        noise_var,
+        num_streams,
     )
     designs = [
         (

@@ -18,12 +18,13 @@ import scipy.linalg
 
 from ddamsim.bcd import (
     POWER_BISECT_REL_TOL,
-    GroupedChannels,
     bcd_solve,
     colored_noise_rate,
     group_delay_differences,
 )
 from ddamsim.benchmarks import (
+    BEAM_OPT_MAX_ITERS,
+    BEAM_OPT_TOL,
     OfdmResult,
     OtfsConfig,
     StrongestPathDesign,
@@ -40,6 +41,7 @@ from ddamsim.channel import (
     array_response,
     coherence_partition,
     generate_paths,
+    path_coordinates,
     realize_channel,
 )
 from ddamsim.config import SystemConfig
@@ -70,24 +72,25 @@ from ddamsim.zf import DdamDesign, zf_design
 
 
 def ddam_rate(
-    grouped: GroupedChannels,
+    blocks: np.ndarray,
     precoder: np.ndarray,
     combiner: np.ndarray,
     noise_var: float,
 ) -> float:
     """Achievable rate with residual ISI treated as colored Gaussian noise.
 
-    log2 det(I + W^H Hbar Fbar Fbar^H Hbar^H W (W^H C W)^{-1}), evaluated
-    stably as a difference of two log-determinants.
+    blocks is the (K, M_r, L*M_t) antenna-width stack [Hbar, Gbar[i]...] of
+    grouped_blocks_loop. log2 det(I + W^H Hbar Fbar Fbar^H Hbar^H W (W^H C
+    W)^{-1}), evaluated stably as a difference of two log-determinants.
     """
     f_bar = np.asarray(precoder, dtype=np.complex128)
     w = np.asarray(combiner, dtype=np.complex128)
-    if f_bar.shape[0] != grouped.stacked_channel.shape[1]:
+    if f_bar.shape[0] != blocks.shape[2]:
         raise ContractViolationError("precoder rows must equal L * M_t")
-    if w.shape[0] != grouped.num_rx:
+    if w.shape[0] != blocks.shape[1]:
         raise ContractViolationError("combiner rows must equal M_r")
-    signal = w.conj().T @ (grouped.stacked_channel @ f_bar)
-    cov_w = w.conj().T @ isi_covariance(grouped, f_bar, noise_var) @ w
+    signal = w.conj().T @ (blocks[0] @ f_bar)
+    cov_w = w.conj().T @ isi_covariance(blocks, f_bar, noise_var) @ w
     sign, logdet_cov = np.linalg.slogdet(cov_w)
     if sign.real <= 0 or not np.isfinite(logdet_cov):
         raise NumericalError("combined noise covariance is singular")
@@ -97,27 +100,25 @@ def ddam_rate(
     return float((logdet_full - logdet_cov) / math.log(2.0))
 
 
-def isi_covariance(
-    grouped: GroupedChannels, precoder: np.ndarray, noise_var: float
-) -> np.ndarray:
-    """C = sum_i Gbar[i] Fbar Fbar^H Gbar[i]^H + noise_var * I, one offset at a time."""
-    cov = noise_var * np.eye(grouped.num_rx, dtype=np.complex128)
-    for block in grouped.blocks[1:]:
+def isi_covariance(blocks: np.ndarray, precoder: np.ndarray, noise_var: float) -> np.ndarray:
+    """C = sum_i Gbar[i] Fbar Fbar^H Gbar[i]^H + noise_var * I over the antenna-width blocks."""
+    cov = noise_var * np.eye(blocks.shape[1], dtype=np.complex128)
+    for block in blocks[1:]:
         out = block @ precoder
         cov += out @ out.conj().T
     return cov
 
 
 def mmse_receiver_direct(
-    grouped: GroupedChannels, precoder: np.ndarray, noise_var: float
+    blocks: np.ndarray, precoder: np.ndarray, noise_var: float
 ) -> np.ndarray:
-    """W = (A A^H + C)^{-1} A with A = Hbar Fbar, solved directly.
+    """W = (A A^H + C)^{-1} A with A = Hbar Fbar, solved directly on the antenna-width blocks.
 
     The library reaches the same filter as C^{-1} A Q^{-1} from the solve
     it already makes for the rate.
     """
-    a = grouped.stacked_channel @ precoder
-    return np.linalg.solve(a @ a.conj().T + isi_covariance(grouped, precoder, noise_var), a)
+    a = blocks[0] @ precoder
+    return np.linalg.solve(a @ a.conj().T + isi_covariance(blocks, precoder, noise_var), a)
 
 
 def ddam_rx_analytic(
@@ -212,18 +213,19 @@ def budgeted_precoder_bisect(
 
 
 def precoder_update_dense(
-    grouped: GroupedChannels,
+    blocks: np.ndarray,
     combiner: np.ndarray,
     auxiliary: np.ndarray,
     total_power: float,
 ) -> np.ndarray:
     """Dense, one-member version of `bcd.precoder_update`.
 
-    Forms the full (L*M_t) x (L*M_t) matrix `quad` block by block and
-    eigendecomposes it, instead of working in the coordinates of the
-    stacked channel's adjoint, and meets the budget by bisection
-    (`budgeted_precoder_bisect`) instead of Newton steps. Returns the
-    (L*M_t, N_s) precoder on the antennas.
+    Forms the full (L*M_t) x (L*M_t) matrix `quad` block by block from the
+    antenna-width blocks of grouped_blocks_loop and eigendecomposes it,
+    instead of working in the coordinates of the stacked channel's
+    adjoint, and meets the budget by bisection (`budgeted_precoder_bisect`)
+    instead of Newton steps. Returns the (L*M_t, N_s) precoder on the
+    antennas.
     """
     if total_power <= 0:
         raise ContractViolationError("total_power must be positive")
@@ -231,9 +233,9 @@ def precoder_update_dense(
     q = np.asarray(auxiliary, dtype=np.complex128)
     q = 0.5 * (q + q.conj().T)
     wqw = w @ q @ w.conj().T
-    h_bar = grouped.stacked_channel
+    h_bar = blocks[0]
     quad = h_bar.conj().T @ wqw @ h_bar
-    for block in grouped.blocks[1:]:
+    for block in blocks[1:]:
         quad += block.conj().T @ wqw @ block
     rhs = h_bar.conj().T @ (w @ q)
     if not np.any(np.abs(rhs) > 0):
@@ -269,26 +271,27 @@ def path_zf_precoder_bases_dense(matrices: np.ndarray) -> np.ndarray:
     return np.array(bases)
 
 
-def path_zf_precoder_bases_loop(matrices: np.ndarray) -> np.ndarray:
+def path_zf_precoder_bases_loop(coords: np.ndarray) -> np.ndarray:
     """Per-path loop version of `zf.path_zf_precoder_bases`.
 
-    Same thin QR of the stacked adjoint, but each path's other-path block
-    of R is cut out with np.delete and given its own null_space_basis call
-    (a stack of one) instead of one batched SVD over all L blocks. Returns
-    the (L, M_t, n) stack of the padded bases, n = min(M_t, L * M_r).
+    Takes one realization's (L, M_r, n) path coordinates C_l = H_l Q and
+    cuts each path's other-path columns out of [C_1^H, ..., C_L^H] with
+    np.delete, giving each its own null_space_basis call (a stack of one)
+    instead of one batched SVD over all L paths. Returns the (L, n, n)
+    stack of the padded bases in Q's coordinates.
     """
-    num_paths, num_rx, num_tx = matrices.shape
-    basis, tri = np.linalg.qr(np.concatenate(matrices.conj().transpose(0, 2, 1), axis=1))
+    num_paths, num_rx, width = coords.shape
+    adjoints = np.concatenate(coords.conj().transpose(0, 2, 1), axis=1)
     bases = []
     for l in range(num_paths):
-        others = np.delete(tri, np.s_[l * num_rx : (l + 1) * num_rx], axis=1)
+        others = np.delete(adjoints, np.s_[l * num_rx : (l + 1) * num_rx], axis=1)
         [reduced] = null_space_basis(others[None])
         if not reduced.any():
             raise FeasibilityError(
                 f"path {l}: no interference-free transmit directions left "
-                f"(M_t = {num_tx}, L = {num_paths})"
+                f"(n = {width}, L = {num_paths})"
             )
-        bases.append(basis @ reduced)
+        bases.append(reduced)
     return np.array(bases)
 
 
@@ -379,25 +382,32 @@ def lag_pairs_loop(
 
 
 def grouped_blocks_loop(
-    realization: ChannelRealization, timebase: Timebase, block_index: int
+    realization: ChannelRealization,
+    timebase: Timebase,
+    block_index: int,
+    path_coords: bool = False,
 ) -> tuple[list[int], np.ndarray]:
     """Pair-loop version of `bcd.group_delay_differences`' offsets and blocks.
 
     Takes the offsets, pair slots and phases of lag_pairs_loop with the
     branches aligned to the true paths, and adds each pair (l', l)'s
     H_l * phase to branch l''s columns of its offset's block, one pair at a
-    time, instead of scattering all pairs at once.
+    time, instead of scattering all pairs at once. The blocks are
+    antenna-width, (K, M_r, L*M_t), the dense BCD oracles' input; with
+    path_coords they scatter the path coordinates C_l in place of
+    H_l, as the library does, into (K, M_r, L*n) blocks.
     """
     paths = realization.path_set
     delays, dopplers = paths.delay_taps, paths.doppler_hz
     offsets, pair_slot, phases = lag_pairs_loop(
         delays, dopplers, delays, dopplers, timebase, [block_index]
     )
-    num_paths, num_rx, num_tx = realization.matrices.shape
+    mats = realization.path_coords if path_coords else realization.matrices
+    num_paths, num_rx, num_tx = mats.shape
     blocks = np.zeros((len(offsets), num_rx, num_paths * num_tx), dtype=np.complex128)
     for lp in range(num_paths):
         for l in range(num_paths):
-            term = realization.matrices[l] * phases[0, lp, l]
+            term = mats[l] * phases[0, lp, l]
             blocks[pair_slot[lp, l], :, lp * num_tx : (lp + 1) * num_tx] += term
     return offsets, blocks
 
@@ -608,6 +618,44 @@ def otfs_delay_doppler_channel(
     return t.reshape(m * n, m * n)
 
 
+def otfs_beam_opt_dense(
+    realization: ChannelRealization, config: OtfsConfig
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Antenna-width version of `benchmarks.otfs_beam_opt`.
+
+    The same alternating sweeps and stopping rule, but the transmit step
+    eigendecomposes the full M_t x M_t quadratic form built from the path
+    matrices, instead of its n x n form in the realization's path
+    coordinates.
+    """
+    mats = realization.matrices
+    i_taps, j_taps = config.delay_taps, config.doppler_taps
+    overlap = config.grid_size * (
+        (i_taps[:, None] == i_taps[None, :]) & (j_taps[:, None] == j_taps[None, :])
+    ).astype(np.float64)
+    f = config.tx_beam.copy()
+    v = config.rx_beam.copy()
+
+    def gain(f_vec: np.ndarray, v_vec: np.ndarray) -> float:
+        h = np.einsum("r,lrt,t->l", v_vec.conj(), mats, f_vec)
+        return float((h.conj() @ overlap @ h).real)
+
+    trace = [gain(f, v)]
+    for _ in range(BEAM_OPT_MAX_ITERS):
+        b_rows = np.einsum("r,lrt->lt", v.conj(), mats)        # row l = v^H H_l
+        [vals], [vecs] = eig_hermitian((b_rows.conj().T @ overlap @ b_rows)[None])
+        if vals[0] <= 0:
+            break
+        f = vecs[:, 0]
+        c_cols = np.einsum("lrt,t->lr", mats, f)               # row l = H_l f
+        [vals], [vecs] = eig_hermitian((c_cols.T @ overlap @ c_cols.conj())[None])
+        if vals[0] <= 0:
+            break
+        v = vecs[:, 0]
+        trace.append(gain(f, v))
+        if trace[-1] - trace[-2] <= BEAM_OPT_TOL * max(abs(trace[-2]), 1e-30):
+            break
+    return f, v, trace
 
 
 def otfs_rate(
@@ -1046,8 +1094,15 @@ def realization_from_json(text: str) -> ChannelRealization:
         doppler_bound_hz=float(bound_hz),
         delay_tap_bound=int(tap_bound),
     )
-    return ChannelRealization(
-        path_set=paths,
-        matrices=mats[..., 0] + 1j * mats[..., 1],
-        symbol_duration_s=float(symbol_s),
-    )
+    matrices = mats[..., 0] + 1j * mats[..., 1]
+    [basis], [coords] = path_coordinates(matrices[None])
+    return ChannelRealization(paths, matrices, float(symbol_s), basis, coords)
+
+
+def realization_with_matrices(
+    realization: ChannelRealization, matrices: np.ndarray
+) -> ChannelRealization:
+    """The realization with other path matrices and the path basis path_coordinates gives them."""
+    matrices = np.asarray(matrices, dtype=np.complex128)
+    [basis], [coords] = path_coordinates(matrices[None])
+    return replace(realization, matrices=matrices, path_basis=basis, path_coords=coords)

@@ -47,7 +47,8 @@ def _setup(seed, num_tx=8, num_paths=3):
 
 def _stack_zf_precoder(realization, cfg):
     [(per_path, result)] = zf_spatial_design(
-        realization.matrices[None],
+        realization.path_basis[None],
+        realization.path_coords[None],
         cfg.tx_power_watts,
         cfg.noise_power_watts,
         cfg.num_streams,
@@ -55,9 +56,14 @@ def _stack_zf_precoder(realization, cfg):
     return np.concatenate(per_path, axis=0), result
 
 
-def _receive(grouped, precoder, noise_var):
-    """mmse_receiver on the antennas, a stack of one: (rate, Q, W)."""
-    [rate], [q], [w] = mmse_receiver(grouped.blocks[None], precoder[None], noise_var)
+def _antenna_blocks(realization, timebase, block_index):
+    """The antenna-width (K, M_r, L M_t) blocks of grouped_blocks_loop, for the dense oracles."""
+    return grouped_blocks_loop(realization, timebase, block_index)[1]
+
+
+def _receive(blocks, precoder, noise_var):
+    """mmse_receiver on antenna-width blocks, a stack of one: (rate, Q, W)."""
+    [rate], [q], [w] = mmse_receiver(blocks[None], precoder[None], noise_var)
     return rate, q, w
 
 
@@ -77,13 +83,14 @@ def _zf_bcd_start(realization, cfg):
 
 
 def test_grouping_places_paths_by_delay_difference():
-    cfg, realization, timebase, _ = _setup(0)
+    _, realization, timebase, _ = _setup(0)
     paths = realization.path_set
     grouped = group_delay_differences(realization, timebase, block_index=0)
-    mt = cfg.num_tx_antennas
+    coords = realization.path_coords  # C_l = H_l Q
+    width = coords.shape[2]
     for lp in range(3):
-        block = grouped.stacked_channel[:, lp * mt : (lp + 1) * mt]
-        assert np.array_equal(block, realization.matrices[lp])
+        block = grouped.blocks[0][:, lp * width : (lp + 1) * width]
+        assert np.array_equal(block, coords[lp])
     expected_offsets = {
         int(paths.delay_taps[lp] - paths.delay_taps[l])
         for lp in range(3)
@@ -98,7 +105,7 @@ def test_grouping_places_paths_by_delay_difference():
     ts = timebase.symbol_duration_s
     for offset, mat in zip(grouped.offsets[1:], grouped.blocks[1:]):
         for lp in range(3):
-            block = mat[:, lp * mt : (lp + 1) * mt]
+            block = mat[:, lp * width : (lp + 1) * width]
             matches = [
                 l
                 for l in range(3)
@@ -108,19 +115,20 @@ def test_grouping_places_paths_by_delay_difference():
                 l = matches[0]
                 lag = paths.delay_taps[l] - paths.delay_taps[lp]
                 phase = np.exp(2j * np.pi * paths.doppler_hz[lp] * lag * ts)
-                assert np.allclose(block, realization.matrices[l] * phase, atol=0)
+                assert np.allclose(block, coords[l] * phase, atol=0)
             else:
                 assert not np.any(block)
 
 
 def test_grouping_accumulates_block_phase():
-    cfg, realization, timebase, _ = _setup(1)
+    _, realization, timebase, _ = _setup(1)
     paths = realization.path_set
     block_index = 5
     grouped = group_delay_differences(realization, timebase, block_index)
     ts = timebase.symbol_duration_s
     n0 = block_index * timebase.samples_per_coherence
-    mt = cfg.num_tx_antennas
+    coords = realization.path_coords
+    width = coords.shape[2]
     for lp in range(3):
         for l in range(3):
             if l == lp:
@@ -129,9 +137,9 @@ def test_grouping_accumulates_block_phase():
             dnu = paths.doppler_hz[l] - paths.doppler_hz[lp]
             lag = paths.delay_taps[l] - paths.delay_taps[lp]
             cycles = (dnu * n0 + paths.doppler_hz[lp] * lag) * ts
-            expected = realization.matrices[l] * np.exp(2j * np.pi * cycles)
+            expected = coords[l] * np.exp(2j * np.pi * cycles)
             mat = grouped.blocks[grouped.offsets.index(offset)]
-            block = mat[:, lp * mt : (lp + 1) * mt]
+            block = mat[:, lp * width : (lp + 1) * width]
             assert np.allclose(block, expected, atol=1e-18)
 
 
@@ -147,17 +155,24 @@ def _true_branches(paths, branch_delays=None, branch_dopplers=None):
 
 def test_grouping_branch_inputs_default_to_the_true_paths():
     # group_delay_differences aligns the branches to the true paths; its
-    # offsets and blocks equal the dict oracle's exactly, also when evenly
-    # spaced delays make several pairs share an offset
+    # offsets and path-coordinate blocks equal the dict oracle's exactly,
+    # also when evenly spaced delays make several pairs share an offset,
+    # and on the path basis they are the oracle's antenna-width blocks
     cfg, spread, timebase, _ = _setup(4, num_paths=4)
     even = replace(spread.path_set, delay_taps=cfg.max_delay_tap // 3 * np.arange(4))
     colliding = replace(spread, path_set=even)
     for realization in (spread, colliding):
         for block_index in (0, 3):
             grouped = group_delay_differences(realization, timebase, block_index)
-            offsets, blocks = grouped_blocks_loop(realization, timebase, block_index)
+            offsets, blocks = grouped_blocks_loop(
+                realization, timebase, block_index, path_coords=True
+            )
             assert list(grouped.offsets) == offsets
             assert np.array_equal(grouped.blocks, blocks)
+            antenna = _antenna_blocks(realization, timebase, block_index)
+            rebuilt = grouped.blocks.reshape(len(offsets), 2, 4, -1) @ grouped.path_basis.conj().T
+            error = np.linalg.norm(rebuilt.reshape(antenna.shape) - antenna)
+            assert error <= 1e-12 * np.linalg.norm(antenna)
     assert len(offsets) == 7  # the 12 interfering pairs share 6 offsets
     paths = spread.path_set
     with pytest.raises(ContractViolationError):
@@ -201,13 +216,14 @@ def test_lag_pairs_rejects_non_finite_branch_dopplers(bad):
 
 
 def test_grouping_single_path_has_no_isi():
-    cfg, realization, timebase, _ = _setup(2, num_paths=1)
+    _, realization, timebase, _ = _setup(2, num_paths=1)
     grouped = group_delay_differences(realization, timebase, 0)
-    assert grouped.offsets == (0,) and grouped.blocks.shape == (1, 2, cfg.num_tx_antennas)
-    offsets, blocks = grouped_blocks_loop(realization, timebase, 0)
+    # one path of M_r = 2 rows spans n = 2 coordinates
+    assert grouped.offsets == (0,) and grouped.blocks.shape == (1, 2, 2)
+    offsets, blocks = grouped_blocks_loop(realization, timebase, 0, path_coords=True)
     assert list(grouped.offsets) == offsets
     assert np.array_equal(grouped.blocks, blocks)
-    assert np.array_equal(grouped.stacked_channel, realization.matrices[0])
+    assert np.array_equal(grouped.blocks[0], realization.path_coords[0])
 
 
 def test_grouped_channels_rejects_zero_offset():
@@ -219,16 +235,15 @@ def test_grouped_channels_rejects_zero_offset():
                 blocks=np.zeros((2, 2, 8), dtype=np.complex128),
                 offsets=offsets,
                 num_paths=1,
-                num_tx=8,
+                path_basis=np.eye(8, dtype=np.complex128),
             )
 
 
 def test_zf_precoder_silences_interference_covariance():
     cfg, realization, timebase, _ = _setup(3)
-    grouped = group_delay_differences(realization, timebase, 0)
     f_stack, _ = _stack_zf_precoder(realization, cfg)
     noise = cfg.noise_power_watts
-    c = isi_covariance(grouped, f_stack, noise)
+    c = isi_covariance(_antenna_blocks(realization, timebase, 0), f_stack, noise)
     assert np.allclose(c, noise * np.eye(2), atol=1e-12 * noise)
     vals = np.linalg.eigvalsh(c)
     assert np.all(vals >= 0)
@@ -237,15 +252,15 @@ def test_zf_precoder_silences_interference_covariance():
 def test_rate_of_zf_precoder_matches_capacity_result():
     for seed in range(5):
         cfg, realization, timebase, _ = _setup(10 + seed)
-        grouped = group_delay_differences(realization, timebase, 0)
+        blocks = _antenna_blocks(realization, timebase, 0)
         f_stack, result = _stack_zf_precoder(realization, cfg)
         noise = cfg.noise_power_watts
-        rate = ddam_rate(grouped, f_stack, result.combiner, noise)
+        rate = ddam_rate(blocks, f_stack, result.combiner, noise)
         assert rate == pytest.approx(result.rate_bps_hz, rel=1e-9), f"seed {10 + seed}"
         # the MMSE receiver attains the same mutual information
-        rate_mmse, _, w = _receive(grouped, f_stack, noise)
+        rate_mmse, _, w = _receive(blocks, f_stack, noise)
         assert rate_mmse == pytest.approx(result.rate_bps_hz, rel=1e-9)
-        assert ddam_rate(grouped, f_stack, w, noise) == pytest.approx(rate_mmse, rel=1e-9)
+        assert ddam_rate(blocks, f_stack, w, noise) == pytest.approx(rate_mmse, rel=1e-9)
 
 
 def test_bcd_trace_is_monotone_and_converges():
@@ -308,7 +323,7 @@ def test_bcd_random_init_reaches_zf_ballpark():
     grouped = group_delay_differences(realization, timebase, 0)
     _, zf_result = _stack_zf_precoder(realization, cfg)
     rng = np.random.default_rng(0)
-    k = grouped.stacked_channel.shape[1]
+    k = cfg.num_paths * cfg.num_tx_antennas
     init = rng.standard_normal((k, 2)) + 1j * rng.standard_normal((k, 2))
     init *= np.sqrt(cfg.tx_power_watts) / np.linalg.norm(init)
     state = bcd_solve(grouped, cfg.tx_power_watts, cfg.noise_power_watts, init, max_iters=200)
@@ -324,13 +339,15 @@ def _grouped_draw(seed, num_tx, num_paths, num_rx, num_streams, block_index):
     )
     rng = np.random.default_rng(seed)
     realization = realize_channel(generate_paths(cfg, rng), cfg)
-    grouped = group_delay_differences(realization, coherence_partition(cfg), block_index)
-    return cfg, realization, grouped, rng
+    timebase = coherence_partition(cfg)
+    grouped = group_delay_differences(realization, timebase, block_index)
+    blocks = _antenna_blocks(realization, timebase, block_index)
+    return cfg, realization, grouped, blocks, rng
 
 
-def _rate_and_weights(grouped, precoder, noise_var):
-    """colored_noise_rate of the outputs on the antennas, a stack of one: (rate, Q, C^-1 A)."""
-    outputs = np.stack([block @ precoder for block in grouped.blocks])
+def _rate_and_weights(blocks, precoder, noise_var):
+    """colored_noise_rate of antenna-width blocks' outputs, a stack of one: (rate, Q, C^-1 A)."""
+    outputs = np.stack([block @ precoder for block in blocks])
     [rate], [q], [cinv_a] = colored_noise_rate(outputs[None, 0], outputs[None, 1:], noise_var)
     return rate, q, cinv_a
 
@@ -354,23 +371,23 @@ def test_precoder_update_matches_dense_oracle(num_tx, num_paths, num_rx, block_i
     # of the dense (L*M_t)^2 eigendecomposition with the bisected budget, in
     # both the beta = 0 and the constrained branch
     num_streams = min(2, num_rx, num_tx)
-    cfg, _, grouped, rng = _grouped_draw(
+    cfg, _, grouped, blocks, rng = _grouped_draw(
         [num_tx, num_paths, num_rx], num_tx, num_paths, num_rx, num_streams, block_index
     )
-    dim = grouped.stacked_channel.shape[1]
+    dim = num_paths * num_tx
     raw = rng.standard_normal((dim, num_streams)) + 1j * rng.standard_normal(
         (dim, num_streams)
     )
     start = raw * np.sqrt(cfg.tx_power_watts) / np.linalg.norm(raw)
     noise = cfg.noise_power_watts
-    _, q, w = _receive(grouped, start, noise)
+    _, q, w = _receive(blocks, start, noise)
 
-    unconstrained = precoder_update_dense(grouped, w, q, 1e30)
+    unconstrained = precoder_update_dense(blocks, w, q, 1e30)
     assert _relative_error(_update(grouped, w, q, 1e30), unconstrained) <= 1e-9
 
     budget = 0.25 * float(np.sum(np.abs(unconstrained) ** 2))
     fast = _update(grouped, w, q, budget)
-    assert _relative_error(fast, precoder_update_dense(grouped, w, q, budget)) <= 1e-9
+    assert _relative_error(fast, precoder_update_dense(blocks, w, q, budget)) <= 1e-9
     # the Newton steps meet the budget from below
     power = float(np.sum(np.abs(fast) ** 2))
     assert budget * (1 - 2e-12) <= power <= budget * (1 + 1e-12)
@@ -378,7 +395,7 @@ def test_precoder_update_matches_dense_oracle(num_tx, num_paths, num_rx, block_i
     silent = np.zeros_like(w)
     zero = _update(grouped, silent, q, budget)
     assert zero.shape == (dim, num_streams)
-    assert np.array_equal(zero, precoder_update_dense(grouped, silent, q, budget))
+    assert np.array_equal(zero, precoder_update_dense(blocks, silent, q, budget))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -396,19 +413,19 @@ def test_mmse_receiver_matches_direct_oracle(
     # the filter taken from the rate's solve, C^{-1} A Q^{-1}, is the direct
     # (A A^H + C)^{-1} A, and the rate and Q are those of the per-offset sum
     num_streams = data.draw(st.integers(1, min(num_rx, num_tx)), label="num_streams")
-    cfg, _, grouped, rng = _grouped_draw(
+    cfg, _, grouped, blocks, rng = _grouped_draw(
         seed, num_tx, num_paths, num_rx, num_streams, block_index
     )
-    dim = grouped.stacked_channel.shape[1]
+    dim = num_paths * num_tx
     raw = rng.standard_normal((dim, num_streams)) + 1j * rng.standard_normal(
         (dim, num_streams)
     )
     precoder = raw * np.sqrt(cfg.tx_power_watts) / np.linalg.norm(raw)
     noise = cfg.noise_power_watts
-    rate, q, w = _receive(grouped, precoder, noise)
+    rate, q, w = _receive(blocks, precoder, noise)
     assert w.shape == (num_rx, num_streams)
-    assert _relative_error(w, mmse_receiver_direct(grouped, precoder, noise)) <= 1e-10
-    want_rate, want_q, _ = _rate_and_weights(grouped, precoder, noise)
+    assert _relative_error(w, mmse_receiver_direct(blocks, precoder, noise)) <= 1e-10
+    want_rate, want_q, _ = _rate_and_weights(blocks, precoder, noise)
     assert rate == pytest.approx(want_rate, rel=1e-12, abs=0.0)
     assert _relative_error(q, want_q) <= 1e-12
     # in the coordinates of range(B^H), where BCD evaluates it, B F = R^H U^H F
@@ -430,13 +447,15 @@ def _criterion_04_traces(monkeypatch=None):
     traces = []
     for config, seed, tol, max_iters in runs:
         realization = realize_channel(generate_paths(config, np.random.default_rng(seed)), config)
-        grouped = group_delay_differences(realization, coherence_partition(config), 0)
+        timebase = coherence_partition(config)
+        grouped = group_delay_differences(realization, timebase, 0)
         if monkeypatch is not None:
             basis = grouped.coordinates[0]
+            antenna = _antenna_blocks(realization, timebase, 0)
 
-            def dense(blocks, combiners, auxiliaries, total_power, grouped=grouped, basis=basis):
+            def dense(blocks, combiners, auxiliaries, total_power, antenna=antenna, basis=basis):
                 [w], [q] = combiners, auxiliaries
-                return (basis.conj().T @ precoder_update_dense(grouped, w, q, total_power))[None]
+                return (basis.conj().T @ precoder_update_dense(antenna, w, q, total_power))[None]
 
             monkeypatch.setattr(bcd, "precoder_update", dense)
         state = bcd_solve(
@@ -473,14 +492,14 @@ def test_bcd_trace_is_monotone_within_budget(
     num_rx, num_streams = rx_streams
     # a configuration cannot carry more streams than transmit antennas
     num_streams = min(num_streams, num_tx)
-    cfg, realization, grouped, rng = _grouped_draw(
+    cfg, realization, grouped, blocks, rng = _grouped_draw(
         seed, num_tx, num_paths, num_rx, num_streams, block_index
     )
     budget, noise = cfg.tx_power_watts, cfg.noise_power_watts
     try:
         start = _zf_bcd_start(realization, cfg)
     except FeasibilityError:
-        dim = grouped.stacked_channel.shape[1]
+        dim = num_paths * num_tx
         raw = rng.standard_normal((dim, num_streams)) + 1j * rng.standard_normal(
             (dim, num_streams)
         )
@@ -493,12 +512,12 @@ def test_bcd_trace_is_monotone_within_budget(
     # step that loses power against the budget would show as a rate drop,
     # every receiver/weights/precoder step must still be an ascent step
     f_bar = state.precoder
-    rate, q, _ = _rate_and_weights(grouped, f_bar, noise)
+    rate, q, _ = _rate_and_weights(blocks, f_bar, noise)
     for step in range(5):
-        combiner = _receive(grouped, f_bar, noise)[2]
+        combiner = _receive(blocks, f_bar, noise)[2]
         f_bar = _update(grouped, combiner, q, budget)
         assert float(np.sum(np.abs(f_bar) ** 2)) <= budget * (1 + 1e-6)
-        new_rate, q, _ = _rate_and_weights(grouped, f_bar, noise)
+        new_rate, q, _ = _rate_and_weights(blocks, f_bar, noise)
         assert new_rate >= rate - 1e-9 * max(1.0, abs(rate)), (
             f"step {step}: rate {rate!r} -> {new_rate!r}"
         )
@@ -510,7 +529,8 @@ def test_bcd_state_at_max_iters_belongs_to_last_rate():
     # weights must be the iterate that rate_trace[-1] was measured on
     cfg, realization, timebase, rng = _setup(5, num_tx=16)
     grouped = group_delay_differences(realization, timebase, 0)
-    dim = grouped.stacked_channel.shape[1]
+    blocks = _antenna_blocks(realization, timebase, 0)
+    dim = cfg.num_paths * cfg.num_tx_antennas
     raw = rng.standard_normal((dim, cfg.num_streams)) + 1j * rng.standard_normal(
         (dim, cfg.num_streams)
     )
@@ -518,11 +538,11 @@ def test_bcd_state_at_max_iters_belongs_to_last_rate():
     noise = cfg.noise_power_watts
     state = bcd_solve(grouped, cfg.tx_power_watts, noise, init, tol=0.0, max_iters=3)
     assert not state.converged and len(state.rate_trace) == 3
-    rate, q, _ = _rate_and_weights(grouped, state.precoder, noise)
+    rate, q, _ = _rate_and_weights(blocks, state.precoder, noise)
     assert rate == pytest.approx(state.rate_trace[-1], rel=1e-12, abs=0.0)
     assert np.allclose(state.auxiliary, q, rtol=1e-12, atol=0.0)
     assert np.allclose(
-        state.combiner, _receive(grouped, state.precoder, noise)[2], rtol=1e-12, atol=0.0
+        state.combiner, _receive(blocks, state.precoder, noise)[2], rtol=1e-12, atol=0.0
     )
 
 
@@ -591,15 +611,17 @@ def test_colored_noise_rate_takes_stacks_only():
 def test_cached_factor_reproduces_the_stacked_blocks(
     seed, num_tx, num_paths, num_rx, block_index
 ):
-    _, _, grouped, _ = _grouped_draw(seed, num_tx, num_paths, num_rx, 1, block_index)
-    blocks = np.vstack(list(grouped.blocks))
-    assert np.array_equal(grouped.stacked_blocks, blocks)
-    assert np.shares_memory(grouped.stacked_blocks, grouped.blocks)  # a view, no copy
+    _, _, grouped, antenna, _ = _grouped_draw(seed, num_tx, num_paths, num_rx, 1, block_index)
+    # the antenna-width B = [Hbar; Gbar[i]...] of the dense oracle
+    blocks = np.vstack(list(antenna))
     basis, coords = grouped.coordinates
     assert grouped.coordinates is grouped.coordinates  # factored once
-    # zero-padded to K' = L (L - 1) + 1 offsets and K' M_r coordinates
+    # zero-padded to K' = L (L - 1) + 1 offsets and K' M_r coordinates; the
+    # QR is of the (L n) x (K M_r) path-coordinate adjoint, n = min(M_t, L M_r)
     num_slots = num_paths * (num_paths - 1) + 1
-    count, width = len(grouped.blocks), min(blocks.shape)
+    count = len(grouped.blocks)
+    width = min(count * num_rx, num_paths * min(num_tx, num_paths * num_rx))
+    assert grouped.blocks.shape[2] == num_paths * min(num_tx, num_paths * num_rx)
     assert basis.shape == (num_paths * num_tx, num_slots * num_rx)
     assert coords.shape == (num_slots, num_rx, num_slots * num_rx)
     assert not np.any(basis[:, width:])
@@ -633,12 +655,13 @@ def test_bcd_solve_routes_each_step_through_module_globals(monkeypatch):
 
         return wrapper
 
+    # the realization's own QR, of its path matrices, comes before
+    cfg, realization, timebase, rng = _setup(8, num_tx=64)
     monkeypatch.setattr(bcd, "precoder_update", counted("precoder_update", precoder_update))
     monkeypatch.setattr(bcd, "mmse_receiver", counted("mmse_receiver", mmse_receiver))
     monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
-    cfg, realization, timebase, rng = _setup(8, num_tx=64)
     grouped = group_delay_differences(realization, timebase, 0)
-    dim = grouped.stacked_channel.shape[1]
+    dim = cfg.num_paths * cfg.num_tx_antennas
     raw = rng.standard_normal((dim, cfg.num_streams)) + 1j * rng.standard_normal(
         (dim, cfg.num_streams)
     )
@@ -683,7 +706,7 @@ def test_bcd_solve_rejects_bad_arguments_before_the_loop(bad, monkeypatch):
     cfg, realization, timebase, _ = _setup(9)
     grouped = group_delay_differences(realization, timebase, 0)
     # a valid start unless the case is about the start
-    init = np.full((grouped.stacked_channel.shape[1], 2), 0.1 + 0j)
+    init = np.full((cfg.num_paths * cfg.num_tx_antennas, 2), 0.1 + 0j)
     if bad.get("init_precoder") == "one row short":
         init = init[1:]
     elif bad.get("init_precoder") == "no column":
@@ -892,7 +915,7 @@ def test_bcd_solve_stack_rejects_members_of_other_shapes():
     def member(cfg, num_streams):
         realization = realize_channel(generate_paths(cfg, np.random.default_rng(0)), cfg)
         grouped = group_delay_differences(realization, coherence_partition(cfg), 0)
-        return grouped, np.full((grouped.blocks.shape[2], num_streams), 0.1 + 0j)
+        return grouped, np.full((cfg.num_paths * cfg.num_tx_antennas, num_streams), 0.1 + 0j)
 
     first = member(base, 2)
     budget, noise = base.tx_power_watts, base.noise_power_watts

@@ -1,10 +1,11 @@
 """Reference transceivers: OFDM with ICI, OTFS, strongest-path beams."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddamsim.benchmarks import (
@@ -33,9 +34,11 @@ from oracles import (
     ofdm_design_and_rate_loop,
     ofdm_ici_direct,
     ofdm_precoder_stack,
+    otfs_beam_opt_dense,
     otfs_delay_doppler_channel,
     otfs_rate,
     otfs_time_channel,
+    realization_with_matrices,
 )
 
 
@@ -716,6 +719,55 @@ def test_otfs_beam_opt_single_path_optimum():
     grid = 64 * 4
     optimum = grid * 16 * 4 * np.abs(alpha) ** 2
     assert trace[-1] == pytest.approx(optimum, rel=1e-8)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_tx=st.integers(1, 64),
+    num_rx=st.integers(1, 4),
+    num_paths=st.integers(1, 5),
+    velocity=st.sampled_from([50.0, 500.0 / 3.6]),
+    shared_taps=st.booleans(),
+    general=st.booleans(),
+)
+@example(  # M_t <= L M_r: the path basis is square, n = M_t
+    seed=3, num_tx=4, num_rx=2, num_paths=3, velocity=50.0, shared_taps=False, general=False
+)
+@example(  # and with every pair of paths overlapping on the grid
+    seed=4, num_tx=6, num_rx=4, num_paths=2, velocity=500.0 / 3.6, shared_taps=True, general=True
+)
+def test_otfs_beam_opt_matches_the_antenna_width_oracle(
+    seed, num_tx, num_rx, num_paths, velocity, shared_taps, general
+):
+    # the transmit step in path coordinates reaches the antenna-width
+    # eigenvector up to one common phase, and with it the same gain trace;
+    # shared taps make the overlap dense, general paths are not rank one
+    cfg = SystemConfig(
+        num_tx_antennas=num_tx,
+        num_rx_antennas=num_rx,
+        num_streams=1,
+        num_paths=num_paths,
+        velocity_mps=velocity,
+    )
+    rng = np.random.default_rng(seed)
+    realization = realize_channel(generate_paths(cfg, rng), cfg)
+    if general:
+        shape = realization.matrices.shape
+        realization = realization_with_matrices(
+            realization, 1e-5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        )
+    otfs = make_otfs_config(realization, 64, 8)
+    if shared_taps:
+        otfs = replace(
+            otfs, delay_taps=np.zeros(num_paths, int), doppler_taps=np.zeros(num_paths, int)
+        )
+    f, v, trace = otfs_beam_opt(realization, otfs)
+    f_ref, v_ref, trace_ref = otfs_beam_opt_dense(realization, otfs)
+    assert len(trace) == len(trace_ref)
+    assert np.allclose(trace, trace_ref, rtol=1e-12, atol=0.0)
+    assert abs(abs(np.vdot(f_ref, f)) - 1.0) <= 1e-12
+    assert abs(abs(np.vdot(v_ref, v)) - 1.0) <= 1e-12
 
 
 def test_strongest_path_design_geometry():

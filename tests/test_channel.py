@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddamsim.channel import (
@@ -14,6 +14,7 @@ from ddamsim.channel import (
     array_response,
     coherence_partition,
     generate_paths,
+    path_coordinates,
     realize_channel,
 )
 from ddamsim.config import SystemConfig
@@ -432,7 +433,71 @@ def test_realization_json_round_trip_is_exact(seed, num_paths, num_rx, num_tx, v
         assert got.dtype == want.dtype and np.array_equal(got, want), name
     assert clone.path_set.doppler_bound_hz == realization.path_set.doppler_bound_hz
     assert clone.path_set.delay_tap_bound == realization.path_set.delay_tap_bound
+    # the path basis is refilled from the matrices, by the same factorization
+    assert np.array_equal(clone.path_basis, realization.path_basis)
+    assert np.array_equal(clone.path_coords, realization.path_coords)
     assert realization_to_json(clone) == text
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 4),
+    num_paths=st.integers(1, 5),
+    num_rx=st.integers(1, 4),
+    num_tx=st.integers(1, 48),
+    general=st.booleans(),
+    silent=st.booleans(),
+)
+@example(  # M_t < L M_r, paths not rank one, one of them all zero
+    seed=0, count=3, num_paths=4, num_rx=2, num_tx=5, general=True, silent=True
+)
+def test_path_basis_spans_every_path(seed, count, num_paths, num_rx, num_tx, general, silent):
+    # Q has orthonormal columns and H_l = C_l Q^H, for rank-one ray paths
+    # and generic (general) ones, with one path silenced (silent); every
+    # member of a stacked realize_channel call is its own call, bit for bit
+    cfg = SystemConfig(
+        num_tx_antennas=num_tx, num_rx_antennas=num_rx, num_streams=1, num_paths=num_paths
+    )
+    rng = np.random.default_rng(seed)
+    paths = [generate_paths(cfg, rng) for _ in range(count)]
+    quiet = rng.integers(num_paths, size=count)
+    if silent:
+        paths = [
+            replace(p, gains=np.where(np.arange(num_paths) == q, 0.0, p.gains))
+            for p, q in zip(paths, quiet)
+        ]
+    stacked = realize_channel(paths, cfg)
+    for path_set, realization in zip(paths, stacked):
+        alone = realize_channel(path_set, cfg)
+        for name in ("matrices", "path_basis", "path_coords"):
+            assert np.array_equal(getattr(realization, name), getattr(alone, name)), name
+    matrices = np.array([realization.matrices for realization in stacked])
+    if general:
+        matrices = rng.standard_normal(matrices.shape) + 1j * rng.standard_normal(matrices.shape)
+        if silent:
+            matrices[np.arange(count), quiet] = 0.0
+        basis, coords = path_coordinates(matrices)
+    else:
+        basis = np.array([realization.path_basis for realization in stacked])
+        coords = np.array([realization.path_coords for realization in stacked])
+    width = min(num_tx, num_paths * num_rx)
+    assert basis.shape == (count, num_tx, width)
+    assert coords.shape == (count, num_paths, num_rx, width)
+    for h, q, c in zip(matrices, basis, coords):
+        assert np.linalg.norm(q.conj().T @ q - np.eye(width)) <= 1e-12
+        assert np.linalg.norm(c @ q.conj().T - h) <= 1e-12 * np.linalg.norm(h)
+
+
+def test_realization_rejects_a_misshapen_path_basis():
+    realization = _valid_realization()  # L 3, M_r 2, M_t 4: n = 4
+    for changes in [
+        {"path_basis": realization.path_basis[:, :3]},
+        {"path_coords": realization.path_coords[:2]},
+        {"path_coords": realization.path_coords[..., :3]},
+    ]:
+        with pytest.raises(ContractViolationError):
+            replace(realization, **changes)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

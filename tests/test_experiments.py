@@ -22,6 +22,7 @@ from ddamsim.errors import ContractViolationError, FeasibilityError, NumericalEr
 from ddamsim.experiments import (
     CSV_HEADER,
     EXPERIMENTS,
+    TRANSMIT_ANTENNA_SWEEP,
     _block_samples,
     _ofdm_papr_frame,
     list_experiments,
@@ -29,7 +30,7 @@ from ddamsim.experiments import (
     run_experiment,
 )
 from ddamsim.metrics import CsiError, perturb_csi
-from ddamsim.zf import DdamDesign, zf_spatial_design
+from ddamsim.zf import DdamDesign, zf_design, zf_spatial_design
 from oracles import (
     imperfect_csi_trial_loop,
     lag_pairs_loop,
@@ -402,9 +403,8 @@ def test_mismatched_alignment_with_true_csi_matches_zf_rate():
         rng = np.random.default_rng(seed)
         paths = generate_paths(cfg, rng)
         realization = realize_channel(paths, cfg)
-        [(spatial, result)] = zf_spatial_design(
-            realization.matrices[None], cfg.tx_power_watts, cfg.noise_power_watts, 2
-        )
+        design, result = zf_design(realization, cfg.tx_power_watts, cfg.noise_power_watts, 2)
+        spatial = design.precoders
         rate = _trial_rate(
             paths,
             _pair_outputs(realization, spatial),
@@ -425,9 +425,8 @@ def test_mismatched_alignment_loses_rate_with_wrong_delays():
         realization = realize_channel(paths, cfg)
         wrong, _ = perturb_csi(paths, CsiError(2.0 / 3.0, 0.0), rng)
         estimated = realize_channel(wrong, cfg)
-        [(spatial, result)] = zf_spatial_design(
-            estimated.matrices[None], cfg.tx_power_watts, cfg.noise_power_watts, 2
-        )
+        design, result = zf_design(estimated, cfg.tx_power_watts, cfg.noise_power_watts, 2)
+        spatial = design.precoders
         rate = _trial_rate(
             paths,
             _pair_outputs(realization, spatial),
@@ -450,9 +449,8 @@ def test_mismatched_alignment_doppler_error_is_mild():
         realization = realize_channel(paths, cfg)
         wrong, _ = perturb_csi(paths, CsiError(1.0, 0.05), rng)
         estimated = realize_channel(wrong, cfg)
-        [(spatial, result)] = zf_spatial_design(
-            estimated.matrices[None], cfg.tx_power_watts, cfg.noise_power_watts, 2
-        )
+        design, result = zf_design(estimated, cfg.tx_power_watts, cfg.noise_power_watts, 2)
+        spatial = design.precoders
         rate = _trial_rate(
             paths,
             _pair_outputs(realization, spatial),
@@ -546,10 +544,11 @@ def test_lag_grouping_matches_pair_loop(
     )[0, 0]
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
-    # perfect CSI: BCD's default grouping rates the stacked spatial precoder
+    # perfect CSI: BCD's default grouping, in path coordinates, rates the
+    # stacked spatial precoder's coordinates blockdiag(Q)^H Fbar
     design = _random_design(realization, cfg.num_streams, 1.0, rng)
     grouped = group_delay_differences(realization, timebase, block)
-    f_bar = design.precoders.reshape(-1, cfg.num_streams)
+    f_bar = (grouped.path_basis.conj().T @ design.precoders).reshape(-1, cfg.num_streams)
     outputs = grouped.blocks @ f_bar
     [got], _, _ = colored_noise_rate(outputs[None, 0], outputs[None, 1:], noise)
     want = mismatched_alignment_rate_loop(
@@ -780,6 +779,48 @@ def test_one_zf_design_per_realization(monkeypatch, name, designs_per_trial):
     run = run_experiment(name, seed=4, num_trials=2)
     assert run.failures == []
     assert len(calls) == 2 * designs_per_trial
+
+
+@pytest.mark.parametrize("name", ["fig4-se-vs-mt", "fig5-se-ddam-ofdm-otfs"])
+def test_one_antenna_width_factorization_per_array_size(monkeypatch, name):
+    # realize_channel's thin QR of the path matrices is a trial's only
+    # factorization with an M_t axis per array size: ZF, BCD's QRs of
+    # (L n) x (K M_r) path-coordinate adjoints and the OTFS beam step's
+    # eigendecompositions work in the n = min(M_t, L M_r) path coordinates.
+    # OFDM's tail QR, whose LAPACK phases fig8's PAPR depends on, is left out.
+    qrs, eighs = [], []
+    qr, eigh = np.linalg.qr, np.linalg.eigh
+
+    def counted_qr(a, *args, **kwargs):
+        caller = sys._getframe(1).f_code.co_name
+        if caller != "ofdm_design_and_rate":
+            qrs.append((caller, np.shape(a)))
+        return qr(a, *args, **kwargs)
+
+    def counted_eigh(a, *args, **kwargs):
+        eighs.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    run = run_experiment(name, seed=4, num_trials=1)
+    assert run.failures == []
+    num_paths, num_rx = run.config.num_paths, run.config.num_rx_antennas
+    assert eighs and qrs
+    for num_tx in TRANSMIT_ANTENNA_SWEEP:
+        wide = [(caller, shape) for caller, shape in qrs if num_tx in shape[-2:]]
+        assert wide == [("path_coordinates", (1, num_tx, num_paths * num_rx))], num_tx
+        assert not [shape for shape in eighs if shape[-2:] == (num_tx, num_tx)], num_tx
+    # every BCD QR factors the small adjoint, one per array size and block
+    bcd_qrs = [shape for caller, shape in qrs if caller == "coordinates"]
+    num_slots = num_paths * (num_paths - 1) + 1
+    width = num_paths * num_paths * num_rx  # L n, as n = L M_r <= every swept M_t
+    assert all(
+        shape[0] == width and shape[1] % num_rx == 0 and shape[1] <= num_slots * num_rx
+        for shape in bcd_qrs
+    )
+    assert len(bcd_qrs) == (9 if name == "fig4-se-vs-mt" else 0)
+    assert {caller for caller, _ in qrs} <= {"path_coordinates", "coordinates"}
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from ddamsim.channel import (
     apply_channel,
     coherence_partition,
     generate_paths,
+    path_coordinates,
     realize_channel,
 )
 from ddamsim.config import SystemConfig
@@ -33,6 +34,7 @@ from oracles import (
     ddam_rx_analytic,
     path_zf_precoder_bases_dense,
     path_zf_precoder_bases_loop,
+    realization_with_matrices,
     zf_pair_witness,
 )
 
@@ -433,7 +435,7 @@ def _member_matrices(kind, cfg, rng):
     if kind == "general":
         shape = realization.matrices.shape
         matrices = 1e-5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        realization = replace(realization, matrices=matrices)
+        realization = realization_with_matrices(realization, matrices)
     return realization
 
 
@@ -502,10 +504,17 @@ def _dense_bases(stack):
     return path_zf_precoder_bases_dense(stack[0])[None]
 
 
-def _dense_spatial_design(*args):
-    # zf_spatial_design over the full null spaces of the dense oracle
+def _dense_spatial_design(mats, *args):
+    # zf_spatial_design over the full null spaces of the dense oracle, on
+    # the antennas themselves: the identity basis, whose coordinates are H_l
+    identity = np.eye(mats.shape[-1], dtype=np.complex128)[None]
     with mock.patch.object(zf, "path_zf_precoder_bases", _dense_bases):
-        return zf_spatial_design(*args)
+        return zf_spatial_design(identity, mats, *args)
+
+
+def _spatial_design(mats, *args):
+    # zf_spatial_design of a one-realization stack of path matrices
+    return zf_spatial_design(*path_coordinates(mats), *args)
 
 
 def _path_stack(kind, seed, num_tx, num_rx, num_paths):
@@ -545,13 +554,14 @@ def _path_stack(kind, seed, num_tx, num_rx, num_paths):
 )
 def test_batched_null_spaces_equal_per_path_loop(kind, seed, num_tx, num_paths, num_rx):
     mats, _, _ = _path_stack(kind, seed, num_tx, num_rx, num_paths)
+    _, coords = path_coordinates(mats[None])
     try:
-        want = path_zf_precoder_bases_loop(mats)
+        want = path_zf_precoder_bases_loop(coords[0])
     except FeasibilityError:
         with pytest.raises(FeasibilityError):
-            zf.path_zf_precoder_bases(mats[None])
+            zf.path_zf_precoder_bases(coords)
         return
-    [got] = zf.path_zf_precoder_bases(mats[None])
+    [got] = zf.path_zf_precoder_bases(coords)
     assert np.array_equal(got, want)
 
 
@@ -573,9 +583,9 @@ def test_zf_spatial_design_matches_dense_null_spaces(
         [(want_precoders, want)] = _dense_spatial_design(mats[None], budget, noise, num_streams)
     except FeasibilityError:
         with pytest.raises(FeasibilityError):
-            zf_spatial_design(mats[None], budget, noise, num_streams)
+            _spatial_design(mats[None], budget, noise, num_streams)
         return
-    [(precoders, got)] = zf_spatial_design(mats[None], budget, noise, num_streams)
+    [(precoders, got)] = _spatial_design(mats[None], budget, noise, num_streams)
     for l, f_l in enumerate(precoders):
         for k in range(num_paths):
             if k != l:
