@@ -39,8 +39,8 @@ BEAM_OPT_TOL = 1e-9
 
 
 @dataclass
-class OfdmResult:
-    """Per-subcarrier SVD transceivers, their SINRs and the spectral efficiency.
+class OfdmDesign:
+    """Per-subcarrier SVD transceivers of one realization at one power budget.
 
     Zero-padded stacks over K subcarriers and r_max = max(1, max_k r_k)
     stream slots, r_k = ranks[k] being the rank of subcarrier k capped at
@@ -49,9 +49,35 @@ class OfdmResult:
     block-diag(I_{M_r}, Q) with Q the orthonormal (M_t - M_r, C) tail basis
     and zero padding columns up to W = max(2 M_r, M_r + C), or I_{M_t} when
     M_t <= W. Its nonzero columns are orthonormal, so precoder_coords[k, :,
-    :r_k] spends the whole power budget on the antennas too.
+    :r_k] spends the whole total_power on the antennas too.
     combiners[k, :, :r_k] has orthonormal columns, and every entry of a slot
-    i >= r_k is zero, so sinr[:, 0] is the strongest stream's SINR.
+    i >= r_k is zero. left, coords, coupling and ramp describe the C
+    rank-one components for ofdm_rate: component c is outer(left[c],
+    coords[c]) in W coordinates, coupling[delta, c] is its ICI coefficient
+    at subcarrier offset delta and ramp[k, c] its delay phase on
+    subcarrier k.
+    """
+
+    precoder_coords: np.ndarray    # (K, W, r_max)
+    antenna_basis: np.ndarray      # (M_t, W)
+    combiners: np.ndarray          # (K, M_r, r_max)
+    singular_values: np.ndarray    # (K, r_max)
+    ranks: np.ndarray              # (K,) integer
+    total_power: float
+    left: np.ndarray               # (C, M_r)
+    coords: np.ndarray             # (C, W)
+    coupling: np.ndarray           # (K, C)
+    ramp: np.ndarray               # (K, C)
+
+
+@dataclass
+class OfdmResult:
+    """An OFDM design with its SINRs and spectral efficiency at the design's power.
+
+    The fields are ofdm_design's arrays of one realization (see
+    OfdmDesign) plus ofdm_rate's sinr and rate at that power. sinr has
+    the stacks' (K, r_max) layout and is zero on every inactive slot, so
+    sinr[:, 0] is the strongest stream's SINR.
     """
 
     precoder_coords: np.ndarray    # (K, W, r_max)
@@ -96,54 +122,67 @@ def ici_coefficient(
     return out.reshape(shape)
 
 
-def _rank_one_components(realization: ChannelRealization):
-    """Split each path matrix into rank-one pieces (a no-op split for ray channels).
+def _rank_one_components(matrices: np.ndarray):
+    """Split each path matrix of an (S, L, M_r, M_t) stack into rank-one pieces.
 
-    Returns (left, right, parent): H_l = sum over components c with
-    parent[c] = l of outer(left[c], right[c].conj()). The components come
-    from one stacked SVD of the path matrices, in path order and within a
-    path by descending singular value; an all-zero channel has none.
+    Returns the stacks (left, right, parent, active) of shapes (S, C, M_r),
+    (S, C, M_t), (S, C) and (S, C): member s's H_l = sum over components c
+    with parent[s, c] = l of outer(left[s, c], right[s, c].conj()). The
+    components come from one stacked SVD of the path matrices, in path
+    order and within a path by descending singular value. C is the largest
+    component count of any member, so a ray channel with no zero gain has
+    C = L; a member with fewer has all-zero components appended, where
+    active is False. An all-zero stack has none.
     """
-    u, s, v = svd_reduced(realization.matrices)
-    parent, mode = np.nonzero(s)
-    left = (u * s[:, None, :]).transpose(0, 2, 1)[parent, mode]
-    return left, v.transpose(0, 2, 1)[parent, mode], parent
+    count, num_paths, num_rx, num_tx = matrices.shape
+    u, s, v = svd_reduced(matrices.reshape(count * num_paths, num_rx, num_tx))
+    modes = s.shape[1]
+    nonzero = (s > 0).reshape(count, num_paths * modes)
+    # each member's nonzero components first, in (path, mode) order
+    order = np.argsort(~nonzero, axis=1, kind="stable")[:, : nonzero.sum(axis=1).max()]
+    members = np.arange(count)[:, None]
+    active = nonzero[members, order]
+    left = (u * s[:, None, :]).transpose(0, 2, 1).reshape(count, -1, num_rx)[members, order]
+    right = v.transpose(0, 2, 1).reshape(count, -1, num_tx)[members, order]
+    return left, right * active[..., None], order // modes, active
 
 
-def ofdm_design_and_rate(
-    realization: ChannelRealization,
+def ofdm_design(
+    realization: ChannelRealization | list[ChannelRealization],
     num_subcarriers: int,
-    cp_length: int,
     total_power: float,
-    noise_var: float,
     num_streams: int,
-) -> OfdmResult:
-    """SVD transceiver per subcarrier plus the resulting SINRs and rate.
+) -> OfdmDesign | list[OfdmDesign]:
+    """SVD transceiver per subcarrier, spending total_power on each loaded one.
 
     The desired matrix of subcarrier k sums the paths' self-coupled
     channels with their delay phase ramps; its SVD gives the combiner
     (left vectors) and the precoder (right vectors of the at most
-    num_streams strongest modes, scaled to spend the whole budget). ICI
-    from every other subcarrier is treated as noise. The rate carries the
-    cyclic-prefix penalty K / (K + N_CP); frames are assumed to hold a
-    whole number of OFDM symbols, fractional leftovers at the frame edge
-    are not modeled.
+    num_streams strongest modes, scaled to spend the whole budget). The
+    rank rule does not depend on the power, and the precoders scale with
+    its square root, so ofdm_rate rates one design at any power.
 
-    All K subcarriers are processed as stacked arrays: one batched SVD and
-    no per-subcarrier loop. The SVD does not run on the (K, M_r, M_t)
-    desired matrices but on (K, M_r, W) compressed ones. With `right` the
-    (C, M_t) right vectors of the C rank-one components, every desired
-    row lies in the span of the first M_r antenna coordinates plus the
-    components' tail span, so when M_t > W = max(2 M_r, M_r + C) the
-    remaining T = M_t - M_r coordinates go through one thin QR,
-    right[:, M_r:].T = Q R with Q of size T x C, and each component is
-    described by [conj(right[:, :M_r]), conj(right[:, M_r:]) @ Q],
-    zero-padded to width W. Below that threshold the same code runs with
-    identity coordinates (Q = I, W = M_t). The precoders stay in that
-    factored form, the small right vectors and the (M_t, W) antenna basis
-    block-diag(I, Q), so no per-subcarrier array has an M_t axis; the power
-    budget is checked on the small vectors, and the transmit projections
-    are taken in W dimensions.
+    A sequence of realizations of one shape and symbol duration is
+    designed as stacks and returns the list of their designs: one stacked
+    rank-one split, one batched tail QR, one product for the desired
+    matrices and one batched SVD over (S, K, M_r, W), with no loop over
+    realizations or subcarriers. A member equals its one-realization call
+    bit for bit whenever its component count is the stack's C (see
+    _rank_one_components), as it is for every ray channel with no zero
+    gain; LAPACK factors each matrix of a batch on its own.
+
+    The SVD does not run on the (K, M_r, M_t) desired matrices but on
+    (K, M_r, W) compressed ones. With `right` the (C, M_t) right vectors of
+    the C rank-one components, every desired row lies in the span of the
+    first M_r antenna coordinates plus the components' tail span, so when
+    M_t > W = max(2 M_r, M_r + C) the remaining T = M_t - M_r coordinates
+    go through one thin QR, right[:, M_r:].T = Q R with Q of size T x C,
+    and each component is described by [conj(right[:, :M_r]),
+    conj(right[:, M_r:]) @ Q], zero-padded to width W. Below that threshold
+    the same code runs with identity coordinates (Q = I, W = M_t). The
+    precoders stay in that factored form, the small right vectors and the
+    (M_t, W) antenna basis block-diag(I, Q), so no per-subcarrier array has
+    an M_t axis; the power budget is checked on the small vectors.
 
     The compression keeps LAPACK's singular-vector phases, which fig8's
     OFDM frame PAPR depends on. For a wide matrix zgesdd first takes a
@@ -156,78 +195,142 @@ def ofdm_design_and_rate(
     the width to at least 2 M_r >= int(17 M_r / 9) keeps the compressed
     problem on the same path as the full one, which has M_t > 2 M_r.
 
-    Over the C components, the ICI on subcarrier k is sum over q != k of
-    h[(q - k) mod K] * g[q], with h[delta, c, d] = coeff_c[delta] *
-    conj(coeff_d[delta]) the coupling products (set to zero at delta = 0,
-    which leaves out the q = k term) and g[q, c, d] the ramp-weighted
-    transmit Gram terms of source q. That is a circular cross-correlation
-    along the subcarrier index, computed with FFTs in O(C^2 K log K). The
-    result keeps the stacked layout of OfdmResult; a loaded subcarrier off
-    the power budget by more than 1e-9 relative raises
-    ContractViolationError, as do a bool or non-integer subcarrier count or
-    cyclic prefix and a non-finite power or noise.
+    A non-finite desired matrix or a loaded subcarrier off the power
+    budget by more than 1e-9 relative raises ContractViolationError, as do
+    a bool or non-integer subcarrier or stream count and a non-finite or
+    non-positive power.
     """
+    single = isinstance(realization, ChannelRealization)
+    realizations = [realization] if single else list(realization)
+    if len({(r.matrices.shape, r.symbol_duration_s) for r in realizations}) != 1:
+        raise ContractViolationError("ofdm_design needs realizations of one shape and timebase")
     k_sub = _checked_int(num_subcarriers, "num_subcarriers", 1)
-    _checked_int(cp_length, "cp_length", 0)
     _checked_int(num_streams, "num_streams", 1)
     _checked_positive(total_power, "total_power")
-    _checked_positive(noise_var, "noise_var")
-    paths = realization.path_set
-    ts = realization.symbol_duration_s
-    left, right, parent = _rank_one_components(realization)
-    comp_doppler = paths.doppler_hz[parent]
-    comp_delay = paths.delay_taps[parent]
+    first = realizations[0]
+    left, right, parent, active = _rank_one_components(
+        np.array([r.matrices for r in realizations])
+    )
+    count, n_comp, m_t = right.shape
+    members = np.arange(count)[:, None]
+    comp_doppler = np.array([r.path_set.doppler_hz for r in realizations])[members, parent]
+    comp_delay = np.array([r.path_set.delay_taps for r in realizations])[members, parent]
 
     # per-component coordinates: the first M_r antennas as they are, the
     # tail on an orthonormal basis of its span (see the docstring)
-    n_comp, m_t = right.shape
-    lead = min(realization.num_rx, m_t)
+    lead = min(first.num_rx, m_t)
     width = max(2 * lead, lead + n_comp)
     if m_t > width:
-        tail = np.linalg.qr(right[:, lead:].T)[0]                     # (T, C)
-        antenna_basis = np.zeros((m_t, width), dtype=np.complex128)
-        antenna_basis[:lead, :lead] = np.eye(lead)
-        antenna_basis[lead:, lead : lead + n_comp] = tail
+        tail = np.linalg.qr(right[:, :, lead:].transpose(0, 2, 1))[0]   # (S, T, C)
+        antenna_basis = np.zeros((count, m_t, width), dtype=np.complex128)
+        antenna_basis[:, :lead, :lead] = np.eye(lead)
+        # the QR columns of appended zero components span nothing of the channel
+        antenna_basis[:, lead:, lead : lead + n_comp] = tail * active[:, None, :]
     else:
-        antenna_basis = np.eye(m_t, dtype=np.complex128)
-    coords = right.conj() @ antenna_basis                            # (C, W)
+        antenna_basis = np.broadcast_to(np.eye(m_t, dtype=np.complex128), (count, m_t, m_t))
+    coords = right.conj() @ antenna_basis                            # (S, C, W)
 
     # coupling coefficients for every offset (periodic in delta with period K)
     k_grid = np.arange(k_sub)
-    coeff = ici_coefficient(comp_doppler[:, None], ts, k_sub, k_grid[None, :])
+    coeff = ici_coefficient(
+        comp_doppler[:, :, None], first.symbol_duration_s, k_sub, k_grid
+    )                                                                # (S, C, K)
     # e^{-j 2 pi k m_c / K} ramps, one column per component
-    ramp = np.exp(-2j * np.pi * np.outer(k_grid, comp_delay) / k_sub)
+    ramp = np.exp(-2j * np.pi * (k_grid[:, None] * comp_delay[:, None, :]) / k_sub)
+    # the contraction order optimize=True picks, given so it is not searched per call
     desired = np.einsum(
-        "kc,ca,cb->kab", ramp * coeff[:, 0][None, :], left, coords, optimize=True
-    )
+        "skc,sca,scb->skab",
+        ramp * coeff[:, None, :, 0],
+        left,
+        coords,
+        optimize=["einsum_path", (1, 2), (0, 1)],
+    )                                                                # (S, K, M_r, W)
     if not np.all(np.isfinite(desired)):
         raise ContractViolationError("subcarrier channels contain non-finite entries")
     try:
         u, s, vh = np.linalg.svd(desired, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
+    # with the SVD's outputs, the largest arrays a stacked design holds at once
+    del desired
 
     # numerical rank per subcarrier, relative to its largest singular value
-    ranks = np.minimum(np.count_nonzero(s > RANK_TOL * s[:, :1], axis=1), num_streams)
+    ranks = np.minimum(np.count_nonzero(s > RANK_TOL * s[..., :1], axis=-1), num_streams)
     r_max = max(1, int(ranks.max()))
-    active = np.arange(r_max)[None, :] < ranks[:, None]            # (K, r_max)
+    loaded = np.arange(r_max) < ranks[..., None]                    # (S, K, r_max)
     # sqrt(P / r_k) on the r_k active columns, zero on the rest
-    scale = np.sqrt(total_power / np.maximum(ranks, 1))[:, None] * active
-    small = vh[:, :r_max].conj().transpose(0, 2, 1) * scale[:, None, :]  # (K, W, r_max)
-    combiners = np.where(active[:, None, :], u[:, :, :r_max], 0.0)
+    scale = np.sqrt(total_power / np.maximum(ranks, 1))[..., None] * loaded
+    small = vh[..., :r_max, :].conj().swapaxes(-1, -2) * scale[..., None, :]
+    combiners = np.where(loaded[..., None, :], u[..., :r_max], 0.0)
     # math.isclose(power, total_power, rel_tol=1e-9) on every loaded subcarrier
-    power = np.sum(np.abs(small) ** 2, axis=(1, 2))
+    power = np.sum(np.abs(small) ** 2, axis=(-2, -1))
     close = np.abs(power - total_power) <= 1e-9 * np.maximum(power, total_power)
     if np.any((ranks > 0) & ~close):
         raise ContractViolationError("subcarrier precoder violates the power budget")
+    singular_values = np.where(loaded, s[..., :r_max], 0.0)
+
+    designs = []
+    for i in range(count):
+        # each member's own r_max, laid out as its one-realization call lays it out
+        own = slice(0, max(1, int(ranks[i].max())))
+        designs.append(
+            OfdmDesign(
+                np.ascontiguousarray(small[i, ..., own]),
+                antenna_basis[i],
+                np.ascontiguousarray(combiners[i, ..., own]),
+                np.ascontiguousarray(singular_values[i, :, own]),
+                ranks[i],
+                total_power,
+                left[i],
+                coords[i],
+                coeff[i].T,
+                ramp[i],
+            )
+        )
+    return designs[0] if single else designs
+
+
+def ofdm_rate(
+    design: OfdmDesign, powers, noise_var: float, cp_length: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """SINRs (P, K, r_max) and spectral efficiencies (P,) of a design at each total power.
+
+    ICI from every other subcarrier is treated as noise. Precoders scale
+    with the square root of the power and the ICI power with the power, so
+    with a and b the signal and ICI power of the design scaled to unit
+    power, SINR = P a / (P b + N0); at the design's own power the ICI
+    factor is exactly 1. The rate carries the cyclic-prefix penalty K / (K
+    + N_CP); frames are assumed to hold a whole number of OFDM symbols,
+    fractional leftovers at the frame edge are not modeled.
+
+    Over the C components, the ICI on subcarrier k is sum over q != k of
+    h[(q - k) mod K] * g[q], with h[delta, c, d] = coupling[delta, c] *
+    conj(coupling[delta, d]) (set to zero at delta = 0, which leaves out
+    the q = k term) and g[q, c, d] the ramp-weighted transmit Gram terms of
+    source q. That is a circular cross-correlation along the subcarrier
+    index, computed with FFTs in O(C^2 K log K). A bool or non-integer
+    cyclic prefix, a non-finite or non-positive noise and powers that are
+    not a non-empty 1-D array of finite positive numbers raise
+    ContractViolationError.
+    """
+    _checked_int(cp_length, "cp_length", 0)
+    _checked_positive(noise_var, "noise_var")
+    powers = np.asarray(powers, dtype=np.float64)
+    if powers.ndim != 1 or not powers.size:
+        raise ContractViolationError("powers must be a non-empty 1-D array")
+    for power in powers:
+        _checked_positive(power, "power")
+    ranks = design.ranks
+    k_sub = ranks.size
+    active = np.arange(design.singular_values.shape[1]) < ranks[:, None]   # (K, r_max)
 
     # receive- and transmit-side projections of every rank-one component;
     # inactive streams have zero precoder columns and drop out of the Gram
-    u_proj = np.einsum("kai,ca->kic", combiners.conj(), left)        # (K, r_max, C)
-    w_proj = coords @ small                                          # (K, C, r_max)
-    gram = w_proj @ w_proj.conj().transpose(0, 2, 1)                  # (K, C, C)
+    u_proj = np.einsum("kai,ca->kic", design.combiners.conj(), design.left)   # (K, r_max, C)
+    w_proj = design.coords @ design.precoder_coords                           # (K, C, r_max)
+    gram = w_proj @ w_proj.conj().transpose(0, 2, 1)                          # (K, C, C)
 
-    coupling = coeff.T
+    coupling, ramp = design.coupling, design.ramp
     h = coupling[:, :, None] * coupling[:, None, :].conj()
     h[0] = 0.0
     g = ramp[:, :, None] * ramp[:, None, :].conj() * gram
@@ -235,14 +338,39 @@ def ofdm_design_and_rate(
         np.fft.fft(g, axis=0) * np.fft.fft(h.conj(), axis=0).conj(), axis=0
     )
     ici_power = np.einsum("kic,kid,kcd->ki", u_proj, u_proj.conj(), cross).real
-    ici_power = np.maximum(ici_power, 0.0)
+    ici_power = np.maximum(ici_power, 0.0)                     # at design.total_power
 
-    singular_values = np.where(active, s[:, :r_max], 0.0)
-    signal = total_power * singular_values**2 / np.maximum(ranks, 1)[:, None]
-    sinr = np.where(active, signal / (ici_power + noise_var), 0.0)
     overhead = k_sub / (k_sub + cp_length)
-    rate = overhead * float(np.sum(np.log2(1.0 + sinr))) / k_sub
-    return OfdmResult(small, antenna_basis, combiners, singular_values, sinr, ranks, rate)
+    sinrs, rates = [], []
+    for power in powers:
+        signal = power * design.singular_values**2 / np.maximum(ranks, 1)[:, None]
+        interference = ici_power * (power / design.total_power)
+        sinr = np.where(active, signal / (interference + noise_var), 0.0)
+        sinrs.append(sinr)
+        rates.append(overhead * float(np.sum(np.log2(1.0 + sinr))) / k_sub)
+    return np.array(sinrs), np.array(rates)
+
+
+def ofdm_design_and_rate(
+    realization: ChannelRealization,
+    num_subcarriers: int,
+    cp_length: int,
+    total_power: float,
+    noise_var: float,
+    num_streams: int,
+) -> OfdmResult:
+    """ofdm_design of one realization rated by ofdm_rate at its own power."""
+    design = ofdm_design(realization, num_subcarriers, total_power, num_streams)
+    [sinr], [rate] = ofdm_rate(design, [total_power], noise_var, cp_length)
+    return OfdmResult(
+        design.precoder_coords,
+        design.antenna_basis,
+        design.combiners,
+        design.singular_values,
+        sinr,
+        design.ranks,
+        float(rate),
+    )
 
 
 def _dominant_path(paths: PathSet, *array_sizes: int) -> tuple:

@@ -16,10 +16,14 @@ Spectral-efficiency conventions used throughout:
   representative blocks of the path-invariant window: the first, the
   middle, and the last.
 
-Six experiments evaluate a chunk trial by trial. fig9 evaluates a chunk
-as arrays: its CSI estimates are drawn as delay and Doppler arrays, each
-array size realizes and designs the whole chunk in one stacked call, and
-one mismatched-CSI call rates it on lag models built together.
+Five experiments evaluate a chunk trial by trial. fig8 and fig9 evaluate
+a chunk as stacks. fig9's CSI estimates are drawn as delay and Doppler
+arrays, each array size realizes and designs the whole chunk in one
+stacked call, and one mismatched-CSI call rates it on lag models built
+together. fig8 realizes and zero-forcing designs each path count's
+channels of the chunk in one stacked call and its OFDM channels in one
+stacked OFDM design, then builds the frames and reduces each to its PAPR
+values before building the next.
 """
 
 from __future__ import annotations
@@ -40,9 +44,12 @@ from .bcd import (
     group_delay_differences,
 )
 from .benchmarks import (
+    OfdmDesign,
     cfo_compensate,
     make_otfs_config,
+    ofdm_design,
     ofdm_design_and_rate,
+    ofdm_rate,
     otfs_beam_opt,
     otfs_effective_gains,
     otfs_rate_from_taps,
@@ -89,6 +96,7 @@ TRANSMIT_ANTENNA_SWEEP = (16, 32, 64)
 BER_POWER_SWEEP_DBM = (10.0, 20.0, 30.0, 40.0)
 PAPR_THRESHOLDS_DB = tuple(np.arange(0.0, 13.0 + 1e-9, 0.25))
 PAPR_MODULATION_ORDER = 128
+PAPR_ALIGNED_PATHS = (("ddam-l3", 3), ("ddam-l5", 5))
 BER_MODULATION_ORDER = 128
 CONVERGENCE_ITERATIONS = 20
 
@@ -104,9 +112,12 @@ FEASIBILITY_RX_STREAM_PAIRS = ((1, 1), (2, 2), (4, 4), (4, 2))
 # domain errors that fail one trial; any other exception is a bug and propagates
 TRIAL_FAILURES = (ContractViolationError, NumericalError, FeasibilityError)
 # Trials per evaluator call. It bounds what a chunk holds at once: its
-# record lists and, for fig9, its estimate arrays, stacked channels, designs,
-# lag models and lag weights (a tracemalloc peak of 6.1 MiB for 64 trials at
-# the default config, 2.4 MiB for 25).
+# record lists; for fig9, its estimate arrays, stacked channels, designs,
+# lag models and lag weights (a tracemalloc peak of 5.3 MiB for 64 trials at
+# the default config, 2.1 MiB for 25); for fig8, its QAM payloads, its
+# zero-forcing and OFDM designs and, while they are designed, the stacked
+# OFDM desired matrices and their SVD, but one frame at a time (a peak of
+# 21.6 MiB for 64 trials, 3.1 MiB for 8).
 TRIAL_CHUNK = 64
 
 
@@ -465,17 +476,21 @@ def _se_high_mobility_trial(config: SystemConfig, rng: np.random.Generator) -> l
 
 def _ber_trial(config: SystemConfig, rng: np.random.Generator) -> list:
     paths = generate_paths(config, rng)
-    realization = realize_channel(paths, config)
-    compensated = realize_channel(cfo_compensate(paths), config)
+    realization, compensated = realize_channel([paths, cfo_compensate(paths)], config)
     noise = config.noise_power_watts
+    powers = [10.0 ** ((power_dbm - 30.0) / 10.0) for power_dbm in BER_POWER_SWEEP_DBM]
     # One stream, designed once: its mode gain does not depend on the power,
     # and water_filling gives a lone active mode exactly the whole budget, so
     # power * gain / noise is, bit for bit, the SNR of a design at each power.
     _, zf_result = zf_design(realization, config.tx_power_watts, noise, 1)
     gain = zf_result.mode_gains[0] if zf_result.n_active_streams else 0.0
+    # one unit-power OFDM design per channel, rated at every power
+    ofdm_sinrs = [
+        ofdm_rate(design, powers, noise, config.max_delay_tap)[0]
+        for design in ofdm_design([realization, compensated], OFDM_SUBCARRIERS, 1.0, 1)
+    ]
     records = []
-    for power_dbm in BER_POWER_SWEEP_DBM:
-        power = 10.0 ** ((power_dbm - 30.0) / 10.0)
+    for i, (power_dbm, power) in enumerate(zip(BER_POWER_SWEEP_DBM, powers)):
         snr = float(power * gain / noise)
         records.append(
             (
@@ -486,10 +501,7 @@ def _ber_trial(config: SystemConfig, rng: np.random.Generator) -> list:
                 float(qam_awgn_ber(snr, BER_MODULATION_ORDER)),
             )
         )
-        for scheme, chan in (("ofdm", realization), ("ofdm-cfo", compensated)):
-            result = ofdm_design_and_rate(
-                chan, OFDM_SUBCARRIERS, config.max_delay_tap, power, noise, num_streams=1
-            )
+        for scheme, sinr in zip(("ofdm", "ofdm-cfo"), ofdm_sinrs):
             records.append(
                 (
                     scheme,
@@ -497,7 +509,7 @@ def _ber_trial(config: SystemConfig, rng: np.random.Generator) -> list:
                     power_dbm,
                     "ber",
                     ofdm_ber(
-                        result.sinr[:, 0],
+                        sinr[i, :, 0],
                         OFDM_SUBCARRIERS,
                         config.max_delay_tap,
                         BER_MODULATION_ORDER,
@@ -507,60 +519,73 @@ def _ber_trial(config: SystemConfig, rng: np.random.Generator) -> list:
     return records
 
 
-def _ddam_papr_frame(
-    config: SystemConfig, rng: np.random.Generator, num_samples: int
-) -> np.ndarray:
-    paths = generate_paths(config, rng)
-    realization = realize_channel(paths, config)
-    timebase = coherence_partition(config)
-    design, _ = zf_design(
-        realization, config.tx_power_watts, config.noise_power_watts, config.num_streams
-    )
-    # lead-in long enough to pass the delay pre-compensation transient
-    lead = 2 * config.max_delay_tap
-    symbols = qam_symbols(
-        PAPR_MODULATION_ORDER, (num_samples + lead, config.num_streams), rng
-    )
-    frame = build_ddam_tx(design, symbols, timebase)
-    return frame[lead:]
-
-
-def _ofdm_papr_frame(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
-    paths = generate_paths(config, rng)
-    realization = realize_channel(paths, config)
-    result = ofdm_design_and_rate(
-        realization,
-        OFDM_SUBCARRIERS,
-        config.max_delay_tap,
-        config.tx_power_watts,
-        config.noise_power_watts,
-        num_streams=config.num_streams,
-    )
-    ranks = result.ranks
-    # one draw for every loaded stream, scattered in subcarrier order
-    symbols = np.zeros(result.sinr.shape, dtype=np.complex128)
-    symbols[np.arange(symbols.shape[1]) < ranks[:, None]] = qam_symbols(
-        PAPR_MODULATION_ORDER, int(ranks.sum()), rng
-    )
-    loaded = np.einsum("kwr,kr->kw", result.precoder_coords, symbols)
+def _ofdm_frame(design: OfdmDesign, symbols: np.ndarray) -> np.ndarray:
+    """The (K, M_t) OFDM frame of a design, symbols loaded stream by stream in subcarrier order."""
+    grid = np.zeros(design.singular_values.shape, dtype=np.complex128)
+    grid[np.arange(grid.shape[1]) < design.ranks[:, None]] = symbols
+    loaded = np.einsum("kwr,kr->kw", design.precoder_coords, grid)
     # unitary-style synthesis: (1/sqrt(K)) sum_k X[k] e^{j 2 pi k n / K}, taken
     # in W dimensions; the antenna map is linear, so it comes after the IFFT
     frame = np.fft.ifft(loaded, axis=0) * math.sqrt(OFDM_SUBCARRIERS)
-    return frame @ result.antenna_basis.T
+    return frame @ design.antenna_basis.T
 
 
-def _papr_trial(config: SystemConfig, rng: np.random.Generator) -> list:
-    frames = {
-        "ddam-l3": _ddam_papr_frame(replace(config, num_paths=3), rng, OFDM_SUBCARRIERS),
-        "ddam-l5": _ddam_papr_frame(replace(config, num_paths=5), rng, OFDM_SUBCARRIERS),
-        "ofdm": _ofdm_papr_frame(config, rng),
+def _papr_frames(config: SystemConfig, rngs: list[np.random.Generator]):
+    """Yield (trial, scheme, frame) for every frame of a chunk, trial by trial.
+
+    Each trial draws from its own generator in the order of a trial run
+    alone: the 3-path profile and its QAM payload, the 5-path ones, the
+    OFDM profile, and last, once the chunk's OFDM design has fixed the
+    ranks, the OFDM payload of one symbol per loaded stream. Each path
+    count is realized and zero-forcing designed in one stacked call, and
+    the OFDM channels get one stacked design. A frame is built only when
+    the previous one has been taken.
+    """
+    timebase = coherence_partition(config)
+    ddam = [(scheme, replace(config, num_paths=n)) for scheme, n in PAPR_ALIGNED_PATHS]
+    # lead-in long enough to pass the delay pre-compensation transient
+    lead = 2 * config.max_delay_tap
+    paths = {scheme: [] for scheme, _ in ddam}
+    payloads = {scheme: [] for scheme, _ in ddam}
+    ofdm_paths = []
+    for rng in rngs:
+        for scheme, cfg in ddam:
+            paths[scheme].append(generate_paths(cfg, rng))
+            payloads[scheme].append(
+                qam_symbols(PAPR_MODULATION_ORDER, (OFDM_SUBCARRIERS + lead, cfg.num_streams), rng)
+            )
+        ofdm_paths.append(generate_paths(config, rng))
+    power, noise = config.tx_power_watts, config.noise_power_watts
+    designs = {
+        scheme: [
+            design
+            for design, _ in zf_design(
+                realize_channel(paths[scheme], cfg), power, noise, cfg.num_streams
+            )
+        ]
+        for scheme, cfg in ddam
     }
-    records = []
-    for scheme, frame in frames.items():
+    ofdm = ofdm_design(
+        realize_channel(ofdm_paths, config), OFDM_SUBCARRIERS, power, config.num_streams
+    )
+    for trial, rng in enumerate(rngs):
+        for scheme, _ in ddam:
+            yield trial, scheme, build_ddam_tx(
+                designs[scheme][trial], payloads[scheme][trial], timebase
+            )[lead:]
+        symbols = qam_symbols(PAPR_MODULATION_ORDER, int(ofdm[trial].ranks.sum()), rng)
+        yield trial, "ofdm", _ofdm_frame(ofdm[trial], symbols)
+
+
+def _papr_chunk(config: SystemConfig, rngs: list[np.random.Generator]) -> list:
+    """Each trial's PAPR CCDF records; every frame is reduced before the next is built."""
+    records = [[] for _ in rngs]
+    for trial, scheme, frame in _papr_frames(config, rngs):
         values, _ = papr_db(frame)
+        del frame  # the chunk holds one frame at a time
         fracs = exceedance_fractions(values, PAPR_THRESHOLDS_DB)
         for threshold, frac in zip(PAPR_THRESHOLDS_DB, fracs):
-            records.append((scheme, "threshold_db", float(threshold), "ccdf", float(frac)))
+            records[trial].append((scheme, "threshold_db", float(threshold), "ccdf", float(frac)))
     return records
 
 
@@ -687,7 +712,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
                 "num_streams": 1,
                 "path_gain_db": -120.0,
             },
-            evaluator=partial(_each_trial, _papr_trial),
+            evaluator=_papr_chunk,
             default_trials=500,
         ),
         ExperimentSpec(

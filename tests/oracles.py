@@ -50,6 +50,7 @@ from ddamsim.experiments import (
     IMPERFECT_CSI_MODELS,
     OFDM_SUBCARRIERS,
     PAPR_MODULATION_ORDER,
+    PAPR_THRESHOLDS_DB,
     TRANSMIT_ANTENNA_SWEEP,
     _alignment_overhead,
     _block_samples,
@@ -65,7 +66,7 @@ from ddamsim.metrics import (
     perturb_csi,
     qam_symbols,
 )
-from ddamsim.zf import DdamDesign, zf_design
+from ddamsim.zf import DdamDesign, build_ddam_tx, zf_design
 
 
 # --- aligned-link rate and waveform (bcd, zf) ---------------------------------
@@ -716,7 +717,7 @@ def ofdm_design_and_rate_loop(
         raise ContractViolationError("total_power and noise_var must be positive")
     paths = realization.path_set
     ts = realization.symbol_duration_s
-    left, right, parent = _rank_one_components(realization)
+    [left], [right], [parent], _ = _rank_one_components(realization.matrices[None])
     n_comp = left.shape[0]
     comp_doppler = paths.doppler_hz[parent]
     comp_delay = paths.delay_taps[parent]
@@ -828,7 +829,7 @@ def ofdm_ici_direct(realization: ChannelRealization, result: OfdmResult) -> np.n
 
 
 def ofdm_papr_frame_loop(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
-    """Per-subcarrier loop version of `experiments._ofdm_papr_frame`.
+    """Per-subcarrier loop version of fig8's OFDM frame (`experiments._ofdm_frame`).
 
     Loads each subcarrier with its own M_t-antenna precoder-times-symbols
     product and takes the IFFT over all M_t antennas, instead of gathering
@@ -856,6 +857,71 @@ def ofdm_papr_frame_loop(config: SystemConfig, rng: np.random.Generator) -> np.n
             loaded[k] = precoders[k, :, :r_k] @ symbols[start:stop]
         start = stop
     return np.fft.ifft(loaded, axis=0) * math.sqrt(OFDM_SUBCARRIERS)
+
+
+def ddam_papr_frame_loop(
+    config: SystemConfig, rng: np.random.Generator, num_samples: int
+) -> np.ndarray:
+    """One aligned frame of fig8 from its own draws: paths, design, then its QAM payload."""
+    paths = generate_paths(config, rng)
+    realization = realize_channel(paths, config)
+    timebase = coherence_partition(config)
+    design, _ = zf_design(
+        realization, config.tx_power_watts, config.noise_power_watts, config.num_streams
+    )
+    # lead-in long enough to pass the delay pre-compensation transient
+    lead = 2 * config.max_delay_tap
+    symbols = qam_symbols(
+        PAPR_MODULATION_ORDER, (num_samples + lead, config.num_streams), rng
+    )
+    frame = build_ddam_tx(design, symbols, timebase)
+    return frame[lead:]
+
+
+def _ofdm_papr_frame(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
+    """fig8's OFDM frame from its own realization and `ofdm_design_and_rate` call."""
+    paths = generate_paths(config, rng)
+    realization = realize_channel(paths, config)
+    result = ofdm_design_and_rate(
+        realization,
+        OFDM_SUBCARRIERS,
+        config.max_delay_tap,
+        config.tx_power_watts,
+        config.noise_power_watts,
+        num_streams=config.num_streams,
+    )
+    ranks = result.ranks
+    # one draw for every loaded stream, scattered in subcarrier order
+    symbols = np.zeros(result.sinr.shape, dtype=np.complex128)
+    symbols[np.arange(symbols.shape[1]) < ranks[:, None]] = qam_symbols(
+        PAPR_MODULATION_ORDER, int(ranks.sum()), rng
+    )
+    loaded = np.einsum("kwr,kr->kw", result.precoder_coords, symbols)
+    frame = np.fft.ifft(loaded, axis=0) * math.sqrt(OFDM_SUBCARRIERS)
+    return frame @ result.antenna_basis.T
+
+
+def papr_trial_loop(config: SystemConfig, rng: np.random.Generator) -> list:
+    """Per-trial version of fig8's chunk evaluator `experiments._papr_chunk`.
+
+    Builds one trial's three frames with one realization, design and draw
+    each, every draw taken right before its frame: the 3-path aligned
+    frame, the 5-path one, then the OFDM frame, whose design is rated too.
+    The chunk evaluator draws the same values from the trial's generator
+    and stacks the realizations and designs of the whole chunk.
+    """
+    frames = {
+        "ddam-l3": ddam_papr_frame_loop(replace(config, num_paths=3), rng, OFDM_SUBCARRIERS),
+        "ddam-l5": ddam_papr_frame_loop(replace(config, num_paths=5), rng, OFDM_SUBCARRIERS),
+        "ofdm": _ofdm_papr_frame(config, rng),
+    }
+    records = []
+    for scheme, frame in frames.items():
+        values, _ = papr_db(frame)
+        fracs = exceedance_fractions(values, PAPR_THRESHOLDS_DB)
+        for threshold, frac in zip(PAPR_THRESHOLDS_DB, fracs):
+            records.append((scheme, "threshold_db", float(threshold), "ccdf", float(frac)))
+    return records
 
 
 def measure_beam_sinr(

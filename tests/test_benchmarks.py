@@ -13,7 +13,9 @@ from ddamsim.benchmarks import (
     cfo_compensate,
     ici_coefficient,
     make_otfs_config,
+    ofdm_design,
     ofdm_design_and_rate,
+    ofdm_rate,
     otfs_beam_opt,
     otfs_effective_gains,
     otfs_rate_from_taps,
@@ -29,6 +31,7 @@ from ddamsim.channel import (
 )
 from ddamsim.config import SystemConfig
 from ddamsim.errors import ContractViolationError
+from ddamsim.experiments import BER_POWER_SWEEP_DBM
 from oracles import (
     measure_beam_sinr,
     ofdm_design_and_rate_loop,
@@ -383,6 +386,115 @@ def test_ofdm_compressed_svd_matches_loop_oracle(
     _assert_same_design(result, reference, cfg.tx_power_watts, branch)
     assert result.rate_bps_hz == pytest.approx(reference.rate_bps_hz, rel=1e-12, abs=0.0)
     np.testing.assert_allclose(result.sinr, reference.sinr, rtol=1e-11, atol=0)
+
+
+OFDM_DESIGN_FIELDS = (
+    "precoder_coords",
+    "antenna_basis",
+    "combiners",
+    "singular_values",
+    "ranks",
+    "left",
+    "coords",
+    "coupling",
+    "ramp",
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_members=st.integers(1, 5),
+    num_tx=st.sampled_from([3, 5, 16, 128]),
+    num_paths=st.integers(1, 5),
+    num_streams=st.sampled_from([1, 2]),
+    velocity_mps=st.sampled_from([50.0, 500.0 / 3.6]),
+    silent_path=st.booleans(),
+)
+@example(  # fig8's OFDM channels: M_t = 128, one stream
+    seed=0, num_members=4, num_tx=128, num_paths=3, num_streams=1, velocity_mps=50.0,
+    silent_path=False,
+)
+def test_stacked_ofdm_design_equals_one_realization_calls(
+    seed, num_members, num_tx, num_paths, num_streams, velocity_mps, silent_path
+):
+    # A member with the stack's component count equals its one-realization
+    # design bit for bit (M_t 3 and 5 keep the identity antenna basis). With
+    # silent_path, member 0 has a zero-gain path, so one component fewer:
+    # it gets an all-zero component appended, and like every member it
+    # matches the loop oracle with that oracle's tolerances.
+    cfg = SystemConfig(
+        num_tx_antennas=num_tx,
+        num_streams=num_streams,
+        num_paths=num_paths,
+        velocity_mps=velocity_mps,
+    )
+    rng = np.random.default_rng(seed)
+    paths = [generate_paths(cfg, rng) for _ in range(num_members)]
+    padded = silent_path and num_members > 1
+    if padded:
+        silent = np.where(np.arange(num_paths) == 0, 0.0, paths[0].gains)
+        paths[0] = replace(paths[0], gains=silent)
+    realizations = realize_channel(paths, cfg)
+    k_sub, cp = 32, cfg.max_delay_tap
+    power, noise = cfg.tx_power_watts, cfg.noise_power_watts
+    designs = ofdm_design(realizations, k_sub, power, num_streams)
+    assert len(designs) == num_members
+    for i, (realization, design) in enumerate(zip(realizations, designs)):
+        if not (padded and i == 0):
+            alone = ofdm_design(realization, k_sub, power, num_streams)
+            for name in OFDM_DESIGN_FIELDS:
+                got, want = getattr(design, name), getattr(alone, name)
+                assert got.shape == want.shape and np.array_equal(got, want), (i, name)
+        num_tx_used, width = design.antenna_basis.shape
+        if num_tx_used > width:
+            # compressed: M_r identity columns, then one per own component
+            own = num_paths - (padded and i == 0)
+            used = np.count_nonzero(np.any(design.antenna_basis, axis=0))
+            assert used == cfg.num_rx_antennas + own, i
+        reference = ofdm_design_and_rate_loop(realization, k_sub, cp, power, noise, num_streams)
+        assert np.array_equal(design.ranks, reference.ranks), i
+        _assert_same_design(design, reference, power, f"member {i}")
+        [sinr], [rate] = ofdm_rate(design, [power], noise, cp)
+        assert rate == pytest.approx(reference.rate_bps_hz, rel=1e-12, abs=0.0), i
+        np.testing.assert_allclose(sinr, reference.sinr, rtol=1e-11, atol=0, err_msg=f"{i}")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_unit_power_ofdm_design_rates_like_a_design_at_each_power(seed):
+    # fig6's OFDM: one unit-power design per channel, rated at every swept
+    # power, against a design made at that power and against the loop
+    cfg = SystemConfig(num_tx_antennas=256, num_streams=1, path_gain_db=-120.0)
+    paths = generate_paths(cfg, np.random.default_rng(seed))
+    cp, noise = cfg.max_delay_tap, cfg.noise_power_watts
+    powers = [10.0 ** ((dbm - 30.0) / 10.0) for dbm in BER_POWER_SWEEP_DBM]
+    for realization in realize_channel([paths, cfo_compensate(paths)], cfg):
+        sinrs, rates = ofdm_rate(ofdm_design(realization, 512, 1.0, 1), powers, noise, cp)
+        assert sinrs.shape[0] == rates.shape[0] == len(powers)
+        for power, sinr, rate in zip(powers, sinrs, rates):
+            want = ofdm_design_and_rate(realization, 512, cp, power, noise, 1)
+            np.testing.assert_allclose(sinr, want.sinr, rtol=1e-12, atol=0, err_msg=f"{power}")
+            assert rate == pytest.approx(want.rate_bps_hz, rel=1e-12, abs=0.0), power
+            loop = ofdm_design_and_rate_loop(realization, 512, cp, power, noise, 1)
+            np.testing.assert_allclose(sinr, loop.sinr, rtol=1e-11, atol=0, err_msg=f"{power}")
+            assert rate == pytest.approx(loop.rate_bps_hz, rel=1e-12, abs=0.0), power
+
+
+@pytest.mark.parametrize(
+    "powers", [[], [[1.0]], [1.0, float("nan")], [0.0], [-1.0], [float("inf")]], ids=repr
+)
+def test_ofdm_rate_rejects_malformed_powers(powers):
+    cfg = SystemConfig(num_tx_antennas=4, num_rx_antennas=2)
+    design = ofdm_design(_realization(cfg, 0), 16, 1.0, 2)
+    with pytest.raises(ContractViolationError):
+        ofdm_rate(design, powers, cfg.noise_power_watts, 4)
+
+
+def test_ofdm_design_rejects_mixed_stacks():
+    cfg = SystemConfig(num_tx_antennas=8, num_rx_antennas=2)
+    wide = _realization(replace(cfg, num_tx_antennas=16), 1)
+    with pytest.raises(ContractViolationError):
+        ofdm_design([_realization(cfg, 0), wide], 16, 1.0, 2)
 
 
 def _uneven_rank_realization(cfg, num_subcarriers, doppler_hz):

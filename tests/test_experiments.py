@@ -22,9 +22,13 @@ from ddamsim.errors import ContractViolationError, FeasibilityError, NumericalEr
 from ddamsim.experiments import (
     CSV_HEADER,
     EXPERIMENTS,
+    OFDM_SUBCARRIERS,
     TRANSMIT_ANTENNA_SWEEP,
     _block_samples,
-    _ofdm_papr_frame,
+    _papr_chunk,
+    _papr_frames,
+    _resolve_config,
+    _run_chunk,
     list_experiments,
     mismatched_alignment_rate,
     run_experiment,
@@ -32,10 +36,12 @@ from ddamsim.experiments import (
 from ddamsim.metrics import CsiError, perturb_csi
 from ddamsim.zf import DdamDesign, zf_design, zf_spatial_design
 from oracles import (
+    ddam_papr_frame_loop,
     imperfect_csi_trial_loop,
     lag_pairs_loop,
     mismatched_alignment_rate_loop,
     ofdm_papr_frame_loop,
+    papr_trial_loop,
     se_vs_mt_trial_loop,
 )
 
@@ -729,6 +735,35 @@ def test_fig8_trial_with_a_corrupt_frame_fails(monkeypatch):
     run = run_experiment("fig8-papr", seed=0, num_trials=2)
     assert [trial for trial, _ in run.failures] == [0, 1]
     assert all("NumericalError" in message for _, message in run.failures)
+    monkeypatch.undo()
+
+    # One corrupt frame in a chunk fails its own trial alone: the chunk's
+    # domain error re-runs it trial by trial. The frame stays corrupt on the
+    # re-run because it is keyed by its design's Dopplers, not by call count.
+    # Calls go trial by trial, 3-path frame first: call 2 is trial 0's 5-path
+    # frame, call 4 trial 1's 3-path frame.
+    config = _resolve_config("fig8-papr", None)
+    clean, failures = _run_chunk("fig8-papr", config, 0, range(3))
+    assert failures == [] and sorted(clean) == [0, 1, 2]
+    build = experiments.build_ddam_tx
+    for corrupt_call, failed_trial in ((2, 0), (4, 1)):
+        calls, bad = [], set()
+
+        def corrupt_one(design, symbols, timebase):
+            key = design.doppler_hz.tobytes()
+            calls.append(key)
+            if len(calls) == corrupt_call:
+                bad.add(key)
+            frame = build(design, symbols, timebase)
+            if key in bad:
+                frame[:] = np.nan
+            return frame
+
+        monkeypatch.setattr(experiments, "build_ddam_tx", corrupt_one)
+        results, failures = _run_chunk("fig8-papr", config, 0, range(3))
+        assert [trial for trial, _ in failures] == [failed_trial]
+        assert "NumericalError" in failures[0][1]
+        assert results == {t: clean[t] for t in range(3) if t != failed_trial}
 
 
 def test_fig9_rates_a_chunk_in_one_call(monkeypatch):
@@ -793,7 +828,7 @@ def test_one_antenna_width_factorization_per_array_size(monkeypatch, name):
 
     def counted_qr(a, *args, **kwargs):
         caller = sys._getframe(1).f_code.co_name
-        if caller != "ofdm_design_and_rate":
+        if caller != "ofdm_design":
             qrs.append((caller, np.shape(a)))
         return qr(a, *args, **kwargs)
 
@@ -886,10 +921,43 @@ def test_fig9_perfect_csi_rows_equal_fig4_zero_forcing_rows():
 
 @pytest.mark.parametrize("num_streams", [1, 2])
 def test_ofdm_papr_frame_matches_per_subcarrier_loop(num_streams):
-    # fig8 loads one stream per subcarrier; two streams exercise the padding.
-    # M_t = 3 <= W keeps the identity antenna basis, the others compress
-    for num_tx in (3, 16, 128, 1024):
+    # the OFDM frames of a 2-trial chunk, each against the loop run on its
+    # trial's generator after the aligned frames' draws. fig8 loads one
+    # stream per subcarrier; two streams exercise the padding. M_t = 5 <= W
+    # keeps the identity antenna basis, the others compress
+    seeds = (11, 12)
+    for num_tx in (5, 16, 128, 1024):
         cfg = SystemConfig(num_tx_antennas=num_tx, num_streams=num_streams)
-        got = _ofdm_papr_frame(cfg, np.random.default_rng(11))
-        want = ofdm_papr_frame_loop(cfg, np.random.default_rng(11))
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), num_tx
+        frames = _papr_frames(cfg, [np.random.default_rng(seed) for seed in seeds])
+        got = [frame for _, scheme, frame in frames if scheme == "ofdm"]
+        assert len(got) == len(seeds)
+        for frame, seed in zip(got, seeds):
+            rng = np.random.default_rng(seed)
+            for num_paths in (3, 5):
+                ddam_papr_frame_loop(replace(cfg, num_paths=num_paths), rng, OFDM_SUBCARRIERS)
+            want = ofdm_papr_frame_loop(cfg, rng)
+            assert np.max(np.abs(frame - want)) <= 1e-12 * np.max(np.abs(want)), num_tx
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    num_trials=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+    num_streams=st.sampled_from([1, 2]),
+    num_tx=st.sampled_from([5, 16, 128]),
+)
+def test_fig8_chunk_members_equal_one_trial_chunks_and_the_loop(
+    num_trials, seed, num_streams, num_tx
+):
+    # stacked realizations and designs leave every trial's records as its
+    # one-trial chunk and the per-trial loop give them; M_t = 5 <= W keeps
+    # the OFDM identity antenna basis
+    cfg = replace(
+        _resolve_config("fig8-papr", None), num_tx_antennas=num_tx, num_streams=num_streams
+    )
+    chunk = _papr_chunk(cfg, [np.random.default_rng([seed, t]) for t in range(num_trials)])
+    assert len(chunk) == num_trials
+    for trial, records in enumerate(chunk):
+        [alone] = _papr_chunk(cfg, [np.random.default_rng([seed, trial])])
+        assert records == alone, trial
+        assert records == papr_trial_loop(cfg, np.random.default_rng([seed, trial])), trial
