@@ -26,8 +26,9 @@ group_delay_differences builds BCD's grouped channels from one row, with
 the branches aligned to the true paths, and
 experiments.mismatched_alignment_rate, with branches aligned to estimated
 delays/Dopplers, builds the lag models of a chunk's every (trial,
-estimate) in one call and rates every (trial, array size, estimate,
-block) at once.
+estimate) in one call, pads every row to the L' L + 1 slots its pairs can
+fill, and rates every (trial, array size, estimate, block) in one
+colored_noise_rate call.
 
 The precoder step is the closed-form WMMSE update (Shi, Razaviyayn, Luo
 and He, IEEE TSP 2011). Its solution lies in the range of the adjoint of

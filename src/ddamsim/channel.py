@@ -175,14 +175,18 @@ def generate_paths(config: SystemConfig, rng: np.random.Generator) -> PathSet:
     """Draw a random multipath profile for one path-invariant window.
 
     Delay taps are uniform on the integer grid [0, ceil(tau_max * B)] and
-    redrawn until pairwise distinct. Doppler shifts follow the classic ring
-    model nu_max * cos(theta) with theta uniform on [-pi, pi]. Angles of
-    arrival and departure are equally spaced across [-60, 60] degrees.
-    Complex gains are CN(0, w_l), where the mean profile w is geometric in
-    the delay order: the earliest arrival carries the most power and each
-    later path is path_power_ratio times weaker, mimicking the dominant
-    near-line-of-sight component of measured mmWave links. The profile is
-    normalized to sum(w) = 1 and scaled by path_gain_db.
+    redrawn until pairwise distinct. When _MAX_DELAY_REDRAWS draws all
+    repeat a tap (many paths on few taps), one draw without replacement
+    takes their place; it is uniform over the same distinct tuples, so the
+    taps keep one distribution whichever way they were drawn. Doppler
+    shifts follow the classic ring model nu_max * cos(theta) with theta
+    uniform on [-pi, pi]. Angles of arrival and departure are equally
+    spaced across [-60, 60] degrees. Complex gains are CN(0, w_l), where
+    the mean profile w is geometric in the delay order: the earliest
+    arrival carries the most power and each later path is path_power_ratio
+    times weaker, mimicking the dominant near-line-of-sight component of
+    measured mmWave links. The profile is normalized to sum(w) = 1 and
+    scaled by path_gain_db.
     """
     num_paths = config.num_paths
     tap_bound = config.max_delay_tap
@@ -190,14 +194,12 @@ def generate_paths(config: SystemConfig, rng: np.random.Generator) -> PathSet:
         raise ContractViolationError(
             f"cannot place {num_paths} distinct delay taps in [0, {tap_bound}]"
         )
-    delays = None
     for _ in range(_MAX_DELAY_REDRAWS):
-        cand = rng.integers(0, tap_bound + 1, size=num_paths)
-        if len(set(cand.tolist())) == num_paths:
-            delays = cand
+        delays = rng.integers(0, tap_bound + 1, size=num_paths)
+        if len(set(delays.tolist())) == num_paths:
             break
-    if delays is None:
-        raise ContractViolationError("failed to draw distinct delay taps")
+    else:
+        delays = rng.choice(tap_bound + 1, size=num_paths, replace=False)
 
     nu_max = config.max_doppler_hz
     doppler = nu_max * np.cos(rng.uniform(-np.pi, np.pi, size=num_paths))

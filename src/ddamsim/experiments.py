@@ -113,11 +113,11 @@ FEASIBILITY_RX_STREAM_PAIRS = ((1, 1), (2, 2), (4, 4), (4, 2))
 TRIAL_FAILURES = (ContractViolationError, NumericalError, FeasibilityError)
 # Trials per evaluator call. It bounds what a chunk holds at once: its
 # record lists; for fig9, its estimate arrays, stacked channels, designs,
-# lag models and lag weights (a tracemalloc peak of 5.3 MiB for 64 trials at
-# the default config, 2.1 MiB for 25); for fig8, its QAM payloads, its
-# zero-forcing and OFDM designs and, while they are designed, the stacked
-# OFDM desired matrices and their SVD, but one frame at a time (a peak of
-# 21.6 MiB for 64 trials, 3.1 MiB for 8).
+# lag models, lag weights and grouped outputs (a tracemalloc peak of 6.3 MiB
+# for 64 trials at the default config, 2.5 MiB for 25); for fig8, its QAM
+# payloads, its zero-forcing and OFDM designs and, while they are designed,
+# the stacked OFDM desired matrices and their SVD, but one frame at a time
+# (a peak of 21.6 MiB for 64 trials, 3.1 MiB for 8).
 TRIAL_CHUNK = 64
 
 
@@ -316,20 +316,19 @@ def mismatched_alignment_rate(
     estimated branch delays and Dopplers. pair_outputs are the
     (S, T, L', L, M_r, N_s) products H_l F_l' of each trial's true path
     matrices with T designs' spatial precoders. Each estimate aligns branch
-    l' to its delay and Doppler; the lag model (bcd._lag_models) groups the
-    true paths against those branches, and in each block _block_samples
-    picks the offset-0 group is rated with the others as colored noise
-    under an MMSE combiner (the rate BCD maximizes), then averaged. True
-    paths give the ZF rate.
+    l' to its delay and Doppler, and the lag model (bcd._lag_models) groups
+    the true paths against those branches by offset. In each block that
+    _block_samples picks, the offset-0 group is rated with the others as
+    colored noise under an MMSE combiner (the rate BCD maximizes); the
+    blocks' rates are averaged. True paths give the ZF rate.
 
     The lag models of all (trial, estimate) rows come from one call; they
     do not depend on the design, nor the pair outputs on the estimate or
-    block. A trial's estimates have their groups padded with zero weights
-    to a common count (offset 0 first), so one product sums every (design,
-    estimate, block) group. Trials with the same count are rated by one
-    colored_noise_rate call; padding a trial no further than its own
-    estimates need keeps its rates independent of the other trials it is
-    rated with.
+    block. Every row's groups are padded with zero weights to the L' L + 1
+    slots that offset 0 and L' L pairs can fill at most, so one product
+    and one colored_noise_rate call rate the whole (S, T, E, B) stack. The
+    padding depends on L' and L alone, so a trial's rates do not depend on
+    the trials rated with it.
     """
     outputs = np.asarray(pair_outputs, dtype=np.complex128)
     if outputs.ndim != 6 or outputs.shape[0] != len(paths):
@@ -361,29 +360,16 @@ def mismatched_alignment_rate(
     )
     pair_slot = pair_slot.reshape(num_trials, num_estimates, 1, num_pairs)
     phases = phases.reshape(num_trials, num_estimates, len(blocks), num_pairs)
-    counts = pair_slot.max(axis=(1, 2, 3)) + 1
-    rates = np.empty((num_trials, num_designs, num_estimates))
-    for num_slots in dict.fromkeys(counts.tolist()):
-        trials = np.flatnonzero(counts == num_slots)
-        # weights[s, e, b, k, (l', l)]: the pair's phase in block b if it lands on offset k
-        weights = np.zeros(
-            (len(trials), num_estimates, len(blocks), num_slots, num_pairs), dtype=np.complex128
-        )
-        trial, estimate, block, pair = np.ogrid[
-            : len(trials), :num_estimates, : len(blocks), :num_pairs
-        ]
-        weights[trial, estimate, block, pair_slot[trials], pair] = phases[trials]
-        grouped = weights.reshape(len(trials), 1, -1, num_pairs) @ outputs[trials].reshape(
-            len(trials), num_designs, num_pairs, -1
-        )
-        grouped = grouped.reshape(
-            len(trials), num_designs, *weights.shape[1:4], num_rx, num_streams
-        )
-        group_rates = colored_noise_rate(
-            grouped[..., 0, :, :], grouped[..., 1:, :, :], noise_var
-        )[0]
-        rates[trials] = group_rates.mean(axis=-1)
-    return rates
+    # weights[s, e, b, k, (l', l)]: the pair's phase in block b if it lands on offset k
+    weights = np.zeros((*phases.shape[:3], num_pairs + 1, num_pairs), dtype=np.complex128)
+    trial, estimate, block, pair = np.ogrid[:num_trials, :num_estimates, : len(blocks), :num_pairs]
+    weights[trial, estimate, block, pair_slot, pair] = phases
+    grouped = weights.reshape(num_trials, 1, -1, num_pairs) @ outputs.reshape(
+        num_trials, num_designs, num_pairs, -1
+    )
+    grouped = grouped.reshape(num_trials, num_designs, *weights.shape[1:4], num_rx, num_streams)
+    rates = colored_noise_rate(grouped[..., 0, :, :], grouped[..., 1:, :, :], noise_var)[0]
+    return rates.mean(axis=-1)
 
 
 # --- per-experiment trial evaluators -----------------------------------------

@@ -104,7 +104,6 @@ class ZfCapacityResult:
     """SVD + water-filling solution over the interference-free channel."""
 
     combiner: np.ndarray           # M_r x n_active
-    stacked_precoder: np.ndarray   # (L * basis width) x n_active, in path order
     rate_bps_hz: float
     mode_powers: np.ndarray        # water-filling powers, length n_active
     mode_gains: np.ndarray         # squared singular values, length n_active
@@ -183,22 +182,32 @@ def zf_spatial_design(
 
     Pure spatial solution (no delay/Doppler bookkeeping) on the (S, M_t,
     n) and (S, L, M_r, n) stacks of the path bases and the path coordinates
-    C_l = H_l Q (channel.path_coordinates): nulling bases N_l,
-    aligned effective channel [C_1 N_1, ..., C_L N_L], SVD and
-    water-filling, none with an M_t axis, then the stacked solution mapped
-    back once to the (L, M_t, n_active) stack of the F_l = Q N_l X_l
-    (n_active = 0 when no stream survives). The bases span only the
-    reachable part of each null space (see path_zf_precoder_bases), so the
-    effective channel has L * min(M_t, L * M_r) columns, not L * M_t;
-    the precoders equal those over the full null spaces up to one phase per
-    stream, which leaves the rate, mode gains and F F^H unchanged.
+    C_l = H_l Q (channel.path_coordinates): nulling bases N_l, aligned
+    effective channel [C_1 N_1, ..., C_L N_L], none with an M_t axis, and
+    its capacity: the reduced SVD gives the receive combiner (left singular
+    vectors) and the stacked directions X (right singular vectors), and
+    water-filling splits the power over the min(rank, num_streams)
+    strongest modes. A rank-deficient channel transmits fewer streams; a
+    zero channel yields zero rate and zero precoders. The stacked solution
+    is mapped back once to the (L, M_t, n_active) stack of the
+    F_l = Q N_l X_l. The bases span only the reachable part of each null
+    space (see path_zf_precoder_bases), so the effective channel has
+    L * min(M_t, L * M_r) columns, not L * M_t; the precoders equal those
+    over the full null spaces up to one phase per stream, which leaves the
+    rate, mode gains and F F^H unchanged.
 
     Returns the S (precoders, result) pairs in a list. The whole stack
-    shares one set of bases, effective channels, SVDs, water-filling and
-    map back, all of shapes set by the input's shape alone (the bases'
-    zero columns carry no stream), so every member equals its own
-    stack-of-one call exactly.
+    shares one set of bases, effective channels, SVDs, water-filling, rates
+    and map back, all of shapes set by the input's shape alone (the bases'
+    zero columns and the modes past a member's rank carry no stream), so
+    every member equals its own stack-of-one call exactly. A stream count
+    that is not an integer >= 1 (a bool included), or a non-finite or
+    non-positive power or noise, raises ContractViolationError before any
+    factorization.
     """
+    num_streams = _checked_int(num_streams, "num_streams", 1)
+    _checked_positive(total_power, "total_power")
+    _checked_positive(noise_var, "noise_var")
     bases = np.asarray(bases, dtype=np.complex128)
     stack = np.asarray(coords, dtype=np.complex128)
     if stack.ndim != 4 or bases.ndim != 3 or bases.shape[::2] != stack.shape[::3]:
@@ -212,14 +221,33 @@ def zf_spatial_design(
     residue = np.linalg.norm(h_eff.reshape(count, -1), axis=1)
     scale = np.linalg.norm(stack.reshape(count, -1), axis=1)
     h_eff[residue <= RANK_TOL * scale] = 0.0
-    results = zf_capacity_design(h_eff, total_power, noise_var, num_streams)
-    # every member's solution padded to the stack's stream width
-    width = min(num_rx, h_eff.shape[2], num_streams)
-    stacked = np.zeros((count, h_eff.shape[2], width), dtype=np.complex128)
-    for x, result in zip(stacked, results):
-        x[:, : result.n_active_streams] = result.stacked_precoder
-    precoders = bases[:, None] @ (nulls @ stacked.reshape(count, num_paths, num_coords, -1))
-    return [(f[..., : r.n_active_streams], r) for f, r in zip(precoders, results)]
+    u, s, v = svd_reduced(h_eff)
+    # singular values past a channel's rank are 0, and carry no stream
+    width = min(s.shape[1], num_streams)
+    gains = s[:, :width] ** 2
+    streams = (s[:, :width] > 0).sum(axis=1)
+    powers = np.zeros_like(gains)
+    # only a zero channel has rank 0, and it loads no stream
+    loaded = streams > 0
+    if loaded.any():
+        powers[loaded] = water_filling(gains[loaded], total_power, noise_var)
+    rates = np.log2(1.0 + powers * gains / noise_var).sum(axis=1).tolist()
+    # the X_l of every path, each mode past a member's rank at zero power
+    stacked = v[:, :, :width] * np.sqrt(powers)[:, None, :]
+    precoders = bases[:, None] @ (nulls @ stacked.reshape(count, num_paths, num_coords, width))
+    return [
+        (
+            precoders[i, ..., :n],
+            ZfCapacityResult(
+                combiner=u[i, :, :n],
+                rate_bps_hz=rate,
+                mode_powers=powers[i, :n],
+                mode_gains=gains[i, :n],
+                n_active_streams=n,
+            ),
+        )
+        for i, (n, rate) in enumerate(zip(streams.tolist(), rates))
+    ]
 
 
 def water_filling(mode_gains: np.ndarray, total_power: float, noise_var: float) -> np.ndarray:
@@ -272,52 +300,6 @@ def water_filling(mode_gains: np.ndarray, total_power: float, noise_var: float) 
                 f"water-filling missed the power budget ({total} vs {total_power})"
             )
     return powers
-
-
-def zf_capacity_design(
-    effective_channel: np.ndarray, total_power: float, noise_var: float, num_streams: int
-) -> list[ZfCapacityResult]:
-    """Capacity-achieving combiners/precoders over an (S, M_r, W) stack of aligned channels.
-
-    Reduced SVD of an effective channel gives the receive combiner (left
-    singular vectors) and stacked precoder directions (right singular
-    vectors); water-filling splits power over the min(rank, num_streams)
-    strongest modes. A rank-deficient channel simply transmits fewer
-    streams; a zero channel yields zero rate and zero precoders.
-
-    Returns a list of S results from one batched SVD, one stacked
-    water-filling over the channels that carry a stream and one stacked
-    rate; each result's arrays are views into those stacks. A stream count
-    that is not an integer >= 1 (a bool included), or a non-finite or
-    non-positive power or noise, raises ContractViolationError, also when
-    no channel carries a stream.
-    """
-    num_streams = _checked_int(num_streams, "num_streams", 1)
-    _checked_positive(total_power, "total_power")
-    _checked_positive(noise_var, "noise_var")
-    u, s, v = svd_reduced(effective_channel)
-    # singular values past a channel's rank are 0, and carry no stream
-    width = min(s.shape[1], num_streams)
-    gains = s[:, :width] ** 2
-    streams = (s[:, :width] > 0).sum(axis=1)
-    powers = np.zeros_like(gains)
-    # only a zero channel has rank 0, and it loads no stream
-    loaded = streams > 0
-    if loaded.any():
-        powers[loaded] = water_filling(gains[loaded], total_power, noise_var)
-    rates = np.log2(1.0 + powers * gains / noise_var).sum(axis=1).tolist()
-    stacked = v[:, :, :width] * np.sqrt(powers)[:, None, :]
-    return [
-        ZfCapacityResult(
-            combiner=u[i, :, :n],
-            stacked_precoder=stacked[i, :, :n],
-            rate_bps_hz=rate,
-            mode_powers=powers[i, :n],
-            mode_gains=gains[i, :n],
-            n_active_streams=n,
-        )
-        for i, (n, rate) in enumerate(zip(streams.tolist(), rates))
-    ]
 
 
 def zf_design(

@@ -95,6 +95,19 @@ def test_generate_paths_single_path():
     assert paths.aod_rad[0] == 0.0 and paths.aoa_rad[0] == 0.0
 
 
+@pytest.mark.parametrize("num_paths", [30, 41])
+@pytest.mark.parametrize("seed", range(3))
+def test_generate_paths_places_many_paths_on_few_taps(num_paths, seed):
+    # on the default 41 taps one draw of 30 taps is distinct with probability
+    # 3.5e-7 (41 taps: 41!/41**41), so the redraws run out on nearly every
+    # trial and the draw without replacement places the taps
+    cfg = SystemConfig(num_paths=num_paths)
+    assert cfg.max_delay_tap == 40
+    taps = generate_paths(cfg, np.random.default_rng(seed)).delay_taps
+    assert len(set(taps.tolist())) == num_paths
+    assert taps.min() >= 0 and taps.max() <= cfg.max_delay_tap
+
+
 def test_realize_channel_rank_one_structure():
     cfg = SystemConfig(num_tx_antennas=8, num_rx_antennas=3)
     rng = np.random.default_rng(5)

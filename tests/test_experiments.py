@@ -628,8 +628,8 @@ def test_stacked_mismatched_rate_matches_pair_loop_per_design_and_estimate(
 @pytest.mark.parametrize("seed", range(6))
 def test_chunk_lag_models_match_per_estimate_dicts_and_pair_loop(seed):
     # a chunk of trials at spread and at evenly spaced (colliding) delays,
-    # each with a true, two perturbed and one late estimate, so its trials
-    # pad to different slot counts
+    # each with a true, two perturbed and one late estimate, so its trials'
+    # lag models fill different slot counts
     cfg = SystemConfig(num_tx_antennas=8, num_streams=1, velocity_mps=500.0 / 3.6)
     rng = np.random.default_rng([11, seed])
     timebase = coherence_partition(cfg)
@@ -780,6 +780,55 @@ def test_fig9_rates_a_chunk_in_one_call(monkeypatch):
     run = run_experiment("fig9-imperfect-csi", seed=4, num_trials=2)
     assert run.failures == []
     assert shapes == [(2, 3, 4)]
+
+
+def test_mismatched_rate_rates_trials_of_different_slot_counts_in_one_call(monkeypatch):
+    # trial 0 aligns to its true paths; trial 1's estimate is its true delays
+    # shifted past every true path, which adds one group, so the two trials'
+    # lag models fill different slot counts
+    cfg = SystemConfig(num_tx_antennas=8, num_streams=1)
+    rng = np.random.default_rng(3)
+    timebase = coherence_partition(cfg)
+    noise = cfg.noise_power_watts
+    paths = [generate_paths(cfg, rng) for _ in range(2)]
+    bound = paths[1].delay_tap_bound
+    late = replace(
+        paths[1], delay_taps=paths[1].delay_taps + bound + 1, delay_tap_bound=2 * bound + 1
+    )
+    estimates = [paths[0], late]
+    counts = [
+        lag_pairs_loop(p.delay_taps, p.doppler_hz, e.delay_taps, e.doppler_hz, timebase, [0])[0]
+        for p, e in zip(paths, estimates)
+    ]
+    assert len(counts[1]) != len(counts[0]), counts
+    realizations = [realize_channel(p, cfg) for p in paths]
+    designs = [_random_design(r, 1, 1.0, rng) for r in realizations]
+    pair_outputs = np.array([_pair_outputs(r, d.precoders) for r, d in zip(realizations, designs)])
+    branches = (
+        np.array([[e.delay_taps] for e in estimates]),
+        np.array([[e.doppler_hz] for e in estimates]),
+    )
+    calls = []
+
+    def counted(desired, interferers, noise_var):
+        calls.append(interferers.shape)
+        return colored_noise_rate(desired, interferers, noise_var)
+
+    monkeypatch.setattr(experiments, "colored_noise_rate", counted)
+    rates = mismatched_alignment_rate(paths, pair_outputs, branches, noise, timebase)
+    assert len(calls) == 1, calls
+    # each trial rated alone, padded as in the stack, gets its stacked rates exactly
+    for s, (trial, est) in enumerate(zip(paths, estimates)):
+        alone = mismatched_alignment_rate(
+            [trial], pair_outputs[s : s + 1], (branches[0][s : s + 1], branches[1][s : s + 1]),
+            noise, timebase,
+        )
+        assert np.array_equal(alone[0], rates[s]), s
+        aligned = replace(designs[s], delay_taps=est.delay_taps, doppler_hz=est.doppler_hz)
+        want = mismatched_alignment_rate_loop(
+            realizations[s], aligned, est.max_delay_tap, noise, timebase, _block_samples(timebase)
+        )
+        assert rates[s, 0, 0] == pytest.approx(want, rel=1e-12, abs=0), s
 
 
 def test_fig9_builds_one_spatial_design_per_array_size(monkeypatch):

@@ -160,6 +160,10 @@ def test_zf_design_rejects_infeasible_geometry():
     realization, _ = _random_realization(cfg, 0)
     with pytest.raises(FeasibilityError):
         zf_design(realization, 1.0, 1e-13, 2)
+    # malformed arguments are rejected before the nulling finds it infeasible
+    for args in ((0.0, 1e-13, 2), (1.0, np.inf, 2), (1.0, 1e-13, 0)):
+        with pytest.raises(ContractViolationError):
+            zf_design(realization, *args)
 
 
 def test_zf_combined_output_is_scaled_delayed_symbols():
