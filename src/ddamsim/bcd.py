@@ -52,7 +52,7 @@ problems that share L, M_r and N_s run as one stack whatever their array
 sizes or offset counts. Each iteration makes one precoder_update and one
 mmse_receiver call on the members that have not converged yet, each
 member keeping its own convergence test and trace, so experiments solves
-a fig4 trial's array sizes and coherence blocks in one call. fig3 still
+a fig4 chunk's trials, array sizes and coherence blocks in one call. fig3 still
 makes one bcd_solve call per trial: perfbench's traced runs read
 n_iterations from every result returned through experiments.bcd_solve,
 so that name must keep returning one BcdState, and stacking a fig3 chunk

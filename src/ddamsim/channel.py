@@ -16,12 +16,11 @@ exact time-domain convolution oracle and the double-timescale partition
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SPEED_OF_LIGHT_MPS, SystemConfig
+from .config import SPEED_OF_LIGHT_MPS, SystemConfig, _checked_int
 from .errors import ContractViolationError
 
 _MAX_DELAY_REDRAWS = 10_000
@@ -36,13 +35,6 @@ def _whole_numbers(values, name: str) -> np.ndarray:
     ):
         raise ContractViolationError(f"{name} must be whole numbers, got {values!r}")
     return raw.astype(np.int64, copy=False)
-
-
-def _checked_int(value, name: str, low: int) -> int:
-    """value as an int; ContractViolationError unless it is an integer >= low (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ContractViolationError(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
 
 
 def _checked_positive(value, name: str) -> None:

@@ -17,6 +17,13 @@ from .errors import ContractViolationError
 SPEED_OF_LIGHT_MPS = 3.0e8
 
 
+def _checked_int(value, name: str, low: int) -> int:
+    """value as an int; ContractViolationError unless it is an integer >= low (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ContractViolationError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     carrier_freq_hz: float = 28e9        # carrier frequency
@@ -43,8 +50,7 @@ class SystemConfig:
         if self.carrier_freq_hz <= 0:
             raise ContractViolationError("carrier_freq_hz must be positive")
         for name in _INT_FIELDS:
-            if getattr(self, name) < 1:
-                raise ContractViolationError(f"{name} must be >= 1")
+            _checked_int(getattr(self, name), name, 1)
         if self.num_streams > min(self.num_tx_antennas, self.num_rx_antennas):
             raise ContractViolationError(
                 "num_streams cannot exceed min(num_tx_antennas, num_rx_antennas)"
@@ -104,12 +110,8 @@ def config_from_dict(data: dict) -> SystemConfig:
             number = float(value)
         except OverflowError:
             raise ContractViolationError(f"config key {key} is out of range") from None
-        if key in _INT_FIELDS:
-            if not number.is_integer():
-                raise ContractViolationError(f"config key {key} must be an integer")
-            coerced[key] = int(value)
-        else:
-            coerced[key] = number
+        # a whole number becomes an int; SystemConfig rejects the other counts
+        coerced[key] = int(number) if key in _INT_FIELDS and number.is_integer() else number
     return SystemConfig(**coerced)
 
 

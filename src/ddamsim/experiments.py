@@ -16,14 +16,15 @@ Spectral-efficiency conventions used throughout:
   representative blocks of the path-invariant window: the first, the
   middle, and the last.
 
-Five experiments evaluate a chunk trial by trial. fig8 and fig9 evaluate
-a chunk as stacks. fig9's CSI estimates are drawn as delay and Doppler
-arrays, each array size realizes and designs the whole chunk in one
-stacked call, and one mismatched-CSI call rates it on lag models built
-together. fig8 realizes and zero-forcing designs each path count's
-channels of the chunk in one stacked call and its OFDM channels in one
-stacked OFDM design, then builds the frames and reduces each to its PAPR
-values before building the next.
+Every experiment evaluates its chunk on stacked stages: per array size
+or path count, one call each realizes, zero-forcing designs and, where
+OFDM is compared, OFDM designs the whole chunk. fig4 then solves every
+(trial, array size, block) BCD problem in one stack; fig3 keeps one
+bcd_solve per trial, and OTFS and the strongest-path beam stay per
+realization. fig9 draws its CSI estimates as delay and Doppler arrays and
+rates the chunk in one mismatched-CSI call; fig8 builds its frames and
+reduces each to its PAPR values before building the next. The
+feasibility map is made once per chunk.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .benchmarks import (
     cfo_compensate,
     make_otfs_config,
     ofdm_design,
-    ofdm_design_and_rate,
+    ofdm_design_and_rate,  # not called here; perfbench's spans rebind experiments.ofdm_design_and_rate
     ofdm_rate,
     otfs_beam_opt,
     otfs_effective_gains,
@@ -112,12 +112,11 @@ FEASIBILITY_RX_STREAM_PAIRS = ((1, 1), (2, 2), (4, 4), (4, 2))
 # domain errors that fail one trial; any other exception is a bug and propagates
 TRIAL_FAILURES = (ContractViolationError, NumericalError, FeasibilityError)
 # Trials per evaluator call. It bounds what a chunk holds at once: its
-# record lists; for fig9, its estimate arrays, stacked channels, designs,
-# lag models, lag weights and grouped outputs (a tracemalloc peak of 6.3 MiB
-# for 64 trials at the default config, 2.5 MiB for 25); for fig8, its QAM
-# payloads, its zero-forcing and OFDM designs and, while they are designed,
-# the stacked OFDM desired matrices and their SVD, but one frame at a time
-# (a peak of 21.6 MiB for 64 trials, 3.1 MiB for 8).
+# stacked channels and designs and, while OFDM is designed, the stacked
+# desired matrices and their SVD. tracemalloc peaks of a 64-trial chunk at
+# the default config: fig3 2.3 MiB, fig4 34.4, fig5 27.0, fig6 44.8 (the
+# plain and compensated channels at M_t = 256), fig8 21.5 (its QAM payloads,
+# one frame at a time), fig9 6.3 (its estimates, lag models and weights).
 TRIAL_CHUNK = 64
 
 
@@ -265,16 +264,11 @@ def _bcd_se(
     ]
 
 
-def _ofdm_se(realization: ChannelRealization, config: SystemConfig) -> float:
-    result = ofdm_design_and_rate(
-        realization,
-        OFDM_SUBCARRIERS,
-        config.max_delay_tap,
-        config.tx_power_watts,
-        config.noise_power_watts,
-        num_streams=config.num_streams,
-    )
-    return result.rate_bps_hz
+def _ofdm_se(realizations: list[ChannelRealization], config: SystemConfig) -> list[float]:
+    """OFDM SE of each realization: one stacked design, each rated at its own power."""
+    power, noise = config.tx_power_watts, config.noise_power_watts
+    designs = ofdm_design(realizations, OFDM_SUBCARRIERS, power, config.num_streams)
+    return [float(ofdm_rate(d, [power], noise, config.max_delay_tap)[1][0]) for d in designs]
 
 
 def _otfs_se(realization: ChannelRealization, config: SystemConfig) -> float:
@@ -372,136 +366,120 @@ def mismatched_alignment_rate(
     return rates.mean(axis=-1)
 
 
-# --- per-experiment trial evaluators -----------------------------------------
+# --- per-experiment chunk evaluators -----------------------------------------
 
 
-def _convergence_trial(config: SystemConfig, rng: np.random.Generator) -> list:
-    realization = realize_channel(generate_paths(config, rng), config)
+def _convergence_chunk(config: SystemConfig, rngs: list[np.random.Generator]) -> list:
     timebase = coherence_partition(config)
-    grouped = group_delay_differences(realization, timebase, 0)
+    power, noise, streams = config.tx_power_watts, config.noise_power_watts, config.num_streams
     dim = config.num_paths * config.num_tx_antennas
-    raw = rng.standard_normal((dim, config.num_streams)) + 1j * rng.standard_normal(
-        (dim, config.num_streams)
-    )
-    init = raw * math.sqrt(config.tx_power_watts) / np.linalg.norm(raw)
-    state = bcd_solve(
-        grouped,
-        config.tx_power_watts,
-        config.noise_power_watts,
-        init,
-        tol=0.0,
-        max_iters=CONVERGENCE_ITERATIONS,
-    )
-    trace = list(state.rate_trace)
-    while len(trace) < CONVERGENCE_ITERATIONS:
-        trace.append(trace[-1])
-    _, zf_result = zf_design(
-        realization, config.tx_power_watts, config.noise_power_watts, config.num_streams
-    )
+    paths, inits = [], []
+    for rng in rngs:
+        paths.append(generate_paths(config, rng))
+        raw = rng.standard_normal((dim, streams)) + 1j * rng.standard_normal((dim, streams))
+        inits.append(raw * math.sqrt(power) / np.linalg.norm(raw))
+    realizations = realize_channel(paths, config)
+    designs = zf_design(realizations, power, noise, streams)
     records = []
-    for i, rate in enumerate(trace[:CONVERGENCE_ITERATIONS]):
-        records.append(("ddam-bcd", "iteration", float(i + 1), "rate_bps_hz", rate))
-        records.append(
-            ("ddam-zf", "iteration", float(i + 1), "rate_bps_hz", zf_result.rate_bps_hz)
+    for realization, init, (_, zf_result) in zip(realizations, inits, designs):
+        # one solve per trial: perfbench reads every experiments.bcd_solve result
+        state = bcd_solve(
+            group_delay_differences(realization, timebase, 0),
+            power,
+            noise,
+            init,
+            tol=0.0,
+            max_iters=CONVERGENCE_ITERATIONS,
         )
-    return records
-
-
-def _se_vs_mt_trial(config: SystemConfig, rng: np.random.Generator) -> list:
-    paths = generate_paths(config, rng)
-    timebase = coherence_partition(config)
-    overhead = _alignment_overhead(config, timebase)
-    configs = [replace(config, num_tx_antennas=mt) for mt in TRANSMIT_ANTENNA_SWEEP]
-    realizations = [realize_channel(paths, cfg) for cfg in configs]
-    zf_rates, starts = [], []
-    for realization, cfg in zip(realizations, configs):
-        design, zf_result = zf_design(
-            realization, cfg.tx_power_watts, cfg.noise_power_watts, cfg.num_streams
-        )
-        zf_rates.append(zf_result.rate_bps_hz * (1.0 - overhead))
-        starts.append(_zf_start(design, cfg.num_streams))
-    # every array size and block of the trial in one BCD solve
-    bcd_rates = _bcd_se(realizations, starts, config, timebase, overhead)
-    records = []
-    for mt, realization, cfg, zf_rate, bcd_rate in zip(
-        TRANSMIT_ANTENNA_SWEEP, realizations, configs, zf_rates, bcd_rates
-    ):
-        records.append(("ddam-zf", "mt", float(mt), "se_bps_hz", zf_rate))
-        records.append(("ddam-bcd", "mt", float(mt), "se_bps_hz", bcd_rate))
-        records.append(("ofdm", "mt", float(mt), "se_bps_hz", _ofdm_se(realization, cfg)))
-        records.append(
-            (
-                "strongest-path",
-                "mt",
-                float(mt),
-                "se_bps_hz",
-                _strongest_se(realization, cfg, overhead),
+        trace = list(state.rate_trace)
+        trace += trace[-1:] * (CONVERGENCE_ITERATIONS - len(trace))
+        records.append([])
+        for i, rate in enumerate(trace[:CONVERGENCE_ITERATIONS]):
+            records[-1].append(("ddam-bcd", "iteration", float(i + 1), "rate_bps_hz", rate))
+            records[-1].append(
+                ("ddam-zf", "iteration", float(i + 1), "rate_bps_hz", zf_result.rate_bps_hz)
             )
-        )
     return records
 
 
-def _se_high_mobility_trial(config: SystemConfig, rng: np.random.Generator) -> list:
-    paths = generate_paths(config, rng)
+def _se_vs_mt_chunk(config: SystemConfig, rngs: list[np.random.Generator]) -> list:
+    paths = [generate_paths(config, rng) for rng in rngs]
     timebase = coherence_partition(config)
     overhead = _alignment_overhead(config, timebase)
-    records = []
-    for mt in TRANSMIT_ANTENNA_SWEEP:
-        cfg = replace(config, num_tx_antennas=mt)
-        realization = realize_channel(paths, cfg)
-        _, zf_result = zf_design(
-            realization, cfg.tx_power_watts, cfg.noise_power_watts, cfg.num_streams
+    power, noise, streams = config.tx_power_watts, config.noise_power_watts, config.num_streams
+    stacks = [
+        realize_channel(paths, replace(config, num_tx_antennas=mt)) for mt in TRANSMIT_ANTENNA_SWEEP
+    ]
+    designs = [zf_design(stack, power, noise, streams) for stack in stacks]
+    ofdm_rates = [_ofdm_se(stack, config) for stack in stacks]
+    # every (trial, array size, block) of the chunk in one BCD solve
+    pairs = [(t, a) for t in range(len(paths)) for a in range(len(stacks))]
+    bcd_rates = _bcd_se(
+        [stacks[a][t] for t, a in pairs],
+        [_zf_start(designs[a][t][0], streams) for t, a in pairs],
+        config,
+        timebase,
+        overhead,
+    )
+    records = [[] for _ in paths]
+    for (t, a), bcd_rate in zip(pairs, bcd_rates):
+        values = (
+            ("ddam-zf", designs[a][t][1].rate_bps_hz * (1.0 - overhead)),
+            ("ddam-bcd", bcd_rate),
+            ("ofdm", ofdm_rates[a][t]),
+            ("strongest-path", _strongest_se(stacks[a][t], config, overhead)),
         )
-        records.append(
-            ("ddam-zf", "mt", float(mt), "se_bps_hz", zf_result.rate_bps_hz * (1.0 - overhead))
-        )
-        records.append(("otfs", "mt", float(mt), "se_bps_hz", _otfs_se(realization, cfg)))
-        records.append(("ofdm", "mt", float(mt), "se_bps_hz", _ofdm_se(realization, cfg)))
+        mt = float(TRANSMIT_ANTENNA_SWEEP[a])
+        records[t] += [(scheme, "mt", mt, "se_bps_hz", value) for scheme, value in values]
     return records
 
 
-def _ber_trial(config: SystemConfig, rng: np.random.Generator) -> list:
-    paths = generate_paths(config, rng)
-    realization, compensated = realize_channel([paths, cfo_compensate(paths)], config)
-    noise = config.noise_power_watts
+def _se_high_mobility_chunk(config: SystemConfig, rngs: list[np.random.Generator]) -> list:
+    paths = [generate_paths(config, rng) for rng in rngs]
+    overhead = _alignment_overhead(config, coherence_partition(config))
+    records = [[] for _ in paths]
+    for mt in TRANSMIT_ANTENNA_SWEEP:
+        stack = realize_channel(paths, replace(config, num_tx_antennas=mt))
+        designs = zf_design(
+            stack, config.tx_power_watts, config.noise_power_watts, config.num_streams
+        )
+        # OTFS is designed and rated per realization
+        for trial, realization, (_, zf_result), ofdm_se in zip(
+            records, stack, designs, _ofdm_se(stack, config)
+        ):
+            trial += [
+                ("ddam-zf", "mt", float(mt), "se_bps_hz", zf_result.rate_bps_hz * (1.0 - overhead)),
+                ("otfs", "mt", float(mt), "se_bps_hz", _otfs_se(realization, config)),
+                ("ofdm", "mt", float(mt), "se_bps_hz", ofdm_se),
+            ]
+    return records
+
+
+def _ber_chunk(config: SystemConfig, rngs: list[np.random.Generator]) -> list:
+    paths = [generate_paths(config, rng) for rng in rngs]
+    # the plain channels, then the CFO-compensated ones
+    realizations = realize_channel(paths + [cfo_compensate(p) for p in paths], config)
+    noise, cp = config.noise_power_watts, config.max_delay_tap
     powers = [10.0 ** ((power_dbm - 30.0) / 10.0) for power_dbm in BER_POWER_SWEEP_DBM]
     # One stream, designed once: its mode gain does not depend on the power,
     # and water_filling gives a lone active mode exactly the whole budget, so
     # power * gain / noise is, bit for bit, the SNR of a design at each power.
-    _, zf_result = zf_design(realization, config.tx_power_watts, noise, 1)
-    gain = zf_result.mode_gains[0] if zf_result.n_active_streams else 0.0
+    designs = zf_design(realizations[: len(paths)], config.tx_power_watts, noise, 1)
     # one unit-power OFDM design per channel, rated at every power
     ofdm_sinrs = [
-        ofdm_rate(design, powers, noise, config.max_delay_tap)[0]
-        for design in ofdm_design([realization, compensated], OFDM_SUBCARRIERS, 1.0, 1)
+        ofdm_rate(design, powers, noise, cp)[0]
+        for design in ofdm_design(realizations, OFDM_SUBCARRIERS, 1.0, 1)
     ]
     records = []
-    for i, (power_dbm, power) in enumerate(zip(BER_POWER_SWEEP_DBM, powers)):
-        snr = float(power * gain / noise)
-        records.append(
-            (
-                "ddam-zf",
-                "power_dbm",
-                power_dbm,
-                "ber",
-                float(qam_awgn_ber(snr, BER_MODULATION_ORDER)),
-            )
-        )
-        for scheme, sinr in zip(("ofdm", "ofdm-cfo"), ofdm_sinrs):
-            records.append(
-                (
-                    scheme,
-                    "power_dbm",
-                    power_dbm,
-                    "ber",
-                    ofdm_ber(
-                        sinr[i, :, 0],
-                        OFDM_SUBCARRIERS,
-                        config.max_delay_tap,
-                        BER_MODULATION_ORDER,
-                    ),
-                )
-            )
+    for (_, zf_result), plain, compensated in zip(designs, ofdm_sinrs, ofdm_sinrs[len(paths) :]):
+        gain = zf_result.mode_gains[0] if zf_result.n_active_streams else 0.0
+        records.append([])
+        for i, (power_dbm, power) in enumerate(zip(BER_POWER_SWEEP_DBM, powers)):
+            ber = float(qam_awgn_ber(float(power * gain / noise), BER_MODULATION_ORDER))
+            records[-1].append(("ddam-zf", "power_dbm", power_dbm, "ber", ber))
+            for scheme, sinr in (("ofdm", plain), ("ofdm-cfo", compensated)):
+                ber = ofdm_ber(sinr[i, :, 0], OFDM_SUBCARRIERS, cp, BER_MODULATION_ORDER)
+                records[-1].append((scheme, "power_dbm", power_dbm, "ber", ber))
     return records
 
 
@@ -630,8 +608,8 @@ def _imperfect_csi_chunk(config: SystemConfig, rngs: list[np.random.Generator]) 
     ]
 
 
-def _feasibility_trial(config: SystemConfig, rng: np.random.Generator) -> list:
-    del config, rng  # the map is a pure function of the swept dimensions
+def _feasibility_chunk(config: SystemConfig, rngs: list[np.random.Generator]) -> list:
+    del config  # the map is a pure function of the swept dimensions; one per chunk
     records = []
     for num_rx, num_streams in FEASIBILITY_RX_STREAM_PAIRS:
         scheme = f"mr{num_rx}-ns{num_streams}"
@@ -640,12 +618,7 @@ def _feasibility_trial(config: SystemConfig, rng: np.random.Generator) -> list:
             for num_tx in FEASIBILITY_ANTENNA_RANGE:
                 verdict = zf_feasibility(num_tx, num_rx, num_streams, num_paths).verdict
                 records.append((scheme, "mt", float(num_tx), metric, VERDICT_CODES[verdict]))
-    return records
-
-
-def _each_trial(trial, config: SystemConfig, rngs: list[np.random.Generator]) -> list:
-    """Chunk evaluator of a per-trial evaluator: the trials one by one."""
-    return [trial(config, rng) for rng in rngs]
+    return [records] * len(rngs)
 
 
 EXPERIMENTS: dict[str, ExperimentSpec] = {
@@ -656,7 +629,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             description="Rate of the residual-ISI optimizer per iteration from a "
             "random start, with the zero-forcing rate as reference.",
             config_overrides={"num_tx_antennas": 64},
-            evaluator=partial(_each_trial, _convergence_trial),
+            evaluator=_convergence_chunk,
             default_trials=20,
         ),
         ExperimentSpec(
@@ -664,7 +637,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             description="Spectral efficiency vs transmit antennas for both "
             "alignment designs, OFDM, and strongest-path beamforming.",
             config_overrides={},
-            evaluator=partial(_each_trial, _se_vs_mt_trial),
+            evaluator=_se_vs_mt_chunk,
             default_trials=100,
         ),
         ExperimentSpec(
@@ -672,7 +645,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             description="Spectral efficiency vs transmit antennas at 500 km/h "
             "for the zero-forcing alignment design, OTFS, and OFDM.",
             config_overrides={"velocity_mps": 500.0 / 3.6},
-            evaluator=partial(_each_trial, _se_high_mobility_trial),
+            evaluator=_se_high_mobility_chunk,
             default_trials=100,
         ),
         ExperimentSpec(
@@ -686,7 +659,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
                 # stay resolvable across the swept power range.
                 "path_gain_db": -120.0,
             },
-            evaluator=partial(_each_trial, _ber_trial),
+            evaluator=_ber_chunk,
             default_trials=100,
         ),
         ExperimentSpec(
@@ -714,7 +687,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             description="Zero-forcing feasibility verdict (0 infeasible, "
             "1 feasible, 2 undetermined) over antennas and path counts.",
             config_overrides={},
-            evaluator=partial(_each_trial, _feasibility_trial),
+            evaluator=_feasibility_chunk,
             default_trials=1,
         ),
     )
@@ -808,7 +781,8 @@ def run_experiment(
     trials = spec.default_trials if num_trials is None else num_trials
     trials = _checked_int(trials, "num_trials", 1)
     workers = None if workers is None else _checked_int(workers, "workers", 1)
-    # validated and coerced once per run; trials share the frozen result
+    # validated and coerced once per run (numpy counts to ints); the trials
+    # and the returned run share the frozen result
     trial_config = config_from_dict(resolved.to_dict())
 
     results: dict[int, list] = {}
@@ -864,7 +838,7 @@ def run_experiment(
         experiment=name,
         seed=seed,
         num_trials=trials,
-        config=resolved,
+        config=trial_config,
         rows=rows,
         failures=sorted(failures),
     )

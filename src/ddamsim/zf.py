@@ -118,11 +118,18 @@ def zf_feasibility(num_tx: int, num_rx: int, num_streams: int, num_paths: int) -
     M_t >= L N_s: under a generic combiner W each F_l then fits in the null
     space of the other paths' W^H H_k. Otherwise undetermined; for N_s = M_r
     both bounds meet. zf_design nulls at the transmitter alone, which may
-    not suffice for path matrices that are not rank one.
+    not suffice for path matrices that are not rank one. A dimension that
+    is not an integer >= 1 (a bool included) raises ContractViolationError.
     """
-    if min(num_tx, num_rx, num_streams, num_paths) < 1:
-        raise ContractViolationError("all dimensions must be >= 1")
-    l, mt, mr, ns = num_paths, num_tx, num_rx, num_streams
+    l, mt, mr, ns = (
+        _checked_int(value, name, 1)
+        for value, name in (
+            (num_paths, "num_paths"),
+            (num_tx, "num_tx"),
+            (num_rx, "num_rx"),
+            (num_streams, "num_streams"),
+        )
+    )
     num_equations = l * (l - 1) * ns * ns
     num_variables = ns * (l * mt + mr) - (l + 1) * ns * ns
     if ns > min(mt, mr) or l * mt + mr < (l * l + 1) * ns:

@@ -54,7 +54,6 @@ from ddamsim.experiments import (
     TRANSMIT_ANTENNA_SWEEP,
     _alignment_overhead,
     _block_samples,
-    _ofdm_se,
     _strongest_se,
     _zf_start,
 )
@@ -493,12 +492,25 @@ def imperfect_csi_trial_loop(config: SystemConfig, rng: np.random.Generator) -> 
     return records
 
 
-def se_vs_mt_trial_loop(config: SystemConfig, rng: np.random.Generator) -> list:
-    """Per-solve version of one trial of `experiments._se_vs_mt_trial`.
+def ofdm_se(realization: ChannelRealization, config: SystemConfig) -> float:
+    """One realization's OFDM SE: its own `ofdm_design_and_rate` call at the config's power."""
+    return ofdm_design_and_rate(
+        realization,
+        OFDM_SUBCARRIERS,
+        config.max_delay_tap,
+        config.tx_power_watts,
+        config.noise_power_watts,
+        num_streams=config.num_streams,
+    ).rate_bps_hz
 
-    Runs `bcd_solve` once per array size and coherence block, each a stack
-    of one, instead of the trial's one stacked BCD solve, and averages
-    each array size's blocks as the trial does.
+
+def se_vs_mt_trial_loop(config: SystemConfig, rng: np.random.Generator) -> list:
+    """Per-realization version of one trial of `experiments._se_vs_mt_chunk`.
+
+    Realizes, designs and OFDM-rates each array size alone and runs
+    `bcd_solve` once per array size and coherence block, each a stack of
+    one, instead of the chunk's stacked stages and its one stacked BCD
+    solve, and averages each array size's blocks as the chunk does.
     """
     paths = generate_paths(config, rng)
     timebase = coherence_partition(config)
@@ -525,7 +537,7 @@ def se_vs_mt_trial_loop(config: SystemConfig, rng: np.random.Generator) -> list:
         values = {
             "ddam-zf": zf_result.rate_bps_hz * (1.0 - overhead),
             "ddam-bcd": float(np.mean(rates)) * (1.0 - overhead),
-            "ofdm": _ofdm_se(realization, cfg),
+            "ofdm": ofdm_se(realization, cfg),
             "strongest-path": _strongest_se(realization, cfg, overhead),
         }
         records += [(scheme, "mt", float(mt), "se_bps_hz", v) for scheme, v in values.items()]

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from ddamsim.config import SystemConfig, config_from_dict, load_config
@@ -52,6 +53,22 @@ def test_config_from_dict_coerces_integer_fields():
     assert cfg.num_paths == 4 and isinstance(cfg.num_paths, int)
     with pytest.raises(ContractViolationError):
         config_from_dict({"num_paths": 4.5})
+
+
+@pytest.mark.parametrize("value", [6.5, 64.0, np.float64(3.0), True], ids=repr)
+@pytest.mark.parametrize(
+    "name", ["num_tx_antennas", "num_rx_antennas", "num_streams", "num_paths"]
+)
+def test_counts_must_be_integers_when_constructed_directly(name, value):
+    with pytest.raises(ContractViolationError, match=name):
+        SystemConfig(**{name: value})
+
+
+def test_numpy_integer_counts_are_accepted():
+    cfg = SystemConfig(num_paths=np.int64(4), num_rx_antennas=np.int32(2))
+    assert cfg.num_paths == 4
+    clone = config_from_dict(cfg.to_dict())
+    assert type(clone.num_paths) is int and type(clone.num_rx_antennas) is int
 
 
 def test_validation_errors():

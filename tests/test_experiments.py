@@ -126,6 +126,13 @@ def test_numpy_integer_arguments_are_recorded_as_ints():
     assert json.loads(run.to_json())["config"]["seed"] == 4
 
 
+def test_run_records_its_coerced_config():
+    # the run keeps the validated config its trials ran on, numpy counts as ints
+    run = run_experiment("feasibility-map", config=SystemConfig(num_rx_antennas=np.int64(2)))
+    assert type(run.config.num_rx_antennas) is int
+    assert json.loads(run.to_json())["config"]["system"]["num_rx_antennas"] == 2
+
+
 def test_csv_shape_and_header():
     run = run_experiment("fig3-convergence", seed=3, num_trials=2)
     text = run.to_csv()
@@ -845,11 +852,12 @@ def test_fig9_builds_one_spatial_design_per_array_size(monkeypatch):
     assert len(calls) == 3
 
 
-@pytest.mark.parametrize("name,designs_per_trial", [("fig4-se-vs-mt", 3), ("fig6-ber", 1)])
-def test_one_zf_design_per_realization(monkeypatch, name, designs_per_trial):
-    # fig4 rates ZF and starts BCD from one design per array size; fig6's
-    # single-stream design serves every power. Counted wherever a module of
-    # the package binds the design.
+@pytest.mark.parametrize("name,designs_per_chunk", [("fig4-se-vs-mt", 3), ("fig6-ber", 1)])
+def test_one_zf_design_per_realization(monkeypatch, name, designs_per_chunk):
+    # a chunk designs each array size's realizations in one stacked call,
+    # whatever its trial count: fig4 rates ZF and starts BCD from them and
+    # fig6's single-stream design serves every power. Counted wherever a
+    # module of the package binds the design.
     calls = []
 
     def counted(*args):
@@ -860,9 +868,52 @@ def test_one_zf_design_per_realization(monkeypatch, name, designs_per_trial):
         bound = [name for name, value in vars(module).items() if value is zf_spatial_design]
         for attribute in bound:
             monkeypatch.setattr(module, attribute, counted)
-    run = run_experiment(name, seed=4, num_trials=2)
-    assert run.failures == []
-    assert len(calls) == 2 * designs_per_trial
+    for num_trials in (1, 3):
+        calls.clear()
+        run = run_experiment(name, seed=4, num_trials=num_trials)
+        assert run.failures == []
+        assert len(calls) == designs_per_chunk, num_trials
+        assert all(len(args[0]) == num_trials for args in calls), num_trials
+
+
+@pytest.mark.parametrize(
+    "name,per_chunk",
+    [
+        ("fig3-convergence", dict(realize_channel=1, zf_design=1, ofdm_design=0)),
+        ("fig4-se-vs-mt", dict(realize_channel=3, zf_design=3, ofdm_design=3)),
+        ("fig5-se-ddam-ofdm-otfs", dict(realize_channel=3, zf_design=3, ofdm_design=3)),
+        ("fig6-ber", dict(realize_channel=1, zf_design=1, ofdm_design=1)),
+    ],
+    ids=["fig3", "fig4", "fig5", "fig6"],
+)
+def test_chunk_evaluators_call_each_stacked_stage_once_per_array_size(
+    monkeypatch, name, per_chunk
+):
+    # the stage counts of one chunk do not grow with its trial count; fig4
+    # solves all its BCD problems in one stack, and fig3 keeps one bcd_solve
+    # per trial, whose every result perfbench's traced runs read
+    stages = (*per_chunk, "bcd_solve_stack", "bcd_solve")
+    calls = dict.fromkeys(stages, 0)
+
+    def counting(stage, fn):
+        def counted(*args, **kwargs):
+            calls[stage] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for stage in stages:
+        monkeypatch.setattr(experiments, stage, counting(stage, getattr(experiments, stage)))
+    for num_trials in (1, 3):
+        calls.update(dict.fromkeys(stages, 0))
+        run = run_experiment(name, seed=4, num_trials=num_trials)
+        assert run.failures == []
+        want = dict(
+            per_chunk,
+            bcd_solve_stack=int(name == "fig4-se-vs-mt"),
+            bcd_solve=num_trials if name == "fig3-convergence" else 0,
+        )
+        assert calls == want, num_trials
 
 
 @pytest.mark.parametrize("name", ["fig4-se-vs-mt", "fig5-se-ddam-ofdm-otfs"])
@@ -922,8 +973,11 @@ def test_fig4_bcd_never_rates_below_its_trials_zf(config, num_trials):
     # N_s = 6 at M_t = 16 is UNDETERMINED, as 16 < L N_s = 18) and where
     # BCD's basis U gets zero columns, L M_t < K' M_r with K' = L (L - 1) + 1
     # (both non-default configs at M_t = 16)
-    for trial in range(num_trials):
-        records = experiments._se_vs_mt_trial(config, np.random.default_rng([0, trial]))
+    chunk = experiments._se_vs_mt_chunk(
+        config, [np.random.default_rng([0, trial]) for trial in range(num_trials)]
+    )
+    assert len(chunk) == num_trials
+    for trial, records in enumerate(chunk):
         rates = {(scheme, mt): rate for scheme, _, mt, _, rate in records}
         for mt in experiments.TRANSMIT_ANTENNA_SWEEP:
             zf_rate = rates["ddam-zf", float(mt)]
@@ -931,11 +985,12 @@ def test_fig4_bcd_never_rates_below_its_trials_zf(config, num_trials):
 
 
 def test_fig4_trial_matches_per_solve_loop():
-    # the trial's one stacked BCD solve rates every array size and block as
-    # one bcd_solve each would
+    # the chunk's stacked realizations, ZF and OFDM designs and its one
+    # stacked BCD solve rate every trial, array size and block as one call
+    # per realization and one bcd_solve per block would
     cfg = SystemConfig()
-    for seed in range(50):
-        got = experiments._se_vs_mt_trial(cfg, np.random.default_rng(seed))
+    chunk = experiments._se_vs_mt_chunk(cfg, [np.random.default_rng(seed) for seed in range(50)])
+    for seed, got in enumerate(chunk):
         want = se_vs_mt_trial_loop(cfg, np.random.default_rng(seed))
         assert [r[:4] for r in got] == [r[:4] for r in want]
         for record, expected in zip(got, want):
@@ -1010,3 +1065,27 @@ def test_fig8_chunk_members_equal_one_trial_chunks_and_the_loop(
         [alone] = _papr_chunk(cfg, [np.random.default_rng([seed, trial])])
         assert records == alone, trial
         assert records == papr_trial_loop(cfg, np.random.default_rng([seed, trial])), trial
+
+
+@pytest.mark.parametrize(
+    "name", ["fig3-convergence", "fig4-se-vs-mt", "fig5-se-ddam-ofdm-otfs", "fig6-ber"]
+)
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(num_trials=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_stacked_chunk_members_equal_one_trial_chunks(name, num_trials, seed):
+    # stacked realizations, designs and solves leave every trial's records
+    # as its one-trial chunk gives them; fig4's also match the
+    # per-realization, per-solve loop
+    cfg = _resolve_config(name, None)
+    evaluator = EXPERIMENTS[name].evaluator
+    chunk = evaluator(cfg, [np.random.default_rng([seed, t]) for t in range(num_trials)])
+    assert len(chunk) == num_trials
+    for trial, records in enumerate(chunk):
+        [alone] = evaluator(cfg, [np.random.default_rng([seed, trial])])
+        assert records == alone, trial
+        if name != "fig4-se-vs-mt":
+            continue
+        want = se_vs_mt_trial_loop(cfg, np.random.default_rng([seed, trial]))
+        assert [r[:4] for r in records] == [r[:4] for r in want]
+        for record, expected in zip(records, want):
+            assert record[4] == pytest.approx(expected[4], rel=1e-12, abs=0), record[:3]

@@ -91,6 +91,20 @@ def test_feasibility_validation():
         zf_feasibility(num_tx=0, num_rx=2, num_streams=1, num_paths=1)
 
 
+@pytest.mark.parametrize(
+    "dims", [(6.5, 2, 2, 3), (6, 2.0, 2, 3), (6, 2, True, 3), (6, 2, 2, np.float64(3.0))]
+)
+def test_feasibility_rejects_non_integer_dimensions(dims):
+    with pytest.raises(ContractViolationError):
+        zf_feasibility(*dims)
+
+
+def test_feasibility_accepts_numpy_integer_dimensions():
+    res = zf_feasibility(np.int64(6), np.int32(2), 2, np.int64(3))
+    assert res == zf_feasibility(6, 2, 2, 3)
+    assert type(res.num_variables) is int and res.num_variables == 24
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     rx_streams=st.sampled_from([(1, 1), (2, 2), (4, 4), (4, 2), (8, 2), (8, 3), (6, 4)]),
