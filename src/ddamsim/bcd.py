@@ -52,11 +52,10 @@ problems that share L, M_r and N_s run as one stack whatever their array
 sizes or offset counts. Each iteration makes one precoder_update and one
 mmse_receiver call on the members that have not converged yet, each
 member keeping its own convergence test and trace, so experiments solves
-a fig4 chunk's trials, array sizes and coherence blocks in one call. fig3 still
-makes one bcd_solve call per trial: perfbench's traced runs read
-n_iterations from every result returned through experiments.bcd_solve,
-so that name must keep returning one BcdState, and stacking a fig3 chunk
-waits for a change to the benchmark.
+a fig4 chunk's trials, array sizes and coherence blocks in one call, and a
+fig3 chunk's trials, run with tol = 0 up to a fixed iteration count, in
+one more. No experiment calls bcd_solve; experiments keeps the name
+imported because perfbench's traced runs rebind experiments.bcd_solve.
 
 bcd_solve refines the start its caller passes and nothing else. Started
 from the zero-forcing design, the ascent can never end below the ZF rate;

@@ -18,9 +18,10 @@ Spectral-efficiency conventions used throughout:
 
 Every experiment evaluates its chunk on stacked stages: per array size
 or path count, one call each realizes, zero-forcing designs and, where
-OFDM is compared, OFDM designs the whole chunk. fig4 then solves every
-(trial, array size, block) BCD problem in one stack; fig3 keeps one
-bcd_solve per trial, and OTFS and the strongest-path beam stay per
+OFDM is compared, OFDM designs the whole chunk; fig6 designs its plain
+and its CFO-compensated channels in one OFDM call each. fig4 then solves
+every (trial, array size, block) BCD problem in one stack and fig3 every
+trial's in another; OTFS and the strongest-path beam stay per
 realization. fig9 draws its CSI estimates as delay and Doppler arrays and
 rates the chunk in one mismatched-CSI call; fig8 builds its frames and
 reduces each to its PAPR values before building the next. The
@@ -38,7 +39,7 @@ import numpy as np
 
 from .bcd import (
     _lag_models,
-    bcd_solve,
+    bcd_solve,  # not called here; perfbench's spans rebind experiments.bcd_solve
     bcd_solve_stack,
     colored_noise_rate,
     group_delay_differences,
@@ -114,9 +115,10 @@ TRIAL_FAILURES = (ContractViolationError, NumericalError, FeasibilityError)
 # Trials per evaluator call. It bounds what a chunk holds at once: its
 # stacked channels and designs and, while OFDM is designed, the stacked
 # desired matrices and their SVD. tracemalloc peaks of a 64-trial chunk at
-# the default config: fig3 2.3 MiB, fig4 34.4, fig5 27.0, fig6 44.8 (the
-# plain and compensated channels at M_t = 256), fig8 21.5 (its QAM payloads,
-# one frame at a time), fig9 6.3 (its estimates, lag models and weights).
+# the default config: fig3 6.7 MiB (its stacked BCD solve), fig4 34.4,
+# fig5 27.0, fig6 35.3 (the plain or the compensated channels at M_t = 256),
+# fig8 21.5 (its QAM payloads, one frame at a time), fig9 6.3 (its
+# estimates, lag models and weights).
 TRIAL_CHUNK = 64
 
 
@@ -380,17 +382,16 @@ def _convergence_chunk(config: SystemConfig, rngs: list[np.random.Generator]) ->
         inits.append(raw * math.sqrt(power) / np.linalg.norm(raw))
     realizations = realize_channel(paths, config)
     designs = zf_design(realizations, power, noise, streams)
+    states = bcd_solve_stack(
+        [group_delay_differences(r, timebase, 0) for r in realizations],
+        power,
+        noise,
+        inits,
+        tol=0.0,
+        max_iters=CONVERGENCE_ITERATIONS,
+    )
     records = []
-    for realization, init, (_, zf_result) in zip(realizations, inits, designs):
-        # one solve per trial: perfbench reads every experiments.bcd_solve result
-        state = bcd_solve(
-            group_delay_differences(realization, timebase, 0),
-            power,
-            noise,
-            init,
-            tol=0.0,
-            max_iters=CONVERGENCE_ITERATIONS,
-        )
+    for state, (_, zf_result) in zip(states, designs):
         trace = list(state.rate_trace)
         trace += trace[-1:] * (CONVERGENCE_ITERATIONS - len(trace))
         records.append([])
@@ -465,10 +466,12 @@ def _ber_chunk(config: SystemConfig, rngs: list[np.random.Generator]) -> list:
     # and water_filling gives a lone active mode exactly the whole budget, so
     # power * gain / noise is, bit for bit, the SNR of a design at each power.
     designs = zf_design(realizations[: len(paths)], config.tx_power_watts, noise, 1)
-    # one unit-power OFDM design per channel, rated at every power
+    # one unit-power OFDM design per channel, rated at every power; the plain
+    # and the compensated half are designed apart to halve the stack held at once
     ofdm_sinrs = [
         ofdm_rate(design, powers, noise, cp)[0]
-        for design in ofdm_design(realizations, OFDM_SUBCARRIERS, 1.0, 1)
+        for half in (realizations[: len(paths)], realizations[len(paths) :])
+        for design in ofdm_design(half, OFDM_SUBCARRIERS, 1.0, 1)
     ]
     records = []
     for (_, zf_result), plain, compensated in zip(designs, ofdm_sinrs, ofdm_sinrs[len(paths) :]):

@@ -47,6 +47,7 @@ from ddamsim.channel import (
 from ddamsim.config import SystemConfig
 from ddamsim.errors import ContractViolationError, FeasibilityError, NumericalError
 from ddamsim.experiments import (
+    CONVERGENCE_ITERATIONS,
     IMPERFECT_CSI_MODELS,
     OFDM_SUBCARRIERS,
     PAPR_MODULATION_ORDER,
@@ -502,6 +503,38 @@ def ofdm_se(realization: ChannelRealization, config: SystemConfig) -> float:
         config.noise_power_watts,
         num_streams=config.num_streams,
     ).rate_bps_hz
+
+
+def convergence_trial_loop(config: SystemConfig, rng: np.random.Generator) -> list:
+    """Per-trial version of one trial of `experiments._convergence_chunk`.
+
+    Realizes and zero-forcing designs the trial's channel alone and runs
+    its own `bcd_solve` from its random start, instead of the chunk's
+    stacked stages and its one stacked BCD solve, and pads the rate trace
+    to CONVERGENCE_ITERATIONS entries as the chunk does.
+    """
+    paths = generate_paths(config, rng)
+    power, noise, streams = config.tx_power_watts, config.noise_power_watts, config.num_streams
+    dim = config.num_paths * config.num_tx_antennas
+    raw = rng.standard_normal((dim, streams)) + 1j * rng.standard_normal((dim, streams))
+    init = raw * math.sqrt(power) / np.linalg.norm(raw)
+    realization = realize_channel(paths, config)
+    _, zf_result = zf_design(realization, power, noise, streams)
+    state = bcd_solve(
+        group_delay_differences(realization, coherence_partition(config), 0),
+        power,
+        noise,
+        init,
+        tol=0.0,
+        max_iters=CONVERGENCE_ITERATIONS,
+    )
+    trace = list(state.rate_trace)
+    trace += trace[-1:] * (CONVERGENCE_ITERATIONS - len(trace))
+    records = []
+    for i, rate in enumerate(trace[:CONVERGENCE_ITERATIONS]):
+        for scheme, value in (("ddam-bcd", rate), ("ddam-zf", zf_result.rate_bps_hz)):
+            records.append((scheme, "iteration", float(i + 1), "rate_bps_hz", value))
+    return records
 
 
 def se_vs_mt_trial_loop(config: SystemConfig, rng: np.random.Generator) -> list:

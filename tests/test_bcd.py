@@ -850,18 +850,33 @@ def test_budget_root_bisects_where_the_slope_underflows():
         min_size=2,
         max_size=6,
     ),
+    tol=st.sampled_from([0.0, 1e-4]),
+    max_iters=st.sampled_from([1, 20, 40]),
 )
 @example(  # fig4's mix: three array sizes, three blocks each, ZF and random starts
     seed=7,
     rx_streams=(2, 2),
     num_paths=3,
     members=[(mt, block, mt != 32) for mt in (16, 48, 8) for block in (0, 9, 19)],
+    tol=1e-4,
+    max_iters=40,
 )
-def test_stacked_bcd_equals_stack_of_one_calls(seed, rx_streams, num_paths, members):
+@example(  # fig3's regime: a fixed iteration count, M_t = 64, block 0, random starts
+    seed=3,
+    rx_streams=(2, 2),
+    num_paths=3,
+    members=[(64, 0, False)] * 6,
+    tol=0.0,
+    max_iters=20,
+)
+def test_stacked_bcd_equals_stack_of_one_calls(
+    seed, rx_streams, num_paths, members, tol, max_iters
+):
     # each member of a mixed stack is solved exactly as alone: precoder,
     # combiner, weights, trace and stopping state agree bit for bit, also
-    # where members converge at different iterations and where their
-    # unpadded coordinate counts differ (L M_t < K M_r pads more columns)
+    # where members converge at different iterations, where tol = 0 runs
+    # them to max_iters unless a rate stalls, and where their unpadded
+    # coordinate counts differ (L M_t < K M_r pads more columns)
     num_rx, num_streams = rx_streams
     base = SystemConfig(num_rx_antennas=num_rx, num_paths=num_paths, num_streams=num_streams)
     rng = np.random.default_rng(seed)
@@ -881,10 +896,10 @@ def test_stacked_bcd_equals_stack_of_one_calls(seed, rx_streams, num_paths, memb
             )
             starts.append(raw * np.sqrt(cfg.tx_power_watts) / np.linalg.norm(raw))
     budget, noise = base.tx_power_watts, base.noise_power_watts
-    stacked = bcd_solve_stack(groups, budget, noise, starts, tol=1e-4, max_iters=40)
+    stacked = bcd_solve_stack(groups, budget, noise, starts, tol=tol, max_iters=max_iters)
     assert len(stacked) == len(members)
     for grouped, start, state in zip(groups, starts, stacked):
-        alone = bcd_solve(grouped, budget, noise, start, tol=1e-4, max_iters=40)
+        alone = bcd_solve(grouped, budget, noise, start, tol=tol, max_iters=max_iters)
         assert state.rate_trace == alone.rate_trace
         assert state.n_iterations == alone.n_iterations
         assert state.converged == alone.converged
@@ -893,10 +908,10 @@ def test_stacked_bcd_equals_stack_of_one_calls(seed, rx_streams, num_paths, memb
         assert np.array_equal(state.auxiliary, alone.auxiliary)
         # each member stops at its first iteration that meets the rule
         trace = state.rate_trace
-        gained = [b - a > 1e-4 * max(abs(a), 1e-12) for a, b in zip(trace, trace[1:])]
+        gained = [b - a > tol * max(abs(a), 1e-12) for a, b in zip(trace, trace[1:])]
         assert all(gained[:-1])
-        assert state.converged == (not gained[-1])
-        assert state.converged or state.n_iterations == 40
+        assert state.converged == (bool(gained) and not gained[-1])
+        assert state.converged or state.n_iterations == max_iters
 
 
 def test_bcd_solve_stack_needs_one_start_per_member():

@@ -36,6 +36,7 @@ from ddamsim.experiments import (
 from ddamsim.metrics import CsiError, perturb_csi
 from ddamsim.zf import DdamDesign, zf_design, zf_spatial_design
 from oracles import (
+    convergence_trial_loop,
     ddam_papr_frame_loop,
     imperfect_csi_trial_loop,
     lag_pairs_loop,
@@ -379,9 +380,18 @@ def _spotting(evaluate, bad_trial, seed, action):
     return chunk
 
 
-@pytest.mark.parametrize("workers", [None, 2])
-def test_a_domain_error_in_a_chunk_fails_only_its_trial(monkeypatch, workers):
-    spec = EXPERIMENTS["fig9-imperfect-csi"]
+@pytest.mark.parametrize(
+    "name,workers",
+    [
+        ("fig9-imperfect-csi", None),
+        ("fig9-imperfect-csi", 2),
+        ("fig3-convergence", None),
+        ("fig3-convergence", 2),
+    ],
+    ids=["None", "2", "fig3-None", "fig3-2"],
+)
+def test_a_domain_error_in_a_chunk_fails_only_its_trial(monkeypatch, name, workers):
+    spec = EXPERIMENTS[name]
     runs = {}
     for action in ("raise", "drop"):
         evaluator = _spotting(spec.evaluator, 3, 9, action)
@@ -879,20 +889,27 @@ def test_one_zf_design_per_realization(monkeypatch, name, designs_per_chunk):
 @pytest.mark.parametrize(
     "name,per_chunk",
     [
-        ("fig3-convergence", dict(realize_channel=1, zf_design=1, ofdm_design=0)),
-        ("fig4-se-vs-mt", dict(realize_channel=3, zf_design=3, ofdm_design=3)),
-        ("fig5-se-ddam-ofdm-otfs", dict(realize_channel=3, zf_design=3, ofdm_design=3)),
-        ("fig6-ber", dict(realize_channel=1, zf_design=1, ofdm_design=1)),
+        (
+            "fig3-convergence",
+            dict(realize_channel=1, zf_design=1, ofdm_design=0, bcd_solve_stack=1),
+        ),
+        ("fig4-se-vs-mt", dict(realize_channel=3, zf_design=3, ofdm_design=3, bcd_solve_stack=1)),
+        (
+            "fig5-se-ddam-ofdm-otfs",
+            dict(realize_channel=3, zf_design=3, ofdm_design=3, bcd_solve_stack=0),
+        ),
+        ("fig6-ber", dict(realize_channel=1, zf_design=1, ofdm_design=2, bcd_solve_stack=0)),
     ],
     ids=["fig3", "fig4", "fig5", "fig6"],
 )
 def test_chunk_evaluators_call_each_stacked_stage_once_per_array_size(
     monkeypatch, name, per_chunk
 ):
-    # the stage counts of one chunk do not grow with its trial count; fig4
-    # solves all its BCD problems in one stack, and fig3 keeps one bcd_solve
-    # per trial, whose every result perfbench's traced runs read
-    stages = (*per_chunk, "bcd_solve_stack", "bcd_solve")
+    # the stage counts of one chunk do not grow with its trial count: fig3
+    # and fig4 solve all their BCD problems in one stack and no experiment
+    # calls bcd_solve; fig6 designs its plain and its CFO-compensated
+    # channels in one OFDM stack each
+    stages = (*per_chunk, "bcd_solve")
     calls = dict.fromkeys(stages, 0)
 
     def counting(stage, fn):
@@ -908,12 +925,7 @@ def test_chunk_evaluators_call_each_stacked_stage_once_per_array_size(
         calls.update(dict.fromkeys(stages, 0))
         run = run_experiment(name, seed=4, num_trials=num_trials)
         assert run.failures == []
-        want = dict(
-            per_chunk,
-            bcd_solve_stack=int(name == "fig4-se-vs-mt"),
-            bcd_solve=num_trials if name == "fig3-convergence" else 0,
-        )
-        assert calls == want, num_trials
+        assert calls == dict(per_chunk, bcd_solve=0), num_trials
 
 
 @pytest.mark.parametrize("name", ["fig4-se-vs-mt", "fig5-se-ddam-ofdm-otfs"])
@@ -1074,8 +1086,9 @@ def test_fig8_chunk_members_equal_one_trial_chunks_and_the_loop(
 @given(num_trials=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
 def test_stacked_chunk_members_equal_one_trial_chunks(name, num_trials, seed):
     # stacked realizations, designs and solves leave every trial's records
-    # as its one-trial chunk gives them; fig4's also match the
-    # per-realization, per-solve loop
+    # as its one-trial chunk gives them; fig3's also equal its per-trial
+    # bcd_solve loop exactly, and fig4's match the per-realization,
+    # per-solve loop
     cfg = _resolve_config(name, None)
     evaluator = EXPERIMENTS[name].evaluator
     chunk = evaluator(cfg, [np.random.default_rng([seed, t]) for t in range(num_trials)])
@@ -1083,6 +1096,8 @@ def test_stacked_chunk_members_equal_one_trial_chunks(name, num_trials, seed):
     for trial, records in enumerate(chunk):
         [alone] = evaluator(cfg, [np.random.default_rng([seed, trial])])
         assert records == alone, trial
+        if name == "fig3-convergence":
+            assert records == convergence_trial_loop(cfg, np.random.default_rng([seed, trial]))
         if name != "fig4-se-vs-mt":
             continue
         want = se_vs_mt_trial_loop(cfg, np.random.default_rng([seed, trial]))
