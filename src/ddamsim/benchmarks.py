@@ -549,20 +549,21 @@ def otfs_rate_from_taps(
     """OTFS spectral efficiency with CP overhead, from the per-path taps.
 
     The rate is log2 det(I + pbar * H H^H) of the delay-Doppler channel,
-    normalized by the frame length plus its cyclic prefix. The
-    delay-Doppler transform is unitary, so the log-determinant is taken
-    over the sparse time-domain operator directly, without building any
-    dense MN x MN matrix (the dense chain in tests/oracles.py is the
-    reference it is checked against); a sparse LU
-    factorization supplies it as the sum of log|U_ii|, valid here because
-    the Gram matrix is Hermitian positive definite. The gains and both tap
-    arrays must be non-empty 1-D arrays of one length, one entry per path;
-    the taps whole numbers in OtfsConfig's ranges, the grid sizes integers
-    >= 1 and cp_length an integer >= 0 (bools are not integers here).
+    normalized by the frame length plus its cyclic prefix. Under the unitary
+    MN-point DFT, Doppler tap j is one cyclic diagonal, H_f[q, q - j] = sum
+    of g_l exp(-2 pi i q i_l / MN) over its paths, so the Gram is a cyclic
+    band of half-width span = max j - min j. The order 0, MN-1, 1, MN-2, ...
+    folds it into a plain band of half-width min(2 span, MN - 1), where
+    entries that collide on small grids add up, and one banded Cholesky gives
+    the log-determinant (the dense chain in tests/oracles.py is the reference).
+    The gains and both tap arrays must be non-empty 1-D arrays of one length,
+    one entry per path; the gains finite, the taps whole numbers in
+    OtfsConfig's ranges, the grid sizes integers >= 1 and cp_length an integer
+    >= 0 (bools are not integers here); else ContractViolationError. A Gram
+    that overflows, or that rounding leaves indefinite, raises NumericalError.
     """
-    # loaded here, not at import: only OTFS needs scipy.sparse
-    import scipy.sparse
-    import scipy.sparse.linalg
+    # loaded here, not at import: only OTFS needs scipy.linalg
+    import scipy.linalg
 
     num_delay_bins = _checked_int(num_delay_bins, "num_delay_bins", 1)
     num_doppler_bins = _checked_int(num_doppler_bins, "num_doppler_bins", 1)
@@ -573,33 +574,31 @@ def otfs_rate_from_taps(
     delay_taps, doppler_taps = _checked_taps(
         delay_taps, doppler_taps, num_delay_bins, num_doppler_bins
     )
-    if gains.shape != delay_taps.shape or not gains.size:
-        raise ContractViolationError("gains and taps must be matching non-empty 1-D arrays")
+    if gains.shape != delay_taps.shape or not (gains.size and np.isfinite(gains).all()):
+        raise ContractViolationError("finite gains and taps must be matching non-empty 1-D arrays")
     mn = num_delay_bins * num_doppler_bins
-    n_idx = np.arange(mn)
-    rows = []
-    cols = []
-    vals = []
-    for gain, i_tap, j_tap in zip(gains, delay_taps, doppler_taps):
-        rows.append((n_idx + int(i_tap)) % mn)
-        cols.append(n_idx)
-        vals.append(gain * np.exp(2j * np.pi * int(j_tap) * n_idx / mn))
-    h = scipy.sparse.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mn, mn),
-    )
-    gram = (
-        scipy.sparse.identity(mn, dtype=np.complex128, format="csc")
-        + power_over_noise * (h @ h.conj().T)
-    ).tocsc()
-    lu = scipy.sparse.linalg.splu(gram)
-    diag = np.abs(lu.U.diagonal())
-    if np.any(diag <= 0):
-        raise NumericalError("sparse factorization hit a zero pivot")
-    logdet = float(np.sum(np.log2(diag)))
-    if not np.isfinite(logdet):
-        raise NumericalError("sparse log-determinant overflowed")
-    return logdet / (mn + cp_length)
+    q = np.arange(mn)
+    shifts, which = np.unique(doppler_taps, return_inverse=True)
+    phases = np.exp(-2j * np.pi * (np.outer(delay_taps, q) % mn) / mn)
+    # Gram entry (q, q - j + j') for each pair (j, j'), placed in the order 0, MN-1, 1, MN-2, ...
+    partner = (q + shifts[None, :, None] - shifts[:, None, None]) % mn
+    pos = np.where(2 * q < mn, 2 * q, 2 * (mn - q) - 1)
+    col = pos[partner]
+    u = min(2 * int(shifts[-1] - shifts[0]), mn - 1)
+    band = np.zeros((2 * u + 1, mn), dtype=np.complex128)  # entry (r, c) at [u + r - c, c]
+    band[u] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+        # diags[k][q] = H_f[q, q - shifts[k]]
+        diags = (which == np.arange(shifts.size)[:, None]) @ (gains[:, None] * phases)
+        far = np.take_along_axis(diags[None], partner, 2).conj()
+        np.add.at(band, (u + pos - col, col), power_over_noise * diags[:, None] * far)
+    if not np.isfinite(band).all():
+        raise NumericalError("the OTFS Gram overflowed")
+    try:
+        factor = scipy.linalg.cholesky_banded(band[: u + 1], check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"banded Cholesky of the OTFS Gram failed: {exc}") from exc
+    return 2.0 * float(np.sum(np.log2(factor[u].real))) / (mn + cp_length)
 
 
 # --- strongest-path beamforming ---------------------------------------------

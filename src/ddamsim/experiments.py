@@ -116,7 +116,7 @@ TRIAL_FAILURES = (ContractViolationError, NumericalError, FeasibilityError)
 # stacked channels and designs and, while OFDM is designed, the stacked
 # desired matrices and their SVD. tracemalloc peaks of a 64-trial chunk at
 # the default config: fig3 6.7 MiB (its stacked BCD solve), fig4 34.4,
-# fig5 27.0, fig6 35.3 (the plain or the compensated channels at M_t = 256),
+# fig5 26.9, fig6 35.3 (the plain or the compensated channels at M_t = 256),
 # fig8 21.5 (its QAM payloads, one frame at a time), fig9 6.3 (its
 # estimates, lag models and weights).
 TRIAL_CHUNK = 64

@@ -654,8 +654,13 @@ def otfs_delay_doppler_channel(
     transform is unitary, so Frobenius norm and singular values carry over
     from the time-domain operator.
     """
-    h = otfs_time_channel(realization, config)
-    m, n = config.num_delay_bins, config.num_doppler_bins
+    return delay_doppler_transform(
+        otfs_time_channel(realization, config), config.num_delay_bins, config.num_doppler_bins
+    )
+
+
+def delay_doppler_transform(h: np.ndarray, m: int, n: int) -> np.ndarray:
+    """An MN x MN time-domain operator conjugated by (F_N kron I_M), as above."""
     f_n = scipy.linalg.dft(n) / math.sqrt(n)
     # contract the kron factors through reshapes instead of forming MN x MN krons
     t = h.reshape(n, m, n, m)

@@ -30,9 +30,11 @@ from ddamsim.channel import (
     realize_channel,
 )
 from ddamsim.config import SystemConfig
-from ddamsim.errors import ContractViolationError
+from ddamsim.errors import ContractViolationError, NumericalError
 from ddamsim.experiments import BER_POWER_SWEEP_DBM
 from oracles import (
+    _shift_phase_operator,
+    delay_doppler_transform,
     measure_beam_sinr,
     ofdm_design_and_rate_loop,
     ofdm_ici_direct,
@@ -751,17 +753,56 @@ def test_otfs_transform_preserves_energy():
     assert np.linalg.norm(h_dd) == pytest.approx(np.linalg.norm(h_time), rel=1e-9)
 
 
-def test_otfs_dense_and_sparse_rates_agree():
+def _beamformed_taps():
+    """Three beamformed paths on a 16 x 4 grid: gains, delay taps, Doppler taps."""
     cfg = SystemConfig(num_tx_antennas=8, num_rx_antennas=2)
     paths = _path_set([0.9, 0.4j, 0.2], [1, 6, 11], [1.2e5, -0.7e5, 2.9e5])
     realization = realize_channel(paths, cfg)
     otfs = make_otfs_config(realization, 16, 4)
-    h_dd = otfs_delay_doppler_channel(realization, otfs)
-    pbar = 2.7
-    dense = otfs_rate(h_dd, pbar, 5, 16, 4)
-    gains = otfs_effective_gains(realization, otfs)
-    sparse = otfs_rate_from_taps(gains, otfs.delay_taps, otfs.doppler_taps, 16, 4, pbar, 5)
-    assert sparse == pytest.approx(dense, rel=1e-9)
+    return otfs_effective_gains(realization, otfs), otfs.delay_taps, otfs.doppler_taps
+
+
+@st.composite
+def _otfs_channels(draw):
+    """An M x N grid, M 1-16 and N 1-8, and 1-8 paths on it.
+
+    The paths draw their (delay, Doppler) pairs from a pool of at most as
+    many pairs, so pairs collide; Doppler taps reach both ends of (-N, N).
+    """
+    m, n = draw(st.integers(1, 16)), draw(st.integers(1, 8))
+    num_paths = draw(st.integers(1, 8))
+    pair = st.tuples(st.integers(0, m - 1), st.integers(1 - n, n - 1))
+    pool = draw(st.lists(pair, min_size=1, max_size=num_paths))
+    taps = draw(st.lists(st.sampled_from(pool), min_size=num_paths, max_size=num_paths))
+    gain = st.complex_numbers(min_magnitude=0.1, max_magnitude=10)
+    gains = draw(st.lists(gain, min_size=num_paths, max_size=num_paths))
+    delays, dopplers = np.array(taps).T
+    return m, n, np.array(gains), delays, dopplers
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    channel=_otfs_channels(),
+    pbar=st.one_of(st.just(0.0), st.floats(1e-1, 1e8)),
+    cp_length=st.integers(0, 8),
+)
+@example(channel=(16, 4, *_beamformed_taps()), pbar=2.7, cp_length=5)
+@example(  # Doppler taps spanning (-N, N) on one delay bin: the folded band wraps
+    channel=(1, 8, np.array([1.0, 0.5j, -0.3]), np.zeros(3, int), np.array([-7, 7, 0])),
+    pbar=1e8,
+    cp_length=0,
+)
+@example(  # two paths on one (delay, Doppler) pair
+    channel=(4, 2, np.array([0.9, -0.4, 0.2j]), np.array([1, 1, 3]), np.array([-1, -1, 1])),
+    pbar=0.1,
+    cp_length=2,
+)
+def test_otfs_banded_rate_matches_the_dense_oracle(channel, pbar, cp_length):
+    m, n, gains, delays, dopplers = channel
+    h_dd = delay_doppler_transform(_shift_phase_operator(gains, delays, dopplers, m * n), m, n)
+    dense = otfs_rate(h_dd, pbar, cp_length, m, n)
+    banded = otfs_rate_from_taps(gains, delays, dopplers, m, n, pbar, cp_length)
+    assert banded == pytest.approx(dense, rel=1e-11)
 
 
 @pytest.mark.parametrize(
@@ -771,6 +812,8 @@ def test_otfs_dense_and_sparse_rates_agree():
         pytest.param({"delay_taps": np.array([0, 1, 2, 3])}, id="delays long"),
         pytest.param({"doppler_taps": np.array([1])}, id="dopplers short"),
         pytest.param({"effective_gains": np.ones((3, 1))}, id="gains 2-D"),
+        pytest.param({"effective_gains": np.array([0.9, np.nan, 0.2])}, id="nan gain"),
+        pytest.param({"effective_gains": np.array([0.9, 0.4j, np.inf])}, id="inf gain"),
         pytest.param(
             {"effective_gains": 0.9, "delay_taps": 1, "doppler_taps": 2}, id="0-d path"
         ),
@@ -806,6 +849,23 @@ def test_otfs_rate_from_taps_rejects_malformed_arguments(bad):
     assert otfs_rate_from_taps(**valid) > 0
     with pytest.raises(ContractViolationError):
         otfs_rate_from_taps(**{**valid, **bad})
+
+
+@pytest.mark.parametrize(
+    "gains, delays, dopplers, grid, pbar",
+    [
+        pytest.param(np.full(3, 1e200), [1, 6, 11], [2, -1, 0], (16, 4), 2.7, id="overflow"),
+        pytest.param([1e308, 1e308], [0, 0], [1, 1], (4, 4), 1.0, id="channel overflow"),
+        # I + pbar (2I + 2S): 1 + 2 pbar rounds to 2 pbar = 2^62, so the Gram rounds to
+        # 2^62 [[1, 1], [1, 1]] and its second Cholesky pivot is exactly 0
+        pytest.param([1.0, 1.0], [0, 0], [0, 1], (1, 2), 2.0**61, id="indefinite"),
+    ],
+)
+def test_otfs_rate_from_taps_raises_numerical_error_on_an_unusable_gram(
+    gains, delays, dopplers, grid, pbar
+):
+    with pytest.raises(NumericalError):
+        otfs_rate_from_taps(gains, delays, dopplers, *grid, pbar, 5)
 
 
 def test_otfs_beam_opt_trace_monotone():
