@@ -51,11 +51,7 @@ class OfdmDesign:
     M_t <= W. Its nonzero columns are orthonormal, so precoder_coords[k, :,
     :r_k] spends the whole total_power on the antennas too.
     combiners[k, :, :r_k] has orthonormal columns, and every entry of a slot
-    i >= r_k is zero. left, coords, coupling and ramp describe the C
-    rank-one components for ofdm_rate: component c is outer(left[c],
-    coords[c]) in W coordinates, coupling[delta, c] is its ICI coefficient
-    at subcarrier offset delta and ramp[k, c] its delay phase on
-    subcarrier k.
+    i >= r_k is zero.
     """
 
     precoder_coords: np.ndarray    # (K, W, r_max)
@@ -64,10 +60,6 @@ class OfdmDesign:
     singular_values: np.ndarray    # (K, r_max)
     ranks: np.ndarray              # (K,) integer
     total_power: float
-    left: np.ndarray               # (C, M_r)
-    coords: np.ndarray             # (C, W)
-    coupling: np.ndarray           # (K, C)
-    ramp: np.ndarray               # (K, C)
 
 
 @dataclass
@@ -75,9 +67,11 @@ class OfdmResult:
     """An OFDM design with its SINRs and spectral efficiency at the design's power.
 
     The fields are ofdm_design's arrays of one realization (see
-    OfdmDesign) plus ofdm_rate's sinr and rate at that power. sinr has
-    the stacks' (K, r_max) layout and is zero on every inactive slot, so
-    sinr[:, 0] is the strongest stream's SINR.
+    OfdmDesign) plus ofdm_rate's sinr and rate at that power. sinr is
+    zero on every inactive slot, so sinr[:, 0] is the strongest stream's
+    SINR; it has the design's (K, r_max) layout whenever the two rank
+    rules agree, as they do unless a squared singular value sits within
+    rounding of RANK_TOL times the largest.
     """
 
     precoder_coords: np.ndarray    # (K, W, r_max)
@@ -147,6 +141,37 @@ def _rank_one_components(matrices: np.ndarray):
     return left, right * active[..., None], order // modes, active
 
 
+def _ofdm_components(realizations: list[ChannelRealization], num_subcarriers: int):
+    """Rank-one components of a stack of realizations and their subcarrier weights.
+
+    Returns the stacks (left, right, active, coeff, ramp): left, right and
+    active as _rank_one_components gives them, coeff (S, C, K) with
+    coeff[s, c, delta] the ICI coefficient of member s's component c at
+    subcarrier offset delta (periodic in delta with period K), and ramp
+    (S, K, C) with ramp[s, k, c] its delay phase e^{-j 2 pi k m_c / K} on
+    subcarrier k. Subcarrier k's desired matrix is the sum over c of
+    ramp[s, k, c] coeff[s, c, 0] outer(left[s, c], right[s, c].conj()).
+    Realizations of different shapes or symbol durations, an empty
+    sequence and a bool or non-integer subcarrier count raise
+    ContractViolationError.
+    """
+    if len({(r.matrices.shape, r.symbol_duration_s) for r in realizations}) != 1:
+        raise ContractViolationError("OFDM needs realizations of one shape and timebase")
+    k_sub = _checked_int(num_subcarriers, "num_subcarriers", 1)
+    left, right, parent, active = _rank_one_components(
+        np.array([r.matrices for r in realizations])
+    )
+    members = np.arange(len(realizations))[:, None]
+    comp_doppler = np.array([r.path_set.doppler_hz for r in realizations])[members, parent]
+    comp_delay = np.array([r.path_set.delay_taps for r in realizations])[members, parent]
+    k_grid = np.arange(k_sub)
+    coeff = ici_coefficient(
+        comp_doppler[:, :, None], realizations[0].symbol_duration_s, k_sub, k_grid
+    )
+    ramp = np.exp(-2j * np.pi * (k_grid[:, None] * comp_delay[:, None, :]) / k_sub)
+    return left, right, active, coeff, ramp
+
+
 def ofdm_design(
     realization: ChannelRealization | list[ChannelRealization],
     num_subcarriers: int,
@@ -155,12 +180,13 @@ def ofdm_design(
 ) -> OfdmDesign | list[OfdmDesign]:
     """SVD transceiver per subcarrier, spending total_power on each loaded one.
 
-    The desired matrix of subcarrier k sums the paths' self-coupled
-    channels with their delay phase ramps; its SVD gives the combiner
-    (left vectors) and the precoder (right vectors of the at most
-    num_streams strongest modes, scaled to spend the whole budget). The
-    rank rule does not depend on the power, and the precoders scale with
-    its square root, so ofdm_rate rates one design at any power.
+    It serves fig8's OFDM frames; rates come from ofdm_rate, which needs no
+    transceiver. The desired matrix of subcarrier k sums the paths'
+    self-coupled channels with their delay phase ramps; its SVD gives the
+    combiner (left vectors) and the precoder (right vectors of the at most
+    num_streams strongest modes, scaled to spend the whole budget). Mode i
+    counts toward the rank when s_i^2 > RANK_TOL s_1^2, ofdm_rate's rule on
+    the same squared singular values.
 
     A sequence of realizations of one shape and symbol duration is
     designed as stacks and returns the list of their designs: one stacked
@@ -184,8 +210,10 @@ def ofdm_design(
     (M_t, W) antenna basis block-diag(I, Q), so no per-subcarrier array has
     an M_t axis; the power budget is checked on the small vectors.
 
-    The compression keeps LAPACK's singular-vector phases, which fig8's
-    OFDM frame PAPR depends on. For a wide matrix zgesdd first takes a
+    The design keeps an SVD, and not ofdm_rate's Gram eigendecomposition,
+    for LAPACK's singular-vector phases: the frame sums the precoded
+    symbols of all subcarriers, so its PAPR depends on them. The
+    compression keeps those phases. For a wide matrix zgesdd first takes a
     Householder LQ and then the SVD of L. Row i's reflector depends only on
     its pivot entry (a column < M_r), the norm of the rest of its row, and
     inner products between rows; a unitary acting only on the columns after
@@ -202,23 +230,14 @@ def ofdm_design(
     """
     single = isinstance(realization, ChannelRealization)
     realizations = [realization] if single else list(realization)
-    if len({(r.matrices.shape, r.symbol_duration_s) for r in realizations}) != 1:
-        raise ContractViolationError("ofdm_design needs realizations of one shape and timebase")
-    k_sub = _checked_int(num_subcarriers, "num_subcarriers", 1)
     _checked_int(num_streams, "num_streams", 1)
     _checked_positive(total_power, "total_power")
-    first = realizations[0]
-    left, right, parent, active = _rank_one_components(
-        np.array([r.matrices for r in realizations])
-    )
+    left, right, active, coeff, ramp = _ofdm_components(realizations, num_subcarriers)
     count, n_comp, m_t = right.shape
-    members = np.arange(count)[:, None]
-    comp_doppler = np.array([r.path_set.doppler_hz for r in realizations])[members, parent]
-    comp_delay = np.array([r.path_set.delay_taps for r in realizations])[members, parent]
 
     # per-component coordinates: the first M_r antennas as they are, the
     # tail on an orthonormal basis of its span (see the docstring)
-    lead = min(first.num_rx, m_t)
+    lead = min(left.shape[2], m_t)
     width = max(2 * lead, lead + n_comp)
     if m_t > width:
         tail = np.linalg.qr(right[:, :, lead:].transpose(0, 2, 1))[0]   # (S, T, C)
@@ -229,14 +248,6 @@ def ofdm_design(
     else:
         antenna_basis = np.broadcast_to(np.eye(m_t, dtype=np.complex128), (count, m_t, m_t))
     coords = right.conj() @ antenna_basis                            # (S, C, W)
-
-    # coupling coefficients for every offset (periodic in delta with period K)
-    k_grid = np.arange(k_sub)
-    coeff = ici_coefficient(
-        comp_doppler[:, :, None], first.symbol_duration_s, k_sub, k_grid
-    )                                                                # (S, C, K)
-    # e^{-j 2 pi k m_c / K} ramps, one column per component
-    ramp = np.exp(-2j * np.pi * (k_grid[:, None] * comp_delay[:, None, :]) / k_sub)
     # the contraction order optimize=True picks, given so it is not searched per call
     desired = np.einsum(
         "skc,sca,scb->skab",
@@ -254,8 +265,10 @@ def ofdm_design(
     # with the SVD's outputs, the largest arrays a stacked design holds at once
     del desired
 
-    # numerical rank per subcarrier, relative to its largest singular value
-    ranks = np.minimum(np.count_nonzero(s > RANK_TOL * s[..., :1], axis=-1), num_streams)
+    # numerical rank per subcarrier, on squared singular values as in ofdm_rate
+    ranks = np.minimum(
+        np.count_nonzero(s**2 > RANK_TOL * s[..., :1] ** 2, axis=-1), num_streams
+    )
     r_max = max(1, int(ranks.max()))
     loaded = np.arange(r_max) < ranks[..., None]                    # (S, K, r_max)
     # sqrt(P / r_k) on the r_k active columns, zero on the rest
@@ -281,38 +294,58 @@ def ofdm_design(
                 np.ascontiguousarray(singular_values[i, :, own]),
                 ranks[i],
                 total_power,
-                left[i],
-                coords[i],
-                coeff[i].T,
-                ramp[i],
             )
         )
     return designs[0] if single else designs
 
 
 def ofdm_rate(
-    design: OfdmDesign, powers, noise_var: float, cp_length: int
+    realizations: list[ChannelRealization],
+    num_subcarriers: int,
+    powers,
+    noise_var: float,
+    cp_length: int,
+    num_streams: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """SINRs (P, K, r_max) and spectral efficiencies (P,) of a design at each total power.
+    """SINRs (S, P, K, r_max) and spectral efficiencies (S, P) of OFDM at each total power.
+
+    Rates ofdm_design's transceivers for a stack of S realizations of one
+    shape and symbol duration without forming them: no SVD beyond the
+    rank-one split, no array with an M_t or W axis. With the components
+    of _ofdm_components, subcarrier k's desired matrix is X_k conj(right),
+    X_k = left^T diag(ramp_k coeff[:, 0]) (M_r x C), so its Gram is X_k G
+    X_k^H with G = conj(right) right^T (C x C). One eig_hermitian call over
+    the (S K, M_r, M_r) Grams gives the combiners u_i. With G = B B^H from
+    G's own eigendecomposition, z_i = B^H X_k^H u_i gives lambda_i =
+    |z_i|^2 = s_i^2, accurate to rounding of s_1 s_i like the SVD's (the
+    Gram's eigenvalue is only accurate to rounding of s_1^2), and the
+    precoder's projection on the components, B z_i / s_i. Mode i counts
+    when lambda_i > RANK_TOL lambda_1, ofdm_design's rule; at most
+    num_streams modes are loaded, with P / r_k each. A rate does not
+    depend on the singular-vector phases. When lambda_1 = lambda_2, the
+    SVD and this route alike leave the split of the ICI between those two
+    streams to the choice of eigenbasis; only their sum is fixed.
 
     ICI from every other subcarrier is treated as noise. Precoders scale
     with the square root of the power and the ICI power with the power, so
-    with a and b the signal and ICI power of the design scaled to unit
-    power, SINR = P a / (P b + N0); at the design's own power the ICI
-    factor is exactly 1. The rate carries the cyclic-prefix penalty K / (K
-    + N_CP); frames are assumed to hold a whole number of OFDM symbols,
-    fractional leftovers at the frame edge are not modeled.
+    with a and b the signal and ICI power at unit power, SINR = P a / (P b
+    + N0). The rate carries the cyclic-prefix penalty K / (K + N_CP);
+    frames are assumed to hold a whole number of OFDM symbols. The ICI on
+    subcarrier k is sum over q != k of h[(q - k) mod K] * g[q], with
+    h[delta, c, d] = coeff[c, delta] conj(coeff[d, delta]) (zero at delta
+    = 0) and g[q, c, d] the ramp-weighted transmit Gram terms of source q:
+    a circular cross-correlation along the subcarriers, computed with FFTs
+    in O(C^2 K log K) on the pairs c <= d, as all three are Hermitian.
 
-    Over the C components, the ICI on subcarrier k is sum over q != k of
-    h[(q - k) mod K] * g[q], with h[delta, c, d] = coupling[delta, c] *
-    conj(coupling[delta, d]) (set to zero at delta = 0, which leaves out
-    the q = k term) and g[q, c, d] the ramp-weighted transmit Gram terms of
-    source q. That is a circular cross-correlation along the subcarrier
-    index, computed with FFTs in O(C^2 K log K). A bool or non-integer
-    cyclic prefix, a non-finite or non-positive noise and powers that are
-    not a non-empty 1-D array of finite positive numbers raise
-    ContractViolationError.
+    Every member is rated on min(M_r, num_streams) stream slots, so it
+    equals its one-realization call bit for bit whenever its component
+    count is the stack's C; the SINRs are then trimmed to r_max = max(1,
+    max rank of the stack), zero on every unloaded slot. A bool or
+    non-integer count, a non-finite or non-positive noise, powers that are
+    not a non-empty 1-D array of finite positive numbers and realizations
+    of mixed shapes or timebases raise ContractViolationError.
     """
+    _checked_int(num_streams, "num_streams", 1)
     _checked_int(cp_length, "cp_length", 0)
     _checked_positive(noise_var, "noise_var")
     powers = np.asarray(powers, dtype=np.float64)
@@ -320,35 +353,70 @@ def ofdm_rate(
         raise ContractViolationError("powers must be a non-empty 1-D array")
     for power in powers:
         _checked_positive(power, "power")
-    ranks = design.ranks
-    k_sub = ranks.size
-    active = np.arange(design.singular_values.shape[1]) < ranks[:, None]   # (K, r_max)
+    left, right, _, coeff, ramp = _ofdm_components(list(realizations), num_subcarriers)
+    count, k_sub, n_comp = ramp.shape
+    num_rx = left.shape[2]
+    slots = min(num_rx, num_streams)
+    weights = ramp * coeff[:, None, :, 0]              # (S, K, C): X_k = left^T diag(weights[k])
 
-    # receive- and transmit-side projections of every rank-one component;
-    # inactive streams have zero precoder columns and drop out of the Gram
-    u_proj = np.einsum("kai,ca->kic", design.combiners.conj(), design.left)   # (K, r_max, C)
-    w_proj = design.coords @ design.precoder_coords                           # (K, C, r_max)
-    gram = w_proj @ w_proj.conj().transpose(0, 2, 1)                          # (K, C, C)
+    # The Grams X_k G X_k^H: entry (a, b) sums weights[k, c] conj(weights[k, d])
+    # left[c, a] conj(left[d, b]) G[c, d] over the pairs (c, d), one (K, C^2) x
+    # (C^2, M_r^2) product per member, as every product over subcarriers here.
+    # The dels keep a 64-member stack's peak down (see experiments.TRIAL_CHUNK).
+    gram = right.conj() @ right.transpose(0, 2, 1)                         # (S, C, C)
+    pairs = weights[..., :, None] * weights[..., None, :].conj()
+    kernel = left[:, :, None, :, None] * left[:, None, :, None, :].conj() * gram[..., None, None]
+    receive = pairs.reshape(count, k_sub, n_comp**2) @ kernel.reshape(count, n_comp**2, num_rx**2)
+    del pairs
+    _, vecs = eig_hermitian(receive.reshape(-1, num_rx, num_rx))
+    del receive
+    # u_i^H left_c of the loadable combiners, (S, K, slots, C)
+    combiners = vecs.reshape(count, k_sub, num_rx, num_rx)[..., :slots].swapaxes(-1, -2)
+    u_proj = combiners.conj().reshape(count, -1, num_rx) @ left.transpose(0, 2, 1)
+    u_proj = u_proj.reshape(count, k_sub, slots, n_comp)
+    del vecs, combiners
+    gram_vals, gram_vecs = eig_hermitian(gram)
+    factor = gram_vecs * np.sqrt(np.maximum(gram_vals, 0.0))[:, None, :]  # B (S, C, C)
+    # z_i^T = (X_k^H u_i)^T conj(B), with X_k^H u_i = conj(weights[k] * u_proj[k, i])
+    z = (weights[:, :, None, :] * u_proj).conj().reshape(count, k_sub * slots, n_comp)
+    z = z @ factor.conj()
+    del weights
+    vals = np.sum(z.real**2 + z.imag**2, axis=-1).reshape(count, k_sub, slots)
+    ranks = np.count_nonzero(vals > RANK_TOL * vals[..., :1], axis=-1)     # (S, K)
+    loaded = np.arange(slots) < ranks[..., None]                           # (S, K, slots)
+    # at unit power: signal lambda_i / r_k, precoder weight 1 / sqrt(r_k lambda_i)
+    share = np.maximum(ranks, 1)[..., None]
+    signal = np.where(loaded, vals / share, 0.0)
+    weight = np.where(loaded, 1.0 / np.sqrt(share * np.where(loaded, vals, 1.0)), 0.0)
+    # ramp-weighted precoder projections (B z_i)^T weight_i; unloaded slots are zero
+    w_proj = (z * weight.reshape(count, -1, 1)) @ factor.transpose(0, 2, 1)
+    w_proj = w_proj.reshape(count, k_sub, slots, n_comp) * ramp[:, :, None, :]
+    del z
 
-    coupling, ramp = design.coupling, design.ramp
-    h = coupling[:, :, None] * coupling[:, None, :].conj()
-    h[0] = 0.0
-    g = ramp[:, :, None] * ramp[:, None, :].conj() * gram
-    cross = np.fft.ifft(
-        np.fft.fft(g, axis=0) * np.fft.fft(h.conj(), axis=0).conj(), axis=0
-    )
-    ici_power = np.einsum("kic,kid,kcd->ki", u_proj, u_proj.conj(), cross).real
-    ici_power = np.maximum(ici_power, 0.0)                     # at design.total_power
+    # h and the ramp-weighted transmit Gram terms g over the pairs c <= d,
+    # (S, pairs, K), correlated along K; the ICI reads the full Hermitian (C, C)
+    first, second = np.triu_indices(n_comp)
+    h = coeff[:, first] * coeff[:, second].conj()
+    h[..., 0] = 0.0
+    h = np.fft.ifft(h, norm="forward")                 # conj(fft(conj(h))), unscaled
+    cross = np.einsum("skic,skid->scdk", w_proj, w_proj.conj())[:, first, second]
+    del w_proj
+    cross = np.fft.fft(cross)
+    cross *= h
+    del h
+    cross = np.fft.ifft(cross).transpose(0, 2, 1)
+    full = np.empty((count, k_sub, n_comp, n_comp), dtype=np.complex128)
+    full[..., first, second] = cross
+    full[..., second, first] = cross.conj()
+    del cross
+    ici = np.einsum("skid,skid->ski", np.einsum("skic,skcd->skid", u_proj, full), u_proj.conj())
+    ici = np.maximum(ici.real, 0.0)                    # at unit power
 
-    overhead = k_sub / (k_sub + cp_length)
-    sinrs, rates = [], []
-    for power in powers:
-        signal = power * design.singular_values**2 / np.maximum(ranks, 1)[:, None]
-        interference = ici_power * (power / design.total_power)
-        sinr = np.where(active, signal / (interference + noise_var), 0.0)
-        sinrs.append(sinr)
-        rates.append(overhead * float(np.sum(np.log2(1.0 + sinr))) / k_sub)
-    return np.array(sinrs), np.array(rates)
+    p = powers[None, :, None, None]
+    sinr = np.where(loaded[:, None], p * signal[:, None] / (p * ici[:, None] + noise_var), 0.0)
+    rates = k_sub / (k_sub + cp_length) * np.sum(np.log2(1.0 + sinr), axis=(-2, -1)) / k_sub
+    r_max = max(1, int(ranks.max()))
+    return np.ascontiguousarray(sinr[..., :r_max]), rates
 
 
 def ofdm_design_and_rate(
@@ -359,17 +427,19 @@ def ofdm_design_and_rate(
     noise_var: float,
     num_streams: int,
 ) -> OfdmResult:
-    """ofdm_design of one realization rated by ofdm_rate at its own power."""
+    """ofdm_design of one realization, with ofdm_rate's SINRs and rate at its own power."""
     design = ofdm_design(realization, num_subcarriers, total_power, num_streams)
-    [sinr], [rate] = ofdm_rate(design, [total_power], noise_var, cp_length)
+    sinr, rate = ofdm_rate(
+        [realization], num_subcarriers, [total_power], noise_var, cp_length, num_streams
+    )
     return OfdmResult(
         design.precoder_coords,
         design.antenna_basis,
         design.combiners,
         design.singular_values,
-        sinr,
+        sinr[0, 0],
         design.ranks,
-        float(rate),
+        float(rate[0, 0]),
     )
 
 

@@ -18,8 +18,9 @@ Spectral-efficiency conventions used throughout:
 
 Every experiment evaluates its chunk on stacked stages: per array size
 or path count, one call each realizes, zero-forcing designs and, where
-OFDM is compared, OFDM designs the whole chunk; fig6 designs its plain
-and its CFO-compensated channels in one OFDM call each. fig4 then solves
+OFDM is compared, OFDM rates the whole chunk; fig6 rates its plain and
+its CFO-compensated channels in one OFDM call each, and only fig8, whose
+frames need the transceivers, designs OFDM. fig4 then solves
 every (trial, array size, block) BCD problem in one stack and fig3 every
 trial's in another; OTFS and the strongest-path beam stay per
 realization. fig9 draws its CSI estimates as delay and Doppler arrays and
@@ -113,12 +114,13 @@ FEASIBILITY_RX_STREAM_PAIRS = ((1, 1), (2, 2), (4, 4), (4, 2))
 # domain errors that fail one trial; any other exception is a bug and propagates
 TRIAL_FAILURES = (ContractViolationError, NumericalError, FeasibilityError)
 # Trials per evaluator call. It bounds what a chunk holds at once: its
-# stacked channels and designs and, while OFDM is designed, the stacked
-# desired matrices and their SVD. tracemalloc peaks of a 64-trial chunk at
-# the default config: fig3 6.7 MiB (its stacked BCD solve), fig4 34.4,
-# fig5 26.9, fig6 35.3 (the plain or the compensated channels at M_t = 256),
-# fig8 21.5 (its QAM payloads, one frame at a time), fig9 6.3 (its
-# estimates, lag models and weights).
+# stacked channels and designs and, while OFDM is rated, the (S, K, C, C)
+# ICI correlation terms. tracemalloc peaks of a 64-trial chunk at the
+# default config: fig3 6.7 MiB (its stacked BCD solve), fig4 34.4, fig5
+# 24.3, fig6 27.1 (one OFDM rate of the plain or of the compensated
+# channels; both in one call would peak at 45.2), fig8 21.5 (its QAM
+# payloads, one frame at a time), fig9 6.3 (its estimates, lag models and
+# weights).
 TRIAL_CHUNK = 64
 
 
@@ -267,10 +269,16 @@ def _bcd_se(
 
 
 def _ofdm_se(realizations: list[ChannelRealization], config: SystemConfig) -> list[float]:
-    """OFDM SE of each realization: one stacked design, each rated at its own power."""
-    power, noise = config.tx_power_watts, config.noise_power_watts
-    designs = ofdm_design(realizations, OFDM_SUBCARRIERS, power, config.num_streams)
-    return [float(ofdm_rate(d, [power], noise, config.max_delay_tap)[1][0]) for d in designs]
+    """OFDM SE of each realization at the config's power, from one stacked rate."""
+    _, rates = ofdm_rate(
+        realizations,
+        OFDM_SUBCARRIERS,
+        [config.tx_power_watts],
+        config.noise_power_watts,
+        config.max_delay_tap,
+        config.num_streams,
+    )
+    return [float(rate) for rate in rates[:, 0]]
 
 
 def _otfs_se(realization: ChannelRealization, config: SystemConfig) -> float:
@@ -466,12 +474,12 @@ def _ber_chunk(config: SystemConfig, rngs: list[np.random.Generator]) -> list:
     # and water_filling gives a lone active mode exactly the whole budget, so
     # power * gain / noise is, bit for bit, the SNR of a design at each power.
     designs = zf_design(realizations[: len(paths)], config.tx_power_watts, noise, 1)
-    # one unit-power OFDM design per channel, rated at every power; the plain
-    # and the compensated half are designed apart to halve the stack held at once
+    # every channel's OFDM SINRs at every power; the plain and the compensated
+    # half are rated apart to halve the stack held at once
     ofdm_sinrs = [
-        ofdm_rate(design, powers, noise, cp)[0]
+        sinr
         for half in (realizations[: len(paths)], realizations[len(paths) :])
-        for design in ofdm_design(half, OFDM_SUBCARRIERS, 1.0, 1)
+        for sinr in ofdm_rate(half, OFDM_SUBCARRIERS, powers, noise, cp, 1)[0]
     ]
     records = []
     for (_, zf_result), plain, compensated in zip(designs, ofdm_sinrs, ofdm_sinrs[len(paths) :]):

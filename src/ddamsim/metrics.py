@@ -36,12 +36,13 @@ def qam_awgn_ber(snr_linear, order: int) -> np.ndarray:
     (4 / log2(Q)) * (1 - 1/sqrt(Q)) * Q(sqrt(3*snr/(Q-1))), strictly
     decreasing in the SNR. Exact in the Gray-coded nearest-neighbor sense
     for square constellations and a standard approximation for the cross
-    ones (Q = 32, 128, ...).
+    ones (Q = 32, 128, ...). A negative or NaN SNR raises
+    ContractViolationError; an infinite one has BER 0.
     """
     bits = _check_order(order)
     snr = np.asarray(snr_linear, dtype=np.float64)
-    if np.any(snr < 0):
-        raise ContractViolationError("snr_linear must be non-negative")
+    if not np.all(snr >= 0):
+        raise ContractViolationError("snr_linear must be non-negative, not NaN")
     scale = (4.0 / bits) * (1.0 - 1.0 / math.sqrt(order))
     return scale * qfunc(np.sqrt(3.0 * snr / (order - 1)))
 

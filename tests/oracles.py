@@ -58,7 +58,7 @@ from ddamsim.experiments import (
     _strongest_se,
     _zf_start,
 )
-from ddamsim.linalg import eig_hermitian, null_space_basis, svd_reduced
+from ddamsim.linalg import RANK_TOL, eig_hermitian, null_space_basis, svd_reduced
 from ddamsim.metrics import (
     CsiError,
     exceedance_fractions,
@@ -748,14 +748,16 @@ def ofdm_design_and_rate_loop(
     """Per-subcarrier loop version of `ofdm_design_and_rate`.
 
     One `svd_reduced` call per subcarrier (a stack of one) on the full
-    M_r x M_t desired matrix, and the ICI sum contracted over a (K, K, C) phase tensor whose
-    q = k (desired) slots are zero, so only the sources q != k enter. The library
-    computes the same design, LAPACK's singular-vector phases included,
-    up to rounding from one batched SVD of compressed channels, and the
-    same SINRs with an FFT correlation. num_streams = None leaves the
-    ranks uncapped; the library always takes a cap, and a cap of M_r is
-    the same since no rank exceeds M_r. The full (K, M_t, r_max) precoder
-    stack comes back as `precoder_coords` with the identity as
+    M_r x M_t desired matrix, a mode counting toward the rank when
+    s_i^2 > RANK_TOL s_1^2, and the ICI sum contracted over a (K, K, C)
+    phase tensor whose q = k (desired) slots are zero, so only the sources
+    q != k enter. The library computes the same design, LAPACK's
+    singular-vector phases included, up to rounding from one batched SVD
+    of compressed channels, and the same SINRs from eigendecompositions of
+    the M_r x M_r Grams and an FFT correlation. num_streams = None leaves
+    the ranks uncapped; the library always takes a cap, and a cap of M_r
+    is the same since no rank exceeds M_r. The full (K, M_t, r_max)
+    precoder stack comes back as `precoder_coords` with the identity as
     `antenna_basis`, so `ofdm_precoder_stack` reads both results alike.
     """
     k_sub = int(num_subcarriers)
@@ -792,7 +794,7 @@ def ofdm_design_and_rate_loop(
     ranks = np.zeros(k_sub, dtype=np.int64)
     for k in range(k_sub):
         [u], [s], [v] = svd_reduced(desired[k : k + 1])
-        rank = int(np.count_nonzero(s))
+        rank = int(np.count_nonzero(s**2 > RANK_TOL * s[0] ** 2))
         r_k = rank if num_streams is None else min(rank, num_streams)
         ranks[k] = r_k
         combiners[k, :, :r_k] = u[:, :r_k]

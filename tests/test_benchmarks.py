@@ -396,10 +396,6 @@ OFDM_DESIGN_FIELDS = (
     "combiners",
     "singular_values",
     "ranks",
-    "left",
-    "coords",
-    "coupling",
-    "ramp",
 )
 
 
@@ -457,21 +453,135 @@ def test_stacked_ofdm_design_equals_one_realization_calls(
         reference = ofdm_design_and_rate_loop(realization, k_sub, cp, power, noise, num_streams)
         assert np.array_equal(design.ranks, reference.ranks), i
         _assert_same_design(design, reference, power, f"member {i}")
-        [sinr], [rate] = ofdm_rate(design, [power], noise, cp)
-        assert rate == pytest.approx(reference.rate_bps_hz, rel=1e-12, abs=0.0), i
-        np.testing.assert_allclose(sinr, reference.sinr, rtol=1e-11, atol=0, err_msg=f"{i}")
+
+
+def _silence(paths, member, num_silent):
+    """paths with the first num_silent path gains of one member set to zero."""
+    silent = np.arange(paths[member].num_paths) < num_silent
+    paths[member] = replace(paths[member], gains=np.where(silent, 0.0, paths[member].gains))
+    return paths
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_rx=st.sampled_from([1, 2, 4]),
+    num_paths=st.integers(1, 6),
+    wide=st.booleans(),
+    tx_pick=st.integers(0, 2**16),
+    num_members=st.integers(1, 3),
+    zero_gain=st.sampled_from([None, "path", "member"]),
+    num_streams=st.sampled_from([1, 2, 4]),
+    velocity_mps=st.sampled_from([0.0, 500.0 / 3.6]),
+    num_subcarriers=st.sampled_from([8, 32]),
+    powers=st.lists(st.sampled_from([1e-3, 0.1, 1.0, 10.0]), min_size=1, max_size=3),
+)
+@example(  # fig4's channels: M_t = 64 > W = 5, two streams of two receive antennas
+    seed=0, num_rx=2, num_paths=3, wide=True, tx_pick=64 - 6, num_members=3,
+    zero_gain=None, num_streams=2, velocity_mps=500.0 / 3.6, num_subcarriers=32, powers=[1.0],
+)
+def test_ofdm_rate_matches_loop_oracle(
+    seed, num_rx, num_paths, wide, tx_pick, num_members, zero_gain, num_streams, velocity_mps,
+    num_subcarriers, powers,
+):
+    # Every member of a stack against its own per-subcarrier SVD loop at each
+    # power. M_t is drawn on both sides of W = max(2 M_r, M_r + C), the
+    # width ofdm_design compresses to; L < M_r gives C < M_r. A zero-gain
+    # path gives member 0 one component fewer than the stack's C, and a
+    # zero-gain member has none, so no stream is loaded there.
+    width = max(2 * num_rx, num_rx + num_paths)
+    if wide:
+        num_tx = width + 1 + tx_pick % (256 - width)
+    else:
+        num_tx = 2 + tx_pick % (width - 1)
+    cfg = SystemConfig(
+        num_tx_antennas=num_tx,
+        num_rx_antennas=num_rx,
+        num_streams=1,
+        num_paths=num_paths,
+        velocity_mps=velocity_mps,
+    )
+    rng = np.random.default_rng(seed)
+    paths = [generate_paths(cfg, rng) for _ in range(num_members)]
+    if zero_gain is not None:
+        paths = _silence(paths, 0, 1 if zero_gain == "path" else num_paths)
+    realizations = realize_channel(paths, cfg)
+    cp, noise = cfg.max_delay_tap, cfg.noise_power_watts
+    sinrs, rates = ofdm_rate(realizations, num_subcarriers, powers, noise, cp, num_streams)
+    assert sinrs.shape[:3] == (num_members, len(powers), num_subcarriers)
+    assert rates.shape == (num_members, len(powers))
+    for i, realization in enumerate(realizations):
+        for p, power in enumerate(powers):
+            reference = ofdm_design_and_rate_loop(
+                realization, num_subcarriers, cp, power, noise, num_streams
+            )
+            sinr, want = sinrs[i, p], reference.sinr
+            assert np.array_equal(np.count_nonzero(sinr, axis=1), reference.ranks), (i, p)
+            assert not np.any(sinr[:, want.shape[1] :]), (i, p)
+            np.testing.assert_allclose(
+                sinr[:, : want.shape[1]], want, rtol=1e-11, atol=0, err_msg=f"{i} {p}"
+            )
+            assert rates[i, p] == pytest.approx(reference.rate_bps_hz, rel=1e-12, abs=0.0), (i, p)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_members=st.integers(2, 5),
+    num_tx=st.sampled_from([3, 5, 16, 128]),
+    num_rx=st.sampled_from([1, 2, 4]),
+    num_paths=st.integers(1, 5),
+    num_streams=st.sampled_from([1, 2]),
+    velocity_mps=st.sampled_from([0.0, 500.0 / 3.6]),
+    silent_member=st.booleans(),
+)
+@example(  # fig4's OFDM channels: M_t = 64, two streams
+    seed=0, num_members=2, num_tx=64, num_rx=2, num_paths=3, num_streams=2,
+    velocity_mps=50.0, silent_member=False,
+)
+def test_stacked_ofdm_rate_equals_one_realization_calls(
+    seed, num_members, num_tx, num_rx, num_paths, num_streams, velocity_mps, silent_member
+):
+    # Every member is rated on min(M_r, num_streams) stream slots, so one
+    # with the stack's component count equals its one-realization call bit
+    # for bit. An all-zero last member gets only appended zero components
+    # and loads nothing.
+    cfg = SystemConfig(
+        num_tx_antennas=num_tx,
+        num_rx_antennas=num_rx,
+        num_streams=1,
+        num_paths=num_paths,
+        velocity_mps=velocity_mps,
+    )
+    rng = np.random.default_rng(seed)
+    paths = [generate_paths(cfg, rng) for _ in range(num_members)]
+    if silent_member:
+        paths = _silence(paths, num_members - 1, num_paths)
+    realizations = realize_channel(paths, cfg)
+    powers = [0.1, 1.0]
+    args = (cfg.noise_power_watts, cfg.max_delay_tap, num_streams)
+    sinrs, rates = ofdm_rate(realizations, 32, powers, *args)
+    for i, realization in enumerate(realizations[: num_members - silent_member]):
+        [alone], [alone_rates] = ofdm_rate([realization], 32, powers, *args)
+        assert np.array_equal(rates[i], alone_rates), i
+        assert np.array_equal(sinrs[i, ..., : alone.shape[-1]], alone), i
+        assert not np.any(sinrs[i, ..., alone.shape[-1] :]), i
+    if silent_member:
+        assert not np.any(sinrs[-1]) and not np.any(rates[-1])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_unit_power_ofdm_design_rates_like_a_design_at_each_power(seed):
-    # fig6's OFDM: one unit-power design per channel, rated at every swept
-    # power, against a design made at that power and against the loop
+    # fig6's OFDM: the plain and the CFO-compensated channel in one stacked
+    # rate, a and b taken at unit power and rated at every swept power,
+    # against a design made at that power and against the loop
     cfg = SystemConfig(num_tx_antennas=256, num_streams=1, path_gain_db=-120.0)
     paths = generate_paths(cfg, np.random.default_rng(seed))
     cp, noise = cfg.max_delay_tap, cfg.noise_power_watts
     powers = [10.0 ** ((dbm - 30.0) / 10.0) for dbm in BER_POWER_SWEEP_DBM]
-    for realization in realize_channel([paths, cfo_compensate(paths)], cfg):
-        sinrs, rates = ofdm_rate(ofdm_design(realization, 512, 1.0, 1), powers, noise, cp)
+    realizations = realize_channel([paths, cfo_compensate(paths)], cfg)
+    stacked = ofdm_rate(realizations, 512, powers, noise, cp, 1)
+    for realization, sinrs, rates in zip(realizations, *stacked):
         assert sinrs.shape[0] == rates.shape[0] == len(powers)
         for power, sinr, rate in zip(powers, sinrs, rates):
             want = ofdm_design_and_rate(realization, 512, cp, power, noise, 1)
@@ -487,16 +597,23 @@ def test_unit_power_ofdm_design_rates_like_a_design_at_each_power(seed):
 )
 def test_ofdm_rate_rejects_malformed_powers(powers):
     cfg = SystemConfig(num_tx_antennas=4, num_rx_antennas=2)
-    design = ofdm_design(_realization(cfg, 0), 16, 1.0, 2)
     with pytest.raises(ContractViolationError):
-        ofdm_rate(design, powers, cfg.noise_power_watts, 4)
+        ofdm_rate([_realization(cfg, 0)], 16, powers, cfg.noise_power_watts, 4, 2)
 
 
 def test_ofdm_design_rejects_mixed_stacks():
     cfg = SystemConfig(num_tx_antennas=8, num_rx_antennas=2)
     wide = _realization(replace(cfg, num_tx_antennas=16), 1)
+    faster = _realization(replace(cfg, bandwidth_hz=200e6), 1)
+    for other in (wide, faster):
+        with pytest.raises(ContractViolationError):
+            ofdm_design([_realization(cfg, 0), other], 16, 1.0, 2)
+        with pytest.raises(ContractViolationError):
+            ofdm_rate([_realization(cfg, 0), other], 16, [1.0], cfg.noise_power_watts, 4, 2)
     with pytest.raises(ContractViolationError):
-        ofdm_design([_realization(cfg, 0), wide], 16, 1.0, 2)
+        ofdm_design([], 16, 1.0, 2)
+    with pytest.raises(ContractViolationError):
+        ofdm_rate([], 16, [1.0], cfg.noise_power_watts, 4, 2)
 
 
 def _uneven_rank_realization(cfg, num_subcarriers, doppler_hz):

@@ -891,14 +891,14 @@ def test_one_zf_design_per_realization(monkeypatch, name, designs_per_chunk):
     [
         (
             "fig3-convergence",
-            dict(realize_channel=1, zf_design=1, ofdm_design=0, bcd_solve_stack=1),
+            dict(realize_channel=1, zf_design=1, ofdm_rate=0, bcd_solve_stack=1),
         ),
-        ("fig4-se-vs-mt", dict(realize_channel=3, zf_design=3, ofdm_design=3, bcd_solve_stack=1)),
+        ("fig4-se-vs-mt", dict(realize_channel=3, zf_design=3, ofdm_rate=3, bcd_solve_stack=1)),
         (
             "fig5-se-ddam-ofdm-otfs",
-            dict(realize_channel=3, zf_design=3, ofdm_design=3, bcd_solve_stack=0),
+            dict(realize_channel=3, zf_design=3, ofdm_rate=3, bcd_solve_stack=0),
         ),
-        ("fig6-ber", dict(realize_channel=1, zf_design=1, ofdm_design=2, bcd_solve_stack=0)),
+        ("fig6-ber", dict(realize_channel=1, zf_design=1, ofdm_rate=2, bcd_solve_stack=0)),
     ],
     ids=["fig3", "fig4", "fig5", "fig6"],
 )
@@ -907,9 +907,9 @@ def test_chunk_evaluators_call_each_stacked_stage_once_per_array_size(
 ):
     # the stage counts of one chunk do not grow with its trial count: fig3
     # and fig4 solve all their BCD problems in one stack and no experiment
-    # calls bcd_solve; fig6 designs its plain and its CFO-compensated
-    # channels in one OFDM stack each
-    stages = (*per_chunk, "bcd_solve")
+    # calls bcd_solve; fig6 rates its plain and its CFO-compensated
+    # channels in one OFDM stack each, and only fig8's frames design OFDM
+    stages = (*per_chunk, "bcd_solve", "ofdm_design")
     calls = dict.fromkeys(stages, 0)
 
     def counting(stage, fn):
@@ -925,7 +925,33 @@ def test_chunk_evaluators_call_each_stacked_stage_once_per_array_size(
         calls.update(dict.fromkeys(stages, 0))
         run = run_experiment(name, seed=4, num_trials=num_trials)
         assert run.failures == []
-        assert calls == dict(per_chunk, bcd_solve=0), num_trials
+        assert calls == dict(per_chunk, bcd_solve=0, ofdm_design=0), num_trials
+
+
+@pytest.mark.parametrize("name", ["fig4-se-vs-mt", "fig5-se-ddam-ofdm-otfs", "fig6-ber"])
+def test_ofdm_rates_take_no_svd_beyond_the_rank_one_split(monkeypatch, name):
+    # the OFDM rate eigendecomposes M_r x M_r Grams; its one SVD is the
+    # stacked split of the path matrices into rank-one components
+    ofdm_svds = []
+    svd = np.linalg.svd
+
+    def counted_svd(a, *args, **kwargs):
+        frame, callers = sys._getframe(1), []
+        while frame is not None:
+            callers.append(frame.f_code.co_name)
+            frame = frame.f_back
+        if "ofdm_rate" in callers:
+            ofdm_svds.append((callers[:3], np.shape(a)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    run = run_experiment(name, seed=4, num_trials=2)
+    assert run.failures == []
+    assert ofdm_svds
+    num_paths, num_rx = run.config.num_paths, run.config.num_rx_antennas
+    for callers, shape in ofdm_svds:
+        assert callers == ["svd_reduced", "_rank_one_components", "_ofdm_components"], callers
+        assert shape[:2] == (2 * num_paths, num_rx), shape
 
 
 @pytest.mark.parametrize("name", ["fig4-se-vs-mt", "fig5-se-ddam-ofdm-otfs"])
@@ -933,15 +959,13 @@ def test_one_antenna_width_factorization_per_array_size(monkeypatch, name):
     # realize_channel's thin QR of the path matrices is a trial's only
     # factorization with an M_t axis per array size: ZF, BCD's QRs of
     # (L n) x (K M_r) path-coordinate adjoints and the OTFS beam step's
-    # eigendecompositions work in the n = min(M_t, L M_r) path coordinates.
-    # OFDM's tail QR, whose LAPACK phases fig8's PAPR depends on, is left out.
+    # eigendecompositions work in the n = min(M_t, L M_r) path coordinates,
+    # and the OFDM rate in C x C and M_r x M_r Grams.
     qrs, eighs = [], []
     qr, eigh = np.linalg.qr, np.linalg.eigh
 
     def counted_qr(a, *args, **kwargs):
-        caller = sys._getframe(1).f_code.co_name
-        if caller != "ofdm_design":
-            qrs.append((caller, np.shape(a)))
+        qrs.append((sys._getframe(1).f_code.co_name, np.shape(a)))
         return qr(a, *args, **kwargs)
 
     def counted_eigh(a, *args, **kwargs):

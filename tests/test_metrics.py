@@ -88,6 +88,11 @@ def test_qam_ber_validation():
         qam_awgn_ber(1.0, 2)
     with pytest.raises(ContractViolationError):
         qam_awgn_ber(-0.5, 4)
+    # a NaN SNR fails the contract too, alone or in an array
+    for snr in (float("nan"), [1.0, float("nan")]):
+        with pytest.raises(ContractViolationError):
+            qam_awgn_ber(snr, 4)
+    assert float(qam_awgn_ber(float("inf"), 4)) == 0.0
 
 
 def test_ofdm_ber_derates_by_guard():
@@ -110,6 +115,9 @@ def test_ofdm_ber_derates_by_guard():
     ):
         with pytest.raises(ContractViolationError):
             ofdm_ber(bad_snr, bad_k, bad_m, 16)
+    # a NaN subcarrier SINR fails the trial instead of reaching a row as NaN
+    with pytest.raises(ContractViolationError):
+        ofdm_ber(np.full(4, np.nan), 4, 1, 16)
 
 
 def test_qam_constellation_shapes_and_energy():
