@@ -25,7 +25,7 @@ from .channel import (
     array_response,
 )
 from .errors import ContractViolationError, NumericalError
-from .linalg import RANK_TOL, eig_hermitian, svd_reduced
+from .linalg import RANK_TOL, eig_hermitian, svd_reduced, svd_two_rows
 
 # ratio this close to 1 switches the geometric series to its limit value
 ICI_GEOMETRIC_GUARD = 1e-12
@@ -33,6 +33,9 @@ BEAM_NORM_TOL = 1e-9
 # otfs_beam_opt stops after this many sweeps or below this relative gain step
 BEAM_OPT_MAX_ITERS = 50
 BEAM_OPT_TOL = 1e-9
+# subcarrier matrices per ofdm_design block (whole members, at least one):
+# its temporaries stay small next to the design's outputs
+OFDM_DESIGN_BLOCK = 1024
 
 
 # --- OFDM with inter-carrier interference -----------------------------------
@@ -190,12 +193,14 @@ def ofdm_design(
 
     A sequence of realizations of one shape and symbol duration is
     designed as stacks and returns the list of their designs: one stacked
-    rank-one split, one batched tail QR, one product for the desired
-    matrices and one batched SVD over (S, K, M_r, W), with no loop over
-    realizations or subcarriers. A member equals its one-realization call
-    bit for bit whenever its component count is the stack's C (see
-    _rank_one_components), as it is for every ray channel with no zero
-    gain; LAPACK factors each matrix of a batch on its own.
+    rank-one split and one batched tail QR, then the desired matrices and
+    their SVDs over (S, K, M_r, W) in blocks of whole members of about
+    OFDM_DESIGN_BLOCK matrices that keep only the min(M_r, num_streams)
+    leading singular vectors; there is no loop over subcarriers. A member
+    equals its one-realization call bit for bit whenever its component
+    count is the stack's C (see _rank_one_components), as it is for every
+    ray channel with no zero gain, since every matrix is factored on its
+    own.
 
     The SVD does not run on the (K, M_r, M_t) desired matrices but on
     (K, M_r, W) compressed ones. With `right` the (C, M_t) right vectors of
@@ -210,18 +215,24 @@ def ofdm_design(
     (M_t, W) antenna basis block-diag(I, Q), so no per-subcarrier array has
     an M_t axis; the power budget is checked on the small vectors.
 
-    The design keeps an SVD, and not ofdm_rate's Gram eigendecomposition,
-    for LAPACK's singular-vector phases: the frame sums the precoded
-    symbols of all subcarriers, so its PAPR depends on them. The
-    compression keeps those phases. For a wide matrix zgesdd first takes a
-    Householder LQ and then the SVD of L. Row i's reflector depends only on
-    its pivot entry (a column < M_r), the norm of the rest of its row, and
-    inner products between rows; a unitary acting only on the columns after
-    M_r leaves all of these unchanged, so L, and with it the combiners, the
-    singular values and the small right vectors, equal the full SVD's up to
-    rounding. zgesdd takes that LQ path once N >= int(17 M / 9); padding
-    the width to at least 2 M_r >= int(17 M_r / 9) keeps the compressed
-    problem on the same path as the full one, which has M_t > 2 M_r.
+    The design keeps an SVD with LAPACK zgesdd's singular-vector phases,
+    and not ofdm_rate's Gram eigendecomposition, whose phases are its own:
+    the frame sums the precoded symbols of all subcarriers, so its PAPR
+    depends on them. For M_r = 2 and W >= 3, fig8's shape, linalg.
+    svd_two_rows computes that SVD with zgesdd's own steps written out in
+    vectorized numpy, which is faster than one LAPACK call per 2 x W
+    matrix and pins the phases in this package rather than in the
+    installed LAPACK build; every other shape calls np.linalg.svd. The
+    compression keeps the phases either way. For a wide matrix zgesdd first
+    takes a Householder LQ and then the SVD of L. Row i's reflector depends
+    only on its pivot entry (a column < M_r), the norm of the rest of its
+    row, and inner products between rows; a unitary acting only on the
+    columns after M_r leaves all of these unchanged, so L, and with it the
+    combiners, the singular values and the small right vectors, equal the
+    full SVD's up to rounding. zgesdd takes that LQ path once N >=
+    int(17 M / 9); padding the width to at least 2 M_r >= int(17 M_r / 9)
+    keeps the compressed problem on the same path as the full one, which
+    has M_t > 2 M_r.
 
     A non-finite desired matrix or a loaded subcarrier off the power
     budget by more than 1e-9 relative raises ContractViolationError, as do
@@ -248,22 +259,43 @@ def ofdm_design(
     else:
         antenna_basis = np.broadcast_to(np.eye(m_t, dtype=np.complex128), (count, m_t, m_t))
     coords = right.conj() @ antenna_basis                            # (S, C, W)
-    # the contraction order optimize=True picks, given so it is not searched per call
-    desired = np.einsum(
-        "skc,sca,scb->skab",
-        ramp * coeff[:, None, :, 0],
-        left,
-        coords,
-        optimize=["einsum_path", (1, 2), (0, 1)],
-    )                                                                # (S, K, M_r, W)
-    if not np.all(np.isfinite(desired)):
-        raise ContractViolationError("subcarrier channels contain non-finite entries")
-    try:
-        u, s, vh = np.linalg.svd(desired, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge: {exc}") from exc
-    # with the SVD's outputs, the largest arrays a stacked design holds at once
-    del desired
+    weights = ramp * coeff[:, None, :, 0]                            # (S, K, C)
+    num_rx, width = left.shape[2], coords.shape[2]
+    modes = min(num_rx, width)
+    kept = min(num_streams, modes)
+    # the kept left vectors and conjugated right vectors, in the design's
+    # layout and filled a block of members at a time; the outputs are
+    # allocated before any block's temporaries and finished in place
+    k_sub = weights.shape[1]
+    s = np.empty((count, k_sub, modes))
+    combiners = np.empty((count, k_sub, num_rx, kept), dtype=np.complex128)
+    small = np.empty((count, k_sub, width, kept), dtype=np.complex128)
+    step = max(1, OFDM_DESIGN_BLOCK // k_sub)
+    for lo in range(0, count, step):
+        block = slice(lo, lo + step)
+        # the contraction order optimize=True picks, given so it is not searched per call
+        desired = np.einsum(
+            "skc,sca,scb->skab",
+            weights[block],
+            left[block],
+            coords[block],
+            optimize=["einsum_path", (1, 2), (0, 1)],
+        )                                                            # (S', K, M_r, W)
+        if not np.all(np.isfinite(desired)):
+            raise ContractViolationError("subcarrier channels contain non-finite entries")
+        if num_rx == 2 and width >= 3:
+            u, sv, vh = svd_two_rows(desired.reshape(-1, 2, width))
+        else:
+            try:
+                u, sv, vh = np.linalg.svd(desired, full_matrices=False)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"SVD did not converge: {exc}") from exc
+        shape = desired.shape[:2]
+        s[block] = sv.reshape(shape + (modes,))
+        combiners[block] = u.reshape(shape + (num_rx, modes))[..., :kept]
+        small[block] = vh.reshape(shape + (modes, width))[..., :kept, :].conj().swapaxes(-1, -2)
+        # freed before the next block allocates its own
+        del desired, u, sv, vh
 
     # numerical rank per subcarrier, on squared singular values as in ofdm_rate
     ranks = np.minimum(
@@ -273,8 +305,10 @@ def ofdm_design(
     loaded = np.arange(r_max) < ranks[..., None]                    # (S, K, r_max)
     # sqrt(P / r_k) on the r_k active columns, zero on the rest
     scale = np.sqrt(total_power / np.maximum(ranks, 1))[..., None] * loaded
-    small = vh[..., :r_max, :].conj().swapaxes(-1, -2) * scale[..., None, :]
-    combiners = np.where(loaded[..., None, :], u[..., :r_max], 0.0)
+    small = small[..., :r_max]
+    small *= scale[..., None, :]
+    combiners = combiners[..., :r_max]
+    np.copyto(combiners, 0.0, where=~loaded[..., None, :])
     # math.isclose(power, total_power, rel_tol=1e-9) on every loaded subcarrier
     power = np.sum(np.abs(small) ** 2, axis=(-2, -1))
     close = np.abs(power - total_power) <= 1e-9 * np.maximum(power, total_power)

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -118,8 +117,9 @@ TRIAL_FAILURES = (ContractViolationError, NumericalError, FeasibilityError)
 # ICI correlation terms. tracemalloc peaks of a 64-trial chunk at the
 # default config: fig3 6.7 MiB (its stacked BCD solve), fig4 34.4, fig5
 # 24.3, fig6 27.1 (one OFDM rate of the plain or of the compensated
-# channels; both in one call would peak at 45.2), fig8 21.5 (its QAM
-# payloads, one frame at a time), fig9 6.3 (its estimates, lag models and
+# channels; both in one call would peak at 45.2), fig8 16.0 (its QAM
+# payloads and designs, one frame at a time; the OFDM design keeps only the
+# singular vectors it can load), fig9 6.3 (its estimates, lag models and
 # weights).
 TRIAL_CHUNK = 64
 
@@ -801,6 +801,9 @@ def run_experiment(
     pooled = workers is not None and workers > 1 and trials > 1
     chunks = _trial_chunks(trials, workers if pooled else 1)
     if pooled:
+        # imported here so a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_run_chunk, name, trial_config, seed, chunk) for chunk in chunks

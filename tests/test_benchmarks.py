@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ddamsim import benchmarks
 from ddamsim.benchmarks import (
     OtfsConfig,
     cfo_compensate,
@@ -32,6 +33,7 @@ from ddamsim.channel import (
 from ddamsim.config import SystemConfig
 from ddamsim.errors import ContractViolationError, NumericalError
 from ddamsim.experiments import BER_POWER_SWEEP_DBM
+from ddamsim.linalg import svd_two_rows
 from oracles import (
     _shift_phase_operator,
     delay_doppler_transform,
@@ -388,6 +390,45 @@ def test_ofdm_compressed_svd_matches_loop_oracle(
     _assert_same_design(result, reference, cfg.tx_power_watts, branch)
     assert result.rate_bps_hz == pytest.approx(reference.rate_bps_hz, rel=1e-12, abs=0.0)
     np.testing.assert_allclose(result.sinr, reference.sinr, rtol=1e-11, atol=0)
+
+
+@pytest.mark.parametrize(
+    "num_rx, num_tx, two_row_kernel",
+    [(1, 64, False), (4, 64, False), (2, 2, False), (2, 3, True), (2, 64, True)],
+)
+def test_ofdm_design_factors_two_row_subcarriers_with_svd_two_rows(
+    monkeypatch, num_rx, num_tx, two_row_kernel
+):
+    # M_r = 2 with W >= 3 (here W = 3 and the compressed W = 5) takes
+    # svd_two_rows; every other shape, W = M_t = 2 included, keeps
+    # np.linalg.svd. Both match the loop oracle's SVD, phases included.
+    shapes = []
+
+    def counted(a):
+        shapes.append(a.shape)
+        return svd_two_rows(a)
+
+    monkeypatch.setattr(benchmarks, "svd_two_rows", counted)
+    for num_streams in range(1, num_rx + 1):
+        cfg = SystemConfig(
+            num_tx_antennas=num_tx, num_rx_antennas=num_rx, num_streams=num_streams
+        )
+        for seed in range(3):
+            args = (
+                _realization(cfg, 60 + seed),
+                32,
+                cfg.max_delay_tap,
+                cfg.tx_power_watts,
+                cfg.noise_power_watts,
+            )
+            result = ofdm_design_and_rate(*args, num_streams)
+            reference = ofdm_design_and_rate_loop(*args, num_streams)
+            assert np.array_equal(result.ranks, reference.ranks)
+            _assert_same_design(
+                result, reference, cfg.tx_power_watts, f"streams {num_streams} seed {seed}"
+            )
+    assert bool(shapes) == two_row_kernel
+    assert all(shape[1:] == (2, min(num_tx, 5)) for shape in shapes), shapes
 
 
 OFDM_DESIGN_FIELDS = (

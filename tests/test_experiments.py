@@ -78,17 +78,35 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_experiments_without_otfs_or_ber_never_load_scipy():
-    # a fresh interpreter, since the test process has scipy loaded already
+def _last_line_of_fresh_interpreter(snippet):
+    # a fresh interpreter, since the test process has loaded every module already
     src = str(Path(experiments.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
     out = subprocess.run(
-        [sys.executable, "-c", SCIPY_FREE_SNIPPET],
+        [sys.executable, "-c", snippet],
         capture_output=True, text=True, env=env, timeout=300, check=True,
     )
-    assert out.stdout.strip().splitlines()[-1] == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_experiments_without_otfs_or_ber_never_load_scipy():
+    assert _last_line_of_fresh_interpreter(SCIPY_FREE_SNIPPET) == "[]"
+
+
+POOL_FREE_SNIPPET = """\
+import sys
+import ddamsim
+loaded = [m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules]
+run = ddamsim.run_experiment("fig8-papr", seed=0, num_trials=2, workers=1)
+assert run.num_failures == 0, run.failures
+print(loaded + [m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules])
+"""
+
+
+def test_import_and_serial_runs_never_load_the_worker_pool():
+    assert _last_line_of_fresh_interpreter(POOL_FREE_SNIPPET) == "[]"
 
 
 def test_unknown_experiment_raises():
@@ -928,11 +946,9 @@ def test_chunk_evaluators_call_each_stacked_stage_once_per_array_size(
         assert calls == dict(per_chunk, bcd_solve=0, ofdm_design=0), num_trials
 
 
-@pytest.mark.parametrize("name", ["fig4-se-vs-mt", "fig5-se-ddam-ofdm-otfs", "fig6-ber"])
-def test_ofdm_rates_take_no_svd_beyond_the_rank_one_split(monkeypatch, name):
-    # the OFDM rate eigendecomposes M_r x M_r Grams; its one SVD is the
-    # stacked split of the path matrices into rank-one components
-    ofdm_svds = []
+def _assert_only_svd_is_the_rank_one_split(monkeypatch, name, stage):
+    """Run two trials of `name`; stage's only np.linalg.svd calls split the path matrices."""
+    stage_svds = []
     svd = np.linalg.svd
 
     def counted_svd(a, *args, **kwargs):
@@ -940,18 +956,31 @@ def test_ofdm_rates_take_no_svd_beyond_the_rank_one_split(monkeypatch, name):
         while frame is not None:
             callers.append(frame.f_code.co_name)
             frame = frame.f_back
-        if "ofdm_rate" in callers:
-            ofdm_svds.append((callers[:3], np.shape(a)))
+        if stage in callers:
+            stage_svds.append((callers[:3], np.shape(a)))
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     run = run_experiment(name, seed=4, num_trials=2)
     assert run.failures == []
-    assert ofdm_svds
+    assert stage_svds
     num_paths, num_rx = run.config.num_paths, run.config.num_rx_antennas
-    for callers, shape in ofdm_svds:
+    for callers, shape in stage_svds:
         assert callers == ["svd_reduced", "_rank_one_components", "_ofdm_components"], callers
         assert shape[:2] == (2 * num_paths, num_rx), shape
+
+
+@pytest.mark.parametrize("name", ["fig4-se-vs-mt", "fig5-se-ddam-ofdm-otfs", "fig6-ber"])
+def test_ofdm_rates_take_no_svd_beyond_the_rank_one_split(monkeypatch, name):
+    # the OFDM rate eigendecomposes M_r x M_r Grams; its one SVD is the
+    # stacked split of the path matrices into rank-one components
+    _assert_only_svd_is_the_rank_one_split(monkeypatch, name, "ofdm_rate")
+
+
+def test_fig8_design_takes_no_svd_beyond_the_rank_one_split(monkeypatch):
+    # fig8's subcarrier matrices are 2 x W (M_r = 2, W = 5): svd_two_rows
+    # factors them, so no np.linalg.svd runs on the (S, K, 2, W) stack
+    _assert_only_svd_is_the_rank_one_split(monkeypatch, "fig8-papr", "ofdm_design")
 
 
 @pytest.mark.parametrize("name", ["fig4-se-vs-mt", "fig5-se-ddam-ofdm-otfs"])

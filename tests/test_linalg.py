@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddamsim.errors import ContractViolationError
 from ddamsim.linalg import (
+    RANK_TOL,
     as_complex_matrix,
     eig_hermitian,
     null_space_basis,
     svd_reduced,
+    svd_two_rows,
 )
 
 
@@ -167,3 +171,116 @@ def test_null_space_basis_stack_contracts():
         null_space_basis(np.ones((3, 1)))  # a matrix, not a stack
     with pytest.raises(ContractViolationError):
         null_space_basis(np.full((2, 3, 1), np.nan))
+
+
+def _two_row_matrix(kind, width, rng):
+    """One 2 x width matrix of a kind that steers zgesdd's 2 x 2 step down one branch."""
+    a = _random_complex(rng, (2, width))
+    if kind == "real":
+        a = a.real + 0j
+    elif kind == "imaginary-a11":
+        # Re a11 = +0 or -0 sets the sign of the first reflector
+        a[0, 0] = complex(rng.choice([0.0, -0.0]), a[0, 0].imag)
+    elif kind == "rank-one":
+        a = np.outer(a[:, 0], a[0])
+    elif kind == "zero-row-1":
+        a[0] = 0.0
+    elif kind == "zero-row-2":
+        a[1] = -0.0
+    elif kind == "zero":
+        a[:] = 0.0
+    elif kind == "near-rank-one":
+        a[1] = a[0] * a[1, 0] + 10.0 ** rng.uniform(-5, -2) * a[1]
+    elif kind == "swap":
+        # row 2 larger than row 1 and nearly orthogonal to it: |d2| > |d1| in
+        # dlasv2 (a real multiple of row 1 would make l21 real, a tie that
+        # rounding breaks one way or the other)
+        orthogonal = a[1] - (a[1] @ a[0].conj()) / (a[0] @ a[0].conj()) * a[0]
+        a[1] = 4.0 * orthogonal + 0.1 * np.exp(2j * np.pi * rng.random()) * a[0]
+    elif kind == "huge":
+        # a zero row 1 and a tiny a21: |e1| >> |d1| with |d1| / |e1| < eps. A
+        # real a21 makes d2 an exact 0 instead of rounding noise, whose sign
+        # would pick the signs here as in LAPACK
+        a[0] = 0.0
+        a[1, 0] = rng.choice([-1e-20, 1e-20])
+    elif kind == "tiny-m":
+        # row 1 zero, row 2 all but a real a21 of size 1e-200: g / f squared
+        # underflows in dlasv2, and h is an exact 0
+        a[0] = 0.0
+        a[1, 0] = rng.choice([-1.0, 1.0])
+        a[1, 1:] *= 1e-200
+    elif kind == "split":
+        # exactly orthogonal rows, in either order of size: e1 = 0 splits.
+        # (Rows orthogonal only to rounding would leave the phase of mode 2
+        # to the phase of rounding noise, in LAPACK as here.)
+        a[0, 1:] = 0.0
+        a[1, 0] = 0.0
+        a[rng.integers(2)] *= 8.0
+    elif kind == "signed-zeros":
+        # row 1 real on its pivot over a tail of signed zeros, so H1 = I, and
+        # Re a22 = +0 or -0 sets the sign of the second reflector. (Zeros
+        # that arithmetic makes carry signs that depend on the order of
+        # operations, in LAPACK's kernels as in numpy's.)
+        a[0, 0] = a[0, 0].real
+        a[0, 1:] = rng.choice([0.0, -0.0], width - 1) + rng.choice([0.0, -0.0], width - 1) * 1j
+        a[1, 1] = complex(rng.choice([0.0, -0.0]), a[1, 1].imag)
+    return a
+
+
+TWO_ROW_KINDS = (
+    "random", "real", "imaginary-a11", "rank-one", "zero-row-1", "zero-row-2", "zero",
+    "near-rank-one", "swap", "huge", "tiny-m", "split", "signed-zeros",
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    width=st.integers(3, 130),
+    seed=st.integers(0, 2**32 - 1),
+    exponents=st.lists(st.integers(-531, 498), min_size=len(TWO_ROW_KINDS),
+                       max_size=len(TWO_ROW_KINDS)),
+)
+def test_svd_two_rows_matches_lapack(width, seed, exponents):
+    # one matrix of every kind per example, each scaled by its own power of
+    # two between about 1e-160 and 1e150, and LAPACK factors the scaled
+    # matrix too; zgesdd itself rescales a matrix whose largest entry lies
+    # outside about [1e-138, 1e138]
+    rng = np.random.default_rng(seed)
+    stack = np.array([
+        np.ldexp(_two_row_matrix(kind, width, rng).view(np.float64), k).view(np.complex128)
+        for kind, k in zip(TWO_ROW_KINDS, exponents)
+    ])
+    u, s, vh = svd_two_rows(stack)
+    assert u.shape == (len(stack), 2, 2) and s.shape == (len(stack), 2)
+    assert vh.shape == (len(stack), 2, width)
+    for i, (kind, a) in enumerate(zip(TWO_ROW_KINDS, stack)):
+        want_u, want_s, want_vh = np.linalg.svd(a, full_matrices=False)
+        s1 = want_s[0]
+        assert np.all(np.abs(s[i] - want_s) <= 1e-13 * s1), kind
+        # the modes ofdm_design loads: LAPACK's phases, not only its subspaces
+        for j in np.flatnonzero(want_s**2 > RANK_TOL * s1**2):
+            assert np.max(np.abs(u[i, :, j] - want_u[:, j])) <= 1e-12, (kind, j)
+            # a wide matrix fixes its right vector j only to rounding times
+            # s1 / s_j, in LAPACK as here
+            gate = 1e-12 + 1e-14 * s1 / want_s[j]
+            assert np.max(np.abs(vh[i, j] - want_vh[j])) <= gate, (kind, j)
+            assert abs(u[i, :, j].conj() @ a @ vh[i, j].conj() - s[i, j]) <= 1e-13 * s1, kind
+        # each matrix is factored on its own
+        for got, alone in zip((u, s, vh), svd_two_rows(stack[i : i + 1])):
+            assert np.array_equal(got[i], alone[0]), kind
+
+
+def test_svd_two_rows_contract():
+    rng = np.random.default_rng(6)
+    with pytest.raises(ContractViolationError):
+        svd_two_rows(_random_complex(rng, (1, 2, 2)))  # zgesdd's square path
+    with pytest.raises(ContractViolationError):
+        svd_two_rows(_random_complex(rng, (1, 3, 5)))
+    with pytest.raises(ContractViolationError):
+        svd_two_rows(_random_complex(rng, (2, 5)))  # a matrix, not a stack
+    bad = _random_complex(rng, (2, 2, 4))
+    bad[1, 0, 3] = np.nan
+    with pytest.raises(ContractViolationError):
+        svd_two_rows(bad)
+    u, s, vh = svd_two_rows(np.zeros((0, 2, 4)))
+    assert u.shape == (0, 2, 2) and s.shape == (0, 2) and vh.shape == (0, 2, 4)
